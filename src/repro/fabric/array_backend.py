@@ -252,7 +252,7 @@ class ArrayEngine(BatchComponent):
             # replace the VC-allocation stage.
             self._route_tab = np.zeros((R, R), dtype=np.int64)
             for r, router in enumerate(net.routers):
-                fn = router._route_fn
+                fn = router._route
                 row = self._route_tab[r]
                 for d in range(R):
                     row[d] = LOCAL if d == r else fn(_RouteProbe(d))

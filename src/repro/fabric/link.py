@@ -125,7 +125,7 @@ class LinkStage(GatedComponentMixin, ClockedComponent):
             elif dst.value != 0:
                 dst.set(0, tick)  # settle a stale credit wire, once
                 active = True
-        self.gating.record(enabled)
+        self.record_edge(tick, enabled)
         if not enabled and not active:
             self.sleep_until(*self._watch)
 
@@ -154,6 +154,17 @@ class CreditLink:
         credits: the producer-side credit wires, one per VC (what
             senders watch). At ``n_vcs=1`` the single wire is also
             exposed as ``credit`` under its historical name.
+        credits_out: the consumer-side credit wires, one per VC (what
+            receivers drive).
+
+    **Polling wires directly.** A consumer that polls many wires per
+    edge (the router) may skip the ``take_*`` helpers and read the
+    committed values itself: an idle flit wire holds ``None``, an idle
+    credit wire ``0`` (or ``None``), and a live payload ``(x, sent_tick)``
+    is due on exactly the edge where ``sent_tick == tick -
+    LINK_LATENCY_TICKS``. ``x`` is a credit count, a flit (``n_vcs=1``)
+    or a ``(flit, vc)`` pair. Everything is *driven* through the
+    ``send_*`` helpers, so the payload shapes are built only here.
     """
 
     def __init__(self, kernel: SimKernel, name: str, n_vcs: int = 1,
@@ -190,7 +201,7 @@ class CreditLink:
                 for vc in range(n_vcs)
             ]
             self._flit_in = self.flit
-            self._credits_out = self.credits
+            self.credits_out = self.credits
         else:
             flit_wires = [kernel.signal(f"{name}.flit.s{j}", initial=None)
                           for j in range(segments - 1)]
@@ -206,7 +217,7 @@ class CreditLink:
             self.flit = flit_wires[-1]                       # consumer side
             self.credits = [chain[0] for chain in credit_wires]
             self._flit_in = flit_wires[0]
-            self._credits_out = [chain[-1] for chain in credit_wires]
+            self.credits_out = [chain[-1] for chain in credit_wires]
             self.stages = [
                 LinkStage(kernel, f"{name}.st{j}",
                           forward=[(flit_wires[j], flit_wires[j + 1])],
@@ -227,7 +238,7 @@ class CreditLink:
     def send_credits(self, vc: int, count: int, tick: int) -> None:
         """Return ``count`` credits for ``vc`` (consumer side); the
         producer collects them ``segments`` cycles later."""
-        self._credits_out[vc].set((count, tick), tick)
+        self.credits_out[vc].set((count, tick), tick)
 
     # -- consumer side ---------------------------------------------------
 
@@ -263,8 +274,8 @@ class CreditLink:
         segmented link this settles the consumer-side wire; the stages
         settle their own.
         """
-        if self._credits_out[vc].value != 0:
-            self._credits_out[vc].set(0, tick)
+        if self.credits_out[vc].value != 0:
+            self.credits_out[vc].set(0, tick)
             return True
         return False
 

@@ -25,6 +25,13 @@ depths follow the attached link's ``capacity`` when the assembling
 network sized one (segmented links and pipelined routers need
 ``pipeline_depth + 2 * segments`` credits to stream — see docs/fabric.md).
 
+**One edge** is input-first (docs/fabric.md, "One router edge"): drain
+the stage registers, collect credits, [allocate VCs,] look at each
+occupied input once and bucket it under the output it wants, grant per
+wanted output in ascending order, then take arrivals and return credits
+in one pass over the connected inputs. Only connected ports are polled;
+their wires are laid out once, at the first edge after wiring.
+
 **Pipelined router.** ``pipeline_depth=1`` (the default) is the
 historical single-cycle router: route, arbitrate, and traverse all happen
 on the grant edge, bit-identically to every build before the knob
@@ -93,12 +100,16 @@ from typing import Sequence
 from repro.clocking.gating import GatingStats
 from repro.errors import ConfigurationError, RoutingError
 from repro.fabric.allocator import Allocator, RoundRobinAllocator
-from repro.fabric.link import CreditLink
+from repro.fabric.link import LINK_LATENCY_TICKS, CreditLink
 from repro.fabric.routing import RouteFn, RoutingStrategy, VcCandidateFn
 from repro.noc.flit import Flit
 from repro.sim.component import ClockedComponent, GatedComponentMixin
 from repro.sim.kernel import SimKernel
-from repro.sim.signal import Signal
+
+
+def _va_walk_order(pair: tuple[int, int]) -> tuple[int, int]:
+    """VC allocation serves output VCs port ascending, VC descending."""
+    return pair[0], -pair[1]
 
 
 class FabricRouter(GatedComponentMixin, ClockedComponent):
@@ -147,7 +158,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         # constant stage delay, so ready ticks are monotone and one queue
         # suffices.
         self._stage_queue: deque[tuple[int, int, int, Flit]] = deque()
-        self._route_fn = route
+        self._route = route
         self._candidates = candidates
         # Bubble flow control (single-VC only): the strategy deciding
         # which in->out pairs are same-ring transit; None disables the
@@ -193,9 +204,10 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         self._gating = GatingStats()
         self.flits_forwarded = 0
         self.vcs_allocated = 0
-        # Signals to watch while asleep: anything arriving (flits in,
-        # credits back) makes the next edge act again.
-        self._watch: list[Signal] = []
+        # (inputs, outputs, credit wires, watch list) of the connected
+        # ports, laid out at the first edge after a connect() (see
+        # _lay_out_wires); None = not yet.
+        self._wires: tuple | None = None
         # register=False leaves the router unscheduled (an array backend
         # executes its semantics instead); state and wiring are identical.
         if register:
@@ -226,6 +238,12 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
 
     def connect(self, port: int, in_link: CreditLink | None,
                 out_link: CreditLink | None) -> None:
+        for link in (in_link, out_link):
+            if link is not None and link.n_vcs != self.n_vcs:
+                raise ConfigurationError(
+                    f"{self.name}: {link!r} carries {link.n_vcs} VCs, "
+                    f"the router {self.n_vcs}"
+                )
         self.in_links[port] = in_link
         self.out_links[port] = out_link
         if in_link is not None and in_link.capacity is not None:
@@ -239,89 +257,123 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                 self.credits[port] = per_vc
             else:
                 self.credits[port] = [per_vc] * self.n_vcs
-        self._watch = [link.flit for link in self.in_links
-                       if link is not None]
-        for link in self.out_links:
-            if link is not None:
-                self._watch += link.credits
+        self._wires = None
 
-    def _route(self, flit: Flit) -> int:
-        return self._route_fn(flit)
-
-    def _bubble_blocks(self, in_port: int, out_port: int) -> bool:
-        """Would forwarding a head flit in->out violate the bubble rule?"""
-        return (self._ring_transit is not None
-                and not self._ring_transit.ring_transit(in_port, out_port)
-                and self.credits[out_port] < 2)
+    def _lay_out_wires(self) -> tuple:
+        """What on_edge polls every edge, connected ports only: (port,
+        link, arriving-flit wire, credit-return wires) per input, (port,
+        link) per output, (port, vc, wire) per credit wire in, and the
+        signals to watch while asleep. Deferred to the first edge so
+        unscheduled routers (array backend) and the connect() calls
+        before the last one pay nothing."""
+        inputs = tuple(
+            (p, link, link.flit, tuple(link.credits_out))
+            for p, link in enumerate(self.in_links) if link is not None)
+        outputs = tuple(
+            (p, link) for p, link in enumerate(self.out_links)
+            if link is not None)
+        credit_wires = tuple(
+            (p, vc, wire) for p, link in outputs
+            for vc, wire in enumerate(link.credits))
+        # Anything arriving (flits in, credits back) makes the next edge
+        # act again.
+        watch = tuple(flit_wire for _p, _l, flit_wire, _c in inputs) + \
+            tuple(wire for _p, _vc, wire in credit_wires)
+        self._wires = (inputs, outputs, credit_wires, watch)
+        return self._wires
 
     def on_edge(self, tick: int) -> None:
+        wires = self._wires or self._lay_out_wires()
         if self.n_vcs == 1:
-            self._edge_single(tick)
+            self._edge_single(tick, *wires)
         else:
-            self._edge_vc(tick)
+            self._edge_vc(tick, *wires)
+
+    def _drain_stages(self, tick: int) -> bool:
+        """Phase 0 of a pipelined router's edge: flits granted
+        ``pipeline_depth - 1`` cycles ago finish stage traversal and hit
+        the link. True if any did."""
+        queue = self._stage_queue
+        drained = False
+        while queue and queue[0][0] <= tick:
+            _ready, port, vc, flit = queue.popleft()
+            self.out_links[port].send_flit(flit, vc, tick)
+            drained = True
+        return drained
 
     # -- the single-VC (wormhole) edge -----------------------------------
 
-    def _edge_single(self, tick: int) -> None:
+    def _edge_single(self, tick: int, inputs, outputs, credit_wires,
+                     watch) -> None:
         enabled = False   # register-bank activity (gating statistics)
         active = False    # anything at all happened (sleep decision)
         observed = bool(self._kernel._event_subs)
-        # 0. Drain the router pipeline: flits granted pipeline_depth - 1
-        # cycles ago finish stage traversal and hit the link this edge.
+        due = tick - LINK_LATENCY_TICKS   # sent-tag of payloads landing now
+        credits, fifos, locks = self.credits, self.fifos, self.locks
         if self._stage_queue:
-            while self._stage_queue and self._stage_queue[0][0] <= tick:
-                _ready, st_port, _st_vc, st_flit = \
-                    self._stage_queue.popleft()
-                self.out_links[st_port].send_flit(st_flit, 0, tick)
-                enabled = True
-            if self._stage_queue:
-                active = True  # in-flight stage state: never sleep on it
+            enabled = self._drain_stages(tick)
+            # In-flight stage state: never sleep on it.
+            active = bool(self._stage_queue)
         # 1. Collect credit returns (tick-tagged: consumed exactly once).
-        for port, link in enumerate(self.out_links):
-            if link is None:
-                continue
-            if returned := link.take_credits(0, tick):
-                self.credits[port] += returned
+        for port, _vc, wire in credit_wires:
+            payload = wire.value
+            if payload and payload[1] == due and payload[0]:
+                credits[port] += payload[0]
                 active = True
-                if self._starved[port]:
-                    # Starvation ends exactly when credits return — clear
-                    # the event latch unconditionally so a later observer
-                    # sees the next starvation episode.
-                    self._starved[port] = False
-        # 2. Forward: per output, arbitrate among input FIFO heads. Runs
-        # before arrivals are enqueued, so a flit spends at least one full
-        # cycle in the router (head latency 2 cycles/hop incl. the wire).
-        credits_returned = [0] * self.n_ports
-        for out_port in range(self.n_ports):
-            out_link = self.out_links[out_port]
-            if out_link is None:
+                # Starvation ends exactly when credits return — clear the
+                # event latch so a later observer sees the next episode.
+                self._starved[port] = False
+        # 2. Request collection: route each FIFO head once, bucket the
+        # inputs under the output they want.
+        route = self._route
+        wants: dict[int, list[int]] = {}
+        for in_port, fifo in enumerate(fifos):
+            if fifo:
+                wants.setdefault(route(fifo[0]), []).append(in_port)
+        # 3. Per-output grant, over wanted outputs only. Runs before
+        # arrivals are enqueued, so a flit spends at least one full cycle
+        # in the router (head latency 2 cycles/hop incl. the wire).
+        # Credits, lock and bubble state are read as each output's turn
+        # comes.
+        returned = [0] * self.n_ports
+        ring = self._ring_transit
+        for out_port, out_link in outputs if wants else ():
+            requesters = wants.get(out_port)
+            if requesters is None:
                 continue
-            if self.credits[out_port] <= 0:
+            if credits[out_port] <= 0:
                 if observed:
-                    self._note_starvation_single(out_port, tick)
+                    self._note_starvation_single(out_port, requesters)
                 continue
-            lock = self.locks[out_port]
-            requests = []
-            for in_port in range(self.n_ports):
-                fifo = self.fifos[in_port]
-                if not fifo:
-                    requests.append(False)
+            lock = locks[out_port]
+            requests = [False] * self.n_ports
+            if lock is not None:
+                if lock not in requesters:
                     continue
-                head = fifo[0]
-                if self._route(head) != out_port:
-                    requests.append(False)
+                requests[lock] = True
+            else:
+                # Bubble rule: a head may enter a ring only while a slot
+                # stays free behind it; same-ring transit is exempt.
+                bubble = ring is not None and credits[out_port] < 2
+                for in_port in requesters:
+                    if fifos[in_port][0].is_head and (
+                            not bubble
+                            or ring.ring_transit(in_port, out_port)):
+                        requests[in_port] = True
+                if True not in requests:
                     continue
-                if lock is not None:
-                    requests.append(in_port == lock)
-                else:
-                    requests.append(head.is_head and not self._bubble_blocks(
-                        in_port, out_port))
-            if not any(requests):
-                continue
             winner = self.allocator.switch_winner(out_port, requests,
                                                   self._zero_vc_of)
-            flit = self.fifos[winner].popleft()
-            credits_returned[winner] += 1
+            fifo = fifos[winner]
+            flit = fifo.popleft()
+            returned[winner] += 1
+            if fifo:
+                # The pop exposed a new head. Outputs are served in
+                # ascending order, so it can still be granted this edge
+                # iff it wants a later one.
+                later = route(fifo[0])
+                if later > out_port:
+                    wants.setdefault(later, []).append(winner)
             if self.pipeline_depth == 1:
                 out_link.send_flit(flit, 0, tick)
             else:
@@ -331,7 +383,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                     (tick + 2 * (self.pipeline_depth - 1), out_port, 0,
                      flit)
                 )
-            self.credits[out_port] -= 1
+            credits[out_port] -= 1
             self.flits_forwarded += 1
             enabled = True
             if observed:
@@ -340,7 +392,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                     "input": winner, "input_vc": 0, "flit": flit,
                 })
             if flit.is_tail:
-                self.locks[out_port] = None
+                locks[out_port] = None
                 if observed and not flit.is_head:
                     self._kernel.emit("lock_release", {
                         "router": self.name, "output": out_port, "vc": 0,
@@ -348,142 +400,135 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                         "packet_id": flit.packet_id,
                     })
             elif flit.is_head:
-                self.locks[out_port] = winner
+                locks[out_port] = winner
                 if observed:
                     self._kernel.emit("lock_acquire", {
                         "router": self.name, "output": out_port, "vc": 0,
                         "input": winner, "input_vc": 0,
                         "packet_id": flit.packet_id,
                     })
-        # 3. Accept arrivals (credit scheme guarantees FIFO space).
-        for port, link in enumerate(self.in_links):
-            if link is None:
-                continue
-            tagged = link.take_flit(tick)
-            if tagged is None:
-                continue
-            flit, _vc = tagged
-            if len(self.fifos[port]) >= self.fifo_depths[port]:
-                raise RoutingError(f"{self.name}: FIFO overflow on "
-                                   f"{self.port_name(port)} "
-                                   f"(credit violation)")
-            self.fifos[port].append(flit)
-            enabled = True
-        # 4. Return credits upstream for dequeued flits — write-on-change:
-        # a stale credit wire is zeroed once, then left alone, so an idle
+        # 4. Accept arrivals (the credit scheme guarantees FIFO space) and
+        # return credits upstream for dequeued flits — write-on-change: a
+        # stale credit wire is zeroed once, then left alone, so an idle
         # router drives nothing.
-        for in_port, link in enumerate(self.in_links):
-            if link is None:
-                continue
-            if credits_returned[in_port]:
-                link.send_credits(0, credits_returned[in_port], tick)
+        for port, link, flit_wire, (credit_wire,) in inputs:
+            payload = flit_wire.value
+            if payload is not None and payload[1] == due:
+                if len(fifos[port]) >= self.fifo_depths[port]:
+                    raise RoutingError(f"{self.name}: FIFO overflow on "
+                                       f"{self.port_name(port)} "
+                                       f"(credit violation)")
+                fifos[port].append(payload[0])
+                enabled = True
+            if returned[port]:
+                link.send_credits(0, returned[port], tick)
                 active = True
-            elif link.settle_credit(0, tick):
+            elif credit_wire.value != 0:
+                credit_wire.set(0, tick)
                 active = True
-        self.gating.record(enabled)
+        self.record_edge(tick, enabled)
         if not enabled and not active:
             # Fixed point: nothing arrived, nothing moved, every wire we
             # drive already holds its committed value. Forwarding (even
             # with buffered flits) can only resume after a credit return
             # or a new arrival — both are watched signal changes.
-            self.sleep_until(*self._watch)
+            self.sleep_until(*watch)
 
-    def _note_starvation_single(self, out_port: int, tick: int) -> None:
+    def _note_starvation_single(self, out_port: int,
+                                requesters: list[int]) -> None:
         """Emit ``credit_exhausted`` on the edge starvation begins.
 
-        The transition (a buffered flit wants the output, no credits) is
-        a function of committed state only, so the event sequence is
-        identical in both kernel modes: the naive loop's re-fired starved
-        edges are suppressed by the ``_starved`` latch, and the fast path
-        is always awake on the entering edge (a flit arrival or the
-        credit-consuming forward immediately precedes it).
+        ``requesters`` are the inputs whose head wants the creditless
+        output. The transition (a buffered flit wants the output, no
+        credits) is a function of committed state only, so the event
+        sequence is identical in both kernel modes: the naive loop's
+        re-fired starved edges are suppressed by the ``_starved`` latch,
+        and the fast path is always awake on the entering edge (a flit
+        arrival or the credit-consuming forward immediately precedes it).
         """
         if self._starved[out_port]:
             return
         lock = self.locks[out_port]
-        for in_port in range(self.n_ports):
-            fifo = self.fifos[in_port]
-            if not fifo:
-                continue
-            head = fifo[0]
-            if self._route(head) != out_port:
-                continue
-            if lock is not None and in_port != lock:
-                continue
-            self._starved[out_port] = True
-            self._kernel.emit("credit_exhausted", {
-                "router": self.name, "output": out_port, "vc": 0,
-                "input": in_port, "input_vc": 0,
-            })
+        if lock is None:
+            in_port = min(requesters)
+        elif lock in requesters:
+            in_port = lock
+        else:
             return
+        self._starved[out_port] = True
+        self._kernel.emit("credit_exhausted", {
+            "router": self.name, "output": out_port, "vc": 0,
+            "input": in_port, "input_vc": 0,
+        })
 
     # -- the virtual-channel edge ----------------------------------------
 
-    def _edge_vc(self, tick: int) -> None:
+    def _edge_vc(self, tick: int, inputs, outputs, credit_wires,
+                 watch) -> None:
         enabled = False   # register-bank activity (gating statistics)
         active = False    # anything at all happened (sleep decision)
         observed = bool(self._kernel._event_subs)
-        # 0. Drain the router pipeline: flits granted pipeline_depth - 1
-        # cycles ago finish stage traversal and hit the link this edge.
+        due = tick - LINK_LATENCY_TICKS   # sent-tag of payloads landing now
+        n_vcs = self.n_vcs
+        credits, fifos, allocation = self.credits, self.fifos, self.allocation
         if self._stage_queue:
-            while self._stage_queue and self._stage_queue[0][0] <= tick:
-                _ready, st_port, st_vc, st_flit = self._stage_queue.popleft()
-                self.out_links[st_port].send_flit(st_flit, st_vc, tick)
-                enabled = True
-            if self._stage_queue:
-                active = True  # in-flight stage state: never sleep on it
+            enabled = self._drain_stages(tick)
+            # In-flight stage state: never sleep on it.
+            active = bool(self._stage_queue)
         # 1. Collect per-VC credit returns.
-        for port, link in enumerate(self.out_links):
-            if link is None:
-                continue
-            for vc in range(self.n_vcs):
-                if returned := link.take_credits(vc, tick):
-                    self.credits[port][vc] += returned
-                    active = True
-                    if self._starved[port][vc]:
-                        self._starved[port][vc] = False
+        for port, vc, wire in credit_wires:
+            payload = wire.value
+            if payload and payload[1] == due and payload[0]:
+                credits[port][vc] += payload[0]
+                active = True
+                self._starved[port][vc] = False
+        occupied = [(in_port, in_vc)
+                    for in_port, port_fifos in enumerate(fifos)
+                    for in_vc, fifo in enumerate(port_fifos) if fifo]
         # 2. VC allocation: head flits without an output VC acquire one.
-        if self._allocate_vcs(observed):
+        if occupied and self._allocate_vcs(occupied, observed):
             enabled = True
-        # 3. Switch allocation + traversal.
-        credits_returned = [[0] * self.n_vcs for _ in range(self.n_ports)]
-        port_used = [False] * self.n_ports  # one crossbar pass per input
-        for out_port in range(self.n_ports):
-            out_link = self.out_links[out_port]
-            if out_link is None:
+        # 3. Request collection: bucket the input VCs holding an
+        # allocation (ascending, the order starvation reports keep)
+        # under the output port it names.
+        wants: dict[int, list[tuple[int, int, int]]] = {}
+        for in_port, in_vc in occupied:
+            held = allocation[in_port][in_vc]
+            if held is not None:
+                wants.setdefault(held[0], []).append(
+                    (in_port, in_vc, held[1]))
+        # 4. Switch allocation + traversal, over wanted outputs only.
+        # One crossbar pass per input port and edge: in_port -> the in_vc
+        # that crossed (so at most one credit to return per port).
+        popped: dict[int, int] = {}
+        for out_port, out_link in outputs if wants else ():
+            requesters = wants.get(out_port)
+            if requesters is None:
                 continue
-            requests = [False] * (self.n_ports * self.n_vcs)
-            out_vc_of = [0] * (self.n_ports * self.n_vcs)
-            blocked_vcs = []  # owners starved of credits (diagnosis)
-            for in_port in range(self.n_ports):
-                if port_used[in_port]:
+            requests = out_vc_of = None
+            for in_port, in_vc, out_vc in requesters:
+                if in_port in popped:
                     continue
-                for in_vc in range(self.n_vcs):
-                    allocation = self.allocation[in_port][in_vc]
-                    if allocation is None or allocation[0] != out_port:
-                        continue
-                    if not self.fifos[in_port][in_vc]:
-                        continue
-                    if self.credits[out_port][allocation[1]] <= 0:
-                        blocked_vcs.append(allocation[1])
-                        continue
-                    flat = in_port * self.n_vcs + in_vc
-                    requests[flat] = True
-                    out_vc_of[flat] = allocation[1]
-            if observed:
-                # Every starved VC reports, even while sibling VCs keep
-                # the physical port busy — per-VC starvation is exactly
-                # what the event exists to expose.
-                for vc in blocked_vcs:
-                    self._note_starvation_vc(out_port, vc)
-            if not any(requests):
+                if credits[out_port][out_vc] <= 0:
+                    # Every starved VC reports, even while sibling VCs
+                    # keep the physical port busy — per-VC starvation is
+                    # exactly what the event exists to expose.
+                    if observed:
+                        self._note_starvation_vc(out_port, out_vc)
+                    continue
+                if requests is None:
+                    requests = [False] * (self.n_ports * n_vcs)
+                    out_vc_of = [0] * (self.n_ports * n_vcs)
+                requests[in_port * n_vcs + in_vc] = True
+                out_vc_of[in_port * n_vcs + in_vc] = out_vc
+            if requests is None:
                 continue
             winner = self.allocator.switch_winner(out_port, requests,
                                                   out_vc_of)
-            in_port, in_vc = divmod(winner, self.n_vcs)
-            out_vc = self.allocation[in_port][in_vc][1]
-            flit = self.fifos[in_port][in_vc].popleft()
-            credits_returned[in_port][in_vc] += 1
+            in_port, in_vc = divmod(winner, n_vcs)
+            out_vc = out_vc_of[winner]
+            flit = fifos[in_port][in_vc].popleft()
+            popped[in_port] = in_vc
             if self.pipeline_depth == 1:
                 out_link.send_flit(flit, out_vc, tick)
             else:
@@ -493,9 +538,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                     (tick + 2 * (self.pipeline_depth - 1),
                      out_port, out_vc, flit)
                 )
-            self.credits[out_port][out_vc] -= 1
+            credits[out_port][out_vc] -= 1
             self.flits_forwarded += 1
-            port_used[in_port] = True
             enabled = True
             if observed:
                 self._kernel.emit("arbitration_grant", {
@@ -505,127 +549,112 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             if flit.is_tail:
                 # Tail releases the per-VC lock and the allocation.
                 self.vc_owner[out_port][out_vc] = None
-                self.allocation[in_port][in_vc] = None
+                allocation[in_port][in_vc] = None
                 if observed and not flit.is_head:
                     self._kernel.emit("lock_release", {
                         "router": self.name, "output": out_port,
                         "vc": out_vc, "input": in_port, "input_vc": in_vc,
                         "packet_id": flit.packet_id,
                     })
-        # 4. Accept arrivals into the per-VC FIFOs.
-        for port, link in enumerate(self.in_links):
-            if link is None:
-                continue
-            tagged = link.take_flit(tick)
-            if tagged is None:
-                continue
-            flit, vc = tagged
-            if len(self.fifos[port][vc]) >= self.fifo_depths[port]:
-                raise RoutingError(
-                    f"{self.name}: FIFO overflow on "
-                    f"{self.port_name(port)} vc{vc} (credit violation)"
-                )
-            self.fifos[port][vc].append(flit)
-            enabled = True
-        # 5. Return credits upstream, write-on-change per VC wire.
-        for in_port, link in enumerate(self.in_links):
-            if link is None:
-                continue
-            for vc in range(self.n_vcs):
-                if credits_returned[in_port][vc]:
-                    link.send_credits(vc, credits_returned[in_port][vc],
-                                      tick)
+        # 5. Accept arrivals into the per-VC FIFOs and return credits
+        # upstream, write-on-change per VC wire.
+        for port, link, flit_wire, return_wires in inputs:
+            payload = flit_wire.value
+            if payload is not None and payload[1] == due:
+                flit, vc = payload[0]
+                if len(fifos[port][vc]) >= self.fifo_depths[port]:
+                    raise RoutingError(
+                        f"{self.name}: FIFO overflow on "
+                        f"{self.port_name(port)} vc{vc} (credit violation)"
+                    )
+                fifos[port][vc].append(flit)
+                enabled = True
+            popped_vc = popped.get(port)
+            for vc, credit_wire in enumerate(return_wires):
+                if vc == popped_vc:
+                    link.send_credits(vc, 1, tick)
                     active = True
-                elif link.settle_credit(vc, tick):
+                elif credit_wire.value != 0:
+                    credit_wire.set(0, tick)
                     active = True
-        self.gating.record(enabled)
+        self.record_edge(tick, enabled)
         if not enabled and not active:
             # Fixed point: ownership only changes when a tail is
             # forwarded (this edge would have been enabled), so progress
             # can only resume with an arrival or a credit return — both
             # watched signal changes.
-            self.sleep_until(*self._watch)
+            self.sleep_until(*watch)
 
     # -- VC allocation ---------------------------------------------------
 
-    def _allocate_vcs(self, observed: bool) -> bool:
+    def _allocate_vcs(self, occupied: list[tuple[int, int]],
+                      observed: bool) -> bool:
         """Stage one: grant free output VCs to waiting head flits.
 
-        Requests are collected per pending input VC from its policy
-        candidates — preferred pairs while any is free, escape fallback
-        otherwise — then free output VCs are walked in a fixed order
-        (port ascending, VC descending) granting via the allocator's
-        VC stage among the requesting input VCs. Single pass,
-        deterministic, at most one allocation per input VC per edge.
+        Requests are collected per pending input VC (the ``occupied``
+        ones holding no allocation yet) from its policy candidates —
+        preferred pairs while any is free, escape fallback otherwise —
+        then the requested output VCs are walked in a fixed order (port
+        ascending, VC descending) granting via the allocator's VC stage
+        among the requesting input VCs. Single pass, deterministic, at
+        most one allocation per input VC per edge.
         """
+        n_vcs = self.n_vcs
+        vc_owner, out_links = self.vc_owner, self.out_links
         want: dict[tuple[int, int], list[int]] = {}
-        for in_port in range(self.n_ports):
-            for in_vc in range(self.n_vcs):
-                fifo = self.fifos[in_port][in_vc]
-                if not fifo or self.allocation[in_port][in_vc] is not None:
-                    continue
-                head = fifo[0]
-                if not head.is_head:
-                    raise RoutingError(
-                        f"{self.name}: body flit {head} without an "
-                        f"allocation on {self.port_name(in_port)} "
-                        f"vc{in_vc}"
-                    )
-                preferred, fallback = self._candidates(in_port, in_vc, head)
+        for in_port, in_vc in occupied:
+            if self.allocation[in_port][in_vc] is not None:
+                continue
+            head = self.fifos[in_port][in_vc][0]
+            if not head.is_head:
+                raise RoutingError(
+                    f"{self.name}: body flit {head} without an "
+                    f"allocation on {self.port_name(in_port)} "
+                    f"vc{in_vc}"
+                )
+            preferred, fallback = self._candidates(in_port, in_vc, head)
+            requested = [
+                pair for pair in preferred
+                if vc_owner[pair[0]][pair[1]] is None
+                and out_links[pair[0]] is not None
+            ]
+            if not requested:
                 requested = [
-                    pair for pair in preferred
-                    if self.vc_owner[pair[0]][pair[1]] is None
-                    and self.out_links[pair[0]] is not None
+                    pair for pair in fallback
+                    if vc_owner[pair[0]][pair[1]] is None
+                    and out_links[pair[0]] is not None
                 ]
-                if not requested:
-                    requested = [
-                        pair for pair in fallback
-                        if self.vc_owner[pair[0]][pair[1]] is None
-                        and self.out_links[pair[0]] is not None
-                    ]
-                flat = in_port * self.n_vcs + in_vc
-                for pair in requested:
-                    want.setdefault(pair, []).append(flat)
-        if not want:
-            return False
+            for pair in requested:
+                want.setdefault(pair, []).append(in_port * n_vcs + in_vc)
         allocated_inputs: set[int] = set()
-        did_allocate = False
-        for out_port in range(self.n_ports):
-            for out_vc in range(self.n_vcs - 1, -1, -1):
-                requesters = want.get((out_port, out_vc))
-                if not requesters:
-                    continue
-                requests = [False] * (self.n_ports * self.n_vcs)
-                any_request = False
-                for flat in requesters:
-                    if flat not in allocated_inputs:
-                        requests[flat] = True
-                        any_request = True
-                if not any_request:
-                    continue
-                winner = self.allocator.vc_winner(out_port, out_vc,
-                                                  requests)
-                in_port, in_vc = divmod(winner, self.n_vcs)
-                self.vc_owner[out_port][out_vc] = (in_port, in_vc)
-                self.allocation[in_port][in_vc] = (out_port, out_vc)
-                allocated_inputs.add(winner)
-                self.vcs_allocated += 1
-                did_allocate = True
-                if observed:
-                    head = self.fifos[in_port][in_vc][0]
-                    self._kernel.emit("vc_allocated", {
+        for out_port, out_vc in sorted(want, key=_va_walk_order):
+            requests = [False] * (self.n_ports * n_vcs)
+            for flat in want[out_port, out_vc]:
+                if flat not in allocated_inputs:
+                    requests[flat] = True
+            if True not in requests:
+                continue
+            winner = self.allocator.vc_winner(out_port, out_vc, requests)
+            in_port, in_vc = divmod(winner, n_vcs)
+            vc_owner[out_port][out_vc] = (in_port, in_vc)
+            self.allocation[in_port][in_vc] = (out_port, out_vc)
+            allocated_inputs.add(winner)
+            self.vcs_allocated += 1
+            if observed:
+                head = self.fifos[in_port][in_vc][0]
+                self._kernel.emit("vc_allocated", {
+                    "router": self.name, "output": out_port,
+                    "vc": out_vc, "input": in_port, "input_vc": in_vc,
+                    "flit": head,
+                })
+                if not head.is_tail:
+                    self._kernel.emit("lock_acquire", {
                         "router": self.name, "output": out_port,
-                        "vc": out_vc, "input": in_port, "input_vc": in_vc,
-                        "flit": head,
+                        "vc": out_vc, "input": in_port,
+                        "input_vc": in_vc,
+                        "packet_id": head.packet_id,
                     })
-                    if not head.is_tail:
-                        self._kernel.emit("lock_acquire", {
-                            "router": self.name, "output": out_port,
-                            "vc": out_vc, "input": in_port,
-                            "input_vc": in_vc,
-                            "packet_id": head.packet_id,
-                        })
-        return did_allocate
+        return bool(allocated_inputs)
 
     def _note_starvation_vc(self, out_port: int, out_vc: int) -> None:
         """Emit ``credit_exhausted`` on the edge starvation begins."""

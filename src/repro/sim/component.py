@@ -109,8 +109,9 @@ class GatedComponentMixin:
     the base class's :meth:`ClockedComponent._settle_idle` /
     :meth:`ClockedComponent._on_idle_edges` hooks, so fast-path gating
     statistics equal the naive loop's exactly. The component records live
-    edges via ``self.gating.record(enabled)`` and must initialise
-    ``self._gating = GatingStats()`` (see
+    edges via ``self.gating.record(enabled)`` — or, on a hot ``on_edge``,
+    the equivalent ``self.record_edge(tick, enabled)`` — and must
+    initialise ``self._gating = GatingStats()`` (see
     :class:`repro.clocking.gating.GatingStats`).
 
     Lives next to :class:`ClockedComponent` because the backfill is part
@@ -122,6 +123,15 @@ class GatedComponentMixin:
     def gating(self):
         self._settle_idle()
         return self._gating
+
+    def record_edge(self, tick: int, enabled: bool) -> None:
+        """Count the edge firing at ``tick``. Skipped edges are backfilled
+        first — but only after a sleep: a component that also fired on its
+        previous parity tick has nothing pending, and the credit routers
+        and link stages call this on every fired edge."""
+        if tick - 2 != self._accounted_tick:
+            self._settle_idle()
+        self._gating.record(enabled)
 
     def _on_idle_edges(self, edges: int) -> None:
         self._gating.edges_total += edges
