@@ -18,7 +18,11 @@ VC-allocation stage, exactly as the dispatch router's single-VC edge
 does. The two grant phases (:meth:`ArrayEngine._grants_single` /
 :meth:`ArrayEngine._grants_vc`) are the array transcription of
 ``FabricRouter._edge_single`` / ``_edge_vc``; arrivals, sources, sinks,
-and the scheduling plumbing are shared.
+and the scheduling plumbing are shared. Routing and VC candidates come
+from the strategies' array forms
+(:meth:`~repro.fabric.routing.RoutingStrategy.route_array`,
+:meth:`~repro.fabric.routing.VcPolicy.candidate_masks`), so a policy
+without a numpy override still lowers through the mapped default.
 
 **Equivalence is the contract.** Every observable the dispatch backend
 produces is reproduced exactly:
@@ -73,6 +77,7 @@ import numpy as np
 
 from repro.clocking.gating import GatingStats
 from repro.errors import ConfigurationError, RoutingError
+from repro.fabric.router import _va_walk_order
 from repro.fabric.routing import LOCAL
 from repro.noc.flit import Flit
 from repro.noc.packet import Packet
@@ -105,11 +110,12 @@ def make_engine(net: "CreditFabricNetwork"):
 
 class _FlitStore:
     """Interning table: flit object <-> small integer id, with the hot
-    per-flit fields (dest, head/tail) mirrored into numpy arrays."""
+    per-flit fields (src, dest, head/tail) mirrored into numpy arrays."""
 
     def __init__(self) -> None:
         cap = 1024
         self.objs: list[Flit] = []
+        self.src = np.zeros(cap, dtype=np.int64)
         self.dest = np.zeros(cap, dtype=np.int64)
         self.is_head = np.zeros(cap, dtype=bool)
         self.is_tail = np.zeros(cap, dtype=bool)
@@ -117,27 +123,16 @@ class _FlitStore:
     def intern(self, flit: Flit) -> int:
         fid = len(self.objs)
         if fid == len(self.dest):
-            grow = len(self.dest)
-            self.dest = np.concatenate(
-                [self.dest, np.zeros(grow, dtype=np.int64)])
-            self.is_head = np.concatenate(
-                [self.is_head, np.zeros(grow, dtype=bool)])
-            self.is_tail = np.concatenate(
-                [self.is_tail, np.zeros(grow, dtype=bool)])
+            for field in ("src", "dest", "is_head", "is_tail"):
+                column = getattr(self, field)
+                setattr(self, field,
+                        np.concatenate([column, np.zeros_like(column)]))
         self.objs.append(flit)
+        self.src[fid] = flit.src
         self.dest[fid] = flit.dest
         self.is_head[fid] = flit.is_head
         self.is_tail[fid] = flit.is_tail
         return fid
-
-
-class _RouteProbe:
-    """Duck-typed stand-in for a flit: route functions read only .dest."""
-
-    __slots__ = ("dest",)
-
-    def __init__(self, dest: int) -> None:
-        self.dest = dest
 
 
 class ArrayEngine(BatchComponent):
@@ -146,12 +141,10 @@ class ArrayEngine(BatchComponent):
     Credit/arrival handling, sources, and sinks are fully array-level in
     both regimes. ``n_vcs=1`` runs the wormhole grant phase (routing
     table, bubble rule, per-output locks); ``n_vcs >= 2`` runs two-stage
-    allocation — switch allocation array-level, VC allocation
-    scalar-sparse (only routers holding unallocated head flits, typically
-    a handful per edge), replicating
-    :meth:`FabricRouter._allocate_vcs` exactly, including the
-    port-ascending, VC-descending grant walk and the policy candidate
-    calls, which are memoised per (in_port, in_vc, dest[, src])."""
+    allocation, both stages as one round-robin ``argmin`` round per
+    output (VC) across every router at once — VC allocation over the
+    policy's candidate masks in :meth:`FabricRouter._allocate_vcs`'s
+    port-ascending, VC-descending walk order, then switch allocation."""
 
     def __init__(self, net: "CreditFabricNetwork") -> None:
         super().__init__(f"{net._node_prefix}.engine", parity=0)
@@ -246,16 +239,13 @@ class ArrayEngine(BatchComponent):
         self._sa_grant_counts = np.zeros((R, P, P * V), dtype=np.int64)
 
         if V == 1:
-            # Wormhole regime: routing lowers to one table (route
-            # functions are pure in flit.dest — the strategies guarantee
-            # it), heads cache their output port, and per-output locks
-            # replace the VC-allocation stage.
-            self._route_tab = np.zeros((R, R), dtype=np.int64)
-            for r, router in enumerate(net.routers):
-                fn = router._route
-                row = self._route_tab[r]
-                for d in range(R):
-                    row[d] = LOCAL if d == r else fn(_RouteProbe(d))
+            # Wormhole regime: routing lowers to one [node, dest] table
+            # (route functions are pure in flit.dest — the strategies
+            # guarantee it), heads cache their output port, and
+            # per-output locks replace the VC-allocation stage.
+            nodes = np.arange(R, dtype=np.int64)
+            self._route_tab = net.routing.route_array(nodes[:, None],
+                                                      nodes[None, :])
             self._head_out = np.full((R, P), -1, dtype=np.int64)
             self._locks = np.full((R, P), -1, dtype=np.int64)
             # Bubble rule (ring-closing topologies, wormhole only).
@@ -288,12 +278,12 @@ class ArrayEngine(BatchComponent):
             self._va_dirty = np.ones(R, dtype=bool)
             for r, router in enumerate(net.routers):
                 self._credits[r] = router.credits
-            #: Memoised policy candidates per router. Candidate functions
-            #: are pure in (in_p, in_vc, dest) — plus flit.src when the
-            #: policy routes priority flows, which key on (src, dest).
-            self._cand_cache: list[dict] = [{} for _ in range(R)]
-            self._key_src = bool(getattr(net.vc_policy,
-                                         "priority_flows", None))
+            if net.vc_policy.n_ports != P:
+                raise ConfigurationError(
+                    f"backend='array': the {net.vc_policy.name} VC policy "
+                    f"indexes {net.vc_policy.n_ports} ports but the "
+                    f"routers have {P}; set the policy's n_ports"
+                )
 
         self._inj_vc = np.asarray([src.vc for src in net.sources],
                                   dtype=np.int64)
@@ -429,10 +419,13 @@ class ArrayEngine(BatchComponent):
     def _event(self, r: int, name: str, payload: dict) -> None:
         self._events.setdefault(r, []).append((name, payload))
 
-    # -- VC allocation (scalar-sparse, VC regime only) -------------------
+    # -- VC allocation (VC regime only) ----------------------------------
 
     def _allocate_vcs(self, rs: np.ndarray, ps: np.ndarray, vs: np.ndarray,
                       observed: bool, enabled: np.ndarray) -> None:
+        """Stage one for the pending heads ``(rs, ps, vs)`` (row-major, so
+        sorted by router): the array form of
+        :meth:`FabricRouter._allocate_vcs`."""
         store = self._store
         V = self._V
         size = self._P * V
@@ -446,84 +439,63 @@ class ArrayEngine(BatchComponent):
                 f"without an allocation on "
                 f"{router.port_name(int(ps[j]))} vc{int(vs[j])}"
             )
-        dests = store.dest[fids]
-        # ``rs`` comes from a row-major nonzero scan, so equal routers are
-        # contiguous — walk the runs instead of re-scanning per router.
-        bounds = np.flatnonzero(rs[1:] != rs[:-1]) + 1
-        starts = [0, *bounds.tolist()]
-        ends = [*bounds.tolist(), rs.size]
-        for s, e in zip(starts, ends):
-            r = int(rs[s])
-            cache = self._cand_cache[r]
-            owner_free = (self._owner_in[r] < 0).tolist()
-            want: dict[tuple[int, int], list[int]] = {}
-            for i in range(s, e):
-                in_p, in_vc = int(ps[i]), int(vs[i])
-                key = (in_p, in_vc, int(dests[i]))
-                if self._key_src:
-                    key = key + (store.objs[int(fids[i])].src,)
-                cand = cache.get(key)
-                if cand is None:
-                    router = self.net.routers[r]
-                    preferred, fallback = router._candidates(
-                        in_p, in_vc, store.objs[int(fids[i])])
-                    # The connectivity filter is static — bake it in.
-                    cand = (
-                        tuple(p for p in preferred
-                              if self._conn_out[r, p[0]]),
-                        tuple(p for p in fallback
-                              if self._conn_out[r, p[0]]),
-                    )
-                    cache[key] = cand
-                requested = [pair for pair in cand[0]
-                             if owner_free[pair[0]][pair[1]]]
-                if not requested:
-                    requested = [pair for pair in cand[1]
-                                 if owner_free[pair[0]][pair[1]]]
-                flat = in_p * V + in_vc
-                for pair in requested:
-                    want.setdefault(pair, []).append(flat)
-            if not want:
+        preferred, fallback = self.net.vc_policy.candidate_masks(
+            rs, ps, vs, store.dest[fids], store.src[fids])
+        # Preferred pairs while any is free (and wired), else fallback.
+        free = (self._owner_in[rs] < 0) & self._conn_out[rs][:, :, None]
+        requested = preferred & free
+        requested |= (fallback & free
+                      & ~requested.any(axis=(1, 2), keepdims=True))
+        # Dense requests[active router, input VC, output VC].
+        first = np.ones(rs.size, dtype=bool)
+        first[1:] = rs[1:] != rs[:-1]
+        active = rs[first]
+        requests = np.zeros((active.size, size, size), dtype=bool)
+        requests[np.cumsum(first) - 1, ps * V + vs] = \
+            requested.reshape(-1, size)
+        allocated = np.zeros((active.size, size), dtype=bool)
+        # One round-robin round per requested output VC, in the dispatch
+        # router's walk order.
+        wanted = np.flatnonzero(requests.any(axis=(0, 1))).tolist()
+        for out_p, out_vc in sorted((divmod(arb, V) for arb in wanted),
+                                    key=_va_walk_order):
+            arb = out_p * V + out_vc
+            live = requests[:, :, arb] & ~allocated
+            rows = np.nonzero(live.any(axis=1))[0]
+            if rows.size == 0:
                 continue
-            allocated: set[int] = set()
-            # Same walk order as dispatch: out port ascending, VC
-            # descending — restricted to pairs actually requested.
-            for out_p, out_vc in sorted(want,
-                                        key=lambda t: (t[0], -t[1])):
-                live = [f for f in want[out_p, out_vc]
-                        if f not in allocated]
-                if not live:
-                    continue
-                arb = out_p * V + out_vc
-                last = int(self._va_last[r, arb])
-                winner = min(live, key=lambda f: (f - last - 1) % size)
-                self._va_last[r, arb] = winner
-                self._va_grants[r, arb] += 1
-                self._va_grant_counts[r, arb, winner] += 1
-                in_p, in_vc = divmod(winner, V)
-                self._owner_in[r, out_p, out_vc] = in_p
-                self._owner_vc[r, out_p, out_vc] = in_vc
-                self._alloc_out[r, in_p, in_vc] = out_p
-                self._alloc_vc[r, in_p, in_vc] = out_vc
-                allocated.add(winner)
-                self._vcs_allocated[r] += 1
-                enabled[r] = True
-                # A grant takes an output VC, which can reroute another
-                # pending head (preferred -> fallback) next edge.
-                self._va_dirty[r] = True
-                if observed:
-                    head = store.objs[int(self._head_fid[r, in_p,
-                                                         in_vc])]
+            r_w = active[rows]
+            key = (self._iota_pv[None, :]
+                   - self._va_last[r_w, arb][:, None] - 1) % size
+            win = np.argmin(np.where(live[rows], key, size), axis=1)
+            self._va_last[r_w, arb] = win
+            self._va_grants[r_w, arb] += 1
+            self._va_grant_counts[r_w, arb, win] += 1
+            in_p, in_vc = np.divmod(win, V)
+            self._owner_in[r_w, out_p, out_vc] = in_p
+            self._owner_vc[r_w, out_p, out_vc] = in_vc
+            self._alloc_out[r_w, in_p, in_vc] = out_p
+            self._alloc_vc[r_w, in_p, in_vc] = out_vc
+            allocated[rows, win] = True
+            self._vcs_allocated[r_w] += 1
+            enabled[r_w] = True
+            # A grant takes an output VC, which can reroute another
+            # pending head (preferred -> fallback) next edge.
+            self._va_dirty[r_w] = True
+            if observed:
+                grants = zip(r_w.tolist(), in_p.tolist(), in_vc.tolist())
+                for r, i_p, i_vc in grants:
+                    head = store.objs[int(self._head_fid[r, i_p, i_vc])]
                     self._event(r, "vc_allocated", {
                         "router": self._names[r], "output": out_p,
-                        "vc": out_vc, "input": in_p,
-                        "input_vc": in_vc, "flit": head,
+                        "vc": out_vc, "input": i_p,
+                        "input_vc": i_vc, "flit": head,
                     })
                     if not head.is_tail:
                         self._event(r, "lock_acquire", {
                             "router": self._names[r], "output": out_p,
-                            "vc": out_vc, "input": in_p,
-                            "input_vc": in_vc,
+                            "vc": out_vc, "input": i_p,
+                            "input_vc": i_vc,
                             "packet_id": head.packet_id,
                         })
 
@@ -975,8 +947,3 @@ class ArrayEngine(BatchComponent):
             router._gating.edges_total = per_router
             router._gating.edges_enabled = int(self._edges_enabled[r])
         self._sync_back_sources()
-
-
-#: Back-compat aliases for the pre-unification engine names.
-WormholeArrayEngine = ArrayEngine
-VcArrayEngine = ArrayEngine

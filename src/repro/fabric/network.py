@@ -325,6 +325,14 @@ class CreditFabricNetwork:
         self.kernel.emit("inject", packet)
 
     def run_ticks(self, ticks: int) -> None:
+        """Advance the kernel by ``ticks`` half-cycles.
+
+        Under ``backend="array"`` the fabric's state lives in the engine:
+        ``self.routers[i]`` / ``self.sources[i]`` (credits, FIFOs, locks,
+        arbiter counters) go stale until the next :meth:`drain`, the one
+        call that writes it back. Network-level results — deliveries,
+        ``stats``, :meth:`gating_stats` — are always current.
+        """
         if self.engine is not None:
             self.engine.refresh_observers()
         self.kernel.run_ticks(ticks)

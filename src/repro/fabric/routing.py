@@ -57,14 +57,23 @@ a pluggable policy, mirroring the routing strategies:
   The escape subnetwork is deadlock-free on its own (XY on the mesh;
   XY over a dateline VC pair on the torus), and once a packet enters it,
   it stays there until delivery — the classic escape-channel guarantee.
+
+**Array forms.** Strategies and policies also answer for whole index
+arrays at once (:meth:`RoutingStrategy.route_array`,
+:meth:`VcPolicy.candidate_masks`) — what ``backend="array"`` evaluates.
+The base classes map the scalar functions, so defining ``for_node`` is
+enough; the stock classes override with numpy arithmetic, checked
+against that mapped default in ``tests/fabric/test_routing.py``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError, RoutingError
-from repro.noc.flit import Flit
+from repro.noc.flit import Flit, FlitKind
 from repro.noc.topology import RouterNode, TreeTopology, PARENT_PORT
 
 #: Canonical port indices of the 5-port grid fabrics (mesh, torus).
@@ -79,14 +88,43 @@ RING_PORT_NAMES = ("local", "cw", "ccw")
 RouteFn = Callable[[Flit], int]
 
 
+def _head_flit(src: int, dest: int) -> Flit:
+    """The head flit the mapped array-form defaults hand to the scalar
+    route / candidate functions (which read only ``src`` and ``dest``)."""
+    return Flit(FlitKind.HEAD, src, dest, packet_id=0, seq=0)
+
+
 class RoutingStrategy:
-    """Base class: structure-aware routing, one route function per node."""
+    """Base class: structure-aware routing, one route function per node.
+
+    Every strategy has a scalar form (:meth:`for_node`, what a dispatch
+    router evaluates per flit) and an array form (:meth:`route_array`,
+    what the array backend evaluates per fabric). A strategy only has to
+    supply the scalar form; overriding the array form with numpy
+    arithmetic is a speed-up that must agree with the mapped default.
+    """
 
     #: Whether routers must apply the bubble rule on ring entry.
     needs_bubble = False
 
     def for_node(self, node: int) -> RouteFn:
         raise NotImplementedError
+
+    def route_array(self, nodes: np.ndarray,
+                    dests: np.ndarray) -> np.ndarray:
+        """Output ports for broadcastable ``nodes`` / ``dests`` arrays.
+
+        The default maps the scalar route functions, so it is correct
+        for any strategy and is the oracle the overrides are tested
+        against.
+        """
+        nodes, dests = np.broadcast_arrays(nodes, dests)
+        routes = {node: self.for_node(node)
+                  for node in np.unique(nodes).tolist()}
+        ports = [routes[node](_head_flit(0, dest))
+                 for node, dest in zip(nodes.ravel().tolist(),
+                                       dests.ravel().tolist())]
+        return np.array(ports, dtype=np.int64).reshape(nodes.shape)
 
     def ring_transit(self, in_port: int, out_port: int) -> bool:
         """Is ``in_port -> out_port`` a same-ring pass-through (exempt
@@ -120,6 +158,14 @@ class XYRouting(RoutingStrategy):
 
         return route
 
+    def route_array(self, nodes: np.ndarray,
+                    dests: np.ndarray) -> np.ndarray:
+        cols = self.cols
+        x, y = nodes % cols, nodes // cols
+        dx, dy = dests % cols, dests // cols
+        return np.select([dx > x, dx < x, dy > y, dy < y],
+                         [EAST, WEST, SOUTH, NORTH], LOCAL)
+
 
 #: Same-ring pass-throughs of the 5-port grid fabrics: a flit keeps its
 #: direction when it leaves through the port opposite its arrival.
@@ -152,6 +198,16 @@ class TorusXYRouting(RoutingStrategy):
 
         return route
 
+    def route_array(self, nodes: np.ndarray,
+                    dests: np.ndarray) -> np.ndarray:
+        cols, rows = self.cols, self.rows
+        dx = (dests % cols - nodes % cols) % cols
+        dy = (dests // cols - nodes // cols) % rows
+        return np.select(
+            [(dx > 0) & (dx <= cols // 2), dx > 0,
+             (dy > 0) & (dy <= rows // 2), dy > 0],
+            [EAST, WEST, SOUTH, NORTH], LOCAL)
+
     def ring_transit(self, in_port: int, out_port: int) -> bool:
         return (in_port, out_port) in _GRID_TRANSIT
 
@@ -174,6 +230,12 @@ class RingRouting(RoutingStrategy):
             return RING_CW if d <= nodes // 2 else RING_CCW
 
         return route
+
+    def route_array(self, nodes: np.ndarray,
+                    dests: np.ndarray) -> np.ndarray:
+        d = (dests - nodes) % self.nodes
+        return np.select([d == 0, d <= self.nodes // 2],
+                         [LOCAL, RING_CW], RING_CCW)
 
     def ring_transit(self, in_port: int, out_port: int) -> bool:
         # Clockwise traffic arrives on the CCW port and leaves CW;
@@ -241,6 +303,13 @@ def dateline_class(position: int, dest: int, increasing: bool) -> int:
     return 0 if position < dest else 1
 
 
+def dateline_class_array(position: np.ndarray, dest: np.ndarray,
+                         increasing: np.ndarray) -> np.ndarray:
+    """Array form of :func:`dateline_class`, elementwise."""
+    return np.where(increasing, position <= dest,
+                    position >= dest).astype(np.int64)
+
+
 class VcPolicy:
     """Base class: per-node VC-assignment candidate functions.
 
@@ -248,10 +317,19 @@ class VcPolicy:
     constructors validate ``n_vcs`` against it. ``injection_vc`` is the
     VC sources inject on (the local input port is not part of any ring,
     so class restrictions never apply there).
+
+    Like the routing strategies, a policy has a scalar form
+    (:meth:`for_node`) and an array form (:meth:`candidate_masks`) that
+    defaults to mapping the scalar one. Both routers consume candidates
+    as *sets* — the allocation walk order and the arbiter pointer pick
+    the winner, never a pair's position in the list — so boolean masks
+    lose nothing.
     """
 
     name = "?"
     min_vcs = 2
+    #: Router port count the candidates index (the masks' port axis).
+    n_ports = len(PORT_NAMES)
 
     def __init__(self, n_vcs: int):
         if n_vcs < self.min_vcs:
@@ -266,6 +344,32 @@ class VcPolicy:
 
     def injection_vc(self, node: int) -> int:
         return 0
+
+    def candidate_masks(self, nodes: np.ndarray, in_ports: np.ndarray,
+                        in_vcs: np.ndarray, dests: np.ndarray,
+                        srcs: np.ndarray,
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Candidates of N head flits as ``(preferred, fallback)`` boolean
+        masks of shape ``(N, n_ports, n_vcs)``; the arguments are equal-
+        length index arrays, one entry per head.
+
+        The default maps the scalar candidate functions, so it is correct
+        for any policy and is the oracle the overrides are tested
+        against.
+        """
+        shape = (len(nodes), self.n_ports, self.n_vcs)
+        preferred = np.zeros(shape, dtype=bool)
+        fallback = np.zeros(shape, dtype=bool)
+        candidates = {node: self.for_node(node)
+                      for node in np.unique(nodes).tolist()}
+        heads = zip(nodes.tolist(), in_ports.tolist(), in_vcs.tolist(),
+                    dests.tolist(), srcs.tolist())
+        for i, (node, in_port, in_vc, dest, src) in enumerate(heads):
+            pairs = candidates[node](in_port, in_vc, _head_flit(src, dest))
+            for mask, wanted in zip((preferred, fallback), pairs):
+                for port, vc in wanted:
+                    mask[i, port, vc] = True
+        return preferred, fallback
 
     @staticmethod
     def _ejection(n_vcs: int) -> tuple[list[VcCandidate], list[VcCandidate]]:
@@ -301,6 +405,12 @@ class DatelineVc(VcPolicy):
     def _link_class(self, node: int, out_port: int, flit: Flit) -> int:
         raise NotImplementedError
 
+    def _link_class_array(self, nodes: np.ndarray, out_ports: np.ndarray,
+                          dests: np.ndarray) -> np.ndarray:
+        """Array form of :meth:`_link_class` (entries whose ``out_ports``
+        is LOCAL are never read)."""
+        raise NotImplementedError
+
     def for_node(self, node: int) -> VcCandidateFn:
         route = self.routing.for_node(node)
 
@@ -312,6 +422,16 @@ class DatelineVc(VcPolicy):
             return [(out_port, vc) for vc in self.class_vcs(vc_class)], []
 
         return candidates
+
+    def candidate_masks(self, nodes, in_ports, in_vcs, dests, srcs):
+        out_ports = self.routing.route_array(nodes, dests)
+        vc_class = self._link_class_array(nodes, out_ports, dests)
+        # Ejection takes any VC, a ring hop the VCs of its dateline class.
+        vc_ok = ((np.arange(self.n_vcs) // self._half == vc_class[:, None])
+                 | (out_ports == LOCAL)[:, None])
+        on_port = out_ports[:, None] == np.arange(self.n_ports)
+        preferred = on_port[:, :, None] & vc_ok[:, None, :]
+        return preferred, np.zeros_like(preferred)
 
 
 class TorusDatelineVc(DatelineVc):
@@ -334,9 +454,19 @@ class TorusDatelineVc(DatelineVc):
             return dateline_class(y, dy, increasing=True)
         return dateline_class(y, dy, increasing=False)
 
+    def _link_class_array(self, nodes, out_ports, dests):
+        cols = self.cols
+        along_x = (out_ports == EAST) | (out_ports == WEST)
+        return dateline_class_array(
+            np.where(along_x, nodes % cols, nodes // cols),
+            np.where(along_x, dests % cols, dests // cols),
+            (out_ports == EAST) | (out_ports == SOUTH))
+
 
 class RingDatelineVc(DatelineVc):
     """Dateline classes for the bidirectional ring."""
+
+    n_ports = len(RING_PORT_NAMES)
 
     def __init__(self, nodes: int, n_vcs: int):
         super().__init__(RingRouting(nodes), n_vcs)
@@ -345,6 +475,9 @@ class RingDatelineVc(DatelineVc):
     def _link_class(self, node: int, out_port: int, flit: Flit) -> int:
         return dateline_class(node, flit.dest,
                               increasing=(out_port == RING_CW))
+
+    def _link_class_array(self, nodes, out_ports, dests):
+        return dateline_class_array(nodes, dests, out_ports == RING_CW)
 
 
 class EscapeVcAdaptive(VcPolicy):
@@ -411,6 +544,9 @@ class EscapeVcAdaptive(VcPolicy):
         self.rows = rows
         self.escape_vcs = (0, 1) if wrap else (0,)
         self.priority_vc = n_vcs - 1 if self.priority_flows else None
+        #: The priority flows as an (F, 2) array, for the array form.
+        self._flows = np.array(sorted(self.priority_flows),
+                               dtype=np.int64).reshape(-1, 2)
         top = n_vcs - (1 if self.priority_flows else 0)
         self.adaptive_vcs = tuple(range(len(self.escape_vcs), top))
         self._xy = (TorusXYRouting(cols, rows) if wrap
@@ -489,3 +625,56 @@ class EscapeVcAdaptive(VcPolicy):
             return adaptive, escape
 
         return candidates
+
+    def _productive_mask(self, nodes: np.ndarray,
+                         dests: np.ndarray) -> np.ndarray:
+        """Array form of :meth:`_productive_ports`: ``(N, n_ports)``."""
+        cols, rows = self.cols, self.rows
+        x, y = nodes % cols, nodes // cols
+        dx, dy = dests % cols, dests // cols
+        mask = np.zeros((len(nodes), self.n_ports), dtype=bool)
+        if self.wrap:
+            ex, ey = (dx - x) % cols, (dy - y) % rows
+            mask[:, EAST] = (ex > 0) & (ex <= cols - ex)
+            mask[:, WEST] = (ex > 0) & (cols - ex <= ex)
+            mask[:, SOUTH] = (ey > 0) & (ey <= rows - ey)
+            mask[:, NORTH] = (ey > 0) & (rows - ey <= ey)
+        else:
+            mask[:, EAST] = dx > x
+            mask[:, WEST] = dx < x
+            mask[:, SOUTH] = dy > y
+            mask[:, NORTH] = dy < y
+        return mask
+
+    def candidate_masks(self, nodes, in_ports, in_vcs, dests, srcs):
+        vcs = np.arange(self.n_vcs)
+        xy_port = self._xy.route_array(nodes, dests)
+        eject = (xy_port == LOCAL)[:, None, None]
+        # (N, ports, 1): the deterministic XY output (LOCAL at the
+        # destination), which carries the escape and the priority lane.
+        on_xy = (xy_port[:, None] == np.arange(self.n_ports))[:, :, None]
+        escape_vc = (0 if self._dateline is None else
+                     self._dateline._link_class_array(
+                         nodes, xy_port, dests)[:, None, None])
+        escape = on_xy & (vcs == escape_vc)
+        adaptive = (self._productive_mask(nodes, dests)[:, :, None]
+                    & np.isin(vcs, self.adaptive_vcs))
+        if not self.reentry:
+            committed = (in_ports != LOCAL) & np.isin(in_vcs,
+                                                      self.escape_vcs)
+            adaptive &= ~committed[:, None, None]
+        shared = vcs < (self.n_vcs if self.priority_vc is None
+                        else self.priority_vc)
+        preferred = np.where(eject, on_xy & shared, adaptive)
+        fallback = escape & ~eject
+        if self.priority_vc is not None:
+            # Priority flows prefer the lane at every hop, ejection
+            # included, and fall back to what everyone else gets there.
+            priority = (
+                (srcs[:, None] == self._flows[:, 0])
+                & (dests[:, None] == self._flows[:, 1])
+            ).any(axis=1)[:, None, None]
+            fallback = np.where(priority & eject, preferred, fallback)
+            preferred = np.where(priority, on_xy & (vcs == self.priority_vc),
+                                 preferred)
+        return preferred, fallback

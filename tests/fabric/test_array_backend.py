@@ -3,7 +3,8 @@
 ``backend="array"`` replaces per-router event dispatch with one
 whole-fabric vectorized kernel; its acceptance bar is byte-identical
 observables against dispatch — delivered packets, latencies, hop counts,
-gating counts, and the kernel tick — across every credit fabric, flow
+gating counts, the kernel tick, and (observed) every router event in
+order plus the final router state — across every credit fabric, flow
 control, and kernel mode. Configs the engine cannot lower must refuse
 loudly at :class:`FabricConfig` construction (``backend="auto"`` is the
 one sanctioned silent fallback).
@@ -16,6 +17,8 @@ from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig, get_topology, topology_names
 from repro.noc.packet import Packet
 from repro.traffic.patterns import UniformRandom
+
+from tests.fabric.test_router_edge import observed_run
 
 #: Per-topology port counts satisfying each family's shape constraints.
 PORTS = {"mesh": 16, "torus": 16, "ring": 10}
@@ -113,6 +116,46 @@ def test_lone_single_flit_packet_delivers(flow):
     net.send(Packet(src=0, dest=15, payload=[]))
     assert net.drain(max_ticks=50_000)
     assert net.stats.packets_delivered == 1
+
+
+#: Mesh flows steered onto the escape policy's priority lane.
+_PRIORITY_FLOWS = (tuple((0, dest) for dest in range(1, 16))
+                   + tuple((src, 15) for src in range(1, 15)))
+_ESCAPE = {"flow_control": "vc", "vc_policy": "escape"}
+
+#: Every regime the engine lowers, as (topology, FabricConfig kwargs).
+OBSERVED_CONFIGS = (
+    [(name, {}) for name in ("mesh", "torus", "ring")]
+    + [(name, {"flow_control": "vc", "vc_policy": "dateline", "n_vcs": n})
+       for name in ("torus", "ring") for n in (2, 4)]
+    + [("mesh", {**_ESCAPE, "n_vcs": 2}), ("mesh", {**_ESCAPE, "n_vcs": 4}),
+       ("torus", {**_ESCAPE, "n_vcs": 4}),
+       ("mesh", {**_ESCAPE, "n_vcs": 2, "allocator": "escape-reentry"}),
+       ("torus", {**_ESCAPE, "n_vcs": 4, "allocator": "escape-reentry"}),
+       ("mesh", {**_ESCAPE, "n_vcs": 3,
+                 "priority_flows": _PRIORITY_FLOWS})]
+)
+#: (load, size_flits, seed): sparse single flits up to contended worms.
+OBSERVED_POINTS = ((0.1, 1, 11), (0.3, 2, 23), (0.6, 3, 37))
+
+
+@pytest.mark.parametrize("load,size_flits,seed", OBSERVED_POINTS)
+@pytest.mark.parametrize("name,kwargs", OBSERVED_CONFIGS)
+def test_observed_array_matches_dispatch(name, kwargs, load, size_flits,
+                                         seed):
+    """All five router event streams, in order, and the routers' final
+    counters, credits and arbiter state — the observed-mode branches of
+    the engine's allocation phases, which the matrices above never
+    enter."""
+    def run(backend):
+        config = FabricConfig(topology=name, ports=PORTS[name],
+                              backend=backend, **kwargs)
+        return observed_run(config, load, size_flits, seed)
+    array_events, array_final = run("array")
+    dispatch_events, dispatch_final = run("dispatch")
+    assert dispatch_events
+    assert array_events == dispatch_events
+    assert array_final == dispatch_final
 
 
 def test_telemetry_byte_identical():

@@ -186,6 +186,9 @@ def observed_run(config, load, size_flits, seed, cycles=30):
     apply_traffic(net, schedule, run_cycles=cycles, drain_ticks=100_000)
     assert len(net.delivered) == len(schedule)   # drained
     net.run_ticks(500)
+    # Only drain() writes the array engine's state back into the routers
+    # read below; the fabric is idle, so this steps nothing.
+    net.drain()
     gating = net.gating_stats()
     final = {
         "delivered": sorted((p.src, p.dest, tuple(p.payload))
@@ -194,7 +197,9 @@ def observed_run(config, load, size_flits, seed, cycles=30):
         "gating": (gating.edges_total, gating.edges_enabled),
         "tick": net.kernel.tick,
         "routers": [(r.flits_forwarded, r.vcs_allocated, r.credits,
-                     [a.grant_counts for a in r.sa_arbiters])
+                     [a.grant_counts for a in r.sa_arbiters],
+                     [(a._last, a.grant_counts)
+                      for a in r.va_arbiters.values()])
                     for r in net.routers],
     }
     return events, final

@@ -1,9 +1,13 @@
-"""Routing strategies: XY, torus wrap, ring direction, bubble rule."""
+"""Routing strategies: XY, torus wrap, ring direction, bubble rule, and
+the array forms of strategies and VC policies against their scalar forms."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fabric.link import CreditLink
+from repro.fabric.registry import FabricConfig, get_topology
 from repro.fabric.router import FabricRouter
 from repro.fabric.routing import (
     EAST,
@@ -14,7 +18,9 @@ from repro.fabric.routing import (
     SOUTH,
     WEST,
     RingRouting,
+    RoutingStrategy,
     TorusXYRouting,
+    VcPolicy,
     XYRouting,
 )
 from repro.fabric.topologies import RingTopology, TorusTopology
@@ -190,3 +196,113 @@ class TestFabricRouterConfig:
         with pytest.raises(ConfigurationError):
             FabricRouter(SimKernel(), "r", n_ports=3, route=lambda f: 0,
                          buffer_depth=1)
+
+
+# -- array forms == scalar forms -------------------------------------------
+
+#: (topology, ports, rows): two shapes per grid family, one ring.
+ARRAY_SHAPES = (("mesh", 16, 4), ("mesh", 15, 5), ("torus", 16, 4),
+                ("torus", 15, 3), ("ring", 10, None))
+
+
+def array_form_cases():
+    """Every legal (shape, policy, n_vcs, reentry, priority_flows) combo
+    the registry builds, wormhole included (routing only)."""
+    cases = []
+    for topology, ports, rows in ARRAY_SHAPES:
+        shape = {"topology": topology, "ports": ports, "rows": rows}
+        cases.append(shape)
+        # Enough priority flows that random (src, dest) draws hit them.
+        flows = (tuple((0, dest) for dest in range(1, ports))
+                 + tuple((src, ports - 1) for src in range(1, ports - 1)))
+        for policy in get_topology(topology).vc_policies:
+            for n_vcs in (2, 3, 4, 6):
+                for allocator in ("rr", "escape-reentry"):
+                    for priority_flows in ((), flows):
+                        kwargs = dict(shape, flow_control="vc", n_vcs=n_vcs,
+                                      vc_policy=policy, allocator=allocator,
+                                      priority_flows=priority_flows)
+                        try:
+                            FabricConfig(**kwargs)
+                        except ConfigurationError:
+                            continue   # not a legal combination
+                        cases.append(kwargs)
+    return cases
+
+
+def _case_id(kwargs):
+    named = dict(kwargs, priority_flows=("priority" if kwargs.get(
+        "priority_flows") else None))
+    return "-".join(str(value) for value in named.values()
+                    if value is not None)
+
+
+def pair_sets(mask):
+    """One set of (port, vc) pairs per head."""
+    return [set(zip(*np.nonzero(row))) for row in mask]
+
+
+@pytest.mark.parametrize("kwargs", array_form_cases(), ids=_case_id)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(st.data())
+def test_array_forms_equal_the_mapped_scalar_forms(kwargs, data):
+    net = FabricConfig(**kwargs).build()
+    nodes_n = net.topology.nodes
+    count = data.draw(st.integers(1, 48))
+
+    def batch(below):
+        return np.array(data.draw(st.lists(
+            st.integers(0, below - 1), min_size=count, max_size=count)))
+
+    nodes, dests, srcs = batch(nodes_n), batch(nodes_n), batch(nodes_n)
+    routing = net.routing
+    assert (routing.route_array(nodes, dests).tolist()
+            == RoutingStrategy.route_array(routing, nodes, dests).tolist())
+    grid = routing.route_array(nodes[:, None], dests[None, :])
+    assert grid.shape == (count, count)
+    assert (grid == RoutingStrategy.route_array(
+        routing, nodes[:, None], dests[None, :])).all()
+    policy = net.vc_policy
+    if policy is None:
+        return
+    in_ports, in_vcs = batch(policy.n_ports), batch(policy.n_vcs)
+    heads = (nodes, in_ports, in_vcs, dests, srcs)
+    fast = policy.candidate_masks(*heads)
+    mapped = VcPolicy.candidate_masks(policy, *heads)
+    for fast_mask, mapped_mask in zip(fast, mapped):   # preferred, fallback
+        assert fast_mask.shape == (count, policy.n_ports, policy.n_vcs)
+        assert fast_mask.dtype == bool
+        assert pair_sets(fast_mask) == pair_sets(mapped_mask)
+
+
+def test_scalar_only_subclasses_lower_through_the_default():
+    """A strategy / policy that overrides only ``for_node`` still has an
+    array form: the base class maps the scalar function."""
+
+    class Clockwise(RoutingStrategy):
+        def for_node(self, node):
+            return lambda flit: LOCAL if flit.dest == node else RING_CW
+
+    class SourceParity(VcPolicy):
+        n_ports = 3
+
+        def for_node(self, node):
+            def candidates(in_port, in_vc, flit):
+                if flit.dest == node:
+                    return self._ejection(self.n_vcs)
+                return ([(RING_CW, flit.src % 2), (RING_CW, flit.src % 2)],
+                        [(RING_CCW, in_vc)])
+            return candidates
+
+    nodes = np.array([0, 1, 2, 2])
+    dests = np.array([0, 3, 2, 0])
+    assert Clockwise().route_array(nodes, dests).tolist() == [0, 1, 0, 1]
+    assert Clockwise().route_array(nodes[:2, None], dests[None, :]).tolist() \
+        == [[0, 1, 1, 0], [1, 1, 1, 1]]
+    preferred, fallback = SourceParity(2).candidate_masks(
+        nodes, np.array([0, 1, 2, 1]), np.array([0, 1, 0, 1]), dests,
+        np.array([5, 4, 3, 7]))
+    assert pair_sets(preferred) == [{(LOCAL, 0), (LOCAL, 1)}, {(RING_CW, 0)},
+                                    {(LOCAL, 0), (LOCAL, 1)}, {(RING_CW, 1)}]
+    assert pair_sets(fallback) == [set(), {(RING_CCW, 1)}, set(),
+                                   {(RING_CCW, 1)}]
