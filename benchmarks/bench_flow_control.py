@@ -9,7 +9,7 @@
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.mesh.network import MeshConfig, MeshNetwork
+from repro.fabric.registry import FabricConfig
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.network import ICNoCNetwork, NetworkConfig
 from repro.noc.pipeline import build_pipeline
@@ -61,7 +61,7 @@ def measure_flow_control():
 
     # 4. Buffer accounting: IC-NoC stages vs mesh FIFO slots for 16 ports.
     icnoc = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
-    mesh = MeshNetwork(MeshConfig(cols=4, rows=4))
+    mesh = FabricConfig(topology="mesh", ports=16).build()
     icnoc_buffers = 0  # stall buffers beyond the pipeline registers
     mesh_buffers = mesh.total_buffer_flits()
 

@@ -84,7 +84,6 @@ from repro.analysis.sweeps import (
     scan_saturation_curve,
 )
 from repro.fabric.registry import FabricConfig
-from repro.mesh.network import MeshConfig, MeshNetwork
 from repro.noc.debug import attach_monitors, attach_watchdog
 from repro.noc.network import ICNoCNetwork, NetworkConfig
 from repro.noc.packet import Packet
@@ -181,8 +180,8 @@ def run_workload(activity_driven: bool, instrumented: bool = False,
 
 def run_mesh_workload(activity_driven: bool, ticks: int = MESH_TICKS) -> dict:
     """The same burst-then-idle shape on an 8x8 mesh."""
-    net = MeshNetwork(MeshConfig(cols=8, rows=8,
-                                 activity_driven=activity_driven))
+    net = FabricConfig(topology="mesh", ports=64,
+                       activity_driven=activity_driven).build()
     for dest in range(1, BURST_PACKETS + 1):
         net.send(Packet(src=0, dest=dest))
     start = time.perf_counter()

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.parallel import LoadPoint, default_workers, parallel_map
 from repro.analysis.tables import format_table
-from repro.mesh.network import MeshConfig
+from repro.fabric.registry import FabricConfig
 from repro.noc.network import NetworkConfig
 from repro.traffic.base import apply_traffic
 
@@ -32,7 +32,7 @@ CONFIGS = {
                             network=NetworkConfig(leaves=64, arity=2),
                             cycles=CYCLES, seed=SEED),
     "mesh_uniform": LoadPoint(load=LOADS[0], pattern="uniform",
-                              network=MeshConfig(cols=8, rows=8),
+                              network=FabricConfig(topology="mesh", ports=64),
                               cycles=CYCLES, seed=SEED),
 }
 

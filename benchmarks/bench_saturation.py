@@ -13,7 +13,7 @@ from repro.analysis.parallel import (
     parallel_saturation_throughput,
 )
 from repro.analysis.tables import format_table
-from repro.mesh.network import MeshConfig
+from repro.fabric.registry import FabricConfig
 from repro.noc.network import NetworkConfig
 
 PORTS = 16
@@ -25,7 +25,7 @@ def measure_saturation(workers: int | None = None):
     fan-out per search (identical numbers to the old serial walk)."""
     workers = default_workers() if workers is None else workers
     tree = NetworkConfig(leaves=PORTS, arity=2)
-    mesh = MeshConfig(cols=4, rows=4)
+    mesh = FabricConfig(topology="mesh", ports=PORTS)
     searches = {
         "tree_uniform": LoadPoint(load=LOADS[0], network=tree,
                                   pattern="uniform", cycles=250),

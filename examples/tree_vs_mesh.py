@@ -8,7 +8,7 @@ Run:  python examples/tree_vs_mesh.py
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.mesh import MeshConfig, MeshNetwork
+from repro.fabric.registry import FabricConfig
 from repro.mesh.comparison import compare_topologies, tree_mesh_energy_table
 from repro.noc.network import ICNoCNetwork, NetworkConfig
 from repro.traffic.base import apply_traffic
@@ -51,7 +51,7 @@ def main() -> None:
     gen = UniformRandom(ports=64, load=0.10)
     schedule = gen.generate(300, np.random.default_rng(42))
     tree = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
-    mesh = MeshNetwork(MeshConfig(cols=8, rows=8))
+    mesh = FabricConfig(topology="mesh", ports=64).build()
     apply_traffic(tree, schedule, run_cycles=300)
     apply_traffic(mesh, schedule, run_cycles=300)
     print(format_table(

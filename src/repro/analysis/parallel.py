@@ -11,9 +11,8 @@ processes. The building blocks:
   (closures, broken pools, ``workers`` <= 1), so callers never need two
   code paths;
 * :class:`LoadPoint` — a picklable spec of one offered-load measurement
-  (network config + traffic pattern by name + load/cycles/seed + the
-  execution ``backend``), evaluated by the module-level
-  :func:`evaluate_load_point`;
+  (network config + traffic pattern by name + load/cycles/seed),
+  evaluated by the module-level :func:`evaluate_load_point`;
 * :func:`point_seed` — deterministic per-point seeds, identical no matter
   how points are distributed over processes;
 * :func:`bisect_saturation_throughput` — a parallel bisection over the
@@ -54,7 +53,6 @@ from repro.analysis.sweeps import (
 )
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
-from repro.mesh.network import MeshConfig, MeshNetwork
 from repro.noc.network import ICNoCNetwork, NetworkConfig
 from repro.telemetry.metrics import MetricsSummary
 from repro.traffic.base import TrafficGenerator
@@ -139,16 +137,16 @@ class LoadPoint:
     """Picklable spec of one offered-load measurement.
 
     Everything needed to rebuild the experiment in a worker process:
-    the network (a tree :class:`NetworkConfig`, a mesh
-    :class:`MeshConfig`, or any registry fabric via
-    :class:`~repro.fabric.registry.FabricConfig`), the traffic pattern by
-    registered name, and the run parameters. ``seed`` alone determines
-    the injection schedule, so equal specs give equal results in any
-    process.
+    the network (any registry fabric via
+    :class:`~repro.fabric.registry.FabricConfig`, which also carries the
+    execution backend, or a bare tree :class:`NetworkConfig`), the
+    traffic pattern by registered name, and the run parameters. ``seed``
+    alone determines the injection schedule, so equal specs give equal
+    results in any process.
     """
 
     load: float
-    network: NetworkConfig | MeshConfig | FabricConfig = NetworkConfig()
+    network: NetworkConfig | FabricConfig = NetworkConfig()
     pattern: str = "uniform"
     cycles: int = 300
     seed: int = 0
@@ -161,9 +159,6 @@ class LoadPoint:
     telemetry: bool = False
     #: Trace every Nth packet; the result gains ``"traces"``.
     trace_sample_period: int | None = None
-    #: Execution backend override for credit fabrics ("dispatch",
-    #: "array", "auto"). None keeps whatever the network config says.
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.pattern not in PATTERN_NAMES:
@@ -176,51 +171,19 @@ class LoadPoint:
         # (the CLI turns this into a clean error), not as a traceback
         # mid-sweep. Building and discarding the generator single-sources
         # the rules (hotspot range/fraction, transpose port shape, load
-        # bounds) from the traffic constructors. The backend resolution
-        # fails fast for the same reason (unknown backend name, array
-        # lowering on a config that has none, tree facades).
+        # bounds) from the traffic constructors.
         self.build_generator()
-        self._network_with_backend()
-
-    def _network_with_backend(self, backend: str | None = None):
-        """The network config with the backend override applied.
-
-        ``backend`` (call-site override) wins over ``self.backend``; when
-        both are None the config is returned untouched. Tree facades
-        (:class:`NetworkConfig`) accept only an explicit ``"dispatch"``
-        — the handshake tree has no array lowering, and unlike
-        ``backend="auto"`` on a registry fabric there is no credit-fabric
-        config here to fall back to, so anything else is a loud error.
-        """
-        backend = self.backend if backend is None else backend
-        if backend is None:
-            return self.network
-        if isinstance(self.network, (FabricConfig, MeshConfig)):
-            # replace() re-runs the config's own validation, which names
-            # the unsupported-lowering limitation for backend="array".
-            return replace(self.network, backend=backend)
-        if backend == "dispatch":
-            return self.network
-        raise ConfigurationError(
-            f"backend={backend!r} needs a credit fabric (FabricConfig or "
-            f"MeshConfig); the handshake tree facade has no array lowering"
-        )
 
     @property
     def ports(self) -> int:
         if isinstance(self.network, FabricConfig):
             return self.network.ports
-        if isinstance(self.network, MeshConfig):
-            return self.network.cols * self.network.rows
         return self.network.leaves
 
-    def build_network(self, backend: str | None = None):
-        network = self._network_with_backend(backend)
-        if isinstance(network, FabricConfig):
-            return network.build()
-        if isinstance(network, MeshConfig):
-            return MeshNetwork(network)
-        return ICNoCNetwork(network)
+    def build_network(self):
+        if isinstance(self.network, FabricConfig):
+            return self.network.build()
+        return ICNoCNetwork(self.network)
 
     def build_generator(self, load: float | None = None) -> TrafficGenerator:
         load = self.load if load is None else load
@@ -247,7 +210,6 @@ def evaluate_load_point(spec: LoadPoint) -> dict[str, Any]:
         cycles=spec.cycles, seed=spec.seed,
         telemetry=spec.telemetry,
         trace_sample_period=spec.trace_sample_period,
-        backend=spec.backend,
     )
 
 

@@ -77,20 +77,13 @@ def measure_offered_vs_accepted(network_factory: Callable[[], Any],
                                 load: float, cycles: int = 300,
                                 seed: int = 0,
                                 telemetry: bool = False,
-                                trace_sample_period: int | None = None,
-                                backend: str | None = None
+                                trace_sample_period: int | None = None
                                 ) -> dict[str, Any]:
     """Run one load point; report offered/accepted throughput and latency.
 
     Accepted throughput is measured over the injection window only (not
     the drain), which is what saturates; delivery of the backlog is still
     verified via the drain.
-
-    ``backend`` selects the execution backend ("dispatch", "array",
-    "auto") and is forwarded to ``network_factory(backend=...)`` — the
-    factory owns the resolution (see
-    :meth:`repro.analysis.parallel.LoadPoint.build_network`); None calls
-    the factory bare, so plain zero-argument factories keep working.
 
     ``telemetry=True`` attaches a metrics registry
     (:mod:`repro.telemetry`) to the freshly built network and adds its
@@ -103,7 +96,7 @@ def measure_offered_vs_accepted(network_factory: Callable[[], Any],
     """
     if not 0.0 < load <= 1.0:
         raise ConfigurationError("load must be in (0, 1]")
-    net = network_factory() if backend is None else network_factory(backend=backend)
+    net = network_factory()
     registry = tracer = None
     if telemetry:
         from repro.telemetry import attach_metrics

@@ -36,11 +36,14 @@ Commands:
 * ``demo``      — run the 32-tile demonstrator system;
 * ``corners``   — operating frequency per process corner.
 
-``info`` and ``validate`` accept every registered topology: the tree
-family routes through the :class:`~repro.core.icnoc.ICNoC` facade, the
-credit fabrics through :class:`~repro.fabric.registry.FabricConfig` (the
-eq. (1)-(7) timing checks model the handshake tree only, so ``validate``
-refuses credit fabrics with a clean error naming the supported set).
+``info``, ``sweep``, ``metrics``, ``trace`` and ``replay`` all name their
+network through one mapping (:func:`_fabric_config_from`) onto the
+registry's spec, so every knob is spelled, defaulted and refused the same
+way on each of them — ``binary``/``quad`` are the registered ``tree`` at
+arity 2/4. ``info`` prints the tree through the
+:class:`~repro.core.icnoc.ICNoC` facade; the eq. (1)-(7) timing checks
+model the handshake tree only, so ``validate`` refuses credit fabrics
+with a clean error naming the supported set.
 """
 
 from __future__ import annotations
@@ -94,8 +97,11 @@ def _add_network_options(parser: argparse.ArgumentParser,
                              "(default: 1.25)")
 
 
-def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
-    """The credit fabrics' pipelining knobs (tree family: build error)."""
+def _add_fabric_options(parser: argparse.ArgumentParser) -> None:
+    """The credit fabrics' knobs: pipelining, execution backend, flow
+    control and allocation (tree family: the registry refuses them)."""
+    _add_backend_option(parser)
+    _add_flow_options(parser)
     parser.add_argument("--pipeline-depth", type=int, default=1,
                         help="router pipeline stages on credit fabrics "
                              "(default: 1 = single-cycle routers)")
@@ -104,10 +110,9 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
                              "exceeds --segment-mm (the tree always does)")
 
 
-def _add_backend_option(parser: argparse.ArgumentParser,
-                        default: str | None = "dispatch") -> None:
+def _add_backend_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("dispatch", "array", "auto"),
-                        default=default,
+                        default="dispatch",
                         help="execution backend for credit fabrics: "
                              "dispatch (per-router events), array "
                              "(vectorized whole-fabric kernel, loud error "
@@ -152,7 +157,7 @@ def _add_traffic_options(parser: argparse.ArgumentParser) -> None:
                         choices=PATTERN_NAMES, default="uniform",
                         help="traffic pattern (--pattern is the historical "
                              "spelling)")
-    _add_flow_options(parser)
+    _add_fabric_options(parser)
     parser.add_argument("--hotspots", default=None,
                         help="comma-separated hotspot ports, default 0 "
                              "(--traffic hotspot only)")
@@ -165,8 +170,11 @@ def _add_traffic_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+#: The historical tree spellings: the registered ``tree`` at this arity.
+TREE_ALIASES = {"binary": 2, "quad": 4}
+
 #: Topologies the tree-only ICNoC facade (and its timing validator) covers.
-TREE_FAMILY = ("binary", "quad", "tree")
+TREE_FAMILY = (*TREE_ALIASES, "tree")
 
 
 def _config_from(args: argparse.Namespace) -> ICNoCConfig:
@@ -177,91 +185,70 @@ def _config_from(args: argparse.Namespace) -> ICNoCConfig:
     )
 
 
-def _allocation_kwargs(args: argparse.Namespace) -> dict:
-    """FabricConfig kwargs for the allocation knobs.
-
-    Parses ``--allocator``/``--reserve``/``--priority-flow`` into the
-    registry's vocabulary; the registry itself validates legality
-    (allocator vs flow control, reservation bounds, flow endpoints).
-    """
-    kwargs: dict = {}
-    allocator = getattr(args, "allocator", "rr")
-    if allocator != "rr":
-        kwargs["allocator"] = allocator
-    for spec in getattr(args, "reserve", None) or ():
+def _pairs(specs, flag: str, shape: str, left, right) -> tuple:
+    """Parse a repeatable ``A:B`` option into ``((a, b), ...)``."""
+    pairs = []
+    for spec in specs or ():
         try:
-            vc_text, fraction_text = spec.split(":", 1)
-            pair = (int(vc_text), float(fraction_text))
+            first, second = spec.split(":", 1)
+            pairs.append((left(first), right(second)))
         except ValueError:
             raise ConfigurationError(
-                f"--reserve expects VC:FRACTION, got {spec!r}"
+                f"{flag} expects {shape}, got {spec!r}"
             )
-        kwargs.setdefault("reservations", []).append(pair)
-    for spec in getattr(args, "priority_flow", None) or ():
-        try:
-            src_text, dest_text = spec.split(":", 1)
-            flow = (int(src_text), int(dest_text))
-        except ValueError:
-            raise ConfigurationError(
-                f"--priority-flow expects SRC:DEST, got {spec!r}"
-            )
-        kwargs.setdefault("priority_flows", []).append(flow)
-    for knob in ("reservations", "priority_flows"):
-        if knob in kwargs:
-            kwargs[knob] = tuple(kwargs[knob])
-    return kwargs
+    return tuple(pairs)
 
 
 def _fabric_config_from(args: argparse.Namespace) -> FabricConfig:
-    flow_control = getattr(args, "flow_control", "wormhole")
-    vcs = getattr(args, "vcs", None)
-    if vcs is not None and flow_control != "vc":
+    """The network spec an invocation names.
+
+    The only place the CLI spells the registry's vocabulary: every verb
+    that builds a fabric maps its options through here, and the registry
+    itself decides legality (knobs the topology cannot honour, allocator
+    vs flow control, reservation bounds, port shapes).
+    """
+    if args.vcs is not None and args.flow_control != "vc":
+        # n_vcs has a default the registry cannot tell from "--vcs 2".
         raise ConfigurationError(
             "--vcs only applies with --flow-control vc"
         )
+    # A knob the verb does not offer keeps the spec's own default.
+    offered = {field: getattr(args, option) for option, field in (
+        ("segment_mm", "max_segment_mm"),
+        ("pipeline_depth", "pipeline_depth"),
+        ("segment_links", "segment_links"),
+        ("backend", "backend"),
+        ("buffer_depth", "buffer_depth"),
+    ) if hasattr(args, option)}
+    if hasattr(args, "naive"):
+        offered["activity_driven"] = not args.naive
+    if args.topology in TREE_ALIASES:
+        offered["arity"] = TREE_ALIASES[args.topology]
     return FabricConfig(
-        topology=args.topology, ports=args.ports,
-        flow_control=flow_control,
-        n_vcs=2 if vcs is None else vcs,
-        vc_policy=getattr(args, "vc_policy", None),
+        topology="tree" if args.topology in TREE_ALIASES else args.topology,
+        ports=args.ports,
         chip_width_mm=args.chip_mm, chip_height_mm=args.chip_mm,
-        max_segment_mm=args.segment_mm,
-        pipeline_depth=getattr(args, "pipeline_depth", 1),
-        segment_links=getattr(args, "segment_links", False),
-        backend=getattr(args, "backend", "dispatch"),
-        **_allocation_kwargs(args),
+        flow_control=args.flow_control,
+        n_vcs=2 if args.vcs is None else args.vcs,
+        vc_policy=args.vc_policy,
+        allocator=args.allocator,
+        reservations=_pairs(args.reserve, "--reserve", "VC:FRACTION",
+                            int, float),
+        priority_flows=_pairs(args.priority_flow, "--priority-flow",
+                              "SRC:DEST", int, int),
+        **offered,
     )
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    if args.topology in TREE_FAMILY:
-        if args.pipeline_depth != 1 or args.segment_links:
-            # The facade would silently drop the knobs; refuse like the
-            # registry does.
-            print("error: --pipeline-depth/--segment-links only apply to "
-                  "credit fabrics; the tree's routers are a fixed "
-                  "handshake pipeline and its links are always segmented "
-                  "at --segment-mm", file=sys.stderr)
-            return 2
-        if args.backend != "dispatch":
-            print("error: --backend only applies to credit fabrics; the "
-                  "handshake tree has no array lowering", file=sys.stderr)
-            return 2
-        if (args.flow_control != "wormhole" or args.vcs is not None
-                or args.vc_policy is not None or args.allocator != "rr"
-                or args.reserve or args.priority_flow):
-            print("error: --flow-control/--vcs/--vc-policy/--allocator/"
-                  "--reserve/--priority-flow only apply to credit fabrics; "
-                  "the handshake tree has no credit FIFOs to virtualise",
-                  file=sys.stderr)
-            return 2
-        noc = ICNoC(_config_from(args))
-        print(noc.describe())
-        return 0
-    # Any registered fabric: structure plus its physical descriptor view.
     from repro.physical.descriptor import physical_model
     try:
-        network = _fabric_config_from(args).build()
+        config = _fabric_config_from(args)
+        if config.topology == "tree":
+            print(ICNoC(_config_from(args)).describe())
+            return 0
+        # Any other registered fabric: structure plus its physical view.
+        network = config.build()
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -278,8 +265,6 @@ def cmd_info(args: argparse.Namespace) -> int:
               f"{network.link_stage_count} link stage registers, "
               f"longest segment {network.longest_segment_mm():.3f} mm "
               f"-> critical path {frequency:.3f} GHz")
-    if hasattr(network, "pipeline_depth"):
-        config = _fabric_config_from(args)
         line = f"allocation: {config.resolved_allocator}"
         if config.reservations:
             shares = ", ".join(f"vc{vc}={fraction:g}" for vc, fraction
@@ -361,60 +346,6 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     return 0 if stats.packets_delivered == stats.packets_injected else 1
 
 
-def _sweep_network(args: argparse.Namespace):
-    """The network spec for a sweep: the historical tree configs for the
-    binary/quad aliases, a registry :class:`FabricConfig` otherwise."""
-    from repro.noc.network import NetworkConfig
-
-    if args.topology in ("binary", "quad"):
-        if args.flow_control != "wormhole":
-            raise ConfigurationError(
-                f"topology {args.topology!r} cannot run "
-                f"{args.flow_control!r} flow control (the handshake tree "
-                f"has no credit FIFOs to virtualise)"
-            )
-        if args.vc_policy is not None or args.vcs is not None:
-            # Same contract as the registry fabrics: never silently
-            # ignore a VC knob on a build that cannot honour it.
-            raise ConfigurationError(
-                "--vcs/--vc-policy only apply with --flow-control vc"
-            )
-        if args.allocator != "rr" or args.reserve or args.priority_flow:
-            raise ConfigurationError(
-                "--allocator/--reserve/--priority-flow only apply to "
-                "credit fabrics; the handshake tree has no VC stage to "
-                "meter"
-            )
-        if args.pipeline_depth != 1 or args.segment_links:
-            raise ConfigurationError(
-                "--pipeline-depth/--segment-links only apply to credit "
-                "fabrics; the tree's routers are a fixed handshake "
-                "pipeline and its links are always segmented at "
-                "--segment-mm"
-            )
-        return NetworkConfig(
-            leaves=args.ports,
-            arity=4 if args.topology == "quad" else 2,
-            chip_width_mm=args.chip_mm, chip_height_mm=args.chip_mm,
-            max_segment_mm=args.segment_mm,
-        )
-    if args.vcs is not None and args.flow_control != "vc":
-        raise ConfigurationError(
-            "--vcs only applies with --flow-control vc"
-        )
-    return FabricConfig(
-        topology=args.topology, ports=args.ports,
-        flow_control=args.flow_control,
-        n_vcs=2 if args.vcs is None else args.vcs,
-        vc_policy=args.vc_policy,
-        chip_width_mm=args.chip_mm, chip_height_mm=args.chip_mm,
-        max_segment_mm=args.segment_mm,
-        pipeline_depth=args.pipeline_depth,
-        segment_links=args.segment_links,
-        **_allocation_kwargs(args),
-    )
-
-
 def _traffic_template(args: argparse.Namespace, load: float,
                       telemetry: bool = False,
                       trace_sample_period: int | None = None) -> LoadPoint:
@@ -440,7 +371,7 @@ def _traffic_template(args: argparse.Namespace, load: float,
         )
     return LoadPoint(
         load=load,
-        network=_sweep_network(args),
+        network=_fabric_config_from(args),
         pattern=args.pattern, cycles=args.cycles,
         size_flits=args.flits, locality=args.locality,
         seed=args.seed,
@@ -449,7 +380,6 @@ def _traffic_template(args: argparse.Namespace, load: float,
                           else args.hotspot_fraction),
         telemetry=telemetry,
         trace_sample_period=trace_sample_period,
-        backend=getattr(args, "backend", None),
     )
 
 
@@ -620,27 +550,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0 if metrics["drained"] else 1
 
 
-def _replay_fabric_config(args: argparse.Namespace) -> FabricConfig:
-    """The registry fabric a ``replay`` invocation builds."""
-    kwargs: dict = {
-        "topology": args.topology, "ports": args.ports,
-        "chip_width_mm": args.chip_mm, "chip_height_mm": args.chip_mm,
-        "buffer_depth": args.buffer_depth,
-        "activity_driven": not args.naive,
-    }
-    if args.flow_control == "vc":
-        kwargs["flow_control"] = "vc"
-        kwargs["n_vcs"] = 2 if args.vcs is None else args.vcs
-        if args.vc_policy is not None:
-            kwargs["vc_policy"] = args.vc_policy
-    elif args.vcs is not None or args.vc_policy is not None:
-        raise ConfigurationError(
-            "--vcs/--vc-policy only apply with --flow-control vc"
-        )
-    kwargs.update(_allocation_kwargs(args))
-    return FabricConfig(**kwargs)
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     from repro.accel import (
         ReplaySystem,
@@ -659,7 +568,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             save_accel_trace(trace, args.save_trace)
             print(f"trace written to {args.save_trace} "
                   f"({len(trace.events)} events)")
-        config = _replay_fabric_config(args)
+        config = _fabric_config_from(args)
         if args.sweep_placements:
             records = sweep_placements(
                 config, model=args.model, trace_path=args.trace,
@@ -803,9 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("info", help="describe a network instance")
     _add_network_options(p_info, topologies=sweep_topologies())
-    _add_pipeline_options(p_info)
-    _add_backend_option(p_info)
-    _add_flow_options(p_info)
+    _add_fabric_options(p_info)
     p_info.set_defaults(func=cmd_info)
 
     p_val = sub.add_parser("validate", help="run the timing checks")
@@ -836,11 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="offered-load sweep (parallelisable)")
     _add_network_options(p_sw, topologies=sweep_topologies())
-    _add_pipeline_options(p_sw)
     _add_traffic_options(p_sw)
-    # None = keep the network config's own backend (dispatch unless the
-    # spec says otherwise); tree aliases accept only an explicit dispatch.
-    _add_backend_option(p_sw, default=None)
     p_sw.add_argument("--loads", default="0.05,0.10,0.20,0.40",
                       help="comma-separated offered loads")
     p_sw.add_argument("--workers", type=int, default=1,
@@ -877,7 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
              "congestion attribution, latency percentiles, JSONL export",
     )
     _add_network_options(p_met, topologies=sweep_topologies())
-    _add_pipeline_options(p_met)
     _add_traffic_options(p_met)
     p_met.add_argument("--load", type=float, default=0.2,
                        help="offered load in flits/cycle/port")
@@ -893,7 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="follow sampled packets hop by hop (queueing vs transit)",
     )
     _add_network_options(p_trc, topologies=sweep_topologies())
-    _add_pipeline_options(p_trc)
     _add_traffic_options(p_trc)
     p_trc.add_argument("--load", type=float, default=0.2,
                        help="offered load in flits/cycle/port")

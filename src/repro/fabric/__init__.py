@@ -18,13 +18,15 @@ now stand on, and the place new fabrics plug into:
 * :mod:`~repro.fabric.endpoint` — the shared source/sink adapters;
 * :mod:`~repro.fabric.topologies` — structure descriptions (torus, ring);
 * :mod:`~repro.fabric.network` — the generic assembly with the
-  ICNoC-compatible run/sweep/stats API;
+  ICNoC-compatible run/sweep/stats API, and the mesh, torus and ring
+  built on it;
 * :mod:`~repro.fabric.registry` — where each topology declares its
   structure, routing, and clock-distribution capability (``integrated``
-  vs ``mesochronous``), checked at build time.
+  vs ``mesochronous``), checked at build time. Its
+  :class:`FabricConfig` is the only spec of a credit fabric.
 
-``repro.noc`` and ``repro.mesh`` remain as thin topology-specific layers
-(and stable import paths) over this package.
+``repro.noc`` keeps the handshake tree; ``repro.mesh`` keeps the mesh's
+structure and the analytic tree-vs-mesh tables.
 """
 
 from repro.fabric.allocator import (
@@ -50,16 +52,11 @@ from repro.fabric.routing import (
     tree_updown_route,
 )
 from repro.fabric.router import FabricRouter
-from repro.fabric.vc import (
-    VcCreditLink,
-    VcFabricRouter,
-    VcFabricSink,
-    VcFabricSource,
-)
 from repro.fabric.endpoint import FabricSink, FabricSource
 from repro.fabric.topologies import RingTopology, TorusTopology
 from repro.fabric.network import (
     CreditFabricNetwork,
+    MeshNetwork,
     RingNetwork,
     TorusNetwork,
     make_vc_policy,
@@ -100,10 +97,6 @@ __all__ = [
     "dateline_class",
     "make_vc_policy",
     "FabricRouter",
-    "VcCreditLink",
-    "VcFabricRouter",
-    "VcFabricSource",
-    "VcFabricSink",
     "FLOW_WORMHOLE",
     "FLOW_VC",
     "FabricSource",
@@ -111,6 +104,7 @@ __all__ = [
     "TorusTopology",
     "RingTopology",
     "CreditFabricNetwork",
+    "MeshNetwork",
     "TorusNetwork",
     "RingNetwork",
     "CLOCK_INTEGRATED",

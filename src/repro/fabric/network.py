@@ -27,9 +27,10 @@ so it is a build error, never a run-time surprise). With the defaults
 every link keeps the historical single-segment, default-capacity shape
 and the build is bit-identical to pre-knob versions.
 
-The concrete wrap fabrics (:class:`TorusNetwork`, :class:`RingNetwork`)
-are registry entries; :class:`~repro.mesh.network.MeshNetwork` is the
-same machinery under its historical name and module.
+The concrete fabrics (:class:`MeshNetwork`, :class:`TorusNetwork`,
+:class:`RingNetwork`) are the registry's builders: each pairs a structure
+with its routing strategy and takes the same
+:class:`~repro.fabric.registry.FabricConfig`, under either flow control.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ from repro.fabric.routing import (
     TorusDatelineVc,
     TorusXYRouting,
     VcPolicy,
+    XYRouting,
 )
 from repro.fabric.topologies import RingTopology, TorusTopology, square_side
+from repro.mesh.topology import MeshTopology
 from repro.noc.floorplan import (
     LOCAL_PORT,
     Floorplan,
@@ -65,7 +68,6 @@ from repro.noc.floorplan import (
 from repro.noc.packet import Packet
 from repro.noc.stats import NetworkStats
 from repro.sim.kernel import SimKernel
-from repro.tech.technology import TECH_90NM
 from repro.timing.frequency import (
     pipeline_max_frequency,
     router_max_frequency,
@@ -78,13 +80,13 @@ if TYPE_CHECKING:
 class CreditFabricNetwork:
     """A built, runnable credit-based fabric with the shared run-time API.
 
-    ``config`` supplies ``buffer_depth`` and ``activity_driven`` (both
-    :class:`~repro.fabric.registry.FabricConfig` and
-    :class:`~repro.mesh.network.MeshConfig` qualify); ``topology``
-    supplies the structure, ``routing`` the per-node route functions.
+    ``config`` is the fabric's one spec — every knob is read from it and
+    was validated when it was constructed; ``topology`` supplies the
+    structure, ``routing`` the per-node route functions.
     """
 
-    def __init__(self, config, topology, routing: RoutingStrategy,
+    def __init__(self, config: "FabricConfig", topology,
+                 routing: RoutingStrategy,
                  kernel: SimKernel | None = None, node_prefix: str = "m",
                  port_names: tuple[str, ...] | None = None,
                  vc_policy: VcPolicy | None = None):
@@ -92,8 +94,7 @@ class CreditFabricNetwork:
         self.topology = topology
         self.routing = routing
         self.vc_policy = vc_policy
-        self.vc_enabled = (getattr(config, "flow_control", "wormhole")
-                           == "vc")
+        self.vc_enabled = config.flow_control == "vc"
         if self.vc_enabled and vc_policy is None:
             raise ConfigurationError(
                 "flow_control='vc' needs a VC-assignment policy"
@@ -108,41 +109,16 @@ class CreditFabricNetwork:
             else SimKernel(activity_driven=config.activity_driven)
         # Allocation policy: every router gets a fresh allocator instance
         # of this flavour (arbitration state is per router).
-        self.allocator_name = getattr(config, "allocator", "rr")
-        self.reservations = tuple(getattr(config, "reservations", ()))
-        self.pipeline_depth = getattr(config, "pipeline_depth", 1)
-        self.segment_links = getattr(config, "segment_links", False)
-        self.credit_sizing = getattr(config, "credit_sizing", "auto")
-        if self.pipeline_depth < 1:
-            raise ConfigurationError("pipeline_depth must be >= 1")
-        if self.credit_sizing not in ("auto", "strict"):
-            raise ConfigurationError(
-                f"credit_sizing must be 'auto' or 'strict', "
-                f"got {self.credit_sizing!r}"
-            )
+        self.allocator_name = config.allocator
+        self.reservations = config.reservations
+        self.pipeline_depth = config.pipeline_depth
+        self.segment_links = config.segment_links
+        self.credit_sizing = config.credit_sizing
         # Execution backend: "dispatch" fires each router/endpoint as its
         # own kernel component; "array" lowers the whole fabric into one
-        # vectorized engine (repro.fabric.array_backend); "auto" picks
-        # "array" whenever the build is lowerable. Requesting "array" for
-        # an un-lowerable build is a loud error, never a silent fallback.
-        backend = getattr(config, "backend", "dispatch")
-        if backend not in ("dispatch", "array", "auto"):
-            raise ConfigurationError(
-                f"backend must be 'dispatch', 'array' or 'auto', "
-                f"got {backend!r}"
-            )
-        lowerable = (self.pipeline_depth == 1 and not self.segment_links
-                     and self.allocator_name != "weighted")
-        if backend == "auto":
-            backend = "array" if lowerable else "dispatch"
-        elif backend == "array" and not lowerable:
-            raise ConfigurationError(
-                "backend='array' does not support pipelined routers "
-                "(pipeline_depth > 1), segmented links, or the weighted "
-                "allocator; use backend='dispatch' (or 'auto' to fall "
-                "back)"
-            )
-        self.backend = backend
+        # vectorized engine (repro.fabric.array_backend). The config owns
+        # the lowerability rule, "auto" included.
+        self.backend = config.resolved_backend
         self.engine = None
         self.stats = NetworkStats()
         self.routers: list[FabricRouter] = []
@@ -158,9 +134,9 @@ class CreditFabricNetwork:
         # Under the array backend, routers and endpoints are built with
         # their full state but left unregistered: the engine executes
         # their semantics vectorized and is the only scheduled component.
-        self._register_components = backend != "array"
+        self._register_components = self.backend != "array"
         self._build()
-        if backend == "array":
+        if self.backend == "array":
             from repro.fabric.array_backend import make_engine
             self.engine = make_engine(self)
 
@@ -168,7 +144,7 @@ class CreditFabricNetwork:
 
     @property
     def n_vcs(self) -> int:
-        return getattr(self.config, "n_vcs", 2) if self.vc_enabled else 1
+        return self.config.n_vcs if self.vc_enabled else 1
 
     def _make_router(self, node: int):
         # One construction path for both regimes: n_vcs picks the
@@ -196,8 +172,7 @@ class CreditFabricNetwork:
         if not self.segment_links:
             return 1
         length = self.floorplan.link_length(node, port)
-        return segment_count(length,
-                             getattr(self.config, "max_segment_mm", 1.25))
+        return segment_count(length, self.config.max_segment_mm)
 
     def _link_capacity(self, segments: int) -> int | None:
         """Consumer FIFO depth behind a link, or None for the default.
@@ -392,8 +367,7 @@ class CreditFabricNetwork:
 
     @property
     def tech(self):
-        """Process constants (configs without a tech field get 90 nm)."""
-        return getattr(self.config, "tech", TECH_90NM)
+        return self.config.tech
 
     @property
     def floorplan(self) -> Floorplan:
@@ -406,8 +380,8 @@ class CreditFabricNetwork:
         """
         if self._floorplan is None:
             topo = self.topology
-            width = getattr(self.config, "chip_width_mm", 10.0)
-            height = getattr(self.config, "chip_height_mm", 10.0)
+            width = self.config.chip_width_mm
+            height = self.config.chip_height_mm
             if hasattr(topo, "cols"):
                 self._floorplan = grid_fabric_floorplan(
                     topo.cols, topo.rows, topo.links(), width, height
@@ -421,7 +395,7 @@ class CreditFabricNetwork:
     def longest_segment_mm(self) -> float:
         """Longest wire any clock period must cover: the longest link
         when segmentation is off, else the longest per-segment span."""
-        max_seg = getattr(self.config, "max_segment_mm", 1.25)
+        max_seg = self.config.max_segment_mm
         longest = 0.0
         for length in self.floorplan.link_lengths.values():
             segments = (segment_count(length, max_seg)
@@ -455,8 +429,7 @@ class CreditFabricNetwork:
             pipe += f", {self.pipeline_depth}-stage routers"
         if self.segment_links:
             pipe += (f", {self.link_stage_count} link stages "
-                     f"(<= {getattr(self.config, 'max_segment_mm', 1.25)} "
-                     f"mm segments)")
+                     f"(<= {self.config.max_segment_mm} mm segments)")
         return (f"{type(self).__name__}: {structure}, "
                 f"{len(self.routers)} routers, "
                 f"buffer depth {self.config.buffer_depth}{flow}{pipe}")
@@ -474,9 +447,9 @@ def make_vc_policy(config: "FabricConfig", cols: int | None = None,
     an unknown pairing fails loudly instead of building a policy whose
     deadlock argument does not fit the structure.
     """
-    if getattr(config, "flow_control", "wormhole") != "vc":
-        return None
     name = config.resolved_vc_policy
+    if name is None:
+        return None
     if config.topology == "ring" and name == "dateline":
         return RingDatelineVc(config.ports, config.n_vcs)
     if config.topology in ("mesh", "torus"):
@@ -491,14 +464,29 @@ def make_vc_policy(config: "FabricConfig", cols: int | None = None,
             return EscapeVcAdaptive(
                 cols, rows, config.n_vcs,
                 wrap=(config.topology == "torus"),
-                reentry=(getattr(config, "allocator", "rr")
-                         == "escape-reentry"),
-                priority_flows=getattr(config, "priority_flows", ()),
+                reentry=config.allocator == "escape-reentry",
+                priority_flows=config.priority_flows,
             )
     raise ConfigurationError(
         f"no stock VC policy builder for topology {config.topology!r} "
         f"with policy {name!r}; pass a VcPolicy to CreditFabricNetwork"
     )
+
+
+class MeshNetwork(CreditFabricNetwork):
+    """The paper's comparison baseline: a 2-D mesh under XY routing.
+
+    Dimension order is deadlock-free on its own; ``flow_control="vc"``
+    adds the escape policy's adaptive VCs on the same routers.
+    """
+
+    def __init__(self, config: "FabricConfig",
+                 kernel: SimKernel | None = None):
+        cols, rows = _grid_shape(config, "mesh")
+        super().__init__(config, MeshTopology(cols, rows),
+                         XYRouting(cols, rows), kernel=kernel,
+                         node_prefix="m", port_names=PORT_NAMES,
+                         vc_policy=make_vc_policy(config, cols, rows))
 
 
 class TorusNetwork(CreditFabricNetwork):
@@ -533,7 +521,7 @@ class RingNetwork(CreditFabricNetwork):
 
 def _grid_shape(config: "FabricConfig", what: str) -> tuple[int, int]:
     """(cols, rows) of a grid fabric: explicit rows, or a square."""
-    rows = getattr(config, "rows", None)
+    rows = config.rows
     if rows:
         if config.ports % rows:
             raise ConfigurationError(

@@ -64,8 +64,9 @@ class TopologyEntry:
         tree_legal: the link structure has no converging paths, so the
             integrated clock distribution of the paper applies.
         flow_control: supported link-level flow-control flavours, the
-            first is the default. ``"vc"`` (virtual channels,
-            :mod:`repro.fabric.vc`) requires at least one entry in
+            first is the default. ``"vc"`` (virtual channels: the
+            ``n_vcs >= 2`` shape of :class:`~repro.fabric.router
+            .FabricRouter`) requires at least one entry in
             ``vc_policies``.
         vc_policies: supported VC-assignment policies
             (:mod:`repro.fabric.routing`), the first is the default —
@@ -259,34 +260,14 @@ class FabricConfig:
                 f"backend must be 'dispatch', 'array' or 'auto', "
                 f"got {self.backend!r}"
             )
-        if self.backend == "array":
-            # Never silently fall back: the array backend lowers only the
-            # credit fabrics at pipeline depth 1 on unsegmented links.
-            # "auto" picks the fastest supported backend instead.
-            if not entry.supports_pipeline:
-                raise ConfigurationError(
-                    f"backend='array' cannot lower topology "
-                    f"{self.topology!r}: the tree family's handshake "
-                    f"pipeline has no array lowering; use "
-                    f"backend='dispatch' (or 'auto' to fall back)"
-                )
-            if self.pipeline_depth != 1:
-                raise ConfigurationError(
-                    f"backend='array' does not support pipeline_depth > 1 "
-                    f"(got {self.pipeline_depth}); use backend='dispatch' "
-                    f"(or 'auto' to fall back)"
-                )
-            if self.segment_links:
-                raise ConfigurationError(
-                    "backend='array' does not support segmented links; "
-                    "use backend='dispatch' (or 'auto' to fall back)"
-                )
-            if self.allocator == "weighted":
-                raise ConfigurationError(
-                    "backend='array' has no lowering for the weighted "
-                    "allocator; use backend='dispatch' (or 'auto' to "
-                    "fall back)"
-                )
+        refusal = self._array_refusal if self.backend == "array" else None
+        if refusal:
+            # Never silently fall back; "auto" picks the fastest
+            # supported backend instead.
+            raise ConfigurationError(
+                f"backend='array' {refusal}; use backend='dispatch' "
+                f"(or 'auto' to fall back)"
+            )
         if self.pipeline_depth < 1:
             raise ConfigurationError("pipeline_depth must be >= 1")
         if self.max_segment_mm <= 0.0:
@@ -296,7 +277,14 @@ class FabricConfig:
                 f"credit_sizing must be 'auto' or 'strict', "
                 f"got {self.credit_sizing!r}"
             )
-        if not entry.supports_pipeline:
+        if entry.supports_pipeline:
+            if self.buffer_depth < 2:
+                # The routers' own limit, checked where the spec is
+                # written rather than at build() inside a sweep worker.
+                raise ConfigurationError(
+                    "credit flow control needs buffer_depth >= 2"
+                )
+        else:
             # Never silently ignore a knob (same contract as vc_policy
             # under wormhole): the tree family's routers are a fixed
             # handshake pipeline and its links are always segmented.
@@ -425,6 +413,34 @@ class FabricConfig:
         return get_topology(self.topology).vc_policies[0]
 
     @property
+    def _array_refusal(self) -> str | None:
+        """Why the array backend cannot lower this config (None: it can).
+
+        The one statement of the lowerability rule: the engine covers
+        the credit fabrics at pipeline depth 1 on unsegmented links
+        under a round-robin-granting allocator.
+        """
+        if not get_topology(self.topology).supports_pipeline:
+            return (f"cannot lower topology {self.topology!r}: the tree "
+                    f"family's handshake pipeline has no array lowering")
+        if self.pipeline_depth != 1:
+            return (f"does not support pipeline_depth > 1 "
+                    f"(got {self.pipeline_depth})")
+        if self.segment_links:
+            return "does not support segmented links"
+        if self.allocator == "weighted":
+            return "has no lowering for the weighted allocator"
+        return None
+
+    @property
+    def resolved_backend(self) -> str:
+        """The execution backend in force: ``"auto"`` resolves to
+        ``"array"`` whenever the config is lowerable, else ``"dispatch"``."""
+        if self.backend == "auto":
+            return "dispatch" if self._array_refusal else "array"
+        return self.backend
+
+    @property
     def resolved_allocator(self) -> str:
         """The router allocation policy in force (validated already)."""
         return self.allocator
@@ -535,34 +551,8 @@ def _build_ctree(config: FabricConfig):
 
 
 def _build_mesh(config: FabricConfig):
-    from repro.fabric.network import _grid_shape
-    if config.flow_control == FLOW_VC:
-        # VC meshes assemble on the generic fabric machinery (the
-        # historical MeshNetwork stays byte-for-byte the wormhole build).
-        from repro.fabric.network import CreditFabricNetwork, make_vc_policy
-        from repro.fabric.routing import PORT_NAMES, XYRouting
-        from repro.mesh.topology import MeshTopology
-        cols, rows = _grid_shape(config, "mesh")
-        return CreditFabricNetwork(
-            config, MeshTopology(cols, rows), XYRouting(cols, rows),
-            node_prefix="m", port_names=PORT_NAMES,
-            vc_policy=make_vc_policy(config, cols, rows),
-        )
-    from repro.mesh.network import MeshConfig, MeshNetwork
-    cols, rows = _grid_shape(config, "mesh")
-    return MeshNetwork(MeshConfig(
-        cols=cols, rows=rows,
-        chip_width_mm=config.chip_width_mm,
-        chip_height_mm=config.chip_height_mm,
-        buffer_depth=config.buffer_depth,
-        max_segment_mm=config.max_segment_mm,
-        pipeline_depth=config.pipeline_depth,
-        segment_links=config.segment_links,
-        credit_sizing=config.credit_sizing,
-        tech=config.tech,
-        activity_driven=config.activity_driven,
-        backend=config.backend,
-    ))
+    from repro.fabric.network import MeshNetwork
+    return MeshNetwork(config)
 
 
 def _build_torus(config: FabricConfig):

@@ -38,8 +38,8 @@ flip mid-route, ties break toward the positive direction), so no strategy
 ever produces a U-turn.
 
 **VC-assignment policies.** Fabrics built with ``flow_control="vc"``
-replace the bubble rule with virtual channels
-(:mod:`repro.fabric.vc`). Which output VC a head flit may be allocated is
+replace the bubble rule with virtual channels (the ``n_vcs >= 2``
+shape of :class:`~repro.fabric.router.FabricRouter`). Which output VC a head flit may be allocated is
 a pluggable policy, mirroring the routing strategies:
 
 * :class:`DatelineVc` (torus, ring) — dateline deadlock avoidance: every

@@ -353,11 +353,11 @@ class CreditFabricPhysical(PhysicalModel):
 
     def _link_stages_on(self, length_mm: float) -> int:
         """Register stages one direction of a link of this length has."""
-        if not getattr(self.network, "segment_links", False):
+        if not self.network.segment_links:
             return 0
         from repro.noc.floorplan import segment_count
-        max_seg = getattr(self.network.config, "max_segment_mm", 1.25)
-        return segment_count(length_mm, max_seg) - 1
+        return segment_count(length_mm,
+                             self.network.config.max_segment_mm) - 1
 
     def clock_sink_count(self) -> int:
         # Router + source + sink register banks at every node, plus one
@@ -407,8 +407,7 @@ class CreditFabricPhysical(PhysicalModel):
         lengths.append(plan.link_length(dest, LOCAL_PORT))
         stage_registers = sum(self._link_stages_on(length)
                               for length in lengths)
-        depth = getattr(self.network, "pipeline_depth", 1)
-        stage_registers += (depth - 1) * len(nodes)
+        stage_registers += (self.network.pipeline_depth - 1) * len(nodes)
         return PathProfile(
             hops=len(nodes),
             switch_ports=tuple(ports[node] for node in nodes),
@@ -421,22 +420,19 @@ class CreditFabricPhysical(PhysicalModel):
 def _topology_name_of(network) -> str:
     """The registry name of a built network.
 
-    Registry-built fabrics carry it on their config; the historical
-    constructors (:class:`~repro.noc.network.ICNoCNetwork`,
-    :class:`~repro.mesh.network.MeshNetwork`) are recognised by type.
+    Credit fabrics carry it on their :class:`FabricConfig`; the tree
+    family's networks are built from a bare ``NetworkConfig`` and are
+    recognised by type.
     """
     name = getattr(getattr(network, "config", None), "topology", None)
     if isinstance(name, str):
         return name
     from repro.fabric.ctree import ConcentratedTreeNetwork
-    from repro.mesh.network import MeshNetwork
     from repro.noc.network import ICNoCNetwork
     if isinstance(network, ConcentratedTreeNetwork):
         return "ctree"
     if isinstance(network, ICNoCNetwork):
         return "tree"
-    if isinstance(network, MeshNetwork):
-        return "mesh"
     raise ConfigurationError(
         f"no physical descriptor for {type(network).__name__}: not built "
         f"from the topology registry"

@@ -7,8 +7,8 @@ implement :class:`BatchComponent` and execute many consecutive ticks
 itself, vectorized, without the kernel stepping each one.
 
 :meth:`SimKernel.run_ticks` consults the hook only when batching is
-provably unobservable — activity-driven mode, no legacy per-tick
-callbacks, no pending signal commits, and exactly one awake component
+provably unobservable — activity-driven mode, no pending signal
+commits, and exactly one awake component
 (parity 0, with nothing awake on parity 1). The window handed to
 ``batch_ticks`` never crosses the next timer deadline, so
 :meth:`SimKernel.call_at` observation points still fire on their exact

@@ -28,15 +28,10 @@ principle — they cost work proportional to activity, never per tick:
 * **events** (:meth:`subscribe` / :meth:`emit`) broadcast discrete
   occurrences (flit delivered, packet injected, component wake/sleep) to
   interested probes.
-
-The legacy :meth:`on_tick` per-tick callback survives as a deprecated
-compatibility shim; it still disables the quiescent fast-forward, which
-is exactly why the hooks above replaced it.
 """
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import Any, Callable, Sequence
@@ -80,8 +75,6 @@ class SimKernel:
         self._components: list[ClockedComponent] = []
         self._signals: list[Signal] = []
         self._names: set[str] = set()
-        self._tick_callbacks: list[Callable[[int], None]] = []
-        self._warned_on_tick = False
         # Awake components per parity, sorted by registration index.
         self._active: tuple[list[ClockedComponent], list[ClockedComponent]] \
             = ([], [])
@@ -124,27 +117,6 @@ class SimKernel:
         self._signals.append(sig)
         return sig
 
-    def on_tick(self, callback: Callable[[int], None]) -> None:
-        """Register a probe called after every tick commits.
-
-        .. deprecated:: PR 2
-            Per-tick callbacks disable the quiescent fast-forward — any
-            instrumented run falls back to naive speed. Subscribe to
-            signals (:meth:`Signal.attach_probe`, the probe classes in
-            :mod:`repro.sim.observe`), schedule :meth:`call_at` timers,
-            or listen to :meth:`subscribe` events instead. The shim keeps
-            working (results are unchanged) but warns once per kernel.
-        """
-        if not self._warned_on_tick:
-            self._warned_on_tick = True
-            warnings.warn(
-                "SimKernel.on_tick is deprecated: per-tick callbacks "
-                "disable the quiescent fast-forward. Use signal probes "
-                "(repro.sim.observe), call_at timers, or events instead.",
-                DeprecationWarning, stacklevel=2,
-            )
-        self._tick_callbacks.append(callback)
-
     @property
     def components(self) -> list[ClockedComponent]:
         return list(self._components)
@@ -167,8 +139,7 @@ class SimKernel:
     def call_at(self, tick: int, callback: Callable[[int], None]) -> Timer:
         """Schedule ``callback(tick)`` at the end of the given tick.
 
-        The callback runs after that tick's commit (the same observation
-        point the legacy per-tick callbacks used), even across a
+        The callback runs after that tick's commit, even across a
         fast-forwarded quiescent window — the fast path stops exactly at
         the earliest pending deadline. A deadline at or before the
         current tick fires at the end of the current tick. Returns a
@@ -312,8 +283,6 @@ class SimKernel:
             if not timer.cancelled:
                 timer.fired = True
                 timer.callback(tick)
-        for callback in self._tick_callbacks:
-            callback(tick)
         self.tick += 1
 
     def _next_timer_tick(self) -> int | None:
@@ -328,8 +297,7 @@ class SimKernel:
             raise ConfigurationError(f"ticks must be >= 0, got {ticks}")
         remaining = ticks
         while remaining > 0:
-            if (self.activity_driven and not self._tick_callbacks
-                    and not self._dirty):
+            if self.activity_driven and not self._dirty:
                 self._compact(0)
                 self._compact(1)
                 active0, active1 = self._active

@@ -1,10 +1,10 @@
 """Event-driven observability: probes that keep the fast path.
 
-The legacy instrumentation (``SignalTrace``, ``VCDWriter``, the protocol
-monitors and watchdogs) registered per-tick ``on_tick`` callbacks, which
-fire every tick and disable the kernel's quiescent fast-forward — an
-instrumented run paid naive-loop speed for visibility. This module is the
-replacement contract:
+A callback fired on every tick would forbid the kernel's quiescent
+fast-forward — an instrumented run would pay naive-loop speed for
+visibility — so the kernel offers none. Instrumentation (``SignalTrace``,
+``VCDWriter``, the protocol monitors and watchdogs) stands on this
+contract instead:
 
 * **Probes subscribe to signals.** :meth:`Signal.attach_probe` callbacks
   run from the kernel's commit phase exactly when a commit changes the

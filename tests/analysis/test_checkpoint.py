@@ -7,6 +7,7 @@ results identical to an uninterrupted run.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -40,8 +41,8 @@ class TestSpecHash:
             LoadPoint(load=0.11, network=MESH16, cycles=40, seed=base.seed),
             LoadPoint(load=0.1, network=MESH16, cycles=41, seed=base.seed),
             LoadPoint(load=0.1, network=MESH16, cycles=40, seed=base.seed + 1),
-            LoadPoint(load=0.1, network=MESH16, cycles=40, seed=base.seed,
-                      backend="array"),
+            LoadPoint(load=0.1, cycles=40, seed=base.seed,
+                      network=replace(MESH16, backend="array")),
         )
         hashes = {spec_hash(v) for v in variants} | {spec_hash(base)}
         assert len(hashes) == len(variants) + 1

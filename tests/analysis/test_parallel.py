@@ -14,7 +14,7 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.sweeps import saturation_throughput, sweep
 from repro.errors import ConfigurationError
-from repro.mesh.network import MeshConfig
+from repro.fabric.registry import FabricConfig
 from repro.noc.network import ICNoCNetwork, NetworkConfig
 from repro.traffic.patterns import UniformRandom
 
@@ -77,8 +77,8 @@ class TestLoadPoints:
 
     def test_ports_from_tree_and_mesh(self):
         assert LoadPoint(load=0.1, network=TREE16).ports == 16
-        assert LoadPoint(load=0.1,
-                         network=MeshConfig(cols=4, rows=4)).ports == 16
+        mesh = FabricConfig(topology="mesh", ports=16, rows=4)
+        assert LoadPoint(load=0.1, network=mesh).ports == 16
 
     def test_expand_loads_shares_or_derives_seeds(self):
         template = LoadPoint(load=0.1, network=TREE16, seed=42)

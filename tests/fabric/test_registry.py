@@ -123,6 +123,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             FabricConfig(topology="ring", ports=1)
 
+    @pytest.mark.parametrize("name", ("mesh", "torus", "ring"))
+    def test_shallow_credit_buffers_never_construct(self, name):
+        """Not first inside a router at build(), in a sweep worker."""
+        with pytest.raises(ConfigurationError, match="buffer_depth"):
+            FabricConfig(topology=name, ports=16, buffer_depth=1)
+        FabricConfig(topology=name, ports=16, buffer_depth=2)
+
 
 class TestBuiltNetworks:
     """Every registered fabric exposes the shared run-time API."""
@@ -145,3 +152,12 @@ class TestBuiltNetworks:
         net.send(Packet(src=0, dest=ports - 1))
         assert net.drain(50_000)
         assert net.stats.packets_delivered == 1
+
+    @pytest.mark.parametrize("name", ("mesh", "torus", "ring"))
+    def test_one_network_class_per_topology(self, name):
+        """Flow control picks the routers' shape, not the assembly."""
+        wormhole = FabricConfig(topology=name, ports=16)
+        vc = FabricConfig(topology=name, ports=16, flow_control="vc")
+        assert (type(wormhole.build()).__name__
+                == type(vc.build()).__name__
+                == f"{name.capitalize()}Network")

@@ -173,17 +173,13 @@ class TestBubbleRule:
 
 class TestMeshStrategyUnchanged:
     def test_xy_matches_mesh_router(self):
-        from repro.mesh.router import MeshRouter
-        kernel = SimKernel()
-        router = MeshRouter(kernel, "r", x=1, y=1, cols=3, rows=3)
+        router = FabricConfig(topology="mesh", ports=9).build().routers[4]
         route = XYRouting(3, 3).for_node(4)
         for dest in range(9):
             assert router._route(flit_to(dest)) == route(flit_to(dest))
 
     def test_mesh_has_no_bubble(self):
-        kernel = SimKernel()
-        from repro.mesh.router import MeshRouter
-        router = MeshRouter(kernel, "r", x=0, y=0, cols=2, rows=2)
+        router = FabricConfig(topology="mesh", ports=4).build().routers[0]
         assert router._ring_transit is None
 
 

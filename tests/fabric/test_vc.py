@@ -32,7 +32,7 @@ from repro.fabric.routing import (
     TorusDatelineVc,
     dateline_class,
 )
-from repro.fabric.vc import VcCreditLink
+from repro.fabric.link import CreditLink
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.packet import Packet
 from repro.sim.kernel import SimKernel
@@ -139,7 +139,7 @@ class TestEscapePolicy:
 class TestVcCreditLink:
     def test_flits_are_vc_tagged_and_consumed_once(self):
         kernel = SimKernel()
-        link = VcCreditLink(kernel, "l", n_vcs=2)
+        link = CreditLink(kernel, "l", n_vcs=2)
         flit = head_to(1)
         link.send_flit(flit, 1, tick=0)
         kernel.run_ticks(2)
@@ -148,7 +148,7 @@ class TestVcCreditLink:
 
     def test_credits_travel_per_vc(self):
         kernel = SimKernel()
-        link = VcCreditLink(kernel, "l", n_vcs=3)
+        link = CreditLink(kernel, "l", n_vcs=3)
         link.send_credits(2, 1, tick=0)
         kernel.run_ticks(2)
         assert link.take_credits(2, 2) == 1

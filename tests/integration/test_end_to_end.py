@@ -6,7 +6,7 @@ import pytest
 from repro.clocking.variation import VariationModel, perturb_channels
 from repro.core.config import ICNoCConfig
 from repro.core.icnoc import ICNoC
-from repro.mesh.network import MeshConfig, MeshNetwork
+from repro.fabric.registry import FabricConfig
 from repro.noc.network import ICNoCNetwork, NetworkConfig
 from repro.tech.flipflop import FF_90NM
 from repro.timing.validator import channels_max_frequency, validate_channels
@@ -87,7 +87,7 @@ class TestTrafficIntegration:
         gen = UniformRandom(ports=16, load=0.05)
         schedule = gen.generate(200, np.random.default_rng(11))
         tree = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
-        mesh = MeshNetwork(MeshConfig(cols=4, rows=4))
+        mesh = FabricConfig(topology="mesh", ports=16, rows=4).build()
         apply_traffic(tree, schedule, run_cycles=200)
         apply_traffic(mesh, schedule, run_cycles=200)
         assert tree.stats.packets_delivered == len(schedule)

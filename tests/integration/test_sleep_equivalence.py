@@ -5,7 +5,7 @@ must actually let idle-heavy runs fast-forward."""
 import numpy as np
 
 from repro.ext.stall_buffer import build_skid_pipeline
-from repro.mesh.network import MeshConfig, MeshNetwork
+from repro.fabric.registry import FabricConfig
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.packet import Packet
 from repro.sim.kernel import SimKernel
@@ -21,8 +21,8 @@ def single_flits(n):
 class TestMeshEquivalence:
     @staticmethod
     def _run(activity_driven):
-        net = MeshNetwork(MeshConfig(cols=4, rows=4,
-                                     activity_driven=activity_driven))
+        net = FabricConfig(topology="mesh", ports=16, rows=4,
+                           activity_driven=activity_driven).build()
         gen = UniformRandom(16, 0.3)
         schedule = gen.generate(60, np.random.default_rng(3))
         by_cycle = {}
@@ -51,7 +51,7 @@ class TestMeshEquivalence:
         assert fast["steps"] < naive["steps"] / 5
 
     def test_reinjection_after_long_idle(self):
-        net = MeshNetwork(MeshConfig(cols=4, rows=4))
+        net = FabricConfig(topology="mesh", ports=16, rows=4).build()
         net.send(Packet(src=0, dest=15))
         assert net.drain(10_000)
         net.run_ticks(100_000)  # everything asleep
@@ -61,7 +61,7 @@ class TestMeshEquivalence:
 
     def test_mesh_gating_backfilled_while_asleep(self):
         """Sleeping routers still account their skipped clock edges."""
-        net = MeshNetwork(MeshConfig(cols=4, rows=4))
+        net = FabricConfig(topology="mesh", ports=16, rows=4).build()
         net.send(Packet(src=0, dest=3))
         assert net.drain(10_000)
         net.run_ticks(10_000)

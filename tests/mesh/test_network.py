@@ -4,19 +4,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
-from repro.mesh.network import MeshConfig, MeshNetwork
+from repro.fabric.registry import FabricConfig
 from repro.noc.packet import Packet
+
+
+def mesh(cols, rows, **kwargs):
+    return FabricConfig(topology="mesh", ports=cols * rows, rows=rows,
+                        **kwargs).build()
 
 
 class TestDelivery:
     def test_single_packet(self):
-        net = MeshNetwork(MeshConfig(cols=4, rows=4))
+        net = mesh(4, 4)
         net.send(Packet(src=0, dest=15, payload=[7]))
         assert net.drain(10_000)
         assert net.delivered[0].payload == [7]
 
     def test_all_pairs_deliver(self):
-        net = MeshNetwork(MeshConfig(cols=3, rows=3))
+        net = mesh(3, 3)
         count = 0
         for src in range(9):
             for dest in range(9):
@@ -27,13 +32,13 @@ class TestDelivery:
         assert net.stats.packets_delivered == count
 
     def test_multiflit_packets(self):
-        net = MeshNetwork(MeshConfig(cols=4, rows=4))
+        net = mesh(4, 4)
         net.send(Packet(src=0, dest=12, payload=[1, 2, 3, 4, 5]))
         assert net.drain(10_000)
         assert net.delivered[0].payload == [1, 2, 3, 4, 5]
 
     def test_latency_scales_with_distance(self):
-        net = MeshNetwork(MeshConfig(cols=8, rows=8))
+        net = mesh(8, 8)
         near = Packet(src=0, dest=1)
         far = Packet(src=0, dest=63)
         net.send(near)
@@ -43,7 +48,7 @@ class TestDelivery:
         assert by_dest[1].latency_cycles < by_dest[63].latency_cycles
 
     def test_two_cycles_per_hop_zero_load(self):
-        net = MeshNetwork(MeshConfig(cols=8, rows=8))
+        net = mesh(8, 8)
         net.send(Packet(src=0, dest=63))
         net.drain(20_000)
         hops = net.topology.hop_count(0, 63)
@@ -51,7 +56,7 @@ class TestDelivery:
         assert 2 * hops - 2 <= latency <= 2 * hops + 4
 
     def test_self_send_rejected(self):
-        net = MeshNetwork(MeshConfig(cols=2, rows=2))
+        net = mesh(2, 2)
         with pytest.raises(TopologyError):
             net.send(Packet(src=0, dest=0))
 
@@ -60,7 +65,7 @@ class TestDelivery:
     def test_random_burst_exactly_once(self, seed):
         import numpy as np
         rng = np.random.default_rng(seed)
-        net = MeshNetwork(MeshConfig(cols=4, rows=4))
+        net = mesh(4, 4)
         ids = set()
         for _ in range(30):
             src = int(rng.integers(0, 16))
@@ -79,19 +84,19 @@ class TestBuffers:
     def test_total_buffer_flits_counts_stall_buffers(self):
         """The mesh pays buffer_depth slots per in-use port — the cost the
         IC-NoC's flow control avoids entirely."""
-        net = MeshNetwork(MeshConfig(cols=2, rows=2, buffer_depth=4))
+        net = mesh(2, 2, buffer_depth=4)
         # 4 corner routers with 3 ports each (local + 2 neighbours).
         assert net.total_buffer_flits() == 4 * 3 * 4
 
     def test_deeper_buffers_more_area(self):
-        shallow = MeshNetwork(MeshConfig(cols=2, rows=2, buffer_depth=2))
-        deep = MeshNetwork(MeshConfig(cols=2, rows=2, buffer_depth=8))
+        shallow = mesh(2, 2, buffer_depth=2)
+        deep = mesh(2, 2, buffer_depth=8)
         assert deep.total_buffer_flits() > shallow.total_buffer_flits()
 
 
 class TestGating:
     def test_mesh_routers_also_gate_when_idle(self):
-        net = MeshNetwork(MeshConfig(cols=3, rows=3))
+        net = mesh(3, 3)
         net.run_ticks(100)
         stats = net.gating_stats()
         assert stats.edges_enabled == 0

@@ -1,16 +1,19 @@
-"""Mesh router internals: XY selection, credits, wormhole locks."""
+"""The mesh's router — a 5-port :class:`FabricRouter` under the XY
+strategy: XY selection, credits, wormhole locks."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mesh.router import (
-    MeshLink,
-    MeshRouter,
+from repro.fabric.link import CreditLink
+from repro.fabric.router import FabricRouter
+from repro.fabric.routing import (
     LOCAL,
     NORTH,
     EAST,
     SOUTH,
     WEST,
+    PORT_NAMES,
+    XYRouting,
 )
 from repro.noc.flit import Flit, FlitKind
 from repro.sim.kernel import SimKernel
@@ -20,14 +23,20 @@ def flit_to(dest, kind=FlitKind.SINGLE, seq=0, packet_id=0):
     return Flit(kind=kind, src=0, dest=dest, packet_id=packet_id, seq=seq)
 
 
+def mesh_router(kernel, cols, rows, node, **kwargs):
+    return FabricRouter(kernel, "r", n_ports=5,
+                        route=XYRouting(cols, rows).for_node(node),
+                        port_names=PORT_NAMES, **kwargs)
+
+
 def centre_router():
     """Router at (1,1) of a 3x3 mesh: all five ports live."""
     kernel = SimKernel()
-    router = MeshRouter(kernel, "r", x=1, y=1, cols=3, rows=3)
+    router = mesh_router(kernel, 3, 3, node=4)
     links = {}
     for port in (LOCAL, NORTH, EAST, SOUTH, WEST):
-        in_link = MeshLink(kernel, f"in{port}")
-        out_link = MeshLink(kernel, f"out{port}")
+        in_link = CreditLink(kernel, f"in{port}")
+        out_link = CreditLink(kernel, f"out{port}")
         router.connect(port, in_link, out_link)
         links[port] = (in_link, out_link)
     return kernel, router, links
@@ -94,7 +103,7 @@ class TestCredits:
     def test_shallow_buffer_rejected(self):
         kernel = SimKernel()
         with pytest.raises(ConfigurationError):
-            MeshRouter(kernel, "r", 0, 0, 2, 2, buffer_depth=1)
+            mesh_router(kernel, 2, 2, node=0, buffer_depth=1)
 
 
 class TestWormholeLock:

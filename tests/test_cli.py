@@ -530,6 +530,39 @@ class TestInfoRegistryFabrics:
         assert main(["info", "--topology", "mesh", "--ports", "24"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flow", ([], ["--flow-control", "vc"]))
+    def test_mesh_header_is_the_same_under_both_flow_controls(self, capsys,
+                                                              flow):
+        assert main(["info", "--topology", "mesh", "--ports", "16"]
+                    + flow) == 0
+        assert capsys.readouterr().out.startswith("MeshNetwork: ")
+
+
+#: One short run per verb that names a network through the shared spec.
+SPEC_VERBS = {
+    "info": [],
+    "sweep": ["--loads", "0.05", "--cycles", "40"],
+    "metrics": ["--load", "0.05", "--cycles", "40"],
+    "trace": ["--load", "0.05", "--cycles", "40"],
+}
+
+
+@pytest.mark.parametrize("topology", ("tree", "binary", "quad"))
+@pytest.mark.parametrize("verb", SPEC_VERBS)
+class TestTreeBackendHasOneAnswer:
+    """The registry's answer, on every verb and every tree spelling."""
+
+    def test_auto_falls_back_to_dispatch(self, capsys, verb, topology):
+        assert main([verb, "--topology", topology, "--ports", "16",
+                     "--backend", "auto"] + SPEC_VERBS[verb]) == 0
+
+    def test_array_is_refused_naming_the_handshake_tree(self, capsys, verb,
+                                                        topology):
+        assert main([verb, "--topology", topology, "--ports", "16",
+                     "--backend", "array"] + SPEC_VERBS[verb]) == 2
+        err = capsys.readouterr().err
+        assert "backend='array'" in err and "handshake" in err
+
 
 class TestValidateRegistryFabrics:
     def test_credit_fabric_is_a_clean_error(self, capsys):
