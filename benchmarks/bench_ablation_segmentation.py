@@ -14,18 +14,19 @@ point instead of the sum.
 
 from repro.analysis.parallel import default_workers, parallel_map
 from repro.analysis.tables import format_table
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
-from repro.physical.area import icnoc_area_report
+from repro.physical.area import area_report
 
 SEGMENTS_MM = (0.6, 0.9, 1.25, 2.5)
 
 
 def evaluate_segment(max_segment_mm: float) -> dict:
-    net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2,
+    net = ICNoCNetwork(FabricConfig(ports=64, arity=2,
                                      max_segment_mm=max_segment_mm))
     frequency = net.operating_frequency_ghz()
-    area = icnoc_area_report(net)
+    area = area_report(net)
     # Zero-load worst-case latency in cycles and in nanoseconds.
     net.send(Packet(src=0, dest=63))
     net.drain(10_000)

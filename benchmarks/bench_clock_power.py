@@ -13,13 +13,14 @@ from repro.clocking.power import (
     balanced_tree_clock_power_mw,
     forwarded_clock_power_mw,
 )
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.traffic.base import apply_traffic
 from repro.traffic.bursty import BurstyTraffic
 
 
 def measure_clock_power():
-    net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+    net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
     wire_mm = net.floorplan.total_link_length_mm()
     sinks = len(net.clock_tree)
 

@@ -9,7 +9,8 @@ X3: weighted skew spreads the supply current surge temporally.
 from repro.analysis.tables import format_table
 from repro.ext.latch_stage import LatchStageModel, latch_savings_table
 from repro.ext.ring_links import RingAugmentedTree
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.topology import TreeTopology
 from repro.physical.peak_current import (
     peak_current,
@@ -20,7 +21,7 @@ from repro.physical.peak_current import (
 
 def run_extensions():
     # X1: latch stages on the demonstrator's 76 pipeline stages.
-    net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+    net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
     latch = latch_savings_table(net.pipeline_stage_count)
 
     # X2: neighbour ring on the 64-leaf tree.

@@ -11,7 +11,7 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.fabric.registry import FabricConfig
 from repro.noc.flit import Flit, FlitKind
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.pipeline import build_pipeline
 from repro.sim.kernel import SimKernel
 from repro.traffic.base import apply_traffic
@@ -48,7 +48,7 @@ def measure_flow_control():
 
     # 3. Gating: bursty vs steady traffic on a 16-port network.
     def gating_for(gen, seed):
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
         schedule = gen.generate(400, np.random.default_rng(seed))
         apply_traffic(net, schedule, run_cycles=400)
         return net.gating_stats().gating_ratio
@@ -60,7 +60,7 @@ def measure_flow_control():
     steady_gating = gating_for(UniformRandom(ports=16, load=0.5), seed=1)
 
     # 4. Buffer accounting: IC-NoC stages vs mesh FIFO slots for 16 ports.
-    icnoc = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+    icnoc = ICNoCNetwork(FabricConfig(ports=16, arity=2))
     mesh = FabricConfig(topology="mesh", ports=16).build()
     icnoc_buffers = 0  # stall buffers beyond the pipeline registers
     mesh_buffers = mesh.total_buffer_flits()

@@ -15,12 +15,13 @@ from repro.core.degradation import (
     synchronous_yield,
     timing_yield,
 )
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.tech.flipflop import FF_90NM
 
 
 def run_degradation():
-    net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+    net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
     specs = net.channel_specs
     sigmas = [0.0, 0.1, 0.2, 0.3, 0.5, 0.8]
     curve = graceful_degradation_curve(specs, FF_90NM, sigmas, samples=40)

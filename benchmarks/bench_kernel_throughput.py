@@ -85,7 +85,7 @@ from repro.analysis.sweeps import (
 )
 from repro.fabric.registry import FabricConfig
 from repro.noc.debug import attach_monitors, attach_watchdog
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.sim.probes import SignalTrace, ThroughputMeter
 from repro.sim.vcd import VCDWriter
@@ -132,7 +132,7 @@ REGRESSION_FACTOR = 0.3
 def run_workload(activity_driven: bool, instrumented: bool = False,
                  ticks: int = TICKS) -> dict:
     """One idle-heavy run; returns wall time and observable results."""
-    net = ICNoCNetwork(NetworkConfig(leaves=LEAVES, arity=2,
+    net = ICNoCNetwork(FabricConfig(ports=LEAVES, arity=2,
                                      activity_driven=activity_driven))
     writer = None
     trace = None

@@ -16,7 +16,6 @@ import numpy as np
 from repro.analysis.parallel import LoadPoint, default_workers, parallel_map
 from repro.analysis.tables import format_table
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import NetworkConfig
 from repro.traffic.base import apply_traffic
 
 
@@ -26,10 +25,10 @@ SEED = 13
 
 CONFIGS = {
     "tree_uniform": LoadPoint(load=LOADS[0], pattern="uniform",
-                              network=NetworkConfig(leaves=64, arity=2),
+                              network=FabricConfig(ports=64, arity=2),
                               cycles=CYCLES, seed=SEED),
     "tree_local": LoadPoint(load=LOADS[0], pattern="neighbour", locality=0.8,
-                            network=NetworkConfig(leaves=64, arity=2),
+                            network=FabricConfig(ports=64, arity=2),
                             cycles=CYCLES, seed=SEED),
     "mesh_uniform": LoadPoint(load=LOADS[0], pattern="uniform",
                               network=FabricConfig(topology="mesh", ports=64),

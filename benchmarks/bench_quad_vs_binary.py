@@ -11,7 +11,8 @@ Paper claims, each checked here:
 """
 
 from repro.analysis.tables import format_table
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.tech.technology import TECH_90NM
 
@@ -26,7 +27,7 @@ def permutation_throughput(arity: int, cycles: int = 300) -> float:
     cannot sustain the permutation at full rate — exactly the paper's
     aggregate-throughput argument.
     """
-    net = ICNoCNetwork(NetworkConfig(leaves=4, arity=arity,
+    net = ICNoCNetwork(FabricConfig(ports=4, arity=arity,
                                      chip_width_mm=2.0, chip_height_mm=2.0))
     for cycle in range(cycles):
         for src in range(4):
@@ -37,7 +38,7 @@ def permutation_throughput(arity: int, cycles: int = 300) -> float:
 
 
 def sibling_latency(arity: int) -> float:
-    net = ICNoCNetwork(NetworkConfig(leaves=arity * arity, arity=arity))
+    net = ICNoCNetwork(FabricConfig(ports=arity * arity, arity=arity))
     net.send(Packet(src=0, dest=1))
     net.drain(5000)
     return net.delivered[0].latency_cycles
@@ -49,10 +50,10 @@ def build_tradeoff():
         "quad_throughput": permutation_throughput(4),
         "binary_sibling_latency": sibling_latency(2),
         "quad_sibling_latency": sibling_latency(4),
-        "binary_root_link": ICNoCNetwork(NetworkConfig(
-            leaves=64, arity=2)).floorplan.longest_link_mm(),
-        "quad_root_link": ICNoCNetwork(NetworkConfig(
-            leaves=64, arity=4)).floorplan.longest_link_mm(),
+        "binary_root_link": ICNoCNetwork(FabricConfig(
+            ports=64, arity=2)).floorplan.longest_link_mm(),
+        "quad_root_link": ICNoCNetwork(FabricConfig(
+            ports=64, arity=4)).floorplan.longest_link_mm(),
     }
 
 

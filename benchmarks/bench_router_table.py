@@ -13,7 +13,8 @@ Latencies are *measured* by simulating a flit through each router type.
 
 from repro.analysis.tables import format_table
 from repro.noc.flit import Flit, FlitKind
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.tech.technology import TECH_90NM
 from repro.timing.frequency import (
@@ -25,7 +26,7 @@ from repro.timing.frequency import (
 
 def measured_router_latency_cycles(arity: int) -> float:
     """Forward latency through one leaf router, measured in simulation."""
-    net = ICNoCNetwork(NetworkConfig(leaves=arity * arity, arity=arity))
+    net = ICNoCNetwork(FabricConfig(ports=arity * arity, arity=arity))
     return net.routers[0].forward_latency_ticks / 2.0
 
 

@@ -14,7 +14,6 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.tables import format_table
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import NetworkConfig
 
 PORTS = 16
 LOADS = [0.05, 0.10, 0.15, 0.20, 0.30, 0.45, 0.60, 0.80]
@@ -24,7 +23,7 @@ def measure_saturation(workers: int | None = None):
     """Three saturation searches over picklable specs, one process pool
     fan-out per search (identical numbers to the old serial walk)."""
     workers = default_workers() if workers is None else workers
-    tree = NetworkConfig(leaves=PORTS, arity=2)
+    tree = FabricConfig(ports=PORTS, arity=2)
     mesh = FabricConfig(topology="mesh", ports=PORTS)
     searches = {
         "tree_uniform": LoadPoint(load=LOADS[0], network=tree,

@@ -12,12 +12,13 @@ from repro.core import (
     synchronous_yield,
     timing_yield,
 )
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.tech import FF_90NM
 
 
 def main() -> None:
-    net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+    net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
     specs = net.channel_specs
     print(f"analysing {len(specs)} link channels of a 64-port IC-NoC")
     print()

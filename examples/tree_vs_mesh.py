@@ -10,7 +10,7 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.fabric.registry import FabricConfig
 from repro.mesh.comparison import compare_topologies, tree_mesh_energy_table
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.noc.network import ICNoCNetwork
 from repro.traffic.base import apply_traffic
 from repro.traffic.patterns import UniformRandom
 
@@ -50,7 +50,7 @@ def main() -> None:
           "(load 0.10)...")
     gen = UniformRandom(ports=64, load=0.10)
     schedule = gen.generate(300, np.random.default_rng(42))
-    tree = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+    tree = ICNoCNetwork(FabricConfig(ports=64, arity=2))
     mesh = FabricConfig(topology="mesh", ports=64).build()
     apply_traffic(tree, schedule, run_cycles=300)
     apply_traffic(mesh, schedule, run_cycles=300)

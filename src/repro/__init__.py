@@ -45,7 +45,7 @@ from repro.core.config import ICNoCConfig
 from repro.core.icnoc import ICNoC
 from repro.fabric.registry import FabricConfig, build_fabric
 from repro.noc.packet import Packet
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.noc.network import ICNoCNetwork
 from repro.physical.comparison import physical_comparison_rows
 from repro.physical.descriptor import physical_model
 from repro.physical.report import RunEnergyReport
@@ -61,7 +61,6 @@ __all__ = [
     "build_fabric",
     "Packet",
     "ICNoCNetwork",
-    "NetworkConfig",
     "RunEnergyReport",
     "physical_comparison_rows",
     "physical_model",

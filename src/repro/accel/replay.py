@@ -45,10 +45,8 @@ def max_packet_flits(network) -> int:
     leave a buffer slot spare); everything else gets the flat cap.
     """
     cap = MAX_PACKET_FLITS_CAP
-    routing = getattr(network, "routing", None)
-    if routing is not None and getattr(routing, "needs_bubble", False) \
-            and not network.vc_enabled:
-        cap = min(cap, network.config.buffer_depth - 1)
+    if network.max_packet_flits is not None:
+        cap = min(cap, network.max_packet_flits)
         if cap < HEADER_WORDS + 1:
             raise ConfigurationError(
                 f"replay on a ring-closing wormhole fabric needs "

@@ -173,21 +173,15 @@ def save_accel_trace(trace: AccelTrace, path: str | Path) -> None:
 def load_accel_trace(path: str | Path) -> AccelTrace:
     """Load and validate a trace written by :func:`save_accel_trace`.
 
-    Unlike the injection-trace loader the header is mandatory here (the
-    format never existed without one); a missing or mismatched header is
-    a loud :class:`ConfigurationError` naming the file and the
-    found/expected version.
+    The header is mandatory (:func:`~repro.traffic.trace
+    .check_trace_header`, shared with the injection-trace loader); a
+    missing or mismatched header is a loud :class:`ConfigurationError`
+    naming the file and the found/expected version.
     """
     header: dict | None = None
     events: list[AccelEvent] = []
     for line_number, record in iter_trace_lines(path):
         if header is None:
-            if "schema" not in record:
-                raise ConfigurationError(
-                    f"{path}: missing accel trace header (expected a "
-                    f"first line naming schema {ACCEL_TRACE_SCHEMA!r} "
-                    f"version {ACCEL_TRACE_VERSION})"
-                )
             check_trace_header(record, path, ACCEL_TRACE_SCHEMA,
                                ACCEL_TRACE_VERSION)
             header = record

@@ -53,7 +53,6 @@ from repro.analysis.sweeps import (
 )
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import ICNoCNetwork, NetworkConfig
 from repro.telemetry.metrics import MetricsSummary
 from repro.traffic.base import TrafficGenerator
 from repro.traffic.patterns import (
@@ -137,16 +136,15 @@ class LoadPoint:
     """Picklable spec of one offered-load measurement.
 
     Everything needed to rebuild the experiment in a worker process:
-    the network (any registry fabric via
+    the network (any registry fabric, as its
     :class:`~repro.fabric.registry.FabricConfig`, which also carries the
-    execution backend, or a bare tree :class:`NetworkConfig`), the
-    traffic pattern by registered name, and the run parameters. ``seed``
-    alone determines the injection schedule, so equal specs give equal
-    results in any process.
+    execution backend), the traffic pattern by registered name, and the
+    run parameters. ``seed`` alone determines the injection schedule, so
+    equal specs give equal results in any process.
     """
 
     load: float
-    network: NetworkConfig | FabricConfig = NetworkConfig()
+    network: FabricConfig = FabricConfig()
     pattern: str = "uniform"
     cycles: int = 300
     seed: int = 0
@@ -176,14 +174,10 @@ class LoadPoint:
 
     @property
     def ports(self) -> int:
-        if isinstance(self.network, FabricConfig):
-            return self.network.ports
-        return self.network.leaves
+        return self.network.ports
 
     def build_network(self):
-        if isinstance(self.network, FabricConfig):
-            return self.network.build()
-        return ICNoCNetwork(self.network)
+        return self.network.build()
 
     def build_generator(self, load: float | None = None) -> TrafficGenerator:
         load = self.load if load is None else load

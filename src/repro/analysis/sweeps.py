@@ -15,7 +15,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.traffic.base import TrafficGenerator, apply_traffic
+from repro.traffic.base import TrafficGenerator, inject_window
 
 
 #: Default load grid of the saturation searches (serial and parallel).
@@ -107,14 +107,8 @@ def measure_offered_vs_accepted(network_factory: Callable[[], Any],
     gen = generator_factory(load)
     schedule = gen.generate(cycles, np.random.default_rng(seed))
     ports = gen.ports
-    # Inject just-in-time, sampling delivered flits at the window end.
-    by_cycle: dict[int, list] = {}
-    for injection in schedule:
-        by_cycle.setdefault(injection.cycle, []).append(injection)
-    for cycle in range(cycles):
-        for injection in by_cycle.get(cycle, []):
-            net.send(injection.to_packet())
-        net.run_ticks(2)
+    # Delivered flits are sampled at the window end, before the drain.
+    inject_window(net, schedule, cycles)
     accepted = net.stats.flits_delivered / cycles / ports
     offered = sum(i.size_flits for i in schedule) / cycles / ports
     drained = net.drain(max_ticks=500_000)

@@ -69,7 +69,12 @@ from repro.core.config import ICNoCConfig
 from repro.errors import ConfigurationError
 from repro.core.icnoc import ICNoC
 from repro.fabric.allocator import ALLOCATOR_NAMES
-from repro.fabric.registry import FabricConfig, topology_names, topology_table
+from repro.fabric.registry import (
+    FabricConfig,
+    get_topology,
+    topology_names,
+    topology_table,
+)
 from repro.system.demonstrator import DemonstratorConfig, DemonstratorSystem
 from repro.tech.corners import corner_frequency_table
 from repro.timing.frequency import pipeline_max_frequency
@@ -258,7 +263,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     print(network.describe())
     print(f"clock distribution: {model.clock_distribution}, "
           f"f_max {frequency:.3f} GHz")
-    if hasattr(network, "pipeline_depth"):
+    if get_topology(config.topology).supports_pipeline:
         # Credit fabrics only: the ctree's handshake tree has a fixed
         # pipeline and reports its stages in describe() already.
         print(f"pipeline: router depth {network.pipeline_depth}, "
@@ -329,7 +334,6 @@ def cmd_traffic(args: argparse.Namespace) -> int:
             print(f"error: {error}", file=sys.stderr)
             return 2
         apply_traffic(noc.network, injections)
-        noc.network.stats.gating.merge(noc.network.gating_stats())
         stats = noc.network.stats
         print(f"replayed {len(injections)} injections from {args.trace}")
     else:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.noc.network import NetworkConfig
 from repro.tech.technology import Technology, TECH_90NM
 
 
@@ -36,28 +35,17 @@ class ICNoCConfig:
     def arity(self) -> int:
         return 4 if self.topology == "quad" else 2
 
-    def network_config(self) -> NetworkConfig:
-        return NetworkConfig(
-            leaves=self.ports,
-            arity=self.arity,
-            chip_width_mm=self.chip_width_mm,
-            chip_height_mm=self.chip_height_mm,
-            max_segment_mm=self.max_segment_mm,
-            tech=self.tech,
-            arbiter_policy=self.arbiter_policy,
-        )
-
     def fabric_config(self, activity_driven: bool = True):
-        """The equivalent registry spec (:mod:`repro.fabric.registry`) —
-        the bridge from the tree-specific facade into the sweep engine's
-        any-fabric path. The ICNoC facade keeps its own tree build (the
-        timing/area models are tree-only), but sweep specs derived from
-        an :class:`ICNoCConfig` should go through the registry."""
+        """The registry spec (:mod:`repro.fabric.registry`) this facade
+        builds its tree from — and the one sweep specs derived from an
+        :class:`ICNoCConfig` carry. ``arbiter_policy`` is not part of
+        it: it is an :class:`~repro.noc.network.ICNoCNetwork` keyword."""
         from repro.fabric.registry import FabricConfig
         return FabricConfig(
             topology="tree", ports=self.ports, arity=self.arity,
             chip_width_mm=self.chip_width_mm,
             chip_height_mm=self.chip_height_mm,
             max_segment_mm=self.max_segment_mm,
+            tech=self.tech,
             activity_driven=activity_driven,
         )

@@ -9,7 +9,7 @@ from repro.errors import TimingViolationError
 from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.stats import NetworkStats
-from repro.physical.area import AreaReport, icnoc_area_report
+from repro.physical.area import AreaReport, area_report
 from repro.timing.constraints import TimingReport
 from repro.timing.validator import channels_max_frequency, validate_channels
 from repro.traffic.base import TrafficGenerator, apply_traffic
@@ -25,7 +25,8 @@ class ICNoC:
 
     def __init__(self, config: ICNoCConfig = ICNoCConfig()):
         self.config = config
-        self.network = ICNoCNetwork(config.network_config())
+        self.network = ICNoCNetwork(config.fabric_config(),
+                                    arbiter_policy=config.arbiter_policy)
 
     # -- timing ---------------------------------------------------------
 
@@ -68,13 +69,12 @@ class ICNoC:
         rng = np.random.default_rng(seed)
         schedule = generator.generate(cycles, rng)
         apply_traffic(self.network, schedule, run_cycles=cycles)
-        self.network.stats.gating.merge(self.network.gating_stats())
         return self.network.stats
 
     # -- reports ----------------------------------------------------------
 
     def area_report(self) -> AreaReport:
-        return icnoc_area_report(self.network)
+        return area_report(self.network)
 
     def describe(self) -> str:
         area = self.area_report()

@@ -17,9 +17,9 @@ now stand on, and the place new fabrics plug into:
   and the ``arbitration_grant``/``credit_exhausted`` kernel events;
 * :mod:`~repro.fabric.endpoint` — the shared source/sink adapters;
 * :mod:`~repro.fabric.topologies` — structure descriptions (torus, ring);
-* :mod:`~repro.fabric.network` — the generic assembly with the
-  ICNoC-compatible run/sweep/stats API, and the mesh, torus and ring
-  built on it;
+* :mod:`~repro.fabric.network` — the generic credit-fabric assembly on
+  the shared :class:`~repro.noc.network.Network` base, and the mesh,
+  torus and ring built on it;
 * :mod:`~repro.fabric.registry` — where each topology declares its
   structure, routing, and clock-distribution capability (``integrated``
   vs ``mesochronous``), checked at build time. Its
@@ -61,6 +61,7 @@ from repro.fabric.network import (
     TorusNetwork,
     make_vc_policy,
 )
+from repro.fabric.ctree import ConcentratedTreeNetwork
 from repro.fabric.registry import (
     CLOCK_INTEGRATED,
     CLOCK_MESOCHRONOUS,
@@ -118,12 +119,3 @@ __all__ = [
     "topology_table",
     "ConcentratedTreeNetwork",
 ]
-
-
-def __getattr__(name):
-    # Lazy: ctree pulls in the whole tree network stack; importing it
-    # eagerly would cycle when repro.noc itself triggers this package.
-    if name == "ConcentratedTreeNetwork":
-        from repro.fabric.ctree import ConcentratedTreeNetwork
-        return ConcentratedTreeNetwork
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

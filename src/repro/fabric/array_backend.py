@@ -100,7 +100,7 @@ def make_engine(net: "CreditFabricNetwork"):
             "segmented links; use backend='dispatch' (or 'auto' to "
             "fall back)"
         )
-    if getattr(net, "allocator_name", "rr") == "weighted":
+    if net.config.allocator == "weighted":
         raise ConfigurationError(
             "backend='array' has no lowering for the weighted "
             "allocator; use backend='dispatch' (or 'auto' to fall back)"

@@ -30,39 +30,39 @@ energy model in :mod:`repro.physical.descriptor` still prices them).
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError, TopologyError
 from repro.fabric.routing import tree_updown_route
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.sim.kernel import SimKernel
 
 
 class ConcentratedTreeNetwork(ICNoCNetwork):
-    """A tree IC-NoC whose leaves each serve ``concentration`` endpoints.
+    """A tree IC-NoC whose leaves each serve ``config.concentration``
+    endpoints.
 
-    ``config.leaves`` counts the *tree* leaves; the network serves
-    ``config.leaves * concentration`` endpoints through the standard
-    ``send`` / ``drain`` / ``stats`` API (all addresses are endpoint
-    addresses).
+    ``config.ports`` counts the *endpoints*; the tree has
+    ``ports / concentration`` leaves, and the standard ``send`` /
+    ``drain`` / ``stats`` API addresses endpoints throughout.
     """
 
-    def __init__(self, config: NetworkConfig, concentration: int = 4,
-                 kernel: SimKernel | None = None):
-        if concentration < 1:
-            raise ConfigurationError("concentration must be >= 1")
-        self.concentration = concentration
+    def __init__(self, config, kernel: SimKernel | None = None):
+        self.concentration = config.concentration
         self._local_delivered: list[Packet] = []
         super().__init__(config, kernel=kernel)
 
     # -- addressing -------------------------------------------------------
 
-    @property
-    def endpoints(self) -> int:
-        return self.config.leaves * self.concentration
-
     def leaf_of(self, endpoint: int) -> int:
         """The tree leaf an endpoint hangs off."""
         return endpoint // self.concentration
+
+    def _hop_count(self, src: int, dest: int) -> int:
+        src_leaf, dest_leaf = self.leaf_of(src), self.leaf_of(dest)
+        if src_leaf == dest_leaf:
+            # One switching element traversed (the mux) — see the module
+            # docstring's hop convention.
+            return 1
+        return self.topology.hop_count(src_leaf, dest_leaf)
 
     # -- construction hooks ----------------------------------------------
 
@@ -71,41 +71,17 @@ class ConcentratedTreeNetwork(ICNoCNetwork):
                                  name=f"r{node.index}",
                                  dest_leaf=self.leaf_of)
 
-    def _make_delivery_hook(self, leaf: int):
-        def hook(packet: Packet, tick: int) -> None:
-            original = self._inflight.pop(packet.packet_id, None)
-            if original is not None:
-                packet.inject_tick = original.inject_tick
-            hops = self.topology.hop_count(self.leaf_of(packet.src),
-                                           self.leaf_of(packet.dest))
-            self.stats.record_delivery(packet, hops)
-            handler = self._handlers.get(packet.dest)
-            if handler is not None:
-                handler(packet, tick)
-        return hook
-
     # -- run-time API ------------------------------------------------------
 
-    def set_handler(self, endpoint: int, handler) -> None:
-        if not 0 <= endpoint < self.endpoints:
-            raise TopologyError(f"unknown endpoint {endpoint}")
-        self._handlers[endpoint] = handler
-
-    def send(self, packet: Packet) -> None:
-        if not 0 <= packet.dest < self.endpoints:
-            raise TopologyError(f"unknown destination {packet.dest}")
-        if packet.src == packet.dest:
-            raise TopologyError("src == dest: packets never enter the NoC")
-        self.stats.packets_injected += 1
-        self.kernel.emit("inject", packet)
+    def _submit(self, packet: Packet) -> None:
         src_leaf = self.leaf_of(packet.src)
         if src_leaf == self.leaf_of(packet.dest):
             self._deliver_locally(packet)
-            return
-        self._inflight[packet.packet_id] = packet
-        # Straight to the shared NI's egress half (the NI's own submit
-        # checks the one-leaf-one-address invariant the mux relaxes).
-        self.nis[src_leaf].source.submit(packet)
+        else:
+            # Straight to the shared NI's egress half (the NI's own
+            # submit checks the one-leaf-one-address invariant the mux
+            # relaxes).
+            self.nis[src_leaf].source.submit(packet)
 
     def _deliver_locally(self, packet: Packet) -> None:
         """Concentrator-mux turnaround: one clock cycle, no network."""
@@ -113,13 +89,8 @@ class ConcentratedTreeNetwork(ICNoCNetwork):
 
         def deliver(tick: int, packet: Packet = packet) -> None:
             packet.eject_tick = tick
-            # One switching element traversed (the mux) — see the module
-            # docstring's hop convention.
-            self.stats.record_delivery(packet, hops=1)
             self._local_delivered.append(packet)
-            handler = self._handlers.get(packet.dest)
-            if handler is not None:
-                handler(packet, tick)
+            self._deliver(packet, tick)
             self.kernel.emit("packet", packet)
 
         self.kernel.call_at(self.kernel.tick + 2, deliver)

@@ -6,9 +6,9 @@ strategy (:mod:`repro.fabric.routing`): one :class:`FabricRouter` per
 node, two directed :class:`CreditLink` wires per neighbour pair, and a
 :class:`FabricSource`/:class:`FabricSink` pair on every local port. The
 run-time API (``send`` / ``run_ticks`` / ``run_cycles`` / ``drain`` /
-``stats`` / ``gating_stats``) matches :class:`~repro.noc.network
-.ICNoCNetwork`, so every fabric runs through the same sweep engine,
-saturation searches, and CLI.
+``stats``) is the :class:`~repro.noc.network.Network` base's, shared
+with the handshake tree, so every fabric runs through the same sweep
+engine, saturation searches, and CLI.
 
 Build order is deterministic — routers in node order, links in the
 topology's ``links()`` order, local ports in node order — which fixes the
@@ -35,10 +35,10 @@ with its routing strategy and takes the same
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.clocking.gating import GatingStats
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError
 from repro.fabric.allocator import make_allocator
 from repro.fabric.endpoint import FabricSink, FabricSource
 from repro.fabric.link import CreditLink
@@ -65,19 +65,15 @@ from repro.noc.floorplan import (
     ring_fabric_floorplan,
     segment_count,
 )
+from repro.noc.network import Network
 from repro.noc.packet import Packet
-from repro.noc.stats import NetworkStats
 from repro.sim.kernel import SimKernel
-from repro.timing.frequency import (
-    pipeline_max_frequency,
-    router_max_frequency,
-)
 
 if TYPE_CHECKING:
     from repro.fabric.registry import FabricConfig
 
 
-class CreditFabricNetwork:
+class CreditFabricNetwork(Network):
     """A built, runnable credit-based fabric with the shared run-time API.
 
     ``config`` is the fabric's one spec — every knob is read from it and
@@ -90,8 +86,7 @@ class CreditFabricNetwork:
                  kernel: SimKernel | None = None, node_prefix: str = "m",
                  port_names: tuple[str, ...] | None = None,
                  vc_policy: VcPolicy | None = None):
-        self.config = config
-        self.topology = topology
+        super().__init__(config, topology, topology.max_ports, kernel)
         self.routing = routing
         self.vc_policy = vc_policy
         self.vc_enabled = config.flow_control == "vc"
@@ -99,14 +94,11 @@ class CreditFabricNetwork:
             raise ConfigurationError(
                 "flow_control='vc' needs a VC-assignment policy"
             )
-        if kernel is not None and \
-                kernel.activity_driven != config.activity_driven:
-            raise ConfigurationError(
-                "provided kernel's activity_driven flag contradicts the "
-                "network config"
-            )
-        self.kernel = kernel if kernel is not None \
-            else SimKernel(activity_driven=config.activity_driven)
+        if not self.vc_enabled and routing.needs_bubble:
+            # The bubble rule's deadlock-freedom argument is virtual
+            # cut-through: a packet must fit one FIFO with a slot to
+            # spare.
+            self.max_packet_flits = config.buffer_depth - 1
         # Allocation policy: every router gets a fresh allocator instance
         # of this flavour (arbitration state is per router).
         self.allocator_name = config.allocator
@@ -120,14 +112,11 @@ class CreditFabricNetwork:
         # the lowerability rule, "auto" included.
         self.backend = config.resolved_backend
         self.engine = None
-        self.stats = NetworkStats()
         self.routers: list[FabricRouter] = []
         self.sources: list[FabricSource] = []
         self.sinks: list[FabricSink] = []
         self.links: list[CreditLink] = []
         self.delivered: list[Packet] = []
-        self._inflight: dict[int, Packet] = {}
-        self._handlers: dict[int, Callable[[Packet, int], None]] = {}
         self._node_prefix = node_prefix
         self._port_names = port_names
         self._floorplan: Floorplan | None = None
@@ -219,7 +208,6 @@ class CreditFabricNetwork:
             inject = self._make_link(f"{prefix}{node}.inj", segments=stub)
             eject = self._make_link(f"{prefix}{node}.ej", segments=stub)
             router.connect(LOCAL, inject, eject)
-            hook = self._make_delivery_hook(node)
             src_credits = (inject.capacity if inject.capacity is not None
                            else self.config.buffer_depth)
             register = self._register_components
@@ -230,7 +218,7 @@ class CreditFabricNetwork:
                     if self.vc_enabled else 0),
                 register=register)
             sink = FabricSink(self.kernel, f"{prefix}{node}.sink",
-                              eject, on_packet=hook,
+                              eject, on_packet=self._deliver,
                               register=register)
             # The sink grants the router initial credits via connect();
             # sink-side credits mirror the router's local output credits.
@@ -250,54 +238,25 @@ class CreditFabricNetwork:
         router_a.connect(a_port, b_to_a, a_to_b)
         router_b.connect(b_port, a_to_b, b_to_a)
 
-    def _make_delivery_hook(self, node: int) -> Callable[[Packet, int], None]:
-        def hook(packet: Packet, tick: int) -> None:
-            original = self._inflight.pop(packet.packet_id, None)
-            if original is not None:
-                packet.inject_tick = original.inject_tick
-            self.delivered.append(packet)
-            hops = self.topology.hop_count(packet.src, packet.dest)
-            self.stats.record_delivery(packet, hops)
-            handler = self._handlers.get(node)
-            if handler is not None:
-                handler(packet, tick)
-        return hook
-
     # -- shared run-time API ----------------------------------------------
 
-    def set_handler(self, node: int,
-                    handler: Callable[[Packet, int], None]) -> None:
-        """Install a delivery callback at a node (used by system models).
+    def _deliver(self, packet: Packet, tick: int) -> None:
+        self.delivered.append(packet)
+        super()._deliver(packet, tick)
 
-        Mirrors :meth:`repro.noc.network.ICNoCNetwork.set_handler`, so
-        endpoint models attach to any registry fabric the same way.
-        """
-        if not 0 <= node < self.topology.nodes:
-            raise TopologyError(f"unknown node {node}")
-        self._handlers[node] = handler
-
-    def send(self, packet: Packet) -> None:
-        if not 0 <= packet.dest < self.topology.nodes:
-            raise TopologyError(f"unknown destination {packet.dest}")
-        if packet.src == packet.dest:
-            raise TopologyError("src == dest: packets never enter the fabric")
-        if (not self.vc_enabled and self.routing.needs_bubble
-                and packet.flit_count >= self.config.buffer_depth):
-            # The bubble rule's deadlock-freedom argument is virtual
-            # cut-through: a packet must fit one FIFO with a slot to
-            # spare. Reject loudly instead of wedging the ring.
+    def _submit(self, packet: Packet) -> None:
+        limit = self.max_packet_flits
+        if limit is not None and packet.flit_count > limit:
+            # Reject loudly instead of wedging the ring.
             raise ConfigurationError(
                 f"{packet.flit_count}-flit packet on a ring-closing "
                 f"fabric needs buffer_depth >= {packet.flit_count + 1} "
                 f"(got {self.config.buffer_depth}); raise buffer_depth "
                 f"or shorten packets"
             )
-        self._inflight[packet.packet_id] = packet
         self.sources[packet.src].submit(packet)
         if self.engine is not None:
             self.engine.on_submit(packet.src)
-        self.stats.packets_injected += 1
-        self.kernel.emit("inject", packet)
 
     def run_ticks(self, ticks: int) -> None:
         """Advance the kernel by ``ticks`` half-cycles.
@@ -310,23 +269,17 @@ class CreditFabricNetwork:
         """
         if self.engine is not None:
             self.engine.refresh_observers()
-        self.kernel.run_ticks(ticks)
-        self.stats.elapsed_ticks = self.kernel.tick
+        super().run_ticks(ticks)
 
     def run_cycles(self, cycles: float) -> None:
         if self.engine is not None:
             self.engine.refresh_observers()
-        self.kernel.run_cycles(cycles)
-        self.stats.elapsed_ticks = self.kernel.tick
+        super().run_cycles(cycles)
 
     def drain(self, max_ticks: int = 1_000_000) -> bool:
         if self.engine is not None:
             self.engine.refresh_observers()
-        done = self.kernel.run_until(
-            lambda: self.stats.packets_delivered >= self.stats.packets_injected,
-            max_ticks,
-        )
-        self.stats.elapsed_ticks = self.kernel.tick
+        done = super().drain(max_ticks)
         if self.engine is not None:
             # Make the per-router python state (FIFOs, credits, locks,
             # counters) inspectable again after a drained run.
@@ -366,10 +319,6 @@ class CreditFabricNetwork:
     # -- physical view ----------------------------------------------------
 
     @property
-    def tech(self):
-        return self.config.tech
-
-    @property
     def floorplan(self) -> Floorplan:
         """Geometric embedding of this fabric on the die (lazy).
 
@@ -403,19 +352,20 @@ class CreditFabricNetwork:
             longest = max(longest, length / segments)
         return longest
 
-    def operating_frequency_ghz(self) -> float:
-        """Max clock rate: min of the router critical path (amortised
-        over the pipeline depth) and the Fig. 7 pipeline model at the
-        longest wire segment — the same rule
-        :class:`~repro.noc.network.ICNoCNetwork` applies, so the physical
-        reports cost every fabric at a comparable frequency. Segmenting
-        the links and deepening the routers both push this up, which is
-        the whole point of the knobs."""
-        f_router = router_max_frequency(self.topology.max_ports, self.tech,
-                                        self.pipeline_depth)
-        f_links = pipeline_max_frequency(self.longest_segment_mm(),
-                                         self.tech)
-        return min(f_router, f_links)
+    def flit_wires(self) -> Iterator[tuple[str, Any, str | None, bool]]:
+        consumer: dict[int, str] = {}
+        for router in self.routers:
+            for link in router.in_links:
+                if link is not None:
+                    consumer[id(link)] = router.name
+        for link in self.links:
+            yield link.name, link.flit, consumer.get(id(link)), True
+
+    def switches(self) -> Iterator[tuple[str, str, tuple[str, ...]]]:
+        for router in self.routers:
+            labels = tuple(router.port_name(port)
+                           for port in range(router.n_ports))
+            yield router.name, router.name, labels
 
     def describe(self) -> str:
         describe = getattr(self.topology, "describe", None)

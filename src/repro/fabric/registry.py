@@ -80,12 +80,14 @@ class TopologyEntry:
             ``escape`` VC policy.
         builder: ``FabricConfig -> network`` (lazy-imports its module).
         validate: optional extra config check (port-count shape etc.).
-        physical: ``(network, name, clock_distribution) ->``
+        physical: ``network ->``
             :class:`~repro.physical.descriptor.PhysicalModel` — the
             fabric's physical cost descriptor (area, flit energy, clock
-            power), consumed by :mod:`repro.physical`. Lazy-imports like
-            ``builder``; None means the fabric publishes no physical
-            model and the generic reports refuse it loudly.
+            power), consumed by :mod:`repro.physical`; it reads the
+            fabric's name and clocking off ``network.config``.
+            Lazy-imports like ``builder``; None means the fabric
+            publishes no physical model and the generic reports refuse
+            it loudly.
         supports_pipeline: the fabric honours the ``pipeline_depth`` /
             ``segment_links`` / ``credit_sizing`` knobs (the credit
             fabrics). The tree family does not: its handshake routers
@@ -104,7 +106,7 @@ class TopologyEntry:
     flow_control: tuple[str, ...] = (FLOW_WORMHOLE,)
     vc_policies: tuple[str, ...] = ()
     allocators: tuple[str, ...] = ()
-    physical: Callable[[Any, str, str], Any] | None = None
+    physical: Callable[[Any], Any] | None = None
     supports_pipeline: bool = False
 
     def __post_init__(self) -> None:
@@ -526,28 +528,14 @@ def _require_power(value: int, base: int, what: str) -> None:
         )
 
 
-def _tree_network_config(config: FabricConfig, leaves: int):
-    from repro.noc.network import NetworkConfig
-    return NetworkConfig(
-        leaves=leaves, arity=config.arity,
-        chip_width_mm=config.chip_width_mm,
-        chip_height_mm=config.chip_height_mm,
-        max_segment_mm=config.max_segment_mm,
-        tech=config.tech,
-        activity_driven=config.activity_driven,
-    )
-
-
 def _build_tree(config: FabricConfig):
     from repro.noc.network import ICNoCNetwork
-    return ICNoCNetwork(_tree_network_config(config, config.ports))
+    return ICNoCNetwork(config)
 
 
 def _build_ctree(config: FabricConfig):
     from repro.fabric.ctree import ConcentratedTreeNetwork
-    leaves = config.ports // config.concentration
-    return ConcentratedTreeNetwork(_tree_network_config(config, leaves),
-                                   concentration=config.concentration)
+    return ConcentratedTreeNetwork(config)
 
 
 def _build_mesh(config: FabricConfig):
@@ -569,22 +557,22 @@ def _build_ring(config: FabricConfig):
 # stays importable from anywhere without pulling in repro.physical).
 
 
-def _physical_tree(network, name: str, clocking: str):
+def _physical_tree(network):
     from repro.physical.descriptor import TreePhysical
-    return TreePhysical(network, name, clocking)
+    return TreePhysical(network)
 
 
-def _physical_ctree(network, name: str, clocking: str):
+def _physical_ctree(network):
     from repro.physical.descriptor import CtreePhysical
-    return CtreePhysical(network, name, clocking)
+    return CtreePhysical(network)
 
 
-def _physical_credit(network, name: str, clocking: str):
+def _physical_credit(network):
     # One descriptor serves every credit fabric: it walks the network's
     # own routing strategy over its own link table, so mesh, torus and
     # ring (wormhole or VC) need no per-topology physical code.
     from repro.physical.descriptor import CreditFabricPhysical
-    return CreditFabricPhysical(network, name, clocking)
+    return CreditFabricPhysical(network)
 
 
 register_topology(TopologyEntry(

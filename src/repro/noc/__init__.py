@@ -15,7 +15,7 @@ from repro.noc.arbiter import RoundRobinArbiter, FixedPriorityArbiter
 from repro.noc.topology import TreeTopology
 from repro.noc.floorplan import Floorplan, h_tree_floorplan, quad_tree_floorplan
 from repro.noc.router import TreeRouter
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.noc.network import ICNoCNetwork, Network
 from repro.noc.stats import NetworkStats
 from repro.noc.debug import ProtocolMonitor, DeadlockWatchdog, attach_monitors
 from repro.noc.faults import FaultInjector, FaultKind, inject_link_fault
@@ -41,7 +41,7 @@ __all__ = [
     "quad_tree_floorplan",
     "TreeRouter",
     "ICNoCNetwork",
-    "NetworkConfig",
+    "Network",
     "NetworkStats",
     "ProtocolMonitor",
     "DeadlockWatchdog",

@@ -70,7 +70,7 @@ def zero_load_latency_cycles(network, src: int, dest: int,
 def worst_case_latency_cycles(network, flits: int = 1) -> float:
     """Max zero-load latency over all leaf pairs (closed form per pair)."""
     worst = 0.0
-    leaves = network.config.leaves
+    leaves = network.topology.leaves
     for src in range(leaves):
         for dest in range(leaves):
             if src != dest:
@@ -84,7 +84,7 @@ def mean_latency_cycles_uniform(network, flits: int = 1) -> float:
     """Mean zero-load latency under uniform traffic (all ordered pairs)."""
     total = 0.0
     pairs = 0
-    leaves = network.config.leaves
+    leaves = network.topology.leaves
     for src in range(leaves):
         for dest in range(leaves):
             if src != dest:

@@ -1,7 +1,9 @@
 """Network assembly: topology + floorplan + routers + links + NIs + clock.
 
+:class:`Network` is what every built network is — the tree family here
+and the credit fabrics of :mod:`repro.fabric.network` subclass it — and
 :class:`ICNoCNetwork` builds a complete simulatable IC-NoC from a
-:class:`NetworkConfig`:
+:class:`~repro.fabric.registry.FabricConfig`:
 
 * routers at the tree nodes, clocked at alternating edges level by level;
 * links segmented so no pipeline segment exceeds ``max_segment_mm`` (the
@@ -16,8 +18,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.clocking.clock_tree import ClockTree
 from repro.clocking.gating import GatingStats
@@ -32,53 +33,14 @@ from repro.noc.router import ArbiterFactory, TreeRouter, round_robin_factory
 from repro.noc.stats import NetworkStats
 from repro.noc.topology import TreeTopology, PARENT_PORT
 from repro.sim.kernel import SimKernel
-from repro.tech.technology import Technology, TECH_90NM
 from repro.timing.frequency import (
     pipeline_max_frequency,
     router_max_frequency,
 )
 from repro.timing.validator import ChannelSpec
 
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Parameters of an IC-NoC instance.
-
-    Attributes:
-        leaves: number of network ports (a power of ``arity``).
-        arity: 2 for binary trees (3x3 routers), 4 for quad (5x5 routers).
-        chip_width_mm / chip_height_mm: die size for the floorplan.
-        max_segment_mm: longest allowed pipeline segment; links longer than
-            this get intermediate pipeline stages.
-        tech: technology models.
-        arbiter_policy: "round_robin", or "local_priority" for the
-            demonstrator's processor-over-network priority at leaf routers
-            (binary trees with proc/mem sibling pairs only).
-        activity_driven: run the kernel's idle-skipping fast path (the
-            default); False forces the naive fire-everything reference
-            loop, useful for equivalence checks and benchmarking.
-    """
-
-    leaves: int = 64
-    arity: int = 2
-    chip_width_mm: float = 10.0
-    chip_height_mm: float = 10.0
-    max_segment_mm: float = 1.25
-    tech: Technology = TECH_90NM
-    arbiter_policy: str = "round_robin"
-    activity_driven: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_segment_mm <= 0.0:
-            raise ConfigurationError("max_segment_mm must be positive")
-        if self.arbiter_policy not in ("round_robin", "local_priority"):
-            raise ConfigurationError(
-                f"unknown arbiter policy {self.arbiter_policy!r}"
-            )
-        if self.arbiter_policy == "local_priority" and self.arity != 2:
-            raise ConfigurationError(
-                "local_priority assumes proc/mem sibling pairs (arity 2)"
-            )
+if TYPE_CHECKING:
+    from repro.fabric.registry import FabricConfig
 
 
 def _local_priority_policy(node, output_port: int, n_inputs: int):
@@ -89,40 +51,183 @@ def _local_priority_policy(node, output_port: int, n_inputs: int):
     return RoundRobinArbiter(n_inputs)
 
 
-class ICNoCNetwork:
-    """A built, runnable IC-NoC."""
+class Network:
+    """What every built network is, whatever its datapath.
 
-    def __init__(self, config: NetworkConfig, kernel: SimKernel | None = None):
-        self.config = config
-        self.topology = TreeTopology(config.leaves, config.arity)
-        self.floorplan: Floorplan = floorplan_for(
-            self.topology, config.chip_width_mm, config.chip_height_mm
-        )
+    One spec (``config``, always a :class:`~repro.fabric.registry
+    .FabricConfig`), one kernel, one statistics record, ``endpoints ==
+    config.ports`` addressable ports, and one run-time surface: ``send``
+    / ``set_handler`` / ``run_ticks`` / ``run_cycles`` / ``drain``. A
+    family supplies its datapath — ``routers``, :meth:`_submit`,
+    :meth:`gating_stats`, :meth:`longest_segment_mm` — and declares its
+    wires and switches to the telemetry layer through
+    :meth:`flit_wires` / :meth:`switches`.
+    """
+
+    #: Longest packet ``send`` accepts, in flits (None: unbounded).
+    max_packet_flits: int | None = None
+
+    def __init__(self, config: "FabricConfig", topology: Any,
+                 router_ports: int, kernel: SimKernel | None = None):
         # An external kernel lets system models (the demonstrator's tile
         # drivers) register components *before* the network's, so their
         # submissions reach the NIs the same tick — it must agree with
         # the config on the execution mode.
-        if kernel is not None and kernel.activity_driven != config.activity_driven:
+        if kernel is not None and \
+                kernel.activity_driven != config.activity_driven:
             raise ConfigurationError(
                 "provided kernel's activity_driven flag contradicts the "
                 "network config"
             )
+        self.config = config
+        self.topology = topology
+        self.router_ports = router_ports
+        self.endpoints = config.ports
         self.kernel = kernel if kernel is not None \
             else SimKernel(activity_driven=config.activity_driven)
+        self.stats = NetworkStats()
+        self._handlers: dict[int, Callable[[Packet, int], None]] = {}
+        self._inflight: dict[int, Packet] = {}
+
+    # -- what a family supplies -------------------------------------------
+
+    def _submit(self, packet: Packet) -> None:
+        """Hand a validated packet to its source endpoint (may still
+        reject it, before anything is recorded)."""
+        raise NotImplementedError
+
+    def gating_stats(self) -> GatingStats:
+        """Clock-gating counters summed over the datapath (cumulative)."""
+        raise NotImplementedError
+
+    def longest_segment_mm(self) -> float:
+        """Longest wire any clock period must cover."""
+        raise NotImplementedError
+
+    def flit_wires(self) -> Iterator[tuple[str, Any, str | None, bool]]:
+        """Yield ``(name, signal, consumer, is_credit)`` for every
+        flit-carrying wire: the signal to probe, the router that reads
+        it (None on ejection wires) and whether it is a tick-tagged
+        credit wire into that router's input FIFO or a handshake
+        channel's data wire (busy while a flit is offered or held)."""
+        raise NotImplementedError
+
+    def switches(self) -> Iterator[tuple[str, str, tuple[str, ...]]]:
+        """Yield ``(grant_name, router, port_labels)`` for every
+        switching element: the name its ``arbitration_grant`` events
+        carry, the router name :meth:`flit_wires` lists as the consumer,
+        and its port labels (empty: ports print as ``pN``)."""
+        raise NotImplementedError
+
+    def _hop_count(self, src: int, dest: int) -> int:
+        return self.topology.hop_count(src, dest)
+
+    # -- run-time API -----------------------------------------------------
+
+    def _deliver(self, packet: Packet, tick: int) -> None:
+        """The delivery hook of every sink endpoint."""
+        # Reassembly built a fresh Packet; recover the injection time
+        # recorded on the submitted original.
+        original = self._inflight.pop(packet.packet_id, None)
+        if original is not None:
+            packet.inject_tick = original.inject_tick
+        self.stats.record_delivery(
+            packet, self._hop_count(packet.src, packet.dest))
+        handler = self._handlers.get(packet.dest)
+        if handler is not None:
+            handler(packet, tick)
+
+    def set_handler(self, endpoint: int,
+                    handler: Callable[[Packet, int], None]) -> None:
+        """Install a delivery callback at an endpoint (used by system
+        models)."""
+        if not 0 <= endpoint < self.endpoints:
+            raise TopologyError(f"unknown endpoint {endpoint}")
+        self._handlers[endpoint] = handler
+
+    def send(self, packet: Packet) -> None:
+        if not 0 <= packet.dest < self.endpoints:
+            raise TopologyError(f"unknown destination {packet.dest}")
+        if packet.src == packet.dest:
+            raise TopologyError(
+                "src == dest: packets never enter the network")
+        self._submit(packet)
+        self._inflight[packet.packet_id] = packet
+        self.stats.packets_injected += 1
+        self.kernel.emit("inject", packet)
+
+    def run_ticks(self, ticks: int) -> None:
+        self.kernel.run_ticks(ticks)
+        self.stats.elapsed_ticks = self.kernel.tick
+
+    def run_cycles(self, cycles: float) -> None:
+        self.kernel.run_cycles(cycles)
+        self.stats.elapsed_ticks = self.kernel.tick
+
+    def drain(self, max_ticks: int = 1_000_000) -> bool:
+        """Run until every injected packet is delivered (or give up)."""
+        stats = self.stats
+        done = self.kernel.run_until(
+            lambda: stats.packets_delivered >= stats.packets_injected,
+            max_ticks,
+        )
+        stats.elapsed_ticks = self.kernel.tick
+        # Assigned, not merged: gating_stats() is cumulative already.
+        stats.gating = self.gating_stats()
+        return done
+
+    def operating_frequency_ghz(self) -> float:
+        """Max clock rate: min of the router critical path (amortised
+        over the pipeline depth) and the Fig. 7 pipeline model at the
+        longest wire segment — one rule, so the physical reports cost
+        every fabric at a comparable frequency."""
+        tech = self.config.tech
+        f_router = router_max_frequency(self.router_ports, tech,
+                                        self.config.pipeline_depth)
+        f_links = pipeline_max_frequency(self.longest_segment_mm(), tech)
+        return min(f_router, f_links)
+
+
+class ICNoCNetwork(Network):
+    """A built, runnable IC-NoC.
+
+    ``arbiter_policy`` is ``"round_robin"``, or ``"local_priority"`` for
+    the demonstrator's processor-over-network priority at leaf routers
+    (binary trees with proc/mem sibling pairs only).
+    """
+
+    #: Endpoints sharing each leaf NI (the concentrated tree raises it).
+    concentration = 1
+
+    def __init__(self, config: "FabricConfig",
+                 kernel: SimKernel | None = None,
+                 arbiter_policy: str = "round_robin"):
+        if arbiter_policy not in ("round_robin", "local_priority"):
+            raise ConfigurationError(
+                f"unknown arbiter policy {arbiter_policy!r}"
+            )
+        if arbiter_policy == "local_priority" and config.arity != 2:
+            raise ConfigurationError(
+                "local_priority assumes proc/mem sibling pairs (arity 2)"
+            )
+        topology = TreeTopology(config.ports // self.concentration,
+                                config.arity)
+        super().__init__(config, topology, topology.router_ports, kernel)
+        self.arbiter_policy = arbiter_policy
+        self.floorplan: Floorplan = floorplan_for(
+            topology, config.chip_width_mm, config.chip_height_mm
+        )
         self.clock_tree = ClockTree(root_name="clkgen")
         self.routers: list[TreeRouter] = []
         self.link_stages: list[PipelineStage] = []
         self.nis: list[NetworkInterface] = []
         self.channel_specs: list[ChannelSpec] = []
-        self.stats = NetworkStats()
-        self._handlers: dict[int, Callable[[Packet, int], None]] = {}
-        self._inflight: dict[int, Packet] = {}
         self._build()
 
     # -- construction ---------------------------------------------------
 
     def _arbiter_factory_for(self, node) -> ArbiterFactory:
-        if self.config.arbiter_policy == "local_priority":
+        if self.arbiter_policy == "local_priority":
             return lambda output_port, n_inputs: _local_priority_policy(
                 node, output_port, n_inputs
             )
@@ -220,7 +325,7 @@ class ICNoCNetwork:
                     from_network=down_chs[-1],
                     source_parity=endpoint_parity,
                     sink_parity=endpoint_parity,
-                    on_packet=self._make_delivery_hook(child),
+                    on_packet=self._deliver,
                 )
                 self.nis[child] = ni
                 self.clock_tree.add(f"ni{child}", parent=clock_parent,
@@ -240,55 +345,10 @@ class ICNoCNetwork:
                                     segment_delay_ps=seg_delay)
                 self._wire_children(child_router)
 
-    def _make_delivery_hook(self, leaf: int) -> Callable[[Packet, int], None]:
-        def hook(packet: Packet, tick: int) -> None:
-            # Reassembly built a fresh Packet; recover the injection time
-            # recorded on the submitted original.
-            original = self._inflight.pop(packet.packet_id, None)
-            if original is not None:
-                packet.inject_tick = original.inject_tick
-            hops = self.topology.hop_count(packet.src, packet.dest)
-            self.stats.record_delivery(packet, hops)
-            handler = self._handlers.get(leaf)
-            if handler is not None:
-                handler(packet, tick)
-        return hook
-
     # -- run-time API -----------------------------------------------------
 
-    def set_handler(self, leaf: int,
-                    handler: Callable[[Packet, int], None]) -> None:
-        """Install a delivery callback at a leaf (used by system models)."""
-        if not 0 <= leaf < self.config.leaves:
-            raise TopologyError(f"unknown leaf {leaf}")
-        self._handlers[leaf] = handler
-
-    def send(self, packet: Packet) -> None:
-        if not 0 <= packet.dest < self.config.leaves:
-            raise TopologyError(f"unknown destination {packet.dest}")
-        if packet.src == packet.dest:
-            raise TopologyError("src == dest: packets never enter the NoC")
-        self._inflight[packet.packet_id] = packet
+    def _submit(self, packet: Packet) -> None:
         self.nis[packet.src].submit(packet)
-        self.stats.packets_injected += 1
-        self.kernel.emit("inject", packet)
-
-    def run_ticks(self, ticks: int) -> None:
-        self.kernel.run_ticks(ticks)
-        self.stats.elapsed_ticks = self.kernel.tick
-
-    def run_cycles(self, cycles: float) -> None:
-        self.kernel.run_cycles(cycles)
-        self.stats.elapsed_ticks = self.kernel.tick
-
-    def drain(self, max_ticks: int = 1_000_000) -> bool:
-        """Run until every injected packet is delivered (or give up)."""
-        done = self.kernel.run_until(
-            lambda: self.stats.packets_delivered >= self.stats.packets_injected,
-            max_ticks,
-        )
-        self.stats.elapsed_ticks = self.kernel.tick
-        return done
 
     @property
     def delivered(self) -> list[Packet]:
@@ -307,7 +367,7 @@ class ICNoCNetwork:
     @property
     def pipeline_stage_count(self) -> int:
         """Stages counted by the area model: link stages + one per port."""
-        return self.link_stage_count + self.config.leaves
+        return self.link_stage_count + self.topology.leaves
 
     def longest_segment_mm(self) -> float:
         longest = 0.0
@@ -318,15 +378,6 @@ class ICNoCNetwork:
                 longest = max(longest, length / self._segments(length))
         return longest
 
-    def operating_frequency_ghz(self) -> float:
-        """Max clock rate: min of router critical paths and the Fig. 7
-        pipeline model evaluated at the longest physical segment."""
-        f_router = router_max_frequency(self.topology.router_ports,
-                                        self.config.tech)
-        f_links = pipeline_max_frequency(self.longest_segment_mm(),
-                                         self.config.tech)
-        return min(f_router, f_links)
-
     def gating_stats(self) -> GatingStats:
         total = GatingStats()
         for router in self.routers:
@@ -335,9 +386,21 @@ class ICNoCNetwork:
             total.merge(stage.gating)
         return total
 
+    def flit_wires(self) -> Iterator[tuple[str, Any, str | None, bool]]:
+        # No credit links here: the equivalent is each router's input
+        # handshake channels.
+        for router in self.routers:
+            for channel in router.in_channels:
+                yield channel.name, channel.data_signal, router.name, False
+
+    def switches(self) -> Iterator[tuple[str, str, tuple[str, ...]]]:
+        for router in self.routers:
+            yield router.switch.name, router.name, ()
+
     def describe(self) -> str:
         return (
-            f"IC-NoC: {self.config.leaves} ports, arity {self.config.arity}, "
+            f"IC-NoC: {self.topology.leaves} ports, "
+            f"arity {self.config.arity}, "
             f"{self.topology.router_count} routers "
             f"({self.topology.router_ports}x{self.topology.router_ports}), "
             f"{self.link_stage_count} link stages, "

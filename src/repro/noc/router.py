@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 
 from repro.clocking.gating import GatedComponentMixin, GatingStats
 from repro.errors import ConfigurationError, RoutingError
-from repro.fabric.routing import tree_updown_route
 from repro.noc.arbiter import Arbiter, RoundRobinArbiter
 from repro.noc.flit import Flit
 from repro.noc.handshake import HandshakeChannel
@@ -185,9 +184,13 @@ class TreeRouter:
         self.input_parity = input_parity
         # Routing is a pluggable strategy (repro.fabric.routing); the
         # default is the paper's up*/down* walk of this router's node.
-        self._route_fn = route if route is not None else tree_updown_route(
-            topology, node, name=name,
-        )
+        if route is None:
+            # Imported here: repro.fabric builds on this package (its
+            # networks subclass repro.noc.network.Network), so repro.noc
+            # must not import it while loading.
+            from repro.fabric.routing import tree_updown_route
+            route = tree_updown_route(topology, node, name=name)
+        self._route_fn = route
         ports = node.ports
         if extra_stages is None:
             extra_stages = 1 if ports >= 5 else 0

@@ -12,7 +12,6 @@ from repro.physical.area import (
     AreaReport,
     area_report,
     tree_noc_area,
-    icnoc_area_report,
     mesh_noc_area,
     BUFFER_SLOT_AREA_MM2,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "AreaReport",
     "area_report",
     "tree_noc_area",
-    "icnoc_area_report",
     "mesh_noc_area",
     "BUFFER_SLOT_AREA_MM2",
     "PhysicalComparison",

@@ -85,13 +85,6 @@ def area_report(network) -> AreaReport:
     return physical_model(network).area_report()
 
 
-def icnoc_area_report(network) -> AreaReport:
-    """Area of a built :class:`~repro.noc.network.ICNoCNetwork` — the
-    historical tree entry point, now a thin wrapper over the generic
-    :func:`area_report`."""
-    return area_report(network)
-
-
 def mesh_noc_area(topology: "MeshTopology", buffer_depth: int = 4,
                   chip_mm2: float = 100.0,
                   tech: Technology = TECH_90NM) -> AreaReport:

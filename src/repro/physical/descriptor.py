@@ -47,6 +47,7 @@ from repro.clocking.power import (
 )
 from repro.errors import ConfigurationError
 from repro.noc.floorplan import LOCAL_PORT
+from repro.noc.network import Network
 from repro.physical.area import AreaReport, BUFFER_SLOT_AREA_MM2
 from repro.physical.power import (
     BUFFER_ENERGY_PJ_PER_FLIT,
@@ -55,7 +56,6 @@ from repro.physical.power import (
     link_energy_pj_per_flit,
     router_energy_pj_per_flit,
 )
-from repro.tech.technology import TECH_90NM
 
 if TYPE_CHECKING:
     from repro.noc.floorplan import Floorplan
@@ -89,10 +89,10 @@ class PathProfile:
 class PhysicalModel:
     """Physical accounting of one built network (see module docstring)."""
 
-    def __init__(self, network, name: str, clock_distribution: str):
+    def __init__(self, network):
         self.network = network
-        self.name = name
-        self.clock_distribution = clock_distribution
+        self.name = network.config.topology
+        self.clock_distribution = network.config.clock_distribution
         self._paths: dict[tuple[int, int], PathProfile] = {}
 
     def path(self, src: int, dest: int) -> PathProfile:
@@ -108,7 +108,7 @@ class PhysicalModel:
 
     @property
     def tech(self):
-        return getattr(self.network.config, "tech", TECH_90NM)
+        return self.network.config.tech
 
     @property
     def floorplan(self) -> "Floorplan":
@@ -116,7 +116,7 @@ class PhysicalModel:
 
     @property
     def endpoints(self) -> int:
-        return self.network.topology.nodes
+        return self.network.endpoints
 
     def router_port_counts(self) -> list[int]:
         raise NotImplementedError
@@ -224,10 +224,6 @@ class PhysicalModel:
 class TreePhysical(PhysicalModel):
     """The hand-written tree model, now one descriptor among equals."""
 
-    @property
-    def endpoints(self) -> int:
-        return self.network.config.leaves
-
     def router_port_counts(self) -> list[int]:
         topo = self.network.topology
         return [topo.router_ports] * topo.router_count
@@ -256,10 +252,6 @@ class CtreePhysical(TreePhysical):
     """
 
     @property
-    def endpoints(self) -> int:
-        return self.network.endpoints
-
-    @property
     def _mux_ports(self) -> int:
         return self.network.concentration + 1
 
@@ -271,7 +263,7 @@ class CtreePhysical(TreePhysical):
     def mux_area_mm2(self) -> float:
         if self.network.concentration < 2:
             return 0.0  # a 1:1 "mux" is a wire
-        return (self.network.config.leaves
+        return (self.network.topology.leaves
                 * self.tech.router_area_mm2(self._mux_ports))
 
     def clock_sink_count(self) -> int:
@@ -327,8 +319,8 @@ class CreditFabricPhysical(PhysicalModel):
     minimal-path lengths are unchanged.)
     """
 
-    def __init__(self, network, name: str, clock_distribution: str):
-        super().__init__(network, name, clock_distribution)
+    def __init__(self, network):
+        super().__init__(network)
         self._hop_cache: dict[tuple[int, int], tuple] | None = None
         self._ports_cache: list[int] | None = None
 
@@ -417,41 +409,18 @@ class CreditFabricPhysical(PhysicalModel):
         )
 
 
-def _topology_name_of(network) -> str:
-    """The registry name of a built network.
-
-    Credit fabrics carry it on their :class:`FabricConfig`; the tree
-    family's networks are built from a bare ``NetworkConfig`` and are
-    recognised by type.
-    """
-    name = getattr(getattr(network, "config", None), "topology", None)
-    if isinstance(name, str):
-        return name
-    from repro.fabric.ctree import ConcentratedTreeNetwork
-    from repro.noc.network import ICNoCNetwork
-    if isinstance(network, ConcentratedTreeNetwork):
-        return "ctree"
-    if isinstance(network, ICNoCNetwork):
-        return "tree"
-    raise ConfigurationError(
-        f"no physical descriptor for {type(network).__name__}: not built "
-        f"from the topology registry"
-    )
-
-
-def _clock_distribution_of(network, entry) -> str:
-    scheme = getattr(network.config, "clock_distribution", None)
-    return scheme if isinstance(scheme, str) else entry.default_clocking
-
-
 def physical_model(network) -> PhysicalModel:
     """The registered physical descriptor of a built network."""
     from repro.fabric.registry import get_topology
-    name = _topology_name_of(network)
+    if not isinstance(network, Network):
+        raise ConfigurationError(
+            f"no physical descriptor for {type(network).__name__}: not "
+            f"built from the topology registry"
+        )
+    name = network.config.topology
     entry = get_topology(name)
     if entry.physical is None:
         raise ConfigurationError(
             f"topology {name!r} registers no physical descriptor"
         )
-    return entry.physical(network, name,
-                          _clock_distribution_of(network, entry))
+    return entry.physical(network)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.stats import LatencySummary
 from repro.sim.component import ClockedComponent
@@ -151,16 +152,15 @@ class DemonstratorSystem:
             tile = Tile(index=t, processor=processor, memory=memory)
             self.tiles.append(tile)
             self.drivers.append(TileDriver(self.kernel, tile))
-        self.network = ICNoCNetwork(NetworkConfig(
-            leaves=config.leaves,
+        self.network = ICNoCNetwork(FabricConfig(
+            ports=config.leaves,
             arity=2,
             chip_width_mm=config.chip_width_mm,
             chip_height_mm=config.chip_height_mm,
             max_segment_mm=config.max_segment_mm,
             tech=config.tech,
-            arbiter_policy=config.arbiter_policy,
             activity_driven=config.activity_driven,
-        ), kernel=self.kernel)
+        ), kernel=self.kernel, arbiter_policy=config.arbiter_policy)
         for tile, driver in zip(self.tiles, self.drivers):
             driver.network = self.network
             self.network.set_handler(mem_leaf(tile.index),

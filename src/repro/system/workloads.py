@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.stats import LatencySummary, NetworkStats
 from repro.sim.component import ClockedComponent
@@ -96,10 +97,9 @@ class StreamingWorkload:
 
     def __init__(self, config: StreamingConfig = StreamingConfig()):
         self.config = config
-        self.network = ICNoCNetwork(NetworkConfig(
-            leaves=2 * config.tiles, arity=2,
-            arbiter_policy="local_priority",
-        ))
+        self.network = ICNoCNetwork(
+            FabricConfig(ports=2 * config.tiles, arity=2),
+            arbiter_policy="local_priority")
         self._next_stage: dict[int, int] = {}
         chain_leaves = [proc_leaf(t) for t in config.chain]
         for here, there in zip(chain_leaves, chain_leaves[1:]):
@@ -260,8 +260,8 @@ class BurstySystem:
         for tile in range(config.tiles):
             self.drivers.append(DmaStormDriver(
                 self.kernel, tile, self._schedule_for(tile, rng)))
-        self.network = ICNoCNetwork(NetworkConfig(
-            leaves=config.leaves, arity=2,
+        self.network = ICNoCNetwork(FabricConfig(
+            ports=config.leaves, arity=2,
             activity_driven=config.activity_driven,
         ), kernel=self.kernel)
         for driver in self.drivers:

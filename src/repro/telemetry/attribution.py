@@ -110,7 +110,7 @@ def congestion_snapshot(network, top: int = 5) -> str:
     """Live blocked-state dump: top blocked routers with held locks and
     exhausted credits. Works on every registered fabric."""
     rows = []
-    for router in getattr(network, "routers", ()):
+    for router in network.routers:
         buffered, details = _router_snapshot(router)
         if buffered or details:
             rows.append((buffered, router.name, details))

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.errors import SimulationError
 from repro.fabric.link import LINK_LATENCY_TICKS
@@ -143,12 +143,10 @@ class MetricsSummary:
     (``port_grants``, ``stall_cycles``, ``stall_events``,
     ``vc_allocations``) by ``router:port:vcN`` — always VC-suffixed,
     ``:vc0`` on single-VC fabrics, matching the unified router's event
-    payloads. Summaries recorded before the suffix normalization may
-    carry bare ``router:port`` keys; :meth:`merge` folds those into
-    their ``:vc0`` form and :meth:`by_port` aggregates across the
-    suffix either way. ``latency`` is a :meth:`LatencySummary.to_dict`
-    mapping; ``latency_buckets`` the log2 histogram that survives
-    merging.
+    payloads (the tree's switch has no VCs and keys ports bare);
+    :meth:`by_port` aggregates across the suffix. ``latency`` is a
+    :meth:`LatencySummary.to_dict` mapping; ``latency_buckets`` the
+    log2 histogram that survives merging.
     """
 
     elapsed_cycles: float = 0.0
@@ -294,15 +292,6 @@ class MetricsSummary:
                 mine, theirs = getattr(merged, table), getattr(s, table)
                 for key, value in theirs.items():
                     mine[key] = mine.get(key, 0.0) + value * weight
-        # Back-compat fold: summaries recorded before the suffix
-        # normalization keyed single-VC ports bare (``m15:ej``); the
-        # unified scheme always suffixes (``m15:ej:vc0``). When a merge
-        # mixes both eras, fold the bare key into its vc0 form so the
-        # totals aggregate instead of splitting across two spellings.
-        for table in cls.PORT_TABLES:
-            tab = getattr(merged, table)
-            for key in [k for k in tab if f"{k}:vc0" in tab]:
-                tab[f"{key}:vc0"] += tab.pop(key)
         count = sum(s.latency.get("count", 0) for s in summaries)
         if count:
             mean = sum(s.latency.get("mean", 0.0) * s.latency.get("count", 0)
@@ -321,36 +310,6 @@ class MetricsSummary:
         else:
             merged.latency = LatencySummary.from_cycles([]).to_dict()
         return merged
-
-
-def iter_flit_wires(network) -> Iterator[tuple[str, Any, str | None, bool]]:
-    """Yield ``(name, signal, consumer_router_name, is_credit_link)`` for
-    every flit-carrying wire of a built network.
-
-    Credit fabrics expose their link list directly; the tree family has
-    no credit links, so its equivalent is each router's input handshake
-    channels (the data wire of a channel is busy while a flit is offered
-    or held, which is exactly the congestion-sensitive utilization).
-    """
-    if hasattr(network, "links"):  # credit fabrics (mesh/torus/ring)
-        consumer: dict[int, str] = {}
-        for router in network.routers:
-            for link in router.in_links:
-                if link is not None:
-                    consumer[id(link)] = router.name
-        for link in network.links:
-            yield link.name, link.flit, consumer.get(id(link)), True
-    else:  # tree family: ICNoCNetwork and the concentrated tree
-        for router in network.routers:
-            for channel in router.in_channels:
-                yield channel.name, channel.data_signal, router.name, False
-
-
-def _tree_switch_names(network) -> dict[str, str]:
-    """Map SwitchCore event names (``rN.switch``) to router names."""
-    if hasattr(network, "links"):
-        return {}
-    return {router.switch.name: router.name for router in network.routers}
 
 
 def flit_from_wire(payload) -> Any:
@@ -393,23 +352,23 @@ class MetricsRegistry:
         self.packets_delivered = 0
         self.flits_delivered = 0
         self._port_names: dict[tuple[str, int], str] = {}
-        self._switch_routers: dict[str, str] = {}
 
     # -- attachment ------------------------------------------------------
 
     def attach(self, network) -> "MetricsRegistry":
-        for router in getattr(network, "routers", ()):
-            if hasattr(router, "port_name"):  # credit fabric router
-                name = router.name
-                self._occupancy[name] = TimeWeightedGauge(self.kernel.tick)
-                self._pending[name] = deque()
-                self.router_grants.setdefault(name, 0)
-                for port in range(router.n_ports):
-                    self._port_names[(name, port)] = router.port_name(port)
-            elif hasattr(router, "switch"):  # tree router
-                self.router_grants.setdefault(router.switch.name, 0)
-                self._switch_routers[router.switch.name] = router.name
-        for name, signal, consumer, is_credit in iter_flit_wires(network):
+        wires = list(network.flit_wires())
+        # A credit wire ends in its consumer's input FIFO: those routers
+        # get an occupancy gauge (in router order).
+        fifo_routers = {consumer for _name, _signal, consumer, is_credit
+                        in wires if is_credit}
+        for name, router, labels in network.switches():
+            self.router_grants.setdefault(name, 0)
+            for port, label in enumerate(labels):
+                self._port_names[(name, port)] = label
+            if router in fifo_routers:
+                self._occupancy[router] = TimeWeightedGauge(self.kernel.tick)
+                self._pending[router] = deque()
+        for name, signal, consumer, is_credit in wires:
             self._watch_wire(name, signal, consumer, is_credit)
         kernel = self.kernel
         kernel.subscribe("arbitration_grant", self._on_grant)

@@ -32,12 +32,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.sim.kernel import SimKernel
-from repro.telemetry.metrics import (
-    _tree_switch_names,
-    flit_from_wire,
-    iter_flit_wires,
-    LINK_LATENCY_TICKS,
-)
+from repro.telemetry.metrics import LINK_LATENCY_TICKS, flit_from_wire
 
 
 @dataclass
@@ -151,13 +146,11 @@ class FlitTracer:
     # -- attachment ------------------------------------------------------
 
     def attach(self, network) -> "FlitTracer":
-        self._switch_routers = _tree_switch_names(network)
-        for router in getattr(network, "routers", ()):
-            if hasattr(router, "port_name"):
-                for port in range(router.n_ports):
-                    self._port_names[(router.name, port)] = \
-                        router.port_name(port)
-        for name, signal, consumer, is_credit in iter_flit_wires(network):
+        for name, router, labels in network.switches():
+            self._switch_routers[name] = router
+            for port, label in enumerate(labels):
+                self._port_names[(name, port)] = label
+        for name, signal, consumer, is_credit in network.flit_wires():
             if consumer is None:
                 continue  # ejection wires: delivery comes from "packet"
             self._watch_wire(signal, consumer, is_credit)

@@ -85,22 +85,25 @@ class TrafficGenerator(abc.ABC):
         return schedule
 
 
+def inject_window(network, schedule: list[Injection], cycles: int) -> None:
+    """Run ``cycles`` clock cycles, submitting each injection at its own
+    cycle — just-in-time, so source queues reflect genuine congestion,
+    not pre-loading. Leaves the backlog in flight (no drain)."""
+    by_cycle: dict[int, list[Injection]] = {}
+    for injection in schedule:
+        by_cycle.setdefault(injection.cycle, []).append(injection)
+    for cycle in range(cycles):
+        for injection in by_cycle.get(cycle, ()):
+            network.send(injection.to_packet())
+        network.run_ticks(2)
+
+
 def apply_traffic(network, schedule: list[Injection],
                   run_cycles: int | None = None,
                   drain_ticks: int = 200_000) -> None:
-    """Drive a network with a schedule, then drain it.
-
-    Injections are submitted just-in-time (at their cycle) so source queues
-    reflect genuine congestion, not pre-loading.
-    """
-    by_cycle: dict[int, list[Injection]] = {}
-    last_cycle = 0
-    for injection in schedule:
-        by_cycle.setdefault(injection.cycle, []).append(injection)
-        last_cycle = max(last_cycle, injection.cycle)
-    horizon = last_cycle + 1 if run_cycles is None else run_cycles
-    for cycle in range(horizon):
-        for injection in by_cycle.get(cycle, []):
-            network.send(injection.to_packet())
-        network.run_ticks(2)
+    """Drive a network with a schedule (through its last injection's
+    cycle unless ``run_cycles`` says otherwise), then drain it."""
+    if run_cycles is None:
+        run_cycles = max((i.cycle for i in schedule), default=0) + 1
+    inject_window(network, schedule, run_cycles)
     network.drain(max_ticks=drain_ticks)

@@ -6,11 +6,10 @@ the mesh baseline for a like-for-like comparison.
 
 The on-disk form is JSON lines with a versioned header: the first line
 names the schema and its version, every following line is one record.
-Files written before the header existed (plain record lines) still load;
-a header naming a *different* version is a loud
-:class:`~repro.errors.ConfigurationError` so a format change can never be
-silently misread. The header machinery is shared with the accelerator
-trace format (:mod:`repro.accel.trace`), which mandates its header.
+A missing header, or one naming a *different* schema or version, is a
+loud :class:`~repro.errors.ConfigurationError` so a format change can
+never be silently misread. The header rule is shared with the
+accelerator trace format (:mod:`repro.accel.trace`).
 """
 
 from __future__ import annotations
@@ -50,12 +49,18 @@ def iter_trace_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 def check_trace_header(header: dict, path: str | Path, schema: str,
                        version: int) -> None:
-    """Validate a parsed header line against the expected schema/version.
+    """Validate a file's first record against the expected schema/version.
 
     Raises :class:`ConfigurationError` naming the file, the schema, and
     the found/expected versions — the shared contract of every versioned
-    trace format in the repo.
+    trace format in the repo. A first record that is no header at all
+    (a headerless file) is rejected the same way.
     """
+    if "schema" not in header:
+        raise ConfigurationError(
+            f"{path}: missing trace header (expected a first line naming "
+            f"schema {schema!r} version {version})"
+        )
     found_schema = header.get("schema")
     if found_schema != schema:
         raise ConfigurationError(
@@ -102,19 +107,16 @@ class TraceRecorder:
 def replay_trace(path: str | Path) -> list[Injection]:
     """Load a schedule saved by :class:`TraceRecorder`.
 
-    Accepts both the current versioned form (header line first) and
-    legacy headerless files; a header with the wrong schema name or
-    version is rejected loudly.
+    The first line must be the header; a missing one, or one with the
+    wrong schema name or version, is rejected loudly.
     """
     injections = []
     first = True
     for line_number, record in iter_trace_lines(path):
         if first:
             first = False
-            if "schema" in record:
-                check_trace_header(record, path, TRACE_SCHEMA,
-                                   TRACE_VERSION)
-                continue
+            check_trace_header(record, path, TRACE_SCHEMA, TRACE_VERSION)
+            continue
         try:
             injections.append(Injection(
                 cycle=record["cycle"], src=record["src"],

@@ -15,7 +15,7 @@ from repro.analysis.parallel import (
 from repro.analysis.sweeps import saturation_throughput, sweep
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.noc.network import ICNoCNetwork
 from repro.traffic.patterns import UniformRandom
 
 
@@ -24,7 +24,7 @@ def square_metrics(value):
     return {"square": float(value * value)}
 
 
-TREE16 = NetworkConfig(leaves=16, arity=2)
+TREE16 = FabricConfig(ports=16, arity=2)
 
 
 class TestPointSeed:

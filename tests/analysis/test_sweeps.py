@@ -8,12 +8,13 @@ from repro.analysis.sweeps import (
     sweep,
 )
 from repro.errors import ConfigurationError
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.traffic.patterns import NeighbourTraffic, UniformRandom
 
 
 def tree16():
-    return ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+    return ICNoCNetwork(FabricConfig(ports=16, arity=2))
 
 
 class TestSweep:

@@ -30,9 +30,9 @@ class TestConfig:
             ICNoCConfig(topology="torus")
 
     def test_network_config_propagation(self):
-        net_config = ICNoCConfig(ports=16, topology="quad").network_config()
-        assert net_config.leaves == 16
-        assert net_config.arity == 4
+        spec = ICNoCConfig(ports=16, topology="quad").fabric_config()
+        assert spec.ports == 16
+        assert spec.arity == 4
 
 
 class TestTiming:
@@ -69,6 +69,17 @@ class TestTraffic:
         assert stats.packets_delivered == stats.packets_injected
         assert stats.latency.mean > 0.0
 
+    def test_repeated_runs_do_not_double_count_gating(self):
+        """gating_stats() is cumulative, so stats.gating is assigned, not
+        merged: a second run on one ICNoC used to add the first run's
+        edges in again (22096 reported against 14792 counted)."""
+        noc = ICNoC(ICNoCConfig(ports=16))
+        generator = UniformRandom(ports=16, load=0.1)
+        for seed in (1, 2):
+            stats = noc.run_traffic(generator, cycles=50, seed=seed)
+            assert stats.gating == noc.network.gating_stats()
+        assert stats.gating.edges_total > 0
+
     def test_direct_send(self):
         noc = ICNoC(ICNoCConfig(ports=16))
         noc.send(Packet(src=0, dest=9))
@@ -89,8 +100,8 @@ class TestArea:
 
 class TestFabricBridge:
     def test_fabric_config_builds_the_same_tree(self):
-        """The registry bridge must stay in sync with the facade's own
-        network_config: same structure, same floorplan inputs."""
+        """The facade builds its tree from exactly the registry spec
+        it hands to sweeps: same structure, same floorplan inputs."""
         from repro.core.config import ICNoCConfig
         config = ICNoCConfig(ports=16, topology="quad",
                              max_segment_mm=2.0)
@@ -98,11 +109,12 @@ class TestFabricBridge:
         assert spec.topology == "tree"
         assert spec.clock_distribution == "integrated"
         net = spec.build()
-        expected = config.network_config()
-        assert net.config.leaves == expected.leaves
-        assert net.config.arity == expected.arity
-        assert net.config.max_segment_mm == expected.max_segment_mm
-        assert net.config.chip_width_mm == expected.chip_width_mm
+        expected = ICNoC(config).network
+        assert net.config == expected.config
+        assert net.topology.leaves == expected.topology.leaves == 16
+        assert net.config.arity == 4
+        assert net.config.max_segment_mm == 2.0
+        assert net.floorplan.link_lengths == expected.floorplan.link_lengths
 
     def test_tree_alias_accepted(self):
         from repro.core.config import ICNoCConfig

@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.fabric.ctree import ConcentratedTreeNetwork
 from repro.fabric.registry import FabricConfig, build_fabric
-from repro.noc.network import NetworkConfig
 from repro.noc.packet import Packet
 
 
@@ -143,12 +141,11 @@ class TestConcentratedTree:
         ctree = build_fabric("ctree", ports=16, concentration=4)
         tree = build_fabric("tree", ports=16)
         assert len(ctree.routers) < len(tree.routers)
-        assert ctree.endpoints == tree.config.leaves
+        assert ctree.endpoints == tree.topology.leaves
 
     def test_concentration_validated(self):
         with pytest.raises(ConfigurationError):
-            ConcentratedTreeNetwork(NetworkConfig(leaves=4),
-                                    concentration=0)
+            FabricConfig(topology="ctree", ports=4, concentration=0)
 
     def test_describe_mentions_concentration(self):
         net = build_fabric("ctree", ports=16, concentration=4)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.latency_model import zero_load_latency_ticks
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.topology import TreeTopology
 from repro.physical.power import _tree_path_links
@@ -27,7 +28,7 @@ class TestModelVsSimulation:
     def test_latency_model_random_pairs(self, src, dest, flits):
         if src == dest:
             return
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
         payload = list(range(flits)) if flits > 1 else []
         net.send(Packet(src=src, dest=dest, payload=payload))
         assert net.drain(20_000)
@@ -40,7 +41,7 @@ class TestStructuralVsGeometric:
         """The energy model's per-path link list must cover exactly the
         links the router-path implies: hops+1 links (two leaf stubs plus
         one link per adjacent router pair)."""
-        net = ICNoCNetwork(NetworkConfig(leaves=32, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=32, arity=2))
         topo = net.topology
         for src, dest in ((0, 1), (0, 31), (5, 20), (16, 17)):
             hops = topo.hop_count(src, dest)
@@ -49,7 +50,7 @@ class TestStructuralVsGeometric:
 
     def test_total_wire_equals_sum_of_levels(self):
         """Floorplan total equals the closed-form H-tree series."""
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         # levels: 2@2.5 + 4@2.5 + 8@1.25 + 16@1.25 + 32@0.625 + 64@0.625
         expected = 2 * 2.5 + 4 * 2.5 + 8 * 1.25 + 16 * 1.25 \
             + 32 * 0.625 + 64 * 0.625
@@ -62,7 +63,7 @@ class TestFrequencyConsistency:
     def test_operating_point_is_fixed_point(self):
         """f_op derived from the longest segment must be reproduced when
         the segment implied by f_op is fed back through the model."""
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         f_op = net.operating_frequency_ghz()
         segment = net.longest_segment_mm()
         assert pipeline_max_frequency(segment) == pytest.approx(f_op)
@@ -71,7 +72,7 @@ class TestFrequencyConsistency:
     @settings(max_examples=15, deadline=None)
     @given(st.floats(min_value=0.5, max_value=2.4))
     def test_segment_cap_never_exceeds_requested(self, cap):
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2,
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=2,
                                          max_segment_mm=cap))
         assert net.longest_segment_mm() <= cap + 1e-9
 

@@ -7,7 +7,7 @@ from repro.clocking.variation import VariationModel, perturb_channels
 from repro.core.config import ICNoCConfig
 from repro.core.icnoc import ICNoC
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.noc.network import ICNoCNetwork
 from repro.tech.flipflop import FF_90NM
 from repro.timing.validator import channels_max_frequency, validate_channels
 from repro.traffic.base import apply_traffic
@@ -19,7 +19,7 @@ class TestTimingPipeline:
     def test_variation_then_revalidation_roundtrip(self):
         """Perturb a real network's channels; the solver's f_max is exactly
         the boundary of validity for the perturbed instance."""
-        net = ICNoCNetwork(NetworkConfig(leaves=32, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=32, arity=2))
         rng = np.random.default_rng(0)
         model = VariationModel(systematic_sigma=0.1, random_sigma=0.2)
         perturbed = perturb_channels(net.channel_specs, model, rng)
@@ -44,7 +44,7 @@ class TestTrafficIntegration:
         sanity check for the latency-load bench."""
         means = []
         for load in (0.02, 0.10, 0.30):
-            net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+            net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
             gen = UniformRandom(ports=16, load=load)
             schedule = gen.generate(300, np.random.default_rng(7))
             apply_traffic(net, schedule, run_cycles=300)
@@ -59,7 +59,7 @@ class TestTrafficIntegration:
             ("uniform", UniformRandom(ports=16, load=0.1)),
             ("local", NeighbourTraffic(ports=16, load=0.1, locality=0.9)),
         ):
-            net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+            net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
             schedule = gen.generate(300, np.random.default_rng(3))
             apply_traffic(net, schedule, run_cycles=300)
             results[name] = net.stats.latency.mean
@@ -70,7 +70,7 @@ class TestTrafficIntegration:
         idle for long stretches, and the flow control turns that into
         gated clock edges."""
         def gating_for(gen, seed=5):
-            net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+            net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
             schedule = gen.generate(400, np.random.default_rng(seed))
             apply_traffic(net, schedule, run_cycles=400)
             return net.gating_stats().gating_ratio
@@ -86,7 +86,7 @@ class TestTrafficIntegration:
         apples-to-apples harness the comparison benches rely on."""
         gen = UniformRandom(ports=16, load=0.05)
         schedule = gen.generate(200, np.random.default_rng(11))
-        tree = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+        tree = ICNoCNetwork(FabricConfig(ports=16, arity=2))
         mesh = FabricConfig(topology="mesh", ports=16, rows=4).build()
         apply_traffic(tree, schedule, run_cycles=200)
         apply_traffic(mesh, schedule, run_cycles=200)
@@ -99,7 +99,7 @@ class TestClockIntegration:
         """Clock arrival spread from the real 64-leaf network lowers the
         supply peak vs a zero-skew chip."""
         from repro.physical.peak_current import peak_current_ratio
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         arrivals = []
         period = 1000.0
         for name, delay in net.clock_tree.arrival_times().items():
@@ -114,7 +114,7 @@ class TestClockIntegration:
             balanced_tree_clock_power_mw,
             forwarded_clock_power_mw,
         )
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         wire = net.floorplan.total_link_length_mm()
         sinks = len(net.clock_tree)
         balanced = balanced_tree_clock_power_mw(wire, sinks, 1.0)

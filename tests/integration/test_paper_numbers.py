@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.config import ICNoCConfig
 from repro.core.icnoc import ICNoC
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.tech.flipflop import FF_90NM
 from repro.tech.technology import TECH_90NM
 from repro.timing.frequency import (
@@ -60,8 +61,8 @@ class TestSection6Routers:
 
     def test_router_latencies(self):
         """'2 1/2 cycles per 5x5 router and 1 1/2 cycle per 3x3 router.'"""
-        net2 = ICNoCNetwork(NetworkConfig(leaves=4, arity=2))
-        net4 = ICNoCNetwork(NetworkConfig(leaves=16, arity=4))
+        net2 = ICNoCNetwork(FabricConfig(ports=4, arity=2))
+        net4 = ICNoCNetwork(FabricConfig(ports=16, arity=4))
         assert net2.routers[0].forward_latency_ticks == 3   # 1.5 cycles
         assert net4.routers[0].forward_latency_ticks == 5   # 2.5 cycles
 
@@ -94,16 +95,16 @@ class TestSection6QuadVsBinary:
     def test_binary_better_adjacent_leaf_latency(self):
         """'the latency between adjacent leaf nodes is shorter; only 1 1/2
         cycles vs 2 1/2 cycles in a quad tree.'"""
-        binary = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
-        quad = ICNoCNetwork(NetworkConfig(leaves=64, arity=4))
+        binary = ICNoCNetwork(FabricConfig(ports=64, arity=2))
+        quad = ICNoCNetwork(FabricConfig(ports=64, arity=4))
         assert binary.routers[0].forward_latency_ticks < \
             quad.routers[0].forward_latency_ticks
 
     def test_binary_root_links_shorter(self):
         """'the routers are more evenly spread out in a binary tree, so
         that links near the root are shorter'."""
-        binary = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
-        quad = ICNoCNetwork(NetworkConfig(leaves=64, arity=4))
+        binary = ICNoCNetwork(FabricConfig(ports=64, arity=2))
+        quad = ICNoCNetwork(FabricConfig(ports=64, arity=4))
         assert binary.floorplan.longest_link_mm() < \
             quad.floorplan.longest_link_mm()
 

@@ -15,7 +15,8 @@ still validates at the operating point.
 import numpy as np
 import pytest
 
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.tech.flipflop import FF_90NM
 from repro.timing.validator import validate_channels
 from repro.traffic.base import apply_traffic
@@ -23,8 +24,8 @@ from repro.traffic.patterns import UniformRandom
 
 
 def run_network(chip_mm, max_segment_mm, seed=21):
-    net = ICNoCNetwork(NetworkConfig(
-        leaves=16, arity=2, chip_width_mm=chip_mm, chip_height_mm=chip_mm,
+    net = ICNoCNetwork(FabricConfig(
+        ports=16, arity=2, chip_width_mm=chip_mm, chip_height_mm=chip_mm,
         max_segment_mm=max_segment_mm,
     ))
     gen = UniformRandom(ports=16, load=0.1)
@@ -63,7 +64,7 @@ class TestSynchronousPerspective:
         """The 64-leaf demonstrator accumulates ~3/4 ns of clock skew
         root-to-leaf — more than half a clock period — yet no cycle-level
         quantity anywhere depends on it."""
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         max_skew = net.clock_tree.max_skew()
         assert max_skew > 500.0  # ps: huge by global-clock standards
         # Per-hop (the only thing that matters locally) stays tiny.

@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.noc.floorplan import floorplan_for
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.topology import TreeTopology
 
 
@@ -24,8 +25,8 @@ class TestConstructionInvariants:
         """The defining clocking property: every producer/consumer pair of
         every handshake channel sits on opposite clock edges."""
         arity, leaves, chip, segment = shape
-        net = ICNoCNetwork(NetworkConfig(
-            leaves=leaves, arity=arity, chip_width_mm=chip,
+        net = ICNoCNetwork(FabricConfig(
+            ports=leaves, arity=arity, chip_width_mm=chip,
             chip_height_mm=chip, max_segment_mm=segment,
         ))
         # Index channels by producer and consumer component parity.
@@ -55,8 +56,8 @@ class TestConstructionInvariants:
     @given(network_shapes())
     def test_clock_tree_covers_all_clocked_elements(self, shape):
         arity, leaves, chip, segment = shape
-        net = ICNoCNetwork(NetworkConfig(
-            leaves=leaves, arity=arity, chip_width_mm=chip,
+        net = ICNoCNetwork(FabricConfig(
+            ports=leaves, arity=arity, chip_width_mm=chip,
             chip_height_mm=chip, max_segment_mm=segment,
         ))
         for router in net.routers:
@@ -71,8 +72,8 @@ class TestConstructionInvariants:
     @given(network_shapes())
     def test_segmentation_respects_cap(self, shape):
         arity, leaves, chip, segment = shape
-        net = ICNoCNetwork(NetworkConfig(
-            leaves=leaves, arity=arity, chip_width_mm=chip,
+        net = ICNoCNetwork(FabricConfig(
+            ports=leaves, arity=arity, chip_width_mm=chip,
             chip_height_mm=chip, max_segment_mm=segment,
         ))
         assert net.longest_segment_mm() <= segment + 1e-9
@@ -81,8 +82,8 @@ class TestConstructionInvariants:
     @given(network_shapes())
     def test_channel_specs_match_segment_count(self, shape):
         arity, leaves, chip, segment = shape
-        net = ICNoCNetwork(NetworkConfig(
-            leaves=leaves, arity=arity, chip_width_mm=chip,
+        net = ICNoCNetwork(FabricConfig(
+            ports=leaves, arity=arity, chip_width_mm=chip,
             chip_height_mm=chip, max_segment_mm=segment,
         ))
         # Two specs (down/up) per physical segment; every spec nominally

@@ -11,7 +11,8 @@ from repro.noc.debug import (
 )
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.handshake import HandshakeChannel
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.pipeline import build_pipeline
 from repro.sim.component import ClockedComponent
@@ -90,7 +91,7 @@ class TestProtocolMonitor:
             kernel.run_ticks(10)
 
     def test_whole_network_instrumented_run_is_clean(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         monitors = attach_monitors(net)
         assert len(monitors) == 7 * 6  # 7 routers x 3 ports x 2 directions
         for src in range(8):
@@ -101,13 +102,13 @@ class TestProtocolMonitor:
 
 class TestDeadlockWatchdog:
     def test_quiet_network_never_fires(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=4, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=4, arity=2))
         watchdog = attach_watchdog(net, patience_ticks=100)
         net.run_ticks(500)  # idle: nothing pending
         assert not watchdog.fired
 
     def test_progressing_network_never_fires(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         watchdog = attach_watchdog(net, patience_ticks=50)
         for src in range(8):
             net.send(Packet(src=src, dest=(src + 1) % 8))
@@ -132,7 +133,7 @@ class TestDeadlockWatchdog:
         postponing the verdict — only deliveries are progress."""
         from repro.noc.faults import FaultKind, inject_link_fault
 
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         inject_link_fault(net, FaultKind.DROP_FLITS, stage_index=0)
         watchdog = attach_watchdog(net, patience_ticks=500)
         with pytest.raises(SimulationError, match="no progress"):
@@ -146,7 +147,7 @@ class TestDeadlockWatchdog:
     def test_dormant_watchdog_keeps_quiescence(self):
         """An idle network's watchdog goes dormant after one expiry
         instead of stepping the kernel every patience window."""
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         watchdog = attach_watchdog(net, patience_ticks=100)
         net.send(Packet(src=0, dest=5))
         assert net.drain(10_000)
@@ -162,7 +163,7 @@ class TestDeadlockWatchdog:
         watchdog, which then still catches a stall."""
         from repro.noc.faults import FaultKind, inject_link_fault
 
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         inject_link_fault(net, FaultKind.DROP_FLITS, stage_index=0)
         watchdog = attach_watchdog(net, patience_ticks=300)
         net.run_ticks(5_000)  # idle: expire once, go dormant

@@ -6,7 +6,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.noc.debug import attach_watchdog
 from repro.noc.faults import FaultInjector, FaultKind, inject_link_fault
 from repro.noc.flit import Flit, FlitKind
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.pipeline import build_pipeline
 from repro.sim.kernel import SimKernel
@@ -32,7 +33,7 @@ class TestStuckStall:
         assert len(delivered) < 20
 
     def test_watchdog_fires_on_network_fault(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         attach_watchdog(net, patience_ticks=300)
         # Link stage 0 is the root -> left-child downward stage, so break
         # it and route right-half sources to left-half destinations.
@@ -73,7 +74,7 @@ class TestDropFlits:
 
 class TestCorruptDest:
     def test_misroute_detected_by_delivery_accounting(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         inject_link_fault(net, FaultKind.CORRUPT_DEST, stage_index=0,
                           corrupt_dest_to=5)
         # Traffic crossing the root -> left-child downward stage.
@@ -101,12 +102,12 @@ class TestValidation:
             FaultInjector(stages[0], FaultKind.DROP_FLITS, from_tick=-1)
 
     def test_bad_stage_index_rejected(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         with pytest.raises(ConfigurationError):
             inject_link_fault(net, FaultKind.DROP_FLITS, stage_index=999)
 
     def test_network_without_link_stages_rejected(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=4, arity=2,
+        net = ICNoCNetwork(FabricConfig(ports=4, arity=2,
                                          chip_width_mm=2.0,
                                          chip_height_mm=2.0))
         assert not net.link_stages

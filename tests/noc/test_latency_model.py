@@ -10,7 +10,8 @@ from repro.noc.latency_model import (
     zero_load_latency_cycles,
     zero_load_latency_ticks,
 )
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 
 
@@ -29,7 +30,7 @@ class TestExactAgreement:
             for dest in range(8):
                 if src == dest:
                     continue
-                net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+                net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
                 measure(net, src, dest)
                 predicted = zero_load_latency_ticks(net, src, dest)
                 simulated = net.delivered[0].latency_ticks
@@ -40,7 +41,7 @@ class TestExactAgreement:
             for dest in range(16):
                 if src == dest:
                     continue
-                net = ICNoCNetwork(NetworkConfig(leaves=16, arity=4))
+                net = ICNoCNetwork(FabricConfig(ports=16, arity=4))
                 measure(net, src, dest)
                 assert net.delivered[0].latency_ticks == \
                     zero_load_latency_ticks(net, src, dest), (src, dest)
@@ -48,14 +49,14 @@ class TestExactAgreement:
     def test_64_leaf_with_link_stages(self):
         """Paths crossing the pipelined 2.5 mm root links."""
         for src, dest in ((0, 63), (31, 32), (0, 1), (15, 48)):
-            net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+            net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
             measure(net, src, dest)
             assert net.delivered[0].latency_ticks == \
                 zero_load_latency_ticks(net, src, dest), (src, dest)
 
     def test_multiflit_packets(self):
         for flits in (1, 2, 5, 9):
-            net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+            net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
             measure(net, 0, 7, flits=flits)
             assert net.delivered[0].latency_ticks == \
                 zero_load_latency_ticks(net, 0, 7, flits=flits)
@@ -63,40 +64,40 @@ class TestExactAgreement:
 
 class TestModelStructure:
     def test_link_stage_count_cross_root(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         # 0 -> 63 climbs through a level-2 and level-1 link (1 stage each)
         # and descends the mirror pair: 4 stages.
         assert path_link_stage_count(net, 0, 63) == 4
 
     def test_link_stage_count_sibling(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         assert path_link_stage_count(net, 0, 1) == 0
 
     def test_flits_add_full_cycles(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         one = zero_load_latency_ticks(net, 0, 7, flits=1)
         four = zero_load_latency_ticks(net, 0, 7, flits=4)
         assert four == one + 6
 
     def test_same_leaf_rejected(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         with pytest.raises(TopologyError):
             zero_load_latency_ticks(net, 3, 3)
 
     def test_zero_flits_rejected(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         with pytest.raises(TopologyError):
             zero_load_latency_ticks(net, 0, 1, flits=0)
 
 
 class TestAggregates:
     def test_worst_case_is_cross_tree(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
         worst = worst_case_latency_cycles(net)
         assert worst == zero_load_latency_cycles(net, 0, 15)
 
     def test_mean_between_best_and_worst(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
         mean = mean_latency_cycles_uniform(net)
         best = zero_load_latency_cycles(net, 0, 1)
         worst = worst_case_latency_cycles(net)

@@ -3,19 +3,20 @@
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 
 
 @pytest.fixture(scope="module")
 def net16():
     """A small binary network shared by read-only tests."""
-    return ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+    return ICNoCNetwork(FabricConfig(ports=16, arity=2))
 
 
 class TestConstruction:
     def test_demonstrator_shape(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         assert net.topology.router_count == 63
         assert len(net.nis) == 64
         # Root and level-2 links (2.5 mm) get one stage per direction.
@@ -23,7 +24,7 @@ class TestConstruction:
         assert net.pipeline_stage_count == 12 + 64
 
     def test_quad_shape(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=4))
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=4))
         assert net.topology.router_count == 5
         assert net.topology.router_ports == 5
 
@@ -31,23 +32,25 @@ class TestConstruction:
         assert net16.longest_segment_mm() <= 1.25 + 1e-9
 
     def test_operating_frequency_near_1ghz(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         assert net.operating_frequency_ghz() == pytest.approx(1.0, rel=0.01)
 
     def test_smaller_chip_runs_faster(self):
         # Shorter links -> shorter segments -> higher f (up to router cap).
-        small = ICNoCNetwork(NetworkConfig(leaves=16, arity=2,
+        small = ICNoCNetwork(FabricConfig(ports=16, arity=2,
                                            chip_width_mm=4.0,
                                            chip_height_mm=4.0))
         assert small.operating_frequency_ghz() > 1.0
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ConfigurationError):
-            NetworkConfig(arbiter_policy="magic")
+            ICNoCNetwork(FabricConfig(ports=16),
+                         arbiter_policy="magic")
 
     def test_local_priority_needs_binary(self):
         with pytest.raises(ConfigurationError):
-            NetworkConfig(arity=4, arbiter_policy="local_priority")
+            ICNoCNetwork(FabricConfig(ports=16, arity=4),
+                         arbiter_policy="local_priority")
 
 
 class TestClockDistribution:
@@ -113,7 +116,7 @@ class TestChannelSpecs:
 
 class TestDelivery:
     def test_single_packet(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         net.send(Packet(src=0, dest=7, payload=[42]))
         assert net.drain(5000)
         delivered = net.delivered
@@ -123,7 +126,7 @@ class TestDelivery:
     def test_all_pairs_deliver(self):
         """Every (src, dest) pair reaches its destination — routing
         correctness over the whole tree."""
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         expected = {}
         for src in range(8):
             for dest in range(8):
@@ -136,7 +139,7 @@ class TestDelivery:
         assert seen == expected
 
     def test_delivered_at_correct_ni(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         net.send(Packet(src=1, dest=6))
         net.drain(5000)
         assert len(net.nis[6].delivered) == 1
@@ -144,14 +147,14 @@ class TestDelivery:
             assert net.nis[leaf].delivered == []
 
     def test_latency_recorded(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         net.send(Packet(src=0, dest=1))
         net.drain(5000)
         assert net.stats.packets_delivered == 1
         assert net.stats.latencies_cycles[0] > 0.0
 
     def test_sibling_beats_cross_tree(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
         sibling = Packet(src=0, dest=1)
         cross = Packet(src=0, dest=15)
         net.send(sibling)
@@ -169,7 +172,7 @@ class TestDelivery:
             net16.send(Packet(src=0, dest=99))
 
     def test_handler_called(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         calls = []
         net.set_handler(5, lambda packet, tick: calls.append(
             (packet.src, tick)
@@ -180,7 +183,7 @@ class TestDelivery:
         assert calls[0][0] == 2
 
     def test_hop_counts_recorded(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         net.send(Packet(src=0, dest=1))  # sibling: 1 hop
         net.drain(5000)
         assert net.stats.hop_counts == [1]
@@ -189,7 +192,7 @@ class TestDelivery:
 class TestZeroLoadLatency:
     def test_sibling_latency_is_router_plus_interfaces(self):
         """One 3x3 router (1.5 cycles) + NI launch + leaf links."""
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         net.send(Packet(src=0, dest=1))
         net.drain(5000)
         latency = net.delivered[0].latency_cycles
@@ -199,7 +202,7 @@ class TestZeroLoadLatency:
         assert 1.5 <= latency <= 5.0
 
     def test_worst_case_scales_with_hops(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
         net.send(Packet(src=0, dest=63))
         net.drain(5000)
         latency_cycles = net.delivered[0].latency_cycles

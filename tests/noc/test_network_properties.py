@@ -3,7 +3,8 @@ exactly once, in per-source order, with correct payloads."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 
 
@@ -27,7 +28,7 @@ class TestNetworkInvariants:
     @given(traffic())
     def test_exactly_once_delivery(self, case):
         leaves, packet_specs = case
-        net = ICNoCNetwork(NetworkConfig(leaves=leaves, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=leaves, arity=2))
         sent = {}
         for src, dest, payload in packet_specs:
             packet = Packet(src=src, dest=dest, payload=payload)
@@ -48,7 +49,7 @@ class TestNetworkInvariants:
         """Wormhole + deterministic routing preserve order between any
         fixed (src, dest) pair."""
         leaves, packet_specs = case
-        net = ICNoCNetwork(NetworkConfig(leaves=leaves, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=leaves, arity=2))
         order = {}
         for src, dest, payload in packet_specs:
             packet = Packet(src=src, dest=dest, payload=payload)
@@ -70,7 +71,7 @@ class TestNetworkInvariants:
     def test_quad_tree_uniform_burst(self, seed):
         import numpy as np
         rng = np.random.default_rng(seed)
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=4))
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=4))
         n = 20
         for _ in range(n):
             src = int(rng.integers(0, 16))

@@ -4,10 +4,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.mesh.topology import MeshTopology
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.topology import TreeTopology
 from repro.physical.area import (
-    icnoc_area_report,
+    area_report,
     mesh_noc_area,
     tree_noc_area,
 )
@@ -43,19 +44,19 @@ class TestDemonstratorArea:
     def test_total_close_to_paper(self):
         """Paper: 'The total area of the NoC is 0.73 mm^2' — our stage
         accounting lands within a few percent."""
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
-        report = icnoc_area_report(net)
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
+        report = area_report(net)
         assert report.total_mm2 == pytest.approx(0.73, rel=0.03)
 
     def test_chip_fraction_close_to_paper(self):
         """'only 0.73% of the chip area'."""
-        net = ICNoCNetwork(NetworkConfig(leaves=64, arity=2))
-        report = icnoc_area_report(net)
+        net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
+        report = area_report(net)
         assert report.chip_fraction == pytest.approx(0.0073, rel=0.03)
 
     def test_describe_renders(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
-        assert "mm^2" in icnoc_area_report(net).describe()
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
+        assert "mm^2" in area_report(net).describe()
 
 
 class TestQuadVsBinaryArea:

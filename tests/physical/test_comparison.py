@@ -2,8 +2,17 @@
 
 import pytest
 
+from repro.clocking.power import (
+    balanced_tree_clock_power_mw,
+    forwarded_clock_power_mw,
+)
 from repro.errors import ConfigurationError
-from repro.fabric.registry import build_fabric, get_topology, topology_names
+from repro.fabric.registry import (
+    FabricConfig,
+    build_fabric,
+    get_topology,
+    topology_names,
+)
 from repro.noc.packet import Packet
 from repro.physical.comparison import physical_comparison_rows
 from repro.physical.descriptor import physical_model
@@ -65,6 +74,33 @@ class TestComparisonTable:
         for row in rows16:
             entry = get_topology(row.topology)
             assert row.clock_distribution == entry.default_clocking
+
+    @pytest.mark.parametrize("name, scheme", [
+        (name, scheme) for name in topology_names()
+        if len(get_topology(name).clock_distribution) > 1
+        for scheme in get_topology(name).clock_distribution])
+    def test_requested_clocking_reaches_the_descriptor(self, name, scheme):
+        """A tree asked to run mesochronous used to be priced as
+        integrated: its config was translated into a second spec type
+        that dropped the field, and the descriptor guessed."""
+        net = FabricConfig(topology=name, ports=16, clocking=scheme).build()
+        net.send(Packet(src=0, dest=15))
+        assert net.drain()
+        model = physical_model(net)
+        assert model.clock_distribution == scheme
+        shape = dict(sinks=model.clock_sink_count(), frequency=1.0,
+                     tech=model.tech)
+        if scheme == "integrated":
+            expected = forwarded_clock_power_mw(
+                model.clock_wire_mm(),
+                sink_activity=net.gating_stats().activity, **shape)
+        else:
+            expected = balanced_tree_clock_power_mw(
+                model.clock_wire_mm(), **shape)
+        assert model.clock_power(1.0) == expected
+        report = RunEnergyReport.from_run(net, frequency_ghz=1.0)
+        assert report.clock_pj == pytest.approx(
+            expected.total_mw * net.stats.elapsed_cycles)
 
     def test_all_costs_positive(self, rows16):
         for row in rows16:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.physical.power import (
     link_energy_pj_per_flit,
@@ -13,7 +14,7 @@ from repro.physical.report import RunEnergyReport, run_energy_report
 
 
 def run_one_packet(src=0, dest=1, flits=1, leaves=8):
-    net = ICNoCNetwork(NetworkConfig(leaves=leaves, arity=2))
+    net = ICNoCNetwork(FabricConfig(ports=leaves, arity=2))
     payload = list(range(flits)) if flits > 1 else []
     net.send(Packet(src=src, dest=dest, payload=payload))
     assert net.drain(20_000)

@@ -7,7 +7,8 @@ import pytest
 
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.handshake import HandshakeChannel
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.pipeline import (
     PipelineStage,
@@ -80,8 +81,8 @@ class TestSleepWakeEquivalence:
         """Same schedule through fast and naive 16-leaf trees: identical
         deliveries, latencies, and clock-gating counts."""
         def run(activity_driven):
-            net = ICNoCNetwork(NetworkConfig(
-                leaves=16, arity=2, activity_driven=activity_driven))
+            net = ICNoCNetwork(FabricConfig(
+                ports=16, arity=2, activity_driven=activity_driven))
             gen = UniformRandom(16, 0.2)
             schedule = gen.generate(80, np.random.default_rng(7))
             for injection in schedule:
@@ -147,7 +148,7 @@ class TestWake:
 
     def test_network_reinjection_after_idle(self):
         """An idle network must accept and deliver late traffic."""
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
         net.send(Packet(src=0, dest=5))
         assert net.drain(max_ticks=10_000)
         net.run_ticks(5_000)  # long quiet tail, everything asleep
@@ -235,8 +236,8 @@ class TestMidStepWake:
         """The production shape of mid-step wakes: a delivery hook
         submits a response packet while the kernel is mid-tick."""
         def run(activity_driven):
-            net = ICNoCNetwork(NetworkConfig(
-                leaves=16, arity=2, activity_driven=activity_driven))
+            net = ICNoCNetwork(FabricConfig(
+                ports=16, arity=2, activity_driven=activity_driven))
             for dest in range(1, 5):
                 def respond(packet, tick, dest=dest):
                     net.send(Packet(src=dest, dest=0))

@@ -5,7 +5,8 @@ import pytest
 
 from repro.noc.debug import DeadlockWatchdog, attach_monitors, attach_watchdog
 from repro.noc.flit import Flit, FlitKind
-from repro.noc.network import ICNoCNetwork, NetworkConfig
+from repro.fabric.registry import FabricConfig
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.pipeline import build_pipeline
 from repro.sim.component import ClockedComponent
@@ -172,7 +173,7 @@ class TestEvents:
         assert seen == [(0, "x")]
 
     def test_network_emits_inject_flit_and_packet(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         events = {"inject": 0, "flit": 0, "packet": 0}
         for name in events:
             def count(tick, data, name=name):
@@ -197,7 +198,7 @@ class TestEvents:
         assert ("w", "p.src") in names
 
     def test_throughput_meter_counts_flit_events(self):
-        net = ICNoCNetwork(NetworkConfig(leaves=8, arity=2))
+        net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         meter = ThroughputMeter(net.kernel, event="flit")
         net.send(Packet(src=0, dest=5, payload=[1, 2]))
         assert net.drain(10_000)
@@ -261,8 +262,8 @@ class TestInstrumentedEquivalence:
 
     def test_monitored_network_identical_and_fast_forwards(self):
         def run(activity_driven):
-            net = ICNoCNetwork(NetworkConfig(
-                leaves=16, arity=2, activity_driven=activity_driven))
+            net = ICNoCNetwork(FabricConfig(
+                ports=16, arity=2, activity_driven=activity_driven))
             monitors = attach_monitors(net)
             attach_watchdog(net, patience_ticks=1_000)
             for src in range(8):

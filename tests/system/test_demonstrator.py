@@ -71,11 +71,12 @@ class TestRun:
         accessing its local memory'. Flood one tile's memory with remote
         requests; the local processor's requests must still cross at their
         unloaded latency."""
-        from repro.noc.network import ICNoCNetwork, NetworkConfig
+        from repro.fabric.registry import FabricConfig
+        from repro.noc.network import ICNoCNetwork
         from repro.noc.packet import Packet
 
-        net = ICNoCNetwork(NetworkConfig(leaves=16, arity=2,
-                                         arbiter_policy="local_priority"))
+        net = ICNoCNetwork(FabricConfig(ports=16, arity=2),
+                           arbiter_policy="local_priority")
         # Unloaded reference: one local request, nothing else.
         reference = Packet(src=0, dest=1)
         net.send(reference)
@@ -107,7 +108,7 @@ class TestRun:
 
     def test_uses_local_priority_arbiters(self, small_run):
         system, _ = small_run
-        assert system.network.config.arbiter_policy == "local_priority"
+        assert system.network.arbiter_policy == "local_priority"
 
     def test_deterministic_given_seed(self):
         a = DemonstratorSystem(DemonstratorConfig(tiles=4, seed=5)).run(200)

@@ -15,6 +15,8 @@ from repro.traffic.trace import (
     replay_trace,
 )
 
+HEADER = json.dumps({"schema": TRACE_SCHEMA, "version": TRACE_VERSION}) + "\n"
+
 
 class TestTrace:
     def test_roundtrip(self, tmp_path):
@@ -45,6 +47,7 @@ class TestTrace:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
         path.write_text(
+            HEADER +
             '{"cycle": 0, "src": 1, "dest": 2, "size_flits": 1}\n'
             '\n'
             '{"cycle": 1, "src": 2, "dest": 1, "size_flits": 3}\n'
@@ -53,15 +56,16 @@ class TestTrace:
 
     def test_corrupt_line_reported_with_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"cycle": 0, "src": 1, "dest": 2, "size_flits": 1}\n'
+        path.write_text(HEADER +
+                        '{"cycle": 0, "src": 1, "dest": 2, "size_flits": 1}\n'
                         'not json\n')
-        with pytest.raises(ConfigurationError, match="line 2"):
+        with pytest.raises(ConfigurationError, match="line 3"):
             replay_trace(path)
 
     def test_missing_key_reported(self, tmp_path):
         path = tmp_path / "missing.jsonl"
-        path.write_text('{"cycle": 0, "src": 1}\n')
-        with pytest.raises(ConfigurationError):
+        path.write_text(HEADER + '{"cycle": 0, "src": 1}\n')
+        with pytest.raises(ConfigurationError, match="missing key"):
             replay_trace(path)
 
 
@@ -93,10 +97,14 @@ class TestSchemaVersion:
         with pytest.raises(ConfigurationError, match="schema"):
             replay_trace(path)
 
-    def test_legacy_headerless_files_still_load(self, tmp_path):
+    def test_headerless_file_rejected(self, tmp_path):
+        """One rule for both loaders (cf. the accel trace's
+        ``test_missing_header_rejected``): no header, no load."""
         path = tmp_path / "legacy.jsonl"
         path.write_text(
             '{"cycle": 0, "src": 1, "dest": 2, "size_flits": 1}\n')
-        assert replay_trace(path) == [
-            Injection(cycle=0, src=1, dest=2, size_flits=1)
-        ]
+        with pytest.raises(ConfigurationError) as err:
+            replay_trace(path)
+        message = str(err.value)
+        assert "legacy.jsonl" in message
+        assert f"first line naming schema {TRACE_SCHEMA!r}" in message
