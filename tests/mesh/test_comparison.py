@@ -94,3 +94,40 @@ class TestEnergy:
         assert row64.tree_energy_pj > 0.0
         assert row64.mesh_energy_pj > 0.0
         assert row64.tree_energy_local_pj > 0.0
+
+
+class TestSection3Golden:
+    """The Section 3 numbers themselves, not just their ordering — pinned
+    so the tables can be re-derived without moving any of them."""
+
+    REL = 1e-12
+
+    def test_energy_table_64(self):
+        table = tree_mesh_energy_table(64, chip_mm=10.0)
+        golden = {
+            "tree_uniform_pj": 47.11984073219782,
+            "mesh_uniform_pj": 33.158666018562414,
+            "tree_local_pj": 12.983968099639565,   # locality 0.8
+            "mesh_local_pj": 14.973533043437481,
+            "crossover_locality": 0.75,
+        }
+        for key, value in golden.items():
+            assert table[key] == pytest.approx(value, rel=self.REL), key
+
+    @pytest.mark.parametrize("ports, tree_mm2, mesh_mm2", [
+        (16, 0.1919999805, 0.5077333032),
+        (64, 0.7439999181, 2.35519986),
+        (256, 2.9519996685, 10.0821327336),
+    ])
+    def test_total_area(self, ports, tree_mm2, mesh_mm2):
+        row = compare_topologies(ports, chip_mm=10.0, include_energy=False)
+        assert row.tree_area_mm2 == pytest.approx(tree_mm2, rel=self.REL)
+        assert row.mesh_area_mm2 == pytest.approx(mesh_mm2, rel=self.REL)
+
+    def test_routers_and_hops_64(self, row64):
+        assert (row64.tree_routers, row64.mesh_routers) == (63, 64)
+        assert (row64.tree_worst_hops, row64.mesh_worst_hops) == (11, 15)
+        assert row64.tree_avg_hops == pytest.approx(9.19047619047619,
+                                                    rel=self.REL)
+        assert row64.mesh_avg_hops == pytest.approx(6.333333333333333,
+                                                    rel=self.REL)
