@@ -17,7 +17,7 @@ from repro.analysis.tables import format_table
 from repro.fabric.registry import FabricConfig
 from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
-from repro.physical.area import area_report
+from repro.physical.descriptor import physical_model
 
 SEGMENTS_MM = (0.6, 0.9, 1.25, 2.5)
 
@@ -26,7 +26,7 @@ def evaluate_segment(max_segment_mm: float) -> dict:
     net = ICNoCNetwork(FabricConfig(ports=64, arity=2,
                                      max_segment_mm=max_segment_mm))
     frequency = net.operating_frequency_ghz()
-    area = area_report(net)
+    area = physical_model(net).area_report()
     # Zero-load worst-case latency in cycles and in nanoseconds.
     net.send(Packet(src=0, dest=63))
     net.drain(10_000)

@@ -8,8 +8,7 @@
 """
 
 from repro.analysis.tables import format_table
-from repro.mesh.comparison import (
-    compare_topologies,
+from repro.physical.comparison import (
     tree_mesh_energy_table,
     tree_mesh_hop_table,
 )

@@ -9,8 +9,11 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.fabric.registry import FabricConfig
-from repro.mesh.comparison import compare_topologies, tree_mesh_energy_table
 from repro.noc.network import ICNoCNetwork
+from repro.physical.comparison import (
+    compare_topologies,
+    tree_mesh_energy_table,
+)
 from repro.traffic.base import apply_traffic
 from repro.traffic.patterns import UniformRandom
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.analysis.experiments import ExperimentLog
 from repro.core.config import ICNoCConfig
 from repro.core.icnoc import ICNoC
-from repro.mesh.topology import MeshTopology
+from repro.fabric.topologies import MeshTopology
 from repro.noc.topology import TreeTopology
 from repro.tech.flipflop import FF_90NM
 from repro.tech.technology import TECH_90NM

@@ -9,7 +9,8 @@ from repro.errors import TimingViolationError
 from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.stats import NetworkStats
-from repro.physical.area import AreaReport, area_report
+from repro.physical.area import AreaReport
+from repro.physical.descriptor import physical_model
 from repro.timing.constraints import TimingReport
 from repro.timing.validator import channels_max_frequency, validate_channels
 from repro.traffic.base import TrafficGenerator, apply_traffic
@@ -74,7 +75,7 @@ class ICNoC:
     # -- reports ----------------------------------------------------------
 
     def area_report(self) -> AreaReport:
-        return area_report(self.network)
+        return physical_model(self.network).area_report()
 
     def describe(self) -> str:
         area = self.area_report()

@@ -2,9 +2,9 @@
 
 The paper's comparison — a tree whose links double as the clock
 distribution network vs meshes needing mesochronous fallbacks — used to
-live in two hand-duplicated component stacks (``repro.noc`` for the tree,
-``repro.mesh`` for the mesh). This package is the common machinery both
-now stand on, and the place new fabrics plug into:
+live in two hand-duplicated component stacks, one for the tree
+(``repro.noc``) and one for the mesh. This package is the common
+machinery both now stand on, and the place new fabrics plug into:
 
 * :mod:`~repro.fabric.link` — the two link flavours (valid/accept
   handshake; tick-tagged credit wires);
@@ -16,7 +16,8 @@ now stand on, and the place new fabrics plug into:
   :class:`FabricRouter` with the idle sleep contract, gating backfill,
   and the ``arbitration_grant``/``credit_exhausted`` kernel events;
 * :mod:`~repro.fabric.endpoint` — the shared source/sink adapters;
-* :mod:`~repro.fabric.topologies` — structure descriptions (torus, ring);
+* :mod:`~repro.fabric.topologies` — structure descriptions (mesh, torus,
+  ring);
 * :mod:`~repro.fabric.network` — the generic credit-fabric assembly on
   the shared :class:`~repro.noc.network.Network` base, and the mesh,
   torus and ring built on it;
@@ -25,8 +26,8 @@ now stand on, and the place new fabrics plug into:
   vs ``mesochronous``), checked at build time. Its
   :class:`FabricConfig` is the only spec of a credit fabric.
 
-``repro.noc`` keeps the handshake tree; ``repro.mesh`` keeps the mesh's
-structure and the analytic tree-vs-mesh tables.
+``repro.noc`` keeps the handshake tree; the paper's tree-vs-mesh tables
+are queries over the two built fabrics (:mod:`repro.physical.comparison`).
 """
 
 from repro.fabric.allocator import (
@@ -53,7 +54,11 @@ from repro.fabric.routing import (
 )
 from repro.fabric.router import FabricRouter
 from repro.fabric.endpoint import FabricSink, FabricSource
-from repro.fabric.topologies import RingTopology, TorusTopology
+from repro.fabric.topologies import (
+    MeshTopology,
+    RingTopology,
+    TorusTopology,
+)
 from repro.fabric.network import (
     CreditFabricNetwork,
     MeshNetwork,
@@ -102,6 +107,7 @@ __all__ = [
     "FLOW_VC",
     "FabricSource",
     "FabricSink",
+    "MeshTopology",
     "TorusTopology",
     "RingTopology",
     "CreditFabricNetwork",

@@ -56,8 +56,12 @@ from repro.fabric.routing import (
     VcPolicy,
     XYRouting,
 )
-from repro.fabric.topologies import RingTopology, TorusTopology, square_side
-from repro.mesh.topology import MeshTopology
+from repro.fabric.topologies import (
+    MeshTopology,
+    RingTopology,
+    TorusTopology,
+    square_side,
+)
 from repro.noc.floorplan import (
     LOCAL_PORT,
     Floorplan,

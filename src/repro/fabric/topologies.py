@@ -12,9 +12,9 @@ A credit-fabric topology is a plain structural object the generic
 * ``hop_count`` / ``worst_case_hops`` — the structural analysis the
   stats and the paper-style comparisons use.
 
-:class:`~repro.mesh.topology.MeshTopology` already satisfies this
-protocol (it grew ``links()``/``max_ports`` in the fabric refactor); this
-module adds the ring-closing fabrics:
+:class:`MeshTopology` is the paper's baseline (its ``xy_path`` is the
+routing oracle the tests check the simulated routers against); the
+ring-closing fabrics are:
 
 * :class:`TorusTopology` — a mesh whose rows and columns wrap around.
   Halves the worst-case hop count (``~sqrt(N)`` vs the mesh's
@@ -46,6 +46,122 @@ def square_side(nodes: int, what: str) -> int:
     if side * side != nodes:
         raise TopologyError(f"{what} needs a square node count, got {nodes}")
     return side
+
+
+def _interior_links(cols: int, rows: int) -> Iterator[LinkSpec]:
+    """Neighbour pairs of a row-major cols x rows grid, in the fixed
+    per-node east-then-south build order the mesh and the torus share."""
+    for node in range(cols * rows):
+        if node % cols < cols - 1:
+            yield (node, EAST, node + 1, WEST)
+        if node // cols < rows - 1:
+            yield (node, SOUTH, node + cols, NORTH)
+
+
+class MeshTopology:
+    """A cols x rows mesh of routers, one network port per router.
+
+    Nodes are numbered row-major: node = y * cols + x.
+    """
+
+    #: Uniform router port count (local + 4 directions; edge routers
+    #: simply leave the missing directions unconnected).
+    max_ports = 5
+
+    def __init__(self, cols: int, rows: int | None = None):
+        if rows is None:
+            rows = cols
+        if cols < 2 or rows < 2:
+            raise TopologyError("mesh needs at least 2x2 routers")
+        self.cols = cols
+        self.rows = rows
+
+    @staticmethod
+    def square_for(ports: int) -> "MeshTopology":
+        """The square mesh serving ``ports`` nodes (ports must be square)."""
+        return MeshTopology(square_side(ports, "mesh"))
+
+    @property
+    def nodes(self) -> int:
+        return self.cols * self.rows
+
+    @property
+    def router_count(self) -> int:
+        """One router per node — N routers vs the tree's N-1 shared ones."""
+        return self.nodes
+
+    def coordinates(self, node: int) -> tuple[int, int]:
+        if not 0 <= node < self.nodes:
+            raise TopologyError(f"unknown node {node}")
+        return (node % self.cols, node // self.cols)
+
+    def node_at(self, x: int, y: int) -> int:
+        if not (0 <= x < self.cols and 0 <= y < self.rows):
+            raise TopologyError(f"({x}, {y}) outside mesh")
+        return y * self.cols + x
+
+    def router_ports(self, node: int) -> int:
+        """Physical ports incl. local: 5 in the middle, less at edges."""
+        x, y = self.coordinates(node)
+        ports = 1  # local
+        ports += x > 0
+        ports += x < self.cols - 1
+        ports += y > 0
+        ports += y < self.rows - 1
+        return ports
+
+    def links(self) -> Iterator[LinkSpec]:
+        """Bidirectional neighbour pairs ``(a, a_port, b, b_port)``."""
+        return _interior_links(self.cols, self.rows)
+
+    def xy_path(self, src: int, dest: int) -> list[int]:
+        """Routers visited under XY routing (including both endpoints)."""
+        sx, sy = self.coordinates(src)
+        dx, dy = self.coordinates(dest)
+        path = [self.node_at(sx, sy)]
+        x, y = sx, sy
+        while x != dx:
+            x += 1 if dx > x else -1
+            path.append(self.node_at(x, y))
+        while y != dy:
+            y += 1 if dy > y else -1
+            path.append(self.node_at(x, y))
+        return path
+
+    def hop_count(self, src: int, dest: int) -> int:
+        """Routers traversed = Manhattan distance + 1 (both endpoints)."""
+        sx, sy = self.coordinates(src)
+        dx, dy = self.coordinates(dest)
+        return abs(dx - sx) + abs(dy - sy) + 1
+
+    def worst_case_hops(self) -> int:
+        """Corner to corner: cols + rows - 1 (~ the paper's 2*sqrt(N))."""
+        return self.cols + self.rows - 1
+
+    def average_hops_uniform(self) -> float:
+        total = 0
+        for src in range(self.nodes):
+            for dest in range(self.nodes):
+                if src != dest:
+                    total += self.hop_count(src, dest)
+        return total / (self.nodes * (self.nodes - 1))
+
+    def link_count(self) -> int:
+        """Bidirectional router-to-router links."""
+        return (self.cols - 1) * self.rows + (self.rows - 1) * self.cols
+
+    def total_link_length_mm(self, chip_width_mm: float = 10.0,
+                             chip_height_mm: float = 10.0) -> float:
+        """One-way wire length of all links at the natural tile pitch."""
+        pitch_x = chip_width_mm / self.cols
+        pitch_y = chip_height_mm / self.rows
+        horizontal = (self.cols - 1) * self.rows * pitch_x
+        vertical = (self.rows - 1) * self.cols * pitch_y
+        return horizontal + vertical
+
+    def link_pitch_mm(self, chip_width_mm: float = 10.0,
+                      chip_height_mm: float = 10.0) -> float:
+        return max(chip_width_mm / self.cols, chip_height_mm / self.rows)
 
 
 class TorusTopology:
@@ -84,12 +200,7 @@ class TorusTopology:
         """Mesh-interior links first (same order as the mesh), then the
         row/column wrap links — a fixed, documented build order."""
         cols, rows = self.cols, self.rows
-        for node in range(self.nodes):
-            x, y = node % cols, node // cols
-            if x < cols - 1:
-                yield (node, EAST, self.node_at(x + 1, y), WEST)
-            if y < rows - 1:
-                yield (node, SOUTH, self.node_at(x, y + 1), NORTH)
+        yield from _interior_links(cols, rows)
         for y in range(rows):
             yield (self.node_at(cols - 1, y), EAST, self.node_at(0, y), WEST)
         for x in range(cols):

@@ -1,18 +1,19 @@
 """Physical accounting: area, energy/power, clock power, peak current.
 
-The per-fabric entry points (:func:`area_report`,
-:func:`average_flit_energy_pj`, :class:`RunEnergyReport`,
-:func:`physical_comparison_rows`) dispatch through the topology
-registry's physical descriptors (:mod:`repro.physical.descriptor`), so
-they accept any registered fabric; the tree/mesh-specific functions are
-the structural models those descriptors are built from.
+Every number comes from one place: ``physical_model(network)`` resolves
+a built fabric's registered descriptor
+(:mod:`repro.physical.descriptor`), whose ``area_report()`` /
+``flit_energy_pj()`` / ``average_flit_energy_pj()`` / ``clock_power()``
+price it; :class:`RunEnergyReport` prices a finished run with the same
+descriptor, and :mod:`repro.physical.comparison` builds the all-fabrics
+table and the paper's Section 3 tree-vs-mesh tables
+(``compare_topologies``, ``tree_mesh_*_table``) as queries over it.
+``area`` and ``power`` hold only the primitives the descriptors price
+with.
 """
 
 from repro.physical.area import (
     AreaReport,
-    area_report,
-    tree_noc_area,
-    mesh_noc_area,
     BUFFER_SLOT_AREA_MM2,
 )
 from repro.physical.comparison import (
@@ -28,19 +29,8 @@ from repro.physical.descriptor import (
 from repro.physical.power import (
     link_energy_pj_per_flit,
     router_energy_pj_per_flit,
-    path_energy_pj,
-    flit_energy_pj,
-    average_flit_energy_pj,
-    average_flit_energy_tree_pj,
-    average_flit_energy_mesh_pj,
-    average_flit_energy_tree_local_pj,
-    average_flit_energy_mesh_local_pj,
-    energy_crossover_locality,
 )
-from repro.physical.report import (
-    RunEnergyReport,
-    run_energy_report,
-)
+from repro.physical.report import RunEnergyReport
 from repro.physical.peak_current import (
     current_profile,
     peak_current,
@@ -50,9 +40,6 @@ from repro.physical.peak_current import (
 
 __all__ = [
     "AreaReport",
-    "area_report",
-    "tree_noc_area",
-    "mesh_noc_area",
     "BUFFER_SLOT_AREA_MM2",
     "PhysicalComparison",
     "comparison_config",
@@ -62,16 +49,7 @@ __all__ = [
     "physical_model",
     "link_energy_pj_per_flit",
     "router_energy_pj_per_flit",
-    "path_energy_pj",
-    "flit_energy_pj",
-    "average_flit_energy_pj",
-    "average_flit_energy_tree_pj",
-    "average_flit_energy_mesh_pj",
-    "average_flit_energy_tree_local_pj",
-    "average_flit_energy_mesh_local_pj",
-    "energy_crossover_locality",
     "RunEnergyReport",
-    "run_energy_report",
     "current_profile",
     "peak_current",
     "peak_current_ratio",

@@ -52,7 +52,6 @@ from repro.physical.area import AreaReport, BUFFER_SLOT_AREA_MM2
 from repro.physical.power import (
     BUFFER_ENERGY_PJ_PER_FLIT,
     ROUTER_ENERGY_DENSITY_PJ_PER_MM2,
-    _tree_path_links,
     link_energy_pj_per_flit,
     router_energy_pj_per_flit,
 )
@@ -93,16 +92,25 @@ class PhysicalModel:
         self.network = network
         self.name = network.config.topology
         self.clock_distribution = network.config.clock_distribution
-        self._paths: dict[tuple[int, int], PathProfile] = {}
+        self._paths: dict[tuple[int, int], tuple[PathProfile, float]] = {}
+
+    def priced_path(self, src: int, dest: int) -> tuple[PathProfile, float]:
+        """The (memoised) path profile and the energy of its switch
+        traversals in pJ per flit — both depend only on the pair, so
+        all-pairs sweeps and per-packet run reports share one walk and
+        one per-path price."""
+        pair = (src, dest)
+        priced = self._paths.get(pair)
+        if priced is None:
+            profile = self._path(src, dest)
+            tech = self.tech
+            priced = self._paths[pair] = (
+                profile, sum(router_energy_pj_per_flit(ports, tech)
+                             for ports in profile.switch_ports))
+        return priced
 
     def path(self, src: int, dest: int) -> PathProfile:
-        """The (memoised) path profile — paths depend only on the pair,
-        so all-pairs sweeps and per-packet run reports share one walk."""
-        pair = (src, dest)
-        profile = self._paths.get(pair)
-        if profile is None:
-            profile = self._paths[pair] = self._path(src, dest)
-        return profile
+        return self.priced_path(src, dest)[0]
 
     # -- contract (overridden per fabric family) ------------------------
 
@@ -159,10 +167,8 @@ class PhysicalModel:
         )
 
     def flit_energy_pj(self, src: int, dest: int) -> float:
-        profile = self.path(src, dest)
+        profile, energy = self.priced_path(src, dest)
         tech = self.tech
-        energy = sum(router_energy_pj_per_flit(ports, tech)
-                     for ports in profile.switch_ports)
         energy += link_energy_pj_per_flit(1.0, tech) * profile.length_mm
         energy += BUFFER_ENERGY_PJ_PER_FLIT * profile.buffered_hops
         if profile.stage_registers:
@@ -235,12 +241,23 @@ class TreePhysical(PhysicalModel):
         return len(self.network.clock_tree)
 
     def _path(self, src: int, dest: int) -> PathProfile:
+        """Every link on the tree route, the two leaf links included."""
         topo = self.network.topology
-        hops = topo.hop_count(src, dest)
-        links = _tree_path_links(topo, self.network.floorplan, src, dest)
-        return PathProfile(hops=hops,
-                           switch_ports=(topo.router_ports,) * hops,
-                           link_lengths_mm=tuple(links))
+        link_length = self.network.floorplan.link_length
+        routers = topo.route_path(src, dest)
+        src_router = topo.leaf_router(src)
+        lengths = [link_length(src_router.index,
+                               topo.child_port_for_leaf(src_router, src))]
+        for a, b in zip(routers, routers[1:]):
+            upper, lower = (a, b) if topo.router(b).parent == a else (b, a)
+            child_slot = topo.router(upper).children.index(lower)
+            lengths.append(link_length(upper, child_slot + 1))
+        dest_router = topo.leaf_router(dest)
+        lengths.append(link_length(
+            dest_router.index, topo.child_port_for_leaf(dest_router, dest)))
+        return PathProfile(hops=len(routers),
+                           switch_ports=(topo.router_ports,) * len(routers),
+                           link_lengths_mm=tuple(lengths))
 
 
 class CtreePhysical(TreePhysical):

@@ -1,4 +1,4 @@
-"""Energy models for the tree-vs-mesh comparison.
+"""Energy primitives the physical descriptors price paths with.
 
 The paper cites Lee [12]: "even with no link power reduction methods ... a
 tree is a power-wise better choice than a mesh for a 0.18 um CMOS
@@ -12,24 +12,18 @@ Under *uniform random* traffic the tree's physically longer H-tree paths
 cost wire energy that partly offsets its cheaper, fewer-port routers; the
 tree's energy win materialises with traffic locality — exactly the paper's
 Section 3 argument that "with proper application mapping, cores which
-communicate a lot will be clustered". :func:`energy_crossover_locality`
-finds where the crossover falls; the tree's *static* advantages (half the
+communicate a lot will be clustered".
+:func:`repro.physical.comparison.energy_crossover_locality` finds where
+the crossover falls; the tree's *static* advantages (half the
 router area -> leakage, no buffers, cheaper clock network) hold regardless
 and are covered by the area and clock-power models.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.errors import ConfigurationError
-from repro.noc.floorplan import Floorplan
-from repro.noc.topology import TreeTopology
 from repro.tech.technology import Technology, TECH_90NM
 from repro.units import energy_pj
-
-if TYPE_CHECKING:  # avoid a package cycle with repro.mesh.comparison
-    from repro.mesh.topology import MeshTopology
 
 #: Switching energy density of router logic, pJ per mm^2 of router area per
 #: flit traversal. 45 pJ/mm^2 puts a 5-port 32-bit router at ~1 pJ/flit and
@@ -60,179 +54,3 @@ def router_energy_pj_per_flit(ports: int,
                               tech: Technology = TECH_90NM) -> float:
     """Energy for one flit to traverse a k-port router."""
     return tech.router_area_mm2(ports) * ROUTER_ENERGY_DENSITY_PJ_PER_MM2
-
-
-def path_energy_pj(router_ports: list[int], link_lengths_mm: list[float],
-                   tech: Technology = TECH_90NM) -> float:
-    """Total flit energy along a path of routers and links."""
-    total = sum(router_energy_pj_per_flit(p, tech) for p in router_ports)
-    total += sum(link_energy_pj_per_flit(length, tech)
-                 for length in link_lengths_mm)
-    return total
-
-
-def flit_energy_pj(network, src: int, dest: int) -> float:
-    """Energy for one flit between two endpoints of *any* built registry
-    fabric: switch traversals + wire switching + (on credit fabrics) the
-    per-hop input-FIFO write/read, all from the fabric's physical
-    descriptor. The tree/mesh-specific functions below remain as the
-    structural (topology-level) models the Section 3 comparisons use."""
-    from repro.physical.descriptor import physical_model
-    return physical_model(network).flit_energy_pj(src, dest)
-
-
-def average_flit_energy_pj(network) -> float:
-    """Mean flit energy over all ordered endpoint pairs of a built
-    fabric (uniform traffic) — the generic counterpart of
-    :func:`average_flit_energy_tree_pj` / :func:`average_flit_energy_mesh_pj`."""
-    from repro.physical.descriptor import physical_model
-    return physical_model(network).average_flit_energy_pj()
-
-
-def _tree_path_links(topology: TreeTopology, floorplan: Floorplan,
-                     src: int, dest: int) -> list[float]:
-    """Physical lengths of every link on the tree route src -> dest,
-    including the two leaf links."""
-    path = topology.route_path(src, dest)
-    lengths = []
-    # Leaf link at the source.
-    src_router = topology.leaf_router(src)
-    lengths.append(floorplan.link_length(
-        src_router.index, topology.child_port_for_leaf(src_router, src)
-    ))
-    # Inter-router links along the path.
-    for a, b in zip(path, path[1:]):
-        upper, lower = (a, b) if topology.router(b).parent == a else (b, a)
-        node = topology.router(upper)
-        child_slot = node.children.index(lower)
-        lengths.append(floorplan.link_length(upper, child_slot + 1))
-    # Leaf link at the destination.
-    dest_router = topology.leaf_router(dest)
-    lengths.append(floorplan.link_length(
-        dest_router.index, topology.child_port_for_leaf(dest_router, dest)
-    ))
-    return lengths
-
-
-def tree_flit_energy_pj(topology: TreeTopology, floorplan: Floorplan,
-                        src: int, dest: int,
-                        tech: Technology = TECH_90NM) -> float:
-    """Energy for one flit between two leaves of a tree NoC."""
-    hops = topology.hop_count(src, dest)
-    links = _tree_path_links(topology, floorplan, src, dest)
-    return path_energy_pj([topology.router_ports] * hops, links, tech)
-
-
-def mesh_flit_energy_pj(topology: "MeshTopology", src: int, dest: int,
-                        chip_width_mm: float = 10.0,
-                        chip_height_mm: float = 10.0,
-                        tech: Technology = TECH_90NM) -> float:
-    """Energy for one flit between two nodes of the mesh baseline.
-
-    Adds the input-FIFO write+read energy per hop on top of switch and
-    wire energy — the buffered-router cost the tree does not pay.
-    """
-    path = topology.xy_path(src, dest)
-    ports = [topology.router_ports(node) for node in path]
-    pitch = topology.link_pitch_mm(chip_width_mm, chip_height_mm)
-    # Router-to-router links plus the two local (half-pitch) stubs.
-    links = [pitch] * (len(path) - 1) + [pitch / 2.0, pitch / 2.0]
-    switching = path_energy_pj(ports, links, tech)
-    return switching + BUFFER_ENERGY_PJ_PER_FLIT * len(path)
-
-
-def average_flit_energy_tree_pj(topology: TreeTopology, floorplan: Floorplan,
-                                tech: Technology = TECH_90NM) -> float:
-    """Mean flit energy over all ordered leaf pairs (uniform traffic)."""
-    total = 0.0
-    pairs = 0
-    for src in range(topology.leaves):
-        for dest in range(topology.leaves):
-            if src != dest:
-                total += tree_flit_energy_pj(topology, floorplan, src, dest,
-                                             tech)
-                pairs += 1
-    return total / pairs
-
-
-def average_flit_energy_mesh_pj(topology: "MeshTopology",
-                                chip_width_mm: float = 10.0,
-                                chip_height_mm: float = 10.0,
-                                tech: Technology = TECH_90NM) -> float:
-    """Mean flit energy over all ordered node pairs (uniform traffic)."""
-    total = 0.0
-    pairs = 0
-    for src in range(topology.nodes):
-        for dest in range(topology.nodes):
-            if src != dest:
-                total += mesh_flit_energy_pj(
-                    topology, src, dest, chip_width_mm, chip_height_mm, tech
-                )
-                pairs += 1
-    return total / pairs
-
-
-def average_flit_energy_tree_local_pj(topology: TreeTopology,
-                                      floorplan: Floorplan,
-                                      locality: float = 0.8,
-                                      tech: Technology = TECH_90NM) -> float:
-    """Mean flit energy under locality-weighted traffic.
-
-    With probability ``locality`` the destination is the sibling leaf (one
-    3x3 router away — the paper's application-mapping assumption); the
-    rest is uniform random. This is the regime where the tree's energy
-    advantage materialises.
-    """
-    if not 0.0 <= locality <= 1.0:
-        raise ConfigurationError("locality must be in [0, 1]")
-    uniform = average_flit_energy_tree_pj(topology, floorplan, tech)
-    sibling_total = 0.0
-    for src in range(topology.leaves):
-        sibling_total += tree_flit_energy_pj(topology, floorplan,
-                                             src, src ^ 1, tech)
-    sibling = sibling_total / topology.leaves
-    return locality * sibling + (1.0 - locality) * uniform
-
-
-def average_flit_energy_mesh_local_pj(topology: "MeshTopology",
-                                      locality: float = 0.8,
-                                      chip_width_mm: float = 10.0,
-                                      chip_height_mm: float = 10.0,
-                                      tech: Technology = TECH_90NM) -> float:
-    """Mesh counterpart: local traffic goes to the adjacent mesh node."""
-    if not 0.0 <= locality <= 1.0:
-        raise ConfigurationError("locality must be in [0, 1]")
-    uniform = average_flit_energy_mesh_pj(topology, chip_width_mm,
-                                          chip_height_mm, tech)
-    neighbour_total = 0.0
-    for src in range(topology.nodes):
-        x, y = topology.coordinates(src)
-        nx = x + 1 if x + 1 < topology.cols else x - 1
-        dest = topology.node_at(nx, y)
-        neighbour_total += mesh_flit_energy_pj(
-            topology, src, dest, chip_width_mm, chip_height_mm, tech
-        )
-    neighbour = neighbour_total / topology.nodes
-    return locality * neighbour + (1.0 - locality) * uniform
-
-
-def energy_crossover_locality(topology: TreeTopology, floorplan: Floorplan,
-                              mesh_topology: "MeshTopology",
-                              chip_width_mm: float = 10.0,
-                              chip_height_mm: float = 10.0,
-                              tech: Technology = TECH_90NM,
-                              steps: int = 20) -> float | None:
-    """Smallest locality at which the tree's mean flit energy beats the
-    mesh's, or None if it never does within [0, 1]."""
-    if steps < 1:
-        raise ConfigurationError("steps must be >= 1")
-    for i in range(steps + 1):
-        locality = i / steps
-        tree = average_flit_energy_tree_local_pj(topology, floorplan,
-                                                 locality, tech)
-        mesh = average_flit_energy_mesh_local_pj(
-            mesh_topology, locality, chip_width_mm, chip_height_mm, tech
-        )
-        if tree < mesh:
-            return locality
-    return None

@@ -98,7 +98,6 @@ class RunEnergyReport:
         from repro.physical.power import (
             BUFFER_ENERGY_PJ_PER_FLIT,
             link_energy_pj_per_flit,
-            router_energy_pj_per_flit,
         )
         if model is None:
             model = physical_model(network)
@@ -113,18 +112,11 @@ class RunEnergyReport:
         flit_mm = 0.0
         router_pj = 0.0
         buffered = 0
-        # Paths depend only on (src, dest): memoise so a long run costs
-        # O(distinct pairs), not O(packets), in path walks.
-        paths: dict[tuple[int, int], tuple] = {}
+        # The model memoises each (src, dest) path and its switch price,
+        # so a long run costs O(distinct pairs), not O(packets), in walks.
+        priced_path = model.priced_path
         for packet in network.delivered:
-            pair = (packet.src, packet.dest)
-            cached = paths.get(pair)
-            if cached is None:
-                profile = model.path(packet.src, packet.dest)
-                switch_pj = sum(router_energy_pj_per_flit(ports, tech)
-                                for ports in profile.switch_ports)
-                cached = paths[pair] = (profile, switch_pj)
-            profile, switch_pj = cached
+            profile, switch_pj = priced_path(packet.src, packet.dest)
             traversals += profile.hops * packet.flit_count
             flits += packet.flit_count
             flit_mm += profile.length_mm * packet.flit_count
@@ -150,11 +142,3 @@ class RunEnergyReport:
             buffer_pj=buffer_pj,
             flits_delivered=flits,
         )
-
-
-def run_energy_report(network, frequency_ghz: float | None = None
-                      ) -> RunEnergyReport:
-    """Historical entry point — a thin wrapper over
-    :meth:`RunEnergyReport.from_run`, which now accepts any registered
-    fabric rather than the tree alone."""
-    return RunEnergyReport.from_run(network, frequency_ghz)

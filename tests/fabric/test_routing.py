@@ -100,7 +100,7 @@ class TestTorusTopology:
         assert topo.hop_count(0, 15) == 3      # wrap both dimensions
         assert topo.worst_case_hops() == 5
         # A same-size mesh pays 2*sqrt(N); the torus halves it.
-        from repro.mesh.topology import MeshTopology
+        from repro.fabric.topologies import MeshTopology
         assert topo.worst_case_hops() < MeshTopology(4, 4).worst_case_hops()
 
     def test_every_port_specified_once(self):

@@ -13,7 +13,7 @@ from repro.fabric.registry import FabricConfig
 from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.topology import TreeTopology
-from repro.physical.power import _tree_path_links
+from repro.physical.descriptor import physical_model
 from repro.timing.frequency import (
     max_segment_length,
     pipeline_max_frequency,
@@ -43,9 +43,10 @@ class TestStructuralVsGeometric:
         one link per adjacent router pair)."""
         net = ICNoCNetwork(FabricConfig(ports=32, arity=2))
         topo = net.topology
+        model = physical_model(net)
         for src, dest in ((0, 1), (0, 31), (5, 20), (16, 17)):
             hops = topo.hop_count(src, dest)
-            links = _tree_path_links(topo, net.floorplan, src, dest)
+            links = model.path(src, dest).link_lengths_mm
             assert len(links) == hops + 1
 
     def test_total_wire_equals_sum_of_levels(self):

@@ -147,7 +147,7 @@ class TestSection3Claims:
     def test_worst_case_hops_formulas(self):
         """'the worst-case number of hops is smaller than in a mesh
         (2logN-1 vs 2sqrt(N))'."""
-        from repro.mesh.topology import MeshTopology
+        from repro.fabric.topologies import MeshTopology
         from repro.noc.topology import TreeTopology
         tree = TreeTopology(64, arity=2)
         mesh = MeshTopology(8, 8)
@@ -165,6 +165,6 @@ class TestSection3Claims:
 
     def test_fewer_routers_than_mesh(self):
         """'in a tree there are fewer routers than in a mesh'."""
-        from repro.mesh.topology import MeshTopology
+        from repro.fabric.topologies import MeshTopology
         from repro.noc.topology import TreeTopology
         assert TreeTopology(64, 2).router_count < MeshTopology(8, 8).router_count

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.mesh.comparison import (
+from repro.physical.comparison import (
     compare_topologies,
     tree_mesh_area_table,
     tree_mesh_energy_table,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TopologyError
-from repro.mesh.topology import MeshTopology
+from repro.fabric.topologies import MeshTopology
 
 
 class TestStructure:

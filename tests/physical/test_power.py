@@ -3,16 +3,26 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.mesh.topology import MeshTopology
-from repro.noc.floorplan import floorplan_for
-from repro.noc.topology import TreeTopology
+from repro.fabric.registry import FabricConfig
+from repro.fabric.topologies import MeshTopology
 from repro.physical import power
+from repro.physical.comparison import (
+    energy_crossover_locality,
+    section3_mixes,
+    section3_models,
+)
+from repro.physical.descriptor import physical_model
 
 
 @pytest.fixture(scope="module")
 def tree64():
-    topo = TreeTopology(64, arity=2)
-    return topo, floorplan_for(topo, 10.0, 10.0)
+    return physical_model(FabricConfig(topology="tree", ports=64).build())
+
+
+@pytest.fixture(scope="module")
+def mixes64():
+    """(tree, mesh) locality mixes at 64 ports — all pairs walked once."""
+    return section3_mixes(*section3_models(64))
 
 
 class TestLinkEnergy:
@@ -45,25 +55,30 @@ class TestRouterEnergy:
 
 
 class TestPathEnergy:
-    def test_sums_components(self):
-        total = power.path_energy_pj([3, 3], [1.0, 0.5])
-        expected = (2 * power.router_energy_pj_per_flit(3)
-                    + power.link_energy_pj_per_flit(1.0)
-                    + power.link_energy_pj_per_flit(0.5))
-        assert total == pytest.approx(expected)
+    def test_sums_components(self, tree64):
+        # Sibling leaves: one 3x3 router between two leaf links.
+        profile = tree64.path(0, 1)
+        assert profile.switch_ports == (3,)
+        expected = (power.router_energy_pj_per_flit(3)
+                    + sum(power.link_energy_pj_per_flit(length)
+                          for length in profile.link_lengths_mm))
+        assert len(profile.link_lengths_mm) == 2
+        assert tree64.flit_energy_pj(0, 1) == pytest.approx(expected)
 
     def test_tree_sibling_much_cheaper_than_cross(self, tree64):
-        topo, plan = tree64
-        sibling = power.tree_flit_energy_pj(topo, plan, 0, 1)
-        cross = power.tree_flit_energy_pj(topo, plan, 0, 63)
+        sibling = tree64.flit_energy_pj(0, 1)
+        cross = tree64.flit_energy_pj(0, 63)
         assert cross > 5.0 * sibling
 
     def test_mesh_buffer_energy_included(self):
         mesh = MeshTopology(8, 8)
-        e = power.mesh_flit_energy_pj(mesh, 0, 1)
-        switch_only = power.path_energy_pj(
-            [mesh.router_ports(0), mesh.router_ports(1)],
-            [1.25, 0.625, 0.625],
+        model = physical_model(FabricConfig(topology="mesh", ports=64).build())
+        e = model.flit_energy_pj(0, 1)
+        switch_only = (
+            sum(power.router_energy_pj_per_flit(mesh.router_ports(node))
+                for node in (0, 1))
+            + sum(power.link_energy_pj_per_flit(length)
+                  for length in (1.25, 0.625, 0.625))
         )
         assert e == pytest.approx(
             switch_only + 2 * power.BUFFER_ENERGY_PJ_PER_FLIT
@@ -71,36 +86,25 @@ class TestPathEnergy:
 
 
 class TestLocalityCrossover:
-    def test_tree_wins_at_high_locality(self, tree64):
-        topo, plan = tree64
-        mesh = MeshTopology(8, 8)
-        tree_local = power.average_flit_energy_tree_local_pj(topo, plan, 0.9)
-        mesh_local = power.average_flit_energy_mesh_local_pj(mesh, 0.9)
-        assert tree_local < mesh_local
+    def test_tree_wins_at_high_locality(self, mixes64):
+        tree, mesh = mixes64
+        assert tree.at(0.9) < mesh.at(0.9)
 
-    def test_mesh_wins_at_zero_locality(self, tree64):
-        topo, plan = tree64
-        mesh = MeshTopology(8, 8)
-        tree_uniform = power.average_flit_energy_tree_local_pj(topo, plan, 0.0)
-        mesh_uniform = power.average_flit_energy_mesh_local_pj(mesh, 0.0)
-        assert mesh_uniform < tree_uniform
+    def test_mesh_wins_at_zero_locality(self, mixes64):
+        tree, mesh = mixes64
+        assert mesh.at(0.0) < tree.at(0.0)
 
-    def test_crossover_found(self, tree64):
-        topo, plan = tree64
-        mesh = MeshTopology(8, 8)
-        crossover = power.energy_crossover_locality(topo, plan, mesh)
+    def test_crossover_found(self, mixes64):
+        crossover = energy_crossover_locality(*mixes64)
         assert crossover is not None
         assert 0.0 < crossover < 1.0
 
-    def test_locality_monotone_for_tree(self, tree64):
-        topo, plan = tree64
-        energies = [
-            power.average_flit_energy_tree_local_pj(topo, plan, loc)
-            for loc in (0.0, 0.25, 0.5, 0.75, 1.0)
-        ]
+    def test_locality_monotone_for_tree(self, mixes64):
+        tree, _mesh = mixes64
+        energies = [tree.at(loc) for loc in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert energies == sorted(energies, reverse=True)
 
-    def test_bad_locality_rejected(self, tree64):
-        topo, plan = tree64
+    def test_bad_locality_rejected(self, mixes64):
+        tree, _mesh = mixes64
         with pytest.raises(ConfigurationError):
-            power.average_flit_energy_tree_local_pj(topo, plan, 1.5)
+            tree.at(1.5)

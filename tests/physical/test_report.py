@@ -10,7 +10,7 @@ from repro.physical.power import (
     link_energy_pj_per_flit,
     router_energy_pj_per_flit,
 )
-from repro.physical.report import RunEnergyReport, run_energy_report
+from repro.physical.report import RunEnergyReport
 
 
 def run_one_packet(src=0, dest=1, flits=1, leaves=8):
@@ -24,7 +24,7 @@ def run_one_packet(src=0, dest=1, flits=1, leaves=8):
 class TestEnergyArithmetic:
     def test_single_sibling_flit(self):
         net = run_one_packet(0, 1)
-        report = run_energy_report(net, frequency_ghz=1.0)
+        report = RunEnergyReport.from_run(net, frequency_ghz=1.0)
         assert report.flit_router_traversals == 1
         assert report.router_pj == pytest.approx(
             router_energy_pj_per_flit(3)
@@ -36,37 +36,37 @@ class TestEnergyArithmetic:
         assert report.flit_mm == pytest.approx(2 * leaf_len)
 
     def test_flits_scale_traffic_energy(self):
-        one = run_energy_report(run_one_packet(flits=1), 1.0)
-        four = run_energy_report(run_one_packet(flits=4), 1.0)
+        one = RunEnergyReport.from_run(run_one_packet(flits=1), 1.0)
+        four = RunEnergyReport.from_run(run_one_packet(flits=4), 1.0)
         assert four.router_pj == pytest.approx(4 * one.router_pj)
         assert four.flit_mm == pytest.approx(4 * one.flit_mm)
 
     def test_longer_path_costs_more(self):
-        near = run_energy_report(run_one_packet(0, 1), 1.0)
-        far = run_energy_report(run_one_packet(0, 7), 1.0)
+        near = RunEnergyReport.from_run(run_one_packet(0, 1), 1.0)
+        far = RunEnergyReport.from_run(run_one_packet(0, 7), 1.0)
         assert far.router_pj > near.router_pj
         assert far.link_pj > near.link_pj
 
     def test_link_energy_consistent_with_model(self):
         net = run_one_packet(0, 7)
-        report = run_energy_report(net, 1.0)
+        report = RunEnergyReport.from_run(net, 1.0)
         assert report.link_pj == pytest.approx(
             report.flit_mm * link_energy_pj_per_flit(1.0)
         )
 
     def test_clock_energy_positive_and_time_scaled(self):
         net = run_one_packet()
-        report = run_energy_report(net, 1.0)
+        report = RunEnergyReport.from_run(net, 1.0)
         assert report.clock_pj > 0.0
         # Run the (idle) network twice as long: clock energy grows,
         # traffic energy does not.
         net.run_ticks(net.kernel.tick)
-        longer = run_energy_report(net, 1.0)
+        longer = RunEnergyReport.from_run(net, 1.0)
         assert longer.clock_pj > report.clock_pj
         assert longer.router_pj == report.router_pj
 
     def test_totals_add_up(self):
-        report = run_energy_report(run_one_packet(), 1.0)
+        report = RunEnergyReport.from_run(run_one_packet(), 1.0)
         assert report.total_pj == pytest.approx(
             report.router_pj + report.link_pj + report.clock_pj
         )
@@ -76,7 +76,7 @@ class TestEnergyArithmetic:
     def test_bad_frequency_rejected(self):
         net = run_one_packet()
         with pytest.raises(ConfigurationError):
-            run_energy_report(net, frequency_ghz=0.0)
+            RunEnergyReport.from_run(net, frequency_ghz=0.0)
 
 
 class TestUnitConversion:
