@@ -35,10 +35,12 @@ and every registered fabric publishes a physical cost descriptor::
 Sub-packages: ``tech`` (process models), ``timing`` (eqs. 1-7 and
 validators), ``clocking`` (clock trees, variation, mesochronous
 baselines), ``sim`` (half-cycle kernel), ``fabric`` (the shared router/
-link/endpoint stack and the topology registry), ``noc`` (the tree
-IC-NoC), ``mesh`` (the baseline), ``traffic``, ``system`` (the 32-tile
-demonstrator), ``physical`` (area/energy/peak current), ``ext`` (the
-paper's future-work items), ``analysis`` (tables/plots/records).
+link/endpoint stack and the topology registry — the mesh baseline, torus
+and ring live here), ``noc`` (the tree IC-NoC), ``traffic``, ``system``
+(the 32-tile demonstrator), ``accel`` (accelerator trace replay),
+``telemetry`` (metrics and flit traces), ``physical`` (area/energy/peak
+current), ``ext`` (the paper's future-work items), ``analysis``
+(tables/plots/records).
 """
 
 from repro.core.config import ICNoCConfig

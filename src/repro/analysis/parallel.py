@@ -5,8 +5,8 @@ many independent simulation points; this module fans them out over worker
 processes. The building blocks:
 
 * :func:`parallel_map` — ordered map over picklable items with a
-  ``ProcessPoolExecutor``, submitting in chunks (``chunksize``) so large
-  campaigns don't pay one IPC round-trip per point, and falling back to
+  ``ProcessPoolExecutor``, submitting in chunks so large campaigns
+  don't pay one IPC round-trip per point, and falling back to
   the serial loop whenever the work cannot be shipped to workers
   (closures, broken pools, ``workers`` <= 1), so callers never need two
   code paths;
@@ -85,8 +85,7 @@ def _picklable(*objects: Any) -> bool:
 
 
 def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
-                 workers: int | None = None,
-                 chunksize: int | None = None) -> list[Any]:
+                 workers: int | None = None) -> list[Any]:
     """``[fn(item) for item in items]``, fanned out over processes.
 
     Results keep item order. Runs serially when ``workers`` is None or
@@ -97,20 +96,16 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
     homogeneous specs); a later unpicklable item is caught by the
     fallback instead.
 
-    ``chunksize`` controls how many items each worker task carries
-    (``pool.map``'s submission granularity): large campaigns pay one IPC
-    round-trip per chunk, not per point. Defaults to
-    ``max(1, len(items) // (4 * workers))`` — about four chunks per
-    worker, small enough that a slow chunk cannot straggle the pool.
+    Each worker task carries ``max(1, len(items) // (4 * workers))``
+    items (``pool.map``'s submission granularity): large campaigns pay
+    one IPC round-trip per chunk, not per point, with about four chunks
+    per worker — small enough that a slow chunk cannot straggle the pool.
     """
-    if chunksize is not None and chunksize < 1:
-        raise ConfigurationError("chunksize must be >= 1")
     n_workers = 1 if workers is None else workers
     if n_workers <= 1 or len(items) <= 1 or not _picklable(fn, items[0]):
         return [fn(item) for item in items]
     n_workers = min(n_workers, len(items))
-    if chunksize is None:
-        chunksize = max(1, len(items) // (4 * n_workers))
+    chunksize = max(1, len(items) // (4 * n_workers))
     try:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             return list(pool.map(fn, items, chunksize=chunksize))
@@ -260,7 +255,6 @@ def expand_loads(template: LoadPoint, loads: Sequence[float],
 
 def measure_load_points(specs: Sequence[LoadPoint],
                         workers: int | None = None,
-                        chunksize: int | None = None,
                         checkpoint: str | Path | None = None,
                         ) -> list[dict[str, float]]:
     """Evaluate many load points, optionally in parallel, in spec order.
@@ -272,9 +266,8 @@ def measure_load_points(specs: Sequence[LoadPoint],
     identically in any process.
     """
     if checkpoint is not None:
-        return checkpointed_load_points(specs, checkpoint, workers, chunksize)
-    records = parallel_map(evaluate_load_point_compact, specs, workers,
-                           chunksize)
+        return checkpointed_load_points(specs, checkpoint, workers)
+    records = parallel_map(evaluate_load_point_compact, specs, workers)
     return [expand_compact_record(record) for record in records]
 
 
@@ -316,7 +309,6 @@ def _result_from_json(record: dict[str, Any]) -> dict[str, Any]:
 def checkpointed_load_points(specs: Sequence[LoadPoint],
                              checkpoint: str | Path,
                              workers: int | None = None,
-                             chunksize: int | None = None,
                              ) -> list[dict[str, float]]:
     """:func:`measure_load_points` with crash-resumable progress.
 
@@ -353,13 +345,13 @@ def checkpointed_load_points(specs: Sequence[LoadPoint],
     # Checkpoint granularity: one batch per worker round, so a killed
     # sweep loses at most the in-flight round. Serial runs flush every
     # point.
-    batch = max(1, workers or 1) * (chunksize or 1)
+    batch = max(1, workers or 1)
     with open(path, "a", encoding="utf-8") as handle:
         for start in range(0, len(pending), batch):
             round_items = pending[start:start + batch]
             records = parallel_map(evaluate_load_point_compact,
                                    [spec for _, spec in round_items],
-                                   workers, chunksize)
+                                   workers)
             for (digest, spec), record in zip(round_items, records):
                 metrics = expand_compact_record(record)
                 if digest not in done:
@@ -375,8 +367,7 @@ def checkpointed_load_points(specs: Sequence[LoadPoint],
 def parallel_saturation_throughput(template: LoadPoint,
                                    loads: Sequence[float] | None = None,
                                    efficiency_floor: float = 0.9,
-                                   workers: int | None = None,
-                                   chunksize: int | None = None) -> float:
+                                   workers: int | None = None) -> float:
     """The saturation search over picklable specs.
 
     Evaluates every candidate load (concurrently with ``workers`` > 1) and
@@ -391,7 +382,7 @@ def parallel_saturation_throughput(template: LoadPoint,
         # Lazy pairs: the serial walk stops measuring at saturation.
         pairs = ((spec.load, evaluate_load_point(spec)) for spec in specs)
     else:
-        pairs = zip(loads, measure_load_points(specs, workers, chunksize))
+        pairs = zip(loads, measure_load_points(specs, workers))
     return scan_saturation_curve(pairs, efficiency_floor)
 
 
@@ -513,7 +504,6 @@ def bisect_saturation_throughput(template: LoadPoint,
                                  points_per_round: int = 3,
                                  workers: int | None = None,
                                  placement: str = "adaptive",
-                                 chunksize: int | None = None,
                                  ) -> SaturationSearch:
     """Parallel bisection over the saturation knee.
 
@@ -570,7 +560,7 @@ def bisect_saturation_throughput(template: LoadPoint,
                                  seed=point_seed(template.seed,
                                                  next_index + offset)))
         next_index += len(loads)
-        results = measure_load_points(specs, workers, chunksize)
+        results = measure_load_points(specs, workers)
         evaluated.extend(zip(loads, results))
         return results
 

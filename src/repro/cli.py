@@ -18,10 +18,9 @@ Commands:
   registered fabric (``--topology tree|mesh|torus|ring|ctree``), with
   per-run energy (pJ/flit, mean mW) alongside throughput and latency,
   per-point telemetry as JSONL via ``--metrics out.jsonl``, the
-  vectorized execution backend via ``--backend array``, chunked worker
-  submission via ``--chunksize``, and crash-resumable campaigns via
-  ``--checkpoint out.jsonl`` (finished points are appended and skipped
-  on rerun, keyed by spec hash);
+  vectorized execution backend via ``--backend array``, and
+  crash-resumable campaigns via ``--checkpoint out.jsonl`` (finished
+  points are appended and skipped on rerun, keyed by spec hash);
 * ``metrics``   — run one load point with the metrics registry attached
   and print the congestion attribution (top-k links/routers, latency
   percentiles); ``--metrics out.jsonl`` exports the summary;
@@ -454,7 +453,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             budget=max(len(loads), args.budget),
             workers=args.workers,
             placement=args.placement or "adaptive",
-            chunksize=args.chunksize,
         )
         rows = [[round(load, 4),
                  round(m["offered"], 4),
@@ -484,7 +482,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     specs = expand_loads(template, loads, base_seed=args.seed)
     try:
         results = measure_load_points(specs, workers=args.workers,
-                                      chunksize=args.chunksize,
                                       checkpoint=args.checkpoint)
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -752,9 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated offered loads")
     p_sw.add_argument("--workers", type=int, default=1,
                       help="worker processes (1 = serial)")
-    p_sw.add_argument("--chunksize", type=int, default=None,
-                      help="sweep points per worker task (default: about "
-                           "four chunks per worker)")
     p_sw.add_argument("--checkpoint", default=None, metavar="PATH",
                       help="append finished points to PATH (JSONL, keyed "
                            "by spec hash); a rerun skips the recorded "

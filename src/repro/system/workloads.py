@@ -15,7 +15,8 @@ tile is a :class:`DmaStormDriver` clocked component honouring the idle
 contract — during a compute phase the entire system is quiescent and the
 activity-driven kernel fast-forwards straight to the next storm via an
 exact-tick timer. This is the demonstrator-style stress case of the fast
-path, wired into ``bench_kernel_throughput`` as its fourth scenario.
+path: ``tests/integration/test_fast_path_contract.py`` pins its ``bursty``
+row at 405 executed steps of 2448 ticks.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.accel.generators import llm_decode_trace
+from repro.accel.generators import llm_decode_trace, tiled_gemm_trace
 from repro.accel.replay import (
     ReplayPoint,
     evaluate_replay_point,
@@ -91,6 +91,19 @@ class TestBitIdentity:
         again = replay_trace_on_fabric(trace, fabric(topology, flow))
         assert fast.to_json() == naive.to_json()
         assert fast.to_json() == again.to_json()
+
+    def test_long_compute_phases_byte_identical(self):
+        """A drain-heavy tiled GEMM: ~2k-cycle tile computes against a
+        handful of DMA flits, so for most of the makespan every endpoint
+        sleeps on a scheduled wake over a silent fabric — the windows the
+        fast path jumps and the naive loop steps through."""
+        trace = tiled_gemm_trace(pes=4, mems=2, seed=0, m=64, n=64, k=512,
+                                 tile=32)
+        fast = replay_trace_on_fabric(trace, fabric("torus", "vc"))
+        naive = replay_trace_on_fabric(
+            trace, fabric("torus", "vc", activity_driven=False))
+        assert fast.completed
+        assert fast.to_json() == naive.to_json()
 
 
 class TestReplayPoints:

@@ -52,7 +52,10 @@ def _config(name, flow, policy, activity_driven, backend):
 
 
 def run_traffic(name, flow, policy, activity_driven, backend,
-                size_flits=2, cycles=50, load=0.25, telemetry=False):
+                size_flits=2, cycles=50, load=0.25, telemetry=False,
+                storms=1):
+    """``storms`` injection windows, each drained and followed by a
+    5000-tick idle tail before the next begins."""
     ports = PORTS.get(name, 16)
     net = _config(name, flow, policy, activity_driven, backend).build()
     registry = None
@@ -60,16 +63,18 @@ def run_traffic(name, flow, policy, activity_driven, backend,
         from repro.telemetry import attach_metrics
         registry = attach_metrics(net)
     gen = UniformRandom(ports, load, size_flits=size_flits)
-    schedule = gen.generate(cycles, np.random.default_rng(5))
-    by_cycle = {}
-    for injection in schedule:
-        by_cycle.setdefault(injection.cycle, []).append(injection)
-    for cycle in range(cycles):
-        for injection in by_cycle.get(cycle, []):
-            net.send(injection.to_packet())
-        net.run_ticks(2)
-    assert net.drain(300_000), f"{name}/{flow}/{backend} failed to drain"
-    net.run_ticks(5_000)
+    rng = np.random.default_rng(5)
+    for _ in range(storms):
+        by_cycle = {}
+        for injection in gen.generate(cycles, rng):
+            by_cycle.setdefault(injection.cycle, []).append(injection)
+        for cycle in range(cycles):
+            for injection in by_cycle.get(cycle, []):
+                net.send(injection.to_packet())
+            net.run_ticks(2)
+        assert net.drain(300_000), \
+            f"{name}/{flow}/{backend} failed to drain"
+        net.run_ticks(5_000)
     gating = net.gating_stats()
     result = {
         "injected": net.stats.packets_injected,
@@ -102,6 +107,21 @@ def test_array_single_flit_matches_dispatch(name, flow, policy,
     array = run_traffic(name, flow, policy, activity_driven, "array",
                         size_flits=1, cycles=40)
     assert array == dispatch, (name, flow, policy)
+
+
+@pytest.mark.parametrize("name,flow,policy,activity_driven",
+                         [c for c in array_matrix() if c[3]])
+def test_array_second_storm_matches_dispatch(name, flow, policy,
+                                             activity_driven):
+    """A drained engine has synced its state back to the routers and
+    slept through an idle window; the next injection must wake it into
+    exactly the state dispatch is in."""
+    dispatch = run_traffic(name, flow, policy, activity_driven, "dispatch",
+                           storms=2)
+    array = run_traffic(name, flow, policy, activity_driven, "array",
+                        storms=2)
+    assert array == dispatch, (name, flow, policy)
+    assert len(array["delivered"]) == array["injected"]
 
 
 @pytest.mark.parametrize("flow", ("wormhole", "vc"))
