@@ -1,12 +1,13 @@
-"""Reproduce the paper's numbers in one run: the scorecard plus the
-debugging tour (protocol monitors, VCD waveform export, fault injection).
+"""Reproduce the paper's numbers in one run: the paper-vs-measured record
+(what ``python -m repro.cli reproduce`` prints) plus the debugging tour
+(protocol monitors, VCD waveform export, fault injection).
 
 Run:  python examples/reproduce_paper.py [trace.vcd]
 """
 
 import sys
 
-from repro.analysis.scorecard import build_scorecard
+from repro.analysis.experiments import evaluate
 from repro.noc.debug import attach_monitors, attach_watchdog
 from repro.noc.faults import FaultKind, inject_link_fault
 from repro.fabric.registry import FabricConfig
@@ -15,13 +16,12 @@ from repro.noc.packet import Packet
 from repro.sim.vcd import VCDWriter
 
 
-def scorecard() -> bool:
-    log = build_scorecard()
-    print(log.render(title="Paper vs measured (model-level quantities)"))
+def record() -> bool:
+    log = evaluate()
+    print(log.render(title="Paper vs measured"))
     print()
-    ok = log.all_match
-    print("scorecard:", "ALL MATCH" if ok else "DEVIATIONS PRESENT")
-    return ok
+    print("record:", "ALL MATCH" if log.all_match else "DEVIATIONS PRESENT")
+    return log.all_match
 
 
 def instrumented_run(vcd_path: str | None) -> None:
@@ -66,7 +66,7 @@ def fault_demo() -> None:
 
 def main() -> int:
     vcd_path = sys.argv[1] if len(sys.argv) > 1 else None
-    ok = scorecard()
+    ok = record()
     instrumented_run(vcd_path)
     fault_demo()
     return 0 if ok else 1

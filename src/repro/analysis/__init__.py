@@ -1,8 +1,14 @@
-"""Analysis helpers: tables, plots, records, sweeps, and the scorecard."""
+"""Analysis helpers: tables, plots, sweeps, and the paper-vs-measured
+record (:mod:`repro.analysis.experiments`)."""
 
 from repro.analysis.tables import format_table
 from repro.analysis.plots import ascii_plot
-from repro.analysis.experiments import PaperComparison, ExperimentLog
+from repro.analysis.experiments import (
+    EXPERIMENTS,
+    ExperimentLog,
+    PaperComparison,
+    evaluate,
+)
 from repro.analysis.sweeps import (
     SweepResult,
     sweep,
@@ -19,13 +25,14 @@ from repro.analysis.parallel import (
     parallel_saturation_throughput,
     point_seed,
 )
-from repro.analysis.scorecard import build_scorecard, render_scorecard
 
 __all__ = [
     "format_table",
     "ascii_plot",
     "PaperComparison",
     "ExperimentLog",
+    "EXPERIMENTS",
+    "evaluate",
     "SweepResult",
     "sweep",
     "measure_offered_vs_accepted",
@@ -38,6 +45,4 @@ __all__ = [
     "parallel_map",
     "parallel_saturation_throughput",
     "point_seed",
-    "build_scorecard",
-    "render_scorecard",
 ]

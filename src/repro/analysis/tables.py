@@ -1,4 +1,4 @@
-"""Plain-text table rendering for benches and examples."""
+"""Plain-text table rendering for the CLI, the record and examples."""
 
 from __future__ import annotations
 

@@ -33,7 +33,11 @@ Commands:
   (``--workload none`` keeps it purely structural);
 * ``topologies``— list the fabric registry (structure, clocking);
 * ``demo``      — run the 32-tile demonstrator system;
-* ``corners``   — operating frequency per process corner.
+* ``corners``   — operating frequency per process corner;
+* ``reproduce`` — evaluate the paper-vs-measured record
+  (:mod:`repro.analysis.experiments`), or only the named experiments
+  (``reproduce EXP-F7 EXP-RT``): one row per paper number or claim,
+  exit 1 if any row deviates.
 
 ``info``, ``sweep``, ``metrics``, ``trace`` and ``replay`` all name their
 network through one mapping (:func:`_fabric_config_from`) onto the
@@ -704,6 +708,19 @@ def cmd_corners(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_reproduce(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import evaluate
+    try:
+        log = evaluate(args.experiments)
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    print(log.render(title="Paper vs measured"))
+    print(f"{len(log.comparisons)} rows:",
+          "ALL MATCH" if log.all_match else "DEVIATIONS PRESENT")
+    return 0 if log.all_match else 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -896,6 +913,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cor = sub.add_parser("corners", help="frequency per process corner")
     p_cor.set_defaults(func=cmd_corners)
+
+    p_rep = sub.add_parser(
+        "reproduce", help="the paper-vs-measured record; exit 1 on deviation")
+    p_rep.add_argument("experiments", nargs="*", metavar="EXPERIMENT",
+                       help="experiments to evaluate (default: all)")
+    p_rep.set_defaults(func=cmd_reproduce)
 
     return parser
 

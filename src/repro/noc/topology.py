@@ -177,12 +177,17 @@ class TreeTopology:
         return 2 * self.depth - 1
 
     def average_hops_uniform(self) -> float:
-        """Mean hop count over all ordered pairs of distinct leaves."""
-        total = 0
-        for src in range(self.leaves):
-            for dest in range(self.leaves):
-                if src != dest:
-                    total += self.hop_count(src, dest)
+        """Mean hop count over all ordered pairs of distinct leaves.
+
+        Closed form for the complete tree: ``N * (k**l - k**(l-1))``
+        ordered pairs meet at a router ``l`` levels above the leaves, and
+        each such path crosses ``2*l - 1`` routers.
+        """
+        total = sum(
+            self.leaves * (self.arity ** l - self.arity ** (l - 1))
+            * (2 * l - 1)
+            for l in range(1, self.depth + 1)
+        )
         return total / (self.leaves * (self.leaves - 1))
 
     def sibling_pairs(self) -> list[tuple[int, int]]:

@@ -9,7 +9,8 @@ For the demonstrator (64 ports, 3x3 routers at 0.010 mm^2, pipeline stages
 at 0.0015 mm^2) this comes to 0.73 mm^2, i.e. 0.73 % of the 10 mm x 10 mm
 chip. Our stage count is one NI stage per port plus the mid-link repeater
 stages the segmentation inserts (the paper does not publish the split, so
-EXPERIMENTS.md reports our accounting next to the paper's total).
+the EXP-DM rows of :mod:`repro.analysis.experiments` hold our accounting
+to the paper's total within 3 %).
 """
 
 from __future__ import annotations

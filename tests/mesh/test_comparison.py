@@ -43,7 +43,11 @@ class TestHops:
         assert gap_large > gap_small
 
     def test_log_vs_sqrt_scaling(self):
-        rows = tree_mesh_hop_table([16, 64, 256])
+        # Only hop columns are read here, so the 256-port row skips the
+        # all-pairs energy walk (3.5 of this test's 3.9 s) the table
+        # would run for it; TestSection3Golden pins the energy numbers.
+        rows = tree_mesh_hop_table([16, 64])
+        rows.append(compare_topologies(256, include_energy=False))
         for row in rows:
             assert row.tree_worst_hops == \
                 2 * int(math.log2(row.ports)) - 1

@@ -103,6 +103,18 @@ class TestRouting:
         avg = topo.average_hops_uniform()
         assert 1.0 < avg < topo.worst_case_hops()
 
+    @pytest.mark.parametrize("leaves, arity", [
+        (16, 2), (64, 2), (256, 2), (4, 4), (16, 4), (64, 4), (256, 4),
+    ])
+    def test_average_hops_closed_form_equals_the_pair_loop(self, leaves,
+                                                           arity):
+        """The O(N^2) walk over ``route_path`` is the oracle: same integer
+        total, same final division, so the float is identical."""
+        topo = TreeTopology(leaves, arity=arity)
+        total = sum(topo.hop_count(s, d) for s in range(leaves)
+                    for d in range(leaves) if s != d)
+        assert topo.average_hops_uniform() == total / (leaves * (leaves - 1))
+
     def test_unknown_leaf_rejected(self):
         topo = TreeTopology(8, arity=2)
         with pytest.raises(TopologyError):

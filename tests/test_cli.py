@@ -1,5 +1,8 @@
 """The command-line interface."""
 
+import contextlib
+import io
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -309,11 +312,18 @@ class TestTopologiesFlowControl:
 
 
 class TestCompare:
-    def test_every_registered_topology_has_rows(self, capsys):
+    @pytest.fixture(scope="class")
+    def out(self):
+        """``compare --nodes 16`` once (eight replays) for the four tests
+        that read its table."""
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert main(["compare", "--nodes", "16"]) == 0
+        return buffer.getvalue()
+
+    def test_every_registered_topology_has_rows(self, out):
         from repro.fabric.registry import topology_names
 
-        assert main(["compare", "--nodes", "16"]) == 0
-        out = capsys.readouterr().out
         assert "Physical comparison" in out
         # Row-leading tokens, not substrings — "tree" inside a "ctree"
         # row must not mask a missing tree row (same rule as the CI gate).
@@ -327,9 +337,7 @@ class TestCompare:
         assert "integrated" in out
         assert "mesochronous" in out
 
-    def test_vc_rows_pay_n_vcs_times_the_buffers(self, capsys):
-        assert main(["compare", "--nodes", "16"]) == 0
-        out = capsys.readouterr().out
+    def test_vc_rows_pay_n_vcs_times_the_buffers(self, out):
         mesh_rows = [line for line in out.splitlines()
                      if line.startswith("mesh")]
         buffers = [int(line.split("|")[4]) for line in mesh_rows]
@@ -340,9 +348,7 @@ class TestCompare:
         assert main(["compare", "--nodes", "24"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_frequency_column_present(self, capsys):
-        assert main(["compare", "--nodes", "16"]) == 0
-        out = capsys.readouterr().out
+    def test_frequency_column_present(self, out):
         header = next(line for line in out.splitlines()
                       if line.lstrip().startswith("topology"))
         assert "f GHz" in header
@@ -371,9 +377,7 @@ class TestCompare:
         assert "2-stage routers" in out
         assert "1.25 mm segments" in out
 
-    def test_workload_makespan_column_on_every_row(self, capsys):
-        assert main(["compare", "--nodes", "16"]) == 0
-        out = capsys.readouterr().out
+    def test_workload_makespan_column_on_every_row(self, out):
         header = next(line for line in out.splitlines()
                       if line.lstrip().startswith("topology"))
         assert "makespan cy" in header
