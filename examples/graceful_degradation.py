@@ -7,7 +7,7 @@ Run:  python examples/graceful_degradation.py
 
 from repro.analysis.plots import ascii_plot
 from repro.analysis.tables import format_table
-from repro.core import (
+from repro.clocking import (
     graceful_degradation_curve,
     synchronous_yield,
     timing_yield,

@@ -7,13 +7,16 @@ setup and hold margins scale with the clock period, and runs a 2-phase
 valid/accept handshake that needs no stall buffers and gates clocks for
 free.
 
-Quick start::
+Quick start — the paper's 64-port demonstrator tree, checked against
+eqs. (1)-(7) on every link segment::
 
-    from repro import ICNoC, ICNoCConfig, Packet
+    from repro import FabricConfig, Packet
+    from repro.timing.validator import validate_channels
 
-    noc = ICNoC(ICNoCConfig(ports=64))
-    print(noc.describe())
-    report = noc.validate_timing(frequency=1.0)
+    net = FabricConfig().build()
+    print(net.describe())
+    report = validate_channels(net.channel_specs, net.config.tech.register,
+                               frequency=1.0)
     assert report.passed
 
 Any registered fabric (tree, concentrated tree, mesh, torus, ring, ...)
@@ -43,8 +46,6 @@ current), ``ext`` (the paper's future-work items), ``analysis``
 (tables/plots/records).
 """
 
-from repro.core.config import ICNoCConfig
-from repro.core.icnoc import ICNoC
 from repro.fabric.registry import FabricConfig, build_fabric
 from repro.noc.packet import Packet
 from repro.noc.network import ICNoCNetwork
@@ -57,8 +58,6 @@ from repro.system.demonstrator import DemonstratorConfig, DemonstratorSystem
 __version__ = "1.0.0"
 
 __all__ = [
-    "ICNoC",
-    "ICNoCConfig",
     "FabricConfig",
     "build_fabric",
     "Packet",

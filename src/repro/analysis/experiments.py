@@ -13,7 +13,7 @@ test_paper_numbers.py`` (one case per row), ``python -m repro.cli
 reproduce [EXP-ID ...]`` (exit 1 on any deviation) and ``examples/
 reproduce_paper.py`` — are the only code that spells a paper number.
 The measure functions import ``repro.ext``, ``repro.system``,
-``repro.clocking``, ``repro.core`` and the sweep engine when they run:
+``repro.clocking`` and the sweep engine when they run:
 ``import repro.cli`` loads this module and must load nothing it did not
 load before.
 """
@@ -350,7 +350,7 @@ def _clock_power() -> dict:
 
 
 def _graceful_degradation() -> dict:
-    from repro.core.degradation import (
+    from repro.clocking.variation import (
         graceful_degradation_curve,
         synchronous_yield,
         timing_yield,

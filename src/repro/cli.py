@@ -2,11 +2,15 @@
 
 Commands:
 
-* ``info``      — describe an IC-NoC instance (structure, f_max, area);
-* ``validate``  — run the eq. (1)-(7) timing checks at a frequency;
+* ``info``      — describe any registered fabric (structure, clock
+  distribution, f_max, area, clock power; the tree family adds its
+  skew-limited f_max);
+* ``validate``  — run the eq. (1)-(7) timing checks at a frequency on a
+  fabric that carries the integrated clock;
 * ``fig7``      — print the Fig. 7 frequency/wire-length curve;
-* ``traffic``   — run a synthetic workload and print the statistics, or
-  replay a recorded injection trace (``--trace file.jsonl``);
+* ``traffic``   — run a synthetic workload on any registered fabric and
+  print the statistics, or replay a recorded injection trace
+  (``--trace file.jsonl``);
 * ``replay``    — replay an accelerator workload trace (canned model or
   ``--trace file.jsonl``) over any registered fabric: a control
   processor fans commands out to processing elements whose DMAs hit
@@ -39,14 +43,14 @@ Commands:
   (``reproduce EXP-F7 EXP-RT``): one row per paper number or claim,
   exit 1 if any row deviates.
 
-``info``, ``sweep``, ``metrics``, ``trace`` and ``replay`` all name their
-network through one mapping (:func:`_fabric_config_from`) onto the
-registry's spec, so every knob is spelled, defaulted and refused the same
-way on each of them — ``binary``/``quad`` are the registered ``tree`` at
-arity 2/4. ``info`` prints the tree through the
-:class:`~repro.core.icnoc.ICNoC` facade; the eq. (1)-(7) timing checks
-model the handshake tree only, so ``validate`` refuses credit fabrics
-with a clean error naming the supported set.
+Every verb that builds a network — ``info``, ``validate``, ``traffic``,
+``sweep``, ``metrics``, ``trace`` and ``replay`` — names it through one
+mapping (:func:`_fabric_config_from`) onto the registry's spec, so every
+knob is spelled, defaulted and refused the same way on each of them —
+``binary``/``quad`` are the registered ``tree`` at arity 2/4. The
+eq. (1)-(7) timing checks model links that carry the integrated clock,
+so ``validate`` refuses every fabric the registry does not mark
+tree-legal, with a clean error naming the supported set.
 """
 
 from __future__ import annotations
@@ -68,9 +72,7 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.plots import ascii_plot
 from repro.analysis.tables import format_table
-from repro.core.config import ICNoCConfig
 from repro.errors import ConfigurationError
-from repro.core.icnoc import ICNoC
 from repro.fabric.allocator import ALLOCATOR_NAMES
 from repro.fabric.registry import (
     FabricConfig,
@@ -81,22 +83,23 @@ from repro.fabric.registry import (
 from repro.system.demonstrator import DemonstratorConfig, DemonstratorSystem
 from repro.tech.corners import corner_frequency_table
 from repro.timing.frequency import pipeline_max_frequency
+from repro.timing.validator import channels_max_frequency, validate_channels
+from repro.traffic.base import apply_traffic
 from repro.traffic.patterns import NeighbourTraffic, UniformRandom
 
 
 def sweep_topologies() -> tuple[str, ...]:
-    """What ``sweep --topology`` accepts: the historical tree aliases
-    plus every registered fabric — a new ``register_topology`` call is
-    immediately sweepable, no CLI edit needed."""
+    """What every network verb's ``--topology`` accepts: the historical
+    tree aliases plus every registered fabric — a new
+    ``register_topology`` call is immediately sweepable, no CLI edit
+    needed."""
     return ("binary", "quad") + topology_names()
 
 
-def _add_network_options(parser: argparse.ArgumentParser,
-                         topologies: Sequence[str] = ("binary", "quad"),
-                         ) -> None:
+def _add_network_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ports", type=int, default=64,
                         help="network ports (power of the arity)")
-    parser.add_argument("--topology", choices=tuple(topologies),
+    parser.add_argument("--topology", choices=sweep_topologies(),
                         default="binary")
     parser.add_argument("--chip-mm", type=float, default=10.0,
                         help="square chip edge length in mm")
@@ -181,17 +184,6 @@ def _add_traffic_options(parser: argparse.ArgumentParser) -> None:
 #: The historical tree spellings: the registered ``tree`` at this arity.
 TREE_ALIASES = {"binary": 2, "quad": 4}
 
-#: Topologies the tree-only ICNoC facade (and its timing validator) covers.
-TREE_FAMILY = (*TREE_ALIASES, "tree")
-
-
-def _config_from(args: argparse.Namespace) -> ICNoCConfig:
-    return ICNoCConfig(
-        ports=args.ports, topology=args.topology,
-        chip_width_mm=args.chip_mm, chip_height_mm=args.chip_mm,
-        max_segment_mm=args.segment_mm,
-    )
-
 
 def _pairs(specs, flag: str, shape: str, left, right) -> tuple:
     """Parse a repeatable ``A:B`` option into ``((a, b), ...)``."""
@@ -215,11 +207,6 @@ def _fabric_config_from(args: argparse.Namespace) -> FabricConfig:
     itself decides legality (knobs the topology cannot honour, allocator
     vs flow control, reservation bounds, port shapes).
     """
-    if args.vcs is not None and args.flow_control != "vc":
-        # n_vcs has a default the registry cannot tell from "--vcs 2".
-        raise ConfigurationError(
-            "--vcs only applies with --flow-control vc"
-        )
     # A knob the verb does not offer keeps the spec's own default.
     offered = {field: getattr(args, option) for option, field in (
         ("segment_mm", "max_segment_mm"),
@@ -227,7 +214,23 @@ def _fabric_config_from(args: argparse.Namespace) -> FabricConfig:
         ("segment_links", "segment_links"),
         ("backend", "backend"),
         ("buffer_depth", "buffer_depth"),
+        ("flow_control", "flow_control"),
+        ("vc_policy", "vc_policy"),
+        ("allocator", "allocator"),
     ) if hasattr(args, option)}
+    if hasattr(args, "flow_control"):
+        if args.vcs is not None and args.flow_control != "vc":
+            # n_vcs has a default the registry cannot tell from "--vcs 2".
+            raise ConfigurationError(
+                "--vcs only applies with --flow-control vc"
+            )
+        if args.vcs is not None:
+            offered["n_vcs"] = args.vcs
+        offered["reservations"] = _pairs(args.reserve, "--reserve",
+                                         "VC:FRACTION", int, float)
+        offered["priority_flows"] = _pairs(args.priority_flow,
+                                           "--priority-flow", "SRC:DEST",
+                                           int, int)
     if hasattr(args, "naive"):
         offered["activity_driven"] = not args.naive
     if args.topology in TREE_ALIASES:
@@ -236,14 +239,6 @@ def _fabric_config_from(args: argparse.Namespace) -> FabricConfig:
         topology="tree" if args.topology in TREE_ALIASES else args.topology,
         ports=args.ports,
         chip_width_mm=args.chip_mm, chip_height_mm=args.chip_mm,
-        flow_control=args.flow_control,
-        n_vcs=2 if args.vcs is None else args.vcs,
-        vc_policy=args.vc_policy,
-        allocator=args.allocator,
-        reservations=_pairs(args.reserve, "--reserve", "VC:FRACTION",
-                            int, float),
-        priority_flows=_pairs(args.priority_flow, "--priority-flow",
-                              "SRC:DEST", int, int),
         **offered,
     )
 
@@ -252,23 +247,20 @@ def cmd_info(args: argparse.Namespace) -> int:
     from repro.physical.descriptor import physical_model
     try:
         config = _fabric_config_from(args)
-        if config.topology == "tree":
-            print(ICNoC(_config_from(args)).describe())
-            return 0
-        # Any other registered fabric: structure plus its physical view.
         network = config.build()
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    entry = get_topology(config.topology)
     model = physical_model(network)
     frequency = model.frequency_ghz()
     clock = model.clock_power(frequency, sink_activity=1.0)
     print(network.describe())
     print(f"clock distribution: {model.clock_distribution}, "
           f"f_max {frequency:.3f} GHz")
-    if get_topology(config.topology).supports_pipeline:
-        # Credit fabrics only: the ctree's handshake tree has a fixed
-        # pipeline and reports its stages in describe() already.
+    if entry.supports_pipeline:
+        # Credit fabrics only: the handshake trees have a fixed pipeline
+        # and report their stages in describe() already.
         print(f"pipeline: router depth {network.pipeline_depth}, "
               f"{network.link_stage_count} link stage registers, "
               f"longest segment {network.longest_segment_mm():.3f} mm "
@@ -284,23 +276,36 @@ def cmd_info(args: argparse.Namespace) -> int:
             line += f" (priority flows {flows})"
         print(line)
     print(f"area: {model.area_report().describe()}")
+    if entry.tree_legal:
+        skew_limited = channels_max_frequency(network.channel_specs,
+                                              config.tech.register)
+        print(f"skew-limited f_max: {skew_limited:.3f} GHz")
     print(f"clock power (un-gated): {clock.describe()}")
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.topology not in TREE_FAMILY:
+    try:
+        config = _fabric_config_from(args)
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if not get_topology(config.topology).tree_legal:
+        supported = (*TREE_ALIASES, *(name for name in topology_names()
+                                      if get_topology(name).tree_legal))
         print(
             f"error: the eq. (1)-(7) timing checks model the handshake "
-            f"tree only (supported: {', '.join(TREE_FAMILY)}); "
-            f"{args.topology!r} is a credit fabric — see 'repro compare' "
-            f"for its physical report",
+            f"tree only (supported: {', '.join(supported)}); "
+            f"{args.topology!r} has converging paths, so it cannot carry "
+            f"the integrated clock — see 'repro compare' for its physical "
+            f"report",
             file=sys.stderr,
         )
         return 2
-    noc = ICNoC(_config_from(args))
-    frequency = args.frequency or noc.operating_frequency_ghz()
-    report = noc.validate_timing(frequency=frequency)
+    network = config.build()
+    frequency = args.frequency or network.operating_frequency_ghz()
+    report = validate_channels(network.channel_specs, config.tech.register,
+                               frequency)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -315,15 +320,14 @@ def cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def cmd_traffic(args: argparse.Namespace) -> int:
-    noc = ICNoC(_config_from(args))
-    if args.trace is not None:
-        # Replay a recorded schedule instead of generating one — the
-        # loader (shared with the accel formats) validates the trace's
-        # schema version and reports corrupt lines by number.
-        from repro.traffic.base import apply_traffic
-        from repro.traffic.trace import replay_trace
+    try:
+        network = _fabric_config_from(args).build()
+        if args.trace is not None:
+            # Replay a recorded schedule instead of generating one — the
+            # loader (shared with the accel formats) validates the
+            # trace's schema version and reports corrupt lines by number.
+            from repro.traffic.trace import replay_trace
 
-        try:
             injections = replay_trace(args.trace)
             for injection in injections:
                 if not 0 <= injection.src < args.ports \
@@ -333,11 +337,11 @@ def cmd_traffic(args: argparse.Namespace) -> int:
                         f"{injection.dest} does not fit a "
                         f"{args.ports}-port network"
                     )
-        except ConfigurationError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        apply_traffic(noc.network, injections)
-        stats = noc.network.stats
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if args.trace is not None:
+        apply_traffic(network, injections)
         print(f"replayed {len(injections)} injections from {args.trace}")
     else:
         if args.pattern == "uniform":
@@ -347,8 +351,10 @@ def cmd_traffic(args: argparse.Namespace) -> int:
             generator = NeighbourTraffic(args.ports, args.load,
                                          size_flits=args.flits,
                                          locality=args.locality)
-        stats = noc.run_traffic(generator, cycles=args.cycles,
-                                seed=args.seed)
+        schedule = generator.generate(args.cycles,
+                                      np.random.default_rng(args.seed))
+        apply_traffic(network, schedule, run_cycles=args.cycles)
+    stats = network.stats
     print(stats.describe())
     return 0 if stats.packets_delivered == stats.packets_injected else 1
 
@@ -729,12 +735,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_info = sub.add_parser("info", help="describe a network instance")
-    _add_network_options(p_info, topologies=sweep_topologies())
+    _add_network_options(p_info)
     _add_fabric_options(p_info)
     p_info.set_defaults(func=cmd_info)
 
     p_val = sub.add_parser("validate", help="run the timing checks")
-    _add_network_options(p_val, topologies=sweep_topologies())
+    _add_network_options(p_val)
     p_val.add_argument("--frequency", type=float, default=None,
                        help="GHz (default: the operating point)")
     p_val.set_defaults(func=cmd_validate)
@@ -760,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.set_defaults(func=cmd_traffic)
 
     p_sw = sub.add_parser("sweep", help="offered-load sweep (parallelisable)")
-    _add_network_options(p_sw, topologies=sweep_topologies())
+    _add_network_options(p_sw)
     _add_traffic_options(p_sw)
     p_sw.add_argument("--loads", default="0.05,0.10,0.20,0.40",
                       help="comma-separated offered loads")
@@ -794,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one load point with the metrics registry attached: "
              "congestion attribution, latency percentiles, JSONL export",
     )
-    _add_network_options(p_met, topologies=sweep_topologies())
+    _add_network_options(p_met)
     _add_traffic_options(p_met)
     p_met.add_argument("--load", type=float, default=0.2,
                        help="offered load in flits/cycle/port")
@@ -809,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="follow sampled packets hop by hop (queueing vs transit)",
     )
-    _add_network_options(p_trc, topologies=sweep_topologies())
+    _add_network_options(p_trc)
     _add_traffic_options(p_trc)
     p_trc.add_argument("--load", type=float, default=0.2,
                        help="offered load in flits/cycle/port")

@@ -3,14 +3,22 @@
 The IC-NoC distributes the clock along the branches of the NoC tree,
 inverting it at every pipeline stage so that adjacent stages clock on
 alternating edges. This package models that distribution (insertion delays,
-per-node polarity, skew), the process-variation Monte Carlo used by the
-graceful-degradation experiments, the power of competing distribution
-styles, and the conventional mesochronous synchronizers the paper's
-Section 2 compares against.
+per-node polarity, skew), the process-variation Monte Carlo and the
+graceful-degradation and yield experiments built on it (plain functions
+over a built network's ``channel_specs``), the power of competing
+distribution styles, and the conventional mesochronous synchronizers the
+paper's Section 2 compares against.
 """
 
 from repro.clocking.clock_tree import ClockTree, ClockTreeNode
-from repro.clocking.variation import VariationModel, perturb_channels
+from repro.clocking.variation import (
+    VariationModel,
+    perturb_channels,
+    DegradationPoint,
+    graceful_degradation_curve,
+    timing_yield,
+    synchronous_yield,
+)
 from repro.clocking.gating import GatingStats
 from repro.clocking.mesochronous import (
     TwoFlopSynchronizer,
@@ -28,6 +36,10 @@ __all__ = [
     "ClockTreeNode",
     "VariationModel",
     "perturb_channels",
+    "DegradationPoint",
+    "graceful_degradation_curve",
+    "timing_yield",
+    "synchronous_yield",
     "GatingStats",
     "TwoFlopSynchronizer",
     "PhaseDetectorScheme",

@@ -15,14 +15,6 @@ class TopologyError(ConfigurationError):
     """A topology request cannot be satisfied (bad arity, port count, ...)."""
 
 
-class TimingViolationError(ReproError):
-    """A timing constraint is violated and the caller asked for strictness."""
-
-    def __init__(self, message: str, violations: list | None = None):
-        super().__init__(message)
-        self.violations = violations if violations is not None else []
-
-
 class SimulationError(ReproError):
     """The behavioural simulator detected an internal inconsistency."""
 

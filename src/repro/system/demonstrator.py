@@ -32,7 +32,6 @@ from repro.sim.kernel import SimKernel
 from repro.system.memory import MemoryModel
 from repro.system.processor import ProcessorConfig, ProcessorModel
 from repro.system.tile import Tile, mem_leaf, proc_leaf, tile_of
-from repro.tech.technology import Technology, TECH_90NM
 
 
 @dataclass(frozen=True)
@@ -40,15 +39,10 @@ class DemonstratorConfig:
     """Parameters of the demonstrator run."""
 
     tiles: int = 32
-    chip_width_mm: float = 10.0
-    chip_height_mm: float = 10.0
-    max_segment_mm: float = 1.25
-    tech: Technology = TECH_90NM
     processor: ProcessorConfig = ProcessorConfig()
     memory_service_cycles: int = 4
     memory_response_flits: int = 4
     seed: int = 2007
-    arbiter_policy: str = "local_priority"
     activity_driven: bool = True
 
     def __post_init__(self) -> None:
@@ -152,15 +146,12 @@ class DemonstratorSystem:
             tile = Tile(index=t, processor=processor, memory=memory)
             self.tiles.append(tile)
             self.drivers.append(TileDriver(self.kernel, tile))
+        # The paper's floorplan and technology are FabricConfig's defaults.
         self.network = ICNoCNetwork(FabricConfig(
             ports=config.leaves,
             arity=2,
-            chip_width_mm=config.chip_width_mm,
-            chip_height_mm=config.chip_height_mm,
-            max_segment_mm=config.max_segment_mm,
-            tech=config.tech,
             activity_driven=config.activity_driven,
-        ), kernel=self.kernel, arbiter_policy=config.arbiter_policy)
+        ), kernel=self.kernel, arbiter_policy="local_priority")
         for tile, driver in zip(self.tiles, self.drivers):
             driver.network = self.network
             self.network.set_handler(mem_leaf(tile.index),

@@ -27,7 +27,6 @@ from repro.timing.frequency import (
     pipeline_half_period,
     pipeline_max_frequency,
     max_segment_length,
-    network_max_frequency,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "pipeline_half_period",
     "pipeline_max_frequency",
     "max_segment_length",
-    "network_max_frequency",
 ]

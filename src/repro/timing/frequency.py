@@ -1,4 +1,6 @@
-"""Maximum-frequency models: Fig. 7's pipeline curve and network solvers.
+"""Maximum-frequency models: Fig. 7's pipeline curve and the router's
+critical path (a network combines both in
+:meth:`~repro.fabric.network.Network.operating_frequency_ghz`).
 
 The paper's Fig. 7 plots achievable clock frequency against the wire length
 between two pipeline stages, from back-annotated layout. Our model::
@@ -16,9 +18,7 @@ half-period budget. ``t_w`` is the calibrated buffered-wire delay.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.tech.flipflop import RegisterTiming
 from repro.tech.technology import Technology, TECH_90NM
-from repro.timing.validator import ChannelSpec, channels_max_frequency
 from repro.units import frequency_from_half_period, half_period_ps
 
 
@@ -75,25 +75,3 @@ def router_max_frequency(ports: int, tech: Technology = TECH_90NM,
         half = (half / pipeline_depth
                 + (1.0 - 1.0 / pipeline_depth) * tech.pipeline_overhead_ps)
     return frequency_from_half_period(half)
-
-
-def network_max_frequency(channel_specs: list[ChannelSpec],
-                          router_port_counts: list[int],
-                          register: RegisterTiming | None = None,
-                          tech: Technology = TECH_90NM) -> float:
-    """Max safe frequency of a whole network (GHz).
-
-    The binding constraint is either a link channel (skew windows) or a
-    router's internal critical path. ``register`` defaults to the
-    technology's flip-flop.
-    """
-    if register is None:
-        register = tech.register
-    bounds = []
-    if channel_specs:
-        bounds.append(channels_max_frequency(channel_specs, register))
-    for ports in router_port_counts:
-        bounds.append(router_max_frequency(ports, tech))
-    if not bounds:
-        raise ConfigurationError("network has neither channels nor routers")
-    return min(bounds)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.degradation import (
+from repro.clocking.variation import (
     graceful_degradation_curve,
     synchronous_yield,
     timing_yield,

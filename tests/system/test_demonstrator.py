@@ -34,8 +34,9 @@ class TestConfig:
     def test_paper_defaults(self):
         config = DemonstratorConfig()
         assert config.tiles == 32
-        assert config.chip_width_mm == 10.0
-        assert config.max_segment_mm == 1.25
+        fabric = DemonstratorSystem(config).network.config
+        assert fabric.chip_width_mm == 10.0
+        assert fabric.max_segment_mm == 1.25
 
 
 @pytest.fixture(scope="module")

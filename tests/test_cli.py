@@ -25,6 +25,22 @@ class TestInfo:
         assert "IC-NoC" in out
         assert "16 ports" in out
 
+    @pytest.mark.parametrize("topology, labels", [
+        ("binary", ["clock distribution", "area", "skew-limited f_max",
+                    "clock power (un-gated)"]),
+        ("ctree", ["clock distribution", "area", "skew-limited f_max",
+                   "clock power (un-gated)"]),
+        ("mesh", ["clock distribution", "pipeline", "allocation", "area",
+                  "clock power (un-gated)"]),
+    ])
+    def test_one_block_for_every_fabric(self, capsys, topology, labels):
+        """Every fabric prints the same block under its description; the
+        handshake trees add their skew-limited f_max (eqs. 1-7) between
+        the area and clock power lines."""
+        assert main(["info", "--topology", topology, "--ports", "16"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split(":")[0] for line in lines] == labels
+
     def test_quad_topology(self, capsys):
         assert main(["info", "--ports", "16", "--topology", "quad"]) == 0
         assert "5x5" in capsys.readouterr().out
@@ -60,6 +76,12 @@ class TestTraffic:
         code = main(["traffic", "--ports", "16", "--pattern", "neighbour",
                      "--load", "0.05", "--cycles", "100"])
         assert code == 0
+
+    def test_any_registered_fabric(self, capsys):
+        code = main(["traffic", "--topology", "mesh", "--ports", "16",
+                     "--load", "0.05", "--cycles", "100"])
+        assert code == 0  # every injected packet delivered
+        assert "packets" in capsys.readouterr().out
 
 
 class TestSweep:
@@ -372,7 +394,7 @@ class TestCompare:
 
     def test_pipeline_knobs_reach_the_table_title(self, capsys):
         assert main(["compare", "--nodes", "16", "--pipeline-depth", "2",
-                     "--segment-mm", "1.25"]) == 0
+                     "--segment-mm", "1.25", "--workload", "none"]) == 0
         out = capsys.readouterr().out
         assert "2-stage routers" in out
         assert "1.25 mm segments" in out
@@ -525,7 +547,7 @@ class TestInfoRegistryFabrics:
         assert "concentration" in out
         assert "integrated" in out
 
-    def test_tree_alias_keeps_facade_path(self, capsys):
+    def test_registered_tree_name_describes_the_tree(self, capsys):
         assert main(["info", "--topology", "tree", "--ports", "16"]) == 0
         assert "IC-NoC" in capsys.readouterr().out
 
@@ -580,6 +602,17 @@ class TestValidateRegistryFabrics:
         assert main(["validate", "--topology", "tree",
                      "--ports", "16"]) == 0
         assert "0 violations" in capsys.readouterr().out
+
+    def test_concentrated_tree_validates(self, capsys):
+        """The registry, not a CLI tuple, names the supported set: the
+        ctree is tree-legal and carries channel specs like the tree."""
+        assert main(["validate", "--topology", "ctree",
+                     "--ports", "16"]) == 0
+        assert "0 violations" in capsys.readouterr().out
+
+    def test_bad_port_count_is_a_clean_error(self, capsys):
+        assert main(["validate", "--ports", "24"]) == 2
+        assert "power of 2" in capsys.readouterr().err
 
 
 class TestSweepEnergyColumn:

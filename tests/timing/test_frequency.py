@@ -1,12 +1,10 @@
-"""Fig. 7 pipeline model and network frequency solvers."""
+"""Fig. 7 pipeline model and router frequency solver."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.tech.technology import TECH_90NM
 from repro.timing import frequency
-from repro.timing.validator import ChannelSpec
 
 
 class TestFig7Curve:
@@ -86,26 +84,3 @@ class TestRouterFrequency:
                                                                   rel=1e-4)
         assert frequency.router_max_frequency(5) == pytest.approx(1.2,
                                                                   rel=1e-4)
-
-
-class TestNetworkFrequency:
-    def test_router_binds_when_links_short(self):
-        specs = [ChannelSpec("s", 10.0, 10.0, 10.0)]
-        f = frequency.network_max_frequency(specs, [3])
-        assert f == pytest.approx(1.4, rel=1e-4)
-
-    def test_links_bind_when_long(self):
-        # 300 ps wires: Thalf = 120 + 600 = 720 -> 0.694 GHz < router 1.4.
-        specs = [ChannelSpec("s", 300.0, 300.0, 300.0)]
-        f = frequency.network_max_frequency(specs, [3])
-        assert f == pytest.approx(1000.0 / 1440.0, rel=1e-6)
-
-    def test_derated_technology_lowers_frequency(self):
-        slow_tech = TECH_90NM.derated(1.5)
-        f_nom = frequency.network_max_frequency([], [3], tech=TECH_90NM)
-        f_slow = frequency.network_max_frequency([], [3], tech=slow_tech)
-        assert f_slow == pytest.approx(f_nom / 1.5)
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(ConfigurationError):
-            frequency.network_max_frequency([], [])
