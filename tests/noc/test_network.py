@@ -6,6 +6,8 @@ from repro.errors import ConfigurationError, TopologyError
 from repro.fabric.registry import FabricConfig
 from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
+from repro.tech.technology import TECH_90NM
+from repro.timing.frequency import pipeline_max_frequency, router_max_frequency
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,34 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ICNoCNetwork(FabricConfig(ports=16, arity=4),
                          arbiter_policy="local_priority")
+
+
+class TestOperatingFrequency:
+    """``operating_frequency_ghz`` is the one network frequency rule:
+    the slower of the router critical path and Fig. 7's curve at the
+    longest segment."""
+
+    def test_router_binds_when_links_short(self):
+        # 0.5 mm segments allow ~1.47 GHz; the 3x3 router caps at 1.4.
+        net = FabricConfig(ports=16, chip_width_mm=2.0,
+                           chip_height_mm=2.0).build()
+        assert pipeline_max_frequency(net.longest_segment_mm()) > 1.4
+        assert net.operating_frequency_ghz() == pytest.approx(
+            router_max_frequency(net.router_ports), rel=1e-12)
+        assert net.operating_frequency_ghz() == pytest.approx(1.4, rel=1e-4)
+
+    def test_links_bind_when_long(self):
+        # The demonstrator's 1.25 mm segments hold it below the router.
+        net = FabricConfig().build()
+        f = net.operating_frequency_ghz()
+        assert f == pytest.approx(
+            pipeline_max_frequency(net.longest_segment_mm()), rel=1e-12)
+        assert f < router_max_frequency(net.router_ports)
+
+    def test_derated_technology_lowers_frequency(self):
+        nominal = FabricConfig(ports=16).build().operating_frequency_ghz()
+        slow = FabricConfig(ports=16, tech=TECH_90NM.derated(1.5)).build()
+        assert slow.operating_frequency_ghz() == pytest.approx(nominal / 1.5)
 
 
 class TestClockDistribution:

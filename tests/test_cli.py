@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _fabric_config_from, build_parser, main
 
 
 class TestParser:
@@ -16,6 +16,20 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["explode"])
+
+
+@pytest.mark.parametrize("topology, arity",
+                         (("tree", 2), ("binary", 2), ("quad", 4)))
+def test_tree_spellings_name_one_tree_spec(topology, arity):
+    """Every tree spelling maps to the registry's tree with its arity,
+    and the port count carries through unchanged."""
+    args = build_parser().parse_args(["info", "--topology", topology,
+                                      "--ports", "16"])
+    config = _fabric_config_from(args)
+    assert config.topology == "tree"
+    assert config.arity == arity
+    assert config.ports == 16
+    assert config.build().topology.leaves == 16
 
 
 class TestInfo:
