@@ -1,11 +1,11 @@
 """The command-line interface."""
 
-import contextlib
-import io
+import json
 
 import pytest
 
 from repro.cli import _fabric_config_from, build_parser, main
+from tests import record_cli_golden
 
 
 class TestParser:
@@ -350,12 +350,14 @@ class TestTopologiesFlowControl:
 class TestCompare:
     @pytest.fixture(scope="class")
     def out(self):
-        """``compare --nodes 16`` once (eight replays) for the four tests
-        that read its table."""
-        buffer = io.StringIO()
-        with contextlib.redirect_stdout(buffer):
-            assert main(["compare", "--nodes", "16"]) == 0
-        return buffer.getvalue()
+        """``compare --nodes 16`` (eight replays) for the four tests that
+        read its table: its golden-transcript entry, which
+        tests/test_cli_golden.py holds the live run to."""
+        golden = json.loads(record_cli_golden.FIXTURE.read_text())
+        entry = next(entry for entry in golden["transcript"]
+                     if entry["argv"] == ["compare", "--nodes", "16"])
+        assert entry["exit"] == 0
+        return entry["stdout"]
 
     def test_every_registered_topology_has_rows(self, out):
         from repro.fabric.registry import topology_names
