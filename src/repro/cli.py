@@ -51,6 +51,12 @@ knob is spelled, defaulted and refused the same way on each of them —
 eq. (1)-(7) timing checks model links that carry the integrated clock,
 so ``validate`` refuses every fabric the registry does not mark
 tree-legal, with a clean error naming the supported set.
+
+Errors: any :class:`~repro.errors.ConfigurationError` a verb raises —
+an illegal spec, a bad knob, a corrupt input file — reaches
+:func:`main`, which prints ``error: <message>`` to stderr and exits 2;
+a verb never catches it itself. Output printed before the error stays
+printed. Every other exception propagates.
 """
 
 from __future__ import annotations
@@ -245,12 +251,8 @@ def _fabric_config_from(args: argparse.Namespace) -> FabricConfig:
 
 def cmd_info(args: argparse.Namespace) -> int:
     from repro.physical.descriptor import physical_model
-    try:
-        config = _fabric_config_from(args)
-        network = config.build()
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    config = _fabric_config_from(args)
+    network = config.build()
     entry = get_topology(config.topology)
     model = physical_model(network)
     frequency = model.frequency_ghz()
@@ -285,23 +287,17 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        config = _fabric_config_from(args)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    config = _fabric_config_from(args)
     if not get_topology(config.topology).tree_legal:
         supported = (*TREE_ALIASES, *(name for name in topology_names()
                                       if get_topology(name).tree_legal))
-        print(
-            f"error: the eq. (1)-(7) timing checks model the handshake "
+        raise ConfigurationError(
+            f"the eq. (1)-(7) timing checks model the handshake "
             f"tree only (supported: {', '.join(supported)}); "
             f"{args.topology!r} has converging paths, so it cannot carry "
             f"the integrated clock — see 'repro compare' for its physical "
-            f"report",
-            file=sys.stderr,
+            f"report"
         )
-        return 2
     network = config.build()
     frequency = args.frequency or network.operating_frequency_ghz()
     report = validate_channels(network.channel_specs, config.tech.register,
@@ -320,27 +316,22 @@ def cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def cmd_traffic(args: argparse.Namespace) -> int:
-    try:
-        network = _fabric_config_from(args).build()
-        if args.trace is not None:
-            # Replay a recorded schedule instead of generating one — the
-            # loader (shared with the accel formats) validates the
-            # trace's schema version and reports corrupt lines by number.
-            from repro.traffic.trace import replay_trace
-
-            injections = replay_trace(args.trace)
-            for injection in injections:
-                if not 0 <= injection.src < args.ports \
-                        or not 0 <= injection.dest < args.ports:
-                    raise ConfigurationError(
-                        f"{args.trace}: injection {injection.src} -> "
-                        f"{injection.dest} does not fit a "
-                        f"{args.ports}-port network"
-                    )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    network = _fabric_config_from(args).build()
     if args.trace is not None:
+        # Replay a recorded schedule instead of generating one — the
+        # loader (shared with the accel formats) validates the trace's
+        # schema version and reports corrupt lines by number.
+        from repro.traffic.trace import replay_trace
+
+        injections = replay_trace(args.trace)
+        for injection in injections:
+            if not 0 <= injection.src < args.ports \
+                    or not 0 <= injection.dest < args.ports:
+                raise ConfigurationError(
+                    f"{args.trace}: injection {injection.src} -> "
+                    f"{injection.dest} does not fit a "
+                    f"{args.ports}-port network"
+                )
         apply_traffic(network, injections)
         print(f"replayed {len(injections)} injections from {args.trace}")
     else:
@@ -430,34 +421,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         loads = [float(x) for x in args.loads.split(",") if x.strip()]
     except ValueError:
-        print(f"error: --loads expects comma-separated numbers, "
-              f"got {args.loads!r}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(f"--loads expects comma-separated numbers, "
+                                 f"got {args.loads!r}")
     if not loads:
-        print("error: --loads needs at least one value", file=sys.stderr)
-        return 2
-    try:
-        template = _traffic_template(args, loads[0],
-                                     telemetry=args.metrics is not None)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--loads needs at least one value")
+    template = _traffic_template(args, loads[0],
+                                 telemetry=args.metrics is not None)
     if args.search != "bisect" and args.placement is not None:
-        print("error: --placement only applies with --search bisect",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "--placement only applies with --search bisect")
     if args.search == "bisect":
         if len(loads) < 2:
-            print("error: --search bisect needs at least two --loads "
-                  "values (the bracket)", file=sys.stderr)
-            return 2
+            raise ConfigurationError("--search bisect needs at least two "
+                                     "--loads values (the bracket)")
         if args.checkpoint is not None:
             # Bisection picks each round's loads from the previous
             # round's measurements; skip-by-hash resume only makes sense
             # for a predetermined grid.
-            print("error: --checkpoint only applies with --search grid",
-                  file=sys.stderr)
-            return 2
+            raise ConfigurationError(
+                "--checkpoint only applies with --search grid")
         search = bisect_saturation_throughput(
             template, lo=min(loads), hi=max(loads),
             budget=max(len(loads), args.budget),
@@ -490,12 +472,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             _export_metrics(args.metrics, list(search.evaluated))
         return 0 if all(m["drained"] for _, m in search.evaluated) else 1
     specs = expand_loads(template, loads, base_seed=args.seed)
-    try:
-        results = measure_load_points(specs, workers=args.workers,
-                                      checkpoint=args.checkpoint)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    results = measure_load_points(specs, workers=args.workers,
+                                  checkpoint=args.checkpoint)
     rows = [[spec.load,
              round(m["offered"], 4),
              round(m["accepted_in_window"], 4),
@@ -524,11 +502,7 @@ def _energy_cell(metrics: dict) -> str:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.telemetry import render_metrics_report
-    try:
-        template = _traffic_template(args, args.load, telemetry=True)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    template = _traffic_template(args, args.load, telemetry=True)
     metrics = evaluate_load_point(template)
     print(f"Metrics: {args.topology}, {args.ports} ports, {args.pattern} "
           f"at load {args.load:g}, {args.cycles} cycles")
@@ -542,12 +516,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        template = _traffic_template(
-            args, args.load, trace_sample_period=args.sample_period)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    template = _traffic_template(args, args.load,
+                                 trace_sample_period=args.sample_period)
     metrics = evaluate_load_point(template)
     traces = metrics["traces"]
     print(f"Trace: {args.topology}, {args.ports} ports, {args.pattern} at "
@@ -569,45 +539,40 @@ def cmd_replay(args: argparse.Namespace) -> int:
         save_accel_trace,
         sweep_placements,
     )
-    try:
-        if args.trace is not None:
-            trace = load_accel_trace(args.trace)
-        else:
-            trace = generate_trace(args.model, pes=args.pes,
-                                   mems=args.mems, seed=args.seed)
-        if args.save_trace is not None:
-            save_accel_trace(trace, args.save_trace)
-            print(f"trace written to {args.save_trace} "
-                  f"({len(trace.events)} events)")
-        config = _fabric_config_from(args)
-        if args.sweep_placements:
-            records = sweep_placements(
-                config, model=args.model, trace_path=args.trace,
-                pes=trace.pes, mems=trace.mems, seed=args.seed,
-                offsets=tuple(range(args.sweep_placements)),
-                workers=args.workers, max_cycles=args.max_cycles)
-            print(format_table(
-                ["offset", "makespan cy", "noc stall cy", "delivered"],
-                [[r["offset"], r["makespan_cycles"],
-                  r["noc_stall_cycles"], r["packets_delivered"]]
-                 for r in records],
-                title=(f"Placement sweep: {trace.model} on "
-                       f"{config.topology} ({config.flow_control}), "
-                       f"{config.ports} endpoints"),
-            ))
-            best = min(records, key=lambda r: r["makespan_cycles"])
-            print(f"best offset: {best['offset']} "
-                  f"({best['makespan_cycles']} cycles)")
-            return 0
-        system = ReplaySystem(trace, config)
-        registry = None
-        if args.metrics is not None:
-            from repro.telemetry import attach_metrics
-            registry = attach_metrics(system.network)
-        results = system.run(max_cycles=args.max_cycles)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    if args.trace is not None:
+        trace = load_accel_trace(args.trace)
+    else:
+        trace = generate_trace(args.model, pes=args.pes, mems=args.mems,
+                               seed=args.seed)
+    if args.save_trace is not None:
+        save_accel_trace(trace, args.save_trace)
+        print(f"trace written to {args.save_trace} "
+              f"({len(trace.events)} events)")
+    config = _fabric_config_from(args)
+    if args.sweep_placements:
+        records = sweep_placements(
+            config, model=args.model, trace_path=args.trace,
+            pes=trace.pes, mems=trace.mems, seed=args.seed,
+            offsets=tuple(range(args.sweep_placements)),
+            workers=args.workers, max_cycles=args.max_cycles)
+        print(format_table(
+            ["offset", "makespan cy", "noc stall cy", "delivered"],
+            [[r["offset"], r["makespan_cycles"], r["noc_stall_cycles"],
+              r["packets_delivered"]] for r in records],
+            title=(f"Placement sweep: {trace.model} on "
+                   f"{config.topology} ({config.flow_control}), "
+                   f"{config.ports} endpoints"),
+        ))
+        best = min(records, key=lambda r: r["makespan_cycles"])
+        print(f"best offset: {best['offset']} "
+              f"({best['makespan_cycles']} cycles)")
+        return 0
+    system = ReplaySystem(trace, config)
+    registry = None
+    if args.metrics is not None:
+        from repro.telemetry import attach_metrics
+        registry = attach_metrics(system.network)
+    results = system.run(max_cycles=args.max_cycles)
     print(f"replay: {trace.model} on {config.topology} "
           f"({config.flow_control}), {config.ports} endpoints, "
           f"{len(trace.events)} events")
@@ -636,19 +601,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.physical.comparison import physical_comparison_rows
     workload = None if args.workload == "none" else args.workload
-    try:
-        rows = physical_comparison_rows(
-            nodes=args.nodes, n_vcs=args.vcs,
-            buffer_depth=args.buffer_depth,
-            concentration=args.concentration, chip_mm=args.chip_mm,
-            pipeline_depth=args.pipeline_depth,
-            segment_mm=args.segment_mm,
-            backend=args.backend,
-            workload=workload,
-        )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    rows = physical_comparison_rows(
+        nodes=args.nodes, n_vcs=args.vcs,
+        buffer_depth=args.buffer_depth,
+        concentration=args.concentration, chip_mm=args.chip_mm,
+        pipeline_depth=args.pipeline_depth,
+        segment_mm=args.segment_mm,
+        backend=args.backend,
+        workload=workload,
+    )
     pipeline_note = ""
     if args.pipeline_depth != 1:
         pipeline_note += f", {args.pipeline_depth}-stage routers"
@@ -716,11 +677,7 @@ def cmd_corners(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import evaluate
-    try:
-        log = evaluate(args.experiments)
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    log = evaluate(args.experiments)
     print(log.render(title="Paper vs measured"))
     print(f"{len(log.comparisons)} rows:",
           "ALL MATCH" if log.all_match else "DEVIATIONS PRESENT")
@@ -931,7 +888,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as error:
+        # The one error boundary: a bad spec, knob or input file is a
+        # one-line diagnosis and exit 2, never a traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
