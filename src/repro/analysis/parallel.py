@@ -159,6 +159,14 @@ class LoadPoint:
                 f"unknown traffic pattern {self.pattern!r}; "
                 f"known: {', '.join(PATTERN_NAMES)}"
             )
+        if self.cycles < 1:
+            raise ConfigurationError(
+                f"cycles must be >= 1, got {self.cycles}")
+        if self.trace_sample_period is not None \
+                and self.trace_sample_period < 1:
+            raise ConfigurationError(
+                f"trace_sample_period must be >= 1, "
+                f"got {self.trace_sample_period}")
         # Validate the pattern knobs against the network here, not first
         # in a worker process: a bad spec must fail where it is built
         # (the CLI turns this into a clean error), not as a traceback

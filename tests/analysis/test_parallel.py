@@ -75,6 +75,23 @@ class TestLoadPoints:
         with pytest.raises(ConfigurationError):
             LoadPoint(load=0.1, pattern="teleport")
 
+    @pytest.mark.parametrize("cycles", (0, -5))
+    def test_run_without_cycles_rejected(self, cycles):
+        # Where the spec is built, not as a division by zero in a worker.
+        with pytest.raises(ConfigurationError, match="cycles must be >= 1"):
+            LoadPoint(load=0.1, network=TREE16, cycles=cycles)
+
+    @pytest.mark.parametrize("period", (0, -1))
+    def test_trace_sample_period_below_one_rejected(self, period):
+        with pytest.raises(ConfigurationError,
+                           match="trace_sample_period must be >= 1"):
+            LoadPoint(load=0.1, network=TREE16, trace_sample_period=period)
+
+    def test_one_cycle_and_every_packet_traced_accepted(self):
+        point = LoadPoint(load=0.1, network=TREE16, cycles=1,
+                          trace_sample_period=1)
+        assert (point.cycles, point.trace_sample_period) == (1, 1)
+
     def test_ports_from_tree_and_mesh(self):
         assert LoadPoint(load=0.1, network=TREE16).ports == 16
         mesh = FabricConfig(topology="mesh", ports=16, rows=4)

@@ -50,6 +50,21 @@ VC_FLAGS = ("--topology mesh --ports 16 --flow-control vc --vcs 4 "
 SWEEP = "--loads 0.05 --cycles 60"
 POINT = "--load 0.1 --cycles 60"
 
+#: Bad input that once escaped the verbs as a traceback (an uncaught
+#: ConfigurationError, or a division by zero over ``--cycles 0``); each
+#: is now one ``error:`` line and exit 2.
+FORMER_TRACEBACKS = (
+    "trace --sample-period 0",
+    "fig7 --points 0",
+    "demo --tiles 0",
+    "traffic --load 1.5",
+    "traffic --flits 0",
+    "sweep --loads 0.05,nan",
+    "sweep --cycles 0",
+    "metrics --cycles 0",
+    "trace --cycles 0",
+)
+
 
 def cases() -> list[list[str]]:
     """Every recorded invocation, as argv lists."""
@@ -175,6 +190,7 @@ def cases() -> list[list[str]]:
         "--concentration 2 --workload none",
         "compare --nodes 16",
         "compare --nodes 24",
+        *FORMER_TRACEBACKS,
     ]
     return [shlex.split(line) for line in lines]
 

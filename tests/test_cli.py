@@ -606,6 +606,24 @@ class TestTreeBackendHasOneAnswer:
         assert "backend='array'" in err and "handshake" in err
 
 
+@pytest.mark.parametrize("argv", record_cli_golden.FORMER_TRACEBACKS)
+def test_bad_input_is_one_error_line_and_exit_2(capsys, argv):
+    """main() is the one error boundary: bad input anywhere in a verb is
+    a single ``error:`` line on stderr, never a traceback."""
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_traffic_without_cycles_still_reports_an_empty_run(capsys):
+    # traffic generates its own schedule (no LoadPoint): zero cycles is
+    # an empty, fully delivered run.
+    assert main(["traffic", "--ports", "16", "--cycles", "0"]) == 0
+    assert capsys.readouterr().out.startswith("0/0 packets")
+
+
 class TestValidateRegistryFabrics:
     def test_credit_fabric_is_a_clean_error(self, capsys):
         assert main(["validate", "--topology", "ring",
