@@ -51,6 +51,10 @@ CLOCK_MESOCHRONOUS = "mesochronous"
 FLOW_WORMHOLE = "wormhole"
 FLOW_VC = "vc"
 
+#: Execution backends: per-router events, the vectorized whole-fabric
+#: kernel, or the array one whenever the config lowers.
+BACKENDS = ("dispatch", "array", "auto")
+
 
 @dataclass(frozen=True)
 class TopologyEntry:
@@ -257,7 +261,7 @@ class FabricConfig:
         object.__setattr__(self, "priority_flows",
                            tuple((int(src), int(dest))
                                  for src, dest in self.priority_flows))
-        if self.backend not in ("dispatch", "array", "auto"):
+        if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"backend must be 'dispatch', 'array' or 'auto', "
                 f"got {self.backend!r}"
