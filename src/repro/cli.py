@@ -43,20 +43,22 @@ Commands:
   (``reproduce EXP-F7 EXP-RT``): one row per paper number or claim,
   exit 1 if any row deviates.
 
-Every verb that builds a network — ``info``, ``validate``, ``traffic``,
-``sweep``, ``metrics``, ``trace`` and ``replay`` — names it through one
-mapping (:func:`_fabric_config_from`) onto the registry's spec, so every
-knob is spelled, defaulted and refused the same way on each of them —
-``binary``/``quad`` are the registered ``tree`` at arity 2/4. The
-eq. (1)-(7) timing checks model links that carry the integrated clock,
-so ``validate`` refuses every fabric the registry does not mark
-tree-legal, with a clean error naming the supported set.
+Every fabric knob is one row of :data:`FABRIC_KNOBS` (flag ->
+:class:`~repro.fabric.registry.FabricConfig` field(s) + argparse
+keywords). A verb offers a knob by naming its flag, and
+:func:`_fabric_config_from` reads each offered knob back through the same
+row, so it is spelled, defaulted and refused one way on every verb that
+builds a network. Adding a knob is one row, plus its flag in the verbs
+that offer it. ``binary``/``quad`` (:data:`TREE_ALIASES`) are the only
+aliases: the registered ``tree`` at arity 2/4. The eq. (1)-(7) timing
+checks model links that carry the integrated clock, so ``validate``
+refuses every fabric the registry does not mark tree-legal, naming the
+supported set.
 
-Errors: any :class:`~repro.errors.ConfigurationError` a verb raises —
-an illegal spec, a bad knob, a corrupt input file — reaches
-:func:`main`, which prints ``error: <message>`` to stderr and exits 2;
-a verb never catches it itself. Output printed before the error stays
-printed. Every other exception propagates.
+Errors: a verb raises :class:`~repro.errors.ConfigurationError` for an
+illegal spec, a bad knob or a corrupt input file and never catches it;
+:func:`main` prints ``error: <message>`` to stderr and exits 2, after
+whatever the verb printed first. Other exceptions propagate.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ import numpy as np
 from repro.analysis.parallel import (
     LoadPoint,
     PATTERN_NAMES,
+    _result_to_json,
     bisect_saturation_throughput,
     evaluate_load_point,
     expand_loads,
@@ -81,6 +84,9 @@ from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
 from repro.fabric.allocator import ALLOCATOR_NAMES
 from repro.fabric.registry import (
+    BACKENDS,
+    FLOW_VC,
+    FLOW_WORMHOLE,
     FabricConfig,
     get_topology,
     topology_names,
@@ -94,101 +100,97 @@ from repro.traffic.base import apply_traffic
 from repro.traffic.patterns import NeighbourTraffic, UniformRandom
 
 
+#: The historical tree spellings: the registered ``tree`` at this arity.
+TREE_ALIASES = {"binary": 2, "quad": 4}
+
+
 def sweep_topologies() -> tuple[str, ...]:
     """What every network verb's ``--topology`` accepts: the historical
     tree aliases plus every registered fabric — a new
     ``register_topology`` call is immediately sweepable, no CLI edit
     needed."""
-    return ("binary", "quad") + topology_names()
+    return tuple(TREE_ALIASES) + topology_names()
 
 
-def _add_network_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ports", type=int, default=64,
-                        help="network ports (power of the arity)")
-    parser.add_argument("--topology", choices=sweep_topologies(),
-                        default="binary")
-    parser.add_argument("--chip-mm", type=float, default=10.0,
-                        help="square chip edge length in mm")
-    parser.add_argument("--segment-mm", type=float, default=1.25,
-                        help="maximum pipeline segment length in mm "
-                             "(default: 1.25)")
+#: Every fabric knob, declared once: flag -> (the FabricConfig field(s)
+#: it sets, its argparse keywords). A callable ``choices`` is read when
+#: the parser is built, so it follows the registry.
+FABRIC_KNOBS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "--ports": (("ports",), dict(
+        type=int, default=64, help="network ports (power of the arity)")),
+    "--topology": (("topology",), dict(
+        choices=sweep_topologies, default="binary")),
+    "--chip-mm": (("chip_width_mm", "chip_height_mm"), dict(
+        type=float, default=10.0, help="square chip edge length in mm")),
+    "--segment-mm": (("max_segment_mm",), dict(
+        type=float, default=1.25,
+        help="maximum pipeline segment length in mm (default: 1.25)")),
+    "--buffer-depth": (("buffer_depth",), dict(
+        type=int, default=4, help="credit FIFO depth per (port, VC)")),
+    "--backend": (("backend",), dict(
+        choices=BACKENDS, default="dispatch",
+        help="execution backend for credit fabrics: dispatch (per-router "
+             "events), array (vectorized whole-fabric kernel, loud error "
+             "when the config has no lowering), auto (array when "
+             "supported, else dispatch)")),
+    "--flow-control": (("flow_control",), dict(
+        choices=(FLOW_WORMHOLE, FLOW_VC), default=FLOW_WORMHOLE,
+        help="link-level flow control for registry fabrics "
+             "(vc = virtual channels)")),
+    "--vcs": (("n_vcs",), dict(
+        type=int, default=None,
+        help="virtual channels per port, default 2 (--flow-control vc "
+             "only)")),
+    "--vc-policy": (("vc_policy",), dict(
+        default=None,
+        help="VC-assignment policy (topology default when omitted): "
+             "dateline | escape")),
+    "--allocator": (("allocator",), dict(
+        choices=ALLOCATOR_NAMES, default="rr",
+        help="router allocation policy (--flow-control vc for anything "
+             "beyond rr): rr round-robin, weighted per-VC bandwidth "
+             "reservations, escape-reentry Duato-legal escape-to-adaptive "
+             "re-entry")),
+    "--reserve": (("reservations",), dict(
+        action="append", default=None, metavar="VC:FRACTION",
+        help="reserve FRACTION of each output port's bandwidth for VC "
+             "(repeatable; --allocator weighted only)")),
+    "--priority-flow": (("priority_flows",), dict(
+        action="append", default=None, metavar="SRC:DEST",
+        help="route the SRC->DEST flow on the dedicated priority lane "
+             "(repeatable; escape VC policy only)")),
+    "--pipeline-depth": (("pipeline_depth",), dict(
+        type=int, default=1,
+        help="router pipeline stages on credit fabrics (default: 1 = "
+             "single-cycle routers)")),
+    "--segment-links": (("segment_links",), dict(
+        action="store_true",
+        help="pipeline credit-fabric links so no segment exceeds "
+             "--segment-mm (the tree always does)")),
+    "--naive": (("activity_driven",), dict(
+        action="store_true",
+        help="run the naive (non-activity-driven) kernel; results are "
+             "bit-identical, only slower")),
+}
+
+#: The knobs every network verb offers.
+NETWORK = ("--ports", "--topology", "--chip-mm", "--segment-mm")
+#: Flow control and allocation (credit fabrics; the tree refuses them).
+FLOW = ("--flow-control", "--vcs", "--vc-policy", "--allocator",
+        "--reserve", "--priority-flow")
+#: Every credit-fabric knob of the verbs that run load points.
+CREDIT = ("--backend", *FLOW, "--pipeline-depth", "--segment-links")
 
 
-def _add_fabric_options(parser: argparse.ArgumentParser) -> None:
-    """The credit fabrics' knobs: pipelining, execution backend, flow
-    control and allocation (tree family: the registry refuses them)."""
-    _add_backend_option(parser)
-    _add_flow_options(parser)
-    parser.add_argument("--pipeline-depth", type=int, default=1,
-                        help="router pipeline stages on credit fabrics "
-                             "(default: 1 = single-cycle routers)")
-    parser.add_argument("--segment-links", action="store_true",
-                        help="pipeline credit-fabric links so no segment "
-                             "exceeds --segment-mm (the tree always does)")
-
-
-def _add_backend_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", choices=("dispatch", "array", "auto"),
-                        default="dispatch",
-                        help="execution backend for credit fabrics: "
-                             "dispatch (per-router events), array "
-                             "(vectorized whole-fabric kernel, loud error "
-                             "when the config has no lowering), auto "
-                             "(array when supported, else dispatch)")
-
-
-def _add_flow_options(parser: argparse.ArgumentParser) -> None:
-    """Flow-control and allocation knobs for registry fabrics."""
-    parser.add_argument("--flow-control", choices=("wormhole", "vc"),
-                        default="wormhole",
-                        help="link-level flow control for registry fabrics "
-                             "(vc = virtual channels)")
-    parser.add_argument("--vcs", type=int, default=None,
-                        help="virtual channels per port, default 2 "
-                             "(--flow-control vc only)")
-    parser.add_argument("--vc-policy", default=None,
-                        help="VC-assignment policy (topology default when "
-                             "omitted): dateline | escape")
-    parser.add_argument("--allocator", choices=ALLOCATOR_NAMES,
-                        default="rr",
-                        help="router allocation policy (--flow-control vc "
-                             "for anything beyond rr): rr round-robin, "
-                             "weighted per-VC bandwidth reservations, "
-                             "escape-reentry Duato-legal escape-to-"
-                             "adaptive re-entry")
-    parser.add_argument("--reserve", action="append", default=None,
-                        metavar="VC:FRACTION",
-                        help="reserve FRACTION of each output port's "
-                             "bandwidth for VC (repeatable; --allocator "
-                             "weighted only)")
-    parser.add_argument("--priority-flow", dest="priority_flow",
-                        action="append", default=None, metavar="SRC:DEST",
-                        help="route the SRC->DEST flow on the dedicated "
-                             "priority lane (repeatable; escape VC policy "
-                             "only)")
-
-
-def _add_traffic_options(parser: argparse.ArgumentParser) -> None:
-    """The workload knobs shared by sweep/metrics/trace."""
-    parser.add_argument("--traffic", "--pattern", dest="pattern",
-                        choices=PATTERN_NAMES, default="uniform",
-                        help="traffic pattern (--pattern is the historical "
-                             "spelling)")
-    _add_fabric_options(parser)
-    parser.add_argument("--hotspots", default=None,
-                        help="comma-separated hotspot ports, default 0 "
-                             "(--traffic hotspot only)")
-    parser.add_argument("--hotspot-fraction", type=float, default=None,
-                        help="fraction of traffic aimed at the hotspots, "
-                             "default 0.3 (--traffic hotspot only)")
-    parser.add_argument("--locality", type=float, default=0.8)
-    parser.add_argument("--flits", type=int, default=1)
-    parser.add_argument("--cycles", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=0)
-
-
-#: The historical tree spellings: the registered ``tree`` at this arity.
-TREE_ALIASES = {"binary": 2, "quad": 4}
+def _offer(parser: argparse.ArgumentParser, flags: Sequence[str],
+           overrides: dict[str, dict] | None = None) -> None:
+    """Add the named :data:`FABRIC_KNOBS` to a verb's parser, with the
+    verb's own argparse keywords (``overrides[flag]``) on top."""
+    for flag in flags:
+        keywords = {**FABRIC_KNOBS[flag][1], **(overrides or {}).get(flag, {})}
+        if callable(keywords.get("choices")):
+            keywords["choices"] = keywords["choices"]()
+        parser.add_argument(flag, **keywords)
 
 
 def _pairs(specs, flag: str, shape: str, left, right) -> tuple:
@@ -209,44 +211,37 @@ def _fabric_config_from(args: argparse.Namespace) -> FabricConfig:
     """The network spec an invocation names.
 
     The only place the CLI spells the registry's vocabulary: every verb
-    that builds a fabric maps its options through here, and the registry
-    itself decides legality (knobs the topology cannot honour, allocator
-    vs flow control, reservation bounds, port shapes).
+    that builds a fabric maps its offered :data:`FABRIC_KNOBS` through
+    here (a knob the verb does not offer keeps the spec's own default),
+    and the registry itself decides legality (knobs the topology cannot
+    honour, allocator vs flow control, reservation bounds, port shapes).
     """
-    # A knob the verb does not offer keeps the spec's own default.
-    offered = {field: getattr(args, option) for option, field in (
-        ("segment_mm", "max_segment_mm"),
-        ("pipeline_depth", "pipeline_depth"),
-        ("segment_links", "segment_links"),
-        ("backend", "backend"),
-        ("buffer_depth", "buffer_depth"),
-        ("flow_control", "flow_control"),
-        ("vc_policy", "vc_policy"),
-        ("allocator", "allocator"),
-    ) if hasattr(args, option)}
-    if hasattr(args, "flow_control"):
-        if args.vcs is not None and args.flow_control != "vc":
-            # n_vcs has a default the registry cannot tell from "--vcs 2".
-            raise ConfigurationError(
-                "--vcs only applies with --flow-control vc"
-            )
-        if args.vcs is not None:
-            offered["n_vcs"] = args.vcs
-        offered["reservations"] = _pairs(args.reserve, "--reserve",
-                                         "VC:FRACTION", int, float)
-        offered["priority_flows"] = _pairs(args.priority_flow,
-                                           "--priority-flow", "SRC:DEST",
-                                           int, int)
-    if hasattr(args, "naive"):
-        offered["activity_driven"] = not args.naive
-    if args.topology in TREE_ALIASES:
-        offered["arity"] = TREE_ALIASES[args.topology]
-    return FabricConfig(
-        topology="tree" if args.topology in TREE_ALIASES else args.topology,
-        ports=args.ports,
-        chip_width_mm=args.chip_mm, chip_height_mm=args.chip_mm,
-        **offered,
-    )
+    options = vars(args)
+    spec = {}
+    for flag, (fields, _) in FABRIC_KNOBS.items():
+        dest = flag[2:].replace("-", "_")
+        if dest not in options:
+            continue
+        value = options[dest]
+        if flag == "--topology" and value in TREE_ALIASES:
+            value, spec["arity"] = "tree", TREE_ALIASES[value]
+        elif flag == "--vcs":
+            if value is None:
+                continue
+            if options.get("flow_control") != FLOW_VC:
+                # n_vcs has a default the registry cannot tell from
+                # "--vcs 2".
+                raise ConfigurationError(
+                    "--vcs only applies with --flow-control vc"
+                )
+        elif flag == "--reserve":
+            value = _pairs(value, flag, "VC:FRACTION", int, float)
+        elif flag == "--priority-flow":
+            value = _pairs(value, flag, "SRC:DEST", int, int)
+        elif flag == "--naive":
+            value = not value
+        spec.update(dict.fromkeys(fields, value))
+    return FabricConfig(**spec)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -387,27 +382,13 @@ def _traffic_template(args: argparse.Namespace, load: float,
     )
 
 
-def _point_record(load: float, metrics: dict) -> dict:
-    """One JSONL-safe record of a measured point (telemetry flattened)."""
-    record = {key: value for key, value in metrics.items()
-              if key not in ("telemetry", "traces")}
-    record["load"] = load
-    summary = metrics.get("telemetry")
-    if summary is not None:
-        record["telemetry"] = summary.to_dict()
-    traces = metrics.get("traces")
-    if traces is not None:
-        record["traces"] = [trace.to_dict() for trace in traces]
-    return record
-
-
 def _export_metrics(path: str, pairs: list[tuple[float, dict]]) -> None:
     """Write per-point records as JSONL and print the merged hot links."""
     from repro.telemetry import MetricsSummary
     with open(path, "w") as handle:
         for load, metrics in pairs:
-            handle.write(json.dumps(_point_record(load, metrics),
-                                    sort_keys=True) + "\n")
+            record = {**_result_to_json(metrics), "load": load}
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
     merged = MetricsSummary.merge(
         metrics["telemetry"] for _, metrics in pairs)
     print(f"metrics written to {path} ({len(pairs)} points)")
@@ -430,7 +411,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.search != "bisect" and args.placement is not None:
         raise ConfigurationError(
             "--placement only applies with --search bisect")
-    if args.search == "bisect":
+    bisect = args.search == "bisect"
+    if bisect:
         if len(loads) < 2:
             raise ConfigurationError("--search bisect needs at least two "
                                      "--loads values (the bracket)")
@@ -446,52 +428,40 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             workers=args.workers,
             placement=args.placement or "adaptive",
         )
-        rows = [[round(load, 4),
-                 round(m["offered"], 4),
-                 round(m["accepted_in_window"], 4),
-                 round(m["mean_latency_cycles"], 2),
-                 _energy_cell(m),
-                 "yes" if m["drained"] else "NO"]
-                for load, m in search.evaluated]
-        print(format_table(
-            ["load", "offered", "accepted", "latency (cy)", "pJ/flit",
-             "drained"],
-            rows,
-            title=(f"Saturation bisection: {args.topology}, "
-                   f"{args.ports} ports, {args.pattern}, "
-                   f"workers={args.workers}, "
-                   f"{search.points_used} points / {search.rounds} rounds"),
-        ))
+        points = list(search.evaluated)
+        title = (f"Saturation bisection: {args.topology}, "
+                 f"{args.ports} ports, {args.pattern}, "
+                 f"workers={args.workers}, "
+                 f"{search.points_used} points / {search.rounds} rounds")
+    else:
+        specs = expand_loads(template, loads, base_seed=args.seed)
+        results = measure_load_points(specs, workers=args.workers,
+                                      checkpoint=args.checkpoint)
+        points = [(spec.load, m) for spec, m in zip(specs, results)]
+        title = (f"Offered-load sweep: {args.topology}, {args.ports} ports, "
+                 f"{args.pattern}, workers={args.workers}")
+    rows = [[round(load, 4) if bisect else load,
+             round(m["offered"], 4),
+             round(m["accepted_in_window"], 4),
+             round(m["mean_latency_cycles"], 2),
+             _energy_cell(m),
+             "yes" if m["drained"] else "NO"]
+            for load, m in points]
+    print(format_table(
+        ["load", "offered", "accepted", "latency (cy)", "pJ/flit",
+         "drained"],
+        rows, title=title,
+    ))
+    if bisect:
         print(f"saturation throughput: {search.saturation:.4f} "
               f"offered load")
         # The drained curve is already paid for — report the knee's
         # latency instead of discarding it.
         print(f"latency at saturation: {search.latency_at_saturation:.2f} "
               f"cycles (reused from the measured curve)")
-        if args.metrics is not None:
-            _export_metrics(args.metrics, list(search.evaluated))
-        return 0 if all(m["drained"] for _, m in search.evaluated) else 1
-    specs = expand_loads(template, loads, base_seed=args.seed)
-    results = measure_load_points(specs, workers=args.workers,
-                                  checkpoint=args.checkpoint)
-    rows = [[spec.load,
-             round(m["offered"], 4),
-             round(m["accepted_in_window"], 4),
-             round(m["mean_latency_cycles"], 2),
-             _energy_cell(m),
-             "yes" if m["drained"] else "NO"]
-            for spec, m in zip(specs, results)]
-    print(format_table(
-        ["load", "offered", "accepted", "latency (cy)", "pJ/flit",
-         "drained"],
-        rows,
-        title=(f"Offered-load sweep: {args.topology}, {args.ports} ports, "
-               f"{args.pattern}, workers={args.workers}"),
-    ))
     if args.metrics is not None:
-        _export_metrics(args.metrics,
-                        [(spec.load, m) for spec, m in zip(specs, results)])
-    return 0 if all(m["drained"] for m in results) else 1
+        _export_metrics(args.metrics, points)
+    return 0 if all(m["drained"] for _, m in points) else 1
 
 
 def _energy_cell(metrics: dict) -> str:
@@ -692,12 +662,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_info = sub.add_parser("info", help="describe a network instance")
-    _add_network_options(p_info)
-    _add_fabric_options(p_info)
+    _offer(p_info, NETWORK + CREDIT)
     p_info.set_defaults(func=cmd_info)
 
     p_val = sub.add_parser("validate", help="run the timing checks")
-    _add_network_options(p_val)
+    _offer(p_val, NETWORK)
     p_val.add_argument("--frequency", type=float, default=None,
                        help="GHz (default: the operating point)")
     p_val.set_defaults(func=cmd_validate)
@@ -708,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_fig7)
 
     p_tr = sub.add_parser("traffic", help="run a synthetic workload")
-    _add_network_options(p_tr)
+    _offer(p_tr, NETWORK)
     p_tr.add_argument("--pattern", choices=("uniform", "neighbour"),
                       default="uniform")
     p_tr.add_argument("--load", type=float, default=0.1)
@@ -722,9 +691,29 @@ def build_parser() -> argparse.ArgumentParser:
                            "generating synthetic traffic")
     p_tr.set_defaults(func=cmd_traffic)
 
-    p_sw = sub.add_parser("sweep", help="offered-load sweep (parallelisable)")
-    _add_network_options(p_sw)
-    _add_traffic_options(p_sw)
+    # The network, credit-fabric and workload knobs of every verb that
+    # runs load points (sweep, metrics, trace).
+    load_points = argparse.ArgumentParser(add_help=False)
+    _offer(load_points, NETWORK)
+    load_points.add_argument("--traffic", "--pattern", dest="pattern",
+                             choices=PATTERN_NAMES, default="uniform",
+                             help="traffic pattern (--pattern is the "
+                                  "historical spelling)")
+    _offer(load_points, CREDIT)
+    load_points.add_argument("--hotspots", default=None,
+                             help="comma-separated hotspot ports, default "
+                                  "0 (--traffic hotspot only)")
+    load_points.add_argument("--hotspot-fraction", type=float, default=None,
+                             help="fraction of traffic aimed at the "
+                                  "hotspots, default 0.3 (--traffic "
+                                  "hotspot only)")
+    load_points.add_argument("--locality", type=float, default=0.8)
+    load_points.add_argument("--flits", type=int, default=1)
+    load_points.add_argument("--cycles", type=int, default=300)
+    load_points.add_argument("--seed", type=int, default=0)
+
+    p_sw = sub.add_parser("sweep", parents=[load_points],
+                          help="offered-load sweep (parallelisable)")
     p_sw.add_argument("--loads", default="0.05,0.10,0.20,0.40",
                       help="comma-separated offered loads")
     p_sw.add_argument("--workers", type=int, default=1,
@@ -753,12 +742,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.set_defaults(func=cmd_sweep)
 
     p_met = sub.add_parser(
-        "metrics",
+        "metrics", parents=[load_points],
         help="one load point with the metrics registry attached: "
              "congestion attribution, latency percentiles, JSONL export",
     )
-    _add_network_options(p_met)
-    _add_traffic_options(p_met)
     p_met.add_argument("--load", type=float, default=0.2,
                        help="offered load in flits/cycle/port")
     p_met.add_argument("--top", type=int, default=5,
@@ -769,11 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.set_defaults(func=cmd_metrics)
 
     p_trc = sub.add_parser(
-        "trace",
+        "trace", parents=[load_points],
         help="follow sampled packets hop by hop (queueing vs transit)",
     )
-    _add_network_options(p_trc)
-    _add_traffic_options(p_trc)
     p_trc.add_argument("--load", type=float, default=0.2,
                        help="offered load in flits/cycle/port")
     p_trc.add_argument("--sample-period", type=int, default=16,
@@ -798,23 +783,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="network endpoints per fabric; must fit every "
                             "registered shape (square, power of two, "
                             "multiple of the concentration) — 16 and 64 do")
-    p_cmp.add_argument("--buffer-depth", type=int, default=4,
-                       help="credit FIFO depth per (port, VC)")
-    p_cmp.add_argument("--vcs", type=int, default=2,
-                       help="virtual channels per port on the VC rows")
+    # Every row is its own fabric: compare reads these knobs itself.
+    compare_knobs = {
+        "--vcs": dict(default=2,
+                      help="virtual channels per port on the VC rows"),
+        "--segment-mm": dict(
+            default=None,
+            help="pipeline every link at this maximum segment length in "
+                 "mm (default: credit-fabric links unsegmented; the tree "
+                 "rows always segment, at 1.25 mm unless set)"),
+    }
+    _offer(p_cmp, ("--buffer-depth", "--vcs"), compare_knobs)
     p_cmp.add_argument("--concentration", type=int, default=4,
                        help="endpoints per ctree leaf NI")
-    p_cmp.add_argument("--chip-mm", type=float, default=10.0,
-                       help="square chip edge length in mm")
-    p_cmp.add_argument("--pipeline-depth", type=int, default=1,
-                       help="router pipeline stages on the credit-fabric "
-                            "rows (default: 1 = single-cycle routers)")
-    p_cmp.add_argument("--segment-mm", type=float, default=None,
-                       help="pipeline every link at this maximum segment "
-                            "length in mm (default: credit-fabric links "
-                            "unsegmented; the tree rows always segment, "
-                            "at 1.25 mm unless set)")
-    _add_backend_option(p_cmp)
+    _offer(p_cmp, ("--chip-mm", "--pipeline-depth", "--segment-mm",
+                   "--backend"), compare_knobs)
     from repro.accel.generators import MODEL_NAMES
     p_cmp.add_argument("--workload", choices=MODEL_NAMES + ("none",),
                        default="llm-decode",
@@ -828,16 +811,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay an accelerator workload trace (CP/PE/memory "
              "endpoint models) over any registered fabric",
     )
-    p_rp.add_argument("--topology", choices=topology_names(),
-                      default="torus")
-    p_rp.add_argument("--ports", type=int, default=16,
-                      help="fabric endpoints (CP + PEs + memory channels "
-                           "must fit)")
-    _add_flow_options(p_rp)
-    p_rp.add_argument("--buffer-depth", type=int, default=4,
-                      help="credit FIFO depth per (port, VC)")
-    p_rp.add_argument("--chip-mm", type=float, default=10.0,
-                      help="square chip edge length in mm")
+    _offer(p_rp, ("--topology", "--ports", *FLOW, "--buffer-depth",
+                  "--chip-mm"), {
+        "--topology": dict(choices=topology_names, default="torus"),
+        "--ports": dict(default=16, help="fabric endpoints (CP + PEs + "
+                                         "memory channels must fit)"),
+    })
     p_rp.add_argument("--model", choices=MODEL_NAMES,
                       default="llm-decode",
                       help="canned workload to generate (ignored with "
@@ -855,9 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="trace-generator seed")
     p_rp.add_argument("--max-cycles", type=int, default=500_000,
                       help="abort an unfinished replay past this budget")
-    p_rp.add_argument("--naive", action="store_true",
-                      help="run the naive (non-activity-driven) kernel; "
-                           "results are bit-identical, only slower")
+    _offer(p_rp, ("--naive",))
     p_rp.add_argument("--metrics", default=None,
                       help="attach the telemetry registry and write its "
                            "summary JSON here")
