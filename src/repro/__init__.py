@@ -22,9 +22,9 @@ eqs. (1)-(7) on every link segment::
 Any registered fabric (tree, concentrated tree, mesh, torus, ring, ...)
 builds through the topology registry::
 
-    from repro import build_fabric
+    from repro import FabricConfig
 
-    net = build_fabric("torus", ports=64)
+    net = FabricConfig(topology="torus", ports=64).build()
     net.send(Packet(src=0, dest=42))
     net.drain()
 
@@ -46,7 +46,7 @@ current), ``ext`` (the paper's future-work items), ``analysis``
 (tables/plots/records).
 """
 
-from repro.fabric.registry import FabricConfig, build_fabric
+from repro.fabric.registry import FabricConfig
 from repro.noc.packet import Packet
 from repro.noc.network import ICNoCNetwork
 from repro.physical.comparison import physical_comparison_rows
@@ -59,7 +59,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "FabricConfig",
-    "build_fabric",
     "Packet",
     "ICNoCNetwork",
     "RunEnergyReport",

@@ -262,7 +262,7 @@ def cmd_info(args: argparse.Namespace) -> int:
               f"{network.link_stage_count} link stage registers, "
               f"longest segment {network.longest_segment_mm():.3f} mm "
               f"-> critical path {frequency:.3f} GHz")
-        line = f"allocation: {config.resolved_allocator}"
+        line = f"allocation: {config.allocator}"
         if config.reservations:
             shares = ", ".join(f"vc{vc}={fraction:g}" for vc, fraction
                                in sorted(config.reservations))

@@ -74,7 +74,6 @@ from repro.fabric.registry import (
     FLOW_WORMHOLE,
     FabricConfig,
     TopologyEntry,
-    build_fabric,
     get_topology,
     register_topology,
     topology_names,
@@ -118,7 +117,6 @@ __all__ = [
     "CLOCK_MESOCHRONOUS",
     "FabricConfig",
     "TopologyEntry",
-    "build_fabric",
     "get_topology",
     "register_topology",
     "topology_names",

@@ -18,9 +18,9 @@ paper's architectural claim as an invariant, not a comment.
 
 Usage::
 
-    from repro.fabric.registry import FabricConfig, build_fabric
+    from repro.fabric.registry import FabricConfig
 
-    net = build_fabric("torus", ports=64)           # default clocking
+    net = FabricConfig(topology="torus", ports=64).build()  # default clocking
     net = FabricConfig(topology="ctree", ports=64,
                        concentration=4).build()     # integrated clock
 
@@ -446,19 +446,9 @@ class FabricConfig:
             return "dispatch" if self._array_refusal else "array"
         return self.backend
 
-    @property
-    def resolved_allocator(self) -> str:
-        """The router allocation policy in force (validated already)."""
-        return self.allocator
-
     def build(self):
         """Instantiate the network (any registered fabric, same API)."""
         return get_topology(self.topology).builder(self)
-
-
-def build_fabric(topology: str, ports: int = 64, **kwargs):
-    """One-call build: ``build_fabric("ring", ports=16)``."""
-    return FabricConfig(topology=topology, ports=ports, **kwargs).build()
 
 
 # -- the stock fabrics ----------------------------------------------------

@@ -5,7 +5,7 @@ and probes (see docs/observability.md). Typical use::
 
     from repro.telemetry import attach_metrics, attach_tracer
 
-    net = build_fabric("torus", ports=16)
+    net = FabricConfig(topology="torus", ports=16).build()
     registry = attach_metrics(net)          # before injecting traffic
     tracer = attach_tracer(net, sample_period=16)
     ... run traffic ...

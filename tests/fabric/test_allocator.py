@@ -194,11 +194,11 @@ def test_priority_flow_endpoints_checked():
                      priority_flows=((4, 4),))
 
 
-def test_resolved_allocator_reported():
+def test_allocator_reported():
     config = FabricConfig(topology="mesh", ports=16, flow_control="vc",
                           vc_policy="escape", n_vcs=3,
                           allocator="escape-reentry")
-    assert config.resolved_allocator == "escape-reentry"
+    assert config.allocator == "escape-reentry"
     assert "escape-reentry" in config.build().describe()
 
 

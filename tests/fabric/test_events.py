@@ -9,7 +9,7 @@ activity-driven fast path or the naive reference loop.
 """
 
 from repro.fabric.link import CreditLink
-from repro.fabric.registry import build_fabric
+from repro.fabric.registry import FabricConfig
 from repro.fabric.router import FabricRouter
 from repro.fabric.routing import EAST, LOCAL, WEST, XYRouting
 from repro.noc.flit import Flit, FlitKind
@@ -24,7 +24,8 @@ def flit_to(dest, src=0, packet_id=0):
 
 def contended_mesh(activity_driven):
     """Two sources race for one destination's local port."""
-    net = build_fabric("mesh", ports=4, activity_driven=activity_driven)
+    net = FabricConfig(topology="mesh", ports=4,
+                       activity_driven=activity_driven).build()
     grants = []
     starved = []
     net.kernel.subscribe(
@@ -57,7 +58,7 @@ class TestArbitrationGrant:
         assert fast == naive
 
     def test_tree_switch_emits_grants_too(self):
-        net = build_fabric("tree", ports=4)
+        net = FabricConfig(topology="tree", ports=4).build()
         grants = []
         net.kernel.subscribe(
             "arbitration_grant",
@@ -69,7 +70,7 @@ class TestArbitrationGrant:
 
     def test_silent_without_subscribers(self):
         # No subscribers: the guard keeps the run identical and cheap.
-        net = build_fabric("mesh", ports=4)
+        net = FabricConfig(topology="mesh", ports=4).build()
         net.send(Packet(src=0, dest=3))
         assert net.drain(10_000)
 
@@ -81,8 +82,8 @@ class TestLockEvents:
 
     @staticmethod
     def _locked_run(activity_driven, size_flits=3):
-        net = build_fabric("mesh", ports=4,
-                          activity_driven=activity_driven)
+        net = FabricConfig(topology="mesh", ports=4,
+                          activity_driven=activity_driven).build()
         acquires, releases = [], []
         net.kernel.subscribe(
             "lock_acquire",
@@ -135,7 +136,7 @@ class TestLockEvents:
         assert releases == []
 
     def test_tree_switch_emits_lock_events(self):
-        net = build_fabric("tree", ports=4)
+        net = FabricConfig(topology="tree", ports=4).build()
         acquires, releases = [], []
         net.kernel.subscribe(
             "lock_acquire",

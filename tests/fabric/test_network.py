@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, TopologyError
-from repro.fabric.registry import FabricConfig, build_fabric
+from repro.fabric.registry import FabricConfig
 from repro.noc.packet import Packet
 
 
@@ -23,13 +23,13 @@ def all_pairs(net, ports, max_ticks=500_000):
 
 class TestTorus:
     def test_all_pairs_deliver(self):
-        net = build_fabric("torus", ports=9)
+        net = FabricConfig(topology="torus", ports=9).build()
         count = all_pairs(net, 9)
         assert net.stats.packets_delivered == count
 
     def test_wrap_link_shortens_path(self):
-        torus = build_fabric("torus", ports=16)
-        mesh = build_fabric("mesh", ports=16)
+        torus = FabricConfig(topology="torus", ports=16).build()
+        mesh = FabricConfig(topology="mesh", ports=16).build()
         torus.send(Packet(src=0, dest=3))
         mesh.send(Packet(src=0, dest=3))
         torus.drain(20_000)
@@ -38,7 +38,7 @@ class TestTorus:
             < mesh.delivered[0].latency_cycles
 
     def test_multiflit_packets(self):
-        net = build_fabric("torus", ports=16)
+        net = FabricConfig(topology="torus", ports=16).build()
         net.send(Packet(src=0, dest=15, payload=[1, 2, 3]))
         assert net.drain(20_000)
         assert net.delivered[0].payload == [1, 2, 3]
@@ -47,7 +47,7 @@ class TestTorus:
     @given(st.integers(min_value=0, max_value=2 ** 16))
     def test_random_burst_exactly_once(self, seed):
         rng = np.random.default_rng(seed)
-        net = build_fabric("torus", ports=9)
+        net = FabricConfig(topology="torus", ports=9).build()
         ids = set()
         for _ in range(25):
             src = int(rng.integers(0, 9))
@@ -64,12 +64,12 @@ class TestTorus:
 
 class TestRing:
     def test_all_pairs_deliver(self):
-        net = build_fabric("ring", ports=8)
+        net = FabricConfig(topology="ring", ports=8).build()
         count = all_pairs(net, 8)
         assert net.stats.packets_delivered == count
 
     def test_takes_shortest_side(self):
-        net = build_fabric("ring", ports=12)
+        net = FabricConfig(topology="ring", ports=12).build()
         near_wrap = Packet(src=0, dest=11)   # 1 hop counter-clockwise
         far = Packet(src=0, dest=6)          # 6 hops either way
         net.send(near_wrap)
@@ -81,7 +81,7 @@ class TestRing:
     def test_heavy_contention_survives(self):
         """Everyone floods one hotspot — the bubble rule must keep the
         ring live instead of wedging a full cycle of FIFOs."""
-        net = build_fabric("ring", ports=6)
+        net = FabricConfig(topology="ring", ports=6).build()
         for wave in range(10):
             for src in range(1, 6):
                 net.send(Packet(src=src, dest=0, payload=[wave]))
@@ -89,14 +89,14 @@ class TestRing:
         assert net.stats.packets_delivered == 50
 
     def test_gates_when_idle(self):
-        net = build_fabric("ring", ports=6)
+        net = FabricConfig(topology="ring", ports=6).build()
         net.run_ticks(100)
         assert net.gating_stats().edges_enabled == 0
 
 
 class TestConcentratedTree:
     def test_cross_leaf_traffic_routes_through_tree(self):
-        net = build_fabric("ctree", ports=16, concentration=4)
+        net = FabricConfig(topology="ctree", ports=16, concentration=4).build()
         net.send(Packet(src=0, dest=13))  # leaf 0 -> leaf 3
         assert net.drain(20_000)
         packet = net.delivered[0]
@@ -104,7 +104,7 @@ class TestConcentratedTree:
         assert net.stats.hop_counts == [net.topology.hop_count(0, 3)]
 
     def test_same_leaf_endpoints_deliver_locally(self):
-        net = build_fabric("ctree", ports=16, concentration=4)
+        net = FabricConfig(topology="ctree", ports=16, concentration=4).build()
         net.send(Packet(src=0, dest=3, payload=[9]))  # both under leaf 0
         assert net.drain(1_000)
         packet = net.delivered[0]
@@ -115,12 +115,12 @@ class TestConcentratedTree:
         assert net.stats.hop_counts == [1]
 
     def test_all_pairs_deliver(self):
-        net = build_fabric("ctree", ports=16, concentration=4)
+        net = FabricConfig(topology="ctree", ports=16, concentration=4).build()
         count = all_pairs(net, 16)
         assert net.stats.packets_delivered == count
 
     def test_handlers_keyed_by_endpoint(self):
-        net = build_fabric("ctree", ports=16, concentration=4)
+        net = FabricConfig(topology="ctree", ports=16, concentration=4).build()
         got = []
         net.set_handler(13, lambda packet, tick: got.append(packet.dest))
         net.set_handler(14, lambda packet, tick: got.append(packet.dest))
@@ -132,15 +132,16 @@ class TestConcentratedTree:
             net.set_handler(16, lambda packet, tick: None)
 
     def test_endpoint_bounds_checked(self):
-        net = build_fabric("ctree", ports=16, concentration=4)
+        net = FabricConfig(topology="ctree", ports=16, concentration=4).build()
         with pytest.raises(TopologyError):
             net.send(Packet(src=0, dest=16))
         with pytest.raises(TopologyError):
             net.send(Packet(src=3, dest=3))
 
     def test_fewer_routers_than_flat_tree(self):
-        ctree = build_fabric("ctree", ports=16, concentration=4)
-        tree = build_fabric("tree", ports=16)
+        ctree = FabricConfig(topology="ctree", ports=16,
+                             concentration=4).build()
+        tree = FabricConfig(topology="tree", ports=16).build()
         assert len(ctree.routers) < len(tree.routers)
         assert ctree.endpoints == tree.topology.leaves
 
@@ -149,20 +150,21 @@ class TestConcentratedTree:
             FabricConfig(topology="ctree", ports=4, concentration=0)
 
     def test_describe_mentions_concentration(self):
-        net = build_fabric("ctree", ports=16, concentration=4)
+        net = FabricConfig(topology="ctree", ports=16, concentration=4).build()
         assert "concentration 4" in net.describe()
 
 
 class TestSharedBuffers:
     def test_torus_pays_more_buffers_than_mesh(self):
-        torus = build_fabric("torus", ports=16)
-        mesh = build_fabric("mesh", ports=16)
+        torus = FabricConfig(topology="torus", ports=16).build()
+        mesh = FabricConfig(topology="mesh", ports=16).build()
         # Wrap links put every router at the full 5 in-use ports.
         assert torus.total_buffer_flits() > mesh.total_buffer_flits()
 
     def test_describe(self):
-        assert "torus" in build_fabric("torus", ports=16).describe()
-        assert "ring" in build_fabric("ring", ports=6).describe()
+        for topology, ports in (("torus", 16), ("ring", 6)):
+            net = FabricConfig(topology=topology, ports=ports).build()
+            assert topology in net.describe()
 
 
 class TestBubbleBound:
@@ -172,17 +174,17 @@ class TestBubbleBound:
 
     @pytest.mark.parametrize("name,ports", [("torus", 16), ("ring", 8)])
     def test_oversized_packet_rejected_loudly(self, name, ports):
-        net = build_fabric(name, ports=ports, buffer_depth=4)
+        net = FabricConfig(topology=name, ports=ports, buffer_depth=4).build()
         with pytest.raises(ConfigurationError):
             net.send(Packet(src=0, dest=1, payload=[1, 2, 3, 4]))
 
     def test_largest_legal_packet_delivers(self):
-        net = build_fabric("torus", ports=16, buffer_depth=4)
+        net = FabricConfig(topology="torus", ports=16, buffer_depth=4).build()
         net.send(Packet(src=0, dest=5, payload=[1, 2]))  # 3 flits
         assert net.drain(20_000)
 
     def test_acyclic_fabrics_unbounded(self):
-        net = build_fabric("mesh", ports=16, buffer_depth=4)
+        net = FabricConfig(topology="mesh", ports=16, buffer_depth=4).build()
         net.send(Packet(src=0, dest=5, payload=list(range(10))))
         assert net.drain(20_000)
 

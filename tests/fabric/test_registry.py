@@ -8,7 +8,6 @@ from repro.fabric.registry import (
     CLOCK_MESOCHRONOUS,
     FabricConfig,
     TopologyEntry,
-    build_fabric,
     get_topology,
     register_topology,
     topology_names,
@@ -71,8 +70,8 @@ class TestClockCapability:
     @pytest.mark.parametrize("name", ["mesh", "torus", "ring"])
     def test_ring_closing_fabrics_reject_integrated(self, name):
         with pytest.raises(ConfigurationError):
-            build_fabric(name, ports=16 if name != "ring" else 8,
-                         clocking=CLOCK_INTEGRATED)
+            FabricConfig(topology=name, ports=16 if name != "ring" else 8,
+                         clocking=CLOCK_INTEGRATED).build()
 
     def test_torus_with_integrated_clocking_raises(self):
         with pytest.raises(ConfigurationError):
@@ -108,7 +107,7 @@ class TestConfigValidation:
             FabricConfig(topology="torus", ports=7)
 
     def test_grid_explicit_rows(self):
-        net = build_fabric("mesh", ports=8, rows=2)
+        net = FabricConfig(topology="mesh", ports=8, rows=2).build()
         assert net.topology.cols == 4 and net.topology.rows == 2
         with pytest.raises(ConfigurationError):
             FabricConfig(topology="mesh", ports=8, rows=3)
@@ -138,7 +137,7 @@ class TestBuiltNetworks:
         ("tree", 8), ("ctree", 8), ("mesh", 4), ("torus", 4), ("ring", 6),
     ])
     def test_shared_api(self, name, ports):
-        net = build_fabric(name, ports=ports)
+        net = FabricConfig(topology=name, ports=ports).build()
         for attr in ("send", "run_ticks", "run_cycles", "drain",
                      "stats", "gating_stats", "kernel"):
             assert hasattr(net, attr), (name, attr)
@@ -148,7 +147,7 @@ class TestBuiltNetworks:
     ])
     def test_delivers(self, name, ports):
         from repro.noc.packet import Packet
-        net = build_fabric(name, ports=ports)
+        net = FabricConfig(topology=name, ports=ports).build()
         net.send(Packet(src=0, dest=ports - 1))
         assert net.drain(50_000)
         assert net.stats.packets_delivered == 1

@@ -21,7 +21,7 @@ import pytest
 
 from repro.analysis.parallel import LoadPoint, parallel_saturation_throughput
 from repro.errors import ConfigurationError
-from repro.fabric.registry import FabricConfig, build_fabric
+from repro.fabric.registry import FabricConfig
 from repro.fabric.routing import (
     EAST,
     LOCAL,
@@ -183,7 +183,7 @@ class TestLongPacketsBeyondTheBubbleBound:
     LONG = list(range(6))  # 6 flits > buffer_depth(4) - 1
 
     def test_torus_bubble_rejects_long_packets(self):
-        net = build_fabric("torus", ports=16)
+        net = FabricConfig(topology="torus", ports=16).build()
         with pytest.raises(ConfigurationError, match="buffer_depth"):
             net.send(Packet(src=0, dest=5, payload=self.LONG))
 
@@ -196,7 +196,7 @@ class TestLongPacketsBeyondTheBubbleBound:
             assert net.stats.packets_delivered == net.stats.packets_injected
 
     def test_ring_bubble_rejects_long_packets(self):
-        net = build_fabric("ring", ports=10)
+        net = FabricConfig(topology="ring", ports=10).build()
         with pytest.raises(ConfigurationError, match="buffer_depth"):
             net.send(Packet(src=0, dest=5, payload=self.LONG))
 
@@ -207,7 +207,7 @@ class TestLongPacketsBeyondTheBubbleBound:
 
     def test_wormhole_mesh_still_takes_long_packets(self):
         # Acyclic fabrics never had the bound; unchanged.
-        net = build_fabric("mesh", ports=16)
+        net = FabricConfig(topology="mesh", ports=16).build()
         net.send(Packet(src=0, dest=5, payload=self.LONG))
         assert net.drain(50_000)
 
@@ -364,10 +364,12 @@ class TestRegistryCapability:
         assert clone == config
 
     def test_buffer_capacity_scales_with_vcs(self):
-        wormhole = build_fabric("torus", ports=16)
-        vc = build_fabric("torus", ports=16, flow_control="vc", n_vcs=2)
+        wormhole = FabricConfig(topology="torus", ports=16).build()
+        vc = FabricConfig(topology="torus", ports=16, flow_control="vc",
+                          n_vcs=2).build()
         assert vc.total_buffer_flits() == 2 * wormhole.total_buffer_flits()
 
     def test_describe_names_the_policy(self):
-        net = build_fabric("torus", ports=16, flow_control="vc")
+        net = FabricConfig(topology="torus", ports=16,
+                           flow_control="vc").build()
         assert "dateline" in net.describe()

@@ -12,7 +12,6 @@ from repro.clocking.power import (
 from repro.errors import ConfigurationError
 from repro.fabric.registry import (
     FabricConfig,
-    build_fabric,
     get_topology,
     topology_names,
 )
@@ -131,7 +130,7 @@ class TestComparisonTable:
 
 class TestFoldedFloorplan:
     def test_torus_wrap_links_longer_than_interior(self):
-        net = build_fabric("torus", ports=16)
+        net = FabricConfig(topology="torus", ports=16).build()
         plan = net.floorplan
         cols = net.topology.cols
         interior, wraps = [], []
@@ -149,14 +148,14 @@ class TestFoldedFloorplan:
         assert max(wraps) == pytest.approx(2 * max(interior))
 
     def test_mesh_has_no_wrap_links(self):
-        net = build_fabric("mesh", ports=16)
+        net = FabricConfig(topology="mesh", ports=16).build()
         lengths = [net.floorplan.link_length(a, p)
                    for a, p, _b, _q in net.topology.links()]
         pitch = 10.0 / net.topology.cols
         assert all(length == pytest.approx(pitch) for length in lengths)
 
     def test_ring_links_span_the_perimeter_evenly(self):
-        net = build_fabric("ring", ports=8)
+        net = FabricConfig(topology="ring", ports=8).build()
         lengths = [net.floorplan.link_length(a, p)
                    for a, p, _b, _q in net.topology.links()]
         assert len(lengths) == 8
@@ -165,7 +164,7 @@ class TestFoldedFloorplan:
 
 
 def run_traffic(name, pairs, **kwargs):
-    net = build_fabric(name, ports=16, **kwargs)
+    net = FabricConfig(topology=name, ports=16, **kwargs).build()
     for src, dest in pairs:
         net.send(Packet(src=src, dest=dest))
     assert net.drain(200_000)
@@ -296,7 +295,7 @@ class TestDescriptorContract:
             physical_model(Unknown())
 
     def test_torus_path_lengths_use_folded_wraps(self):
-        net = build_fabric("torus", ports=16)
+        net = FabricConfig(topology="torus", ports=16).build()
         model = physical_model(net)
         pitch = 10.0 / 4
         # 0 -> 3 wraps west once (one folded wrap link + local stubs).
