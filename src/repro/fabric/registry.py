@@ -22,7 +22,7 @@ Usage::
 
     net = FabricConfig(topology="torus", ports=64).build()  # default clocking
     net = FabricConfig(topology="ctree", ports=64,
-                       concentration=4).build()     # integrated clock
+                       concentration=4).build()             # integrated clock
 
 A new fabric is ~30 lines of routing strategy plus a structure
 description and one :func:`register_topology` call — see docs/fabric.md.

@@ -17,8 +17,9 @@ fabric flag on each verb that offers it; and every ``error:`` exit 2
 the verbs print. Each entry runs in a fresh directory holding the input
 files :func:`prepare` writes, under relative names, so no host path
 reaches the text. Sizes are the smallest that reach each path (16
-ports, ring 8, <= 100 cycles). Re-record only for an intended change of
-output, and say which entries moved and why.
+ports, ring 8, 60 cycles); a few bare invocations pin the defaults.
+Re-record only for an intended change of output, and say which entries
+moved and why.
 """
 
 import contextlib
@@ -254,17 +255,15 @@ def parser_options() -> dict[str, list]:
 def record() -> dict:
     transcript = []
     cwd = os.getcwd()
-    try:
-        for argv in cases():
-            with tempfile.TemporaryDirectory() as directory:
-                prepare(directory)
-                os.chdir(directory)
+    for argv in cases():
+        with tempfile.TemporaryDirectory() as directory:
+            prepare(directory)
+            os.chdir(directory)
+            try:
                 transcript.append(run(argv))
+            finally:
                 os.chdir(cwd)
-            print(" ".join(argv), "->", transcript[-1]["exit"],
-                  file=sys.stderr)
-    finally:
-        os.chdir(cwd)
+        print(" ".join(argv), "->", transcript[-1]["exit"], file=sys.stderr)
     return {"options": parser_options(), "transcript": transcript}
 
 
