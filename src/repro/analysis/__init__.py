@@ -1,5 +1,7 @@
-"""Analysis helpers: tables, plots, sweeps, and the paper-vs-measured
-record (:mod:`repro.analysis.experiments`)."""
+"""Analysis helpers: tables, plots, the load-point sweep engine
+(:mod:`repro.analysis.parallel`, where :func:`evaluate_load_point` is the
+one way to measure a load point), and the paper-vs-measured record
+(:mod:`repro.analysis.experiments`)."""
 
 from repro.analysis.tables import format_table
 from repro.analysis.plots import ascii_plot
@@ -8,12 +10,6 @@ from repro.analysis.experiments import (
     ExperimentLog,
     PaperComparison,
     evaluate,
-)
-from repro.analysis.sweeps import (
-    SweepResult,
-    sweep,
-    measure_offered_vs_accepted,
-    saturation_throughput,
 )
 from repro.analysis.parallel import (
     LoadPoint,
@@ -33,10 +29,6 @@ __all__ = [
     "ExperimentLog",
     "EXPERIMENTS",
     "evaluate",
-    "SweepResult",
-    "sweep",
-    "measure_offered_vs_accepted",
-    "saturation_throughput",
     "LoadPoint",
     "default_workers",
     "evaluate_load_point",

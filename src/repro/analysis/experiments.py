@@ -476,19 +476,8 @@ def _mapping() -> dict:
     }
 
 
-def _mean_latency(spec) -> tuple[float, bool]:
-    """Worker entry point: (mean packet latency, every packet delivered)
-    of one :class:`~repro.analysis.parallel.LoadPoint`."""
-    net = spec.build_network()
-    schedule = spec.build_generator().generate(
-        spec.cycles, np.random.default_rng(spec.seed))
-    apply_traffic(net, schedule, run_cycles=spec.cycles)
-    return (net.stats.latency.mean,
-            net.stats.packets_delivered == net.stats.packets_injected)
-
-
 def _latency_vs_load() -> dict:
-    from repro.analysis import LoadPoint, default_workers, parallel_map
+    from repro.analysis import LoadPoint, default_workers, measure_load_points
     loads = (0.02, 0.08, 0.16, 0.24)
     tree = FabricConfig(ports=64, arity=2)
     mesh = FabricConfig(topology="mesh", ports=64)
@@ -497,18 +486,17 @@ def _latency_vs_load() -> dict:
               dict(network=mesh, pattern="uniform"))
     # Twelve independent 64-port simulations, two fifths of the record's
     # serial seconds: the one measurement worth a process pool.
-    points = parallel_map(
-        _mean_latency,
+    points = measure_load_points(
         [LoadPoint(load=load, cycles=250, seed=13, **knobs)
          for knobs in curves for load in loads],
         default_workers())
-    means = [mean for mean, _ in points]
+    means = [point["mean_latency_cycles"] for point in points]
     uniform, local, on_mesh = (means[i:i + len(loads)]
                                for i in range(0, len(means), len(loads)))
     return {
         "tree zero-load latency (uniform)": uniform[0],
         "every offered packet is delivered at every load":
-            all(delivered for _, delivered in points),
+            all(point["drained"] for point in points),
         # Up to one cycle of small-sample noise point to point; the
         # endpoints must order strictly.
         "latency rises with load on tree and mesh alike": all(

@@ -1,8 +1,8 @@
-"""Process-parallel sweep evaluation.
+"""Load-point measurement and process-parallel sweep evaluation.
 
 Design-space sweeps (load curves, saturation searches, ablations) evaluate
-many independent simulation points; this module fans them out over worker
-processes. The building blocks:
+many independent simulation points; this module measures them and fans
+them out over worker processes. The building blocks:
 
 * :func:`parallel_map` — ordered map over picklable items with a
   ``ProcessPoolExecutor``, submitting in chunks so large campaigns
@@ -12,15 +12,20 @@ processes. The building blocks:
   code paths;
 * :class:`LoadPoint` — a picklable spec of one offered-load measurement
   (network config + traffic pattern by name + load/cycles/seed),
-  evaluated by the module-level :func:`evaluate_load_point`;
+  evaluated by the module-level :func:`evaluate_load_point`, the only
+  code that runs a load point;
 * :func:`point_seed` — deterministic per-point seeds, identical no matter
   how points are distributed over processes;
+* :func:`parallel_saturation_throughput` — the fixed-grid saturation
+  search (:data:`DEFAULT_SATURATION_LOADS`, scanned by
+  :func:`scan_saturation_curve`);
 * :func:`bisect_saturation_throughput` — a parallel bisection over the
   saturation knee: the fixed grid's simulation budget, spent adaptively
   for a tighter saturation estimate;
 * :func:`spec_hash` / checkpointing — ``measure_load_points(...,
   checkpoint=path)`` appends every finished point to a JSONL file keyed
-  by its spec hash; a restarted sweep skips the recorded points and
+  by its spec hash; a restarted sweep skips the recorded points (a torn
+  last line from a killed run is cut off and measured again) and
   returns results identical to the uninterrupted run.
 
 Workers ship back *compact* result records (a value tuple in fixed field
@@ -46,15 +51,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.sweeps import (
-    DEFAULT_SATURATION_LOADS,
-    measure_offered_vs_accepted,
-    scan_saturation_curve,
-)
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
 from repro.telemetry.metrics import MetricsSummary
-from repro.traffic.base import TrafficGenerator
+from repro.traffic.base import TrafficGenerator, inject_window
 from repro.traffic.patterns import (
     HotspotTraffic,
     NeighbourTraffic,
@@ -201,13 +201,72 @@ class LoadPoint:
 
 
 def evaluate_load_point(spec: LoadPoint) -> dict[str, Any]:
-    """Worker entry point: one offered/accepted/latency measurement."""
-    return measure_offered_vs_accepted(
-        spec.build_network, spec.build_generator, spec.load,
-        cycles=spec.cycles, seed=spec.seed,
-        telemetry=spec.telemetry,
-        trace_sample_period=spec.trace_sample_period,
-    )
+    """Worker entry point: one offered/accepted/latency measurement.
+
+    Accepted throughput is measured over the injection window only (not
+    the drain), which is what saturates; delivery of the backlog is still
+    verified via the drain.
+
+    ``spec.telemetry`` attaches a metrics registry (:mod:`repro.telemetry`)
+    to the freshly built network and adds its picklable
+    :class:`~repro.telemetry.metrics.MetricsSummary` under the
+    ``"telemetry"`` key; ``spec.trace_sample_period=N`` additionally
+    traces every Nth packet and adds the
+    :class:`~repro.telemetry.trace.PacketTrace` list under ``"traces"``.
+    Both ride the event/probe fast path, so untraced points are
+    unaffected and traced points stay bit-identical across kernel modes.
+    """
+    net = spec.build_network()
+    registry = tracer = None
+    if spec.telemetry:
+        from repro.telemetry import attach_metrics
+        registry = attach_metrics(net)
+    if spec.trace_sample_period is not None:
+        from repro.telemetry import attach_tracer
+        tracer = attach_tracer(net, spec.trace_sample_period)
+    cycles, ports = spec.cycles, spec.ports
+    schedule = spec.build_generator().generate(
+        cycles, np.random.default_rng(spec.seed))
+    # Delivered flits are sampled at the window end, before the drain.
+    inject_window(net, schedule, cycles)
+    accepted = net.stats.flits_delivered / cycles / ports
+    offered = sum(i.size_flits for i in schedule) / cycles / ports
+    drained = net.drain(max_ticks=500_000)
+    latency = net.stats.latency.mean if net.stats.latencies_cycles else 0.0
+    metrics: dict[str, Any] = {
+        "offered": offered,
+        "accepted_in_window": accepted,
+        "mean_latency_cycles": latency,
+        "drained": float(drained),
+    }
+    metrics.update(_run_energy_metrics(net))
+    if registry is not None:
+        metrics["telemetry"] = registry.summary()
+    if tracer is not None:
+        metrics["traces"] = tracer.traces
+    return metrics
+
+
+def _run_energy_metrics(net: Any) -> dict[str, float]:
+    """Per-run energy of a drained measurement, when the network has a
+    registered physical descriptor (every registry fabric does; a
+    topology registered without one simply omits the energy keys).
+
+    Only the descriptor *lookup* may decline (``physical_model`` raises
+    ``ConfigurationError`` for a network without a registered
+    descriptor) — a genuine bug inside a registered descriptor
+    propagates instead of silently blanking the energy column."""
+    from repro.physical.descriptor import physical_model
+    from repro.physical.report import RunEnergyReport
+    try:
+        model = physical_model(net)
+    except ConfigurationError:
+        return {}
+    report = RunEnergyReport.from_run(net, model=model)
+    return {
+        "energy_pj_per_flit": report.energy_per_flit_pj,
+        "mean_power_mw": report.mean_power_mw,
+    }
 
 
 # -- compact worker records -----------------------------------------------
@@ -314,6 +373,37 @@ def _result_from_json(record: dict[str, Any]) -> dict[str, Any]:
     return metrics
 
 
+def _read_checkpoint(path: Path) -> dict[str, dict[str, Any]]:
+    """The recorded results of a checkpoint file, by spec hash.
+
+    A final line without its newline is a torn append from a killed
+    run: it is cut off the file, so that point is measured again and the
+    next record starts on a line of its own. Any complete line that is
+    not a ``{"spec": ..., "result": {...}}`` object is an error naming
+    the file and its 1-based line number.
+    """
+    if not path.exists():
+        return {}
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    done: dict[str, dict[str, Any]] = {}
+    for number, line in enumerate(data[:complete].split(b"\n")[:-1],
+                                  start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            done[record["spec"]] = _result_from_json(record["result"])
+        except (ValueError, KeyError, TypeError) as error:
+            raise ConfigurationError(
+                f"{path}:{number}: not a checkpoint record (a JSON "
+                f"object with 'spec' and 'result'); fix or delete the "
+                f"line to resume") from error
+    if complete < len(data):
+        os.truncate(path, complete)
+    return done
+
+
 def checkpointed_load_points(specs: Sequence[LoadPoint],
                              checkpoint: str | Path,
                              workers: int | None = None,
@@ -338,15 +428,7 @@ def checkpointed_load_points(specs: Sequence[LoadPoint],
                 "checkpoint); drop the checkpoint or the trace sampling"
             )
     path = Path(checkpoint)
-    done: dict[str, dict[str, Any]] = {}
-    if path.exists():
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                done[record["spec"]] = _result_from_json(record["result"])
+    done = _read_checkpoint(path)
     hashes = [spec_hash(spec) for spec in specs]
     pending = [(digest, spec) for digest, spec in zip(hashes, specs)
                if digest not in done]
@@ -372,16 +454,43 @@ def checkpointed_load_points(specs: Sequence[LoadPoint],
     return [done[digest] for digest in hashes]
 
 
+# -- saturation searches --------------------------------------------------
+
+#: Default load grid of the saturation searches (grid and bisection).
+DEFAULT_SATURATION_LOADS = (0.05, 0.10, 0.15, 0.20, 0.30, 0.40, 0.55,
+                            0.70, 0.85)
+
+
+def _keeps_up(metrics: dict[str, float], efficiency_floor: float) -> bool:
+    return metrics["accepted_in_window"] >= efficiency_floor * metrics["offered"]
+
+
+def scan_saturation_curve(pairs: Any, efficiency_floor: float) -> float:
+    """Walk (load, metrics) pairs upward; return the last load whose
+    accepted throughput kept up with ``efficiency_floor`` times the
+    offered load. Accepts a lazy iterable, so serial searches stop
+    measuring at the first saturated point."""
+    last_good = 0.0
+    for load, metrics in pairs:
+        if not _keeps_up(metrics, efficiency_floor):
+            return last_good
+        last_good = load
+    return last_good
+
+
 def parallel_saturation_throughput(template: LoadPoint,
                                    loads: Sequence[float] | None = None,
                                    efficiency_floor: float = 0.9,
                                    workers: int | None = None) -> float:
-    """The saturation search over picklable specs.
+    """Highest offered load still delivered at >= ``efficiency_floor``.
 
-    Evaluates every candidate load (concurrently with ``workers`` > 1) and
-    scans the curve exactly like the serial
-    :func:`repro.analysis.sweeps.saturation_throughput`, so both return
-    the same load for the same specs.
+    Sweeps the template's offered load upward over ``loads``; saturation
+    is declared at the first point whose in-window accepted throughput
+    falls below the floor times the offered load, and the previous load
+    is returned. Serially the walk stops measuring there; with
+    ``workers`` > 1 every candidate load is evaluated concurrently and
+    the same scan runs over the completed curve, so both return the same
+    load for the same specs.
     """
     if loads is None:
         loads = list(DEFAULT_SATURATION_LOADS)
@@ -441,11 +550,6 @@ class SaturationSearch:
         simulation cost. 0.0 when nothing kept up."""
         metrics = self.saturation_metrics
         return metrics["mean_latency_cycles"] if metrics else 0.0
-
-
-def _keeps_up(load: float, metrics: dict[str, float],
-              efficiency_floor: float) -> bool:
-    return metrics["accepted_in_window"] >= efficiency_floor * metrics["offered"]
 
 
 def _efficiency_ratio(metrics: dict[str, float]) -> float:
@@ -576,10 +680,10 @@ def bisect_saturation_throughput(template: LoadPoint,
     lo_metrics, hi_metrics = measure([lo, hi])
     budget -= 2
     rounds = 1
-    if not _keeps_up(lo, lo_metrics, efficiency_floor):
+    if not _keeps_up(lo_metrics, efficiency_floor):
         # Saturated below the bracket: same verdict as the grid walk.
         return SaturationSearch(0.0, evaluated, rounds)
-    if _keeps_up(hi, hi_metrics, efficiency_floor):
+    if _keeps_up(hi_metrics, efficiency_floor):
         return SaturationSearch(hi, evaluated, rounds)
     good, bad = lo, hi
     good_metrics, bad_metrics = lo_metrics, hi_metrics
@@ -596,7 +700,7 @@ def bisect_saturation_throughput(template: LoadPoint,
         budget -= len(candidates)
         rounds += 1
         for load, metrics in zip(candidates, results):
-            if _keeps_up(load, metrics, efficiency_floor):
+            if _keeps_up(metrics, efficiency_floor):
                 good, good_metrics = load, metrics
             else:
                 bad, bad_metrics = load, metrics

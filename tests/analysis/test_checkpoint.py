@@ -114,6 +114,34 @@ class TestCheckpointResume:
         assert [r["spec"] for r in records] == [spec_hash(s) for s in specs]
         assert [r["load"] for r in records] == [s.load for s in specs]
 
+    def test_torn_last_line_is_measured_again(self, tmp_path):
+        # A kill mid-append leaves a final line without its newline: it
+        # is cut off, re-measured, and the next record is not glued on.
+        specs = _specs()
+        checkpoint = tmp_path / "sweep.jsonl"
+        measure_load_points(specs[:3], checkpoint=checkpoint)
+        torn = checkpoint.read_bytes()[:-40]
+        assert torn.count(b"\n") == 2  # the third record is a fragment
+        checkpoint.write_bytes(torn)
+        resumed = measure_load_points(specs, checkpoint=checkpoint)
+        assert resumed == measure_load_points(specs)
+        records = [json.loads(line)
+                   for line in checkpoint.read_text().splitlines()]
+        assert [r["spec"] for r in records] == \
+            [spec_hash(s) for s in specs]
+
+    def test_corrupt_line_names_its_number(self, tmp_path):
+        specs = _specs()[:3]
+        checkpoint = tmp_path / "sweep.jsonl"
+        measure_load_points(specs, checkpoint=checkpoint)
+        lines = checkpoint.read_text().splitlines(keepends=True)
+        lines[1] = '["not", "a", "record"]\n'
+        checkpoint.write_text("".join(lines))
+        with pytest.raises(ConfigurationError,
+                           match=r"sweep\.jsonl:2: not a checkpoint record"):
+            measure_load_points(specs, checkpoint=checkpoint)
+        assert checkpoint.read_text() == "".join(lines)  # left untouched
+
     def test_traced_specs_refused(self, tmp_path):
         spec = LoadPoint(load=0.1, network=MESH16, cycles=40,
                          trace_sample_period=4)

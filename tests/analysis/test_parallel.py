@@ -11,12 +11,10 @@ from repro.analysis.parallel import (
     parallel_map,
     parallel_saturation_throughput,
     point_seed,
+    scan_saturation_curve,
 )
-from repro.analysis.sweeps import saturation_throughput, sweep
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import ICNoCNetwork
-from repro.traffic.patterns import UniformRandom
 
 
 def square_metrics(value):
@@ -61,19 +59,27 @@ class TestParallelMap:
         assert parallel_map(square_metrics, [], workers=2) == []
 
 
-class TestSweepWorkers:
-    def test_sweep_results_identical_serial_vs_parallel(self):
-        serial = sweep("squares", [1, 2, 3], square_metrics)
-        parallel = sweep("squares", [1, 2, 3], square_metrics, workers=2)
-        assert [p.metrics for p in parallel.points] == \
-            [p.metrics for p in serial.points]
-        assert parallel.series("square") == serial.series("square")
-
-
 class TestLoadPoints:
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ConfigurationError):
             LoadPoint(load=0.1, pattern="teleport")
+
+    def test_zero_load_rejected(self):
+        with pytest.raises(ConfigurationError, match="load"):
+            LoadPoint(load=0.0, network=TREE16)
+
+    def test_low_load_fully_accepted_and_drained(self):
+        metrics = evaluate_load_point(
+            LoadPoint(load=0.05, network=TREE16, cycles=200))
+        assert metrics["drained"] == 1.0
+        assert metrics["accepted_in_window"] >= 0.8 * metrics["offered"]
+
+    def test_overload_falls_behind(self):
+        """Uniform traffic far beyond the tree's root capacity cannot be
+        accepted within the injection window."""
+        metrics = evaluate_load_point(
+            LoadPoint(load=0.9, network=TREE16, cycles=200))
+        assert metrics["accepted_in_window"] < 0.9 * metrics["offered"]
 
     @pytest.mark.parametrize("cycles", (0, -5))
     def test_run_without_cycles_rejected(self, cycles):
@@ -115,29 +121,34 @@ class TestLoadPoints:
         parallel = measure_load_points(specs, workers=2)
         assert serial == parallel
 
-    def test_evaluate_matches_direct_measurement(self):
-        from repro.analysis.sweeps import measure_offered_vs_accepted
-        spec = LoadPoint(load=0.1, network=TREE16, cycles=100, seed=5)
-        direct = measure_offered_vs_accepted(
-            lambda: ICNoCNetwork(TREE16),
-            lambda load: UniformRandom(16, load),
-            load=0.1, cycles=100, seed=5,
-        )
-        assert evaluate_load_point(spec) == direct
-
 
 class TestParallelSaturation:
     def test_matches_serial_search(self):
         loads = [0.05, 0.1, 0.2]
-        serial = saturation_throughput(
-            lambda: ICNoCNetwork(TREE16),
-            lambda load: UniformRandom(16, load),
-            loads=loads, cycles=120,
-        )
         template = LoadPoint(load=loads[0], network=TREE16, cycles=120)
-        for workers in (1, 2):
-            assert parallel_saturation_throughput(
-                template, loads=loads, workers=workers) == serial
+        curve = zip(loads, measure_load_points(expand_loads(template, loads)))
+        scanned = scan_saturation_curve(curve, 0.9)
+        found = [parallel_saturation_throughput(template, loads=loads,
+                                                workers=workers)
+                 for workers in (1, 2)]
+        assert found == [scanned, scanned]
+
+    def test_saturation_positive_for_sane_network(self):
+        template = LoadPoint(load=0.05, network=TREE16, cycles=150)
+        assert parallel_saturation_throughput(
+            template, loads=[0.05, 0.1]) >= 0.05
+
+    def test_local_traffic_saturates_later_than_uniform(self):
+        """The locality argument, as a saturation-throughput number: the
+        tree sustains far more sibling traffic than uniform traffic."""
+        loads = [0.1, 0.2, 0.3, 0.5, 0.7]
+        uniform = LoadPoint(load=loads[0], network=TREE16, cycles=200)
+        local = LoadPoint(load=loads[0], network=TREE16, cycles=200,
+                          pattern="neighbour", locality=1.0)
+        sat_uniform = parallel_saturation_throughput(uniform, loads=loads)
+        sat_local = parallel_saturation_throughput(local, loads=loads)
+        assert sat_local > sat_uniform
+        assert sat_local >= 0.5
 
 
 class TestBisectSaturation:

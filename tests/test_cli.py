@@ -147,6 +147,18 @@ class TestSweep:
         assert main(["sweep", "--ports", "16", "--loads", "0.2",
                      "--search", "bisect"]) == 2
 
+    def test_corrupt_checkpoint_is_a_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        path.write_text("{}\n")
+        code = main(["sweep", "--topology", "mesh", "--ports", "16",
+                     "--loads", "0.05", "--cycles", "40",
+                     "--checkpoint", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:1: not a checkpoint record " \
+            "(a JSON object with 'spec' and 'result'); fix or delete " \
+            "the line to resume\n"
+
 
 class TestDemo:
     def test_small_demo(self, capsys):
