@@ -170,13 +170,51 @@ def save_accel_trace(trace: AccelTrace, path: str | Path) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _event_from(record: dict, where: str) -> AccelEvent:
+    """One event line as an :class:`AccelEvent`. A missing key or a
+    mistyped field is a :class:`ConfigurationError` prefixed ``where``
+    (the file and line), never a ``TypeError`` from the checks after."""
+    for key in ("kind", "id", "pe"):
+        if key not in record:
+            raise ConfigurationError(f"{where}: missing key {key!r}")
+    for key in ("id", "pe", "cycles", "mem", "bytes"):
+        if key in record and not _is_int(record[key]):
+            raise ConfigurationError(
+                f"{where}: {key!r} must be an integer, got {record[key]!r}")
+    deps = record.get("deps", [])
+    if not isinstance(deps, list) or not all(map(_is_int, deps)):
+        raise ConfigurationError(
+            f"{where}: 'deps' must be a list of integers, got {deps!r}")
+    gemm = record.get("gemm")
+    if gemm is not None and not (isinstance(gemm, list) and len(gemm) == 3
+                                 and all(map(_is_int, gemm))):
+        raise ConfigurationError(
+            f"{where}: 'gemm' must be three integers, got {gemm!r}")
+    return AccelEvent(
+        event_id=record["id"], kind=record["kind"], pe=record["pe"],
+        cycles=record.get("cycles", 0),
+        mem=record.get("mem", 0),
+        direction=record.get("dir", ""),
+        n_bytes=record.get("bytes", 0),
+        deps=tuple(deps),
+        gemm=tuple(gemm) if gemm is not None else None,
+    )
+
+
 def load_accel_trace(path: str | Path) -> AccelTrace:
     """Load and validate a trace written by :func:`save_accel_trace`.
 
     The header is mandatory (:func:`~repro.traffic.trace
     .check_trace_header`, shared with the injection-trace loader); a
     missing or mismatched header is a loud :class:`ConfigurationError`
-    naming the file and the found/expected version.
+    naming the file and the found/expected version. So is any event
+    line that is not an object with integer ``id``/``pe``/sizes and an
+    integer ``deps`` list: the message names the file and the 1-based
+    line.
     """
     header: dict | None = None
     events: list[AccelEvent] = []
@@ -186,24 +224,15 @@ def load_accel_trace(path: str | Path) -> AccelTrace:
                                ACCEL_TRACE_VERSION)
             header = record
             continue
-        try:
-            kind = record["kind"]
-            gemm = record.get("gemm")
-            events.append(AccelEvent(
-                event_id=record["id"], kind=kind, pe=record["pe"],
-                cycles=record.get("cycles", 0),
-                mem=record.get("mem", 0),
-                direction=record.get("dir", ""),
-                n_bytes=record.get("bytes", 0),
-                deps=tuple(record.get("deps", ())),
-                gemm=tuple(gemm) if gemm is not None else None,
-            ))
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"{path}: bad trace line {line_number}: missing key {exc}"
-            ) from exc
+        events.append(_event_from(record,
+                                  f"{path}: bad trace line {line_number}"))
     if header is None:
         raise ConfigurationError(f"{path}: empty accel trace file")
+    for key in ("pes", "mems"):
+        if key in header and not _is_int(header[key]):
+            raise ConfigurationError(
+                f"{path}: accel trace header {key!r} must be an integer, "
+                f"got {header[key]!r}")
     try:
         return AccelTrace(
             model=header.get("model", "unknown"),

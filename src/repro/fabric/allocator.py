@@ -12,6 +12,12 @@ questions per edge:
   requesting input (flat ``in_port * n_vcs + in_vc`` index) crosses the
   switch toward one output port this edge.
 
+Each question has a lone-requester form (:meth:`Allocator.vc_lone`,
+:meth:`Allocator.switch_lone`) that the router calls when exactly one
+input VC asks: it must leave the allocator in the state the full form
+leaves it in on the one-hot request vector, and the tests pin that per
+policy.
+
 State is deliberately plain — round-robin arbiters keyed by output port
 (switch stage) and by ``(out_port, out_vc)`` pair (VC stage) — so every
 allocator is introspectable and picklable, which the checkpointed sweep
@@ -105,6 +111,10 @@ class Allocator:
         """Grant the output VC to one requesting input VC (flat index)."""
         return self.va_arbiters[out_port, out_vc].grant(requests)
 
+    def vc_lone(self, out_port: int, out_vc: int, flat: int) -> int:
+        """:meth:`vc_winner` when input VC ``flat`` is the only requester."""
+        return self.va_arbiters[out_port, out_vc].grant_only(flat)
+
     def switch_winner(self, out_port: int, requests: Sequence[bool],
                       out_vc_of: Sequence[int]) -> int | None:
         """Grant the switch toward ``out_port`` to one requester.
@@ -114,6 +124,11 @@ class Allocator:
         (all zeros in the single-VC regime). Base policy: round-robin.
         """
         return self.sa_arbiters[out_port].grant(requests)
+
+    def switch_lone(self, out_port: int, flat: int, out_vc: int) -> int:
+        """:meth:`switch_winner` when input VC ``flat``, targeting output
+        VC ``out_vc``, is the only requester."""
+        return self.sa_arbiters[out_port].grant_only(flat)
 
 
 class RoundRobinAllocator(Allocator):
@@ -222,17 +237,28 @@ class WeightedAllocator(Allocator):
         ]
         pool = entitled if any(entitled) else requests
         winner = self.sa_arbiters[out_port].grant(pool)
-        if winner is None:
-            return None
-        vc = out_vc_of[winner]
-        self._sa_total[out_port] = total + 1
+        if winner is not None:
+            self._count_grant(out_port, out_vc_of[winner])
+        return winner
+
+    def switch_lone(self, out_port: int, flat: int, out_vc: int) -> int:
+        # A one-hot pool is the same vector whether or not its requester
+        # is entitled, so only the share window needs updating.
+        self.sa_arbiters[out_port].grant_only(flat)
+        self._count_grant(out_port, out_vc)
+        return flat
+
+    def _count_grant(self, out_port: int, vc: int) -> None:
+        """Add one grant on output VC ``vc`` to ``out_port``'s window."""
+        share = self._sa_share[out_port]
+        total = self._sa_total[out_port] + 1
         if vc in share:
             share[vc] += 1
-        if self._sa_total[out_port] >= self.EPOCH:
-            self._sa_total[out_port] //= 2
+        if total >= self.EPOCH:
+            total //= 2
             for key in share:
                 share[key] //= 2
-        return winner
+        self._sa_total[out_port] = total
 
 
 def make_allocator(name: str,

@@ -337,6 +337,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         # comes.
         returned = [0] * self.n_ports
         ring = self._ring_transit
+        allocator = self.allocator
         for out_port, out_link in outputs if wants else ():
             requesters = wants.get(out_port)
             if requesters is None:
@@ -346,24 +347,30 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                     self._note_starvation_single(out_port, requesters)
                 continue
             lock = locks[out_port]
-            requests = [False] * self.n_ports
             if lock is not None:
                 if lock not in requesters:
                     continue
-                requests[lock] = True
+                winner = allocator.switch_lone(out_port, lock, 0)
             else:
                 # Bubble rule: a head may enter a ring only while a slot
                 # stays free behind it; same-ring transit is exempt.
                 bubble = ring is not None and credits[out_port] < 2
+                eligible = []
                 for in_port in requesters:
                     if fifos[in_port][0].is_head and (
                             not bubble
                             or ring.ring_transit(in_port, out_port)):
-                        requests[in_port] = True
-                if True not in requests:
+                        eligible.append(in_port)
+                if not eligible:
                     continue
-            winner = self.allocator.switch_winner(out_port, requests,
-                                                  self._zero_vc_of)
+                if len(eligible) == 1:
+                    winner = allocator.switch_lone(out_port, eligible[0], 0)
+                else:
+                    requests = [False] * self.n_ports
+                    for in_port in eligible:
+                        requests[in_port] = True
+                    winner = allocator.switch_winner(out_port, requests,
+                                                     self._zero_vc_of)
             fifo = fifos[winner]
             flit = fifo.popleft()
             returned[winner] += 1
@@ -501,12 +508,14 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         # One crossbar pass per input port and edge: in_port -> the in_vc
         # that crossed (so at most one credit to return per port).
         popped: dict[int, int] = {}
+        allocator = self.allocator
         for out_port, out_link in outputs if wants else ():
             requesters = wants.get(out_port)
             if requesters is None:
                 continue
-            requests = out_vc_of = None
-            for in_port, in_vc, out_vc in requesters:
+            eligible = []
+            for request in requesters:
+                in_port, _in_vc, out_vc = request
                 if in_port in popped:
                     continue
                 if credits[out_port][out_vc] <= 0:
@@ -516,17 +525,23 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                     if observed:
                         self._note_starvation_vc(out_port, out_vc)
                     continue
-                if requests is None:
-                    requests = [False] * (self.n_ports * n_vcs)
-                    out_vc_of = [0] * (self.n_ports * n_vcs)
-                requests[in_port * n_vcs + in_vc] = True
-                out_vc_of[in_port * n_vcs + in_vc] = out_vc
-            if requests is None:
+                eligible.append(request)
+            if not eligible:
                 continue
-            winner = self.allocator.switch_winner(out_port, requests,
-                                                  out_vc_of)
-            in_port, in_vc = divmod(winner, n_vcs)
-            out_vc = out_vc_of[winner]
+            if len(eligible) == 1:
+                in_port, in_vc, out_vc = eligible[0]
+                allocator.switch_lone(out_port, in_port * n_vcs + in_vc,
+                                      out_vc)
+            else:
+                requests = [False] * (self.n_ports * n_vcs)
+                out_vc_of = [0] * (self.n_ports * n_vcs)
+                for in_port, in_vc, out_vc in eligible:
+                    requests[in_port * n_vcs + in_vc] = True
+                    out_vc_of[in_port * n_vcs + in_vc] = out_vc
+                winner = allocator.switch_winner(out_port, requests,
+                                                 out_vc_of)
+                in_port, in_vc = divmod(winner, n_vcs)
+                out_vc = out_vc_of[winner]
             flit = fifos[in_port][in_vc].popleft()
             popped[in_port] = in_vc
             if self.pipeline_depth == 1:
@@ -627,14 +642,19 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             for pair in requested:
                 want.setdefault(pair, []).append(in_port * n_vcs + in_vc)
         allocated_inputs: set[int] = set()
+        allocator = self.allocator
         for out_port, out_vc in sorted(want, key=_va_walk_order):
-            requests = [False] * (self.n_ports * n_vcs)
-            for flat in want[out_port, out_vc]:
-                if flat not in allocated_inputs:
-                    requests[flat] = True
-            if True not in requests:
+            eligible = [flat for flat in want[out_port, out_vc]
+                        if flat not in allocated_inputs]
+            if not eligible:
                 continue
-            winner = self.allocator.vc_winner(out_port, out_vc, requests)
+            if len(eligible) == 1:
+                winner = allocator.vc_lone(out_port, out_vc, eligible[0])
+            else:
+                requests = [False] * (self.n_ports * n_vcs)
+                for flat in eligible:
+                    requests[flat] = True
+                winner = allocator.vc_winner(out_port, out_vc, requests)
             in_port, in_vc = divmod(winner, n_vcs)
             vc_owner[out_port][out_vc] = (in_port, in_vc)
             self.allocation[in_port][in_vc] = (out_port, out_vc)

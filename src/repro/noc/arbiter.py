@@ -44,6 +44,17 @@ class Arbiter(abc.ABC):
             self.grant_counts[choice] += 1
         return choice
 
+    def grant_only(self, index: int) -> int:
+        """Grant ``index``, the only requester.
+
+        Leaves the arbiter in exactly the state :meth:`grant` would on the
+        one-hot request vector for ``index`` (any policy must pick the
+        lone requester), without building or scanning that vector.
+        """
+        self.grants += 1
+        self.grant_counts[index] += 1
+        return index
+
 
 class RoundRobinArbiter(Arbiter):
     """Fair rotating-priority arbiter.
@@ -64,6 +75,13 @@ class RoundRobinArbiter(Arbiter):
                 self._last = candidate
                 return candidate
         return None
+
+    def grant_only(self, index: int) -> int:
+        # The base bookkeeping, inlined: this runs once per lone grant.
+        self._last = index
+        self.grants += 1
+        self.grant_counts[index] += 1
+        return index
 
 
 class FixedPriorityArbiter(Arbiter):

@@ -8,7 +8,7 @@ destination leaf address), as wormhole routing requires.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
@@ -20,9 +20,18 @@ class FlitKind(enum.Enum):
     SINGLE = "single"  # single-flit packet: head and tail at once
 
 
-@dataclass(frozen=True)
+_HEADS = (FlitKind.HEAD, FlitKind.SINGLE)
+_TAILS = (FlitKind.TAIL, FlitKind.SINGLE)
+
+
+@dataclass(frozen=True, slots=True)
 class Flit:
     """One 32-bit word on the network.
+
+    A slotted frozen record: every router edge reads ``is_head`` /
+    ``is_tail`` as plain attributes, derived once from ``kind`` at
+    construction (``dataclasses.replace`` re-derives them). They take no
+    part in equality, hashing or ``repr``.
 
     Attributes:
         kind: position within the packet.
@@ -31,6 +40,8 @@ class Flit:
         packet_id: unique id of the packet this flit belongs to.
         seq: position of this flit within its packet (0 = head).
         payload: the 32-bit data word.
+        is_head: the flit opens a packet (carries routing info).
+        is_tail: the flit closes a packet (releases wormhole locks).
     """
 
     kind: FlitKind
@@ -39,6 +50,8 @@ class Flit:
     packet_id: int
     seq: int
     payload: int = 0
+    is_head: bool = field(init=False, repr=False, compare=False)
+    is_tail: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.src < 0 or self.dest < 0:
@@ -47,18 +60,17 @@ class Flit:
             raise ConfigurationError("flit seq must be >= 0")
         if not 0 <= self.payload < 2 ** 32:
             raise ConfigurationError("payload must fit in 32 bits")
-        if self.kind in (FlitKind.HEAD, FlitKind.SINGLE) and self.seq != 0:
+        is_head = self.kind in _HEADS
+        if is_head and self.seq != 0:
             raise ConfigurationError("head flit must have seq 0")
+        object.__setattr__(self, "is_head", is_head)
+        object.__setattr__(self, "is_tail", self.kind in _TAILS)
 
-    @property
-    def is_head(self) -> bool:
-        """True for flits that open a packet (carry routing info)."""
-        return self.kind in (FlitKind.HEAD, FlitKind.SINGLE)
-
-    @property
-    def is_tail(self) -> bool:
-        """True for flits that close a packet (release wormhole locks)."""
-        return self.kind in (FlitKind.TAIL, FlitKind.SINGLE)
+    def __reduce__(self):
+        # Rebuild through __init__, so the derived bits are recomputed on
+        # every Python version's pickle of a frozen slotted dataclass.
+        return (Flit, (self.kind, self.src, self.dest, self.packet_id,
+                       self.seq, self.payload))
 
     def __str__(self) -> str:
         return (f"{self.kind.value}[pkt{self.packet_id} "

@@ -74,28 +74,29 @@ def spread_arrivals(arrival_times_ps: list[float], period_ps: float,
 
     Each arrival may move by at most ``max_adjust_ps`` (the slack the
     timing windows of eqs. (1)-(7) leave at the operating frequency). The
-    heuristic assigns targets uniformly spread over the period, sorted to
-    minimise adjustment, then clips to the allowed window — simple, and
-    already close to the achievable flattening for realistic slacks.
+    heuristic assigns the phase-sorted arrivals targets uniformly spread
+    over the period, then clips each move to the allowed window — simple,
+    and already close to the achievable flattening for realistic slacks.
+
+    The target grid is anchored where it fits the sorted phases best (the
+    median offset), not at phase 0, and moves are never wrapped. Each new
+    phase is ``clip(target, phase - slack, phase + slack)``, monotone in
+    both, so arrivals keep their circular order and no gap between
+    neighbouring phases shrinks below ``min(gap, period / n)``: clipped
+    moves never cross or merge neighbours.
     """
     if max_adjust_ps < 0.0:
         raise ConfigurationError("max_adjust_ps must be >= 0")
     n = len(arrival_times_ps)
     if n == 0:
         return []
-    order = np.argsort([t % period_ps for t in arrival_times_ps])
-    targets = np.arange(n) * (period_ps / n)
+    phases = np.asarray(arrival_times_ps, dtype=float) % period_ps
+    order = np.argsort(phases, kind="stable")
+    grid = np.arange(n) * (period_ps / n)
+    anchor = float(np.median(phases[order] - grid))
     adjusted = list(arrival_times_ps)
     for rank, index in enumerate(order):
-        original = arrival_times_ps[index]
-        phase = original % period_ps
-        want = targets[rank]
-        delta = want - phase
-        # Wrap to the nearest equivalent shift.
-        if delta > period_ps / 2.0:
-            delta -= period_ps
-        elif delta < -period_ps / 2.0:
-            delta += period_ps
-        delta = float(np.clip(delta, -max_adjust_ps, max_adjust_ps))
-        adjusted[index] = original + delta
+        delta = anchor + grid[rank] - phases[index]
+        adjusted[index] = arrival_times_ps[index] + float(
+            np.clip(delta, -max_adjust_ps, max_adjust_ps))
     return adjusted

@@ -250,11 +250,11 @@ class SimKernel:
                     if probes is None:
                         changed = sig.commit()
                     else:
-                        old = sig._value
+                        old = sig.value
                         changed = sig.commit()
                         if changed:
                             for probe in probes:
-                                probe(tick, sig, old, sig._value)
+                                probe(tick, sig, old, sig.value)
                     if changed and sig._watchers:
                         watchers = list(sig._watchers)
                         sig._watchers.clear()
@@ -267,10 +267,10 @@ class SimKernel:
                 if probes is None:
                     sig.commit()
                 else:
-                    old = sig._value
+                    old = sig.value
                     if sig.commit():
                         for probe in probes:
-                            probe(tick, sig, old, sig._value)
+                            probe(tick, sig, old, sig.value)
         if self._flush:
             pending = self._flush
             self._flush = []

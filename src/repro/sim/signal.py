@@ -1,8 +1,8 @@
 """Double-buffered signals.
 
 A :class:`Signal` holds the value committed at the end of the previous tick
-(readable via :attr:`value`) and a pending value written during the current
-tick (via :meth:`set`). The kernel commits pending writes after all
+(the plain attribute :attr:`value`) and a pending value written during the
+current tick (via :meth:`set`). The kernel commits pending writes after all
 components of the tick have fired, so evaluation order within a tick can
 never matter — the key determinism property of the kernel.
 
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 class Signal:
     """One named wire with next-tick write semantics."""
 
-    __slots__ = ("name", "_value", "_next", "_dirty", "_writer_tick",
+    __slots__ = ("name", "value", "_next", "_dirty", "_writer_tick",
                  "_queue", "_watchers", "_probes", "_index")
 
     #: Class-wide generation counter, bumped on every probe attach/detach.
@@ -43,7 +43,10 @@ class Signal:
 
     def __init__(self, name: str, initial: Any = None):
         self.name = name
-        self._value = initial
+        #: The value committed at the end of the previous tick. A plain
+        #: slot, so a wire read is one attribute load; only
+        #: :meth:`commit` writes it.
+        self.value = initial
         self._next = initial
         self._dirty = False
         self._writer_tick: int | None = None
@@ -60,11 +63,6 @@ class Signal:
         # the canonical signal order probes sort by, so instrumented
         # output is identical no matter which mode produced it.
         self._index = -1
-
-    @property
-    def value(self) -> Any:
-        """The value committed at the end of the previous tick."""
-        return self._value
 
     def set(self, value: Any, tick: int | None = None) -> None:
         """Schedule ``value`` to become visible next tick.
@@ -111,8 +109,8 @@ class Signal:
         """Make the pending write visible. Returns True if anything changed."""
         if not self._dirty:
             return False
-        changed = self._next != self._value
-        self._value = self._next
+        changed = self._next != self.value
+        self.value = self._next
         self._dirty = False
         self._writer_tick = None
         return changed
@@ -144,4 +142,4 @@ class Signal:
             Signal.probe_epoch += 1
 
     def __repr__(self) -> str:
-        return f"Signal({self.name!r}, value={self._value!r})"
+        return f"Signal({self.name!r}, value={self.value!r})"

@@ -29,9 +29,9 @@ TRACE_VERSION = 1
 def iter_trace_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_number, record)`` for every non-blank JSONL line.
 
-    Malformed JSON raises a :class:`ConfigurationError` naming the file
-    and the 1-based line number. Shared by every trace loader so the
-    error shape is uniform.
+    Malformed JSON, or JSON that is not an object, raises a
+    :class:`ConfigurationError` naming the file and the 1-based line
+    number. Shared by every trace loader so the error shape is uniform.
     """
     with open(path) as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -44,6 +44,11 @@ def iter_trace_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise ConfigurationError(
                     f"{path}: bad trace line {line_number}: {exc}"
                 ) from exc
+            if not isinstance(record, dict):
+                raise ConfigurationError(
+                    f"{path}: bad trace line {line_number}: expected a "
+                    f"JSON object, got {type(record).__name__}"
+                )
             yield line_number, record
 
 

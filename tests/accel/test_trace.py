@@ -104,6 +104,56 @@ class TestRoundtrip:
             load_accel_trace(path)
 
 
+HEADER = json.dumps({"schema": ACCEL_TRACE_SCHEMA,
+                     "version": ACCEL_TRACE_VERSION, "model": "t",
+                     "pes": 2, "mems": 1, "seed": 0})
+
+
+class TestCorruptLines:
+    """Valid JSON of the wrong shape is a ConfigurationError naming the
+    file and the 1-based line, never a TypeError from the checks after."""
+
+    @pytest.mark.parametrize("line, detail", [
+        ("[1, 2, 3]", "expected a JSON object, got list"),
+        ("7", "expected a JSON object, got int"),
+        ('{"id": 0, "kind": "compute", "pe": 0, "cycles": 5, "deps": 5}',
+         "'deps' must be a list of integers, got 5"),
+        ('{"id": 0, "kind": "compute", "pe": 0, "cycles": 5, '
+         '"deps": ["a"]}', "'deps' must be a list of integers"),
+        ('{"id": 0, "kind": "compute", "pe": "x", "cycles": 5}',
+         "'pe' must be an integer, got 'x'"),
+        ('{"id": [0], "kind": "compute", "pe": 0, "cycles": 5}',
+         "'id' must be an integer"),
+        ('{"id": 0, "kind": "compute", "pe": 0, "cycles": "5"}',
+         "'cycles' must be an integer"),
+        ('{"id": 0, "kind": "dma", "pe": 0, "mem": 0, "dir": "read", '
+         '"bytes": null}', "'bytes' must be an integer"),
+        ('{"id": 0, "kind": "compute", "pe": 0, "cycles": 5, "gemm": 4}',
+         "'gemm' must be three integers"),
+        ('{"id": 0, "pe": 0, "cycles": 5}', "missing key 'kind'"),
+    ])
+    def test_event_line_names_file_and_line(self, tmp_path, line, detail):
+        path = tmp_path / "corrupt.jsonl"
+        path.write_text(HEADER + "\n" + line + "\n")
+        with pytest.raises(ConfigurationError) as err:
+            load_accel_trace(path)
+        assert str(err.value).startswith(
+            f"{path}: bad trace line 2: {detail}")
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "corrupt.jsonl"
+        path.write_text('["repro.accel.trace", 1]\n')
+        with pytest.raises(ConfigurationError,
+                           match="line 1: expected a JSON object"):
+            load_accel_trace(path)
+
+    def test_header_pes_must_be_an_integer(self, tmp_path):
+        path = tmp_path / "corrupt.jsonl"
+        path.write_text(HEADER.replace('"pes": 2', '"pes": "2"') + "\n")
+        with pytest.raises(ConfigurationError, match="'pes' must be"):
+            load_accel_trace(path)
+
+
 class TestValidation:
     def test_forward_dep_rejected(self):
         with pytest.raises(ConfigurationError, match="dep"):

@@ -16,8 +16,10 @@ Three layers of coverage:
 """
 
 import pickle
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.fabric.allocator import (
@@ -160,6 +162,89 @@ def test_escape_reentry_is_a_policy_knob():
     assert EscapeReentryAllocator.wants_reentry
     assert not RoundRobinAllocator.wants_reentry
     assert not WeightedAllocator.wants_reentry
+
+
+# -- unit: the lone-requester forms ---------------------------------------
+
+#: Every registered policy, as the router's network builds it.
+REGISTERED = {
+    "rr": lambda: make_allocator("rr"),
+    "weighted": lambda: make_allocator("weighted", ((1, 0.5),)),
+    "escape-reentry": lambda: make_allocator("escape-reentry"),
+}
+
+
+@st.composite
+def allocator_histories(draw):
+    """A registered policy's shape plus a seeded prefix of full-vector
+    grants (long enough to cross the weighted window's epoch)."""
+    name = draw(st.sampled_from(sorted(REGISTERED)))
+    n_ports = draw(st.integers(min_value=2, max_value=3))
+    n_vcs = draw(st.integers(min_value=1 if name == "rr" else 2,
+                             max_value=3))
+    return (name, n_ports, n_vcs, draw(st.integers(0, 3 * 64)),
+            draw(st.integers(0, 2 ** 16)))
+
+
+def _replay_history(allocator, length, seed):
+    rng = random.Random(seed)
+    flat = allocator.n_ports * allocator.n_vcs
+    for _ in range(length):
+        requests = [rng.random() < 0.4 for _ in range(flat)]
+        out_vc_of = [rng.randrange(allocator.n_vcs) for _ in range(flat)]
+        out_port = rng.randrange(allocator.n_ports)
+        allocator.switch_winner(out_port, requests, out_vc_of)
+        if allocator.n_vcs >= 2:
+            allocator.vc_winner(out_port, rng.randrange(allocator.n_vcs),
+                                requests)
+
+
+@settings(max_examples=60, deadline=None)
+@given(allocator_histories(), st.data())
+def test_switch_lone_equals_a_one_hot_switch_winner(case, data):
+    name, n_ports, n_vcs, length, seed = case
+    lone = REGISTERED[name]().bind(n_ports, n_vcs)
+    full = REGISTERED[name]().bind(n_ports, n_vcs)
+    for allocator in (lone, full):
+        _replay_history(allocator, length, seed)
+    out_port = data.draw(st.integers(0, n_ports - 1))
+    flat = data.draw(st.integers(0, n_ports * n_vcs - 1))
+    out_vc = data.draw(st.integers(0, n_vcs - 1))
+    requests = [i == flat for i in range(n_ports * n_vcs)]
+    out_vc_of = [out_vc] * (n_ports * n_vcs)
+    assert lone.switch_lone(out_port, flat, out_vc) == \
+        full.switch_winner(out_port, requests, out_vc_of) == flat
+    assert pickle.dumps(lone) == pickle.dumps(full)
+
+
+@settings(max_examples=30, deadline=None)
+@given(allocator_histories().filter(lambda case: case[2] >= 2), st.data())
+def test_vc_lone_equals_a_one_hot_vc_winner(case, data):
+    name, n_ports, n_vcs, length, seed = case
+    lone = REGISTERED[name]().bind(n_ports, n_vcs)
+    full = REGISTERED[name]().bind(n_ports, n_vcs)
+    for allocator in (lone, full):
+        _replay_history(allocator, length, seed)
+    out_port = data.draw(st.integers(0, n_ports - 1))
+    out_vc = data.draw(st.integers(0, n_vcs - 1))
+    flat = data.draw(st.integers(0, n_ports * n_vcs - 1))
+    requests = [i == flat for i in range(n_ports * n_vcs)]
+    assert lone.vc_lone(out_port, out_vc, flat) == \
+        full.vc_winner(out_port, out_vc, requests) == flat
+    assert pickle.dumps(lone) == pickle.dumps(full)
+
+
+def test_weighted_switch_lone_halves_the_window():
+    """The lone form runs the epoch halving exactly as the full form."""
+    allocator = _weighted()
+    for _ in range(WeightedAllocator.EPOCH - 1):
+        allocator.switch_lone(0, 3, 1)
+    assert allocator._sa_share[0][1] == WeightedAllocator.EPOCH - 1
+    allocator.switch_lone(0, 3, 1)
+    assert allocator._sa_total[0] == WeightedAllocator.EPOCH // 2
+    assert allocator._sa_share[0][1] == WeightedAllocator.EPOCH // 2
+    assert allocator.sa_arbiters[0].grant_counts == \
+        [0, 0, 0, WeightedAllocator.EPOCH]
 
 
 # -- registry: config-time legality -------------------------------------

@@ -10,14 +10,23 @@ these tests pin the two things it can only hit by luck:
   one crossbar pass per input port forbids it;
 * the **observed-mode contract** — router event sequences and final
   state identical between the two kernel modes, over a randomized slice
-  of topology x VCs x pipeline depth x allocator.
+  of topology x VCs x pipeline depth x allocator;
+* the **lone-requester grant** — a router whose allocator answers every
+  lone request through the full one-hot ``requests`` vector produces the
+  same events and the same final state, allocator pickles included, over
+  the same slice.
 """
+
+import contextlib
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.fabric.allocator import Allocator, WeightedAllocator
 from repro.fabric.link import CreditLink
 from repro.fabric.registry import FabricConfig
 from repro.fabric.router import FabricRouter
@@ -199,7 +208,8 @@ def observed_run(config, load, size_flits, seed, cycles=30):
         "routers": [(r.flits_forwarded, r.vcs_allocated, r.credits,
                      [a.grant_counts for a in r.sa_arbiters],
                      [(a._last, a.grant_counts)
-                      for a in r.va_arbiters.values()])
+                      for a in r.va_arbiters.values()],
+                     pickle.dumps(r.allocator))
                     for r in net.routers],
     }
     return events, final
@@ -207,19 +217,27 @@ def observed_run(config, load, size_flits, seed, cycles=30):
 
 @st.composite
 def fabric_cases(draw):
+    topology = draw(st.sampled_from(("mesh", "torus", "ring")))
     n_vcs = draw(st.sampled_from((1, 2)))
     kwargs = {}
     if n_vcs == 2:
         kwargs["flow_control"] = "vc"
-        # Reservations meter VCs, so only the VC regime has the knob.
-        if draw(st.sampled_from(("rr", "weighted"))) == "weighted":
+        # Only the VC regime has the allocator knob; escape re-entry
+        # needs the escape policy, which runs on 2 VCs on the mesh only.
+        allocator = draw(st.sampled_from(
+            ("rr", "weighted", "escape-reentry") if topology == "mesh"
+            else ("rr", "weighted")))
+        if allocator == "weighted":
             kwargs["allocator"] = "weighted"
             kwargs["reservations"] = ((1, 0.5),)
+        elif allocator == "escape-reentry":
+            kwargs["allocator"] = "escape-reentry"
+            kwargs["vc_policy"] = "escape"
     depth = draw(st.sampled_from((1, 2)))
     if depth != 1:
         kwargs["pipeline_depth"] = depth
     return {
-        "topology": draw(st.sampled_from(("mesh", "torus", "ring"))),
+        "topology": topology,
         "kwargs": kwargs,
         "load": draw(st.sampled_from((0.1, 0.3, 0.6))),
         "size_flits": draw(st.sampled_from((1, 2, 3))),
@@ -241,3 +259,41 @@ def test_observed_runs_identical_in_both_kernel_modes(case):
     assert fast_events, case   # a case without traffic proves nothing
     assert fast_events == naive_events, case
     assert fast_final == naive_final, case
+
+
+def _one_hot_switch(allocator, out_port, flat, out_vc):
+    width = allocator.n_ports * allocator.n_vcs
+    return allocator.switch_winner(
+        out_port, [i == flat for i in range(width)], [out_vc] * width)
+
+
+def _one_hot_vc(allocator, out_port, out_vc, flat):
+    width = allocator.n_ports * allocator.n_vcs
+    return allocator.vc_winner(out_port, out_vc,
+                               [i == flat for i in range(width)])
+
+
+@contextlib.contextmanager
+def full_vector_grants():
+    """Answer every lone request through the full-vector allocator forms:
+    the reference the lone-requester forms must be indistinguishable
+    from."""
+    with mock.patch.object(Allocator, "switch_lone", _one_hot_switch), \
+            mock.patch.object(WeightedAllocator, "switch_lone",
+                              _one_hot_switch), \
+            mock.patch.object(Allocator, "vc_lone", _one_hot_vc):
+        yield
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(fabric_cases())
+def test_lone_grants_match_the_full_vector_path(case):
+    config = FabricConfig(topology=case["topology"], ports=16,
+                          **case["kwargs"])
+    lone = observed_run(config, case["load"], case["size_flits"],
+                        case["seed"])
+    with full_vector_grants():
+        full = observed_run(config, case["load"], case["size_flits"],
+                            case["seed"])
+    assert lone[0], case
+    assert lone == full, case

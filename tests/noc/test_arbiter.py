@@ -1,5 +1,7 @@
 """Arbiters: fairness and priority."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,3 +88,39 @@ class TestFixedPriority:
     def test_zero_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
             FixedPriorityArbiter(0)
+
+
+@st.composite
+def arbiters_with_history(draw):
+    """A fresh arbiter of either class, a prefix of arbitrary grants to
+    replay on it, and one input index."""
+    inputs = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        def make():
+            return RoundRobinArbiter(inputs)
+    else:
+        order = draw(st.permutations(range(inputs)))
+
+        def make():
+            return FixedPriorityArbiter(inputs, order=order)
+    prefix = draw(st.lists(
+        st.lists(st.booleans(), min_size=inputs, max_size=inputs),
+        max_size=12))
+    index = draw(st.integers(min_value=0, max_value=inputs - 1))
+    return make, prefix, index
+
+
+class TestGrantOnly:
+    @given(arbiters_with_history())
+    def test_same_state_as_a_one_hot_grant(self, case):
+        """``grant_only(i)`` is ``grant(one_hot(i))``: same winner, same
+        pointer and counters, after any history of grants."""
+        make, prefix, index = case
+        lone, full = make(), make()
+        for requests in prefix:
+            lone.grant(requests)
+            full.grant(requests)
+        one_hot = [i == index for i in range(full.inputs)]
+        assert lone.grant_only(index) == full.grant(one_hot) == index
+        assert vars(lone) == vars(full)
+        assert pickle.dumps(lone) == pickle.dumps(full)

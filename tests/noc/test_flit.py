@@ -1,5 +1,8 @@
 """Flit invariants."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -50,3 +53,62 @@ class TestFlit:
         flit = make()
         with pytest.raises(AttributeError):
             flit.dest = 9
+
+
+HEADS = {FlitKind.HEAD, FlitKind.SINGLE}
+TAILS = {FlitKind.TAIL, FlitKind.SINGLE}
+
+
+def of_kind(kind, payload=7):
+    return make(kind, seq=0 if kind in HEADS else 2, payload=payload)
+
+
+@pytest.mark.parametrize("kind", list(FlitKind))
+class TestFlitRecord:
+    """The slotted record: head/tail bits derived once from ``kind``,
+    invisible to equality, hashing and printing."""
+
+    def test_bits_match_kind(self, kind):
+        flit = of_kind(kind)
+        assert flit.is_head is (kind in HEADS)
+        assert flit.is_tail is (kind in TAILS)
+
+    def test_slotted(self, kind):
+        assert not hasattr(of_kind(kind), "__dict__")
+
+    @pytest.mark.parametrize("name", ["kind", "dest", "is_head", "is_tail"])
+    def test_setting_an_attribute_raises(self, kind, name):
+        flit = of_kind(kind)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(flit, name, getattr(flit, name))
+
+    def test_equality_and_hash_ignore_the_bits(self, kind):
+        flit = of_kind(kind)
+        twin = of_kind(kind)
+        # Forge a twin whose bits disagree with its kind: still equal.
+        object.__setattr__(twin, "is_head", not twin.is_head)
+        object.__setattr__(twin, "is_tail", not twin.is_tail)
+        assert flit == twin and hash(flit) == hash(twin)
+        assert flit != of_kind(kind, payload=8)
+
+    def test_repr_and_str_omit_the_bits(self, kind):
+        flit = of_kind(kind)
+        assert "is_head" not in repr(flit) and "is_tail" not in repr(flit)
+        assert repr(flit) == (
+            f"Flit(kind={kind!r}, src=0, dest=1, packet_id=5, "
+            f"seq={flit.seq}, payload=7)")
+
+    @pytest.mark.parametrize("other", list(FlitKind))
+    def test_replace_recomputes_the_bits(self, kind, other):
+        flit = dataclasses.replace(of_kind(kind), kind=other,
+                                   seq=0 if other in HEADS else 2)
+        assert flit.is_head is (other in HEADS)
+        assert flit.is_tail is (other in TAILS)
+
+    def test_pickle_round_trips(self, kind):
+        flit = of_kind(kind)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(flit, protocol))
+            assert clone == flit
+            assert (clone.is_head, clone.is_tail) == \
+                (flit.is_head, flit.is_tail)

@@ -81,6 +81,16 @@ class TestSpreading:
         loose = spread_arrivals(arrivals, 1000.0, max_adjust_ps=450.0)
         assert peak_current(loose, 1000.0) <= peak_current(tight, 1000.0)
 
+    def test_clipped_moves_do_not_merge_neighbours(self):
+        """Phases 1001 and 1003 of a 2000 ps period, 1 ps of slack: a
+        grid anchored at phase 0 moved both to 1002 and raised the peak
+        from 1.867 to 2.0 mA. They must move apart instead."""
+        arrivals = [1001.0, 5003.0]
+        adjusted = spread_arrivals(arrivals, 2000.0, max_adjust_ps=1.0)
+        assert adjusted == [1000.0, 5004.0]
+        assert peak_current(adjusted, 2000.0) < \
+            peak_current(arrivals, 2000.0)
+
     def test_zero_slack_is_identity(self):
         arrivals = [10.0, 20.0, 30.0]
         assert spread_arrivals(arrivals, 1000.0, 0.0) == arrivals

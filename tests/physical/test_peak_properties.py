@@ -1,7 +1,7 @@
 """Property tests on the peak-current model."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.physical.peak_current import (
     current_profile,
@@ -49,6 +49,8 @@ class TestPeakProperties:
     @settings(max_examples=40, deadline=None)
     @given(arrival_sets(),
            st.floats(min_value=0.0, max_value=400.0))
+    # A grid anchored at phase 0 wrapped 1001 past 1003 and merged them.
+    @example(([1001.0, 5003.0], 2000.0), 1.0)
     def test_spreading_never_hurts_much(self, case, slack):
         """The weighted-skew heuristic never raises the peak beyond noise
         and respects its adjustment budget."""
@@ -71,3 +73,27 @@ class TestPeakProperties:
         uniform = [i * period / n for i in range(n)]
         assert peak_current(adjusted, period) <= \
             peak_current(uniform, period) * 1.10 + 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(arrival_sets(),
+           st.floats(min_value=0.0, max_value=400.0))
+    @example(([1001.0, 5003.0], 2000.0), 1.0)
+    def test_spreading_keeps_circular_order(self, case, slack):
+        """Clipped moves never cross neighbouring phases, and no gap
+        between neighbours shrinks below the uniform spacing unless it
+        was already narrower (then it does not shrink at all)."""
+        arrivals, period = case
+        adjusted = spread_arrivals(arrivals, period, max_adjust_ps=slack)
+        n = len(arrivals)
+        order = sorted(range(n), key=lambda i: (arrivals[i] % period, i))
+        # Unroll the circle at the first sorted phase: each arrival's
+        # adjusted phase, measured from where it started, in sorted order.
+        before = [arrivals[i] % period for i in order]
+        after = [before[k] + adjusted[i] - arrivals[i]
+                 for k, i in enumerate(order)]
+        before.append(before[0] + period)
+        after.append(after[0] + period)
+        for k in range(n):
+            gap_before = before[k + 1] - before[k]
+            gap_after = after[k + 1] - after[k]
+            assert gap_after >= min(gap_before, period / n) - 1e-6

@@ -52,8 +52,9 @@ SWEEP = "--loads 0.05 --cycles 60"
 POINT = "--load 0.1 --cycles 60"
 
 #: Bad input that once escaped the verbs as a traceback (an uncaught
-#: ConfigurationError, or a division by zero over ``--cycles 0``); each
-#: is now one ``error:`` line and exit 2.
+#: ConfigurationError, a division by zero over ``--cycles 0``, or a
+#: TypeError from an accel trace line of the wrong shape); each is now
+#: one ``error:`` line and exit 2.
 FORMER_TRACEBACKS = (
     "trace --sample-period 0",
     "fig7 --points 0",
@@ -64,7 +65,19 @@ FORMER_TRACEBACKS = (
     "sweep --cycles 0",
     "metrics --cycles 0",
     "trace --cycles 0",
+    "replay --trace not_object.jsonl",
+    "replay --trace int_deps.jsonl",
+    "replay --trace str_pe.jsonl",
 )
+
+#: Accel traces with a valid header and one event line of the wrong
+#: shape, by file name.
+CORRUPT_ACCEL_LINES = {
+    "not_object.jsonl": "[1, 2, 3]",
+    "int_deps.jsonl": '{"id": 0, "kind": "compute", "pe": 0, "cycles": 5, '
+                      '"deps": 5}',
+    "str_pe.jsonl": '{"id": 0, "kind": "compute", "pe": "x", "cycles": 5}',
+}
 
 
 def cases() -> list[list[str]]:
@@ -217,6 +230,10 @@ def prepare(directory) -> None:
             ("future_accel.jsonl", "repro.accel.trace", 99)):
         (directory / name).write_text(
             json.dumps({"schema": schema, "version": version}) + "\n")
+    header = json.dumps({"schema": "repro.accel.trace", "version": 1,
+                         "model": "corrupt", "pes": 2, "mems": 1})
+    for name, line in CORRUPT_ACCEL_LINES.items():
+        (directory / name).write_text(header + "\n" + line + "\n")
 
 
 def run(argv: list[str]) -> dict:

@@ -619,9 +619,12 @@ class TestTreeBackendHasOneAnswer:
 
 
 @pytest.mark.parametrize("argv", record_cli_golden.FORMER_TRACEBACKS)
-def test_bad_input_is_one_error_line_and_exit_2(capsys, argv):
+def test_bad_input_is_one_error_line_and_exit_2(capsys, argv, tmp_path,
+                                                monkeypatch):
     """main() is the one error boundary: bad input anywhere in a verb is
     a single ``error:`` line on stderr, never a traceback."""
+    monkeypatch.chdir(tmp_path)
+    record_cli_golden.prepare(tmp_path)
     assert main(argv.split()) == 2
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
