@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from repro.fabric.link import CreditLink
+from repro.fabric.link import LINK_LATENCY_TICKS, CreditLink
 from repro.noc.flit import Flit
 from repro.noc.packet import Packet
 from repro.sim.component import ClockedComponent
@@ -36,6 +36,11 @@ class FabricSource(ClockedComponent):
         self.credits = credits
         self.flits: deque[Flit] = deque()
         self.packets: deque[Packet] = deque()
+        # The two wires on_edge drives and reads, under CreditLink's wire
+        # protocol: flits out on the first segment, credits back on vc.
+        self._flit_wire = link.flit_in
+        self._credit_wire = link.credits[vc]
+        self._tag_vc = link.n_vcs > 1
         # register=False leaves the endpoint unscheduled (the array
         # backend executes its semantics instead); state is identical.
         if register:
@@ -51,20 +56,23 @@ class FabricSource(ClockedComponent):
 
     def on_edge(self, tick: int) -> None:
         active = False
-        if returned := self.link.take_credits(self.vc, tick):
-            self.credits += returned
+        payload = self._credit_wire.value
+        if payload and payload[1] == tick - LINK_LATENCY_TICKS and payload[0]:
+            self.credits += payload[0]
             active = True
         if not self.flits and self.packets:
             packet = self.packets.popleft()
             packet.inject_tick = tick
             self.flits.extend(packet.to_flits())
         if self.flits and self.credits > 0:
-            self.link.send_flit(self.flits.popleft(), self.vc, tick)
+            flit = self.flits.popleft()
+            self._flit_wire.set(
+                ((flit, self.vc) if self._tag_vc else flit, tick), tick)
             self.credits -= 1
         elif not active:
             # Nothing sendable (empty, or out of credits) and no credit
             # arrived: wait for a credit return or the next submit().
-            self.sleep_until(self.link.credits[self.vc])
+            self.sleep_until(self._credit_wire)
 
 
 class FabricSink(ClockedComponent):
@@ -78,17 +86,26 @@ class FabricSink(ClockedComponent):
         self.on_packet = on_packet
         self._assembly: dict[int, list[Flit]] = {}
         self.flits_received = 0
+        # The wires on_edge reads and drives, under CreditLink's wire
+        # protocol: flits in on the last segment, credits back per VC.
+        self._flit_wire = link.flit
+        self._credit_wires = tuple(link.credits_out)
+        self._tag_vc = link.n_vcs > 1
         if register:
             kernel.add_component(self)
 
     def on_edge(self, tick: int) -> None:
-        tagged = self.link.take_flit(tick)
+        payload = self._flit_wire.value
         credit_vc = -1
-        if tagged is not None:
-            flit, vc = tagged
-            credit_vc = vc
+        if payload is not None and payload[1] == tick - LINK_LATENCY_TICKS:
+            if self._tag_vc:
+                flit, credit_vc = payload[0]
+            else:
+                flit, credit_vc = payload[0], 0
             self.flits_received += 1
-            self._kernel.emit("flit", flit)
+            kernel = self._kernel
+            if kernel._event_subs:
+                kernel.emit("flit", flit)
             buffer = self._assembly.setdefault(flit.packet_id, [])
             buffer.append(flit)
             if flit.is_tail:
@@ -96,15 +113,17 @@ class FabricSink(ClockedComponent):
                 packet = Packet.from_flits(buffer)
                 packet.eject_tick = tick
                 self.on_packet(packet, tick)
-                self._kernel.emit("packet", packet)
+                if kernel._event_subs:
+                    kernel.emit("packet", packet)
         # Write-on-change credit returns (cf. FabricRouter): one credit
         # on the arriving flit's VC, settle the rest once.
         settled = False
-        for vc in range(self.link.n_vcs):
+        for vc, wire in enumerate(self._credit_wires):
             if vc == credit_vc:
-                self.link.send_credits(vc, 1, tick)
-            elif self.link.settle_credit(vc, tick):
+                wire.set((1, tick), tick)
+            elif wire.value:
+                wire.set(0, tick)
                 settled = True
         if credit_vc < 0 and not settled:
             # No arrival and no wire to settle: wait for the next flit.
-            self.sleep_until(self.link.flit)
+            self.sleep_until(self._flit_wire)

@@ -134,11 +134,9 @@ class CreditLink:
     """One directed router-to-router (or router-to-NI) connection.
 
     Per segment: one shared ``flit`` wire (downstream data) and one
-    credit wire per VC (upstream returns). The helpers below encode the
-    tick-tag protocol once, so routers, sources, and sinks cannot
-    disagree on it — and they hide both the segmentation and the VC
-    count entirely: producers drive the first segment, consumers see the
-    last, and the single-VC wire layout stays the historical one.
+    credit wire per VC (upstream returns). Producers drive the first
+    segment and consumers see the last, so segmentation is invisible at
+    the ends, and the single-VC wire layout stays the historical one.
 
     Attributes:
         n_vcs: virtual channels multiplexed on the flit wire (1 = the
@@ -150,21 +148,35 @@ class CreditLink:
             sets it so producer credits and consumer FIFO depth cannot
             disagree.
         stages: the ``segments - 1`` :class:`LinkStage` registers.
-        flit: the consumer-side flit wire (what receivers watch).
+        flit_in: the producer-side flit wire (what senders drive).
+        flit: the consumer-side flit wire (what receivers read and
+            watch).
         credits: the producer-side credit wires, one per VC (what
-            senders watch). At ``n_vcs=1`` the single wire is also
-            exposed as ``credit`` under its historical name.
+            senders read and watch). At ``n_vcs=1`` the single wire is
+            also exposed as ``credit`` under its historical name.
         credits_out: the consumer-side credit wires, one per VC (what
             receivers drive).
 
-    **Polling wires directly.** A consumer that polls many wires per
-    edge (the router) may skip the ``take_*`` helpers and read the
-    committed values itself: an idle flit wire holds ``None``, an idle
-    credit wire ``0`` (or ``None``), and a live payload ``(x, sent_tick)``
-    is due on exactly the edge where ``sent_tick == tick -
-    LINK_LATENCY_TICKS``. ``x`` is a credit count, a flit (``n_vcs=1``)
-    or a ``(flit, vc)`` pair. Everything is *driven* through the
-    ``send_*`` helpers, so the payload shapes are built only here.
+    **The wire protocol.** The hot loops (routers, sources, sinks) read
+    and drive these wires themselves, once per edge, under these rules:
+
+    * *Downstream.* At tick ``t`` the producer drives ``flit_in.set((x,
+      t), t)``, where ``x`` is the flit at ``n_vcs=1`` and a ``(flit,
+      vc)`` pair above. The consumer reads ``flit.value``: ``None`` on
+      an idle wire, else ``(x, sent_tick)``, due on exactly the edge
+      where ``sent_tick == tick - LINK_LATENCY_TICKS`` and stale on
+      every later one. A flit wire is never reset: the tick tag alone
+      tells a fresh payload from the last one.
+    * *Upstream.* At tick ``t`` the consumer returns ``n`` credits for
+      ``vc`` with ``credits_out[vc].set((n, t), t)``. On an edge with no
+      return it settles a wire whose committed value is not ``0`` with
+      ``set(0, t)`` — once, so an idle endpoint drives nothing
+      (write-on-change). The producer reads ``credits[vc].value``: ``0``
+      when idle, else ``(n, sent_tick)``, due under the same tag rule.
+
+    ``send_flit`` and ``send_credits`` state the two drives as calls,
+    for callers outside the hot loops (the array backend's write-through,
+    hand-driven tests).
     """
 
     def __init__(self, kernel: SimKernel, name: str, n_vcs: int = 1,
@@ -200,7 +212,7 @@ class CreditLink:
                 kernel.signal(credit_name(vc), initial=0)
                 for vc in range(n_vcs)
             ]
-            self._flit_in = self.flit
+            self.flit_in = self.flit
             self.credits_out = self.credits
         else:
             flit_wires = [kernel.signal(f"{name}.flit.s{j}", initial=None)
@@ -216,7 +228,7 @@ class CreditLink:
             ]
             self.flit = flit_wires[-1]                       # consumer side
             self.credits = [chain[0] for chain in credit_wires]
-            self._flit_in = flit_wires[0]
+            self.flit_in = flit_wires[0]
             self.credits_out = [chain[-1] for chain in credit_wires]
             self.stages = [
                 LinkStage(kernel, f"{name}.st{j}",
@@ -228,56 +240,17 @@ class CreditLink:
         if n_vcs == 1:
             self.credit: Signal = self.credits[0]
 
-    # -- producer side ---------------------------------------------------
+    # -- the two drives, as calls ----------------------------------------
 
     def send_flit(self, flit: Any, vc: int, tick: int) -> None:
         """Launch a flit on ``vc``; consumed ``segments`` cycles later."""
         payload = (flit, vc) if self._tag_vc else flit
-        self._flit_in.set((payload, tick), tick)
+        self.flit_in.set((payload, tick), tick)
 
     def send_credits(self, vc: int, count: int, tick: int) -> None:
         """Return ``count`` credits for ``vc`` (consumer side); the
         producer collects them ``segments`` cycles later."""
         self.credits_out[vc].set((count, tick), tick)
-
-    # -- consumer side ---------------------------------------------------
-
-    def take_flit(self, tick: int) -> tuple[Any, int] | None:
-        """The ``(flit, vc)`` arriving exactly this edge, or None.
-
-        Tick-tagged: a payload launched (or re-launched by the last
-        stage) at ``tick - 2`` is consumed here, once; older wire values
-        are stale and ignored.
-        """
-        payload = self.flit.value
-        if payload is None:
-            return None
-        tagged, sent_tick = payload
-        if sent_tick != tick - LINK_LATENCY_TICKS:
-            return None
-        return tagged if self._tag_vc else (tagged, 0)
-
-    def take_credits(self, vc: int, tick: int) -> int:
-        """Credits for ``vc`` arriving exactly this edge (0 if none)."""
-        payload = self.credits[vc].value
-        if payload is None or payload == 0:
-            return 0
-        count, sent_tick = payload
-        return count if sent_tick == tick - LINK_LATENCY_TICKS else 0
-
-    def settle_credit(self, vc: int, tick: int) -> bool:
-        """Zero a stale credit wire (write-on-change); True if it drove.
-
-        A credit wire carrying an already-consumed ``(count, tick)``
-        payload is zeroed once, then left alone, so an idle endpoint
-        drives nothing and the link is a sleepable fixed point. On a
-        segmented link this settles the consumer-side wire; the stages
-        settle their own.
-        """
-        if self.credits_out[vc].value != 0:
-            self.credits_out[vc].set(0, tick)
-            return True
-        return False
 
     def __repr__(self) -> str:
         parts = [repr(self.name)]

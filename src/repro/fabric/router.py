@@ -26,11 +26,15 @@ network sized one (segmented links and pipelined routers need
 ``pipeline_depth + 2 * segments`` credits to stream — see docs/fabric.md).
 
 **One edge** is input-first (docs/fabric.md, "One router edge"): drain
-the stage registers, collect credits, [allocate VCs,] look at each
-occupied input once and bucket it under the output it wants, grant per
-wanted output in ascending order, then take arrivals and return credits
-in one pass over the connected inputs. Only connected ports are polled;
-their wires are laid out once, at the first edge after wiring.
+the stage registers, [allocate VCs,] look at each occupied input once
+and bucket it under the output it wants, then one pass over the
+connected outputs in ascending order collects each one's credit return
+and grants it if wanted, and one pass over the connected inputs takes
+arrivals and returns credits. Only connected ports are polled; their
+wires are laid out once, at the first edge after wiring, and read and
+driven directly under :class:`~repro.fabric.link.CreditLink`'s wire
+protocol. Single-VC routes are memoised per destination
+(:class:`~repro.fabric.routing.RouteMemo`).
 
 **Pipelined router.** ``pipeline_depth=1`` (the default) is the
 historical single-cycle router: route, arbitrate, and traverse all happen
@@ -101,10 +105,16 @@ from repro.clocking.gating import GatingStats
 from repro.errors import ConfigurationError, RoutingError
 from repro.fabric.allocator import Allocator, RoundRobinAllocator
 from repro.fabric.link import LINK_LATENCY_TICKS, CreditLink
-from repro.fabric.routing import RouteFn, RoutingStrategy, VcCandidateFn
+from repro.fabric.routing import (
+    RouteFn,
+    RouteMemo,
+    RoutingStrategy,
+    VcCandidateFn,
+)
 from repro.noc.flit import Flit
 from repro.sim.component import ClockedComponent, GatedComponentMixin
 from repro.sim.kernel import SimKernel
+from repro.sim.signal import Signal
 
 
 def _va_walk_order(pair: tuple[int, int]) -> tuple[int, int]:
@@ -154,11 +164,13 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         self.buffer_depth = buffer_depth
         self.pipeline_depth = pipeline_depth
         # Flits between grant and link traversal, as (ready_tick,
-        # out_port, out_vc, flit). Grants are issued in tick order with a
-        # constant stage delay, so ready ticks are monotone and one queue
-        # suffices.
-        self._stage_queue: deque[tuple[int, int, int, Flit]] = deque()
-        self._route = route
+        # out flit wire, wire payload). Grants are issued in tick order
+        # with a constant stage delay, so ready ticks are monotone and
+        # one queue suffices.
+        self._stage_queue: deque[tuple[int, Signal, object]] = deque()
+        # Single-VC routes, memoised per destination (a route reads only
+        # the flit's destination).
+        self._route = RouteMemo(route) if route is not None else None
         self._candidates = candidates
         # Bubble flow control (single-VC only): the strategy deciding
         # which in->out pairs are same-ring transit; None disables the
@@ -204,9 +216,9 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         self._gating = GatingStats()
         self.flits_forwarded = 0
         self.vcs_allocated = 0
-        # (inputs, outputs, credit wires, watch list) of the connected
-        # ports, laid out at the first edge after a connect() (see
-        # _lay_out_wires); None = not yet.
+        # (inputs, outputs, watch list) of the connected ports, laid out
+        # at the first edge after a connect() (see _lay_out_wires); None
+        # = not yet.
         self._wires: tuple | None = None
         # register=False leaves the router unscheduled (an array backend
         # executes its semantics instead); state and wiring are identical.
@@ -260,34 +272,24 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         self._wires = None
 
     def _lay_out_wires(self) -> tuple:
-        """What on_edge polls every edge, connected ports only: (port,
-        link, arriving-flit wire, credit-return wires) per input, (port,
-        link) per output, (port, vc, wire) per credit wire in, and the
+        """What on_edge reads and drives every edge, connected ports
+        only: (port, arriving-flit wire, credit-return wires) per input,
+        (port, departing-flit wire, credit wires) per output, and the
         signals to watch while asleep. Deferred to the first edge so
         unscheduled routers (array backend) and the connect() calls
         before the last one pay nothing."""
         inputs = tuple(
-            (p, link, link.flit, tuple(link.credits_out))
+            (p, link.flit, tuple(link.credits_out))
             for p, link in enumerate(self.in_links) if link is not None)
         outputs = tuple(
-            (p, link) for p, link in enumerate(self.out_links)
-            if link is not None)
-        credit_wires = tuple(
-            (p, vc, wire) for p, link in outputs
-            for vc, wire in enumerate(link.credits))
+            (p, link.flit_in, tuple(link.credits))
+            for p, link in enumerate(self.out_links) if link is not None)
         # Anything arriving (flits in, credits back) makes the next edge
         # act again.
-        watch = tuple(flit_wire for _p, _l, flit_wire, _c in inputs) + \
-            tuple(wire for _p, _vc, wire in credit_wires)
-        self._wires = (inputs, outputs, credit_wires, watch)
+        watch = tuple(flit_wire for _p, flit_wire, _c in inputs) + \
+            tuple(wire for _p, _f, wires in outputs for wire in wires)
+        self._wires = (inputs, outputs, watch)
         return self._wires
-
-    def on_edge(self, tick: int) -> None:
-        wires = self._wires or self._lay_out_wires()
-        if self.n_vcs == 1:
-            self._edge_single(tick, *wires)
-        else:
-            self._edge_vc(tick, *wires)
 
     def _drain_stages(self, tick: int) -> bool:
         """Phase 0 of a pipelined router's edge: flits granted
@@ -296,49 +298,55 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         queue = self._stage_queue
         drained = False
         while queue and queue[0][0] <= tick:
-            _ready, port, vc, flit = queue.popleft()
-            self.out_links[port].send_flit(flit, vc, tick)
+            _ready, wire, payload = queue.popleft()
+            wire.set((payload, tick), tick)
             drained = True
         return drained
 
     # -- the single-VC (wormhole) edge -----------------------------------
 
-    def _edge_single(self, tick: int, inputs, outputs, credit_wires,
-                     watch) -> None:
+    def on_edge(self, tick: int) -> None:
+        """One router edge (docs/fabric.md, "One router edge"). The
+        single-VC edge runs right here, one call per router and cycle
+        on the loaded path; the VC regime's edge is :meth:`_edge_vc`."""
+        inputs, outputs, watch = self._wires or self._lay_out_wires()
+        if self.n_vcs != 1:
+            self._edge_vc(tick, inputs, outputs, watch)
+            return
         enabled = False   # register-bank activity (gating statistics)
         active = False    # anything at all happened (sleep decision)
-        observed = bool(self._kernel._event_subs)
+        observed = self._kernel._event_subs   # truthy iff any listener
         due = tick - LINK_LATENCY_TICKS   # sent-tag of payloads landing now
         credits, fifos, locks = self.credits, self.fifos, self.locks
         if self._stage_queue:
             enabled = self._drain_stages(tick)
             # In-flight stage state: never sleep on it.
             active = bool(self._stage_queue)
-        # 1. Collect credit returns (tick-tagged: consumed exactly once).
-        for port, _vc, wire in credit_wires:
-            payload = wire.value
-            if payload and payload[1] == due and payload[0]:
-                credits[port] += payload[0]
-                active = True
-                # Starvation ends exactly when credits return — clear the
-                # event latch so a later observer sees the next episode.
-                self._starved[port] = False
-        # 2. Request collection: route each FIFO head once, bucket the
-        # inputs under the output they want.
-        route = self._route
+        # 1. Request collection: route each FIFO head once (memoised by
+        # destination), bucket the inputs under the output they want.
+        routes = self._route
         wants: dict[int, list[int]] = {}
         for in_port, fifo in enumerate(fifos):
             if fifo:
-                wants.setdefault(route(fifo[0]), []).append(in_port)
-        # 3. Per-output grant, over wanted outputs only. Runs before
-        # arrivals are enqueued, so a flit spends at least one full cycle
-        # in the router (head latency 2 cycles/hop incl. the wire).
-        # Credits, lock and bubble state are read as each output's turn
-        # comes.
+                wants.setdefault(routes[fifo[0].dest], []).append(in_port)
+        # 2. One pass over the connected outputs, ascending: collect the
+        # output's credit return, then grant it if anyone wants it. Runs
+        # before arrivals are enqueued, so a flit spends at least one
+        # full cycle in the router (head latency 2 cycles/hop incl. the
+        # wire). Credits, lock and bubble state are read as each output's
+        # turn comes.
         returned = [0] * self.n_ports
         ring = self._ring_transit
         allocator = self.allocator
-        for out_port, out_link in outputs if wants else ():
+        for out_port, out_wire, (credit_wire,) in outputs:
+            # Tick-tagged credits: consumed exactly once.
+            payload = credit_wire.value
+            if payload and payload[1] == due and payload[0]:
+                credits[out_port] += payload[0]
+                active = True
+                # Starvation ends exactly when credits return — clear the
+                # event latch so a later observer sees the next episode.
+                self._starved[out_port] = False
             requesters = wants.get(out_port)
             if requesters is None:
                 continue
@@ -378,18 +386,16 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                 # The pop exposed a new head. Outputs are served in
                 # ascending order, so it can still be granted this edge
                 # iff it wants a later one.
-                later = route(fifo[0])
+                later = routes[fifo[0].dest]
                 if later > out_port:
                     wants.setdefault(later, []).append(winner)
             if self.pipeline_depth == 1:
-                out_link.send_flit(flit, 0, tick)
+                out_wire.set((flit, tick), tick)
             else:
                 # Grant now (credits, locks, arbiter state — the decision
                 # stage), traverse after the remaining stage registers.
                 self._stage_queue.append(
-                    (tick + 2 * (self.pipeline_depth - 1), out_port, 0,
-                     flit)
-                )
+                    (tick + 2 * (self.pipeline_depth - 1), out_wire, flit))
             credits[out_port] -= 1
             self.flits_forwarded += 1
             enabled = True
@@ -414,23 +420,24 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                         "input": winner, "input_vc": 0,
                         "packet_id": flit.packet_id,
                     })
-        # 4. Accept arrivals (the credit scheme guarantees FIFO space) and
+        # 3. Accept arrivals (the credit scheme guarantees FIFO space) and
         # return credits upstream for dequeued flits — write-on-change: a
         # stale credit wire is zeroed once, then left alone, so an idle
         # router drives nothing.
-        for port, link, flit_wire, (credit_wire,) in inputs:
+        for port, flit_wire, (credit_wire,) in inputs:
             payload = flit_wire.value
             if payload is not None and payload[1] == due:
-                if len(fifos[port]) >= self.fifo_depths[port]:
+                fifo = fifos[port]
+                if len(fifo) >= self.fifo_depths[port]:
                     raise RoutingError(f"{self.name}: FIFO overflow on "
                                        f"{self.port_name(port)} "
                                        f"(credit violation)")
-                fifos[port].append(payload[0])
+                fifo.append(payload[0])
                 enabled = True
             if returned[port]:
-                link.send_credits(0, returned[port], tick)
+                credit_wire.set((returned[port], tick), tick)
                 active = True
-            elif credit_wire.value != 0:
+            elif credit_wire.value:
                 credit_wire.set(0, tick)
                 active = True
         self.record_edge(tick, enabled)
@@ -470,11 +477,10 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
 
     # -- the virtual-channel edge ----------------------------------------
 
-    def _edge_vc(self, tick: int, inputs, outputs, credit_wires,
-                 watch) -> None:
+    def _edge_vc(self, tick: int, inputs, outputs, watch) -> None:
         enabled = False   # register-bank activity (gating statistics)
         active = False    # anything at all happened (sleep decision)
-        observed = bool(self._kernel._event_subs)
+        observed = self._kernel._event_subs   # truthy iff any listener
         due = tick - LINK_LATENCY_TICKS   # sent-tag of payloads landing now
         n_vcs = self.n_vcs
         credits, fifos, allocation = self.credits, self.fifos, self.allocation
@@ -482,20 +488,15 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             enabled = self._drain_stages(tick)
             # In-flight stage state: never sleep on it.
             active = bool(self._stage_queue)
-        # 1. Collect per-VC credit returns.
-        for port, vc, wire in credit_wires:
-            payload = wire.value
-            if payload and payload[1] == due and payload[0]:
-                credits[port][vc] += payload[0]
-                active = True
-                self._starved[port][vc] = False
         occupied = [(in_port, in_vc)
                     for in_port, port_fifos in enumerate(fifos)
                     for in_vc, fifo in enumerate(port_fifos) if fifo]
-        # 2. VC allocation: head flits without an output VC acquire one.
-        if occupied and self._allocate_vcs(occupied, observed):
+        # 1. VC allocation: head flits without an output VC acquire one.
+        pending = [(in_port, in_vc) for in_port, in_vc in occupied
+                   if allocation[in_port][in_vc] is None]
+        if pending and self._allocate_vcs(pending, observed):
             enabled = True
-        # 3. Request collection: bucket the input VCs holding an
+        # 2. Request collection: bucket the input VCs holding an
         # allocation (ascending, the order starvation reports keep)
         # under the output port it names.
         wants: dict[int, list[tuple[int, int, int]]] = {}
@@ -504,12 +505,21 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             if held is not None:
                 wants.setdefault(held[0], []).append(
                     (in_port, in_vc, held[1]))
-        # 4. Switch allocation + traversal, over wanted outputs only.
-        # One crossbar pass per input port and edge: in_port -> the in_vc
-        # that crossed (so at most one credit to return per port).
+        # 3. One pass over the connected outputs, ascending: collect the
+        # output's per-VC credit returns, then switch-allocate it if
+        # anyone wants it. One crossbar pass per input port and edge:
+        # in_port -> the in_vc that crossed (so at most one credit to
+        # return per port).
         popped: dict[int, int] = {}
         allocator = self.allocator
-        for out_port, out_link in outputs if wants else ():
+        for out_port, out_wire, credit_wires in outputs:
+            port_credits = credits[out_port]
+            for vc, credit_wire in enumerate(credit_wires):
+                payload = credit_wire.value
+                if payload and payload[1] == due and payload[0]:
+                    port_credits[vc] += payload[0]
+                    active = True
+                    self._starved[out_port][vc] = False
             requesters = wants.get(out_port)
             if requesters is None:
                 continue
@@ -518,7 +528,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                 in_port, _in_vc, out_vc = request
                 if in_port in popped:
                     continue
-                if credits[out_port][out_vc] <= 0:
+                if port_credits[out_vc] <= 0:
                     # Every starved VC reports, even while sibling VCs
                     # keep the physical port busy — per-VC starvation is
                     # exactly what the event exists to expose.
@@ -545,15 +555,14 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             flit = fifos[in_port][in_vc].popleft()
             popped[in_port] = in_vc
             if self.pipeline_depth == 1:
-                out_link.send_flit(flit, out_vc, tick)
+                out_wire.set(((flit, out_vc), tick), tick)
             else:
                 # Grant now (credits, VC locks, arbiter state — the
                 # decision stage), traverse after the stage registers.
                 self._stage_queue.append(
-                    (tick + 2 * (self.pipeline_depth - 1),
-                     out_port, out_vc, flit)
-                )
-            credits[out_port][out_vc] -= 1
+                    (tick + 2 * (self.pipeline_depth - 1), out_wire,
+                     (flit, out_vc)))
+            port_credits[out_vc] -= 1
             self.flits_forwarded += 1
             enabled = True
             if observed:
@@ -571,9 +580,9 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                         "vc": out_vc, "input": in_port, "input_vc": in_vc,
                         "packet_id": flit.packet_id,
                     })
-        # 5. Accept arrivals into the per-VC FIFOs and return credits
+        # 4. Accept arrivals into the per-VC FIFOs and return credits
         # upstream, write-on-change per VC wire.
-        for port, link, flit_wire, return_wires in inputs:
+        for port, flit_wire, return_wires in inputs:
             payload = flit_wire.value
             if payload is not None and payload[1] == due:
                 flit, vc = payload[0]
@@ -587,9 +596,9 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             popped_vc = popped.get(port)
             for vc, credit_wire in enumerate(return_wires):
                 if vc == popped_vc:
-                    link.send_credits(vc, 1, tick)
+                    credit_wire.set((1, tick), tick)
                     active = True
-                elif credit_wire.value != 0:
+                elif credit_wire.value:
                     credit_wire.set(0, tick)
                     active = True
         self.record_edge(tick, enabled)
@@ -602,12 +611,12 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
 
     # -- VC allocation ---------------------------------------------------
 
-    def _allocate_vcs(self, occupied: list[tuple[int, int]],
+    def _allocate_vcs(self, pending: list[tuple[int, int]],
                       observed: bool) -> bool:
         """Stage one: grant free output VCs to waiting head flits.
 
-        Requests are collected per pending input VC (the ``occupied``
-        ones holding no allocation yet) from its policy candidates —
+        Requests are collected per ``pending`` input VC (occupied, no
+        allocation yet; ascending) from its policy candidates —
         preferred pairs while any is free, escape fallback otherwise —
         then the requested output VCs are walked in a fixed order (port
         ascending, VC descending) granting via the allocator's VC stage
@@ -617,9 +626,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         n_vcs = self.n_vcs
         vc_owner, out_links = self.vc_owner, self.out_links
         want: dict[tuple[int, int], list[int]] = {}
-        for in_port, in_vc in occupied:
-            if self.allocation[in_port][in_vc] is not None:
-                continue
+        for in_port, in_vc in pending:
             head = self.fifos[in_port][in_vc][0]
             if not head.is_head:
                 raise RoutingError(
@@ -643,7 +650,9 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                 want.setdefault(pair, []).append(in_port * n_vcs + in_vc)
         allocated_inputs: set[int] = set()
         allocator = self.allocator
-        for out_port, out_vc in sorted(want, key=_va_walk_order):
+        # A lone requested output VC needs no walk order.
+        walk = sorted(want, key=_va_walk_order) if len(want) > 1 else want
+        for out_port, out_vc in walk:
             eligible = [flat for flat in want[out_port, out_vc]
                         if flat not in allocated_inputs]
             if not eligible:

@@ -94,6 +94,34 @@ def _head_flit(src: int, dest: int) -> Flit:
     return Flit(FlitKind.HEAD, src, dest, packet_id=0, seq=0)
 
 
+class RouteMemo(dict):
+    """One router's route function, memoised per destination.
+
+    A route function reads only the flit's destination (the contract
+    :meth:`RoutingStrategy.route_array` already maps), so ``memo[dest]``
+    (or ``memo(flit)``) answers from the dict after the first flit to
+    ``dest``. A miss asks ``route`` with the head flit the array-form
+    default builds; a destination it rejects
+    (:class:`~repro.errors.RoutingError`) is never stored and raises on
+    every lookup. The memo holds no flit or FIFO state, so nothing
+    written into a router from outside can make it stale.
+    """
+
+    __slots__ = ("route",)
+
+    def __init__(self, route: RouteFn):
+        super().__init__()
+        self.route = route
+
+    def __missing__(self, dest: int) -> int:
+        port = self[dest] = self.route(_head_flit(0, dest))
+        return port
+
+    def __call__(self, flit: Flit) -> int:
+        """The memoised route function: ``flit``'s output port."""
+        return self[flit.dest]
+
+
 class RoutingStrategy:
     """Base class: structure-aware routing, one route function per node.
 

@@ -79,7 +79,7 @@ class FaultInjector:
         # data downstream. Whatever sits in the register is stuck there.
         stage.upstream.respond(False, tick)
         stage.downstream.drive(None, tick)
-        stage.gating.record(False)
+        stage.record_edge(tick, False)
 
     def _drop_flits(self, tick: int) -> None:
         stage = self.stage

@@ -66,7 +66,7 @@ class PipelineStage(GatedComponentMixin, ClockedComponent):
             self.upstream.respond(False, tick)
         # 3. Drive downstream.
         self.downstream.drive(self.reg_flit if self.reg_valid else None, tick)
-        self.gating.record(enabled)
+        self.record_edge(tick, enabled)
         if not enabled:
             # A disabled edge is a fixed point: with the inputs unchanged,
             # every following edge repeats it exactly.

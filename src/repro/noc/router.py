@@ -139,7 +139,7 @@ class SwitchCore(GatedComponentMixin, ClockedComponent):
         for o, channel in enumerate(self.outputs):
             channel.drive(self.slot_flit[o] if self.slot_valid[o] else None,
                           tick)
-        self.gating.record(enabled)
+        self.record_edge(tick, enabled)
         if not enabled:
             # No retire and no latch: every driven value just repeated the
             # committed one, and nothing can change until an input offers
@@ -184,13 +184,14 @@ class TreeRouter:
         self.input_parity = input_parity
         # Routing is a pluggable strategy (repro.fabric.routing); the
         # default is the paper's up*/down* walk of this router's node.
+        # Imported here: repro.fabric builds on this package (its
+        # networks subclass repro.noc.network.Network), so repro.noc
+        # must not import it while loading.
+        from repro.fabric.routing import RouteMemo, tree_updown_route
         if route is None:
-            # Imported here: repro.fabric builds on this package (its
-            # networks subclass repro.noc.network.Network), so repro.noc
-            # must not import it while loading.
-            from repro.fabric.routing import tree_updown_route
             route = tree_updown_route(topology, node, name=name)
-        self._route_fn = route
+        # Memoised per destination, like the credit routers' routes.
+        self._route_fn = RouteMemo(route)
         ports = node.ports
         if extra_stages is None:
             extra_stages = 1 if ports >= 5 else 0

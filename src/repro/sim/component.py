@@ -108,9 +108,9 @@ class GatedComponentMixin:
     register bank would have seen gated; the mixin backfills them through
     the base class's :meth:`ClockedComponent._settle_idle` /
     :meth:`ClockedComponent._on_idle_edges` hooks, so fast-path gating
-    statistics equal the naive loop's exactly. The component records live
-    edges via ``self.gating.record(enabled)`` — or, on a hot ``on_edge``,
-    the equivalent ``self.record_edge(tick, enabled)`` — and must
+    statistics equal the naive loop's exactly. The component records each
+    fired edge via ``self.record_edge(tick, enabled)`` — which settles
+    only after a sleep, unlike a ``self.gating`` read — and must
     initialise ``self._gating = GatingStats()`` (see
     :class:`repro.clocking.gating.GatingStats`).
 
@@ -125,13 +125,17 @@ class GatedComponentMixin:
         return self._gating
 
     def record_edge(self, tick: int, enabled: bool) -> None:
-        """Count the edge firing at ``tick``. Skipped edges are backfilled
-        first — but only after a sleep: a component that also fired on its
-        previous parity tick has nothing pending, and the credit routers
-        and link stages call this on every fired edge."""
+        """Count the edge firing at ``tick`` (what ``GatingStats.record``
+        counts, in place). Skipped edges are backfilled first — but only
+        after a sleep: a component that also fired on its previous parity
+        tick has nothing pending, and every register bank calls this on
+        every fired edge."""
         if tick - 2 != self._accounted_tick:
             self._settle_idle()
-        self._gating.record(enabled)
+        gating = self._gating
+        gating.edges_total += 1
+        if enabled:
+            gating.edges_enabled += 1
 
     def _on_idle_edges(self, edges: int) -> None:
         self._gating.edges_total += edges

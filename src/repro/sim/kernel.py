@@ -34,12 +34,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.sim.component import ClockedComponent, latest_parity_tick
 from repro.sim.signal import Signal
 from repro.units import cycles_to_ticks
+
+#: Sort key of an active list: components in registration order.
+_kernel_index = attrgetter("_kernel_index")
 
 
 class Timer:
@@ -198,8 +202,7 @@ class SimKernel:
         component._queued = True
         active = self._active[component.parity]
         index = component._kernel_index
-        pos = bisect_left(active, index,
-                          key=lambda c: c._kernel_index)
+        pos = bisect_left(active, index, key=_kernel_index)
         active.insert(pos, component)
         # During this parity's step, cursor points at the next unfired
         # slot. An insertion strictly before it belongs to the already
@@ -235,37 +238,44 @@ class SimKernel:
         self._compact(parity)
         self._step_parity = parity
         self._cursor = 0
+        tick = self.tick
         while self._cursor < len(active):
             component = active[self._cursor]
             self._cursor += 1
-            component.on_edge(self.tick)
-            component._accounted_tick = self.tick
+            component.on_edge(tick)
+            component._accounted_tick = tick
         self._step_parity = None
-        tick = self.tick
         if self.activity_driven:
             dirty = self._dirty
             if dirty:
+                # A commit compares values only for its listeners: a
+                # probe always, watchers while any sleep on the signal.
                 for sig in dirty:
                     probes = sig._probes
-                    if probes is None:
-                        changed = sig.commit()
-                    else:
+                    watchers = sig._watchers
+                    if probes is not None:
                         old = sig.value
-                        changed = sig.commit()
-                        if changed:
-                            for probe in probes:
-                                probe(tick, sig, old, sig.value)
-                    if changed and sig._watchers:
-                        watchers = list(sig._watchers)
-                        sig._watchers.clear()
-                        for component in watchers:
+                        if not sig.commit():
+                            continue
+                        for probe in probes:
+                            probe(tick, sig, old, sig.value)
+                    elif not watchers:
+                        sig.commit(False)
+                        continue
+                    elif not sig.commit():
+                        continue
+                    if watchers:
+                        woken = list(watchers)
+                        watchers.clear()
+                        for component in woken:
                             self.wake(component)
                 dirty.clear()
         else:
+            # The naive loop never sleeps, so only probes listen.
             for sig in self._signals:
                 probes = sig._probes
                 if probes is None:
-                    sig.commit()
+                    sig.commit(False)
                 else:
                     old = sig.value
                     if sig.commit():

@@ -10,7 +10,10 @@ Signals created through :meth:`repro.sim.kernel.SimKernel.signal` register
 themselves on the kernel's dirty list at their first write of a tick, so
 the commit phase touches only signals actually written (the activity-driven
 fast path). Sleeping components may watch a signal: whenever a commit
-changes its value, the kernel wakes every watcher.
+changes its value, the kernel wakes every watcher. A commit compares old
+and new values only for a signal someone listens to (a watcher or a
+probe), identity before equality; every other commit just moves the
+pending value into place.
 
 Signals are also the anchor of the observability subsystem
 (:mod:`repro.sim.observe`): probes attached via :meth:`Signal.attach_probe`
@@ -76,8 +79,9 @@ class Signal:
         *different* ticks may overwrite an uncommitted value (standalone
         signals whose owner commits less often than it writes).
         """
-        if self._dirty and value != self._next:
-            if (tick is None or self._writer_tick is None
+        if self._dirty:
+            if value != self._next and (
+                    tick is None or self._writer_tick is None
                     or self._writer_tick == tick):
                 conflict = ("untracked" if self._writer_tick is None
                             else f"tick {self._writer_tick}")
@@ -86,7 +90,7 @@ class Signal:
                     f"({self._next!r} from {conflict}, then {value!r} from "
                     f"{'untracked' if tick is None else f'tick {tick}'})"
                 )
-        if not self._dirty and self._queue is not None:
+        elif self._queue is not None:
             self._queue.append(self)
         self._next = value
         self._dirty = True
@@ -105,15 +109,22 @@ class Signal:
         self._next = value
         self._dirty = True
 
-    def commit(self) -> bool:
-        """Make the pending write visible. Returns True if anything changed."""
+    def commit(self, report: bool = True) -> bool:
+        """Make the pending write visible.
+
+        With ``report`` (the default), returns True if the value changed:
+        identity first, so re-driving the committed object is unchanged
+        without an ``__eq__`` call, then ``!=``. Without it, returns
+        False and compares nothing — the kernel's commit for a signal no
+        watcher or probe listens to.
+        """
         if not self._dirty:
             return False
-        changed = self._next != self.value
-        self.value = self._next
+        old = self.value
+        self.value = new = self._next
         self._dirty = False
         self._writer_tick = None
-        return changed
+        return report and new is not old and new != old
 
     def watch(self, component: "ClockedComponent") -> None:
         """Register a sleeping component to wake on the next value change."""

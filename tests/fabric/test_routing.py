@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RoutingError
 from repro.fabric.link import CreditLink
 from repro.fabric.registry import FabricConfig, get_topology
 from repro.fabric.router import FabricRouter
@@ -18,6 +18,7 @@ from repro.fabric.routing import (
     SOUTH,
     WEST,
     RingRouting,
+    RouteMemo,
     RoutingStrategy,
     TorusXYRouting,
     VcPolicy,
@@ -302,3 +303,68 @@ def test_scalar_only_subclasses_lower_through_the_default():
                                     {(LOCAL, 0), (LOCAL, 1)}, {(RING_CW, 1)}]
     assert pair_sets(fallback) == [set(), {(RING_CCW, 1)}, set(),
                                    {(RING_CCW, 1)}]
+
+
+# -- the per-router route memo ---------------------------------------------
+
+#: Every registered single-VC build: the credit fabrics' routers and the
+#: tree family's routers both route through a RouteMemo.
+MEMO_BUILDS = (("mesh", {}), ("torus", {}), ("ring", {}), ("tree", {}),
+               ("ctree", {"concentration": 2}))
+
+
+@pytest.mark.parametrize("topology, extra", MEMO_BUILDS,
+                         ids=[name for name, _ in MEMO_BUILDS])
+def test_route_memo_equals_the_scalar_route_and_route_array(topology, extra):
+    net = FabricConfig(topology=topology, ports=16, **extra).build()
+    dests = range(net.endpoints)
+    routing = getattr(net, "routing", None)
+    for node, router in enumerate(net.routers):
+        memo = router._route if routing else router._route_fn
+        assert isinstance(memo, RouteMemo)
+        scalar = [memo.route(flit_to(dest)) for dest in dests]
+        # A miss fills the memo, a hit answers from it: both agree.
+        assert [memo(flit_to(dest)) for dest in dests] == scalar
+        assert [memo[dest] for dest in dests] == scalar
+        assert sorted(memo) == list(dests)
+        if routing:
+            assert routing.route_array(
+                np.full(len(dests), node), np.array(dests)).tolist() \
+                == scalar
+            assert scalar == [routing.for_node(node)(flit_to(dest))
+                              for dest in dests]
+
+
+@pytest.mark.parametrize("topology", ("tree", "ctree"))
+def test_a_rejected_destination_is_never_memoised(topology):
+    net = FabricConfig(topology=topology, ports=16).build()
+    memo = net.routers[0]._route_fn   # the root: nowhere to send it
+    outside = net.endpoints
+    for _ in range(3):
+        with pytest.raises(RoutingError, match="not under the root"):
+            memo[outside]
+        assert outside not in memo
+    with pytest.raises(RoutingError):
+        net.routers[0]._route(flit_to(outside))
+    assert memo[0] == 1 and 0 in memo
+
+
+def test_a_credit_router_raises_for_every_unroutable_head():
+    """A FabricRouter on a route that rejects a destination raises at
+    every edge that routes it, never forwarding it on a stale answer."""
+    from repro.fabric.routing import tree_updown_route
+    from repro.noc.topology import TreeTopology
+    topology = TreeTopology(4, arity=2)
+    kernel = SimKernel()
+    router = FabricRouter(kernel, "r", n_ports=3,
+                          route=tree_updown_route(topology,
+                                                  topology.router(0)))
+    for port in range(3):
+        router.connect(port, CreditLink(kernel, f"in{port}"),
+                       CreditLink(kernel, f"out{port}"))
+    router.fifos[1].append(flit_to(9))
+    for _ in range(2):
+        with pytest.raises(RoutingError, match="not under the root"):
+            router.on_edge(0)
+    assert 9 not in router._route
+    assert router.flits_forwarded == 0

@@ -33,6 +33,7 @@ from repro.fabric.routing import (
     TorusDatelineVc,
     dateline_class,
 )
+from repro.fabric.endpoint import FabricSink, FabricSource
 from repro.fabric.link import CreditLink
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.packet import Packet
@@ -138,25 +139,35 @@ class TestEscapePolicy:
 
 
 class TestVcCreditLink:
+    """The wire protocol on a VC link, read off the wires themselves and
+    through the endpoints that consume it."""
+
     def test_flits_are_vc_tagged_and_consumed_once(self):
         kernel = SimKernel()
         link = CreditLink(kernel, "l", n_vcs=2)
+        sink = FabricSink(kernel, "sink", link, on_packet=lambda p, t: None)
         flit = head_to(1)
         link.send_flit(flit, 1, tick=0)
-        kernel.run_ticks(2)
-        assert link.take_flit(2) == (flit, 1)
-        assert link.take_flit(4) is None  # stale
+        kernel.run_ticks(3)
+        assert link.flit.value == ((flit, 1), 0)
+        # Due at the sink's edge of tick 2, which returns one credit on
+        # the flit's VC only; stale at every later edge.
+        assert link.credits[1].value == (1, 2)
+        assert link.credits[0].value == 0
+        kernel.run_ticks(6)
+        assert sink.flits_received == 1
+        assert link.credits[1].value == 0   # settled once, at tick 4
 
     def test_credits_travel_per_vc(self):
         kernel = SimKernel()
         link = CreditLink(kernel, "l", n_vcs=3)
+        source = FabricSource(kernel, "src", link, credits=0, vc=2)
         link.send_credits(2, 1, tick=0)
         kernel.run_ticks(2)
-        assert link.take_credits(2, 2) == 1
-        assert link.take_credits(0, 2) == 0
-        assert link.settle_credit(2, 2) is True
-        kernel.run_ticks(2)  # commit the settle
-        assert link.settle_credit(2, 4) is False
+        assert link.credits[2].value == (1, 0)
+        assert link.credits[0].value == 0
+        kernel.run_ticks(6)
+        assert source.credits == 1   # collected once, at tick 2
 
 
 def _run_uniform(config, cycles=50, load=0.3, size_flits=6, seed=9):
