@@ -17,12 +17,33 @@ table, the bubble rule, and the per-output wormhole locks replace the
 VC-allocation stage, exactly as the dispatch router's single-VC edge
 does. The two grant phases (:meth:`ArrayEngine._grants_single` /
 :meth:`ArrayEngine._grants_vc`) are the array transcription of
-``FabricRouter._edge_single`` / ``_edge_vc``; arrivals, sources, sinks,
+``FabricRouter.on_edge`` / ``_edge_vc``; arrivals, sources, sinks,
 and the scheduling plumbing are shared. Routing and VC candidates come
 from the strategies' array forms
 (:meth:`~repro.fabric.routing.RoutingStrategy.route_array`,
 :meth:`~repro.fabric.routing.VcPolicy.candidate_masks`), so a policy
 without a numpy override still lowers through the mapped default.
+
+**The VC phases work on what is occupied, not on dense (R, P, V)
+arrays.** VC allocation takes ``(pending head, output VC)`` request
+pairs from the policy's masks and walks the requested output VCs in the
+dispatch walk order, one round-robin round each, skipping heads an
+earlier round allocated. Switch allocation gathers **one candidate list
+per edge** — the flat indices of occupied input VCs that hold an
+allocation, router-sorted — and checks credits once for all of them.
+That is sound because ``credits[r, o, ov]`` changes only in output
+``o``'s round, a popped input port is masked for the rest of the edge by
+the crossbar rule (one pass per input port), and the tail release and
+head refresh touch only popped inputs. The ``P`` output rounds then only
+pick winners — per router, the requester nearest after the arbiter
+pointer, one ``np.minimum.reduceat`` over the router-sorted list — and
+one batched pass applies every pop, head refresh, credit return,
+launch, credit decrement and tail release. A router can win several
+outputs (and output VCs) in one edge, so its counters add with
+``bincount``. Events and write-through come from the same phase: per
+router in ascending output order, ``credit_exhausted`` for creditless
+candidates whose input port was still free at that output's round, then
+the round's ``arbitration_grant`` and ``lock_release``.
 
 **Equivalence is the contract.** Every observable the dispatch backend
 produces is reproduced exactly:
@@ -108,6 +129,22 @@ def make_engine(net: "CreditFabricNetwork"):
     return ArrayEngine(net)
 
 
+def _rr_winners(routers: np.ndarray, flat: np.ndarray, last: np.ndarray,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """One round-robin round in every router at once.
+
+    ``routers`` is sorted, so each router's requests are contiguous;
+    ``flat`` names each request's input (VC) and ``last`` the router's
+    arbiter pointer, per request. The winner is the requester nearest
+    after the pointer. Returns the routers and their winners."""
+    first = np.empty(routers.size, dtype=bool)
+    first[0] = True
+    np.not_equal(routers[1:], routers[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    best = np.minimum.reduceat((flat - last - 1) % size, starts)
+    return routers[starts], (best + last[starts] + 1) % size
+
+
 class _FlitStore:
     """Interning table: flit object <-> small integer id, with the hot
     per-flit fields (src, dest, head/tail) mirrored into numpy arrays."""
@@ -141,10 +178,12 @@ class ArrayEngine(BatchComponent):
     Credit/arrival handling, sources, and sinks are fully array-level in
     both regimes. ``n_vcs=1`` runs the wormhole grant phase (routing
     table, bubble rule, per-output locks); ``n_vcs >= 2`` runs two-stage
-    allocation, both stages as one round-robin ``argmin`` round per
-    output (VC) across every router at once — VC allocation over the
-    policy's candidate masks in :meth:`FabricRouter._allocate_vcs`'s
-    port-ascending, VC-descending walk order, then switch allocation."""
+    allocation, both stages as one round-robin round per output (VC)
+    across every router at once, over sparse request lists — VC
+    allocation over the policy's candidate masks in
+    :meth:`FabricRouter._allocate_vcs`'s port-ascending, VC-descending
+    walk order, then switch allocation over the edge's one candidate
+    list."""
 
     def __init__(self, net: "CreditFabricNetwork") -> None:
         super().__init__(f"{net._node_prefix}.engine", parity=0)
@@ -166,12 +205,12 @@ class ArrayEngine(BatchComponent):
         self._P = P = topo.max_ports
         self._V = V = net.n_vcs
         self._iota = np.arange(P, dtype=np.int64)
-        self._iota_pv = np.arange(P * V, dtype=np.int64)
         self._names = [router.name for router in net.routers]
 
         # Connectivity: for every (router, out port) the consuming
-        # (router, in port); LOCAL out ports feed the node's sink. The
-        # upstream map inverts it for credit returns.
+        # (router, in port), flat as router * P + port; LOCAL out ports
+        # feed the node's sink. The upstream map inverts it for credit
+        # returns.
         in_map: dict[int, tuple[int, int]] = {}
         out_map: dict[int, tuple[int, int]] = {}
         for r, router in enumerate(net.routers):
@@ -183,10 +222,8 @@ class ArrayEngine(BatchComponent):
                     out_map[id(link)] = (r, p)
         self._conn_out = np.zeros((R, P), dtype=bool)
         self._conn_in = np.zeros((R, P), dtype=bool)
-        self._dst_r = np.zeros((R, P), dtype=np.int64)
-        self._dst_p = np.zeros((R, P), dtype=np.int64)
-        self._up_r = np.zeros((R, P), dtype=np.int64)
-        self._up_p = np.zeros((R, P), dtype=np.int64)
+        self._dst = np.zeros((R, P), dtype=np.int64)
+        self._up = np.zeros((R, P), dtype=np.int64)
         for r, router in enumerate(net.routers):
             for p, link in enumerate(router.out_links):
                 if link is None:
@@ -194,7 +231,7 @@ class ArrayEngine(BatchComponent):
                 self._conn_out[r, p] = True
                 consumer = in_map.get(id(link))
                 if consumer is not None:
-                    self._dst_r[r, p], self._dst_p[r, p] = consumer
+                    self._dst[r, p] = consumer[0] * P + consumer[1]
                 elif p != LOCAL or id(link) != id(net.sinks[r].link):
                     raise ConfigurationError(
                         "backend='array' cannot lower this fabric wiring: "
@@ -207,7 +244,7 @@ class ArrayEngine(BatchComponent):
                 self._conn_in[r, p] = True
                 producer = out_map.get(id(link))
                 if producer is not None:
-                    self._up_r[r, p], self._up_p[r, p] = producer
+                    self._up[r, p] = producer[0] * P + producer[1]
                 elif p != LOCAL or id(link) != id(net.sources[r].link):
                     raise ConfigurationError(
                         "backend='array' cannot lower this fabric wiring: "
@@ -271,6 +308,11 @@ class ArrayEngine(BatchComponent):
             self._va_grant_counts = np.zeros((R, P * V, P * V),
                                              dtype=np.int64)
             self._vcs_allocated = np.zeros(R, dtype=np.int64)
+            # Each output VC's place in the VC-allocation walk.
+            walk = sorted(range(P * V),
+                          key=lambda arb: _va_walk_order(divmod(arb, V)))
+            self._va_rank = np.empty(P * V, dtype=np.int64)
+            self._va_rank[walk] = np.arange(P * V)
             # Routers whose VA inputs changed since their last walk (a
             # new head flit or a released output VC). A failed walk is
             # pure — no arbiter/event side effects in dispatch either —
@@ -446,58 +488,67 @@ class ArrayEngine(BatchComponent):
         requested = preferred & free
         requested |= (fallback & free
                       & ~requested.any(axis=(1, 2), keepdims=True))
-        # Dense requests[active router, input VC, output VC].
-        first = np.ones(rs.size, dtype=bool)
-        first[1:] = rs[1:] != rs[:-1]
-        active = rs[first]
-        requests = np.zeros((active.size, size, size), dtype=bool)
-        requests[np.cumsum(first) - 1, ps * V + vs] = \
-            requested.reshape(-1, size)
-        allocated = np.zeros((active.size, size), dtype=bool)
-        # One round-robin round per requested output VC, in the dispatch
-        # router's walk order.
-        wanted = np.flatnonzero(requests.any(axis=(0, 1))).tolist()
-        for out_p, out_vc in sorted((divmod(arb, V) for arb in wanted),
-                                    key=_va_walk_order):
-            arb = out_p * V + out_vc
-            live = requests[:, :, arb] & ~allocated
-            rows = np.nonzero(live.any(axis=1))[0]
-            if rows.size == 0:
+        # (pending head, output VC) request pairs, regrouped by output VC
+        # in the dispatch router's walk order; the stable sort keeps each
+        # group router-sorted, as the heads are.
+        head, arb = np.nonzero(requested.reshape(rs.size, size))
+        order = np.argsort(self._va_rank[arb], kind="stable")
+        head, arb = head[order], arb[order]
+        bounds = np.flatnonzero(arb[1:] != arb[:-1]) + 1
+        in_flat = ps * V + vs
+        head_key = rs * size + in_flat   # ascending: rs, ps, vs row-major
+        allocated = np.zeros(rs.size, dtype=bool)
+        # One round-robin round per requested output VC, over the heads
+        # no earlier round allocated; the rounds only pick winners.
+        w_rows, w_win, w_arb = [], [], []
+        for lo, group in zip([0] + bounds.tolist(), np.split(head, bounds)):
+            live = group[~allocated[group]]
+            if live.size == 0:
                 continue
-            r_w = active[rows]
-            key = (self._iota_pv[None, :]
-                   - self._va_last[r_w, arb][:, None] - 1) % size
-            win = np.argmin(np.where(live[rows], key, size), axis=1)
-            self._va_last[r_w, arb] = win
-            self._va_grants[r_w, arb] += 1
-            self._va_grant_counts[r_w, arb, win] += 1
-            in_p, in_vc = np.divmod(win, V)
-            self._owner_in[r_w, out_p, out_vc] = in_p
-            self._owner_vc[r_w, out_p, out_vc] = in_vc
-            self._alloc_out[r_w, in_p, in_vc] = out_p
-            self._alloc_vc[r_w, in_p, in_vc] = out_vc
-            allocated[rows, win] = True
-            self._vcs_allocated[r_w] += 1
-            enabled[r_w] = True
-            # A grant takes an output VC, which can reroute another
-            # pending head (preferred -> fallback) next edge.
-            self._va_dirty[r_w] = True
-            if observed:
-                grants = zip(r_w.tolist(), in_p.tolist(), in_vc.tolist())
-                for r, i_p, i_vc in grants:
-                    head = store.objs[int(self._head_fid[r, i_p, i_vc])]
-                    self._event(r, "vc_allocated", {
-                        "router": self._names[r], "output": out_p,
-                        "vc": out_vc, "input": i_p,
-                        "input_vc": i_vc, "flit": head,
+            a = arb[lo]
+            r_req = rs[live]
+            rows, win = _rr_winners(r_req, in_flat[live],
+                                    self._va_last[r_req, a], size)
+            allocated[np.searchsorted(head_key, rows * size + win)] = True
+            w_rows.append(rows)
+            w_win.append(win)
+            w_arb.append(np.full(rows.size, a, dtype=np.int64))
+        if not w_rows:
+            return
+        # One batched pass applies them, in walk order.
+        rows = np.concatenate(w_rows)
+        win = np.concatenate(w_win)
+        arbs = np.concatenate(w_arb)
+        self._va_last[rows, arbs] = win
+        self._va_grants[rows, arbs] += 1
+        self._va_grant_counts[rows, arbs, win] += 1
+        in_p, in_vc = np.divmod(win, V)
+        out_p, out_vc = np.divmod(arbs, V)
+        self._owner_in[rows, out_p, out_vc] = in_p
+        self._owner_vc[rows, out_p, out_vc] = in_vc
+        self._alloc_out[rows, in_p, in_vc] = out_p
+        self._alloc_vc[rows, in_p, in_vc] = out_vc
+        # A router can win several output VCs in one edge.
+        self._vcs_allocated += np.bincount(rows, minlength=self._R)
+        enabled[rows] = True
+        # A grant takes an output VC, which can reroute another pending
+        # head (preferred -> fallback) next edge.
+        self._va_dirty[rows] = True
+        if observed:
+            grants = zip(rows.tolist(), out_p.tolist(), out_vc.tolist(),
+                         in_p.tolist(), in_vc.tolist())
+            for r, o_p, o_vc, i_p, i_vc in grants:
+                flit = store.objs[int(self._head_fid[r, i_p, i_vc])]
+                self._event(r, "vc_allocated", {
+                    "router": self._names[r], "output": o_p, "vc": o_vc,
+                    "input": i_p, "input_vc": i_vc, "flit": flit,
+                })
+                if not flit.is_tail:
+                    self._event(r, "lock_acquire", {
+                        "router": self._names[r], "output": o_p,
+                        "vc": o_vc, "input": i_p, "input_vc": i_vc,
+                        "packet_id": flit.packet_id,
                     })
-                    if not head.is_tail:
-                        self._event(r, "lock_acquire", {
-                            "router": self._names[r], "output": out_p,
-                            "vc": out_vc, "input": i_p,
-                            "input_vc": i_vc,
-                            "packet_id": head.packet_id,
-                        })
 
     # -- the switch-allocation phase, single-VC (wormhole) regime --------
 
@@ -578,15 +629,13 @@ class ArrayEngine(BatchComponent):
             # Credit return upstream (LOCAL inputs credit the source).
             local_in = win == LOCAL
             other = ~local_in
-            credit_nxt[self._up_r[rows[other], win[other]],
-                       self._up_p[rows[other], win[other]], 0] += 1
+            credit_nxt.reshape(-1)[self._up[rows[other], win[other]]] += 1
             srccr_nxt[rows[local_in]] += 1
             # Launch toward the consumer (LOCAL outputs feed the sink).
             if out_p == LOCAL:
                 sink_nxt[rows] = fid
             else:
-                arrive_nxt[self._dst_r[rows, out_p],
-                           self._dst_p[rows, out_p]] = fid
+                arrive_nxt.reshape(-1)[self._dst[rows, out_p]] = fid
             credits_col[rows] -= 1
             self._flits_fwd[rows] += 1
             enabled[rows] = True
@@ -631,114 +680,146 @@ class ArrayEngine(BatchComponent):
                    arrvc_nxt: np.ndarray, credit_nxt: np.ndarray,
                    sink_nxt: np.ndarray, sinkvc_nxt: np.ndarray,
                    srccr_nxt: np.ndarray) -> None:
+        """One candidate list per edge (see the module docstring): the
+        output rounds only pick winners, one batched pass moves them."""
         R, P, C, V = self._R, self._P, self._C, self._V
+        size = P * V
         store = self._store
-        head_fid = self._head_fid
-        r_ix = np.arange(R)[:, None, None]
-        # Per output port (sequential rounds), vectorized across
-        # routers; one flit per output and per input port per edge (the
-        # crossbar constraint).
-        port_used = np.zeros((R, P), dtype=bool)
-        # Stale entries (tail releases during earlier rounds) are masked
-        # out by ``port_used``/``alloc_out``, so hoist the gather index.
-        av = self._alloc_vc.clip(min=0)
-        head_valid = head_fid >= 0
+        # The candidates, router-sorted: occupied input VCs that hold an
+        # allocation (always to a wired output), as flat indices.
+        alloc_out = self._alloc_out.reshape(-1)
+        alloc_vc = self._alloc_vc.reshape(-1)
+        head_fid = self._head_fid.reshape(-1)
+        cand = np.flatnonzero((alloc_out >= 0) & (head_fid >= 0))
+        if cand.size == 0:
+            return
+        c_r, c_in = np.divmod(cand, size)
+        c_port = cand // V                  # flat (router, in port)
+        c_out = alloc_out[cand]
+        c_ovc = (c_r * P + c_out) * V + alloc_vc[cand]   # flat output VC
+        credits = self._credits.reshape(-1)
+        ok = credits[c_ovc] > 0
+        # taken[router, in port]: the output whose grant used the port's
+        # one crossbar pass this edge (P: none yet).
+        taken = np.full(R * P, P, dtype=np.int64)
+        go = np.flatnonzero(ok)
+        go = go[np.argsort(c_out[go], kind="stable")]
+        bounds = np.searchsorted(c_out[go], np.arange(P + 1)).tolist()
+        w_hv, w_out = [], []
         for out_p in range(P):
-            conn = self._conn_out[:, out_p]
-            mask = ((self._alloc_out == out_p) & head_valid
-                    & ~port_used[:, :, None] & conn[:, None, None])
-            if not mask.any():
+            sel = go[bounds[out_p]:bounds[out_p + 1]]
+            if out_p and sel.size:
+                sel = sel[taken[c_port[sel]] == P]
+            if sel.size == 0:
                 continue
-            # Credits of each input VC's allocated output VC.
-            cred = self._credits[:, out_p, :][r_ix, av]
-            ok = mask & (cred > 0)
+            r_req = c_r[sel]
+            rows, win = _rr_winners(r_req, c_in[sel],
+                                    self._sa_last[r_req, out_p], size)
+            hv = rows * size + win
+            taken[hv // V] = out_p
+            w_hv.append(hv)
+            w_out.append(np.full(hv.size, out_p, dtype=np.int64))
+        if w_hv:
+            hv = np.concatenate(w_hv)       # winning input VCs, flat
+            outs = np.concatenate(w_out)
+        else:
+            hv = outs = np.zeros(0, dtype=np.int64)
+        rows, win = np.divmod(hv, size)
+        in_port = hv // V                   # flat (router, in port)
+        in_vc = hv % V
+        r_out = rows * P + outs             # flat (router, out port)
+        out_vc = alloc_vc[hv]
+        ovc = r_out * V + out_vc            # flat output VC
+        fid = head_fid[hv]
+        self._sa_last.reshape(-1)[r_out] = win
+        self._sa_grants.reshape(-1)[r_out] += 1
+        self._sa_grant_counts.reshape(-1)[r_out * size + win] += 1
+        # Pop + head refresh.
+        fifo_start = self._fifo_start.reshape(-1)
+        fifo_len = self._fifo_len.reshape(-1)
+        start = (fifo_start[hv] + 1) % C
+        length = fifo_len[hv] - 1
+        fifo_start[hv] = start
+        fifo_len[hv] = length
+        refill = length > 0
+        new_fid = np.where(refill, self._fifo_buf.reshape(-1)[hv * C + start],
+                           -1)
+        head_fid[hv] = new_fid
+        self._head_is_head.reshape(-1)[hv] = refill & store.is_head[new_fid]
+        # Credit return upstream on the input VC.
+        local_in = in_port % P == LOCAL
+        other = ~local_in
+        credit_nxt.reshape(-1)[self._up.reshape(-1)[in_port[other]] * V
+                               + in_vc[other]] += 1
+        srccr_nxt[rows[local_in & (in_vc == self._inj_vc[rows])]] += 1
+        # Launch toward the consumer, VC-tagged.
+        to_sink = outs == LOCAL
+        sink_nxt[rows[to_sink]] = fid[to_sink]
+        sinkvc_nxt[rows[to_sink]] = out_vc[to_sink]
+        on = ~to_sink
+        dst = self._dst.reshape(-1)[r_out[on]]
+        arrive_nxt.reshape(-1)[dst] = fid[on]
+        arrvc_nxt.reshape(-1)[dst] = out_vc[on]
+        credits[ovc] -= 1
+        # A router can win several outputs: fancy += would drop repeats.
+        self._flits_fwd += np.bincount(rows, minlength=R)
+        enabled[rows] = True
+        # Tail releases the per-VC lock and the allocation.
+        f_tail = store.is_tail[fid]
+        self._owner_in.reshape(-1)[ovc[f_tail]] = -1
+        self._owner_vc.reshape(-1)[ovc[f_tail]] = -1
+        alloc_out[hv[f_tail]] = -1
+        alloc_vc[hv[f_tail]] = -1
+        self._va_dirty[rows[f_tail]] = True
+        if not (observed or wt):
+            return
+        # Events and wire writes, output by output: a creditless
+        # candidate reports if its input port was still free at that
+        # output's round, before the round's grant.
+        blocked = []
+        if observed:
+            b = np.flatnonzero(~ok)
+            b = b[taken[c_port[b]] >= c_out[b]]
+            b = b[np.argsort(c_out[b], kind="stable")]
+            blocked = list(zip(c_out[b].tolist(), c_r[b].tolist(),
+                               (c_ovc[b] % V).tolist(),
+                               (c_port[b] % P).tolist(),
+                               (c_in[b] % V).tolist()))
+        j = 0
+        for out_p, r, f, vc, i_p, i_vc in zip(
+                outs.tolist(), rows.tolist(), fid.tolist(), out_vc.tolist(),
+                (in_port % P).tolist(), in_vc.tolist()):
+            while j < len(blocked) and blocked[j][0] <= out_p:
+                self._note_starvation(*blocked[j])
+                j += 1
+            flit = store.objs[f]
+            if wt:
+                self.net.routers[r].out_links[out_p].send_flit(flit, vc, tick)
             if observed:
-                blocked = mask & (cred <= 0)
-                for r, in_p, in_vc in zip(*np.nonzero(blocked)):
-                    r = int(r)
-                    b_vc = int(self._alloc_vc[r, in_p, in_vc])
-                    if self._starved[r, out_p, b_vc]:
-                        continue
-                    self._starved[r, out_p, b_vc] = True
-                    self._event(r, "credit_exhausted", {
+                self._event(r, "arbitration_grant", {
+                    "router": self._names[r], "output": out_p, "vc": vc,
+                    "input": i_p, "input_vc": i_vc, "flit": flit,
+                })
+                if flit.is_tail and not flit.is_head:
+                    self._event(r, "lock_release", {
                         "router": self._names[r], "output": out_p,
-                        "vc": b_vc,
-                        "input": int(self._owner_in[r, out_p, b_vc]),
-                        "input_vc": int(self._owner_vc[r, out_p, b_vc]),
+                        "vc": vc, "input": i_p, "input_vc": i_vc,
+                        "packet_id": flit.packet_id,
                     })
-            req = ok.reshape(R, P * V)
-            rows = np.nonzero(req.any(axis=1))[0]
-            if rows.size == 0:
-                continue
-            key = (self._iota_pv[None, :]
-                   - self._sa_last[rows, out_p][:, None] - 1) % (P * V)
-            key = np.where(req[rows], key, P * V)
-            win = np.argmin(key, axis=1)
-            self._sa_last[rows, out_p] = win
-            self._sa_grants[rows, out_p] += 1
-            self._sa_grant_counts[rows, out_p, win] += 1
-            in_p, in_vc = np.divmod(win, V)
-            out_vc = self._alloc_vc[rows, in_p, in_vc]
-            fid = head_fid[rows, in_p, in_vc]
-            # Pop + head refresh.
-            start = (self._fifo_start[rows, in_p, in_vc] + 1) % C
-            length = self._fifo_len[rows, in_p, in_vc] - 1
-            self._fifo_start[rows, in_p, in_vc] = start
-            self._fifo_len[rows, in_p, in_vc] = length
-            refill = length > 0
-            new_fid = np.where(refill,
-                               self._fifo_buf[rows, in_p, in_vc, start], -1)
-            head_fid[rows, in_p, in_vc] = new_fid
-            self._head_is_head[rows, in_p, in_vc] = np.where(
-                refill, store.is_head[new_fid.clip(min=0)], False)
-            # Credit return upstream on the input VC.
-            local_in = in_p == LOCAL
-            other = ~local_in
-            credit_nxt[self._up_r[rows[other], in_p[other]],
-                       self._up_p[rows[other], in_p[other]],
-                       in_vc[other]] += 1
-            srccr_nxt[rows[local_in & (in_vc == self._inj_vc[rows])]] += 1
-            # Launch toward the consumer, VC-tagged.
-            if out_p == LOCAL:
-                sink_nxt[rows] = fid
-                sinkvc_nxt[rows] = out_vc
-            else:
-                dst_r = self._dst_r[rows, out_p]
-                dst_p = self._dst_p[rows, out_p]
-                arrive_nxt[dst_r, dst_p] = fid
-                arrvc_nxt[dst_r, dst_p] = out_vc
-            self._credits[rows, out_p, out_vc] -= 1
-            self._flits_fwd[rows] += 1
-            port_used[rows, in_p] = True
-            enabled[rows] = True
-            # Tail releases the per-VC lock and the allocation.
-            f_tail = store.is_tail[fid]
-            tr = rows[f_tail]
-            self._owner_in[tr, out_p, out_vc[f_tail]] = -1
-            self._owner_vc[tr, out_p, out_vc[f_tail]] = -1
-            self._alloc_out[tr, in_p[f_tail], in_vc[f_tail]] = -1
-            self._alloc_vc[tr, in_p[f_tail], in_vc[f_tail]] = -1
-            self._va_dirty[tr] = True
-            if observed or wt:
-                for i, r in enumerate(rows):
-                    r = int(r)
-                    flit = store.objs[int(fid[i])]
-                    if wt:
-                        self.net.routers[r].out_links[out_p].send_flit(
-                            flit, int(out_vc[i]), tick)
-                    if observed:
-                        self._event(r, "arbitration_grant", {
-                            "router": self._names[r], "output": out_p,
-                            "vc": int(out_vc[i]), "input": int(in_p[i]),
-                            "input_vc": int(in_vc[i]), "flit": flit,
-                        })
-                        if flit.is_tail and not flit.is_head:
-                            self._event(r, "lock_release", {
-                                "router": self._names[r], "output": out_p,
-                                "vc": int(out_vc[i]), "input": int(in_p[i]),
-                                "input_vc": int(in_vc[i]),
-                                "packet_id": flit.packet_id,
-                            })
+        for item in blocked[j:]:
+            self._note_starvation(*item)
+
+    def _note_starvation(self, out_p: int, r: int, vc: int, in_p: int,
+                         in_vc: int) -> None:
+        """``credit_exhausted`` on the edge output VC ``(out_p, vc)`` of
+        router ``r`` starves its owner ``(in_p, in_vc)``."""
+        if self._starved[r, out_p, vc]:
+            return
+        self._starved[r, out_p, vc] = True
+        self._event(r, "credit_exhausted", {
+            "router": self._names[r], "output": out_p, "vc": vc,
+            "input": in_p, "input_vc": in_vc,
+        })
 
     # -- one clock edge --------------------------------------------------
 
@@ -895,54 +976,58 @@ class ArrayEngine(BatchComponent):
 
     def sync_back(self) -> None:
         """Write the array state back into the (unscheduled) routers and
-        endpoints so post-run inspection sees dispatch-identical state."""
-        store, C, V = self._store, self._C, self._V
+        endpoints so post-run inspection sees dispatch-identical state.
+        Each state array is read one router row at a time (``tolist``),
+        and only occupied FIFOs are materialised."""
+        objs, C, V = self._store.objs, self._C, self._V
         per_router = self._edges_per_router()
         for r, router in enumerate(self.net.routers):
+            lens = self._fifo_len[r].tolist()
+            starts = self._fifo_start[r].tolist()
+            credits = self._credits[r].tolist()
+            starved = self._starved[r].tolist()
             for p in range(self._P):
-                if V == 1:
-                    fifo = router.fifos[p]
+                for vc in range(V):
+                    fifo = router.fifos[p] if V == 1 else router.fifos[p][vc]
                     fifo.clear()
-                    start = int(self._fifo_start[r, p, 0])
-                    for i in range(int(self._fifo_len[r, p, 0])):
-                        fifo.append(store.objs[int(
-                            self._fifo_buf[r, p, 0, (start + i) % C])])
-                    router.credits[p] = int(self._credits[r, p, 0])
-                    lock = int(self._locks[r, p])
-                    router.locks[p] = None if lock < 0 else lock
-                    router._starved[p] = bool(self._starved[r, p, 0])
-                else:
-                    for vc in range(V):
-                        fifo = router.fifos[p][vc]
-                        fifo.clear()
-                        start = int(self._fifo_start[r, p, vc])
-                        for i in range(int(self._fifo_len[r, p, vc])):
-                            fifo.append(store.objs[int(
-                                self._fifo_buf[r, p, vc, (start + i) % C])])
-                        router.credits[p][vc] = int(self._credits[r, p, vc])
-                        owner = int(self._owner_in[r, p, vc])
-                        router.vc_owner[p][vc] = (
-                            None if owner < 0
-                            else (owner, int(self._owner_vc[r, p, vc])))
-                        alloc = int(self._alloc_out[r, p, vc])
-                        router.allocation[p][vc] = (
-                            None if alloc < 0
-                            else (alloc, int(self._alloc_vc[r, p, vc])))
-                        router._starved[p][vc] = bool(
-                            self._starved[r, p, vc])
-                sa = router.sa_arbiters[p]
-                sa._last = int(self._sa_last[r, p])
-                sa.grants = int(self._sa_grants[r, p])
-                sa.grant_counts = [int(c)
-                                   for c in self._sa_grant_counts[r, p]]
-            if V > 1:
-                for a in range(self._P * V):
+                    n = lens[p][vc]
+                    if n:
+                        ring = self._fifo_buf[r, p, vc].tolist()
+                        first = starts[p][vc]
+                        fifo.extend(objs[ring[(first + i) % C]]
+                                    for i in range(n))
+            if V == 1:
+                router.credits[:] = [c for c, in credits]
+                router._starved[:] = [s for s, in starved]
+                router.locks[:] = [None if lock < 0 else lock
+                                   for lock in self._locks[r].tolist()]
+            else:
+                for p, (owner_in, owner_vc, alloc_out, alloc_vc) in \
+                        enumerate(zip(self._owner_in[r].tolist(),
+                                      self._owner_vc[r].tolist(),
+                                      self._alloc_out[r].tolist(),
+                                      self._alloc_vc[r].tolist())):
+                    router.credits[p][:] = credits[p]
+                    router._starved[p][:] = starved[p]
+                    router.vc_owner[p][:] = [
+                        None if i < 0 else (i, v)
+                        for i, v in zip(owner_in, owner_vc)]
+                    router.allocation[p][:] = [
+                        None if o < 0 else (o, v)
+                        for o, v in zip(alloc_out, alloc_vc)]
+                rows = zip(self._va_last[r].tolist(),
+                           self._va_grants[r].tolist(),
+                           self._va_grant_counts[r].tolist())
+                for a, (last, grants, counts) in enumerate(rows):
                     va = router.va_arbiters[divmod(a, V)]
-                    va._last = int(self._va_last[r, a])
-                    va.grants = int(self._va_grants[r, a])
-                    va.grant_counts = [int(c)
-                                       for c in self._va_grant_counts[r, a]]
+                    va._last, va.grants, va.grant_counts = \
+                        last, grants, counts
                 router.vcs_allocated = int(self._vcs_allocated[r])
+            rows = zip(router.sa_arbiters, self._sa_last[r].tolist(),
+                       self._sa_grants[r].tolist(),
+                       self._sa_grant_counts[r].tolist())
+            for sa, last, grants, counts in rows:
+                sa._last, sa.grants, sa.grant_counts = last, grants, counts
             router.flits_forwarded = int(self._flits_fwd[r])
             router._gating.edges_total = per_router
             router._gating.edges_enabled = int(self._edges_enabled[r])

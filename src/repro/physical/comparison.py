@@ -232,8 +232,9 @@ def locality_mix(model: PhysicalModel,
     endpoint's ``partner(topology, src)`` — the mapping assumption that
     "cores which communicate a lot will be clustered"."""
     topology = model.network.topology
-    local = sum(model.flit_energy_pj(src, partner(topology, src))
-                for src in range(model.endpoints)) / model.endpoints
+    srcs = range(model.endpoints)
+    local = sum(model.flit_energies_pj(
+        srcs, [partner(topology, src) for src in srcs])) / model.endpoints
     return LocalityMix(model.average_flit_energy_pj(), local)
 
 

@@ -11,6 +11,11 @@ The contract a model fulfils (docs/physical.md has the worked example):
   switch port counts, link lengths, and how many of those switches
   charge input-FIFO energy (credit fabrics do, the bufferless tree
   does not);
+* ``pair_costs(srcs, dests)`` — the same path's priced totals for many
+  pairs at once, as :class:`PairCosts` arrays. Lengths and switch
+  energies add left to right along the path (:func:`left_to_right`), so
+  every entry equals the :meth:`PhysicalModel.priced_path` it stands
+  for, bit for bit; the all-pairs queries and the run report read it;
 * ``buffer_flits()`` / ``pipeline_stage_count()`` — storage the area
   model prices. Since the flow-control unification there is one
   :class:`~repro.fabric.router.FabricRouter` whose
@@ -38,7 +43,9 @@ the two concentrator-mux traversals bracketing the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+import numpy as np
 
 from repro.clocking.power import (
     ClockPowerBreakdown,
@@ -58,6 +65,16 @@ from repro.physical.power import (
 
 if TYPE_CHECKING:
     from repro.noc.floorplan import Floorplan
+
+
+def left_to_right(values: Iterable[float]) -> float:
+    """``values`` summed one by one from the left: the one summation
+    order every path total follows (the built-in ``sum`` compensates
+    float rounding on newer Pythons)."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -82,7 +99,20 @@ class PathProfile:
 
     @property
     def length_mm(self) -> float:
-        return sum(self.link_lengths_mm)
+        return left_to_right(self.link_lengths_mm)
+
+
+@dataclass(frozen=True)
+class PairCosts:
+    """:meth:`PhysicalModel.pair_costs`: one entry per (src, dest) pair,
+    each the matching :class:`PathProfile` total (``switch_pj`` is the
+    :meth:`PhysicalModel.priced_path` price)."""
+
+    hops: np.ndarray
+    length_mm: np.ndarray
+    switch_pj: np.ndarray
+    buffered_hops: np.ndarray
+    stage_registers: np.ndarray
 
 
 class PhysicalModel:
@@ -105,12 +135,29 @@ class PhysicalModel:
             profile = self._path(src, dest)
             tech = self.tech
             priced = self._paths[pair] = (
-                profile, sum(router_energy_pj_per_flit(ports, tech)
-                             for ports in profile.switch_ports))
+                profile, left_to_right(router_energy_pj_per_flit(ports, tech)
+                                       for ports in profile.switch_ports))
         return priced
 
     def path(self, src: int, dest: int) -> PathProfile:
         return self.priced_path(src, dest)[0]
+
+    def pair_costs(self, srcs, dests) -> PairCosts:
+        """Priced path totals of the pairs ``zip(srcs, dests)``. The
+        default maps :meth:`priced_path`; a fabric may override it with
+        a batched walk that returns the same numbers."""
+        pairs = zip(np.asarray(srcs).tolist(), np.asarray(dests).tolist())
+        priced = [self.priced_path(src, dest) for src, dest in pairs]
+        return PairCosts(
+            hops=np.array([p.hops for p, _e in priced], dtype=np.int64),
+            length_mm=np.array([p.length_mm for p, _e in priced],
+                               dtype=np.float64),
+            switch_pj=np.array([e for _p, e in priced], dtype=np.float64),
+            buffered_hops=np.array([p.buffered_hops for p, _e in priced],
+                                   dtype=np.int64),
+            stage_registers=np.array([p.stage_registers for p, _e in priced],
+                                     dtype=np.int64),
+        )
 
     # -- contract (overridden per fabric family) ------------------------
 
@@ -166,36 +213,46 @@ class PhysicalModel:
             chip_mm2=self.floorplan.chip_area_mm2,
         )
 
-    def flit_energy_pj(self, src: int, dest: int) -> float:
-        profile, energy = self.priced_path(src, dest)
+    def flit_energies_pj(self, srcs, dests) -> list[float]:
+        """Energy of one flit from each ``srcs`` entry to its ``dests``
+        entry, in pJ: switches, wire, input FIFOs and stage registers."""
+        costs = self.pair_costs(srcs, dests)
         tech = self.tech
-        energy += link_energy_pj_per_flit(1.0, tech) * profile.length_mm
-        energy += BUFFER_ENERGY_PJ_PER_FLIT * profile.buffered_hops
-        if profile.stage_registers:
-            # One register-bank write per stage crossed, priced at the
-            # same switching-energy density as the router datapath.
-            energy += (profile.stage_registers * tech.stage_area_mm2()
-                       * ROUTER_ENERGY_DENSITY_PJ_PER_MM2)
-        return energy
+        energy = costs.switch_pj + (link_energy_pj_per_flit(1.0, tech)
+                                    * costs.length_mm)
+        energy += BUFFER_ENERGY_PJ_PER_FLIT * costs.buffered_hops
+        # One register-bank write per stage crossed, priced at the same
+        # switching-energy density as the router datapath.
+        energy += (costs.stage_registers * tech.stage_area_mm2()
+                   * ROUTER_ENERGY_DENSITY_PJ_PER_MM2)
+        return energy.tolist()
+
+    def flit_energy_pj(self, src: int, dest: int) -> float:
+        return self.flit_energies_pj([src], [dest])[0]
+
+    def _source_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every ordered pair of distinct endpoints, one source per row
+        (memory stays O(endpoints x diameter)), dest ascending."""
+        dests = np.arange(self.endpoints)
+        for src in range(self.endpoints):
+            row = dests[dests != src]
+            yield np.full(row.size, src), row
 
     def average_flit_energy_pj(self) -> float:
         total = 0.0
         pairs = 0
-        for src in range(self.endpoints):
-            for dest in range(self.endpoints):
-                if src != dest:
-                    total += self.flit_energy_pj(src, dest)
-                    pairs += 1
+        for srcs, dests in self._source_rows():
+            for energy in self.flit_energies_pj(srcs, dests):
+                total += energy
+            pairs += dests.size
         return total / pairs
 
     def mean_hops(self) -> float:
         total = 0
         pairs = 0
-        for src in range(self.endpoints):
-            for dest in range(self.endpoints):
-                if src != dest:
-                    total += self.path(src, dest).hops
-                    pairs += 1
+        for srcs, dests in self._source_rows():
+            total += int(self.pair_costs(srcs, dests).hops.sum())
+            pairs += dests.size
         return total / pairs
 
     def worst_case_hops(self) -> int:
@@ -311,15 +368,6 @@ class CtreePhysical(TreePhysical):
         )
 
 
-class _DestProbe:
-    """The one flit attribute every route function reads."""
-
-    __slots__ = ("dest",)
-
-    def __init__(self, dest: int):
-        self.dest = dest
-
-
 class CreditFabricPhysical(PhysicalModel):
     """Any :class:`~repro.fabric.network.CreditFabricNetwork` fabric.
 
@@ -329,16 +377,17 @@ class CreditFabricPhysical(PhysicalModel):
     so a VC build pays ``n_vcs x`` the single-VC FIFO budget
     automatically and the allocator choice costs nothing here — link
     lengths from the fabric floorplan, and paths from a walk driven by
-    the network's **own** routing strategy (``routing.for_node``) over
-    the topology's link table — the descriptor cannot drift from what
-    the simulation routes. (VC builds keep the deterministic strategy as
-    the path model: the adaptive policies are minimal, so hop counts and
-    minimal-path lengths are unchanged.)
+    the network's **own** routing strategy (``routing.route_array``)
+    over the topology's link table, all pairs stepped together — the
+    descriptor cannot drift from what the simulation routes. (VC builds
+    keep the deterministic strategy as the path model: the adaptive
+    policies are minimal, so hop counts and minimal-path lengths are
+    unchanged.)
     """
 
     def __init__(self, network):
         super().__init__(network)
-        self._hop_cache: dict[tuple[int, int], tuple] | None = None
+        self._walk_tables: _WalkTables | None = None
         self._ports_cache: list[int] | None = None
 
     def router_port_counts(self) -> list[int]:
@@ -374,46 +423,105 @@ class CreditFabricPhysical(PhysicalModel):
         return (3 * self.network.topology.nodes
                 + self.pipeline_stage_count())
 
-    def _hop_table(self) -> dict[tuple[int, int], tuple]:
-        """(node, out_port) -> (neighbour, wire length), every direction."""
-        if self._hop_cache is None:
-            hops = {}
+    def _tables(self) -> "_WalkTables":
+        """Per-node and per-(node, out port) lookups the walk reads."""
+        if self._walk_tables is None:
+            topo = self.network.topology
             plan = self.floorplan
-            for a, a_port, b, b_port in self.network.topology.links():
+            ahead = np.full((topo.nodes, topo.max_ports), -1, dtype=np.int64)
+            link_mm = np.zeros(ahead.shape)
+            link_stages = np.zeros(ahead.shape, dtype=np.int64)
+            for a, a_port, b, b_port in topo.links():
                 length = plan.link_length(a, a_port)
-                hops[(a, a_port)] = (b, length)
-                hops[(b, b_port)] = (a, length)
-            self._hop_cache = hops
-        return self._hop_cache
+                stages = self._link_stages_on(length)
+                for node, port, neighbour in ((a, a_port, b), (b, b_port, a)):
+                    ahead[node, port] = neighbour
+                    link_mm[node, port] = length
+                    link_stages[node, port] = stages
+            stub_mm = [plan.link_length(node, LOCAL_PORT)
+                       for node in range(topo.nodes)]
+            # One switch price per distinct port count.
+            counts = self.router_port_counts()
+            price = {ports: router_energy_pj_per_flit(ports, self.tech)
+                     for ports in set(counts)}
+            self._walk_tables = _WalkTables(
+                ahead=ahead, link_mm=link_mm, link_stages=link_stages,
+                stub_mm=np.array(stub_mm),
+                stub_stages=np.array([self._link_stages_on(length)
+                                      for length in stub_mm],
+                                     dtype=np.int64),
+                switch_pj=np.array([price[ports] for ports in counts]),
+            )
+        return self._walk_tables
 
-    def _route_steps(self, src: int, dest: int) -> list[tuple[int, int]]:
-        """(node, out_port) hops from src to dest, by asking the
-        network's routing strategy at every node along the way."""
-        hops = self._hop_table()
-        probe = _DestProbe(dest)
-        route_for = self.network.routing.for_node
-        node = src
-        steps: list[tuple[int, int]] = []
-        while node != dest:
-            port = route_for(node)(probe)
-            steps.append((node, port))
-            node = hops[(node, port)][0]
-            if len(steps) > len(hops):
+    def _walk(self, srcs: np.ndarray, dests: np.ndarray):
+        """Step every (src, dest) pair toward its destination at once,
+        asking the network's own routing strategy (``route_array``) at
+        every node. Yields, per step, the indices of the pairs still en
+        route, the (node, out port) each leaves through and the node it
+        reaches."""
+        ahead_of = self._tables().ahead
+        route = self.network.routing.route_array
+        idx = np.flatnonzero(srcs != dests)
+        node, dest = srcs[idx], dests[idx]
+        # A route longer than the fabric has directed links loops.
+        for _step in range(int((ahead_of >= 0).sum())):
+            if idx.size == 0:
+                return
+            port = route(node, dest)
+            ahead = ahead_of[node, port]
+            unwired = np.flatnonzero(ahead < 0)
+            if unwired.size:
+                j = unwired[0]
                 raise ConfigurationError(
-                    f"routing never reaches {dest} from {src}: the "
-                    f"strategy and the link table disagree"
+                    f"routing sends {int(srcs[idx[j]])} -> "
+                    f"{int(dest[j])} out of node {int(node[j])} on port "
+                    f"{int(port[j])}, which has no link"
                 )
-        return steps
+            yield idx, node, port, ahead
+            moving = ahead != dest
+            idx, node, dest = idx[moving], ahead[moving], dest[moving]
+        if idx.size:
+            raise ConfigurationError(
+                f"routing never reaches {int(dests[idx[0]])} from "
+                f"{int(srcs[idx[0]])}: the strategy and the link table "
+                f"disagree"
+            )
+
+    def pair_costs(self, srcs, dests) -> PairCosts:
+        """One walk for all the pairs. Each total adds left to right —
+        local stub, links in route order, local stub; switches in route
+        order — as :meth:`_path` and :meth:`priced_path` do, so every
+        entry is bit-identical to the one-pair path."""
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dests = np.asarray(dests, dtype=np.int64)
+        t = self._tables()
+        steps = np.zeros(srcs.size, dtype=np.int64)
+        length = t.stub_mm[srcs]
+        switch = t.switch_pj[srcs]
+        stages = t.stub_stages[srcs] + t.stub_stages[dests]
+        for idx, node, port, ahead in self._walk(srcs, dests):
+            steps[idx] += 1
+            length[idx] += t.link_mm[node, port]
+            switch[idx] += t.switch_pj[ahead]
+            stages[idx] += t.link_stages[node, port]
+        length += t.stub_mm[dests]
+        hops = steps + 1
+        stages += (self.network.pipeline_depth - 1) * hops
+        return PairCosts(hops=hops, length_mm=length, switch_pj=switch,
+                         buffered_hops=hops, stage_registers=stages)
 
     def _path(self, src: int, dest: int) -> PathProfile:
-        hops = self._hop_table()
-        plan = self.floorplan
+        """The one-pair case of :meth:`_walk`."""
+        t = self._tables()
         ports = self.router_port_counts()
-        steps = self._route_steps(src, dest)
-        nodes = [node for node, _port in steps] + [dest]
-        lengths = [plan.link_length(src, LOCAL_PORT)]
-        lengths += [hops[step][1] for step in steps]
-        lengths.append(plan.link_length(dest, LOCAL_PORT))
+        nodes = [src]
+        lengths = [t.stub_mm[src].item()]
+        for _idx, node, port, ahead in self._walk(np.array([src]),
+                                                   np.array([dest])):
+            lengths.append(t.link_mm[node[0], port[0]].item())
+            nodes.append(int(ahead[0]))
+        lengths.append(t.stub_mm[dest].item())
         stage_registers = sum(self._link_stages_on(length)
                               for length in lengths)
         stage_registers += (self.network.pipeline_depth - 1) * len(nodes)
@@ -424,6 +532,21 @@ class CreditFabricPhysical(PhysicalModel):
             buffered_hops=len(nodes),
             stage_registers=stage_registers,
         )
+
+
+@dataclass(frozen=True)
+class _WalkTables:
+    """:meth:`CreditFabricPhysical._walk`'s lookups: ``ahead[node,
+    port]`` is the neighbour (-1: no link), ``link_mm`` / ``link_stages``
+    that link's wire length and register stages, the ``stub_*`` arrays
+    each node's local stub, ``switch_pj`` each router's switch price."""
+
+    ahead: np.ndarray
+    link_mm: np.ndarray
+    link_stages: np.ndarray
+    stub_mm: np.ndarray
+    stub_stages: np.ndarray
+    switch_pj: np.ndarray
 
 
 def physical_model(network) -> PhysicalModel:

@@ -112,16 +112,19 @@ class RunEnergyReport:
         flit_mm = 0.0
         router_pj = 0.0
         buffered = 0
-        # The model memoises each (src, dest) path and its switch price,
-        # so a long run costs O(distinct pairs), not O(packets), in walks.
-        priced_path = model.priced_path
-        for packet in network.delivered:
-            profile, switch_pj = priced_path(packet.src, packet.dest)
-            traversals += profile.hops * packet.flit_count
+        # One batched path walk prices every delivered packet; the sums
+        # below still run packet by packet, in delivery order.
+        packets = network.delivered
+        costs = model.pair_costs([packet.src for packet in packets],
+                                 [packet.dest for packet in packets])
+        for packet, hops, length_mm, switch_pj, buffered_hops in zip(
+                packets, costs.hops.tolist(), costs.length_mm.tolist(),
+                costs.switch_pj.tolist(), costs.buffered_hops.tolist()):
+            traversals += hops * packet.flit_count
             flits += packet.flit_count
-            flit_mm += profile.length_mm * packet.flit_count
+            flit_mm += length_mm * packet.flit_count
             router_pj += packet.flit_count * switch_pj
-            buffered += profile.buffered_hops * packet.flit_count
+            buffered += buffered_hops * packet.flit_count
 
         link_pj = flit_mm * link_energy_pj_per_flit(1.0, tech)
         buffer_pj = buffered * BUFFER_ENERGY_PJ_PER_FLIT

@@ -10,13 +10,16 @@ loudly at :class:`FabricConfig` construction (``backend="auto"`` is the
 one sanctioned silent fallback).
 """
 
+import functools
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig, get_topology, topology_names
 from repro.noc.packet import Packet
-from repro.traffic.patterns import UniformRandom
+from repro.traffic.patterns import HotspotTraffic, UniformRandom
 
 from tests.fabric.test_router_edge import observed_run
 
@@ -178,10 +181,53 @@ def test_observed_array_matches_dispatch(name, kwargs, load, size_flits,
     assert array_final == dispatch_final
 
 
+def test_vc_hotspot_observed_array_matches_dispatch():
+    """A 64-port VC torus under two hotspots: the event stream and the
+    final router state match dispatch on a run that has an edge where
+    one router wins two or more outputs (flits_forwarded must count
+    every one) and an edge where two or more routers enter starvation
+    (per-router event order around the grant rounds)."""
+    traffic = functools.partial(HotspotTraffic, hotspots=(0, 36),
+                                fraction=0.3)
+
+    def run(backend):
+        config = FabricConfig(topology="torus", ports=64, flow_control="vc",
+                              n_vcs=2, backend=backend)
+        return observed_run(config, 0.3, 4, 3, traffic=traffic)
+    array_events, array_final = run("array")
+    dispatch_events, dispatch_final = run("dispatch")
+    assert array_events == dispatch_events
+    assert array_final == dispatch_final
+    grants = Counter((tick, router) for tick, name, router, *_rest
+                     in array_events if name == "arbitration_grant")
+    assert max(grants.values()) >= 2
+    starving = defaultdict(set)
+    for tick, name, router, *_rest in array_events:
+        if name == "credit_exhausted":
+            starving[tick].add(router)
+    assert max(len(routers) for routers in starving.values()) >= 2
+
+
 def test_telemetry_byte_identical():
     dispatch = run_traffic("torus", "wormhole", None, True, "dispatch",
                            telemetry=True)
     array = run_traffic("torus", "wormhole", None, True, "array",
+                        telemetry=True)
+    assert array == dispatch
+
+
+def test_vc_telemetry_byte_identical():
+    """The metrics registry probes every flit wire, so the VC engine
+    runs in write-through through its one grant phase; the registry
+    must serialise exactly as it does under dispatch."""
+    from repro.telemetry import attach_metrics
+    net = _config("torus", "vc", "dateline", True, "array").build()
+    attach_metrics(net)
+    net.engine.refresh_observers()
+    assert net.engine._write_through
+    dispatch = run_traffic("torus", "vc", "dateline", True, "dispatch",
+                           telemetry=True)
+    array = run_traffic("torus", "vc", "dateline", True, "array",
                         telemetry=True)
     assert array == dispatch
 

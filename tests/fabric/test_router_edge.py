@@ -174,9 +174,11 @@ ROUTER_EVENTS = ("arbitration_grant", "credit_exhausted", "lock_acquire",
                  "lock_release", "vc_allocated")
 
 
-def observed_run(config, load, size_flits, seed, cycles=30):
-    """Run uniform traffic with every router event subscribed; returns
-    the event sequence and the final observable state."""
+def observed_run(config, load, size_flits, seed, cycles=30,
+                 traffic=UniformRandom):
+    """Run ``traffic`` (uniform by default) with every router event
+    subscribed; returns the event sequence and the final observable
+    state."""
     net = config.build()
     events = []
     packet_ids = {}   # raw ids are process-global: renumber first-seen
@@ -196,7 +198,7 @@ def observed_run(config, load, size_flits, seed, cycles=30):
 
     for name in ROUTER_EVENTS:
         net.kernel.subscribe(name, record(name))
-    schedule = UniformRandom(config.ports, load, size_flits=size_flits) \
+    schedule = traffic(config.ports, load, size_flits=size_flits) \
         .generate(cycles, np.random.default_rng(seed))
     apply_traffic(net, schedule, run_cycles=cycles, drain_ticks=100_000)
     assert len(net.delivered) == len(schedule)   # drained

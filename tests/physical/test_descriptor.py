@@ -1,0 +1,146 @@
+"""``PhysicalModel.pair_costs``: the batched path walk against a scalar
+reference, bit for bit.
+
+The reference steps one pair at a time with the routing strategy's
+scalar form (``routing.for_node``) over the topology's link table and
+adds lengths and switch prices left to right. Every registered credit
+build — mesh, torus and ring, wormhole and VC, a staged router and
+segmented links — must agree with ``==`` on every (src, dest) pair.
+"""
+
+import numpy as np
+import pytest
+
+from repro.errors import ConfigurationError
+from repro.fabric.registry import FabricConfig, get_topology, topology_names
+from repro.fabric.routing import EAST, LOCAL, RoutingStrategy
+from repro.noc.flit import Flit, FlitKind
+from repro.noc.floorplan import segment_count
+from repro.physical.descriptor import physical_model
+from repro.physical.power import router_energy_pj_per_flit
+
+PORTS = {"mesh": 16, "torus": 16, "ring": 10}
+#: A die whose tile pitches are not exact binary fractions, so a sum
+#: taken in another order rounds differently on some pairs.
+DIE = {"chip_width_mm": 7.3, "chip_height_mm": 5.9}
+
+
+def credit_builds():
+    """(topology, FabricConfig kwargs) over every registered credit
+    fabric and flow control, plus the staged and segmented variants."""
+    builds = []
+    for name in topology_names():
+        entry = get_topology(name)
+        if not entry.supports_pipeline:
+            continue
+        for flow in entry.flow_control:
+            kwargs = {"flow_control": "vc", "n_vcs": 2} if flow == "vc" else {}
+            builds.append((name, kwargs))
+            builds.append((name, {**kwargs, "pipeline_depth": 2}))
+            builds.append((name, {**kwargs, "segment_links": True}))
+    return builds
+
+
+def reference_costs(model, src, dest):
+    """(hops, length_mm, switch_pj, buffered_hops, stage_registers) of
+    one pair, walked hop by hop with the scalar route functions."""
+    net = model.network
+    plan = net.floorplan
+    table = {}
+    for a, a_port, b, b_port in net.topology.links():
+        length = plan.link_length(a, a_port)
+        table[a, a_port] = (b, length)
+        table[b, b_port] = (a, length)
+    head = Flit(FlitKind.HEAD, src, dest, packet_id=0, seq=0)
+    nodes = [src]
+    lengths = [plan.link_length(src, LOCAL)]
+    while nodes[-1] != dest:
+        port = net.routing.for_node(nodes[-1])(head)
+        node, length = table[nodes[-1], port]
+        nodes.append(node)
+        lengths.append(length)
+    lengths.append(plan.link_length(dest, LOCAL))
+    length_mm = 0.0
+    for length in lengths:
+        length_mm += length
+    ports = model.router_port_counts()
+    switch_pj = 0.0
+    for node in nodes:
+        switch_pj += router_energy_pj_per_flit(ports[node], model.tech)
+    stages = (net.pipeline_depth - 1) * len(nodes)
+    if net.segment_links:
+        stages += sum(segment_count(length, net.config.max_segment_mm) - 1
+                      for length in lengths)
+    return len(nodes), length_mm, switch_pj, len(nodes), stages
+
+
+def all_pairs(model):
+    n = model.endpoints
+    srcs, dests = np.divmod(np.arange(n * n), n)
+    return srcs, dests
+
+
+@pytest.mark.parametrize("name,kwargs", credit_builds())
+def test_pair_costs_equal_the_scalar_walk(name, kwargs):
+    model = physical_model(FabricConfig(topology=name, ports=PORTS[name],
+                                        **DIE, **kwargs).build())
+    srcs, dests = all_pairs(model)
+    costs = model.pair_costs(srcs, dests)
+    got = list(zip(costs.hops.tolist(), costs.length_mm.tolist(),
+                   costs.switch_pj.tolist(), costs.buffered_hops.tolist(),
+                   costs.stage_registers.tolist()))
+    expected = [reference_costs(model, src, dest)
+                for src, dest in zip(srcs.tolist(), dests.tolist())]
+    assert got == expected
+    if kwargs.get("segment_links") or kwargs.get("pipeline_depth"):
+        assert costs.stage_registers.any()
+    # The one-pair path is the same walk.
+    for src, dest, (hops, length_mm, switch_pj, _b, stages) in zip(
+            srcs.tolist(), dests.tolist(), expected):
+        profile, price = model.priced_path(src, dest)
+        assert (profile.hops, profile.length_mm, price,
+                profile.stage_registers) == (hops, length_mm, switch_pj,
+                                             stages)
+
+
+@pytest.mark.parametrize("name", ("tree", "ctree"))
+def test_tree_pair_costs_equal_priced_path(name):
+    model = physical_model(FabricConfig(topology=name, ports=16).build())
+    srcs, dests = all_pairs(model)
+    costs = model.pair_costs(srcs, dests)
+    for i, (src, dest) in enumerate(zip(srcs.tolist(), dests.tolist())):
+        profile, price = model.priced_path(src, dest)
+        assert (costs.hops[i], costs.length_mm[i], costs.switch_pj[i],
+                costs.buffered_hops[i], costs.stage_registers[i]) == (
+            profile.hops, profile.length_mm, price, profile.buffered_hops,
+            profile.stage_registers)
+
+
+class _AlwaysEast(RoutingStrategy):
+    """Never turns: on a torus a row-crossing flit circles its row."""
+
+    def for_node(self, node):
+        return lambda flit: LOCAL if flit.dest == node else EAST
+
+
+class TestBrokenStrategies:
+    """A walk that cannot reach its destination fails loudly, naming
+    the pair."""
+
+    def _model(self, name):
+        model = physical_model(FabricConfig(topology=name,
+                                            ports=16).build())
+        model.network.routing = _AlwaysEast()
+        return model
+
+    def test_a_route_that_never_arrives_raises(self):
+        model = self._model("torus")
+        with pytest.raises(ConfigurationError, match="never reaches 4 from 0"):
+            model.pair_costs([0, 0], [1, 4])
+        with pytest.raises(ConfigurationError, match="never reaches"):
+            model.path(0, 4)
+
+    def test_a_route_off_the_fabric_raises(self):
+        model = self._model("mesh")
+        with pytest.raises(ConfigurationError, match="no link"):
+            model.pair_costs([0, 2], [1, 4])
