@@ -96,34 +96,26 @@ class FabricSink(ClockedComponent):
 
     def on_edge(self, tick: int) -> None:
         payload = self._flit_wire.value
-        credit_vc = -1
-        if payload is not None and payload[1] == tick - LINK_LATENCY_TICKS:
-            if self._tag_vc:
-                flit, credit_vc = payload[0]
-            else:
-                flit, credit_vc = payload[0], 0
-            self.flits_received += 1
-            kernel = self._kernel
-            if kernel._event_subs:
-                kernel.emit("flit", flit)
-            buffer = self._assembly.setdefault(flit.packet_id, [])
-            buffer.append(flit)
-            if flit.is_tail:
-                del self._assembly[flit.packet_id]
-                packet = Packet.from_flits(buffer)
-                packet.eject_tick = tick
-                self.on_packet(packet, tick)
-                if kernel._event_subs:
-                    kernel.emit("packet", packet)
-        # Write-on-change credit returns (cf. FabricRouter): one credit
-        # on the arriving flit's VC, settle the rest once.
-        settled = False
-        for vc, wire in enumerate(self._credit_wires):
-            if vc == credit_vc:
-                wire.set((1, tick), tick)
-            elif wire.value:
-                wire.set(0, tick)
-                settled = True
-        if credit_vc < 0 and not settled:
-            # No arrival and no wire to settle: wait for the next flit.
+        if payload is None or payload[1] != tick - LINK_LATENCY_TICKS:
+            # No arrival: wait for the next flit.
             self.sleep_until(self._flit_wire)
+            return
+        if self._tag_vc:
+            flit, vc = payload[0]
+        else:
+            flit, vc = payload[0], 0
+        self.flits_received += 1
+        kernel = self._kernel
+        if kernel._event_subs:
+            kernel.emit("flit", flit)
+        buffer = self._assembly.setdefault(flit.packet_id, [])
+        buffer.append(flit)
+        if flit.is_tail:
+            del self._assembly[flit.packet_id]
+            packet = Packet.from_flits(buffer)
+            packet.eject_tick = tick
+            self.on_packet(packet, tick)
+            if kernel._event_subs:
+                kernel.emit("packet", packet)
+        # One credit back on the arriving flit's VC.
+        self._credit_wires[vc].set((1, tick), tick)

@@ -79,15 +79,17 @@ class LinkStage(GatedComponentMixin, ClockedComponent):
 
     Re-launches tick-tagged payloads one segment further each cycle:
     ``forward`` pairs carry flits downstream, ``backward`` pairs carry
-    credit counts upstream (zeroed write-on-change, exactly like the
-    routers' credit returns). One stage serves every :class:`CreditLink`
-    shape — one flit wire plus one credit wire per VC; the pair lists
-    are the only difference.
+    credit counts upstream. Each payload is relayed once, on the edge
+    its tag falls due, and the wire is never reset — the protocol
+    :class:`CreditLink` states for both directions. One stage serves
+    every :class:`CreditLink` shape — one flit wire plus one credit wire
+    per VC; the pair lists are the only difference.
 
-    Honours the idle contract: an edge that registers nothing and has no
-    stale credit wire to settle is a fixed point, and the stage sleeps
-    watching its upstream wires. Registered flits count as enabled edges
-    in the gating statistics (the stage is a clocked register bank).
+    Honours the idle contract: an edge that registers no flit is a fixed
+    point (a relayed credit leaves nothing to undo), and the stage
+    sleeps watching its upstream wires. Registered flits count as
+    enabled edges in the gating statistics (the stage is a clocked
+    register bank).
     """
 
     def __init__(self, kernel: SimKernel, name: str,
@@ -103,7 +105,6 @@ class LinkStage(GatedComponentMixin, ClockedComponent):
 
     def on_edge(self, tick: int) -> None:
         enabled = False   # a flit crossed the register bank
-        active = False    # anything at all happened (sleep decision)
         for src, dst in self._forward:
             payload = src.value
             if payload is None:
@@ -113,20 +114,12 @@ class LinkStage(GatedComponentMixin, ClockedComponent):
                 dst.set((value, tick), tick)
                 enabled = True
         for src, dst in self._backward:
-            count = 0
             payload = src.value
-            if payload is not None and payload != 0:
-                value, sent_tick = payload
-                if sent_tick == tick - LINK_LATENCY_TICKS:
-                    count = value
-            if count:
-                dst.set((count, tick), tick)
-                active = True
-            elif dst.value != 0:
-                dst.set(0, tick)  # settle a stale credit wire, once
-                active = True
+            if payload and payload[1] == tick - LINK_LATENCY_TICKS \
+                    and payload[0]:
+                dst.set((payload[0], tick), tick)
         self.record_edge(tick, enabled)
-        if not enabled and not active:
+        if not enabled:
             self.sleep_until(*self._watch)
 
 
@@ -168,11 +161,13 @@ class CreditLink:
       every later one. A flit wire is never reset: the tick tag alone
       tells a fresh payload from the last one.
     * *Upstream.* At tick ``t`` the consumer returns ``n`` credits for
-      ``vc`` with ``credits_out[vc].set((n, t), t)``. On an edge with no
-      return it settles a wire whose committed value is not ``0`` with
-      ``set(0, t)`` — once, so an idle endpoint drives nothing
-      (write-on-change). The producer reads ``credits[vc].value``: ``0``
-      when idle, else ``(n, sent_tick)``, due under the same tag rule.
+      ``vc`` with ``credits_out[vc].set((n, t), t)``; an edge with no
+      return drives nothing. The producer reads ``credits[vc].value``:
+      ``0`` before the first return, else ``(n, sent_tick)``, due under
+      the same tag rule. Like a flit wire, a credit wire is never
+      reset: it keeps its last return, and the tag alone tells a fresh
+      one from a stale one. A sleeping producer still wakes on every
+      return, because a new tag always differs from the old one.
 
     ``send_flit`` and ``send_credits`` state the two drives as calls,
     for callers outside the hot loops (the array backend's write-through,

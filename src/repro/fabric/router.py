@@ -34,7 +34,8 @@ arrivals and returns credits. Only connected ports are polled; their
 wires are laid out once, at the first edge after wiring, and read and
 driven directly under :class:`~repro.fabric.link.CreditLink`'s wire
 protocol. Single-VC routes are memoised per destination
-(:class:`~repro.fabric.routing.RouteMemo`).
+(:class:`~repro.fabric.routing.RouteMemo`), VC candidates per input VC
+and flow (:class:`~repro.fabric.routing.VcCandidateMemo`).
 
 **Pipelined router.** ``pipeline_depth=1`` (the default) is the
 historical single-cycle router: route, arbitrate, and traverse all happen
@@ -49,12 +50,13 @@ a router never sleeps with a flit between grant and link). The payoff is
 clock frequency, priced in :mod:`repro.timing.frequency` — each of the N
 stages covers ``1/N`` of the router logic plus one register overhead.
 
-Routers honour the idle-component contract (docs/kernel.md): signals are
-driven write-on-change (a credit wire is zeroed once after a return, then
-left alone), so an edge that receives nothing, forwards nothing, and has
-nothing buffered is a fixed point — the router sleeps watching its input
-flit wires and output credit wires, and fabric-heavy sweeps benefit from
-the kernel's activity-driven fast path. Skipped edges are backfilled into
+Routers honour the idle-component contract (docs/kernel.md): a wire is
+driven only to send something (a credit wire, like a flit wire, keeps
+its last tick-tagged return and is never reset), so an edge that
+receives nothing, forwards nothing, and has nothing buffered is a fixed
+point — the router sleeps watching its input flit wires and output
+credit wires, and fabric-heavy sweeps benefit from the kernel's
+activity-driven fast path. Skipped edges are backfilled into
 the gating statistics via the shared
 :class:`~repro.sim.component.GatedComponentMixin`.
 
@@ -110,6 +112,7 @@ from repro.fabric.routing import (
     RouteMemo,
     RoutingStrategy,
     VcCandidateFn,
+    VcCandidateMemo,
 )
 from repro.noc.flit import Flit
 from repro.sim.component import ClockedComponent, GatedComponentMixin
@@ -120,6 +123,25 @@ from repro.sim.signal import Signal
 def _va_walk_order(pair: tuple[int, int]) -> tuple[int, int]:
     """VC allocation serves output VCs port ascending, VC descending."""
     return pair[0], -pair[1]
+
+
+def _collect_requests(slots: tuple) -> tuple[list, dict]:
+    """One pass over a VC router's input slots (``(in_port, in_vc, fifo,
+    allocation row)``, ascending): the occupied input VCs without an
+    output VC (``pending``), and the rest bucketed as ``(in_port, in_vc,
+    out_vc)`` under the output port they hold (``wants``)."""
+    pending = []
+    wants: dict[int, list[tuple[int, int, int]]] = {}
+    for slot in slots:
+        if slot[2]:
+            in_port, in_vc, _fifo, row = slot
+            held = row[in_vc]
+            if held is None:
+                pending.append(slot)
+            else:
+                wants.setdefault(held[0], []).append(
+                    (in_port, in_vc, held[1]))
+    return pending, wants
 
 
 class FabricRouter(GatedComponentMixin, ClockedComponent):
@@ -171,7 +193,9 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         # Single-VC routes, memoised per destination (a route reads only
         # the flit's destination).
         self._route = RouteMemo(route) if route is not None else None
-        self._candidates = candidates
+        # VC candidates, memoised per (in_port, in_vc, dest, src).
+        self._candidates = (VcCandidateMemo(candidates)
+                            if candidates is not None else None)
         # Bubble flow control (single-VC only): the strategy deciding
         # which in->out pairs are same-ring transit; None disables the
         # rule (acyclic fabrics, and every VC regime — dateline/escape
@@ -216,9 +240,9 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         self._gating = GatingStats()
         self.flits_forwarded = 0
         self.vcs_allocated = 0
-        # (inputs, outputs, watch list) of the connected ports, laid out
-        # at the first edge after a connect() (see _lay_out_wires); None
-        # = not yet.
+        # (inputs, outputs, watch list, input VC slots) of the connected
+        # ports, laid out at the first edge after a connect() (see
+        # _lay_out_wires); None = not yet.
         self._wires: tuple | None = None
         # register=False leaves the router unscheduled (an array backend
         # executes its semantics instead); state and wiring are identical.
@@ -274,21 +298,27 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
     def _lay_out_wires(self) -> tuple:
         """What on_edge reads and drives every edge, connected ports
         only: (port, arriving-flit wire, credit-return wires) per input,
-        (port, departing-flit wire, credit wires) per output, and the
-        signals to watch while asleep. Deferred to the first edge so
-        unscheduled routers (array backend) and the connect() calls
-        before the last one pay nothing."""
+        (port, departing-flit wire, (vc, credit wire) pairs) per output,
+        the signals to watch while asleep, and (VC regime) one
+        ``(in_port, in_vc, fifo, allocation row)`` slot per input VC.
+        ``sync_back`` refills FIFOs and rows in place, so the slots stay
+        valid. Deferred to the first edge so unscheduled routers (array
+        backend) and the connect() calls before the last one pay
+        nothing."""
         inputs = tuple(
             (p, link.flit, tuple(link.credits_out))
             for p, link in enumerate(self.in_links) if link is not None)
         outputs = tuple(
-            (p, link.flit_in, tuple(link.credits))
+            (p, link.flit_in, tuple(enumerate(link.credits)))
             for p, link in enumerate(self.out_links) if link is not None)
         # Anything arriving (flits in, credits back) makes the next edge
         # act again.
         watch = tuple(flit_wire for _p, flit_wire, _c in inputs) + \
-            tuple(wire for _p, _f, wires in outputs for wire in wires)
-        self._wires = (inputs, outputs, watch)
+            tuple(wire for _p, _f, pairs in outputs for _vc, wire in pairs)
+        slots = () if self.n_vcs == 1 else tuple(
+            (p, vc, self.fifos[p][vc], self.allocation[p])
+            for p, _f, _c in inputs for vc in range(self.n_vcs))
+        self._wires = (inputs, outputs, watch, slots)
         return self._wires
 
     def _drain_stages(self, tick: int) -> bool:
@@ -309,9 +339,9 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         """One router edge (docs/fabric.md, "One router edge"). The
         single-VC edge runs right here, one call per router and cycle
         on the loaded path; the VC regime's edge is :meth:`_edge_vc`."""
-        inputs, outputs, watch = self._wires or self._lay_out_wires()
+        inputs, outputs, watch, slots = self._wires or self._lay_out_wires()
         if self.n_vcs != 1:
-            self._edge_vc(tick, inputs, outputs, watch)
+            self._edge_vc(tick, inputs, outputs, watch, slots)
             return
         enabled = False   # register-bank activity (gating statistics)
         active = False    # anything at all happened (sleep decision)
@@ -338,7 +368,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         returned = [0] * self.n_ports
         ring = self._ring_transit
         allocator = self.allocator
-        for out_port, out_wire, (credit_wire,) in outputs:
+        for out_port, out_wire, ((_vc, credit_wire),) in outputs:
             # Tick-tagged credits: consumed exactly once.
             payload = credit_wire.value
             if payload and payload[1] == due and payload[0]:
@@ -421,9 +451,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                         "packet_id": flit.packet_id,
                     })
         # 3. Accept arrivals (the credit scheme guarantees FIFO space) and
-        # return credits upstream for dequeued flits — write-on-change: a
-        # stale credit wire is zeroed once, then left alone, so an idle
-        # router drives nothing.
+        # return credits upstream for dequeued flits. A credit wire keeps
+        # its last return, so an edge without a dequeue drives nothing.
         for port, flit_wire, (credit_wire,) in inputs:
             payload = flit_wire.value
             if payload is not None and payload[1] == due:
@@ -436,10 +465,6 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                 enabled = True
             if returned[port]:
                 credit_wire.set((returned[port], tick), tick)
-                active = True
-            elif credit_wire.value:
-                credit_wire.set(0, tick)
-                active = True
         self.record_edge(tick, enabled)
         if not enabled and not active:
             # Fixed point: nothing arrived, nothing moved, every wire we
@@ -477,34 +502,28 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
 
     # -- the virtual-channel edge ----------------------------------------
 
-    def _edge_vc(self, tick: int, inputs, outputs, watch) -> None:
+    def _edge_vc(self, tick: int, inputs, outputs, watch, slots) -> None:
         enabled = False   # register-bank activity (gating statistics)
         active = False    # anything at all happened (sleep decision)
         observed = self._kernel._event_subs   # truthy iff any listener
         due = tick - LINK_LATENCY_TICKS   # sent-tag of payloads landing now
         n_vcs = self.n_vcs
         credits, fifos, allocation = self.credits, self.fifos, self.allocation
+        starved = self._starved
+        delay = 2 * (self.pipeline_depth - 1)   # stage registers, in ticks
         if self._stage_queue:
             enabled = self._drain_stages(tick)
             # In-flight stage state: never sleep on it.
             active = bool(self._stage_queue)
-        occupied = [(in_port, in_vc)
-                    for in_port, port_fifos in enumerate(fifos)
-                    for in_vc, fifo in enumerate(port_fifos) if fifo]
-        # 1. VC allocation: head flits without an output VC acquire one.
-        pending = [(in_port, in_vc) for in_port, in_vc in occupied
-                   if allocation[in_port][in_vc] is None]
+        # 1. One pass over the occupied input VCs: those without an output
+        # VC go to VC allocation, the rest are bucketed under the output
+        # port they hold. 2. An allocation changes the buckets, so they
+        # are collected again, keeping them ascending by (in_port, in_vc)
+        # — the order starvation reports keep.
+        pending, wants = _collect_requests(slots)
         if pending and self._allocate_vcs(pending, observed):
             enabled = True
-        # 2. Request collection: bucket the input VCs holding an
-        # allocation (ascending, the order starvation reports keep)
-        # under the output port it names.
-        wants: dict[int, list[tuple[int, int, int]]] = {}
-        for in_port, in_vc in occupied:
-            held = allocation[in_port][in_vc]
-            if held is not None:
-                wants.setdefault(held[0], []).append(
-                    (in_port, in_vc, held[1]))
+            _pending, wants = _collect_requests(slots)
         # 3. One pass over the connected outputs, ascending: collect the
         # output's per-VC credit returns, then switch-allocate it if
         # anyone wants it. One crossbar pass per input port and edge:
@@ -514,12 +533,12 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         allocator = self.allocator
         for out_port, out_wire, credit_wires in outputs:
             port_credits = credits[out_port]
-            for vc, credit_wire in enumerate(credit_wires):
+            for vc, credit_wire in credit_wires:
                 payload = credit_wire.value
                 if payload and payload[1] == due and payload[0]:
                     port_credits[vc] += payload[0]
                     active = True
-                    self._starved[out_port][vc] = False
+                    starved[out_port][vc] = False
             requesters = wants.get(out_port)
             if requesters is None:
                 continue
@@ -554,14 +573,13 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                 out_vc = out_vc_of[winner]
             flit = fifos[in_port][in_vc].popleft()
             popped[in_port] = in_vc
-            if self.pipeline_depth == 1:
-                out_wire.set(((flit, out_vc), tick), tick)
-            else:
+            if delay:
                 # Grant now (credits, VC locks, arbiter state — the
                 # decision stage), traverse after the stage registers.
                 self._stage_queue.append(
-                    (tick + 2 * (self.pipeline_depth - 1), out_wire,
-                     (flit, out_vc)))
+                    (tick + delay, out_wire, (flit, out_vc)))
+            else:
+                out_wire.set(((flit, out_vc), tick), tick)
             port_credits[out_vc] -= 1
             self.flits_forwarded += 1
             enabled = True
@@ -581,7 +599,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                         "packet_id": flit.packet_id,
                     })
         # 4. Accept arrivals into the per-VC FIFOs and return credits
-        # upstream, write-on-change per VC wire.
+        # upstream: one drive, on the popped VC's wire (credit wires keep
+        # their last return, so the other VCs' wires are left alone).
         for port, flit_wire, return_wires in inputs:
             payload = flit_wire.value
             if payload is not None and payload[1] == due:
@@ -593,14 +612,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                     )
                 fifos[port][vc].append(flit)
                 enabled = True
-            popped_vc = popped.get(port)
-            for vc, credit_wire in enumerate(return_wires):
-                if vc == popped_vc:
-                    credit_wire.set((1, tick), tick)
-                    active = True
-                elif credit_wire.value:
-                    credit_wire.set(0, tick)
-                    active = True
+            if port in popped:
+                return_wires[popped[port]].set((1, tick), tick)
         self.record_edge(tick, enabled)
         if not enabled and not active:
             # Fixed point: ownership only changes when a tail is
@@ -611,12 +624,12 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
 
     # -- VC allocation ---------------------------------------------------
 
-    def _allocate_vcs(self, pending: list[tuple[int, int]],
-                      observed: bool) -> bool:
+    def _allocate_vcs(self, pending: list[tuple], observed: bool) -> bool:
         """Stage one: grant free output VCs to waiting head flits.
 
-        Requests are collected per ``pending`` input VC (occupied, no
-        allocation yet; ascending) from its policy candidates —
+        Requests are collected per ``pending`` input slot (an occupied
+        input VC with no allocation yet; ascending) from its policy
+        candidates, memoised per ``(in_port, in_vc, dest, src)`` —
         preferred pairs while any is free, escape fallback otherwise —
         then the requested output VCs are walked in a fixed order (port
         ascending, VC descending) granting via the allocator's VC stage
@@ -625,16 +638,18 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         """
         n_vcs = self.n_vcs
         vc_owner, out_links = self.vc_owner, self.out_links
+        candidates = self._candidates
         want: dict[tuple[int, int], list[int]] = {}
-        for in_port, in_vc in pending:
-            head = self.fifos[in_port][in_vc][0]
+        for in_port, in_vc, fifo, _row in pending:
+            head = fifo[0]
             if not head.is_head:
                 raise RoutingError(
                     f"{self.name}: body flit {head} without an "
                     f"allocation on {self.port_name(in_port)} "
                     f"vc{in_vc}"
                 )
-            preferred, fallback = self._candidates(in_port, in_vc, head)
+            preferred, fallback = candidates[in_port, in_vc, head.dest,
+                                             head.src]
             requested = [
                 pair for pair in preferred
                 if vc_owner[pair[0]][pair[1]] is None

@@ -122,6 +122,36 @@ class RouteMemo(dict):
         return self[flit.dest]
 
 
+class VcCandidateMemo(dict):
+    """One VC router's candidate function, memoised per head.
+
+    A candidate function reads the input port and VC and the head's
+    ``dest`` and ``src`` — exactly the arguments
+    :meth:`VcPolicy.candidate_masks` maps, priority flows included — so
+    ``memo[in_port, in_vc, dest, src]`` answers from the dict after the
+    first head with that key, as :class:`RouteMemo` does for routes. A
+    miss asks ``candidates`` with the head flit the array-form default
+    builds; a call that raises is never stored. Answers are stored as
+    ``(preferred, fallback)`` tuples, one copy per distinct answer, so a
+    flow costs the memo a key and a dict slot.
+    """
+
+    __slots__ = ("candidates", "_answers")
+
+    def __init__(self, candidates: VcCandidateFn):
+        super().__init__()
+        self.candidates = candidates
+        self._answers: dict = {}
+
+    def __missing__(self, key: tuple[int, int, int, int]):
+        in_port, in_vc, dest, src = key
+        preferred, fallback = self.candidates(in_port, in_vc,
+                                              _head_flit(src, dest))
+        pairs = (tuple(preferred), tuple(fallback))
+        pairs = self[key] = self._answers.setdefault(pairs, pairs)
+        return pairs
+
+
 class RoutingStrategy:
     """Base class: structure-aware routing, one route function per node.
 

@@ -162,6 +162,49 @@ class TestSameEdgeDoubleGrant:
         assert router.buffered_flits == 0
 
 
+class TestVcRequestOrder:
+    """The VC edge buckets requests in one pass over the occupied input
+    VCs and collects them again after an allocation, so each output's
+    requesters stay ascending by (in_port, in_vc)."""
+
+    def test_an_allocation_joins_the_holder_of_the_same_output(self):
+        kernel, router, _in_links, out_links = hand_router(3, n_vcs=2)
+        fresh = flit(FlitKind.SINGLE, dest=2, packet_id=1)
+        held = flit(FlitKind.TAIL, dest=2, packet_id=2, seq=1)
+        router.fifos[0][0].append(fresh)
+        router.fifos[1][0].append(held)
+        router.allocation[1][0] = (2, 0)   # packet 2 holds out 2, VC 0
+        router.vc_owner[2][0] = (1, 0)
+        allocated = []
+        kernel.subscribe("vc_allocated", lambda tick, data: allocated.append(
+            (tick, data["input"], data["output"], data["vc"])))
+        kernel.run_ticks(1)
+        # Input 0 got out 2's free VC on this edge and requested out 2
+        # beside input 1: the arbiter (pointer at the last input) serves
+        # the lower one first, the other on the next edge.
+        assert allocated == [(0, 0, 2, 1)]
+        assert launched(out_links[2], 0) is fresh
+        kernel.run_ticks(2)
+        assert launched(out_links[2], 2) is held
+        assert router.buffered_flits == 0
+
+    @pytest.mark.parametrize("out_vcs", ((0, 1), (1, 0)))
+    def test_starved_output_vcs_report_in_requester_order(self, out_vcs):
+        kernel, router, _in_links, _out_links = hand_router(3, n_vcs=2)
+        for in_port, out_vc in zip((0, 1), out_vcs):
+            router.fifos[in_port][0].append(
+                flit(FlitKind.SINGLE, dest=2, packet_id=in_port))
+            router.allocation[in_port][0] = (2, out_vc)
+            router.vc_owner[2][out_vc] = (in_port, 0)
+        router.credits[2] = [0, 0]
+        starved = []
+        kernel.subscribe("credit_exhausted", lambda tick, data: starved.append(
+            (data["input"], data["vc"])))
+        kernel.run_ticks(1)
+        assert starved == [(0, out_vcs[0]), (1, out_vcs[1])]
+        assert router.flits_forwarded == 0
+
+
 def test_connect_rejects_a_link_with_another_vc_count():
     """The router unpacks arriving payloads by its own ``n_vcs``; a link
     tagged differently must fail at wiring time, not mid-run."""

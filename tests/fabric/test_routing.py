@@ -21,6 +21,7 @@ from repro.fabric.routing import (
     RouteMemo,
     RoutingStrategy,
     TorusXYRouting,
+    VcCandidateMemo,
     VcPolicy,
     XYRouting,
 )
@@ -333,6 +334,73 @@ def test_route_memo_equals_the_scalar_route_and_route_array(topology, extra):
                 == scalar
             assert scalar == [routing.for_node(node)(flit_to(dest))
                               for dest in dests]
+
+
+#: Every registered VC build: both policies on every topology that has
+#: them, escape re-entry, and a weighted reservation on the priority lane
+#: (whose candidates depend on the source as well as the destination).
+VC_MEMO_BUILDS = (
+    ("mesh", 9, {}),
+    ("mesh", 9, {"allocator": "escape-reentry"}),
+    ("mesh", 9, {"n_vcs": 3, "allocator": "weighted",
+                 "reservations": ((2, 0.5),),
+                 "priority_flows": ((0, 8), (4, 8), (8, 0))}),
+    ("torus", 16, {}),
+    ("torus", 16, {"vc_policy": "escape", "n_vcs": 3}),
+    ("ring", 8, {}),
+)
+
+
+@pytest.mark.parametrize("topology, ports, extra", VC_MEMO_BUILDS,
+                         ids=("mesh", "mesh-reentry", "mesh-priority",
+                              "torus", "torus-escape", "ring"))
+def test_vc_candidate_memo_equals_the_scalar_candidates_and_masks(
+        topology, ports, extra):
+    net = FabricConfig(topology=topology, ports=ports, flow_control="vc",
+                       **extra).build()
+    policy = net.vc_policy
+    ends = range(net.endpoints)
+    keys = [(in_port, in_vc, dest, src)
+            for in_port in range(policy.n_ports)
+            for in_vc in range(policy.n_vcs) for dest in ends for src in ends]
+    in_ports, in_vcs, dests, srcs = (np.array(column)
+                                     for column in zip(*keys))
+    for node, router in enumerate(net.routers):
+        memo = router._candidates
+        assert isinstance(memo, VcCandidateMemo)
+        masks = policy.candidate_masks(np.full(len(keys), node), in_ports,
+                                       in_vcs, dests, srcs)
+        rows = zip(keys, *(pair_sets(mask) for mask in masks))
+        for key, preferred, fallback in rows:
+            in_port, in_vc, dest, src = key
+            miss = memo[key]
+            assert memo[key] is miss   # a hit answers from the dict
+            scalar = memo.candidates(in_port, in_vc, flit_to(dest, src=src))
+            assert miss == tuple(map(tuple, scalar)), key
+            assert (set(miss[0]), set(miss[1])) == (preferred, fallback), key
+        assert len(memo) == len(keys)
+        # One stored copy per distinct answer.
+        assert len({id(answer) for answer in memo.values()}) \
+            == len(set(memo.values()))
+
+
+def test_a_raising_candidate_call_is_never_memoised():
+    calls = []
+
+    def candidates(in_port, in_vc, head):
+        calls.append(head.dest)
+        if head.dest == 7:
+            raise RoutingError("no route to 7")
+        return [(1, 0)], []
+
+    memo = VcCandidateMemo(candidates)
+    for _ in range(2):
+        with pytest.raises(RoutingError):
+            memo[0, 0, 7, 3]
+    assert (0, 0, 7, 3) not in memo
+    assert memo[0, 0, 5, 3] == (((1, 0),), ())
+    assert memo[0, 0, 5, 3] == (((1, 0),), ())
+    assert calls == [7, 7, 5]
 
 
 @pytest.mark.parametrize("topology", ("tree", "ctree"))

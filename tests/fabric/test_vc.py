@@ -15,9 +15,11 @@ Covers the headline claims:
 """
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.parallel import LoadPoint, parallel_saturation_throughput
 from repro.errors import ConfigurationError
@@ -35,9 +37,11 @@ from repro.fabric.routing import (
 )
 from repro.fabric.endpoint import FabricSink, FabricSource
 from repro.fabric.link import CreditLink
+from repro.fabric.router import FabricRouter
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.packet import Packet
 from repro.sim.kernel import SimKernel
+from repro.sim.signal import Signal
 from repro.traffic.patterns import UniformRandom
 
 
@@ -156,7 +160,15 @@ class TestVcCreditLink:
         assert link.credits[0].value == 0
         kernel.run_ticks(6)
         assert sink.flits_received == 1
-        assert link.credits[1].value == 0   # settled once, at tick 4
+        # Never reset: the wire keeps its last return, stale by its tag.
+        assert link.credits[1].value == (1, 2)
+        assert link.credits[0].value == 0
+        kernel.run_ticks(1)
+        link.send_flit(head_to(1, packet_id=1), 1, tick=kernel.tick)  # 10
+        kernel.run_ticks(4)
+        assert sink.flits_received == 2
+        assert link.credits[1].value == (1, 12)   # a new tag, same count
+        assert link.credits[0].value == 0
 
     def test_credits_travel_per_vc(self):
         kernel = SimKernel()
@@ -168,6 +180,71 @@ class TestVcCreditLink:
         assert link.credits[0].value == 0
         kernel.run_ticks(6)
         assert source.credits == 1   # collected once, at tick 2
+
+    @pytest.mark.parametrize("activity_driven", (True, False))
+    def test_segmented_returns_are_relayed_once_per_stage(self,
+                                                          activity_driven):
+        """Every credit-wire write on a 3-segment link: the consumer's
+        return, then one relay per stage on the edge it falls due, and
+        nothing else — an idle stage drives nothing, in either mode."""
+        kernel = SimKernel(activity_driven=activity_driven)
+        link = CreditLink(kernel, "l", n_vcs=2, segments=3)
+        drives = []
+        original = Signal.set
+
+        def recording_set(signal, value, tick=None):
+            if ".credit" in signal.name:
+                drives.append((kernel.tick, signal.name, value))
+            original(signal, value, tick)
+
+        with mock.patch.object(Signal, "set", recording_set):
+            link.send_credits(1, 1, tick=0)
+            kernel.run_ticks(20)
+            link.send_credits(0, 2, tick=20)
+            kernel.run_ticks(40)
+        assert drives == [
+            (0, "l.credit1.s2", (1, 0)),
+            (2, "l.credit1.s1", (1, 2)),
+            (4, "l.credit1", (1, 4)),
+            (20, "l.credit0.s2", (2, 20)),
+            (22, "l.credit0.s1", (2, 22)),
+            (24, "l.credit0", (2, 24)),
+        ]
+        if activity_driven:
+            assert all(stage._asleep for stage in link.stages)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(returns=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 24)),
+                            unique=True),
+           segments=st.sampled_from((1, 3)))
+    def test_every_return_tag_is_collected_once(self, returns, segments):
+        """Credit wires keep their last return, so a reader awake on every
+        edge (the naive kernel) sees each one long after it fell due; the
+        tag alone must make a source and a VC router collect it once, and
+        the activity-driven kernel must collect exactly the same."""
+        def collect(activity_driven):
+            kernel = SimKernel(activity_driven=activity_driven)
+            to_source = CreditLink(kernel, "s", n_vcs=2, segments=segments)
+            source = FabricSource(kernel, "source", to_source, credits=0,
+                                  vc=1)
+            to_router = CreditLink(kernel, "r", n_vcs=2, segments=segments)
+            router = FabricRouter(kernel, "router", n_ports=2, n_vcs=2,
+                                  candidates=lambda port, vc, head: ([], []))
+            router.connect(1, None, to_router)
+            by_tick = {}
+            for vc, cycle in returns:
+                by_tick.setdefault(2 * cycle, []).append(vc)
+            for tick in range(2 * 24 + 4 * segments + 8):
+                for vc in by_tick.get(tick, ()):
+                    to_source.send_credits(vc, 1, tick)
+                    to_router.send_credits(vc, 1, tick)
+                kernel.run_ticks(1)
+            return source.credits, router.credits[1]
+
+        per_vc = [sum(vc == v for vc, _cycle in returns) for v in (0, 1)]
+        naive = collect(False)
+        assert naive == (per_vc[1], [4 + per_vc[0], 4 + per_vc[1]])
+        assert collect(True) == naive
 
 
 def _run_uniform(config, cycles=50, load=0.3, size_flits=6, seed=9):
