@@ -1,18 +1,10 @@
 """The 2-phase valid/accept handshake channel (paper Section 5).
 
 A channel bundles three wires between a producer and a consumer clocked at
-opposite edges:
-
-* ``data`` + ``valid`` travel downstream (producer -> consumer),
-* ``accept`` travels upstream (consumer -> producer).
-
-Level-sensitive semantics, with the clock edge as trigger event: the
-producer holds ``data``/``valid`` stable until it observes ``accept``; the
-consumer asserts ``accept`` for exactly the half-period following an edge at
-which it latched the data. Because the two ends use alternating edges, the
-producer can "send the data, and receive acknowledgment from the next
-stage, within the same clock cycle" — full-speed streaming without stall
-buffers or double-rate clocks.
+opposite edges, with the clock edge as trigger event. Because the two ends
+use alternating edges, the producer can "send the data, and receive
+acknowledgment from the next stage, within the same clock cycle" —
+full-speed streaming without stall buffers or double-rate clocks.
 """
 
 from __future__ import annotations
@@ -23,13 +15,27 @@ from repro.sim.signal import Signal
 
 
 class HandshakeChannel:
-    """One unidirectional flit channel with valid/accept flow control."""
+    """One unidirectional flit channel with valid/accept flow control.
+
+    The wire protocol, level-sensitive: at each of its edges the
+    producer drives ``valid`` (True exactly while ``data`` holds a flit)
+    and ``data``, holding the flit until it sees ``accept``; the consumer
+    drives ``accept``, True for the half-period after the edge that
+    latched the flit. Re-driving the committed object (a waiting flit, an
+    idle ``False``) is a *held* drive: :meth:`Signal.set` commits nothing
+    for it, and a different drive later in that tick still raises. The
+    hot loops (pipeline stages, switch cores, NIs) take :attr:`wires`
+    once, read ``.value`` and call ``set``; the methods below serve
+    faults, debug tools and tests.
+    """
 
     def __init__(self, kernel: SimKernel, name: str):
         self.name = name
         self._valid = kernel.signal(f"{name}.valid", initial=False)
         self._data = kernel.signal(f"{name}.data", initial=None)
         self._accept = kernel.signal(f"{name}.accept", initial=False)
+        #: ``(valid, data, accept)``, for the components' edge loops.
+        self.wires = (self._valid, self._data, self._accept)
 
     # -- watchable wires (for the idle-component contract) ---------------
 

@@ -26,6 +26,7 @@ class NISource(ClockedComponent):
                  downstream: HandshakeChannel):
         super().__init__(name, parity)
         self.downstream = downstream
+        self._valid, self._data, self._accept = downstream.wires
         self._packets: deque[Packet] = deque()
         self._flits: deque[Flit] = deque()
         self._current: Packet | None = None
@@ -49,7 +50,7 @@ class NISource(ClockedComponent):
         return len(self._packets)
 
     def on_edge(self, tick: int) -> None:
-        if self.driving is not None and self.downstream.accepted:
+        if self.driving is not None and self._accept.value:
             self.flits_sent += 1
             self.driving = None
         if self.driving is None:
@@ -59,7 +60,8 @@ class NISource(ClockedComponent):
                 self._flits.extend(self._current.to_flits())
             if self._flits:
                 self.driving = self._flits.popleft()
-        self.downstream.drive(self.driving, tick)
+        self._valid.set(self.driving is not None, tick)
+        self._data.set(self.driving, tick)
         if self.driving is None and not self._flits and not self._packets:
             # Empty egress: nothing happens until the next submit().
             self.sleep_until()
@@ -78,6 +80,7 @@ class NISink(ClockedComponent):
                  on_packet: Callable[[Packet, int], None] | None = None):
         super().__init__(name, parity)
         self.upstream = upstream
+        self._valid, self._data, self._accept = upstream.wires
         self.on_packet = on_packet
         self._assembly: dict[int, list[Flit]] = {}
         self.delivered: list[Packet] = []
@@ -85,12 +88,12 @@ class NISink(ClockedComponent):
         kernel.add_component(self)
 
     def on_edge(self, tick: int) -> None:
-        if not self.upstream.valid:
-            self.upstream.respond(False, tick)
-            self.sleep_until(self.upstream.valid_signal)
+        if not self._valid.value:
+            self._accept.set(False, tick)
+            self.sleep_until(self._valid)
             return
-        flit = self.upstream.data
-        self.upstream.respond(True, tick)
+        flit = self._data.value
+        self._accept.set(True, tick)
         self.flits_received += 1
         self._kernel.emit("flit", flit)
         buffer = self._assembly.setdefault(flit.packet_id, [])

@@ -43,6 +43,9 @@ class PipelineStage(GatedComponentMixin, ClockedComponent):
         self.reg_valid = False
         self._gating = GatingStats()
         self.flits_passed = 0
+        self._up_valid, self._up_data, self._up_accept = upstream.wires
+        self._down_valid, self._down_data, self._down_accept = \
+            downstream.wires
         kernel.add_component(self)
 
     @property
@@ -52,26 +55,27 @@ class PipelineStage(GatedComponentMixin, ClockedComponent):
     def on_edge(self, tick: int) -> None:
         enabled = False
         # 1. Retire on downstream accept (asserted at its edge, last tick).
-        if self.reg_valid and self.downstream.accepted:
+        if self.reg_valid and self._down_accept.value:
             self.reg_valid = False
             enabled = True
         # 2. Latch from upstream if empty.
-        if not self.reg_valid and self.upstream.valid:
-            self.reg_flit = self.upstream.data
+        if not self.reg_valid and self._up_valid.value:
+            self.reg_flit = self._up_data.value
             self.reg_valid = True
             self.flits_passed += 1
-            self.upstream.respond(True, tick)
+            self._up_accept.set(True, tick)
             enabled = True
         else:
-            self.upstream.respond(False, tick)
+            self._up_accept.set(False, tick)
         # 3. Drive downstream.
-        self.downstream.drive(self.reg_flit if self.reg_valid else None, tick)
+        flit = self.reg_flit if self.reg_valid else None
+        self._down_valid.set(flit is not None, tick)
+        self._down_data.set(flit, tick)
         self.record_edge(tick, enabled)
         if not enabled:
             # A disabled edge is a fixed point: with the inputs unchanged,
             # every following edge repeats it exactly.
-            self.sleep_until(self.upstream.valid_signal,
-                             self.downstream.accept_signal)
+            self.sleep_until(self._up_valid, self._down_accept)
 
 
 class SourceStage(ClockedComponent):

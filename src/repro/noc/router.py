@@ -27,7 +27,7 @@ family on the same congestion-attribution path as the credit fabrics.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.clocking.gating import GatedComponentMixin, GatingStats
 from repro.errors import ConfigurationError, RoutingError
@@ -50,23 +50,31 @@ def round_robin_factory(output_port: int, n_inputs: int) -> Arbiter:
 class SwitchCore(GatedComponentMixin, ClockedComponent):
     """Routing + arbitration + crossbar latch, one half-cycle.
 
-    Holds one output register ("slot") per output port. At its edge it
-    retires accepted slots, routes the flits waiting on its input channels,
-    arbitrates per free output among the eligible inputs (wormhole locks
-    included) and latches at most one flit per output.
+    Holds one output register ("slot") per output port. Its edge:
+
+    1. retires the slots whose downstream stage accepted;
+    2. routes each valid input by destination through ``route`` (the
+       router's :class:`~repro.fabric.routing.RouteMemo`; a port out of
+       range or a U-turn raises) and files it under that output if the
+       slot is free and the input is the wormhole's locked one or, with
+       no lock, offers a head flit;
+    3. serves those outputs in ascending order, a lone requester through
+       :meth:`Arbiter.grant_only`, two or more through ``grant``, and
+       latches each winner's flit;
+    4. drives accept on every input and each slot downstream.
     """
 
     def __init__(self, kernel: SimKernel, name: str, parity: int,
                  inputs: Sequence[HandshakeChannel],
                  outputs: Sequence[HandshakeChannel],
-                 route: Callable[[Flit], int],
+                 route: Mapping[int, int],
                  arbiter_factory: ArbiterFactory = round_robin_factory):
         super().__init__(name, parity)
         if not inputs or not outputs:
             raise ConfigurationError("switch needs inputs and outputs")
         self.inputs = list(inputs)
         self.outputs = list(outputs)
-        self.route = route
+        self._route = route
         self.slot_flit: list[Flit | None] = [None] * len(self.outputs)
         self.slot_valid = [False] * len(self.outputs)
         self.locks: list[int | None] = [None] * len(self.outputs)
@@ -74,41 +82,48 @@ class SwitchCore(GatedComponentMixin, ClockedComponent):
                          for o in range(len(self.outputs))]
         self._gating = GatingStats()
         self.flits_switched = 0
+        # (port, valid, data, accept) per channel, laid out once.
+        self._in_wires = [(i, *ch.wires) for i, ch in enumerate(self.inputs)]
+        self._out_wires = [(o, *ch.wires)
+                           for o, ch in enumerate(self.outputs)]
         self._watch = ([ch.valid_signal for ch in self.inputs]
                        + [ch.accept_signal for ch in self.outputs])
         kernel.add_component(self)
 
     def on_edge(self, tick: int) -> None:
         enabled = False
+        slot_valid, slot_flit = self.slot_valid, self.slot_flit
         # 1. Retire slots the downstream stages accepted half a cycle ago.
-        for o, channel in enumerate(self.outputs):
-            if self.slot_valid[o] and channel.accepted:
-                self.slot_valid[o] = False
+        for o, _, _, accept in self._out_wires:
+            if slot_valid[o] and accept.value:
+                slot_valid[o] = False
                 enabled = True
-        # 2. Route waiting input flits.
-        wants: list[int | None] = [None] * len(self.inputs)
-        for i, channel in enumerate(self.inputs):
-            if channel.valid:
-                wants[i] = self._route_checked(i, channel.data)
-        # 3. Per-output arbitration and latch.
-        accepted_inputs = [False] * len(self.inputs)
-        for o in range(len(self.outputs)):
-            if self.slot_valid[o]:
-                continue  # output register still occupied
-            lock = self.locks[o]
-            if lock is not None:
-                requests = [wants[i] == o and i == lock
-                            for i in range(len(self.inputs))]
-            else:
-                requests = [wants[i] == o and self.inputs[i].data.is_head
-                            for i in range(len(self.inputs))]
-            if not any(requests):
+        # 2. Route valid inputs; file the eligible ones per wanted output.
+        wanted: dict[int, list[int]] = {}
+        for i, valid, data, _ in self._in_wires:
+            if not valid.value:
                 continue
-            winner = self.arbiters[o].grant(requests)
-            flit = self.inputs[winner].data
-            self.slot_flit[o] = flit
-            self.slot_valid[o] = True
-            accepted_inputs[winner] = True
+            flit = data.value
+            o = self._route[flit.dest]
+            if o == i or not 0 <= o < len(slot_valid):
+                what = "U-turn on" if o == i else "bad route to"
+                raise RoutingError(f"{self.name}: {what} port {o} for {flit}")
+            lock = self.locks[o]
+            if not slot_valid[o] and (lock == i
+                                      or lock is None and flit.is_head):
+                wanted.setdefault(o, []).append(i)
+        # 3. Serve the wanted outputs in ascending order and latch.
+        granted = 0  # bit i: input i's flit was latched
+        for o in sorted(wanted) if wanted else ():
+            requesters = wanted[o]
+            if len(requesters) == 1:
+                winner = self.arbiters[o].grant_only(requesters[0])
+            else:
+                winner = self.arbiters[o].grant(
+                    [i in requesters for i in range(len(self.inputs))])
+            flit = slot_flit[o] = self._in_wires[winner][2].value
+            slot_valid[o] = True
+            granted |= 1 << winner
             self.flits_switched += 1
             enabled = True
             observed = bool(self._kernel._event_subs)
@@ -133,28 +148,19 @@ class SwitchCore(GatedComponentMixin, ClockedComponent):
                         "router": self.name, "output": o,
                         "input": winner, "packet_id": flit.packet_id,
                     })
-        # 4. Drive channel signals.
-        for i, channel in enumerate(self.inputs):
-            channel.respond(accepted_inputs[i], tick)
-        for o, channel in enumerate(self.outputs):
-            channel.drive(self.slot_flit[o] if self.slot_valid[o] else None,
-                          tick)
+        # 4. Drive the wires.
+        for i, _, _, accept in self._in_wires:
+            accept.set(granted >> i & 1 == 1, tick)
+        for o, valid, data, _ in self._out_wires:
+            flit = slot_flit[o] if slot_valid[o] else None
+            valid.set(flit is not None, tick)
+            data.set(flit, tick)
         self.record_edge(tick, enabled)
         if not enabled:
             # No retire and no latch: every driven value just repeated the
             # committed one, and nothing can change until an input offers
             # a flit or a downstream stage acknowledges a slot.
             self.sleep_until(*self._watch)
-
-    def _route_checked(self, input_port: int, flit: Flit) -> int:
-        output = self.route(flit)
-        if not 0 <= output < len(self.outputs):
-            raise RoutingError(f"{self.name}: bad route {output} for {flit}")
-        if output == input_port:
-            raise RoutingError(
-                f"{self.name}: U-turn on port {output} for {flit}"
-            )
-        return output
 
 
 class TreeRouter:
@@ -191,7 +197,7 @@ class TreeRouter:
         if route is None:
             route = tree_updown_route(topology, node, name=name)
         # Memoised per destination, like the credit routers' routes.
-        self._route_fn = RouteMemo(route)
+        self._route = RouteMemo(route)
         ports = node.ports
         if extra_stages is None:
             extra_stages = 1 if ports >= 5 else 0
@@ -269,9 +275,6 @@ class TreeRouter:
     def forward_latency_ticks(self) -> int:
         """Half-cycles from input channel to output channel: 3 or 5."""
         return 3 + 2 * self.extra_stages
-
-    def _route(self, flit: Flit) -> int:
-        return self._route_fn(flit)
 
     def all_stages(self) -> list[PipelineStage]:
         return (self.input_stages + self.pre_stages + self.post_stages

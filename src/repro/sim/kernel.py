@@ -115,6 +115,7 @@ class SimKernel:
 
     def signal(self, name: str, initial: Any = None) -> Signal:
         sig = Signal(name, initial)
+        sig._kernel = self
         if self.activity_driven:
             sig._queue = self._dirty
         sig._index = len(self._signals)

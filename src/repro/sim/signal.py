@@ -37,7 +37,8 @@ class Signal:
     """One named wire with next-tick write semantics."""
 
     __slots__ = ("name", "value", "_next", "_dirty", "_writer_tick",
-                 "_queue", "_watchers", "_probes", "_index")
+                 "_queue", "_watchers", "_probes", "_index", "_kernel",
+                 "_held")
 
     #: Class-wide generation counter, bumped on every probe attach/detach.
     #: Cached observer scans (the array backend's write-through detection)
@@ -55,6 +56,9 @@ class Signal:
         self._writer_tick: int | None = None
         # Dirty list of the owning kernel (None for standalone signals).
         self._queue: list[Signal] | None = None
+        # Owning kernel, whose clock dates a hold (see :meth:`set`).
+        self._kernel: Any = None
+        self._held: int | None = None
         # Sleeping components to wake when a commit changes the value;
         # a dict keeps insertion order, so wake order is deterministic.
         self._watchers: dict["ClockedComponent", None] = {}
@@ -78,24 +82,42 @@ class Signal:
         which driver identified itself. Only tracked writes from
         *different* ticks may overwrite an uncommitted value (standalone
         signals whose owner commits less often than it writes).
+
+        Write-on-change: on a kernel-owned signal with nothing pending, a
+        drive of the object the wire already holds is a *hold*, dated with
+        the kernel's tick: no dirty-list entry, no commit. Any different
+        drive later in that tick still raises; :meth:`force` overrides.
         """
         if self._dirty:
             if value != self._next and (
                     tick is None or self._writer_tick is None
                     or self._writer_tick == tick):
-                conflict = ("untracked" if self._writer_tick is None
-                            else f"tick {self._writer_tick}")
-                raise SimulationError(
-                    f"signal {self.name!r} driven twice before commit "
-                    f"({self._next!r} from {conflict}, then {value!r} from "
-                    f"{'untracked' if tick is None else f'tick {tick}'})"
-                )
-        elif self._queue is not None:
-            self._queue.append(self)
+                writer = self._writer_tick
+                self._conflict(self._next, "untracked" if writer is None
+                               else f"tick {writer}", value, tick)
+        elif value is self.value and self._kernel is not None:
+            self._held = self._kernel.tick
+            return
+        else:
+            held = self._held
+            if held is not None and held == self._kernel.tick \
+                    and value != self.value:
+                self._conflict(self.value, f"a hold at tick {held}",
+                               value, tick)
+            if self._queue is not None:
+                self._queue.append(self)
         self._next = value
         self._dirty = True
         if tick is not None:
             self._writer_tick = tick
+
+    def _conflict(self, first: Any, first_by: str, value: Any,
+                  tick: int | None) -> None:
+        raise SimulationError(
+            f"signal {self.name!r} driven twice before commit "
+            f"({first!r} from {first_by}, then {value!r} from "
+            f"{'untracked' if tick is None else f'tick {tick}'})"
+        )
 
     def force(self, value: Any) -> None:
         """Overwrite the pending value, bypassing multi-driver detection.

@@ -321,7 +321,7 @@ def test_route_memo_equals_the_scalar_route_and_route_array(topology, extra):
     dests = range(net.endpoints)
     routing = getattr(net, "routing", None)
     for node, router in enumerate(net.routers):
-        memo = router._route if routing else router._route_fn
+        memo = router._route
         assert isinstance(memo, RouteMemo)
         scalar = [memo.route(flit_to(dest)) for dest in dests]
         # A miss fills the memo, a hit answers from it: both agree.
@@ -406,7 +406,7 @@ def test_a_raising_candidate_call_is_never_memoised():
 @pytest.mark.parametrize("topology", ("tree", "ctree"))
 def test_a_rejected_destination_is_never_memoised(topology):
     net = FabricConfig(topology=topology, ports=16).build()
-    memo = net.routers[0]._route_fn   # the root: nowhere to send it
+    memo = net.routers[0]._route   # the root: nowhere to send it
     outside = net.endpoints
     for _ in range(3):
         with pytest.raises(RoutingError, match="not under the root"):

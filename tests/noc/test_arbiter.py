@@ -1,12 +1,16 @@
 """Arbiters: fairness and priority."""
 
+import inspect
 import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.noc.arbiter import FixedPriorityArbiter, RoundRobinArbiter
+from repro.noc import arbiter as arbiter_module
+from repro.noc.arbiter import (Arbiter, FixedPriorityArbiter,
+                               RoundRobinArbiter)
 
 
 class TestRoundRobin:
@@ -124,3 +128,35 @@ class TestGrantOnly:
         assert lone.grant_only(index) == full.grant(one_hot) == index
         assert vars(lone) == vars(full)
         assert pickle.dumps(lone) == pickle.dumps(full)
+
+
+#: Every concrete arbiter class the module defines, found by scanning it,
+#: so a new policy is covered without being listed here.
+ARBITER_CLASSES = sorted(
+    (cls for cls in vars(arbiter_module).values()
+     if isinstance(cls, type) and issubclass(cls, Arbiter)
+     and not inspect.isabstract(cls)),
+    key=lambda cls: cls.__name__)
+
+
+def test_every_policy_is_scanned():
+    assert {FixedPriorityArbiter, RoundRobinArbiter} <= set(ARBITER_CLASSES)
+
+
+@pytest.mark.parametrize("cls", ARBITER_CLASSES,
+                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("inputs", (1, 3, 5))
+def test_lone_grant_parity_for_every_class(cls, inputs):
+    """For each input, after a random history and again after repeated
+    lone grants, ``grant_only(i)`` leaves ``grants``, ``grant_counts``
+    and any rotation state exactly as ``grant`` on the one-hot vector."""
+    rng = random.Random(inputs)
+    for index in range(inputs):
+        lone, full = cls(inputs), cls(inputs)
+        for _ in range(10):
+            requests = [rng.random() < 0.5 for _ in range(inputs)]
+            assert lone.grant(requests) == full.grant(requests)
+        one_hot = [i == index for i in range(inputs)]
+        for _ in range(3):
+            assert lone.grant_only(index) == full.grant(one_hot) == index
+            assert vars(lone) == vars(full)

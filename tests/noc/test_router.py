@@ -1,14 +1,27 @@
-"""Tree routers: forward latency, arbitration, wormhole locking."""
+"""Tree routers: forward latency, arbitration, wormhole locking, and the
+tree's byte-identity pins (VCD, signal trace, router events, fault
+findings)."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
-from repro.errors import RoutingError
+from repro.errors import ProtocolError, RoutingError
+from repro.fabric.registry import FabricConfig
 from repro.noc.arbiter import FixedPriorityArbiter, RoundRobinArbiter
+from repro.noc.debug import ProtocolMonitor, attach_monitors
+from repro.noc.faults import FaultKind, inject_link_fault
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.packet import Packet
 from repro.noc.router import TreeRouter
 from repro.noc.topology import TreeTopology
 from repro.sim.kernel import SimKernel
+from repro.sim.vcd import VCDWriter
+from repro.system.demonstrator import DemonstratorConfig, DemonstratorSystem
+from repro.traffic.base import apply_traffic
+from repro.traffic.patterns import UniformRandom
+from tests.integration.test_fast_path_contract import run as contract_run
 
 
 def leaf_router_harness(arity=2, arbiter_factory=None, extra_stages=None):
@@ -136,6 +149,21 @@ class TestRouting:
         with pytest.raises(RoutingError):
             root._route(flit)
 
+    @pytest.mark.parametrize("port, message", [(1, "U-turn on port 1"),
+                                               (3, "bad route to port 3")])
+    def test_switch_rejects_a_u_turn_and_a_port_out_of_range(self, port,
+                                                             message):
+        """A route plugged in from outside is checked at the switch edge
+        that routes the flit, in both ways it can be wrong."""
+        kernel = SimKernel()
+        topo = TreeTopology(4, arity=2)
+        router = TreeRouter(kernel, "r", topo.leaf_router(0), topo,
+                            input_parity=0, route=lambda flit: port)
+        drive_flit(kernel, router.in_channels[1], Flit(
+            kind=FlitKind.SINGLE, src=0, dest=1, packet_id=0, seq=0))
+        with pytest.raises(RoutingError, match=f"r.switch: {message}"):
+            kernel.run_ticks(10)
+
 
 class TestWormhole:
     def test_packets_do_not_interleave(self):
@@ -228,3 +256,148 @@ class TestGatingAggregation:
         stats = router.gating_stats()
         assert stats.edges_total > 0
         assert stats.edges_enabled == 0
+
+
+# -- byte-identity pins -----------------------------------------------------
+# Every digest below is the sha256 prefix of what the tree produced before
+# its handshake wires were written on change and its switch edge was
+# rebuilt around per-output request buckets; the rebuilt path must
+# reproduce each one exactly.
+
+def digest(value) -> str:
+    text = value if isinstance(value, str) else repr(value)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_instrumented_tree_vcd_and_trace_are_pinned(tmp_path):
+    """The fast-path contract's ``instrumented`` tree: the root router's
+    VCD text, the signal trace of one of its output valid wires and every
+    router channel monitor's accept bursts. Its burst stays below the
+    root, so the root's VCD is its initial dump; the busy roots are in
+    the VCDs pinned with the switch events below."""
+    observed = contract_run("instrumented", tmp_path)
+    assert digest(observed["vcd"]) == "40fdc06321d93bfc"
+    assert digest(observed["trace"]) == "46972f32d4d1f1ad"
+    assert sum(observed["accept_bursts"]) == 29
+    assert digest(observed["accept_bursts"]) == "b94be12bf5461d27"
+
+
+TREE_EVENTS = ("arbitration_grant", "lock_acquire", "lock_release")
+
+
+def tree_events(network, drive, vcd_path):
+    """Every switch event ``drive()`` causes on ``network``, packet ids
+    renumbered first-seen (raw ids are process-global), and the VCD text
+    of the root router's valid and accept wires over the same run (a
+    data wire's VCD value would carry those raw ids)."""
+    root = network.routers[0]
+    writer = VCDWriter(network.kernel, vcd_path, [
+        wire for channel in root.in_channels + root.out_channels
+        for wire in (channel.valid_signal, channel.accept_signal)])
+    events = []
+    packet_ids = {}
+
+    def record(name):
+        def on_event(tick, data):
+            flit = data.get("flit")
+            packet_id = data.get("packet_id",
+                                 getattr(flit, "packet_id", None))
+            events.append((tick, name, data["router"], data["output"],
+                           data["input"],
+                           packet_ids.setdefault(packet_id, len(packet_ids)),
+                           getattr(flit, "seq", None)))
+        return on_event
+
+    for name in TREE_EVENTS:
+        network.kernel.subscribe(name, record(name))
+    drive()
+    writer.close()
+    return events, vcd_path.read_text()
+
+
+def round_robin_tree_events(activity_driven, vcd_path):
+    """A 64-leaf binary tree under uniform 3-flit traffic, drained."""
+    net = FabricConfig(ports=64, arity=2,
+                       activity_driven=activity_driven).build()
+    schedule = UniformRandom(64, 0.3, size_flits=3).generate(
+        60, np.random.default_rng(3))
+    return tree_events(net, lambda: apply_traffic(
+        net, schedule, run_cycles=60, drain_ticks=100_000), vcd_path)
+
+
+def local_priority_events(activity_driven, vcd_path):
+    """The 8-tile demonstrator (local-priority arbitration), 300 cycles
+    of closed-loop reads plus its drain."""
+    system = DemonstratorSystem(DemonstratorConfig(
+        tiles=8, activity_driven=activity_driven))
+    return tree_events(system.network, lambda: system.run(cycles=300),
+                       vcd_path)
+
+
+#: (run, event count, lock events among them, event digest, VCD digest).
+EVENT_PINS = {
+    "round_robin": (round_robin_tree_events, 20605, 8242,
+                    "ac23e437b783aeee", "a4f747f4ec72551c"),
+    "local_priority": (local_priority_events, 5082, 1452,
+                       "8f38444ccbb8f579", "2e831246bd24f8c6"),
+}
+
+
+@pytest.mark.parametrize("policy", EVENT_PINS)
+def test_switch_event_sequence_is_pinned(policy, tmp_path):
+    """Grants and wormhole locks, event for event, and the root's wires,
+    change for change, in both kernel modes."""
+    run, count, locks, pinned, pinned_vcd = EVENT_PINS[policy]
+    events, vcd = run(True, tmp_path / "fast.vcd")
+    assert run(False, tmp_path / "naive.vcd") == (events, vcd)
+    assert len(events) == count
+    assert sum(event[1] != "arbitration_grant" for event in events) == locks
+    assert digest(events) == pinned
+    assert digest(vcd) == pinned_vcd
+
+
+def fault_findings(kind, activity_driven):
+    """Protocol monitors on every router channel and on both channels of
+    the broken root-to-left-child link stage, under ``kind``: the error a
+    monitor raised (if any), each monitor's violations and accept bursts,
+    and what was delivered where."""
+    net = FabricConfig(ports=64, arity=2,
+                       activity_driven=activity_driven).build()
+    monitors = attach_monitors(net)
+    stage = net.link_stages[0]
+    monitors += [ProtocolMonitor(net.kernel, stage.upstream),
+                 ProtocolMonitor(net.kernel, stage.downstream)]
+    injector = inject_link_fault(net, kind, stage_index=0, from_tick=40,
+                                 corrupt_dest_to=5)
+    for src in range(32, 64, 2):
+        net.send(Packet(src=src, dest=63 - src, payload=[src, src + 1]))
+    try:
+        net.run_ticks(1_200)
+        error = None
+    except ProtocolError as raised:
+        error = str(raised)
+    return (error, injector.activations,
+            [(m.channel.name, m.violations, m.accept_bursts)
+             for m in monitors if m.violations or m.accept_bursts],
+            sorted((p.src, p.dest, tuple(p.payload)) for p in net.delivered))
+
+
+#: FaultKind -> (delivered packets, digest of the findings).
+FAULT_PINS = {
+    FaultKind.STUCK_STALL: (5, "7eafcef86240b7e0"),
+    FaultKind.DROP_FLITS: (5, "4922ddc788e513b7"),
+    FaultKind.CORRUPT_DEST: (5, "556a42327dfb4a10"),
+}
+
+
+@pytest.mark.parametrize("kind", FAULT_PINS, ids=lambda kind: kind.value)
+def test_protocol_monitor_findings_under_each_fault_are_pinned(kind):
+    """None of the faults breaks the handshake itself (each is caught by
+    delivery accounting or the watchdog instead), so the monitors raise
+    nothing; what the digest holds is every monitor's accept-burst count
+    and the deliveries."""
+    findings = fault_findings(kind, True)
+    assert fault_findings(kind, False) == findings
+    delivered, pinned = FAULT_PINS[kind]
+    assert len(findings[3]) == delivered
+    assert digest(findings) == pinned

@@ -244,3 +244,113 @@ class TestCommitComparesOnlyForListeners:
         assert sig.commit(False) is False   # moved, not compared
         assert sig.value.key == 3
         assert Counted.eq_calls == 2
+
+
+class Script(ClockedComponent):
+    """Runs ``actions[tick](signal, tick)`` at the edges that have one."""
+
+    def __init__(self, kernel, signal, actions):
+        super().__init__("script", 0)
+        self.signal = signal
+        self.actions = actions
+        kernel.add_component(self)
+
+    def on_edge(self, tick):
+        action = self.actions.get(tick)
+        if action is not None:
+            action(self.signal, tick)
+
+
+def hold(sig, tick):
+    sig.set(sig.value, tick)
+
+
+BOTH_MODES = pytest.mark.parametrize("activity_driven", (True, False),
+                                     ids=("fast", "naive"))
+
+
+@BOTH_MODES
+class TestHeldDrives:
+    """A kernel-owned signal written with the object it already holds
+    commits nothing, but the drive still counts for the multi-driver
+    check for the rest of its tick."""
+
+    def scripted(self, activity_driven, actions):
+        kernel = SimKernel(activity_driven=activity_driven)
+        sig = kernel.signal("wire", initial=Counted(0))
+        Script(kernel, sig, actions)
+        return kernel, sig
+
+    @pytest.mark.parametrize("tracked", (True, False),
+                             ids=("tracked", "untracked"))
+    def test_a_different_drive_after_a_hold_raises(self, activity_driven,
+                                                   tracked):
+        def edge(sig, tick):
+            hold(sig, tick)
+            sig.set(Counted(1), tick if tracked else None)
+
+        kernel, sig = self.scripted(activity_driven, {2: edge})
+        with pytest.raises(SimulationError, match="signal 'wire' driven "
+                                                  "twice.*hold at tick 2"):
+            kernel.run_ticks(4)
+        assert sig.value.key == 0
+
+    def test_an_untracked_hold_conflicts_with_the_edge_after_it(
+            self, activity_driven):
+        """A host-side hold between steps belongs to the next tick's
+        commit, as a pending host-side write would."""
+        kernel, sig = self.scripted(
+            activity_driven, {2: lambda sig, tick: sig.set(Counted(1), tick)})
+        kernel.run_ticks(2)
+        sig.set(sig.value)
+        with pytest.raises(SimulationError, match="'wire'"):
+            kernel.run_ticks(1)
+
+    def test_an_equal_drive_after_a_hold_is_no_conflict(self,
+                                                        activity_driven):
+        def edge(sig, tick):
+            hold(sig, tick)
+            sig.set(Counted(0), tick)
+
+        kernel, sig = self.scripted(activity_driven, {2: edge})
+        kernel.run_ticks(4)
+        assert sig.value.key == 0
+
+    def test_a_different_drive_next_tick_is_fine(self, activity_driven):
+        kernel, sig = self.scripted(activity_driven, {
+            2: hold, 4: lambda sig, tick: sig.set(Counted(1), tick)})
+        kernel.run_ticks(6)
+        assert sig.value.key == 1
+        sig.set(Counted(2))   # host side, long after the hold
+        kernel.run_ticks(1)
+        assert sig.value.key == 2
+
+    def test_force_after_a_hold_commits_the_forced_value(self,
+                                                         activity_driven):
+        """The CORRUPT_DEST fault's path: the healthy logic re-drives
+        the held flit, then the fault overrides it."""
+        def edge(sig, tick):
+            hold(sig, tick)
+            sig.force(Counted(5))
+
+        kernel, sig = self.scripted(activity_driven, {2: edge})
+        seen = []
+        sig.attach_probe(lambda tick, signal, old, new: seen.append(
+            (tick, old.key, new.key)))
+        kernel.run_ticks(4)
+        assert sig.value.key == 5
+        assert seen == [(2, 0, 5)]
+
+    def test_a_hold_wakes_no_watcher_and_fires_no_probe(self,
+                                                        activity_driven):
+        Counted.eq_calls = 0
+        kernel, sig = self.scripted(activity_driven,
+                                    {tick: hold for tick in range(0, 20, 2)})
+        sleeper = Sleeper(kernel, sig)
+        seen = []
+        sig.attach_probe(lambda *change: seen.append(change))
+        kernel.run_ticks(20)
+        assert seen == []
+        assert sleeper.fired == ([1] if activity_driven
+                                 else list(range(1, 20, 2)))
+        assert Counted.eq_calls == 0
