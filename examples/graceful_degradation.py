@@ -13,12 +13,11 @@ from repro.clocking import (
     timing_yield,
 )
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import ICNoCNetwork
 from repro.tech import FF_90NM
 
 
 def main() -> None:
-    net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
+    net = FabricConfig(ports=64, arity=2).build()
     specs = net.channel_specs
     print(f"analysing {len(specs)} link channels of a 64-port IC-NoC")
     print()

@@ -11,7 +11,6 @@ from repro.analysis.experiments import evaluate
 from repro.noc.debug import attach_monitors, attach_watchdog
 from repro.noc.faults import FaultKind, inject_link_fault
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.sim.vcd import VCDWriter
 
@@ -28,7 +27,7 @@ def instrumented_run(vcd_path: str | None) -> None:
     """A monitored, optionally traced run of a small network."""
     print()
     print("--- instrumented run (protocol monitors + watchdog) ---")
-    net = ICNoCNetwork(FabricConfig(ports=16, arity=2))
+    net = FabricConfig(ports=16, arity=2).build()
     monitors = attach_monitors(net)
     attach_watchdog(net, patience_ticks=5000)
     writer = None
@@ -52,7 +51,7 @@ def instrumented_run(vcd_path: str | None) -> None:
 def fault_demo() -> None:
     print()
     print("--- fault injection (what detection looks like) ---")
-    net = ICNoCNetwork(FabricConfig(ports=64, arity=2))
+    net = FabricConfig(ports=64, arity=2).build()
     injector = inject_link_fault(net, FaultKind.DROP_FLITS, stage_index=0)
     for src in range(32, 64, 4):
         net.send(Packet(src=src, dest=63 - src))

@@ -9,7 +9,6 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import ICNoCNetwork
 from repro.physical.comparison import (
     compare_topologies,
     tree_mesh_energy_table,
@@ -53,7 +52,7 @@ def main() -> None:
           "(load 0.10)...")
     gen = UniformRandom(ports=64, load=0.10)
     schedule = gen.generate(300, np.random.default_rng(42))
-    tree = ICNoCNetwork(FabricConfig(ports=64, arity=2))
+    tree = FabricConfig(ports=64, arity=2).build()
     mesh = FabricConfig(topology="mesh", ports=64).build()
     apply_traffic(tree, schedule, run_cycles=300)
     apply_traffic(mesh, schedule, run_cycles=300)

@@ -19,7 +19,6 @@ from repro.analysis.parallel import (
     measure_load_points,
     parallel_map,
     parallel_saturation_throughput,
-    point_seed,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "measure_load_points",
     "parallel_map",
     "parallel_saturation_throughput",
-    "point_seed",
 ]

@@ -147,10 +147,11 @@ FABRIC_KNOBS: dict[str, tuple[tuple[str, ...], dict]] = {
              "dateline | escape")),
     "--allocator": (("allocator",), dict(
         choices=ALLOCATOR_NAMES, default="rr",
-        help="router allocation policy (--flow-control vc for anything "
-             "beyond rr): rr round-robin, weighted per-VC bandwidth "
-             "reservations, escape-reentry Duato-legal escape-to-adaptive "
-             "re-entry")),
+        help="router allocation policy: rr round-robin (every fabric); "
+             "with --flow-control vc, weighted per-VC bandwidth "
+             "reservations or escape-reentry Duato-legal escape-to-adaptive "
+             "re-entry; on the binary tree, local_priority (a processor "
+             "beats the network to its local memory)")),
     "--reserve": (("reservations",), dict(
         action="append", default=None, metavar="VC:FRACTION",
         help="reserve FRACTION of each output port's bandwidth for VC "
@@ -175,7 +176,8 @@ FABRIC_KNOBS: dict[str, tuple[tuple[str, ...], dict]] = {
 
 #: The knobs every network verb offers.
 NETWORK = ("--ports", "--topology", "--chip-mm", "--segment-mm")
-#: Flow control and allocation (credit fabrics; the tree refuses them).
+#: Flow control and allocation (credit fabrics; the tree takes only
+#: --allocator rr or local_priority).
 FLOW = ("--flow-control", "--vcs", "--vc-policy", "--allocator",
         "--reserve", "--priority-flow")
 #: Every credit-fabric knob of the verbs that run load points.

@@ -13,7 +13,6 @@ paper's Section 2 compares against.
 from repro.clocking.clock_tree import ClockTree, ClockTreeNode
 from repro.clocking.variation import (
     VariationModel,
-    perturb_channels,
     DegradationPoint,
     graceful_degradation_curve,
     timing_yield,
@@ -35,7 +34,6 @@ __all__ = [
     "ClockTree",
     "ClockTreeNode",
     "VariationModel",
-    "perturb_channels",
     "DegradationPoint",
     "graceful_degradation_curve",
     "timing_yield",

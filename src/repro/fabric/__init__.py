@@ -38,7 +38,7 @@ from repro.fabric.allocator import (
     WeightedAllocator,
     make_allocator,
 )
-from repro.fabric.link import CreditLink, HandshakeChannel
+from repro.fabric.link import CreditLink
 from repro.fabric.routing import (
     DatelineVc,
     EscapeVcAdaptive,
@@ -49,7 +49,6 @@ from repro.fabric.routing import (
     TorusXYRouting,
     VcPolicy,
     XYRouting,
-    dateline_class,
     tree_updown_route,
 )
 from repro.fabric.router import FabricRouter
@@ -68,8 +67,6 @@ from repro.fabric.network import (
 )
 from repro.fabric.ctree import ConcentratedTreeNetwork
 from repro.fabric.registry import (
-    CLOCK_INTEGRATED,
-    CLOCK_MESOCHRONOUS,
     FLOW_VC,
     FLOW_WORMHOLE,
     FabricConfig,
@@ -88,7 +85,6 @@ __all__ = [
     "EscapeReentryAllocator",
     "make_allocator",
     "CreditLink",
-    "HandshakeChannel",
     "RoutingStrategy",
     "XYRouting",
     "TorusXYRouting",
@@ -99,7 +95,6 @@ __all__ = [
     "TorusDatelineVc",
     "RingDatelineVc",
     "EscapeVcAdaptive",
-    "dateline_class",
     "make_vc_policy",
     "FabricRouter",
     "FLOW_WORMHOLE",
@@ -113,8 +108,6 @@ __all__ = [
     "MeshNetwork",
     "TorusNetwork",
     "RingNetwork",
-    "CLOCK_INTEGRATED",
-    "CLOCK_MESOCHRONOUS",
     "FabricConfig",
     "TopologyEntry",
     "get_topology",

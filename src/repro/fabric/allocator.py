@@ -59,7 +59,10 @@ __all__ = ["Allocator", "RoundRobinAllocator", "WeightedAllocator",
            "EscapeReentryAllocator", "ALLOCATOR_NAMES", "make_allocator"]
 
 #: Registered allocator policy names (CLI ``--allocator`` values).
-ALLOCATOR_NAMES = ("rr", "weighted", "escape-reentry")
+#: ``"local_priority"`` is the binary tree's (the handshake routers'
+#: per-output arbiters, :class:`~repro.noc.network.ICNoCNetwork`), so
+#: :func:`make_allocator` builds no instance of it.
+ALLOCATOR_NAMES = ("rr", "weighted", "escape-reentry", "local_priority")
 
 
 class Allocator:

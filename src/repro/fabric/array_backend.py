@@ -82,7 +82,8 @@ from :meth:`SimKernel.run_ticks` without per-tick kernel dispatch; with
 subscribers or probes attached it declines the batch and steps tick by
 tick so event and probe timing stay exact.
 
-Not lowerable (the network validates and :func:`make_engine` re-checks):
+Not lowerable (``FabricConfig._array_refusal`` states the rule once; the
+config validates with it and :func:`make_engine` re-checks through it):
 pipelined routers (``pipeline_depth > 1``), segmented links, the
 ``weighted`` allocator (its windowed reservation counters have no array
 transcription yet), and the tree fabrics' handshake pipeline.
@@ -114,17 +115,11 @@ __all__ = ["make_engine", "ArrayEngine"]
 
 def make_engine(net: "CreditFabricNetwork"):
     """Lower a built fabric into its vectorized engine component."""
-    if net.pipeline_depth != 1 or any(link.segments != 1
-                                      for link in net.links):
+    refusal = net.config._array_refusal
+    if refusal:
         raise ConfigurationError(
-            "backend='array' does not support pipelined routers or "
-            "segmented links; use backend='dispatch' (or 'auto' to "
-            "fall back)"
-        )
-    if net.config.allocator == "weighted":
-        raise ConfigurationError(
-            "backend='array' has no lowering for the weighted "
-            "allocator; use backend='dispatch' (or 'auto' to fall back)"
+            f"backend='array' {refusal}; use backend='dispatch' (or "
+            f"'auto' to fall back)"
         )
     return ArrayEngine(net)
 

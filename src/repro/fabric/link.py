@@ -3,7 +3,7 @@
 The repository models two link-level flow-control flavours, one per clock
 regime of the paper's comparison:
 
-* :class:`~repro.noc.handshake.HandshakeChannel` (re-exported here) — the
+* :class:`~repro.noc.handshake.HandshakeChannel` — the
   IC-NoC's 2-phase valid/accept handshake between stages clocked at
   alternating edges of the *integrated* forwarded clock. No buffers, no
   credits: the producer holds data until the consumer's accept.
@@ -55,13 +55,11 @@ from typing import Any, Sequence
 
 from repro.clocking.gating import GatingStats
 from repro.errors import ConfigurationError
-from repro.noc.handshake import HandshakeChannel
 from repro.sim.component import ClockedComponent, GatedComponentMixin
 from repro.sim.kernel import SimKernel
 from repro.sim.signal import Signal
 
-__all__ = ["CreditLink", "HandshakeChannel", "LinkStage",
-           "LINK_LATENCY_TICKS"]
+__all__ = ["CreditLink", "LinkStage", "LINK_LATENCY_TICKS"]
 
 #: Ticks between driving a tick-tagged payload and its consumption at the
 #: far end: one full clock cycle of wire flight per hop (or per segment).

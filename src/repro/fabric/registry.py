@@ -51,6 +51,9 @@ CLOCK_MESOCHRONOUS = "mesochronous"
 FLOW_WORMHOLE = "wormhole"
 FLOW_VC = "vc"
 
+#: Allocation policies that meter a VC stage, so need VC flow control.
+_VC_ALLOCATORS = ("weighted", "escape-reentry")
+
 #: Execution backends: per-router events, the vectorized whole-fabric
 #: kernel, or the array one whenever the config lowers.
 BACKENDS = ("dispatch", "array", "auto")
@@ -76,13 +79,16 @@ class TopologyEntry:
             (:mod:`repro.fabric.routing`), the first is the default —
             e.g. ``dateline`` deadlock avoidance, ``escape`` adaptive.
         allocators: supported router allocation policies
-            (:mod:`repro.fabric.allocator`). Empty means the fabric has
-            no allocator knob at all (the handshake tree family);
-            ``"rr"`` round-robin is always accepted where any policy
-            is. ``"weighted"``/``"escape-reentry"`` require VC flow
+            (:data:`~repro.fabric.allocator.ALLOCATOR_NAMES`). ``"rr"``
+            round-robin is accepted on every fabric, so empty means rr
+            only. ``"weighted"``/``"escape-reentry"`` require VC flow
             control, and ``"escape-reentry"`` additionally requires the
-            ``escape`` VC policy.
-        builder: ``FabricConfig -> network`` (lazy-imports its module).
+            ``escape`` VC policy. ``"local_priority"`` is the binary
+            tree's per-output arbitration (no :class:`~repro.fabric
+            .allocator.Allocator`: the handshake routers take arbiters).
+        builder: ``(FabricConfig, kernel) -> network``, the kernel None
+            or a :class:`~repro.sim.kernel.SimKernel` to build on
+            (lazy-imports its module).
         validate: optional extra config check (port-count shape etc.).
         physical: ``network ->``
             :class:`~repro.physical.descriptor.PhysicalModel` — the
@@ -105,7 +111,7 @@ class TopologyEntry:
     description: str
     clock_distribution: tuple[str, ...]
     tree_legal: bool
-    builder: Callable[["FabricConfig"], Any]
+    builder: Callable[["FabricConfig", Any], Any]
     validate: Callable[["FabricConfig"], None] | None = None
     flow_control: tuple[str, ...] = (FLOW_WORMHOLE,)
     vc_policies: tuple[str, ...] = ()
@@ -134,7 +140,8 @@ class TopologyEntry:
                     f"{self.name}: unknown allocator {allocator!r} "
                     f"(known: {', '.join(ALLOCATOR_NAMES)})"
                 )
-            if allocator != "rr" and FLOW_VC not in self.flow_control:
+            if allocator in _VC_ALLOCATORS and \
+                    FLOW_VC not in self.flow_control:
                 raise ConfigurationError(
                     f"{self.name}: allocator {allocator!r} needs VC flow "
                     f"control"
@@ -191,7 +198,7 @@ def topology_table() -> list[dict[str, str]]:
             "clocking": "+".join(entry.clock_distribution),
             "tree_legal": "yes" if entry.tree_legal else "no",
             "flow_control": flow,
-            "allocators": "/".join(entry.allocators) or "-",
+            "allocators": "/".join(entry.allocators) or "rr",
             "description": entry.description,
         })
     return rows
@@ -214,9 +221,12 @@ class FabricConfig:
     selects the routers' allocation policy
     (:mod:`repro.fabric.allocator`): ``"rr"`` round-robin (the
     default, every fabric), ``"weighted"`` per-VC bandwidth
-    reservations (``reservations`` as ``((vc, fraction), ...)``), or
+    reservations (``reservations`` as ``((vc, fraction), ...)``),
     ``"escape-reentry"`` (round-robin plus Duato-legal escape-to-
-    adaptive re-entry under the escape policy). ``priority_flows``
+    adaptive re-entry under the escape policy), or ``"local_priority"``
+    (binary tree only: the paper's Section 6 demonstrator, where a leaf
+    router's processor input always beats the network to the local
+    memory). ``priority_flows``
     (``((src, dest), ...)``, escape policy only) reserves the top VC
     as a priority lane for the named flows — the QoS target a weighted
     reservation meters. All capability checks run in ``__post_init__``
@@ -355,7 +365,8 @@ class FabricConfig:
                 f"{', '.join(ALLOCATOR_NAMES)}"
             )
         if self.allocator != "rr":
-            if self.flow_control != FLOW_VC:
+            if self.allocator in _VC_ALLOCATORS and \
+                    self.flow_control != FLOW_VC:
                 raise ConfigurationError(
                     f"allocator {self.allocator!r} only applies with "
                     f"flow_control='vc' (single-VC routers have no "
@@ -365,7 +376,7 @@ class FabricConfig:
                 raise ConfigurationError(
                     f"topology {self.topology!r} has no allocator "
                     f"{self.allocator!r} (supported: "
-                    f"{', '.join(entry.allocators) or 'none'})"
+                    f"{', '.join(entry.allocators) or 'rr'})"
                 )
             if (self.allocator == "escape-reentry"
                     and self.resolved_vc_policy != "escape"):
@@ -375,9 +386,15 @@ class FabricConfig:
                     "from otherwise)"
                 )
         # Single-source reservation checks (duplicates, fraction range,
-        # sum <= 1, weighted-only) from the allocator constructor; VC
-        # indices need the config's n_vcs on top.
-        make_allocator(self.allocator, self.reservations)
+        # sum <= 1, weighted-only) from the allocator constructor, which
+        # only the credit fabrics build; VC indices need the config's
+        # n_vcs on top.
+        if entry.supports_pipeline:
+            make_allocator(self.allocator, self.reservations)
+        elif self.reservations:
+            raise ConfigurationError(
+                "reservations need allocator='weighted'"
+            )
         for vc, _fraction in self.reservations:
             if not 0 <= vc < self.n_vcs:
                 raise ConfigurationError(
@@ -446,9 +463,15 @@ class FabricConfig:
             return "dispatch" if self._array_refusal else "array"
         return self.backend
 
-    def build(self):
-        """Instantiate the network (any registered fabric, same API)."""
-        return get_topology(self.topology).builder(self)
+    def build(self, kernel=None):
+        """Instantiate the network (any registered fabric, same API).
+
+        ``kernel`` is a :class:`~repro.sim.kernel.SimKernel` to build on
+        (None: a fresh one). A system model passes its own, with its
+        drivers already registered, so their submissions reach the
+        endpoints the same tick; its mode must match ``activity_driven``.
+        """
+        return get_topology(self.topology).builder(self, kernel)
 
 
 # -- the stock fabrics ----------------------------------------------------
@@ -458,6 +481,11 @@ def _validate_tree(config: FabricConfig) -> None:
     if config.arity < 2:
         raise ConfigurationError("tree arity must be >= 2")
     _require_power(config.ports, config.arity, "tree ports")
+    if config.allocator == "local_priority" and config.arity != 2:
+        raise ConfigurationError(
+            f"local_priority assumes proc/mem sibling pairs (arity 2), "
+            f"got arity {config.arity}"
+        )
 
 
 def _validate_ctree(config: FabricConfig) -> None:
@@ -522,29 +550,29 @@ def _require_power(value: int, base: int, what: str) -> None:
         )
 
 
-def _build_tree(config: FabricConfig):
+def _build_tree(config: FabricConfig, kernel):
     from repro.noc.network import ICNoCNetwork
-    return ICNoCNetwork(config)
+    return ICNoCNetwork(config, kernel)
 
 
-def _build_ctree(config: FabricConfig):
+def _build_ctree(config: FabricConfig, kernel):
     from repro.fabric.ctree import ConcentratedTreeNetwork
-    return ConcentratedTreeNetwork(config)
+    return ConcentratedTreeNetwork(config, kernel)
 
 
-def _build_mesh(config: FabricConfig):
+def _build_mesh(config: FabricConfig, kernel):
     from repro.fabric.network import MeshNetwork
-    return MeshNetwork(config)
+    return MeshNetwork(config, kernel)
 
 
-def _build_torus(config: FabricConfig):
+def _build_torus(config: FabricConfig, kernel):
     from repro.fabric.network import TorusNetwork
-    return TorusNetwork(config)
+    return TorusNetwork(config, kernel)
 
 
-def _build_ring(config: FabricConfig):
+def _build_ring(config: FabricConfig, kernel):
     from repro.fabric.network import RingNetwork
-    return RingNetwork(config)
+    return RingNetwork(config, kernel)
 
 
 # Physical descriptors (lazy-import like the builders, so the registry
@@ -578,6 +606,7 @@ register_topology(TopologyEntry(
     builder=_build_tree,
     validate=_validate_tree,
     physical=_physical_tree,
+    allocators=("rr", "local_priority"),
 ))
 
 register_topology(TopologyEntry(

@@ -249,17 +249,11 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         if register:
             kernel.add_component(self)
 
-    # The allocator owns arbitration state; these views keep the
-    # historical introspection spellings working in both regimes.
-
-    @property
-    def arbiters(self):
-        """Per-output switch arbiters (historical wormhole name)."""
-        return self.allocator.sa_arbiters
+    # The allocator owns arbitration state; these are its views.
 
     @property
     def sa_arbiters(self):
-        """Per-output switch arbiters (VC-regime name)."""
+        """Per-output switch arbiters."""
         return self.allocator.sa_arbiters
 
     @property

@@ -13,16 +13,12 @@ from repro.noc.handshake import HandshakeChannel
 from repro.noc.pipeline import PipelineStage, SourceStage, SinkStage, build_pipeline
 from repro.noc.arbiter import RoundRobinArbiter, FixedPriorityArbiter
 from repro.noc.topology import TreeTopology
-from repro.noc.floorplan import Floorplan, h_tree_floorplan, quad_tree_floorplan
+from repro.noc.floorplan import Floorplan
 from repro.noc.router import TreeRouter
 from repro.noc.network import ICNoCNetwork, Network
 from repro.noc.stats import NetworkStats
 from repro.noc.debug import ProtocolMonitor, DeadlockWatchdog, attach_monitors
 from repro.noc.faults import FaultInjector, FaultKind, inject_link_fault
-from repro.noc.latency_model import (
-    zero_load_latency_cycles,
-    zero_load_latency_ticks,
-)
 
 __all__ = [
     "Flit",
@@ -37,8 +33,6 @@ __all__ = [
     "FixedPriorityArbiter",
     "TreeTopology",
     "Floorplan",
-    "h_tree_floorplan",
-    "quad_tree_floorplan",
     "TreeRouter",
     "ICNoCNetwork",
     "Network",
@@ -49,6 +43,4 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "inject_link_fault",
-    "zero_load_latency_cycles",
-    "zero_load_latency_ticks",
 ]

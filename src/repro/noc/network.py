@@ -191,29 +191,20 @@ class Network:
 class ICNoCNetwork(Network):
     """A built, runnable IC-NoC.
 
-    ``arbiter_policy`` is ``"round_robin"``, or ``"local_priority"`` for
-    the demonstrator's processor-over-network priority at leaf routers
-    (binary trees with proc/mem sibling pairs only).
+    ``config.allocator`` is ``"rr"`` (round-robin everywhere), or
+    ``"local_priority"`` for the demonstrator's processor-over-network
+    priority at leaf routers (binary trees with proc/mem sibling pairs
+    only, which the registry checks).
     """
 
     #: Endpoints sharing each leaf NI (the concentrated tree raises it).
     concentration = 1
 
     def __init__(self, config: "FabricConfig",
-                 kernel: SimKernel | None = None,
-                 arbiter_policy: str = "round_robin"):
-        if arbiter_policy not in ("round_robin", "local_priority"):
-            raise ConfigurationError(
-                f"unknown arbiter policy {arbiter_policy!r}"
-            )
-        if arbiter_policy == "local_priority" and config.arity != 2:
-            raise ConfigurationError(
-                "local_priority assumes proc/mem sibling pairs (arity 2)"
-            )
+                 kernel: SimKernel | None = None):
         topology = TreeTopology(config.ports // self.concentration,
                                 config.arity)
         super().__init__(config, topology, topology.router_ports, kernel)
-        self.arbiter_policy = arbiter_policy
         self.floorplan: Floorplan = floorplan_for(
             topology, config.chip_width_mm, config.chip_height_mm
         )
@@ -227,7 +218,7 @@ class ICNoCNetwork(Network):
     # -- construction ---------------------------------------------------
 
     def _arbiter_factory_for(self, node) -> ArbiterFactory:
-        if self.arbiter_policy == "local_priority":
+        if self.config.allocator == "local_priority":
             return lambda output_port, n_inputs: _local_priority_policy(
                 node, output_port, n_inputs
             )

@@ -172,15 +172,14 @@ class TreeRouter:
     * ``out_channels[p]`` — driven by the router (the outside consumes).
 
     ``input_parity`` is the clock polarity of the input (and output)
-    register stages; the switch runs on the opposite edge. ``extra_stages``
-    inserts pass-through stages around the switch: 0 gives the 3-half-cycle
-    3x3 router, 1 gives the 5-half-cycle 5x5 router.
+    register stages; the switch runs on the opposite edge. A router of
+    five or more ports has one extra pass-through stage on each side of
+    the switch: the 3x3 router takes 3 half-cycles, the 5x5 router 5.
     """
 
     def __init__(self, kernel: SimKernel, name: str, node: RouterNode,
                  topology: TreeTopology, input_parity: int,
                  arbiter_factory: ArbiterFactory = round_robin_factory,
-                 extra_stages: int | None = None,
                  in_channel_overrides: dict[int, HandshakeChannel] | None = None,
                  out_channel_overrides: dict[int, HandshakeChannel] | None = None,
                  route: Callable[[Flit], int] | None = None):
@@ -199,11 +198,7 @@ class TreeRouter:
         # Memoised per destination, like the credit routers' routes.
         self._route = RouteMemo(route)
         ports = node.ports
-        if extra_stages is None:
-            extra_stages = 1 if ports >= 5 else 0
-        self.extra_stages = extra_stages
-        if extra_stages not in (0, 1):
-            raise ConfigurationError("extra_stages must be 0 or 1")
+        self.extra_stages = extra_stages = 1 if ports >= 5 else 0
 
         in_overrides = in_channel_overrides or {}
         out_overrides = out_channel_overrides or {}

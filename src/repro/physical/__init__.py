@@ -32,7 +32,6 @@ from repro.physical.power import (
 )
 from repro.physical.report import RunEnergyReport
 from repro.physical.peak_current import (
-    current_profile,
     peak_current,
     peak_current_ratio,
     spread_arrivals,
@@ -50,7 +49,6 @@ __all__ = [
     "link_energy_pj_per_flit",
     "router_energy_pj_per_flit",
     "RunEnergyReport",
-    "current_profile",
     "peak_current",
     "peak_current_ratio",
     "spread_arrivals",

@@ -17,7 +17,7 @@ from repro.sim.signal import Signal
 from repro.sim.component import ClockedComponent
 from repro.sim.kernel import SimKernel, Timer
 from repro.sim.observe import Probe
-from repro.sim.probes import SignalTrace, ThroughputMeter
+from repro.sim.probes import SignalTrace
 
 __all__ = [
     "Signal",
@@ -26,5 +26,4 @@ __all__ = [
     "Timer",
     "Probe",
     "SignalTrace",
-    "ThroughputMeter",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import ICNoCNetwork
+from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.noc.stats import LatencySummary
 from repro.sim.component import ClockedComponent
@@ -91,7 +91,7 @@ class TileDriver(ClockedComponent):
     def __init__(self, kernel: SimKernel, tile: Tile):
         super().__init__(f"tile{tile.index}.drv", parity=0)
         self.tile = tile
-        self.network: ICNoCNetwork | None = None  # bound after build
+        self.network: Network | None = None  # bound after build
         self._rng: np.random.Generator | None = None
         self._issuing = False
         kernel.add_component(self)
@@ -147,11 +147,12 @@ class DemonstratorSystem:
             self.tiles.append(tile)
             self.drivers.append(TileDriver(self.kernel, tile))
         # The paper's floorplan and technology are FabricConfig's defaults.
-        self.network = ICNoCNetwork(FabricConfig(
+        self.network = FabricConfig(
             ports=config.leaves,
             arity=2,
+            allocator="local_priority",
             activity_driven=config.activity_driven,
-        ), kernel=self.kernel, arbiter_policy="local_priority")
+        ).build(kernel=self.kernel)
         for tile, driver in zip(self.tiles, self.drivers):
             driver.network = self.network
             self.network.set_handler(mem_leaf(tile.index),

@@ -10,7 +10,6 @@ anchor points — see :mod:`repro.tech.calibration`.
 from repro.tech.flipflop import RegisterTiming, FF_90NM
 from repro.tech.wire import (
     WireParameters,
-    ElmoreWireModel,
     BufferedWireModel,
     WIRE_90NM,
     BUFFERED_WIRE_90NM,
@@ -21,7 +20,6 @@ __all__ = [
     "RegisterTiming",
     "FF_90NM",
     "WireParameters",
-    "ElmoreWireModel",
     "BufferedWireModel",
     "WIRE_90NM",
     "BUFFERED_WIRE_90NM",

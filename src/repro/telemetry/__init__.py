@@ -20,11 +20,9 @@ from repro.telemetry.attribution import (
 )
 from repro.telemetry.metrics import (
     attach_metrics,
-    LatencyHistogram,
     MetricsRegistry,
     MetricsSummary,
     TimeWeightedGauge,
-    percentile_from_buckets,
 )
 from repro.telemetry.trace import (
     attach_tracer,
@@ -39,11 +37,9 @@ __all__ = [
     "congestion_snapshot",
     "FlitTracer",
     "HopRecord",
-    "LatencyHistogram",
     "MetricsRegistry",
     "MetricsSummary",
     "PacketTrace",
-    "percentile_from_buckets",
     "render_metrics_report",
     "TimeWeightedGauge",
 ]

@@ -10,8 +10,6 @@ constraint is monotone in the clock period, which is exactly the paper's
 from repro.timing.link_timing import (
     downstream_window,
     upstream_window,
-    downstream_slack,
-    upstream_slack,
     min_half_period_downstream,
     min_half_period_upstream,
     synchronous_hold_margin,
@@ -22,9 +20,8 @@ from repro.timing.constraints import (
     TimingCheck,
     TimingReport,
 )
-from repro.timing.validator import ChannelSpec, validate_channels, channel_min_half_period
+from repro.timing.validator import ChannelSpec, validate_channels
 from repro.timing.frequency import (
-    pipeline_half_period,
     pipeline_max_frequency,
     max_segment_length,
 )
@@ -32,8 +29,6 @@ from repro.timing.frequency import (
 __all__ = [
     "downstream_window",
     "upstream_window",
-    "downstream_slack",
-    "upstream_slack",
     "min_half_period_downstream",
     "min_half_period_upstream",
     "synchronous_hold_margin",
@@ -43,8 +38,6 @@ __all__ = [
     "TimingReport",
     "ChannelSpec",
     "validate_channels",
-    "channel_min_half_period",
-    "pipeline_half_period",
     "pipeline_max_frequency",
     "max_segment_length",
 ]

@@ -14,12 +14,10 @@ from repro.traffic.patterns import (
     NeighbourTraffic,
     HotspotTraffic,
     PermutationTraffic,
-    bit_complement,
-    bit_reverse,
     transpose,
 )
 from repro.traffic.bursty import BurstyTraffic
-from repro.traffic.trace import TraceRecorder, replay_trace
+from repro.traffic.trace import replay_trace
 
 __all__ = [
     "Injection",
@@ -29,10 +27,7 @@ __all__ = [
     "NeighbourTraffic",
     "HotspotTraffic",
     "PermutationTraffic",
-    "bit_complement",
-    "bit_reverse",
     "transpose",
     "BurstyTraffic",
-    "TraceRecorder",
     "replay_trace",
 ]

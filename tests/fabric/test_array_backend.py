@@ -251,6 +251,20 @@ class TestUnsupportedConfigs:
             FabricConfig(topology="torus", ports=16, backend="array",
                          segment_links=True)
 
+    @pytest.mark.parametrize("kwargs,cause", [
+        ({"pipeline_depth": 2}, "pipeline_depth"),
+        ({"segment_links": True}, "segmented links"),
+        ({"flow_control": "vc", "allocator": "weighted",
+          "reservations": ((1, 0.5),)}, "weighted"),
+    ])
+    def test_make_engine_rechecks_naming_the_cause(self, kwargs, cause):
+        """The engine re-checks a built network through the config's one
+        statement of the rule, and names the cause too."""
+        from repro.fabric.array_backend import make_engine
+        net = FabricConfig(topology="mesh", ports=16, **kwargs).build()
+        with pytest.raises(ConfigurationError, match=cause):
+            make_engine(net)
+
     def test_unknown_backend_refused(self):
         with pytest.raises(ConfigurationError, match="backend"):
             FabricConfig(topology="mesh", ports=16, backend="simd")

@@ -43,7 +43,7 @@ class TestRegistry:
             description="registered by the test",
             clock_distribution=(CLOCK_MESOCHRONOUS,),
             tree_legal=False,
-            builder=lambda config: "built",
+            builder=lambda config, kernel: "built",
         )
         register_topology(entry)
         try:
@@ -59,7 +59,7 @@ class TestRegistry:
             TopologyEntry(
                 name="bad", description="converging paths",
                 clock_distribution=(CLOCK_INTEGRATED,),
-                tree_legal=False, builder=lambda config: None,
+                tree_legal=False, builder=lambda config, kernel: None,
             )
 
 
@@ -160,3 +160,64 @@ class TestBuiltNetworks:
         assert (type(wormhole.build()).__name__
                 == type(vc.build()).__name__
                 == f"{name.capitalize()}Network")
+
+
+class TestLocalPriority:
+    """The demonstrator's arbitration is a registered allocator of the
+    binary tree; every other pairing never constructs."""
+
+    def test_builds_on_binary_tree(self):
+        from repro.noc.arbiter import FixedPriorityArbiter
+        net = FabricConfig(ports=16, allocator="local_priority").build()
+        leaf = next(r for r in net.routers if r.node.children_are_leaves)
+        assert isinstance(leaf.switch.arbiters[2], FixedPriorityArbiter)
+        assert get_topology("tree").allocators == ("rr", "local_priority")
+
+    @pytest.mark.parametrize("kwargs,named", [
+        ({"topology": "ctree"}, "'ctree'"),
+        ({"topology": "mesh"}, "'mesh'"),
+        ({"topology": "torus"}, "'torus'"),
+        ({"topology": "ring", "ports": 8}, "'ring'"),
+        ({"arity": 4}, "arity 4"),
+    ])
+    def test_illegal_pairings_never_construct(self, kwargs, named):
+        kwargs = {"ports": 16, **kwargs}
+        with pytest.raises(ConfigurationError, match=named):
+            FabricConfig(allocator="local_priority", **kwargs)
+
+    def test_tree_refuses_vc_allocators_and_reservations(self):
+        with pytest.raises(ConfigurationError, match="flow_control='vc'"):
+            FabricConfig(ports=16, allocator="weighted")
+        with pytest.raises(ConfigurationError, match="weighted"):
+            FabricConfig(ports=16, allocator="local_priority",
+                         reservations=((0, 0.5),))
+
+    def test_entry_vc_allocators_need_vc(self):
+        with pytest.raises(ConfigurationError, match="VC flow"):
+            TopologyEntry(
+                name="bad", description="weighted without VCs",
+                clock_distribution=(CLOCK_MESOCHRONOUS,),
+                tree_legal=False, builder=lambda config, kernel: None,
+                allocators=("rr", "weighted"),
+            )
+
+
+class TestBuildKernel:
+    """``build(kernel=...)`` is the one build signature: a system model
+    hands its own kernel to any registered fabric."""
+
+    @pytest.mark.parametrize("name", topology_names())
+    def test_builds_on_the_given_kernel(self, name):
+        from repro.sim.kernel import SimKernel
+        kernel = SimKernel()
+        net = FabricConfig(topology=name, ports=16).build(kernel=kernel)
+        assert net.kernel is kernel
+        assert FabricConfig(topology=name, ports=16).build().kernel \
+            is not kernel
+
+    @pytest.mark.parametrize("name", topology_names())
+    def test_contradicting_kernel_mode_raises(self, name):
+        from repro.sim.kernel import SimKernel
+        with pytest.raises(ConfigurationError, match="activity_driven"):
+            FabricConfig(topology=name, ports=16).build(
+                kernel=SimKernel(activity_driven=False))

@@ -123,7 +123,7 @@ class TestSameEdgeDoubleGrant:
         kernel.run_ticks(1)
         assert launched(out_links[3], 0) is head_b
         assert list(router.fifos[2]) == [head_c]
-        assert router.arbiters[3].grant_counts == [1, 0, 0, 0]
+        assert router.sa_arbiters[3].grant_counts == [1, 0, 0, 0]
 
     def test_starvation_names_the_lowest_waiting_input(self):
         kernel, router, _out_links, _head_b, _head_c = \

@@ -45,14 +45,12 @@ class TestConstruction:
         assert small.operating_frequency_ghz() > 1.0
 
     def test_bad_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ICNoCNetwork(FabricConfig(ports=16),
-                         arbiter_policy="magic")
+        with pytest.raises(ConfigurationError, match="unknown allocator"):
+            FabricConfig(ports=16, allocator="magic")
 
     def test_local_priority_needs_binary(self):
-        with pytest.raises(ConfigurationError):
-            ICNoCNetwork(FabricConfig(ports=16, arity=4),
-                         arbiter_policy="local_priority")
+        with pytest.raises(ConfigurationError, match="arity 4"):
+            FabricConfig(ports=16, arity=4, allocator="local_priority")
 
 
 class TestOperatingFrequency:

@@ -24,7 +24,7 @@ from repro.traffic.patterns import UniformRandom
 from tests.integration.test_fast_path_contract import run as contract_run
 
 
-def leaf_router_harness(arity=2, arbiter_factory=None, extra_stages=None):
+def leaf_router_harness(arity=2, arbiter_factory=None):
     """A single leaf-level router with manual channel access.
 
     Uses the smallest tree of the arity; router index (count-1 - none)...
@@ -36,8 +36,6 @@ def leaf_router_harness(arity=2, arbiter_factory=None, extra_stages=None):
     kwargs = {}
     if arbiter_factory is not None:
         kwargs["arbiter_factory"] = arbiter_factory
-    if extra_stages is not None:
-        kwargs["extra_stages"] = extra_stages
     router = TreeRouter(kernel, "r", node, topo, input_parity=0, **kwargs)
     return kernel, topo, router
 

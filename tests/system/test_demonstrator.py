@@ -73,11 +73,10 @@ class TestRun:
         requests; the local processor's requests must still cross at their
         unloaded latency."""
         from repro.fabric.registry import FabricConfig
-        from repro.noc.network import ICNoCNetwork
         from repro.noc.packet import Packet
 
-        net = ICNoCNetwork(FabricConfig(ports=16, arity=2),
-                           arbiter_policy="local_priority")
+        net = FabricConfig(ports=16, arity=2,
+                           allocator="local_priority").build()
         # Unloaded reference: one local request, nothing else.
         reference = Packet(src=0, dest=1)
         net.send(reference)
@@ -109,7 +108,7 @@ class TestRun:
 
     def test_uses_local_priority_arbiters(self, small_run):
         system, _ = small_run
-        assert system.network.arbiter_policy == "local_priority"
+        assert system.network.config.allocator == "local_priority"
 
     def test_deterministic_given_seed(self):
         a = DemonstratorSystem(DemonstratorConfig(tiles=4, seed=5)).run(200)

@@ -6,13 +6,12 @@ import pickle
 import pytest
 
 from repro.errors import SimulationError
-from repro.telemetry import (
+from repro.telemetry import MetricsSummary, TimeWeightedGauge
+from repro.telemetry.metrics import (
     LatencyHistogram,
-    MetricsSummary,
+    _log2_bucket,
     percentile_from_buckets,
-    TimeWeightedGauge,
 )
-from repro.telemetry.metrics import _log2_bucket
 
 
 class TestTimeWeightedGauge:

@@ -233,7 +233,7 @@ class TestSweepTopologyChoices:
         entry = registry.TopologyEntry(
             name="_cli_test_fabric", description="test",
             clock_distribution=(registry.CLOCK_MESOCHRONOUS,),
-            tree_legal=False, builder=lambda config: None,
+            tree_legal=False, builder=lambda config, kernel: None,
         )
         registry.register_topology(entry)
         try:
