@@ -260,7 +260,7 @@ def cmd_info(args: argparse.Namespace) -> int:
     if entry.supports_pipeline:
         # Credit fabrics only: the handshake trees have a fixed pipeline
         # and report their stages in describe() already.
-        print(f"pipeline: router depth {network.pipeline_depth}, "
+        print(f"pipeline: router depth {config.pipeline_depth}, "
               f"{network.link_stage_count} link stage registers, "
               f"longest segment {network.longest_segment_mm():.3f} mm "
               f"-> critical path {frequency:.3f} GHz")

@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# The backfill mixin moved to the kernel's shared component base in PR 3
-# (every fabric's register banks share it); re-exported here so existing
-# ``from repro.clocking.gating import GatedComponentMixin`` keeps working.
-from repro.sim.component import GatedComponentMixin
-
-__all__ = ["GatingStats", "GatedComponentMixin"]
+__all__ = ["GatingStats"]
 
 
 @dataclass

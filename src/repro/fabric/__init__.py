@@ -17,13 +17,13 @@ machinery both now stand on, and the place new fabrics plug into:
   and the ``arbitration_grant``/``credit_exhausted`` kernel events;
 * :mod:`~repro.fabric.endpoint` — the shared source/sink adapters;
 * :mod:`~repro.fabric.topologies` — structure descriptions (mesh, torus,
-  ring);
-* :mod:`~repro.fabric.network` — the generic credit-fabric assembly on
-  the shared :class:`~repro.noc.network.Network` base, and the mesh,
-  torus and ring built on it;
-* :mod:`~repro.fabric.registry` — where each topology declares its
-  structure, routing, and clock-distribution capability (``integrated``
-  vs ``mesochronous``), checked at build time. Its
+  ring), each naming its routing strategy;
+* :mod:`~repro.fabric.network` — :class:`CreditFabricNetwork`, the one
+  builder of every credit fabric, on the shared
+  :class:`~repro.noc.network.Network` base;
+* :mod:`~repro.fabric.registry` — where each topology declares, once, its
+  structure, VC policies, and clock-distribution capability
+  (``integrated`` vs ``mesochronous``), checked at build time. Its
   :class:`FabricConfig` is the only spec of a credit fabric.
 
 ``repro.noc`` keeps the handshake tree; the paper's tree-vs-mesh tables
@@ -58,13 +58,7 @@ from repro.fabric.topologies import (
     RingTopology,
     TorusTopology,
 )
-from repro.fabric.network import (
-    CreditFabricNetwork,
-    MeshNetwork,
-    RingNetwork,
-    TorusNetwork,
-    make_vc_policy,
-)
+from repro.fabric.network import CreditFabricNetwork
 from repro.fabric.ctree import ConcentratedTreeNetwork
 from repro.fabric.registry import (
     FLOW_VC,
@@ -95,7 +89,6 @@ __all__ = [
     "TorusDatelineVc",
     "RingDatelineVc",
     "EscapeVcAdaptive",
-    "make_vc_policy",
     "FabricRouter",
     "FLOW_WORMHOLE",
     "FLOW_VC",
@@ -105,9 +98,6 @@ __all__ = [
     "TorusTopology",
     "RingTopology",
     "CreditFabricNetwork",
-    "MeshNetwork",
-    "TorusNetwork",
-    "RingNetwork",
     "FabricConfig",
     "TopologyEntry",
     "get_topology",

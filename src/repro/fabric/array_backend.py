@@ -181,7 +181,7 @@ class ArrayEngine(BatchComponent):
     list."""
 
     def __init__(self, net: "CreditFabricNetwork") -> None:
-        super().__init__(f"{net._node_prefix}.engine", parity=0)
+        super().__init__(f"{net.topology.prefix}.engine", parity=0)
         self.net = net
         self.kernel = net.kernel
         self._store = _FlitStore()
@@ -315,12 +315,6 @@ class ArrayEngine(BatchComponent):
             self._va_dirty = np.ones(R, dtype=bool)
             for r, router in enumerate(net.routers):
                 self._credits[r] = router.credits
-            if net.vc_policy.n_ports != P:
-                raise ConfigurationError(
-                    f"backend='array': the {net.vc_policy.name} VC policy "
-                    f"indexes {net.vc_policy.n_ports} ports but the "
-                    f"routers have {P}; set the policy's n_ports"
-                )
 
         self._inj_vc = np.asarray([src.vc for src in net.sources],
                                   dtype=np.int64)

@@ -1,8 +1,10 @@
-"""Generic assembly of credit-based fabrics.
+"""Assembly of the credit-based fabrics.
 
-:class:`CreditFabricNetwork` builds a complete runnable network from a
-structure description (:mod:`repro.fabric.topologies`) plus a routing
-strategy (:mod:`repro.fabric.routing`): one :class:`FabricRouter` per
+:class:`CreditFabricNetwork` is the one builder of every credit fabric:
+it reads the config's registry entry, builds the structure the entry
+names (:mod:`repro.fabric.topologies`, which supplies the routing
+strategy) and the VC policy the entry pairs with it
+(:mod:`repro.fabric.routing`), and assembles one :class:`FabricRouter` per
 node, two directed :class:`CreditLink` wires per neighbour pair, and a
 :class:`FabricSource`/:class:`FabricSink` pair on every local port. The
 run-time API (``send`` / ``run_ticks`` / ``run_cycles`` / ``drain`` /
@@ -17,20 +19,12 @@ activity-driven fast path bit-identical to the naive reference loop for
 every fabric assembled here.
 
 **Pipelining knobs.** The config may carry ``pipeline_depth`` (staged
-routers, default 1), ``segment_links`` (floorplan-driven link
-segmentation at ``max_segment_mm``, default off), and ``credit_sizing``
-(``"auto"`` grows FIFOs/credit loops to the ``pipeline_depth +
-2 * segments`` round trip; ``"strict"`` demands ``buffer_depth`` already
-covers it and raises :class:`~repro.errors.ConfigurationError` at build
-time otherwise — a too-small credit loop throttles or wedges silently,
-so it is a build error, never a run-time surprise). With the defaults
-every link keeps the historical single-segment, default-capacity shape
-and the build is bit-identical to pre-knob versions.
-
-The concrete fabrics (:class:`MeshNetwork`, :class:`TorusNetwork`,
-:class:`RingNetwork`) are the registry's builders: each pairs a structure
-with its routing strategy and takes the same
-:class:`~repro.fabric.registry.FabricConfig`, under either flow control.
+routers, default 1) and ``segment_links`` (floorplan-driven link
+segmentation at ``max_segment_mm``, default off); FIFOs and credit loops
+grow to the ``pipeline_depth + 2 * segments`` round trip. With the
+defaults every link keeps the historical single-segment,
+default-capacity shape and the build is bit-identical to pre-knob
+versions.
 """
 
 from __future__ import annotations
@@ -43,32 +37,8 @@ from repro.fabric.allocator import make_allocator
 from repro.fabric.endpoint import FabricSink, FabricSource
 from repro.fabric.link import CreditLink
 from repro.fabric.router import FabricRouter
-from repro.fabric.routing import (
-    LOCAL,
-    PORT_NAMES,
-    RING_PORT_NAMES,
-    EscapeVcAdaptive,
-    RingDatelineVc,
-    RingRouting,
-    RoutingStrategy,
-    TorusDatelineVc,
-    TorusXYRouting,
-    VcPolicy,
-    XYRouting,
-)
-from repro.fabric.topologies import (
-    MeshTopology,
-    RingTopology,
-    TorusTopology,
-    square_side,
-)
-from repro.noc.floorplan import (
-    LOCAL_PORT,
-    Floorplan,
-    grid_fabric_floorplan,
-    ring_fabric_floorplan,
-    segment_count,
-)
+from repro.fabric.routing import LOCAL
+from repro.noc.floorplan import LOCAL_PORT, Floorplan, segment_count
 from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.sim.kernel import SimKernel
@@ -81,35 +51,27 @@ class CreditFabricNetwork(Network):
     """A built, runnable credit-based fabric with the shared run-time API.
 
     ``config`` is the fabric's one spec — every knob is read from it and
-    was validated when it was constructed; ``topology`` supplies the
-    structure, ``routing`` the per-node route functions.
+    was validated when it was constructed. Its registry entry names the
+    rest: ``topology`` (the structure: node prefix, port labels, links),
+    ``routing`` (the structure's per-node route functions) and
+    ``vc_policy`` (None under wormhole).
     """
 
-    def __init__(self, config: "FabricConfig", topology,
-                 routing: RoutingStrategy,
-                 kernel: SimKernel | None = None, node_prefix: str = "m",
-                 port_names: tuple[str, ...] | None = None,
-                 vc_policy: VcPolicy | None = None):
+    def __init__(self, config: "FabricConfig",
+                 kernel: SimKernel | None = None):
+        # Lazy: the registry names this class as its entries' builder.
+        from repro.fabric.registry import get_topology
+        entry = get_topology(config.topology)
+        topology = entry.structure.from_config(config)
         super().__init__(config, topology, topology.max_ports, kernel)
-        self.routing = routing
-        self.vc_policy = vc_policy
+        self.routing = topology.routing()
+        self.vc_policy = entry.build_vc_policy(config, topology)
         self.vc_enabled = config.flow_control == "vc"
-        if self.vc_enabled and vc_policy is None:
-            raise ConfigurationError(
-                "flow_control='vc' needs a VC-assignment policy"
-            )
-        if not self.vc_enabled and routing.needs_bubble:
+        if not self.vc_enabled and self.routing.needs_bubble:
             # The bubble rule's deadlock-freedom argument is virtual
             # cut-through: a packet must fit one FIFO with a slot to
             # spare.
             self.max_packet_flits = config.buffer_depth - 1
-        # Allocation policy: every router gets a fresh allocator instance
-        # of this flavour (arbitration state is per router).
-        self.allocator_name = config.allocator
-        self.reservations = config.reservations
-        self.pipeline_depth = config.pipeline_depth
-        self.segment_links = config.segment_links
-        self.credit_sizing = config.credit_sizing
         # Execution backend: "dispatch" fires each router/endpoint as its
         # own kernel component; "array" lowers the whole fabric into one
         # vectorized engine (repro.fabric.array_backend). The config owns
@@ -121,8 +83,6 @@ class CreditFabricNetwork(Network):
         self.sinks: list[FabricSink] = []
         self.links: list[CreditLink] = []
         self.delivered: list[Packet] = []
-        self._node_prefix = node_prefix
-        self._port_names = port_names
         self._floorplan: Floorplan | None = None
         # Under the array backend, routers and endpoints are built with
         # their full state but left unregistered: the engine executes
@@ -142,27 +102,28 @@ class CreditFabricNetwork(Network):
     def _make_router(self, node: int):
         # One construction path for both regimes: n_vcs picks the
         # degenerate (wormhole) or VC shape inside the unified router,
-        # and every router gets its own allocator instance.
+        # and every router gets its own allocator instance (arbitration
+        # state is per router).
         vc = self.vc_enabled
+        config = self.config
         return FabricRouter(
-            self.kernel, f"{self._node_prefix}{node}",
+            self.kernel, f"{self.topology.prefix}{node}",
             n_ports=self.topology.max_ports,
             route=None if vc else self.routing.for_node(node),
             candidates=self.vc_policy.for_node(node) if vc else None,
             n_vcs=self.n_vcs,
-            buffer_depth=self.config.buffer_depth,
+            buffer_depth=config.buffer_depth,
             ring_transit=self.routing,
-            port_names=self._port_names,
-            pipeline_depth=self.pipeline_depth,
+            port_names=self.topology.port_names,
+            pipeline_depth=config.pipeline_depth,
             register=self._register_components,
-            allocator=make_allocator(self.allocator_name,
-                                     self.reservations),
+            allocator=make_allocator(config.allocator, config.reservations),
         )
 
     def _link_segments(self, node: int, port: int) -> int:
         """Pipeline segments for the link driven at (node, port): 1 when
         segmentation is off, the floorplan-derived count otherwise."""
-        if not self.segment_links:
+        if not self.config.segment_links:
             return 1
         length = self.floorplan.link_length(node, port)
         return segment_count(length, self.config.max_segment_mm)
@@ -172,24 +133,14 @@ class CreditFabricNetwork(Network):
 
         A credit loop spans ``pipeline_depth + 2 * segments`` cycles
         (router stages + wire out + credit back), so streaming at one
-        flit per cycle needs that many credits. The historical shape
-        (depth 1, one segment) is left untouched so default builds stay
-        bit-identical; otherwise ``auto`` sizing grows the FIFO and
-        ``strict`` demands buffer_depth already covers the loop.
+        flit per cycle needs that many credits: the FIFO grows to cover
+        the loop. The historical shape (depth 1, one segment) is left
+        untouched so default builds stay bit-identical.
         """
-        if self.pipeline_depth == 1 and segments == 1:
+        depth = self.config.pipeline_depth
+        if depth == 1 and segments == 1:
             return None
-        required = self.pipeline_depth + 2 * segments
-        if self.credit_sizing == "strict" and \
-                self.config.buffer_depth < required:
-            raise ConfigurationError(
-                f"credit loop under-buffered: pipeline_depth "
-                f"({self.pipeline_depth}) + 2 x segments ({segments}) "
-                f"= {required} flits in flight per round trip, but "
-                f"buffer_depth is {self.config.buffer_depth}; raise "
-                f"buffer_depth or use credit_sizing='auto'"
-            )
-        return max(self.config.buffer_depth, required)
+        return max(self.config.buffer_depth, depth + 2 * segments)
 
     def _make_link(self, name: str, segments: int = 1):
         capacity = self._link_capacity(segments)
@@ -199,7 +150,7 @@ class CreditFabricNetwork(Network):
         return link
 
     def _build(self) -> None:
-        prefix = self._node_prefix
+        prefix = self.topology.prefix
         for node in range(self.topology.nodes):
             self.routers.append(self._make_router(node))
         # Router-to-router links (two directed links per neighbour pair).
@@ -230,7 +181,7 @@ class CreditFabricNetwork(Network):
             self.sinks.append(sink)
 
     def _connect(self, a: int, a_port: int, b: int, b_port: int) -> None:
-        prefix = self._node_prefix
+        prefix = self.topology.prefix
         # Both directions share the canonical floorplan length, keyed by
         # the driving (a, a_port) of the topology's links() order.
         segments = self._link_segments(a, a_port)
@@ -314,11 +265,12 @@ class CreditFabricNetwork(Network):
     def router_stage_registers(self) -> int:
         """Stage register banks inside the routers: one per in-use output
         port per extra pipeline stage."""
-        if self.pipeline_depth == 1:
+        depth = self.config.pipeline_depth
+        if depth == 1:
             return 0
         out_ports = sum(1 for router in self.routers
                         for link in router.out_links if link is not None)
-        return (self.pipeline_depth - 1) * out_ports
+        return (depth - 1) * out_ports
 
     # -- physical view ----------------------------------------------------
 
@@ -332,17 +284,8 @@ class CreditFabricNetwork(Network):
         (:mod:`repro.physical`) read link lengths from here.
         """
         if self._floorplan is None:
-            topo = self.topology
-            width = self.config.chip_width_mm
-            height = self.config.chip_height_mm
-            if hasattr(topo, "cols"):
-                self._floorplan = grid_fabric_floorplan(
-                    topo.cols, topo.rows, topo.links(), width, height
-                )
-            else:
-                self._floorplan = ring_fabric_floorplan(
-                    topo.nodes, topo.links(), width, height
-                )
+            self._floorplan = self.topology.floorplan(
+                self.config.chip_width_mm, self.config.chip_height_mm)
         return self._floorplan
 
     def longest_segment_mm(self) -> float:
@@ -352,7 +295,7 @@ class CreditFabricNetwork(Network):
         longest = 0.0
         for length in self.floorplan.link_lengths.values():
             segments = (segment_count(length, max_seg)
-                        if self.segment_links else 1)
+                        if self.config.segment_links else 1)
             longest = max(longest, length / segments)
         return longest
 
@@ -372,116 +315,17 @@ class CreditFabricNetwork(Network):
             yield router.name, router.name, labels
 
     def describe(self) -> str:
-        describe = getattr(self.topology, "describe", None)
-        structure = describe() if describe else f"{self.topology.nodes} nodes"
+        config = self.config
         flow = (f", {self.n_vcs} VCs ({self.vc_policy.name})"
                 if self.vc_enabled else "")
-        if self.allocator_name != "rr":
-            flow += f", {self.allocator_name} allocation"
+        if config.allocator != "rr":
+            flow += f", {config.allocator} allocation"
         pipe = ""
-        if self.pipeline_depth > 1:
-            pipe += f", {self.pipeline_depth}-stage routers"
-        if self.segment_links:
+        if config.pipeline_depth > 1:
+            pipe += f", {config.pipeline_depth}-stage routers"
+        if config.segment_links:
             pipe += (f", {self.link_stage_count} link stages "
-                     f"(<= {self.config.max_segment_mm} mm segments)")
-        return (f"{type(self).__name__}: {structure}, "
+                     f"(<= {config.max_segment_mm} mm segments)")
+        return (f"{type(self).__name__}: {self.topology.describe()}, "
                 f"{len(self.routers)} routers, "
-                f"buffer depth {self.config.buffer_depth}{flow}{pipe}")
-
-
-def make_vc_policy(config: "FabricConfig", cols: int | None = None,
-                   rows: int | None = None) -> VcPolicy | None:
-    """The VC-assignment policy a :class:`FabricConfig` resolves to.
-
-    None when the config runs plain wormhole. Grid policies need the
-    fabric's (cols, rows); the ring derives its shape from ``ports``.
-    Only the stock (topology, policy) pairings are dispatched here — a
-    new registered fabric supplies its own policy object straight to
-    :class:`CreditFabricNetwork` rather than extending this table, and
-    an unknown pairing fails loudly instead of building a policy whose
-    deadlock argument does not fit the structure.
-    """
-    name = config.resolved_vc_policy
-    if name is None:
-        return None
-    if config.topology == "ring" and name == "dateline":
-        return RingDatelineVc(config.ports, config.n_vcs)
-    if config.topology in ("mesh", "torus"):
-        if cols is None or rows is None:
-            raise ConfigurationError(
-                f"{config.topology}: grid VC policies need the fabric's "
-                f"(cols, rows) — pass the _grid_shape result"
-            )
-        if name == "dateline" and config.topology == "torus":
-            return TorusDatelineVc(cols, rows, config.n_vcs)
-        if name == "escape":
-            return EscapeVcAdaptive(
-                cols, rows, config.n_vcs,
-                wrap=(config.topology == "torus"),
-                reentry=config.allocator == "escape-reentry",
-                priority_flows=config.priority_flows,
-            )
-    raise ConfigurationError(
-        f"no stock VC policy builder for topology {config.topology!r} "
-        f"with policy {name!r}; pass a VcPolicy to CreditFabricNetwork"
-    )
-
-
-class MeshNetwork(CreditFabricNetwork):
-    """The paper's comparison baseline: a 2-D mesh under XY routing.
-
-    Dimension order is deadlock-free on its own; ``flow_control="vc"``
-    adds the escape policy's adaptive VCs on the same routers.
-    """
-
-    def __init__(self, config: "FabricConfig",
-                 kernel: SimKernel | None = None):
-        cols, rows = _grid_shape(config, "mesh")
-        super().__init__(config, MeshTopology(cols, rows),
-                         XYRouting(cols, rows), kernel=kernel,
-                         node_prefix="m", port_names=PORT_NAMES,
-                         vc_policy=make_vc_policy(config, cols, rows))
-
-
-class TorusNetwork(CreditFabricNetwork):
-    """A 2-D torus under shortest-wrap XY routing.
-
-    Deadlock freedom comes from the bubble rule under wormhole flow
-    control, or from dateline/escape VCs under ``flow_control="vc"``
-    (which also lifts the packet-length bound).
-    """
-
-    def __init__(self, config: "FabricConfig",
-                 kernel: SimKernel | None = None):
-        cols, rows = _grid_shape(config, "torus")
-        topology = TorusTopology(cols, rows)
-        super().__init__(config, topology, TorusXYRouting(cols, rows),
-                         kernel=kernel, node_prefix="t",
-                         port_names=PORT_NAMES,
-                         vc_policy=make_vc_policy(config, cols, rows))
-
-
-class RingNetwork(CreditFabricNetwork):
-    """A bidirectional ring under shortest-direction routing."""
-
-    def __init__(self, config: "FabricConfig",
-                 kernel: SimKernel | None = None):
-        topology = RingTopology(config.ports)
-        super().__init__(config, topology, RingRouting(config.ports),
-                         kernel=kernel, node_prefix="g",
-                         port_names=RING_PORT_NAMES,
-                         vc_policy=make_vc_policy(config))
-
-
-def _grid_shape(config: "FabricConfig", what: str) -> tuple[int, int]:
-    """(cols, rows) of a grid fabric: explicit rows, or a square."""
-    rows = config.rows
-    if rows:
-        if config.ports % rows:
-            raise ConfigurationError(
-                f"{what}: ports ({config.ports}) not divisible by rows "
-                f"({rows})"
-            )
-        return config.ports // rows, rows
-    side = square_side(config.ports, what)
-    return side, side
+                f"buffer depth {config.buffer_depth}{flow}{pipe}")

@@ -24,22 +24,31 @@ Usage::
     net = FabricConfig(topology="ctree", ports=64,
                        concentration=4).build()             # integrated clock
 
-A new fabric is ~30 lines of routing strategy plus a structure
-description and one :func:`register_topology` call — see docs/fabric.md.
-
-Builders import their network modules lazily so the registry can be
-imported from anywhere (CLI, sweep workers, the networks themselves)
-without circular imports.
+A credit fabric is declared once: its entry names the structure class
+(which carries the routing strategy), maps each VC-policy name to the
+callable that builds that policy, and takes
+:class:`~repro.fabric.network.CreditFabricNetwork` as its builder. A new
+one is a structure, a routing strategy (plus a VC policy if it has one)
+and one :func:`register_topology` call — see docs/fabric.md.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.fabric.allocator import ALLOCATOR_NAMES, make_allocator
+from repro.fabric.ctree import ConcentratedTreeNetwork
+from repro.fabric.network import CreditFabricNetwork
+from repro.fabric.routing import (
+    EscapeVcAdaptive,
+    RingDatelineVc,
+    TorusDatelineVc,
+    VcPolicy,
+)
+from repro.fabric.topologies import MeshTopology, RingTopology, TorusTopology
+from repro.noc.network import ICNoCNetwork
 from repro.tech.technology import Technology, TECH_90NM
 
 #: Clock distribution capabilities.
@@ -76,8 +85,10 @@ class TopologyEntry:
             .FabricRouter`) requires at least one entry in
             ``vc_policies``.
         vc_policies: supported VC-assignment policies
-            (:mod:`repro.fabric.routing`), the first is the default —
-            e.g. ``dateline`` deadlock avoidance, ``escape`` adaptive.
+            (:mod:`repro.fabric.routing`), each name mapped to the
+            ``(FabricConfig, structure) -> VcPolicy`` callable that
+            builds it; the first is the default — e.g. ``dateline``
+            deadlock avoidance, ``escape`` adaptive.
         allocators: supported router allocation policies
             (:data:`~repro.fabric.allocator.ALLOCATOR_NAMES`). ``"rr"``
             round-robin is accepted on every fabric, so empty means rr
@@ -87,24 +98,23 @@ class TopologyEntry:
             tree's per-output arbitration (no :class:`~repro.fabric
             .allocator.Allocator`: the handshake routers take arbiters).
         builder: ``(FabricConfig, kernel) -> network``, the kernel None
-            or a :class:`~repro.sim.kernel.SimKernel` to build on
-            (lazy-imports its module).
-        validate: optional extra config check (port-count shape etc.).
+            or a :class:`~repro.sim.kernel.SimKernel` to build on — the
+            stock entries name their network class.
+        validate: optional extra config check (the tree family's
+            port-count shape).
         physical: ``network ->``
             :class:`~repro.physical.descriptor.PhysicalModel` — the
             fabric's physical cost descriptor (area, flit energy, clock
             power), consumed by :mod:`repro.physical`; it reads the
-            fabric's name and clocking off ``network.config``.
-            Lazy-imports like ``builder``; None means the fabric
-            publishes no physical model and the generic reports refuse
-            it loudly.
-        supports_pipeline: the fabric honours the ``pipeline_depth`` /
-            ``segment_links`` / ``credit_sizing`` knobs (the credit
-            fabrics). The tree family does not: its handshake routers
-            are a fixed forward pipeline and its links are *always*
-            segmented at ``max_segment_mm`` by construction, so the
-            knobs would be silently meaningless there — requesting them
-            raises instead.
+            fabric's name and clocking off ``network.config``. None
+            means the fabric publishes no physical model and the
+            generic reports refuse it loudly.
+        structure: the credit fabrics' structure class
+            (:mod:`repro.fabric.topologies`): ``from_config`` builds it
+            (applying its shape rule), and it names the routing
+            strategy, port labels and component prefix
+            :class:`~repro.fabric.network.CreditFabricNetwork` reads.
+            None for the tree family, which builds its own.
     """
 
     name: str
@@ -114,10 +124,11 @@ class TopologyEntry:
     builder: Callable[["FabricConfig", Any], Any]
     validate: Callable[["FabricConfig"], None] | None = None
     flow_control: tuple[str, ...] = (FLOW_WORMHOLE,)
-    vc_policies: tuple[str, ...] = ()
+    vc_policies: dict[str, Callable[["FabricConfig", Any], VcPolicy]] = \
+        field(default_factory=dict)
     allocators: tuple[str, ...] = ()
     physical: Callable[[Any], Any] | None = None
-    supports_pipeline: bool = False
+    structure: type | None = None
 
     def __post_init__(self) -> None:
         if not self.clock_distribution:
@@ -158,8 +169,23 @@ class TopologyEntry:
         return self.clock_distribution[0]
 
     @property
-    def default_flow_control(self) -> str:
-        return self.flow_control[0]
+    def supports_pipeline(self) -> bool:
+        """The fabric honours the ``pipeline_depth`` / ``segment_links``
+        knobs (the credit fabrics, which declare a ``structure``). The
+        tree family does not: its handshake routers are a fixed forward
+        pipeline and its links are *always* segmented at
+        ``max_segment_mm`` by construction, so the knobs would be
+        silently meaningless there — requesting them raises instead."""
+        return self.structure is not None
+
+    def build_vc_policy(self, config: "FabricConfig",
+                        structure) -> VcPolicy | None:
+        """The VC-assignment policy ``config`` resolves to on the built
+        ``structure`` (None under wormhole)."""
+        name = config.resolved_vc_policy
+        if name is None:
+            return None
+        return self.vc_policies[name](config, structure)
 
 
 _REGISTRY: dict[str, TopologyEntry] = {}
@@ -253,7 +279,6 @@ class FabricConfig:
     max_segment_mm: float = 1.25
     pipeline_depth: int = 1     # credit fabrics: staged routers
     segment_links: bool = False  # credit fabrics: pipeline long links
-    credit_sizing: str = "auto"  # "auto" grows FIFOs, "strict" raises
     tech: Technology = TECH_90NM
     activity_driven: bool = True
     backend: str = "dispatch"   # "dispatch" | "array" | "auto"
@@ -288,11 +313,6 @@ class FabricConfig:
             raise ConfigurationError("pipeline_depth must be >= 1")
         if self.max_segment_mm <= 0.0:
             raise ConfigurationError("max_segment_mm must be positive")
-        if self.credit_sizing not in ("auto", "strict"):
-            raise ConfigurationError(
-                f"credit_sizing must be 'auto' or 'strict', "
-                f"got {self.credit_sizing!r}"
-            )
         if entry.supports_pipeline:
             if self.buffer_depth < 2:
                 # The routers' own limit, checked where the spec is
@@ -315,12 +335,6 @@ class FabricConfig:
                     f"segment_links only applies to credit fabrics; "
                     f"topology {self.topology!r} always segments its "
                     f"links at max_segment_mm"
-                )
-            if self.credit_sizing != "auto":
-                raise ConfigurationError(
-                    f"credit_sizing only applies to credit fabrics; "
-                    f"topology {self.topology!r} uses handshake flow "
-                    f"control"
                 )
         if self.clocking is not None and \
                 self.clocking not in entry.clock_distribution:
@@ -420,6 +434,12 @@ class FabricConfig:
                     )
         if entry.validate is not None:
             entry.validate(self)
+        if entry.structure is not None:
+            # Build the parts the network will: the structure applies
+            # its shape rule, the VC policy its own checks (even
+            # dateline VC counts, the torus escape's three-VC minimum),
+            # so config-time validation never drifts from the build.
+            entry.build_vc_policy(self, entry.structure.from_config(self))
 
     @property
     def clock_distribution(self) -> str:
@@ -433,7 +453,7 @@ class FabricConfig:
             return None
         if self.vc_policy is not None:
             return self.vc_policy
-        return get_topology(self.topology).vc_policies[0]
+        return next(iter(get_topology(self.topology).vc_policies))
 
     @property
     def _array_refusal(self) -> str | None:
@@ -505,41 +525,6 @@ def _validate_ctree(config: FabricConfig) -> None:
     _require_power(leaves, config.arity, "ctree leaves")
 
 
-def _validate_vc(config: FabricConfig) -> None:
-    """Config-time VC checks, single-sourced from the policies.
-
-    Constructing the resolved policy (and discarding it) runs exactly
-    the shape checks the build would — even dateline VC counts, the
-    torus escape's three-VC minimum — so config-time validation can
-    never drift from build-time behaviour.
-    """
-    if config.flow_control != FLOW_VC:
-        return
-    from repro.fabric.network import _grid_shape, make_vc_policy
-    if config.topology == "ring":
-        make_vc_policy(config)
-    else:
-        cols, rows = _grid_shape(config, config.topology)
-        make_vc_policy(config, cols, rows)
-
-
-def _validate_grid(config: FabricConfig) -> None:
-    rows = config.rows
-    if rows is not None:
-        if rows < 2 or config.ports % rows or config.ports // rows < 2:
-            raise ConfigurationError(
-                f"grid of {config.ports} ports cannot have {rows} rows"
-            )
-    else:
-        side = math.isqrt(config.ports)
-        if side * side != config.ports or side < 2:
-            raise ConfigurationError(
-                f"square grid needs a square port count >= 4, "
-                f"got {config.ports}"
-            )
-    _validate_vc(config)
-
-
 def _require_power(value: int, base: int, what: str) -> None:
     count = 1
     while count < value:
@@ -550,52 +535,21 @@ def _require_power(value: int, base: int, what: str) -> None:
         )
 
 
-def _build_tree(config: FabricConfig, kernel):
-    from repro.noc.network import ICNoCNetwork
-    return ICNoCNetwork(config, kernel)
+def _escape(config: FabricConfig, grid, wrap: bool) -> EscapeVcAdaptive:
+    return EscapeVcAdaptive(
+        grid.cols, grid.rows, config.n_vcs, wrap=wrap,
+        reentry=config.allocator == "escape-reentry",
+        priority_flows=config.priority_flows,
+    )
 
 
-def _build_ctree(config: FabricConfig, kernel):
-    from repro.fabric.ctree import ConcentratedTreeNetwork
-    return ConcentratedTreeNetwork(config, kernel)
-
-
-def _build_mesh(config: FabricConfig, kernel):
-    from repro.fabric.network import MeshNetwork
-    return MeshNetwork(config, kernel)
-
-
-def _build_torus(config: FabricConfig, kernel):
-    from repro.fabric.network import TorusNetwork
-    return TorusNetwork(config, kernel)
-
-
-def _build_ring(config: FabricConfig, kernel):
-    from repro.fabric.network import RingNetwork
-    return RingNetwork(config, kernel)
-
-
-# Physical descriptors (lazy-import like the builders, so the registry
-# stays importable from anywhere without pulling in repro.physical).
-
-
-def _physical_tree(network):
-    from repro.physical.descriptor import TreePhysical
-    return TreePhysical(network)
-
-
-def _physical_ctree(network):
-    from repro.physical.descriptor import CtreePhysical
-    return CtreePhysical(network)
-
-
-def _physical_credit(network):
-    # One descriptor serves every credit fabric: it walks the network's
-    # own routing strategy over its own link table, so mesh, torus and
-    # ring (wormhole or VC) need no per-topology physical code.
-    from repro.physical.descriptor import CreditFabricPhysical
-    return CreditFabricPhysical(network)
-
+# The physical descriptors import this module (repro.physical's reports
+# read the registry), so they are imported once its names exist.
+from repro.physical.descriptor import (  # noqa: E402
+    CreditFabricPhysical,
+    CtreePhysical,
+    TreePhysical,
+)
 
 register_topology(TopologyEntry(
     name="tree",
@@ -603,9 +557,9 @@ register_topology(TopologyEntry(
                 "clock rides the data tree",
     clock_distribution=(CLOCK_INTEGRATED, CLOCK_MESOCHRONOUS),
     tree_legal=True,
-    builder=_build_tree,
+    builder=ICNoCNetwork,
     validate=_validate_tree,
-    physical=_physical_tree,
+    physical=TreePhysical,
     allocators=("rr", "local_priority"),
 ))
 
@@ -615,9 +569,9 @@ register_topology(TopologyEntry(
                 "still integrated-clock legal",
     clock_distribution=(CLOCK_INTEGRATED, CLOCK_MESOCHRONOUS),
     tree_legal=True,
-    builder=_build_ctree,
+    builder=ConcentratedTreeNetwork,
     validate=_validate_ctree,
-    physical=_physical_ctree,
+    physical=CtreePhysical,
 ))
 
 register_topology(TopologyEntry(
@@ -626,13 +580,14 @@ register_topology(TopologyEntry(
                 "(the paper's comparison baseline)",
     clock_distribution=(CLOCK_MESOCHRONOUS,),
     tree_legal=False,
-    builder=_build_mesh,
-    validate=_validate_grid,
-    physical=_physical_credit,
+    builder=CreditFabricNetwork,
+    physical=CreditFabricPhysical,
+    structure=MeshTopology,
     flow_control=(FLOW_WORMHOLE, FLOW_VC),
-    vc_policies=("escape",),
+    vc_policies={
+        "escape": lambda config, mesh: _escape(config, mesh, wrap=False),
+    },
     allocators=("rr", "weighted", "escape-reentry"),
-    supports_pipeline=True,
 ))
 
 register_topology(TopologyEntry(
@@ -641,13 +596,16 @@ register_topology(TopologyEntry(
                 "or dateline/escape VCs on the rings",
     clock_distribution=(CLOCK_MESOCHRONOUS,),
     tree_legal=False,
-    builder=_build_torus,
-    validate=_validate_grid,
-    physical=_physical_credit,
+    builder=CreditFabricNetwork,
+    physical=CreditFabricPhysical,
+    structure=TorusTopology,
     flow_control=(FLOW_WORMHOLE, FLOW_VC),
-    vc_policies=("dateline", "escape"),
+    vc_policies={
+        "dateline": lambda config, torus: TorusDatelineVc(
+            torus.cols, torus.rows, config.n_vcs),
+        "escape": lambda config, torus: _escape(config, torus, wrap=True),
+    },
     allocators=("rr", "weighted", "escape-reentry"),
-    supports_pipeline=True,
 ))
 
 register_topology(TopologyEntry(
@@ -656,11 +614,13 @@ register_topology(TopologyEntry(
                 "routing, bubble flow control or dateline VCs",
     clock_distribution=(CLOCK_MESOCHRONOUS,),
     tree_legal=False,
-    builder=_build_ring,
-    validate=_validate_vc,
-    physical=_physical_credit,
+    builder=CreditFabricNetwork,
+    physical=CreditFabricPhysical,
+    structure=RingTopology,
     flow_control=(FLOW_WORMHOLE, FLOW_VC),
-    vc_policies=("dateline",),
+    vc_policies={
+        "dateline": lambda config, ring: RingDatelineVc(ring.nodes,
+                                                        config.n_vcs),
+    },
     allocators=("rr", "weighted"),
-    supports_pipeline=True,
 ))

@@ -1,14 +1,22 @@
 """Structure descriptions of the credit-based fabrics.
 
-A credit-fabric topology is a plain structural object the generic
-:class:`~repro.fabric.network.CreditFabricNetwork` builder consumes:
+A credit-fabric structure is the class a registry entry names as its
+``structure``; :class:`~repro.fabric.network.CreditFabricNetwork` builds
+it from the config and assembles what it describes:
 
+* ``from_config(config)`` — the structure a
+  :class:`~repro.fabric.registry.FabricConfig` asks for (grid fabrics
+  apply the grid-shape rule, :func:`grid_shape`, here);
 * ``nodes`` — endpoint count (one local port per node);
-* ``max_ports`` — uniform router port count (local = port 0);
+* ``max_ports`` — uniform router port count (local = port 0), with
+  ``port_names`` its labels and ``prefix`` its components' name prefix;
 * ``links()`` — the bidirectional neighbour pairs ``(a, a_port, b,
   b_port)`` in a deterministic build order (component and signal
   registration order follows it, which is what makes activity-driven and
   naive runs bit-identical);
+* ``routing()`` — the routing strategy (:mod:`repro.fabric.routing`);
+* ``floorplan(width, height)`` and ``describe()`` — its embedding on the
+  die (:mod:`repro.noc.floorplan`) and its one-phrase summary;
 * ``hop_count`` / ``worst_case_hops`` — the structural analysis the
   stats and the paper-style comparisons use.
 
@@ -31,21 +39,49 @@ distribution — the registry's build-time capability check enforces it.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import TopologyError
-from repro.fabric.routing import EAST, NORTH, RING_CCW, RING_CW, SOUTH, WEST
+from repro.fabric.routing import (
+    EAST,
+    NORTH,
+    PORT_NAMES,
+    RING_CCW,
+    RING_CW,
+    RING_PORT_NAMES,
+    SOUTH,
+    WEST,
+    RingRouting,
+    TorusXYRouting,
+    XYRouting,
+)
+from repro.noc.floorplan import (
+    Floorplan,
+    grid_fabric_floorplan,
+    ring_fabric_floorplan,
+)
+
+if TYPE_CHECKING:
+    from repro.fabric.registry import FabricConfig
 
 #: One bidirectional neighbour connection: (a, a_port, b, b_port).
 LinkSpec = tuple[int, int, int, int]
 
 
-def square_side(nodes: int, what: str) -> int:
-    """Side length of a square grid fabric (nodes must be square)."""
-    side = math.isqrt(nodes)
-    if side * side != nodes:
-        raise TopologyError(f"{what} needs a square node count, got {nodes}")
-    return side
+def grid_shape(ports: int, rows: int | None = None) -> tuple[int, int]:
+    """``(cols, rows)`` of a grid of ``ports`` nodes with ``rows`` rows,
+    or a square when None — the mesh's and the torus's shape rule: both
+    sides at least 2."""
+    if rows is None:
+        side = math.isqrt(ports)
+        if side * side != ports or side < 2:
+            raise TopologyError(
+                f"square grid needs a square port count >= 4, got {ports}"
+            )
+        return side, side
+    if rows < 2 or ports % rows or ports // rows < 2:
+        raise TopologyError(f"grid of {ports} ports cannot have {rows} rows")
+    return ports // rows, rows
 
 
 def _interior_links(cols: int, rows: int) -> Iterator[LinkSpec]:
@@ -58,28 +94,25 @@ def _interior_links(cols: int, rows: int) -> Iterator[LinkSpec]:
             yield (node, SOUTH, node + cols, NORTH)
 
 
-class MeshTopology:
-    """A cols x rows mesh of routers, one network port per router.
+class _Grid:
+    """A cols x rows grid of 5-port routers, one network port per router.
 
-    Nodes are numbered row-major: node = y * cols + x.
+    Nodes are numbered row-major: node = y * cols + x. ``rows`` defaults
+    to a square.
     """
 
-    #: Uniform router port count (local + 4 directions; edge routers
+    #: Uniform router port count (local + 4 directions; mesh edge routers
     #: simply leave the missing directions unconnected).
     max_ports = 5
+    port_names = PORT_NAMES
 
     def __init__(self, cols: int, rows: int | None = None):
-        if rows is None:
-            rows = cols
-        if cols < 2 or rows < 2:
-            raise TopologyError("mesh needs at least 2x2 routers")
-        self.cols = cols
-        self.rows = rows
+        rows = cols if rows is None else rows
+        self.cols, self.rows = grid_shape(cols * rows, rows)
 
-    @staticmethod
-    def square_for(ports: int) -> "MeshTopology":
-        """The square mesh serving ``ports`` nodes (ports must be square)."""
-        return MeshTopology(square_side(ports, "mesh"))
+    @classmethod
+    def from_config(cls, config: "FabricConfig") -> "_Grid":
+        return cls(*grid_shape(config.ports, config.rows))
 
     @property
     def nodes(self) -> int:
@@ -94,6 +127,25 @@ class MeshTopology:
         if not 0 <= node < self.nodes:
             raise TopologyError(f"unknown node {node}")
         return (node % self.cols, node // self.cols)
+
+    def floorplan(self, chip_width_mm: float,
+                  chip_height_mm: float) -> Floorplan:
+        return grid_fabric_floorplan(self.cols, self.rows, self.links(),
+                                     chip_width_mm, chip_height_mm)
+
+    def describe(self) -> str:
+        return f"{self.cols}x{self.rows} {self.kind}"
+
+
+class MeshTopology(_Grid):
+    """A cols x rows mesh under XY routing: the paper's comparison
+    baseline."""
+
+    kind = "mesh"
+    prefix = "m"
+
+    def routing(self) -> XYRouting:
+        return XYRouting(self.cols, self.rows)
 
     def node_at(self, x: int, y: int) -> int:
         if not (0 <= x < self.cols and 0 <= y < self.rows):
@@ -164,34 +216,14 @@ class MeshTopology:
         return max(chip_width_mm / self.cols, chip_height_mm / self.rows)
 
 
-class TorusTopology:
-    """A cols x rows 2-D torus, one network port per router.
+class TorusTopology(_Grid):
+    """A cols x rows 2-D torus under shortest-wrap XY routing."""
 
-    Nodes are numbered row-major like the mesh: node = y * cols + x.
-    """
+    kind = "torus"
+    prefix = "t"
 
-    max_ports = 5
-
-    def __init__(self, cols: int, rows: int | None = None):
-        if rows is None:
-            rows = cols
-        if cols < 2 or rows < 2:
-            raise TopologyError("torus needs at least 2x2 routers")
-        self.cols = cols
-        self.rows = rows
-
-    @property
-    def nodes(self) -> int:
-        return self.cols * self.rows
-
-    @property
-    def router_count(self) -> int:
-        return self.nodes
-
-    def coordinates(self, node: int) -> tuple[int, int]:
-        if not 0 <= node < self.nodes:
-            raise TopologyError(f"unknown node {node}")
-        return (node % self.cols, node // self.cols)
+    def routing(self) -> TorusXYRouting:
+        return TorusXYRouting(self.cols, self.rows)
 
     def node_at(self, x: int, y: int) -> int:
         return (y % self.rows) * self.cols + (x % self.cols)
@@ -221,19 +253,30 @@ class TorusTopology:
         """Bidirectional router-to-router links (wraps included)."""
         return 2 * self.nodes
 
-    def describe(self) -> str:
-        return f"{self.cols}x{self.rows} torus"
-
 
 class RingTopology:
     """A bidirectional ring of ``nodes`` 3-port routers."""
 
     max_ports = 3
+    port_names = RING_PORT_NAMES
+    prefix = "g"
 
     def __init__(self, nodes: int):
         if nodes < 2:
             raise TopologyError("ring needs at least 2 routers")
         self.nodes = nodes
+
+    @classmethod
+    def from_config(cls, config: "FabricConfig") -> "RingTopology":
+        return cls(config.ports)
+
+    def routing(self) -> RingRouting:
+        return RingRouting(self.nodes)
+
+    def floorplan(self, chip_width_mm: float,
+                  chip_height_mm: float) -> Floorplan:
+        return ring_fabric_floorplan(self.nodes, self.links(),
+                                     chip_width_mm, chip_height_mm)
 
     @property
     def router_count(self) -> int:

@@ -23,11 +23,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable
 
-from repro.clocking.gating import GatedComponentMixin, GatingStats
+from repro.clocking.gating import GatingStats
 from repro.errors import ConfigurationError
 from repro.noc.flit import Flit
 from repro.noc.handshake import HandshakeChannel
-from repro.sim.component import ClockedComponent
+from repro.sim.component import ClockedComponent, GatedComponentMixin
 from repro.sim.kernel import SimKernel
 
 

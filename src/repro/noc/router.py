@@ -29,14 +29,14 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from repro.clocking.gating import GatedComponentMixin, GatingStats
+from repro.clocking.gating import GatingStats
 from repro.errors import ConfigurationError, RoutingError
 from repro.noc.arbiter import Arbiter, RoundRobinArbiter
 from repro.noc.flit import Flit
 from repro.noc.handshake import HandshakeChannel
 from repro.noc.pipeline import PipelineStage
 from repro.noc.topology import RouterNode, TreeTopology
-from repro.sim.component import ClockedComponent
+from repro.sim.component import ClockedComponent, GatedComponentMixin
 from repro.sim.kernel import SimKernel
 
 #: Factory signature: (output_port, n_inputs) -> Arbiter.

@@ -411,7 +411,7 @@ class CreditFabricPhysical(PhysicalModel):
 
     def _link_stages_on(self, length_mm: float) -> int:
         """Register stages one direction of a link of this length has."""
-        if not self.network.segment_links:
+        if not self.network.config.segment_links:
             return 0
         from repro.noc.floorplan import segment_count
         return segment_count(length_mm,
@@ -507,7 +507,7 @@ class CreditFabricPhysical(PhysicalModel):
             stages[idx] += t.link_stages[node, port]
         length += t.stub_mm[dests]
         hops = steps + 1
-        stages += (self.network.pipeline_depth - 1) * hops
+        stages += (self.network.config.pipeline_depth - 1) * hops
         return PairCosts(hops=hops, length_mm=length, switch_pj=switch,
                          buffered_hops=hops, stage_registers=stages)
 
@@ -524,7 +524,8 @@ class CreditFabricPhysical(PhysicalModel):
         lengths.append(t.stub_mm[dest].item())
         stage_registers = sum(self._link_stages_on(length)
                               for length in lengths)
-        stage_registers += (self.network.pipeline_depth - 1) * len(nodes)
+        stage_registers += ((self.network.config.pipeline_depth - 1)
+                            * len(nodes))
         return PathProfile(
             hops=len(nodes),
             switch_ports=tuple(ports[node] for node in nodes),

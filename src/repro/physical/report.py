@@ -60,12 +60,6 @@ class RunEnergyReport:
         return self.total_pj / elapsed_ns  # pJ/ns is mW, exactly
 
     @property
-    def energy_per_flit_hop_pj(self) -> float:
-        if self.flit_router_traversals == 0:
-            return 0.0
-        return self.traffic_pj / self.flit_router_traversals
-
-    @property
     def energy_per_flit_pj(self) -> float:
         """Mean traffic energy per delivered flit (source to sink)."""
         if self.flits_delivered == 0:

@@ -162,7 +162,7 @@ class TestSharedBuffers:
         assert torus.total_buffer_flits() > mesh.total_buffer_flits()
 
     def test_describe(self):
-        for topology, ports in (("torus", 16), ("ring", 6)):
+        for topology, ports in (("mesh", 16), ("torus", 16), ("ring", 6)):
             net = FabricConfig(topology=topology, ports=ports).build()
             assert topology in net.describe()
 

@@ -5,7 +5,7 @@ Three layers share the knobs and each has a regression here:
 * cycle model — staged routers add exactly ``hops x (depth - 1)`` cycles,
   segmented links stay bit-identical between kernel modes, and the
   credit loop is sized to the full ``pipeline_depth + 2 x segments``
-  round trip (``auto`` grows it, ``strict`` refuses at build time);
+  round trip (FIFOs grow to cover it);
 * registry — the default build keeps the exact seed shape (no stages,
   historical link capacities), and the tree family rejects every knob
   loudly instead of silently dropping it;
@@ -84,23 +84,11 @@ class TestCreditLoopSizing:
             segments = len(link.stages) + 1
             assert link.capacity == max(4, depth + 2 * segments)
 
-    def test_strict_underbuffered_raises_at_build(self):
-        config = _torus(pipeline_depth=4, credit_sizing="strict",
-                        buffer_depth=4)
-        with pytest.raises(ConfigurationError,
-                           match="credit loop under-buffered"):
-            config.build()
-
-    def test_strict_passes_when_buffer_covers_the_loop(self):
+    def test_buffer_that_covers_the_loop_is_kept(self):
         # depth 2 + 2 x 1 segment = 4 <= buffer_depth 4: no growth needed.
         net = FabricConfig(topology="torus", ports=16, pipeline_depth=2,
-                           credit_sizing="strict", buffer_depth=4).build()
+                           buffer_depth=4).build()
         assert all(link.capacity == 4 for link in net.links)
-
-    def test_strict_message_names_the_formula(self):
-        with pytest.raises(ConfigurationError, match=r"raise buffer_depth"):
-            _torus(pipeline_depth=4, credit_sizing="strict",
-                   buffer_depth=4).build()
 
 
 class TestTreeFamilyRejectsKnobs:
@@ -110,8 +98,7 @@ class TestTreeFamilyRejectsKnobs:
 
     @pytest.mark.parametrize("topology", ("tree", "ctree"))
     @pytest.mark.parametrize("kwargs", ({"pipeline_depth": 2},
-                                        {"segment_links": True},
-                                        {"credit_sizing": "strict"}))
+                                        {"segment_links": True}))
     def test_rejected(self, topology, kwargs):
         extra = {"concentration": 4} if topology == "ctree" else {}
         with pytest.raises(ConfigurationError):

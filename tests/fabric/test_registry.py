@@ -1,11 +1,16 @@
 """The topology registry: names, capabilities, build-time checks."""
 
+import inspect
+import re
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fabric.network import CreditFabricNetwork
 from repro.fabric.registry import (
     CLOCK_INTEGRATED,
     CLOCK_MESOCHRONOUS,
+    FLOW_VC,
     FabricConfig,
     TopologyEntry,
     get_topology,
@@ -13,8 +18,37 @@ from repro.fabric.registry import (
     topology_names,
     topology_table,
 )
+from repro.fabric.routing import (
+    EscapeVcAdaptive,
+    RingDatelineVc,
+    RingRouting,
+    TorusDatelineVc,
+    TorusXYRouting,
+    XYRouting,
+)
 
 STOCK = ("tree", "ctree", "mesh", "torus", "ring")
+
+#: What each stock credit entry declares: router name prefix, routing
+#: strategy, and the class behind each VC-policy name.
+CREDIT_PARTS = {
+    "mesh": ("m", XYRouting, {"escape": EscapeVcAdaptive}),
+    "torus": ("t", TorusXYRouting, {"dateline": TorusDatelineVc,
+                                    "escape": EscapeVcAdaptive}),
+    "ring": ("g", RingRouting, {"dateline": RingDatelineVc}),
+}
+
+
+def _credit_builds():
+    """Every credit entry x flow control x VC-policy name."""
+    for name in topology_names():
+        entry = get_topology(name)
+        if entry.structure is None:
+            continue
+        for flow in entry.flow_control:
+            for policy in (entry.vc_policies if flow == FLOW_VC
+                           else (None,)):
+                yield name, flow, policy
 
 
 class TestRegistry:
@@ -112,6 +146,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             FabricConfig(topology="mesh", ports=8, rows=3)
 
+    @pytest.mark.parametrize("name", ("mesh", "torus"))
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"ports": 24},
+         "square grid needs a square port count >= 4, got 24"),
+        ({"ports": 2}, "square grid needs a square port count >= 4, got 2"),
+        ({"ports": 16, "rows": 3}, "grid of 16 ports cannot have 3 rows"),
+        ({"ports": 16, "rows": 1}, "grid of 16 ports cannot have 1 rows"),
+        ({"ports": 8, "rows": 8}, "grid of 8 ports cannot have 8 rows"),
+    ])
+    def test_grid_shape_rule_at_config(self, name, kwargs, message):
+        """One shape rule for both grids, raised where the spec is
+        written, under either flow control."""
+        for flow in ("wormhole", "vc"):
+            with pytest.raises(ConfigurationError,
+                               match=f"^{re.escape(message)}$"):
+                FabricConfig(topology=name, flow_control=flow, **kwargs)
+
     def test_ctree_concentration_shape(self):
         with pytest.raises(ConfigurationError):
             FabricConfig(topology="ctree", ports=10, concentration=4)
@@ -152,14 +203,48 @@ class TestBuiltNetworks:
         assert net.drain(50_000)
         assert net.stats.packets_delivered == 1
 
-    @pytest.mark.parametrize("name", ("mesh", "torus", "ring"))
-    def test_one_network_class_per_topology(self, name):
-        """Flow control picks the routers' shape, not the assembly."""
-        wormhole = FabricConfig(topology=name, ports=16)
-        vc = FabricConfig(topology=name, ports=16, flow_control="vc")
-        assert (type(wormhole.build()).__name__
-                == type(vc.build()).__name__
-                == f"{name.capitalize()}Network")
+
+
+class TestCreditDeclaration:
+    """A credit fabric is declared once, by its entry: the one builder,
+    ``CreditFabricNetwork(config, kernel=None)``, reads the structure,
+    routing strategy and VC policy from it."""
+
+    def test_one_builder_signature(self):
+        params = inspect.signature(CreditFabricNetwork).parameters
+        assert list(params) == ["config", "kernel"]
+        assert params["kernel"].default is None
+
+    def test_stock_credit_entries(self):
+        credit = [name for name in topology_names()
+                  if get_topology(name).structure is not None]
+        assert credit == list(CREDIT_PARTS)
+        for name in credit:
+            entry = get_topology(name)
+            assert entry.builder is CreditFabricNetwork
+            assert entry.supports_pipeline
+            assert list(entry.vc_policies) == list(CREDIT_PARTS[name][2])
+
+    @pytest.mark.parametrize("name,flow,policy", list(_credit_builds()))
+    def test_build_reads_the_entry(self, name, flow, policy):
+        entry = get_topology(name)
+        config = FabricConfig(topology=name, ports=16, flow_control=flow,
+                              vc_policy=policy,
+                              n_vcs=4 if flow == FLOW_VC else 2)
+        net = config.build()
+        prefix, routing, policies = CREDIT_PARTS[name]
+        assert type(net) is CreditFabricNetwork
+        assert type(net.topology) is entry.structure
+        assert type(net.routing) is routing
+        assert type(net.routing) is type(net.topology.routing())
+        assert [router.name for router in net.routers] == \
+            [f"{prefix}{node}" for node in range(16)]
+        if policy is None:
+            assert net.vc_policy is None
+        else:
+            declared = entry.vc_policies[policy](config, net.topology)
+            assert type(net.vc_policy) is type(declared) is policies[policy]
+            assert net.vc_policy.name == policy
 
 
 class TestLocalPriority:

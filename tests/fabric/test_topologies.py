@@ -4,17 +4,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TopologyError
-from repro.fabric.topologies import MeshTopology
+from repro.fabric.registry import FabricConfig
+from repro.fabric.topologies import MeshTopology, grid_shape
 
 
 class TestStructure:
-    def test_square_for(self):
-        mesh = MeshTopology.square_for(64)
+    def test_square_from_config(self):
+        mesh = MeshTopology.from_config(FabricConfig(topology="mesh",
+                                                     ports=64))
         assert mesh.cols == 8 and mesh.rows == 8
 
-    def test_square_for_rejects_non_square(self):
-        with pytest.raises(TopologyError):
-            MeshTopology.square_for(48)
+    def test_grid_shape_rejects_non_square(self):
+        with pytest.raises(TopologyError, match="square port count"):
+            grid_shape(48)
+
+    def test_grid_shape_with_rows(self):
+        assert grid_shape(8, rows=2) == (4, 2)
+        for ports, rows in ((8, 3), (8, 1), (8, 8)):
+            with pytest.raises(TopologyError, match="cannot have"):
+                grid_shape(ports, rows)
 
     def test_node_count(self):
         assert MeshTopology(8, 8).nodes == 64

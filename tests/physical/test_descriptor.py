@@ -67,8 +67,8 @@ def reference_costs(model, src, dest):
     switch_pj = 0.0
     for node in nodes:
         switch_pj += router_energy_pj_per_flit(ports[node], model.tech)
-    stages = (net.pipeline_depth - 1) * len(nodes)
-    if net.segment_links:
+    stages = (net.config.pipeline_depth - 1) * len(nodes)
+    if net.config.segment_links:
         stages += sum(segment_count(length, net.config.max_segment_mm) - 1
                       for length in lengths)
     return len(nodes), length_mm, switch_pj, len(nodes), stages

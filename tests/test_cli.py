@@ -589,7 +589,8 @@ class TestInfoRegistryFabrics:
                                                               flow):
         assert main(["info", "--topology", "mesh", "--ports", "16"]
                     + flow) == 0
-        assert capsys.readouterr().out.startswith("MeshNetwork: ")
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.startswith("CreditFabricNetwork: 4x4 mesh, ")
 
 
 #: One short run per verb that names a network through the shared spec.
