@@ -57,13 +57,13 @@ produces is reproduced exactly:
   the same definition (grant | arrival | VC allocation), totals use the
   same closed-form idle backfill as
   :class:`~repro.sim.component.GatedComponentMixin`;
-* kernel events — with a subscriber attached, ``arbitration_grant``,
-  ``credit_exhausted``, ``vc_allocated``, ``lock_acquire``,
-  ``lock_release``, ``flit`` and ``packet`` fire edge-triggered in the
-  dispatch backend's exact global order (routers node-ascending, then
-  sinks node-ascending, each in its internal phase order), carrying the
-  same always-suffixed ``vc``/``input_vc`` fields (0 on single-VC
-  fabrics);
+* kernel events — ``arbitration_grant``, ``credit_exhausted``,
+  ``vc_allocated``, ``lock_acquire``, ``lock_release``, ``flit`` and
+  ``packet``, each built only while it has a subscriber, fire
+  edge-triggered in the dispatch backend's exact global order (routers
+  node-ascending, then sinks node-ascending, each in its internal phase
+  order), carrying the same always-suffixed ``vc``/``input_vc`` fields
+  (0 on single-VC fabrics);
 * signal probes — when any flit wire carries a probe, the engine enters
   *write-through* mode and drives the real link wires alongside its
   arrays, so :mod:`repro.telemetry` sees identical commits. Probed
@@ -453,10 +453,11 @@ class ArrayEngine(BatchComponent):
     # -- VC allocation (VC regime only) ----------------------------------
 
     def _allocate_vcs(self, rs: np.ndarray, ps: np.ndarray, vs: np.ndarray,
-                      observed: bool, enabled: np.ndarray) -> None:
+                      observed: dict, enabled: np.ndarray) -> None:
         """Stage one for the pending heads ``(rs, ps, vs)`` (row-major, so
         sorted by router): the array form of
-        :meth:`FabricRouter._allocate_vcs`."""
+        :meth:`FabricRouter._allocate_vcs`. ``observed`` is the kernel's
+        event-subscriber dict."""
         store = self._store
         V = self._V
         size = self._P * V
@@ -523,16 +524,20 @@ class ArrayEngine(BatchComponent):
         # A grant takes an output VC, which can reroute another pending
         # head (preferred -> fallback) next edge.
         self._va_dirty[rows] = True
-        if observed:
+        on_alloc = "vc_allocated" in observed
+        on_acquire = "lock_acquire" in observed
+        if on_alloc or on_acquire:
             grants = zip(rows.tolist(), out_p.tolist(), out_vc.tolist(),
                          in_p.tolist(), in_vc.tolist())
             for r, o_p, o_vc, i_p, i_vc in grants:
                 flit = store.objs[int(self._head_fid[r, i_p, i_vc])]
-                self._event(r, "vc_allocated", {
-                    "router": self._names[r], "output": o_p, "vc": o_vc,
-                    "input": i_p, "input_vc": i_vc, "flit": flit,
-                })
-                if not flit.is_tail:
+                if on_alloc:
+                    self._event(r, "vc_allocated", {
+                        "router": self._names[r], "output": o_p,
+                        "vc": o_vc, "input": i_p, "input_vc": i_vc,
+                        "flit": flit,
+                    })
+                if on_acquire and not flit.is_tail:
                     self._event(r, "lock_acquire", {
                         "router": self._names[r], "output": o_p,
                         "vc": o_vc, "input": i_p, "input_vc": i_vc,
@@ -541,7 +546,7 @@ class ArrayEngine(BatchComponent):
 
     # -- the switch-allocation phase, single-VC (wormhole) regime --------
 
-    def _grants_single(self, tick: int, observed: bool, wt: bool,
+    def _grants_single(self, tick: int, observed: dict, wt: bool,
                        enabled: np.ndarray, arrive_nxt: np.ndarray,
                        credit_nxt: np.ndarray, sink_nxt: np.ndarray,
                        srccr_nxt: np.ndarray) -> None:
@@ -554,6 +559,11 @@ class ArrayEngine(BatchComponent):
         fifo_start = self._fifo_start[:, :, 0]
         fifo_len = self._fifo_len[:, :, 0]
         starved = self._starved[:, :, 0]
+        on_stall = "credit_exhausted" in observed
+        on_grant = "arbitration_grant" in observed
+        on_release = "lock_release" in observed
+        on_acquire = "lock_acquire" in observed
+        per_flit = wt or on_grant or on_release or on_acquire
         # Per output port (sequential, like the dispatch router's
         # out-port loop — a pop at port A exposes a new head to port B
         # the same edge), vectorized across every router.
@@ -572,7 +582,7 @@ class ArrayEngine(BatchComponent):
             in_is_lock = self._iota[None, :] == lock[:, None]
             req = base & np.where(locked[:, None], in_is_lock, free_req)
 
-            if observed:
+            if on_stall:
                 # Starvation scan before the grant, exactly as dispatch
                 # handles the credits<=0 continue: candidate = first
                 # buffered head wanting this output (lock honoured, no
@@ -633,38 +643,38 @@ class ArrayEngine(BatchComponent):
             f_head = store.is_head[fid]
             self._locks[rows, out_p] = np.where(
                 f_tail, -1, np.where(f_head, win, self._locks[rows, out_p]))
-            if observed or wt:
+            if per_flit:
                 for i, r in enumerate(rows):
                     r = int(r)
                     flit = store.objs[int(fid[i])]
                     if wt:
                         self.net.routers[r].out_links[out_p].send_flit(
                             flit, 0, tick)
-                    if observed:
+                    if on_grant:
                         self._event(r, "arbitration_grant", {
                             "router": self._names[r], "output": out_p,
                             "vc": 0, "input": int(win[i]), "input_vc": 0,
                             "flit": flit,
                         })
-                        if flit.is_tail:
-                            if not flit.is_head:
-                                self._event(r, "lock_release", {
-                                    "router": self._names[r],
-                                    "output": out_p, "vc": 0,
-                                    "input": int(win[i]), "input_vc": 0,
-                                    "packet_id": flit.packet_id,
-                                })
-                        elif flit.is_head:
-                            self._event(r, "lock_acquire", {
-                                "router": self._names[r], "output": out_p,
-                                "vc": 0, "input": int(win[i]),
-                                "input_vc": 0,
+                    if flit.is_tail:
+                        if on_release and not flit.is_head:
+                            self._event(r, "lock_release", {
+                                "router": self._names[r],
+                                "output": out_p, "vc": 0,
+                                "input": int(win[i]), "input_vc": 0,
                                 "packet_id": flit.packet_id,
                             })
+                    elif on_acquire and flit.is_head:
+                        self._event(r, "lock_acquire", {
+                            "router": self._names[r], "output": out_p,
+                            "vc": 0, "input": int(win[i]),
+                            "input_vc": 0,
+                            "packet_id": flit.packet_id,
+                        })
 
     # -- the switch-allocation phase, VC regime --------------------------
 
-    def _grants_vc(self, tick: int, observed: bool, wt: bool,
+    def _grants_vc(self, tick: int, observed: dict, wt: bool,
                    enabled: np.ndarray, arrive_nxt: np.ndarray,
                    arrvc_nxt: np.ndarray, credit_nxt: np.ndarray,
                    sink_nxt: np.ndarray, sinkvc_nxt: np.ndarray,
@@ -760,13 +770,16 @@ class ArrayEngine(BatchComponent):
         alloc_out[hv[f_tail]] = -1
         alloc_vc[hv[f_tail]] = -1
         self._va_dirty[rows[f_tail]] = True
-        if not (observed or wt):
+        on_grant = "arbitration_grant" in observed
+        on_release = "lock_release" in observed
+        if not (wt or on_grant or on_release
+                or "credit_exhausted" in observed):
             return
         # Events and wire writes, output by output: a creditless
         # candidate reports if its input port was still free at that
         # output's round, before the round's grant.
         blocked = []
-        if observed:
+        if "credit_exhausted" in observed:
             b = np.flatnonzero(~ok)
             b = b[taken[c_port[b]] >= c_out[b]]
             b = b[np.argsort(c_out[b], kind="stable")]
@@ -784,17 +797,17 @@ class ArrayEngine(BatchComponent):
             flit = store.objs[f]
             if wt:
                 self.net.routers[r].out_links[out_p].send_flit(flit, vc, tick)
-            if observed:
+            if on_grant:
                 self._event(r, "arbitration_grant", {
                     "router": self._names[r], "output": out_p, "vc": vc,
                     "input": i_p, "input_vc": i_vc, "flit": flit,
                 })
-                if flit.is_tail and not flit.is_head:
-                    self._event(r, "lock_release", {
-                        "router": self._names[r], "output": out_p,
-                        "vc": vc, "input": i_p, "input_vc": i_vc,
-                        "packet_id": flit.packet_id,
-                    })
+            if on_release and flit.is_tail and not flit.is_head:
+                self._event(r, "lock_release", {
+                    "router": self._names[r], "output": out_p,
+                    "vc": vc, "input": i_p, "input_vc": i_vc,
+                    "packet_id": flit.packet_id,
+                })
         for item in blocked[j:]:
             self._note_starvation(*item)
 
@@ -823,7 +836,8 @@ class ArrayEngine(BatchComponent):
         sinkvc_cur, sinkvc_nxt = self._sink_vc[k], self._sink_vc[1 - k]
         srccr_cur, srccr_nxt = (self._src_credit_in[k],
                                 self._src_credit_in[1 - k])
-        observed = bool(self.kernel._event_subs)
+        # Event name -> listeners; truthy iff any event has one.
+        observed = self.kernel._event_subs
         wt = self._write_through
         store = self._store
         head_fid = self._head_fid
@@ -922,7 +936,7 @@ class ArrayEngine(BatchComponent):
             flit = store.objs[int(sink_cur[n])]
             sink = self.net.sinks[n]
             sink.flits_received += 1
-            if observed:
+            if observed and "flit" in observed:
                 self._sink_events.append(("flit", flit))
             buffer = sink._assembly.setdefault(flit.packet_id, [])
             buffer.append(flit)
@@ -931,7 +945,7 @@ class ArrayEngine(BatchComponent):
                 packet = Packet.from_flits(buffer)
                 packet.eject_tick = tick
                 sink.on_packet(packet, tick)
-                if observed:
+                if observed and "packet" in observed:
                     self._sink_events.append(("packet", packet))
             credit_nxt[n, LOCAL, int(sinkvc_cur[n])] += 1
 

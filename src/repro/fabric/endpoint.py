@@ -106,7 +106,8 @@ class FabricSink(ClockedComponent):
             flit, vc = payload[0], 0
         self.flits_received += 1
         kernel = self._kernel
-        if kernel._event_subs:
+        observed = kernel._event_subs
+        if observed and "flit" in observed:
             kernel.emit("flit", flit)
         buffer = self._assembly.setdefault(flit.packet_id, [])
         buffer.append(flit)
@@ -115,7 +116,7 @@ class FabricSink(ClockedComponent):
             packet = Packet.from_flits(buffer)
             packet.eject_tick = tick
             self.on_packet(packet, tick)
-            if kernel._event_subs:
+            if observed and "packet" in observed:
                 kernel.emit("packet", packet)
         # One credit back on the arriving flit's VC.
         self._credit_wires[vc].set((1, tick), tick)

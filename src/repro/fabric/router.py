@@ -68,9 +68,11 @@ another dimension — while the target FIFO keeps a free slot afterwards
 :mod:`repro.fabric.routing` for the argument. The VC regime replaces the
 bubble rule (and its packet-length bound) with dateline/escape policies.
 
-**Kernel events.** With any :meth:`~repro.sim.kernel.SimKernel.subscribe`
-listener attached, the router emits congestion-diagnosis events (cheap
-no-ops otherwise, so the fast path never pays for unobserved visibility):
+**Kernel events.** The router emits congestion-diagnosis events, each
+built only when a :meth:`~repro.sim.kernel.SimKernel.subscribe` listener
+waits for that event (an unobserved edge pays one falsy test of the
+kernel's subscriber dict, so the fast path never pays for unobserved
+visibility):
 
 * ``"arbitration_grant"`` — an output port granted an input; data is a
   dict with ``router``, ``output``, ``vc``, ``input``, ``input_vc``, and
@@ -339,7 +341,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             return
         enabled = False   # register-bank activity (gating statistics)
         active = False    # anything at all happened (sleep decision)
-        observed = self._kernel._event_subs   # truthy iff any listener
+        # Event name -> listeners; truthy iff any event has one.
+        observed = self._kernel._event_subs
         due = tick - LINK_LATENCY_TICKS   # sent-tag of payloads landing now
         credits, fifos, locks = self.credits, self.fifos, self.locks
         if self._stage_queue:
@@ -375,7 +378,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             if requesters is None:
                 continue
             if credits[out_port] <= 0:
-                if observed:
+                if observed and "credit_exhausted" in observed:
                     self._note_starvation_single(out_port, requesters)
                 continue
             lock = locks[out_port]
@@ -423,14 +426,15 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             credits[out_port] -= 1
             self.flits_forwarded += 1
             enabled = True
-            if observed:
+            if observed and "arbitration_grant" in observed:
                 self._kernel.emit("arbitration_grant", {
                     "router": self.name, "output": out_port, "vc": 0,
                     "input": winner, "input_vc": 0, "flit": flit,
                 })
             if flit.is_tail:
                 locks[out_port] = None
-                if observed and not flit.is_head:
+                if observed and not flit.is_head \
+                        and "lock_release" in observed:
                     self._kernel.emit("lock_release", {
                         "router": self.name, "output": out_port, "vc": 0,
                         "input": winner, "input_vc": 0,
@@ -438,7 +442,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                     })
             elif flit.is_head:
                 locks[out_port] = winner
-                if observed:
+                if observed and "lock_acquire" in observed:
                     self._kernel.emit("lock_acquire", {
                         "router": self.name, "output": out_port, "vc": 0,
                         "input": winner, "input_vc": 0,
@@ -469,7 +473,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
 
     def _note_starvation_single(self, out_port: int,
                                 requesters: list[int]) -> None:
-        """Emit ``credit_exhausted`` on the edge starvation begins.
+        """Emit ``credit_exhausted`` on the edge starvation begins. Called
+        only while the event has a listener; the latch is kept only then.
 
         ``requesters`` are the inputs whose head wants the creditless
         output. The transition (a buffered flit wants the output, no
@@ -499,7 +504,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
     def _edge_vc(self, tick: int, inputs, outputs, watch, slots) -> None:
         enabled = False   # register-bank activity (gating statistics)
         active = False    # anything at all happened (sleep decision)
-        observed = self._kernel._event_subs   # truthy iff any listener
+        # Event name -> listeners; truthy iff any event has one.
+        observed = self._kernel._event_subs
         due = tick - LINK_LATENCY_TICKS   # sent-tag of payloads landing now
         n_vcs = self.n_vcs
         credits, fifos, allocation = self.credits, self.fifos, self.allocation
@@ -545,7 +551,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                     # Every starved VC reports, even while sibling VCs
                     # keep the physical port busy — per-VC starvation is
                     # exactly what the event exists to expose.
-                    if observed:
+                    if observed and "credit_exhausted" in observed:
                         self._note_starvation_vc(out_port, out_vc)
                     continue
                 eligible.append(request)
@@ -577,7 +583,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             port_credits[out_vc] -= 1
             self.flits_forwarded += 1
             enabled = True
-            if observed:
+            if observed and "arbitration_grant" in observed:
                 self._kernel.emit("arbitration_grant", {
                     "router": self.name, "output": out_port, "vc": out_vc,
                     "input": in_port, "input_vc": in_vc, "flit": flit,
@@ -586,7 +592,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
                 # Tail releases the per-VC lock and the allocation.
                 self.vc_owner[out_port][out_vc] = None
                 allocation[in_port][in_vc] = None
-                if observed and not flit.is_head:
+                if observed and not flit.is_head \
+                        and "lock_release" in observed:
                     self._kernel.emit("lock_release", {
                         "router": self.name, "output": out_port,
                         "vc": out_vc, "input": in_port, "input_vc": in_vc,
@@ -618,7 +625,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
 
     # -- VC allocation ---------------------------------------------------
 
-    def _allocate_vcs(self, pending: list[tuple], observed: bool) -> bool:
+    def _allocate_vcs(self, pending: list[tuple], observed: dict) -> bool:
         """Stage one: grant free output VCs to waiting head flits.
 
         Requests are collected per ``pending`` input slot (an occupied
@@ -628,7 +635,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         then the requested output VCs are walked in a fixed order (port
         ascending, VC descending) granting via the allocator's VC stage
         among the requesting input VCs. Single pass, deterministic, at
-        most one allocation per input VC per edge.
+        most one allocation per input VC per edge. ``observed`` is the
+        kernel's event-subscriber dict.
         """
         n_vcs = self.n_vcs
         vc_owner, out_links = self.vc_owner, self.out_links
@@ -680,12 +688,13 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             self.vcs_allocated += 1
             if observed:
                 head = self.fifos[in_port][in_vc][0]
-                self._kernel.emit("vc_allocated", {
-                    "router": self.name, "output": out_port,
-                    "vc": out_vc, "input": in_port, "input_vc": in_vc,
-                    "flit": head,
-                })
-                if not head.is_tail:
+                if "vc_allocated" in observed:
+                    self._kernel.emit("vc_allocated", {
+                        "router": self.name, "output": out_port,
+                        "vc": out_vc, "input": in_port, "input_vc": in_vc,
+                        "flit": head,
+                    })
+                if not head.is_tail and "lock_acquire" in observed:
                     self._kernel.emit("lock_acquire", {
                         "router": self.name, "output": out_port,
                         "vc": out_vc, "input": in_port,

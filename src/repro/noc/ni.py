@@ -95,7 +95,9 @@ class NISink(ClockedComponent):
         flit = self._data.value
         self._accept.set(True, tick)
         self.flits_received += 1
-        self._kernel.emit("flit", flit)
+        observed = self._kernel._event_subs
+        if observed and "flit" in observed:
+            self._kernel.emit("flit", flit)
         buffer = self._assembly.setdefault(flit.packet_id, [])
         buffer.append(flit)
         if flit.is_tail:
@@ -105,7 +107,8 @@ class NISink(ClockedComponent):
             self.delivered.append(packet)
             if self.on_packet is not None:
                 self.on_packet(packet, tick)
-            self._kernel.emit("packet", packet)
+            if observed and "packet" in observed:
+                self._kernel.emit("packet", packet)
 
     @property
     def incomplete(self) -> int:

@@ -19,7 +19,7 @@ wormhole switching is deadlock-free.
 
 The :class:`SwitchCore` emits the same ``arbitration_grant`` /
 ``lock_acquire`` / ``lock_release`` events as the credit-fabric routers
-(cheap no-ops unobserved), under its own component name
+(each built only for its listeners), under its own component name
 (``<router>.switch``) — consumers like the :mod:`repro.telemetry`
 registry and tracer map that back to the router, which keeps the tree
 family on the same congestion-attribution path as the credit fabrics.
@@ -114,6 +114,8 @@ class SwitchCore(GatedComponentMixin, ClockedComponent):
                 wanted.setdefault(o, []).append(i)
         # 3. Serve the wanted outputs in ascending order and latch.
         granted = 0  # bit i: input i's flit was latched
+        # Event name -> listeners; truthy iff any event has one.
+        observed = self._kernel._event_subs
         for o in sorted(wanted) if wanted else ():
             requesters = wanted[o]
             if len(requesters) == 1:
@@ -126,24 +128,24 @@ class SwitchCore(GatedComponentMixin, ClockedComponent):
             granted |= 1 << winner
             self.flits_switched += 1
             enabled = True
-            observed = bool(self._kernel._event_subs)
-            if observed:
+            if observed and "arbitration_grant" in observed:
                 # Same congestion-diagnosis event the credit fabrics'
-                # FabricRouter emits (cheap no-op unobserved).
+                # FabricRouter emits, built only for a listener.
                 self._kernel.emit("arbitration_grant", {
                     "router": self.name, "output": o,
                     "input": winner, "flit": flit,
                 })
             if flit.is_tail:
                 self.locks[o] = None
-                if observed and not flit.is_head:
+                if observed and not flit.is_head \
+                        and "lock_release" in observed:
                     self._kernel.emit("lock_release", {
                         "router": self.name, "output": o,
                         "input": winner, "packet_id": flit.packet_id,
                     })
             elif flit.is_head:
                 self.locks[o] = winner
-                if observed:
+                if observed and "lock_acquire" in observed:
                     self._kernel.emit("lock_acquire", {
                         "router": self.name, "output": o,
                         "input": winner, "packet_id": flit.packet_id,

@@ -27,7 +27,9 @@ principle — they cost work proportional to activity, never per tick:
   loop would deliver;
 * **events** (:meth:`subscribe` / :meth:`emit`) broadcast discrete
   occurrences (flit delivered, packet injected, component wake/sleep) to
-  interested probes.
+  interested probes. An emitter builds an event's payload only when
+  that event has a listener (``event in kernel._event_subs``, behind
+  one falsy test of the dict on an unobserved run).
 """
 
 from __future__ import annotations
@@ -89,8 +91,10 @@ class SimKernel:
         # Scheduled timers: heap of (tick, seq, Timer).
         self._timers: list[tuple[int, int, Timer]] = []
         self._timer_seq = 0
-        # Event subscribers by event name.
-        self._event_subs: dict[str, list[Callable[[int, Any], None]]] = {}
+        # Event subscribers by event name, one immutable tuple each; an
+        # event without a listener has no key, so the dict is falsy on
+        # an unobserved run.
+        self._event_subs: dict[str, tuple[Callable, ...]] = {}
         # Iteration state, so a wake() during a step can splice the woken
         # component into the remainder of the current tick.
         self._step_parity: int | None = None
@@ -165,15 +169,21 @@ class SimKernel:
         from the host), ``"wake"`` / ``"sleep"`` (a component changed
         scheduling state; activity-driven mode only, since the naive loop
         never sleeps).
+
+        Callbacks run in subscription order. A subscription made during
+        a dispatch replaces the event's tuple, so it takes effect at the
+        next :meth:`emit`, not the one running.
         """
-        self._event_subs.setdefault(event, []).append(callback)
+        subs = self._event_subs
+        subs[event] = subs.get(event, ()) + (callback,)
 
     def emit(self, event: str, data: Any = None) -> None:
         """Broadcast an event to subscribers (cheap no-op without any)."""
         subs = self._event_subs.get(event)
         if subs:
-            for callback in list(subs):
-                callback(self.tick, data)
+            tick = self.tick
+            for callback in subs:
+                callback(tick, data)
 
     # -- sleep / wake --------------------------------------------------
 
@@ -187,7 +197,8 @@ class SimKernel:
         self._need_compact[component.parity] = True
         for sig in signals:
             sig.watch(component)
-        if self._event_subs:
+        subs = self._event_subs
+        if subs and "sleep" in subs:
             self.emit("sleep", component)
 
     def wake(self, component: ClockedComponent) -> None:
@@ -212,7 +223,8 @@ class SimKernel:
         # cursor then; at pos == cursor the component fires this tick.
         if component.parity == self._step_parity and pos < self._cursor:
             self._cursor += 1
-        if self._event_subs:
+        subs = self._event_subs
+        if subs and "wake" in subs:
             self.emit("wake", component)
 
     # -- execution ----------------------------------------------------

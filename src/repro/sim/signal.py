@@ -12,8 +12,8 @@ the commit phase touches only signals actually written (the activity-driven
 fast path). Sleeping components may watch a signal: whenever a commit
 changes its value, the kernel wakes every watcher. A commit compares old
 and new values only for a signal someone listens to (a watcher or a
-probe), identity before equality; every other commit just moves the
-pending value into place.
+probe), identity before the tick tag before equality; every other commit
+just moves the pending value into place.
 
 Signals are also the anchor of the observability subsystem
 (:mod:`repro.sim.observe`): probes attached via :meth:`Signal.attach_probe`
@@ -136,9 +136,11 @@ class Signal:
 
         With ``report`` (the default), returns True if the value changed:
         identity first, so re-driving the committed object is unchanged
-        without an ``__eq__`` call, then ``!=``. Without it, returns
-        False and compares nothing — the kernel's commit for a signal no
-        watcher or probe listens to.
+        without an ``__eq__`` call; then the tick tag, so two
+        ``(x, tick)`` payloads whose int tags differ are changed without
+        comparing ``x``; then ``!=``. Without it, returns False and
+        compares nothing — the kernel's commit for a signal no watcher
+        or probe listens to.
         """
         if not self._dirty:
             return False
@@ -146,7 +148,14 @@ class Signal:
         self.value = new = self._next
         self._dirty = False
         self._writer_tick = None
-        return report and new is not old and new != old
+        if not report or new is old:
+            return False
+        if type(new) is tuple and type(old) is tuple \
+                and len(new) == 2 and len(old) == 2:
+            tag, old_tag = new[1], old[1]
+            if type(tag) is int and type(old_tag) is int and tag != old_tag:
+                return True
+        return new != old
 
     def watch(self, component: "ClockedComponent") -> None:
         """Register a sleeping component to wake on the next value change."""

@@ -36,6 +36,7 @@ byte-identical between ``activity_driven`` True and False.
 from __future__ import annotations
 
 from collections import deque
+from copy import copy
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -312,20 +313,6 @@ class MetricsSummary:
         return merged
 
 
-def flit_from_wire(payload) -> Any:
-    """Extract the flit from a link-wire payload.
-
-    Credit wires carry ``(flit, tick)``; VC wires ``((flit, vc), tick)``;
-    tree handshake data wires carry the flit itself (or None).
-    """
-    if payload is None:
-        return None
-    if isinstance(payload, tuple):
-        inner = payload[0]
-        return inner[0] if isinstance(inner, tuple) else inner
-    return payload
-
-
 class MetricsRegistry:
     """Live metric state for one network; build via :func:`attach_metrics`.
 
@@ -344,7 +331,11 @@ class MetricsRegistry:
         self.vc_allocations: dict[str, int] = {}
         self._occupancy: dict[str, TimeWeightedGauge] = {}
         self._pending: dict[str, deque[int]] = {}
-        self._stall_open: dict[tuple, int] = {}
+        # (router, output, vc) -> (port key, occupancy gauge, pending
+        # arrivals), resolved at a slot's first event.
+        self._slots: dict[tuple, tuple] = {}
+        # Open credit-stall episodes: port key -> starting tick.
+        self._stall_open: dict[str, int] = {}
         self.stall_ticks: dict[str, int] = {}
         self.stall_events: dict[str, int] = {}
         self.histogram = LatencyHistogram()
@@ -383,15 +374,15 @@ class MetricsRegistry:
         self.link_flits[name] = 0
         if is_credit:
             self._credit_links.add(name)
+            arrive = (None if consumer is None
+                      else self._pending[consumer].append)
 
             def on_change(tick, sig, old, new, _name=name,
-                          _consumer=consumer):
-                if new is None:
-                    return
-                self.link_flits[_name] += 1
-                if _consumer is not None:
-                    self._pending[_consumer].append(
-                        tick + LINK_LATENCY_TICKS)
+                          _flits=self.link_flits, _arrive=arrive):
+                if new is not None:
+                    _flits[_name] += 1
+                    if _arrive is not None:
+                        _arrive(tick + LINK_LATENCY_TICKS)
         else:
             busy = self._link_busy[name] = TimeWeightedGauge(
                 self.kernel.tick)
@@ -404,47 +395,66 @@ class MetricsRegistry:
 
     # -- event handlers --------------------------------------------------
 
-    def _port_key(self, router: str, port: int, vc) -> str:
-        port_name = self._port_names.get((router, port), f"p{port}")
-        if vc is None:
-            return f"{router}:{port_name}"
-        return f"{router}:{port_name}:vc{vc}"
+    def _slot(self, router: str, port: int, vc) -> tuple:
+        """``(port key, occupancy gauge, pending arrivals)`` of one
+        ``(router, output, vc)``, resolved on its first event; the gauge
+        and deque are None for a router without input FIFOs."""
+        slot = self._slots.get((router, port, vc))
+        if slot is None:
+            port_name = self._port_names.get((router, port), f"p{port}")
+            key = (f"{router}:{port_name}" if vc is None
+                   else f"{router}:{port_name}:vc{vc}")
+            slot = self._slots[router, port, vc] = (
+                key, self._occupancy.get(router), self._pending.get(router))
+        return slot
 
     def _on_grant(self, tick: int, data: dict) -> None:
         router = data["router"]
-        self.router_grants[router] = self.router_grants.get(router, 0) + 1
-        vc = data.get("vc")
-        key = self._port_key(router, data["output"], vc)
-        self.port_grants[key] = self.port_grants.get(key, 0) + 1
-        start = self._stall_open.pop((router, data["output"], vc), None)
-        if start is not None:
+        try:
+            key, gauge, pending = self._slots[router, data["output"],
+                                              data.get("vc")]
+        except KeyError:
+            key, gauge, pending = self._slot(router, data["output"],
+                                             data.get("vc"))
+        grants = self.router_grants
+        grants[router] = grants.get(router, 0) + 1
+        grants = self.port_grants
+        grants[key] = grants.get(key, 0) + 1
+        stall_open = self._stall_open
+        if stall_open and key in stall_open:
             self.stall_ticks[key] = (self.stall_ticks.get(key, 0)
-                                     + tick - start)
-        gauge = self._occupancy.get(router)
-        if gauge is not None:
-            # Same-tick rule matching the router's on-edge order: the
-            # dequeue happens before this tick's arrivals are enqueued,
-            # so only drain arrivals that landed on *earlier* ticks.
-            self._drain_pending(router, gauge, tick)
-            gauge.add(tick, -1)
-
-    def _drain_pending(self, router: str, gauge: TimeWeightedGauge,
-                       before_tick: int) -> None:
-        pending = self._pending[router]
-        while pending and pending[0] < before_tick:
-            gauge.add(pending.popleft(), 1)
+                                     + tick - stall_open.pop(key))
+        if gauge is None:
+            return
+        # Same-tick rule matching the router's on-edge order: the
+        # dequeue happens before this tick's arrivals are enqueued, so
+        # only arrivals that landed on *earlier* ticks go in first (+1
+        # each), then the dequeue (-1). Inline TimeWeightedGauge.update,
+        # the same float additions in the same order.
+        value, last = gauge.value, gauge._last_tick
+        integral = gauge._integral
+        while pending and pending[0] < tick:
+            arrival = pending.popleft()
+            integral += value * (arrival - last)
+            last = arrival
+            value += 1
+            if value > gauge.peak:
+                gauge.peak = value
+        if tick < last:
+            raise SimulationError(
+                f"gauge update at tick {tick} after tick {last}")
+        gauge._integral = integral + value * (tick - last)
+        gauge._last_tick = tick
+        gauge.value = value - 1
 
     def _on_credit_exhausted(self, tick: int, data: dict) -> None:
-        router = data["router"]
-        vc = data.get("vc")
-        key = (router, data["output"], vc)
+        key = self._slot(data["router"], data["output"], data.get("vc"))[0]
         if key not in self._stall_open:
             self._stall_open[key] = tick
-            name = self._port_key(router, data["output"], vc)
-            self.stall_events[name] = self.stall_events.get(name, 0) + 1
+            self.stall_events[key] = self.stall_events.get(key, 0) + 1
 
     def _on_vc_allocated(self, tick: int, data: dict) -> None:
-        key = self._port_key(data["router"], data["output"], data["vc"])
+        key = self._slot(data["router"], data["output"], data["vc"])[0]
         self.vc_allocations[key] = self.vc_allocations.get(key, 0) + 1
 
     def _on_inject(self, tick: int, packet) -> None:
@@ -478,17 +488,18 @@ class MetricsRegistry:
         occupancy_mean: dict[str, float] = {}
         for router, gauge in self._occupancy.items():
             # Arrivals still pending at the end of the run have landed
-            # in the FIFOs by now; fold them in (idempotent: the deque
-            # is consumed, the gauge value persists).
-            pending = self._pending[router]
-            while pending and pending[0] <= end:
-                gauge.add(pending.popleft(), 1)
+            # in the FIFOs by now; fold them into a copy, so the live
+            # gauge still applies a same-tick dequeue before them.
+            gauge = copy(gauge)
+            for arrival in self._pending[router]:
+                if arrival > end:
+                    break
+                gauge.add(arrival, 1)
             occupancy_peak[router] = gauge.peak
             occupancy_mean[router] = gauge.mean(end)
         stall_cycles = {key: ticks / 2.0
                         for key, ticks in self.stall_ticks.items()}
-        for (router, port, vc), start in self._stall_open.items():
-            key = self._port_key(router, port, vc)
+        for key, start in self._stall_open.items():
             stall_cycles[key] = (stall_cycles.get(key, 0.0)
                                  + (end - start) / 2.0)
         return MetricsSummary(

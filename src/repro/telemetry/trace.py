@@ -28,11 +28,12 @@ Hop timing sources (all mode-identical):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from operator import itemgetter
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.sim.kernel import SimKernel
-from repro.telemetry.metrics import LINK_LATENCY_TICKS, flit_from_wire
+from repro.telemetry.metrics import LINK_LATENCY_TICKS
 
 
 @dataclass
@@ -125,6 +126,21 @@ class PacketTrace:
         return "\n".join(lines)
 
 
+def _vc_flit(payload):
+    return payload[0][0]
+
+
+def _flit_reader(network, is_credit: bool) -> Callable[[Any], Any] | None:
+    """The flit extractor for one of ``network.flit_wires()``, chosen
+    once per wire: credit wires carry ``(flit, tick)``, VC wires
+    ``((flit, vc), tick)``; None for a tree handshake data wire, which
+    carries the flit itself. Payloads are never None (a probe skips
+    those first)."""
+    if not is_credit:
+        return None
+    return _vc_flit if network.n_vcs > 1 else itemgetter(0)
+
+
 class FlitTracer:
     """Samples packets deterministically and records their journeys.
 
@@ -153,21 +169,23 @@ class FlitTracer:
         for name, signal, consumer, is_credit in network.flit_wires():
             if consumer is None:
                 continue  # ejection wires: delivery comes from "packet"
-            self._watch_wire(signal, consumer, is_credit)
+            self._watch_wire(signal, consumer, is_credit,
+                             _flit_reader(network, is_credit))
         self.kernel.subscribe("inject", self._on_inject)
         self.kernel.subscribe("arbitration_grant", self._on_grant)
         self.kernel.subscribe("packet", self._on_packet)
         return self
 
-    def _watch_wire(self, signal, consumer: str, is_credit: bool) -> None:
+    def _watch_wire(self, signal, consumer: str, is_credit: bool,
+                    read: Callable[[Any], Any] | None) -> None:
         offset = LINK_LATENCY_TICKS if is_credit else 0
 
         def on_change(tick, sig, old, new, _consumer=consumer,
-                      _offset=offset):
-            flit = flit_from_wire(new)
-            if flit is None or not flit.is_head:
+                      _offset=offset, _read=read):
+            if new is None:
                 return
-            if flit.packet_id in self._traces:
+            flit = new if _read is None else _read(new)
+            if flit.is_head and flit.packet_id in self._traces:
                 self._arrivals.setdefault((flit.packet_id, _consumer),
                                           tick + _offset)
         signal.attach_probe(on_change)
@@ -191,8 +209,10 @@ class FlitTracer:
 
     def _on_grant(self, tick: int, data: dict) -> None:
         flit = data["flit"]
+        if not flit.is_head:
+            return
         trace = self._traces.get(flit.packet_id)
-        if trace is None or not flit.is_head:
+        if trace is None:
             return
         router = data["router"]
         lookup = self._switch_routers.get(router, router)

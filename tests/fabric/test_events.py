@@ -8,13 +8,19 @@ credits — with identical event sequences whether the kernel runs the
 activity-driven fast path or the naive reference loop.
 """
 
+import numpy as np
+import pytest
+
 from repro.fabric.link import CreditLink
 from repro.fabric.registry import FabricConfig
 from repro.fabric.router import FabricRouter
 from repro.fabric.routing import EAST, LOCAL, WEST, XYRouting
 from repro.noc.flit import Flit, FlitKind
-from repro.noc.packet import Packet
+from repro.noc.packet import Packet, next_packet_id
+from repro.sim.component import ClockedComponent
 from repro.sim.kernel import SimKernel
+from repro.traffic.base import apply_traffic
+from repro.traffic.patterns import UniformRandom
 
 
 def flit_to(dest, src=0, packet_id=0):
@@ -205,3 +211,88 @@ class TestCreditExhausted:
             return starved
         fast, naive = run(True), run(False)
         assert fast == naive
+
+
+#: Every event a stock network emits.
+ALL_EVENTS = ("arbitration_grant", "credit_exhausted", "lock_acquire",
+              "lock_release", "vc_allocated", "flit", "packet", "inject",
+              "wake", "sleep")
+
+#: Builds covering every emitter: the FabricRouter edges (wormhole and
+#: VC, one- and two-stage), FabricSink, the tree's SwitchCore and NI
+#: sinks, and the array backend.
+EMITTER_BUILDS = {
+    "wormhole": dict(topology="mesh"),
+    "wormhole-2stage": dict(topology="mesh", pipeline_depth=2),
+    "vc": dict(topology="mesh", flow_control="vc", n_vcs=2),
+    "vc-2stage": dict(topology="mesh", flow_control="vc", n_vcs=2,
+                      pipeline_depth=2),
+    "tree": dict(topology="tree"),
+    "array": dict(topology="mesh", backend="array"),
+    "array-vc": dict(topology="torus", flow_control="vc", n_vcs=2,
+                     backend="array"),
+}
+
+
+def canonical(value, base, key=None):
+    """An event payload with packet ids made relative to ``base`` (they
+    come from a process-wide counter) and objects reduced to values,
+    read at emission time."""
+    if isinstance(value, dict):
+        return {k: canonical(v, base, k) for k, v in value.items()}
+    if isinstance(value, Flit):
+        return ("flit", value.kind, value.src, value.dest,
+                value.packet_id - base, value.seq, value.payload)
+    if isinstance(value, Packet):
+        return ("packet", value.src, value.dest, value.packet_id - base,
+                value.inject_tick, value.eject_tick)
+    if isinstance(value, ClockedComponent):
+        return value.name
+    return value - base if key == "packet_id" else value
+
+
+def event_run(build, events):
+    """A loaded, drained 16-port run with ``events`` subscribed: the
+    ``(tick, event, canonical payload)`` sequence."""
+    net = FabricConfig(ports=16, **EMITTER_BUILDS[build]).build()
+    seen = []
+    base = next_packet_id() + 1
+    for name in events:
+        net.kernel.subscribe(name, lambda tick, data, name=name: seen.append(
+            (tick, name, canonical(data, base))))
+    schedule = UniformRandom(16, 0.6, size_flits=4).generate(
+        30, np.random.default_rng(3))
+    apply_traffic(net, schedule, run_cycles=30, drain_ticks=100_000)
+    assert len(net.delivered) == len(schedule)
+    return seen
+
+
+@pytest.mark.parametrize("build", EMITTER_BUILDS)
+class TestPerEventEmission:
+    """Each event is built only for its own listeners: subscribing one
+    event alone sees exactly its share of an all-events run."""
+
+    def test_one_event_alone_is_its_subsequence(self, build):
+        everything = event_run(build, ALL_EVENTS)
+        emitted = {name for _tick, name, _data in everything}
+        assert {"arbitration_grant", "lock_acquire", "lock_release",
+                "packet", "inject"} <= emitted
+        if build != "tree":
+            assert "credit_exhausted" in emitted
+        for event in ALL_EVENTS:
+            alone = event_run(build, (event,))
+            assert alone == [item for item in everything
+                             if item[1] == event], event
+
+    def test_no_emit_for_an_event_without_a_listener(self, build,
+                                                     monkeypatch):
+        emitted = []
+        emit = SimKernel.emit
+
+        def spy(kernel, event, data=None):
+            emitted.append(event)
+            emit(kernel, event, data)
+
+        monkeypatch.setattr(SimKernel, "emit", spy)
+        event_run(build, ("inject", "packet"))
+        assert emitted and set(emitted) == {"inject", "packet"}

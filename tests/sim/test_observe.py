@@ -172,6 +172,35 @@ class TestEvents:
         kernel.emit("other", "y")
         assert seen == [(0, "x")]
 
+    def test_subscribe_during_dispatch_takes_effect_at_the_next_emit(self):
+        kernel = SimKernel()
+        seen = []
+
+        def late(tick, data):
+            seen.append(("late", data))
+
+        def first(tick, data):
+            seen.append(("first", data))
+            if data == 1:
+                kernel.subscribe("ping", late)
+
+        kernel.subscribe("ping", first)
+        kernel.subscribe("ping", lambda tick, data: seen.append(
+            ("second", data)))
+        kernel.emit("ping", 1)
+        assert seen == [("first", 1), ("second", 1)]
+        seen.clear()
+        kernel.emit("ping", 2)
+        # Subscription order: the late callback runs last.
+        assert seen == [("first", 2), ("second", 2), ("late", 2)]
+
+    def test_an_event_without_listeners_has_no_entry(self):
+        kernel = SimKernel()
+        assert not kernel._event_subs
+        kernel.subscribe("ping", lambda tick, data: None)
+        assert set(kernel._event_subs) == {"ping"}
+        assert isinstance(kernel._event_subs["ping"], tuple)
+
     def test_network_emits_inject_flit_and_packet(self):
         net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         events = {"inject": 0, "flit": 0, "packet": 0}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.noc.flit import Flit, FlitKind
 from repro.sim.component import ClockedComponent
 from repro.sim.kernel import SimKernel
 from repro.sim.signal import Signal
@@ -354,3 +355,93 @@ class TestHeldDrives:
         assert sleeper.fired == ([1] if activity_driven
                                  else list(range(1, 20, 2)))
         assert Counted.eq_calls == 0
+
+
+class CountingFlit(Flit):
+    """A flit whose ``__eq__`` calls are counted."""
+
+    __slots__ = ()
+    eq_calls = 0
+
+    def __eq__(self, other):
+        CountingFlit.eq_calls += 1
+        return Flit.__eq__(self, other)
+
+    __hash__ = Flit.__hash__
+
+
+def equal_flits(n):
+    """``n`` equal flits, no two the same object."""
+    return [CountingFlit(kind=FlitKind.SINGLE, src=0, dest=1, packet_id=7,
+                         seq=0) for _ in range(n)]
+
+
+class TaggedWriter(ClockedComponent):
+    """Drives ``(payloads[i], tick)`` onto ``signal`` at its i-th edge."""
+
+    def __init__(self, kernel, signal, payloads):
+        super().__init__("writer", 0)
+        self.signal = signal
+        self.payloads = list(payloads)
+        kernel.add_component(self)
+
+    def on_edge(self, tick):
+        if self.payloads:
+            self.signal.set((self.payloads.pop(0), tick), tick)
+
+
+@BOTH_MODES
+class TestTagFirstCommit:
+    """Two ``(x, tick)`` payloads whose int tags differ are a change
+    decided without comparing ``x``; everything else keeps identity,
+    then ``!=``."""
+
+    @pytest.fixture(autouse=True)
+    def _reset_counters(self):
+        Counted.eq_calls = 0
+        CountingFlit.eq_calls = 0
+
+    def probed(self, activity_driven, writer, payloads, initial=None):
+        kernel = SimKernel(activity_driven=activity_driven)
+        sig = kernel.signal("wire", initial=initial)
+        writer(kernel, sig, payloads)
+        sleeper = Sleeper(kernel, sig)
+        seen = []
+        sig.attach_probe(lambda tick, signal, old, new: seen.append(tick))
+        kernel.run_ticks(2 * len(payloads) + 4)
+        return seen, sleeper
+
+    def test_a_tagged_flit_wire_changes_at_every_drive_without_eq(
+            self, activity_driven):
+        flits = equal_flits(4)
+        flits.insert(2, flits[1])   # the same object, re-driven
+        seen, sleeper = self.probed(activity_driven, TaggedWriter, flits)
+        assert seen == [0, 2, 4, 6, 8]
+        if activity_driven:
+            assert sleeper.fired == [1, 3, 5, 7, 9]
+        assert CountingFlit.eq_calls == 0
+
+    def test_an_equal_untagged_payload_is_no_change(self, activity_driven):
+        initial, *flits = equal_flits(4)
+        seen, sleeper = self.probed(activity_driven, Writer, flits,
+                                    initial=initial)
+        assert seen == []
+        if activity_driven:
+            assert sleeper.fired == [1]
+        assert CountingFlit.eq_calls == 3   # compared, found equal
+
+    def test_equal_tags_compare_the_payloads(self, activity_driven):
+        payloads = [(Counted(1), 7), (Counted(2), 7), (Counted(2), 7)]
+        seen, sleeper = self.probed(activity_driven, Writer, payloads)
+        assert seen == [0, 2]
+        if activity_driven:
+            assert sleeper.fired == [1, 3]
+        assert Counted.eq_calls == 2
+
+    def test_a_non_int_tag_falls_back_to_the_full_compare(
+            self, activity_driven):
+        payloads = [(Counted(1), 1.0), (Counted(1), 2.0), (Counted(1), True),
+                    (Counted(1), False), (Counted(1), "t"), (Counted(1), "t")]
+        seen, _sleeper = self.probed(activity_driven, Writer, payloads)
+        assert seen == [0, 2, 4, 6, 8]
+        assert Counted.eq_calls == 5   # one per compared commit
