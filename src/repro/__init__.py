@@ -46,14 +46,7 @@ current), ``ext`` (the paper's future-work items), ``analysis``
 (tables/plots/records).
 """
 
-from repro.fabric.registry import FabricConfig
-from repro.noc.packet import Packet
-from repro.noc.network import ICNoCNetwork
-from repro.physical.comparison import physical_comparison_rows
-from repro.physical.descriptor import physical_model
-from repro.physical.report import RunEnergyReport
-from repro.tech.technology import Technology, TECH_90NM
-from repro.system.demonstrator import DemonstratorConfig, DemonstratorSystem
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -70,3 +63,14 @@ __all__ = [
     "DemonstratorSystem",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fabric.registry": ("FabricConfig",),
+    "repro.noc.packet": ("Packet",),
+    "repro.noc.network": ("ICNoCNetwork",),
+    "repro.physical.comparison": ("physical_comparison_rows",),
+    "repro.physical.descriptor": ("physical_model",),
+    "repro.physical.report": ("RunEnergyReport",),
+    "repro.tech.technology": ("Technology", "TECH_90NM"),
+    "repro.system.demonstrator": ("DemonstratorConfig", "DemonstratorSystem"),
+})

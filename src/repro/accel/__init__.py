@@ -17,24 +17,19 @@ canned trace end to end; replays are bit-identical across the
 activity-driven and naive kernels and across repeat runs.
 """
 
-from repro.accel.trace import (  # noqa: F401
-    ACCEL_TRACE_SCHEMA,
-    ACCEL_TRACE_VERSION,
-    AccelEvent,
-    AccelTrace,
-    dma_flits,
-    gemm_cycles,
-    load_accel_trace,
-    save_accel_trace,
-)
-from repro.accel.generators import MODEL_NAMES, generate_trace  # noqa: F401
-from repro.accel.placement import Placement, default_placement  # noqa: F401
-from repro.accel.replay import (  # noqa: F401
-    ReplayPoint,
-    ReplayResults,
-    ReplaySystem,
-    evaluate_replay_point,
-    measure_replay_points,
-    replay_trace_on_fabric,
-    sweep_placements,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.accel.trace": (
+        "ACCEL_TRACE_SCHEMA", "ACCEL_TRACE_VERSION", "AccelEvent",
+        "AccelTrace", "dma_flits", "gemm_cycles", "load_accel_trace",
+        "save_accel_trace",
+    ),
+    "repro.accel.generators": ("MODEL_NAMES", "generate_trace"),
+    "repro.accel.placement": ("Placement", "default_placement"),
+    "repro.accel.replay": (
+        "ReplayPoint", "ReplayResults", "ReplaySystem",
+        "evaluate_replay_point", "measure_replay_points",
+        "replay_trace_on_fabric", "sweep_placements",
+    ),
+})

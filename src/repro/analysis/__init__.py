@@ -3,23 +3,7 @@
 one way to measure a load point), and the paper-vs-measured record
 (:mod:`repro.analysis.experiments`)."""
 
-from repro.analysis.tables import format_table
-from repro.analysis.plots import ascii_plot
-from repro.analysis.experiments import (
-    EXPERIMENTS,
-    ExperimentLog,
-    PaperComparison,
-    evaluate,
-)
-from repro.analysis.parallel import (
-    LoadPoint,
-    default_workers,
-    evaluate_load_point,
-    expand_loads,
-    measure_load_points,
-    parallel_map,
-    parallel_saturation_throughput,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "format_table",
@@ -36,3 +20,16 @@ __all__ = [
     "parallel_map",
     "parallel_saturation_throughput",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.tables": ("format_table",),
+    "repro.analysis.plots": ("ascii_plot",),
+    "repro.analysis.experiments": (
+        "EXPERIMENTS", "ExperimentLog", "PaperComparison", "evaluate",
+    ),
+    "repro.analysis.parallel": (
+        "LoadPoint", "default_workers", "evaluate_load_point", "expand_loads",
+        "measure_load_points", "parallel_map",
+        "parallel_saturation_throughput",
+    ),
+})

@@ -53,6 +53,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
+from repro.physical.descriptor import physical_model
+from repro.physical.report import RunEnergyReport
 from repro.telemetry.metrics import MetricsSummary
 from repro.traffic.base import TrafficGenerator, inject_window
 from repro.traffic.patterns import (
@@ -256,8 +258,6 @@ def _run_energy_metrics(net: Any) -> dict[str, float]:
     ``ConfigurationError`` for a network without a registered
     descriptor) — a genuine bug inside a registered descriptor
     propagates instead of silently blanking the energy column."""
-    from repro.physical.descriptor import physical_model
-    from repro.physical.report import RunEnergyReport
     try:
         model = physical_model(net)
     except ConfigurationError:

@@ -55,6 +55,11 @@ checks model links that carry the integrated clock, so ``validate``
 refuses every fabric the registry does not mark tree-legal, naming the
 supported set.
 
+A module only some verbs use (the demonstrator, the corners table, the
+timing checks, plots, tables, the record, the accelerator replay) is
+imported inside those verbs, so ``import repro.cli`` loads only what the
+parser and the sweep verbs share.
+
 Errors: a verb raises :class:`~repro.errors.ConfigurationError` for an
 illegal spec, a bad knob or a corrupt input file and never catches it;
 :func:`main` prints ``error: <message>`` to stderr and exits 2, after
@@ -79,8 +84,6 @@ from repro.analysis.parallel import (
     expand_loads,
     measure_load_points,
 )
-from repro.analysis.plots import ascii_plot
-from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
 from repro.fabric.allocator import ALLOCATOR_NAMES
 from repro.fabric.registry import (
@@ -92,10 +95,6 @@ from repro.fabric.registry import (
     topology_names,
     topology_table,
 )
-from repro.system.demonstrator import DemonstratorConfig, DemonstratorSystem
-from repro.tech.corners import corner_frequency_table
-from repro.timing.frequency import pipeline_max_frequency
-from repro.timing.validator import channels_max_frequency, validate_channels
 from repro.traffic.base import apply_traffic
 from repro.traffic.patterns import NeighbourTraffic, UniformRandom
 
@@ -276,6 +275,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         print(line)
     print(f"area: {model.area_report().describe()}")
     if entry.tree_legal:
+        from repro.timing.validator import channels_max_frequency
         skew_limited = channels_max_frequency(network.channel_specs,
                                               config.tech.register)
         print(f"skew-limited f_max: {skew_limited:.3f} GHz")
@@ -284,6 +284,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from repro.timing.validator import validate_channels
     config = _fabric_config_from(args)
     if not get_topology(config.topology).tree_legal:
         supported = (*TREE_ALIASES, *(name for name in topology_names()
@@ -304,6 +305,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_fig7(args: argparse.Namespace) -> int:
+    from repro.analysis.plots import ascii_plot
+    from repro.timing.frequency import pipeline_max_frequency
     lengths = list(np.linspace(0.0, args.max_length, args.points))
     freqs = [pipeline_max_frequency(x) for x in lengths]
     print(ascii_plot(lengths, freqs, x_label="wire length (mm)",
@@ -401,6 +404,7 @@ def _export_metrics(path: str, pairs: list[tuple[float, dict]]) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import format_table
     try:
         loads = [float(x) for x in args.loads.split(",") if x.strip()]
     except ValueError:
@@ -511,6 +515,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         save_accel_trace,
         sweep_placements,
     )
+    from repro.analysis.tables import format_table
     if args.trace is not None:
         trace = load_accel_trace(args.trace)
     else:
@@ -571,6 +576,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import format_table
     from repro.physical.comparison import physical_comparison_rows
     workload = None if args.workload == "none" else args.workload
     rows = physical_comparison_rows(
@@ -615,6 +621,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    from repro.system.demonstrator import (DemonstratorConfig,
+                                           DemonstratorSystem)
     system = DemonstratorSystem(DemonstratorConfig(tiles=args.tiles,
                                                    seed=args.seed))
     results = system.run(cycles=args.cycles)
@@ -623,6 +631,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_topologies(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import format_table
     rows = [[r["name"], r["clocking"], r["tree_legal"], r["flow_control"],
              r["allocators"], r["description"]]
             for r in topology_table()]
@@ -636,6 +645,8 @@ def cmd_topologies(args: argparse.Namespace) -> int:
 
 
 def cmd_corners(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import format_table
+    from repro.tech.corners import corner_frequency_table
     rows = corner_frequency_table()
     print(format_table(
         ["corner", "delay factor", "pipeline@1.25mm (GHz)", "3x3 (GHz)"],

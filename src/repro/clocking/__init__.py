@@ -10,25 +10,7 @@ distribution styles, and the conventional mesochronous synchronizers the
 paper's Section 2 compares against.
 """
 
-from repro.clocking.clock_tree import ClockTree, ClockTreeNode
-from repro.clocking.variation import (
-    VariationModel,
-    DegradationPoint,
-    graceful_degradation_curve,
-    timing_yield,
-    synchronous_yield,
-)
-from repro.clocking.gating import GatingStats
-from repro.clocking.mesochronous import (
-    TwoFlopSynchronizer,
-    PhaseDetectorScheme,
-    ICNoCCrossing,
-)
-from repro.clocking.power import (
-    forwarded_clock_power_mw,
-    balanced_tree_clock_power_mw,
-    ClockPowerBreakdown,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClockTree",
@@ -46,3 +28,19 @@ __all__ = [
     "balanced_tree_clock_power_mw",
     "ClockPowerBreakdown",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.clocking.clock_tree": ("ClockTree", "ClockTreeNode"),
+    "repro.clocking.variation": (
+        "VariationModel", "DegradationPoint", "graceful_degradation_curve",
+        "timing_yield", "synchronous_yield",
+    ),
+    "repro.clocking.gating": ("GatingStats",),
+    "repro.clocking.mesochronous": (
+        "TwoFlopSynchronizer", "PhaseDetectorScheme", "ICNoCCrossing",
+    ),
+    "repro.clocking.power": (
+        "forwarded_clock_power_mw", "balanced_tree_clock_power_mw",
+        "ClockPowerBreakdown",
+    ),
+})

@@ -7,8 +7,7 @@
   (the model itself lives in :mod:`repro.physical.peak_current`).
 """
 
-from repro.ext.latch_stage import LatchStageModel, latch_savings_table
-from repro.ext.ring_links import RingAugmentedTree, ShortcutLink
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LatchStageModel",
@@ -16,3 +15,8 @@ __all__ = [
     "RingAugmentedTree",
     "ShortcutLink",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ext.latch_stage": ("LatchStageModel", "latch_savings_table"),
+    "repro.ext.ring_links": ("RingAugmentedTree", "ShortcutLink"),
+})

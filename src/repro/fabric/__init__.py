@@ -30,46 +30,7 @@ machinery both now stand on, and the place new fabrics plug into:
 are queries over the two built fabrics (:mod:`repro.physical.comparison`).
 """
 
-from repro.fabric.allocator import (
-    ALLOCATOR_NAMES,
-    Allocator,
-    EscapeReentryAllocator,
-    RoundRobinAllocator,
-    WeightedAllocator,
-    make_allocator,
-)
-from repro.fabric.link import CreditLink
-from repro.fabric.routing import (
-    DatelineVc,
-    EscapeVcAdaptive,
-    RingDatelineVc,
-    RingRouting,
-    RoutingStrategy,
-    TorusDatelineVc,
-    TorusXYRouting,
-    VcPolicy,
-    XYRouting,
-    tree_updown_route,
-)
-from repro.fabric.router import FabricRouter
-from repro.fabric.endpoint import FabricSink, FabricSource
-from repro.fabric.topologies import (
-    MeshTopology,
-    RingTopology,
-    TorusTopology,
-)
-from repro.fabric.network import CreditFabricNetwork
-from repro.fabric.ctree import ConcentratedTreeNetwork
-from repro.fabric.registry import (
-    FLOW_VC,
-    FLOW_WORMHOLE,
-    FabricConfig,
-    TopologyEntry,
-    get_topology,
-    register_topology,
-    topology_names,
-    topology_table,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ALLOCATOR_NAMES",
@@ -106,3 +67,28 @@ __all__ = [
     "topology_table",
     "ConcentratedTreeNetwork",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fabric.allocator": (
+        "ALLOCATOR_NAMES", "Allocator", "EscapeReentryAllocator",
+        "RoundRobinAllocator", "WeightedAllocator", "make_allocator",
+    ),
+    "repro.fabric.link": ("CreditLink",),
+    "repro.fabric.routing": (
+        "DatelineVc", "EscapeVcAdaptive", "RingDatelineVc", "RingRouting",
+        "RoutingStrategy", "TorusDatelineVc", "TorusXYRouting", "VcPolicy",
+        "XYRouting", "tree_updown_route",
+    ),
+    "repro.fabric.router": ("FabricRouter",),
+    "repro.fabric.endpoint": ("FabricSink", "FabricSource"),
+    "repro.fabric.topologies": (
+        "MeshTopology", "RingTopology", "TorusTopology",
+    ),
+    "repro.fabric.network": ("CreditFabricNetwork",),
+    "repro.fabric.ctree": ("ConcentratedTreeNetwork",),
+    "repro.fabric.registry": (
+        "FLOW_VC", "FLOW_WORMHOLE", "FabricConfig", "TopologyEntry",
+        "get_topology", "register_topology", "topology_names",
+        "topology_table",
+    ),
+})

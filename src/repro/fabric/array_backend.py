@@ -1,14 +1,19 @@
 """Vectorized array execution backend for the credit fabrics.
 
-``backend="array"`` lowers a built :class:`~repro.fabric.network
-.CreditFabricNetwork` into struct-of-arrays numpy state — per-(router,
-port, vc) FIFO occupancy rings of interned flit ids, head caches,
-credit counters, wormhole locks / VC allocations, round-robin pointers —
-and executes the whole fabric's commit + arbitrate + credit-return inner
-loop as whole-network array operations, one step per clock edge. The
-routers and endpoints are still built with their full state and wiring
-(``register=False`` keeps them off the kernel schedule); one engine
-component replaces them all.
+``backend="array"`` lowers a :class:`~repro.fabric.network
+.CreditFabricNetwork`'s structure and config — ``topology.links()``, the
+local ports, the link capacity and buffer depth, the VC policy's
+injection VC, the node and port names — into struct-of-arrays numpy
+state: per-(router, port, vc) FIFO occupancy rings of interned flit ids,
+head caches, credit counters, wormhole locks / VC allocations,
+round-robin pointers, the sources' packet backlog and the sinks'
+reassembly. It executes the whole fabric's commit + arbitrate +
+credit-return inner loop as whole-network array operations, one step
+per clock edge, and delivers through the network. One engine component
+replaces every router and endpoint, which are never built for it: the
+network's datapath (``routers``, ``links``, ``sources``, ``sinks``) is a
+view, built unregistered on first read and filled by :meth:`sync_back`
+then and at every later ``drain()``.
 
 **One lowering path.** :class:`ArrayEngine` mirrors the unified
 :class:`~repro.fabric.router.FabricRouter`: every state array carries a
@@ -50,7 +55,8 @@ produces is reproduced exactly:
 
 * delivered packets, delivery order, latencies, hop counts, and
   per-router statistics (``flits_forwarded``, allocator arbiter grant
-  counts, FIFO/credit/lock state — written back by :meth:`sync_back`);
+  counts, FIFO/credit/lock state — in the datapath view, as of its
+  first read or the last ``drain()``);
 * ``kernel.tick`` — the engine is an ordinary registered component, so
   runs advance the clock identically and drains stop on the same tick;
 * gating statistics — ``enabled`` edges are accumulated per router with
@@ -66,7 +72,9 @@ produces is reproduced exactly:
   (0 on single-VC fabrics);
 * signal probes — when any flit wire carries a probe, the engine enters
   *write-through* mode and drives the real link wires alongside its
-  arrays, so :mod:`repro.telemetry` sees identical commits. Probed
+  arrays, so :mod:`repro.telemetry` sees identical commits (probing
+  reads ``flit_wires()``, which builds the datapath; an unbuilt one has
+  no wire to probe). Probed
   credit wires have no cheap write-through and raise
   :class:`~repro.errors.ConfigurationError` — loud, never silently
   wrong.
@@ -93,6 +101,7 @@ raises.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -200,59 +209,32 @@ class ArrayEngine(BatchComponent):
         self._P = P = topo.max_ports
         self._V = V = net.n_vcs
         self._iota = np.arange(P, dtype=np.int64)
-        self._names = [router.name for router in net.routers]
+        self._names = [f"{topo.prefix}{node}" for node in range(R)]
 
-        # Connectivity: for every (router, out port) the consuming
-        # (router, in port), flat as router * P + port; LOCAL out ports
-        # feed the node's sink. The upstream map inverts it for credit
-        # returns.
-        in_map: dict[int, tuple[int, int]] = {}
-        out_map: dict[int, tuple[int, int]] = {}
-        for r, router in enumerate(net.routers):
-            for p, link in enumerate(router.in_links):
-                if link is not None:
-                    in_map[id(link)] = (r, p)
-            for p, link in enumerate(router.out_links):
-                if link is not None:
-                    out_map[id(link)] = (r, p)
+        # Connectivity, lowered from the structure as _build wires it:
+        # every (router, out port) feeds the consuming (router, in port),
+        # flat as router * P + port, and the upstream map inverts it for
+        # credit returns. LOCAL ports are wired at every node: the
+        # source feeds LOCAL in, LOCAL out feeds the sink.
+        ends = np.asarray(list(topo.links()), dtype=np.int64).reshape(-1, 4)
+        a = ends[:, 0] * P + ends[:, 1]
+        b = ends[:, 2] * P + ends[:, 3]
+        producer = np.concatenate([a, b])
+        consumer = np.concatenate([b, a])
         self._conn_out = np.zeros((R, P), dtype=bool)
-        self._conn_in = np.zeros((R, P), dtype=bool)
         self._dst = np.zeros((R, P), dtype=np.int64)
         self._up = np.zeros((R, P), dtype=np.int64)
-        for r, router in enumerate(net.routers):
-            for p, link in enumerate(router.out_links):
-                if link is None:
-                    continue
-                self._conn_out[r, p] = True
-                consumer = in_map.get(id(link))
-                if consumer is not None:
-                    self._dst[r, p] = consumer[0] * P + consumer[1]
-                elif p != LOCAL or id(link) != id(net.sinks[r].link):
-                    raise ConfigurationError(
-                        "backend='array' cannot lower this fabric wiring: "
-                        f"{router.name} output {router.port_name(p)} "
-                        f"drives neither a router nor the node's sink"
-                    )
-            for p, link in enumerate(router.in_links):
-                if link is None:
-                    continue
-                self._conn_in[r, p] = True
-                producer = out_map.get(id(link))
-                if producer is not None:
-                    self._up[r, p] = producer[0] * P + producer[1]
-                elif p != LOCAL or id(link) != id(net.sources[r].link):
-                    raise ConfigurationError(
-                        "backend='array' cannot lower this fabric wiring: "
-                        f"{router.name} input {router.port_name(p)} is "
-                        f"driven by neither a router nor the node's source"
-                    )
+        self._conn_out.reshape(-1)[producer] = True
+        self._dst.reshape(-1)[producer] = consumer
+        self._up.reshape(-1)[consumer] = producer
+        self._conn_out[:, LOCAL] = True
 
-        # Per-router FIFO depths (per port; VCs of a port share one) and
-        # the ring-buffer capacity.
-        self._fifo_depth = np.zeros((R, P), dtype=np.int64)
-        for r, router in enumerate(net.routers):
-            self._fifo_depth[r] = router.fifo_depths
-        self._C = C = max(2, int(self._fifo_depth.max()))
+        # One FIFO depth everywhere (VCs of a port share it): segmented
+        # links are not lowerable, so every link is one segment and
+        # _link_capacity(1) sizes it (None: buffer_depth).
+        depth = net._link_capacity(1) or net.config.buffer_depth
+        self._fifo_depth = depth
+        self._C = C = max(2, depth)
 
         # Per-(router, port, vc) state mirrors FabricRouter exactly —
         # the single-VC regime simply never indexes past vc 0.
@@ -288,8 +270,6 @@ class ArrayEngine(BatchComponent):
                     for out_p in range(P):
                         self._transit[in_p, out_p] = \
                             net.routing.ring_transit(in_p, out_p)
-            for r, router in enumerate(net.routers):
-                self._credits[r, :, 0] = router.credits
         else:
             # VC regime: the (out_port, out_vc) each input VC's packet
             # holds (-1: none), and the owning input VC per output VC
@@ -313,20 +293,25 @@ class ArrayEngine(BatchComponent):
             # pure — no arbiter/event side effects in dispatch either —
             # so a router with unchanged inputs can skip re-walking.
             self._va_dirty = np.ones(R, dtype=bool)
-            for r, router in enumerate(net.routers):
-                self._credits[r] = router.credits
+        # Every wired output starts with the consumer FIFO's depth.
+        self._credits[self._conn_out] = depth
 
-        self._inj_vc = np.asarray([src.vc for src in net.sources],
-                                  dtype=np.int64)
+        self._inj_vc = np.zeros(R, dtype=np.int64)
+        if net.vc_enabled:
+            self._inj_vc[:] = [net.vc_policy.injection_vc(node)
+                               for node in range(R)]
 
-        # Source state: contiguous interned-id window of the unpacked
-        # packet, credit counter, host-submitted backlog flag.
+        # Source state: the host-submitted packet backlog, the contiguous
+        # interned-id window of the unpacked packet, the credit counter,
+        # and a backlog flag.
+        self._backlog = [deque() for _ in range(R)]
         self._src_next = np.zeros(R, dtype=np.int64)
         self._src_end = np.zeros(R, dtype=np.int64)
-        self._src_credits = np.asarray(
-            [src.credits for src in net.sources], dtype=np.int64)
-        self._has_pkts = np.asarray(
-            [bool(src.packets) for src in net.sources], dtype=bool)
+        self._src_credits = np.full(R, depth, dtype=np.int64)
+        self._has_pkts = np.zeros(R, dtype=bool)
+        # Sink state: flits received and packets in reassembly.
+        self._flits_received = [0] * R
+        self._assembly: list[dict[int, list[Flit]]] = [{} for _ in range(R)]
 
         # Gating: enabled edges accumulate here; totals are closed-form.
         self._edges_enabled = np.zeros(R, dtype=np.int64)
@@ -354,9 +339,10 @@ class ArrayEngine(BatchComponent):
 
     # -- scheduling -----------------------------------------------------
 
-    def on_submit(self, node: int) -> None:
-        """A packet was submitted to ``node``'s source (host-side)."""
-        self._has_pkts[node] = True
+    def submit(self, packet: Packet) -> None:
+        """Queue a host-submitted packet at its source node."""
+        self._backlog[packet.src].append(packet)
+        self._has_pkts[packet.src] = True
         self._quiet = False
         self.wake()
 
@@ -404,7 +390,8 @@ class ArrayEngine(BatchComponent):
             return
         self._probe_epoch_seen = epoch
         probed = False
-        for link in self.net.links:
+        # An unbuilt datapath has no wire to carry a probe.
+        for link in self.net._links:
             if link.flit._probes:
                 probed = True
             for wire in link.credits:
@@ -428,14 +415,21 @@ class ArrayEngine(BatchComponent):
         latest = latest_parity_tick(self.kernel.tick, 0)
         return latest // 2 + 1 if latest >= 0 else 0
 
-    def _sync_back_sources(self) -> None:
+    def _sync_back_endpoints(self) -> None:
         store = self._store
-        for n, src in enumerate(self.net.sources):
+        for n, (src, sink) in enumerate(zip(self.net._sources,
+                                            self.net._sinks)):
             src.credits = int(self._src_credits[n])
             src.flits.clear()
             src.flits.extend(store.objs[i]
                              for i in range(self._src_next[n],
                                             self._src_end[n]))
+            src.packets.clear()
+            src.packets.extend(self._backlog[n])
+            sink.flits_received = self._flits_received[n]
+            sink._assembly.clear()
+            sink._assembly.update((pid, list(flits)) for pid, flits
+                                  in self._assembly[n].items())
 
     def _replay_events(self) -> None:
         emit = self.kernel.emit
@@ -465,11 +459,10 @@ class ArrayEngine(BatchComponent):
         heads = store.is_head[fids]
         if not heads.all():
             j = int(np.nonzero(~heads)[0][0])
-            router = self.net.routers[int(rs[j])]
             raise RoutingError(
-                f"{router.name}: body flit {store.objs[int(fids[j])]} "
-                f"without an allocation on "
-                f"{router.port_name(int(ps[j]))} vc{int(vs[j])}"
+                f"{self._names[int(rs[j])]}: body flit "
+                f"{store.objs[int(fids[j])]} without an allocation on "
+                f"{self.net.port_labels[int(ps[j])]} vc{int(vs[j])}"
             )
         preferred, fallback = self.net.vc_policy.candidate_masks(
             rs, ps, vs, store.dest[fids], store.src[fids])
@@ -872,15 +865,15 @@ class ArrayEngine(BatchComponent):
         if amask.any():
             rr, pp = np.nonzero(amask)
             vv = arrvc_cur[rr, pp]
-            full = self._fifo_len[rr, pp, vv] >= self._fifo_depth[rr, pp]
+            full = self._fifo_len[rr, pp, vv] >= self._fifo_depth
             if full.any():
                 j = int(np.nonzero(full)[0][0])
-                router = self.net.routers[int(rr[j])]
-                where = router.port_name(int(pp[j]))
+                where = self.net.port_labels[int(pp[j])]
                 if V > 1:
                     where += f" vc{int(vv[j])}"
-                raise RoutingError(f"{router.name}: FIFO overflow on "
-                                   f"{where} (credit violation)")
+                raise RoutingError(f"{self._names[int(rr[j])]}: FIFO "
+                                   f"overflow on {where} (credit "
+                                   f"violation)")
             fids = arrive_cur[rr, pp]
             slot = (self._fifo_start[rr, pp, vv]
                     + self._fifo_len[rr, pp, vv]) % C
@@ -906,9 +899,9 @@ class ArrayEngine(BatchComponent):
             for n in np.nonzero((self._src_next >= self._src_end)
                                 & self._has_pkts)[0]:
                 n = int(n)
-                src = self.net.sources[n]
-                packet = src.packets.popleft()
-                if not src.packets:
+                backlog = self._backlog[n]
+                packet = backlog.popleft()
+                if not backlog:
                     self._has_pkts[n] = False
                 packet.inject_tick = tick
                 start = len(store.objs)
@@ -934,17 +927,17 @@ class ArrayEngine(BatchComponent):
         for n in np.nonzero(sink_cur >= 0)[0]:
             n = int(n)
             flit = store.objs[int(sink_cur[n])]
-            sink = self.net.sinks[n]
-            sink.flits_received += 1
+            self._flits_received[n] += 1
             if observed and "flit" in observed:
                 self._sink_events.append(("flit", flit))
-            buffer = sink._assembly.setdefault(flit.packet_id, [])
+            assembly = self._assembly[n]
+            buffer = assembly.setdefault(flit.packet_id, [])
             buffer.append(flit)
             if flit.is_tail:
-                del sink._assembly[flit.packet_id]
+                del assembly[flit.packet_id]
                 packet = Packet.from_flits(buffer)
                 packet.eject_tick = tick
-                sink.on_packet(packet, tick)
+                self.net._deliver(packet, tick)
                 if observed and "packet" in observed:
                     self._sink_events.append(("packet", packet))
             credit_nxt[n, LOCAL, int(sinkvc_cur[n])] += 1
@@ -978,13 +971,13 @@ class ArrayEngine(BatchComponent):
                     or self._has_pkts.any())
 
     def sync_back(self) -> None:
-        """Write the array state back into the (unscheduled) routers and
-        endpoints so post-run inspection sees dispatch-identical state.
-        Each state array is read one router row at a time (``tolist``),
-        and only occupied FIFOs are materialised."""
+        """Write the array state into the built (unscheduled) datapath,
+        so inspecting it shows dispatch-identical state. Each state
+        array is read one router row at a time (``tolist``), and only
+        occupied FIFOs are materialised."""
         objs, C, V = self._store.objs, self._C, self._V
         per_router = self._edges_per_router()
-        for r, router in enumerate(self.net.routers):
+        for r, router in enumerate(self.net._routers):
             lens = self._fifo_len[r].tolist()
             starts = self._fifo_start[r].tolist()
             credits = self._credits[r].tolist()
@@ -1034,4 +1027,4 @@ class ArrayEngine(BatchComponent):
             router.flits_forwarded = int(self._flits_fwd[r])
             router._gating.edges_total = per_router
             router._gating.edges_enabled = int(self._edges_enabled[r])
-        self._sync_back_sources()
+        self._sync_back_endpoints()

@@ -16,7 +16,10 @@ Build order is deterministic — routers in node order, links in the
 topology's ``links()`` order, local ports in node order — which fixes the
 kernel's component and signal registration order and therefore makes the
 activity-driven fast path bit-identical to the naive reference loop for
-every fabric assembled here.
+every fabric assembled here. Under ``backend="array"`` the one scheduled
+component is the engine, lowered from the structure; the same build runs
+only when something reads the datapath, with every component left
+unregistered.
 
 **Pipelining knobs.** The config may carry ``pipeline_depth`` (staged
 routers, default 1) and ``segment_links`` (floorplan-driven link
@@ -29,6 +32,7 @@ versions.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.clocking.gating import GatingStats
@@ -36,7 +40,7 @@ from repro.errors import ConfigurationError
 from repro.fabric.allocator import make_allocator
 from repro.fabric.endpoint import FabricSink, FabricSource
 from repro.fabric.link import CreditLink
-from repro.fabric.router import FabricRouter
+from repro.fabric.router import FabricRouter, port_label
 from repro.fabric.routing import LOCAL
 from repro.noc.floorplan import LOCAL_PORT, Floorplan, segment_count
 from repro.noc.network import Network
@@ -67,6 +71,8 @@ class CreditFabricNetwork(Network):
         self.routing = topology.routing()
         self.vc_policy = entry.build_vc_policy(config, topology)
         self.vc_enabled = config.flow_control == "vc"
+        self.port_labels = tuple(port_label(topology.port_names, port)
+                                 for port in range(topology.max_ports))
         if not self.vc_enabled and self.routing.needs_bubble:
             # The bubble rule's deadlock-freedom argument is virtual
             # cut-through: a packet must fit one FIFO with a slot to
@@ -77,27 +83,61 @@ class CreditFabricNetwork(Network):
         # vectorized engine (repro.fabric.array_backend). The config owns
         # the lowerability rule, "auto" included.
         self.backend = config.resolved_backend
-        self.engine = None
-        self.routers: list[FabricRouter] = []
-        self.sources: list[FabricSource] = []
-        self.sinks: list[FabricSink] = []
-        self.links: list[CreditLink] = []
         self.delivered: list[Packet] = []
         self._floorplan: Floorplan | None = None
-        # Under the array backend, routers and endpoints are built with
-        # their full state but left unregistered: the engine executes
-        # their semantics vectorized and is the only scheduled component.
-        self._register_components = self.backend != "array"
-        self._build()
+        # The datapath: routers, links and endpoints. Dispatch steps it,
+        # so it is built now. The array engine lowers from the structure
+        # and is the only scheduled component; its datapath is a view,
+        # built unregistered on first read (see _ensure_datapath).
+        self._routers: list[FabricRouter] = []
+        self._sources: list[FabricSource] = []
+        self._sinks: list[FabricSink] = []
+        self._links: list[CreditLink] = []
+        self._built = False
         if self.backend == "array":
             from repro.fabric.array_backend import make_engine
             self.engine = make_engine(self)
+        else:
+            self.engine = None
+            self._ensure_datapath()
 
     # -- construction ---------------------------------------------------
 
     @property
     def n_vcs(self) -> int:
         return self.config.n_vcs if self.vc_enabled else 1
+
+    def _ensure_datapath(self) -> None:
+        """Build the datapath if nothing has yet, through the one
+        :meth:`_build`. Under the array backend the components stay
+        unregistered and the engine's state is synced into them now (and
+        again at every later :meth:`drain`)."""
+        if self._built:
+            return
+        self._built = True
+        self._build()
+        if self.engine is not None:
+            self.engine.sync_back()
+
+    @property
+    def routers(self) -> list[FabricRouter]:
+        self._ensure_datapath()
+        return self._routers
+
+    @property
+    def links(self) -> list[CreditLink]:
+        self._ensure_datapath()
+        return self._links
+
+    @property
+    def sources(self) -> list[FabricSource]:
+        self._ensure_datapath()
+        return self._sources
+
+    @property
+    def sinks(self) -> list[FabricSink]:
+        self._ensure_datapath()
+        return self._sinks
 
     def _make_router(self, node: int):
         # One construction path for both regimes: n_vcs picks the
@@ -116,7 +156,7 @@ class CreditFabricNetwork(Network):
             ring_transit=self.routing,
             port_names=self.topology.port_names,
             pipeline_depth=config.pipeline_depth,
-            register=self._register_components,
+            register=self.engine is None,
             allocator=make_allocator(config.allocator, config.reservations),
         )
 
@@ -146,26 +186,26 @@ class CreditFabricNetwork(Network):
         capacity = self._link_capacity(segments)
         link = CreditLink(self.kernel, name, self.n_vcs,
                           segments=segments, capacity=capacity)
-        self.links.append(link)
+        self._links.append(link)
         return link
 
     def _build(self) -> None:
         prefix = self.topology.prefix
         for node in range(self.topology.nodes):
-            self.routers.append(self._make_router(node))
+            self._routers.append(self._make_router(node))
         # Router-to-router links (two directed links per neighbour pair).
         for a, a_port, b, b_port in self.topology.links():
             self._connect(a, a_port, b, b_port)
         # Local ports.
         for node in range(self.topology.nodes):
-            router = self.routers[node]
+            router = self._routers[node]
             stub = self._link_segments(node, LOCAL_PORT)
             inject = self._make_link(f"{prefix}{node}.inj", segments=stub)
             eject = self._make_link(f"{prefix}{node}.ej", segments=stub)
             router.connect(LOCAL, inject, eject)
             src_credits = (inject.capacity if inject.capacity is not None
                            else self.config.buffer_depth)
-            register = self._register_components
+            register = self.engine is None
             source = FabricSource(
                 self.kernel, f"{prefix}{node}.src", inject,
                 credits=src_credits,
@@ -177,8 +217,8 @@ class CreditFabricNetwork(Network):
                               register=register)
             # The sink grants the router initial credits via connect();
             # sink-side credits mirror the router's local output credits.
-            self.sources.append(source)
-            self.sinks.append(sink)
+            self._sources.append(source)
+            self._sinks.append(sink)
 
     def _connect(self, a: int, a_port: int, b: int, b_port: int) -> None:
         prefix = self.topology.prefix
@@ -189,7 +229,7 @@ class CreditFabricNetwork(Network):
                                  segments=segments)
         b_to_a = self._make_link(f"{prefix}{b}>{prefix}{a}",
                                  segments=segments)
-        router_a, router_b = self.routers[a], self.routers[b]
+        router_a, router_b = self._routers[a], self._routers[b]
         router_a.connect(a_port, b_to_a, a_to_b)
         router_b.connect(b_port, a_to_b, b_to_a)
 
@@ -209,18 +249,20 @@ class CreditFabricNetwork(Network):
                 f"(got {self.config.buffer_depth}); raise buffer_depth "
                 f"or shorten packets"
             )
-        self.sources[packet.src].submit(packet)
         if self.engine is not None:
-            self.engine.on_submit(packet.src)
+            self.engine.submit(packet)
+        else:
+            self._sources[packet.src].submit(packet)
 
     def run_ticks(self, ticks: int) -> None:
         """Advance the kernel by ``ticks`` half-cycles.
 
-        Under ``backend="array"`` the fabric's state lives in the engine:
-        ``self.routers[i]`` / ``self.sources[i]`` (credits, FIFOs, locks,
-        arbiter counters) go stale until the next :meth:`drain`, the one
-        call that writes it back. Network-level results — deliveries,
-        ``stats``, :meth:`gating_stats` — are always current.
+        Under ``backend="array"`` the fabric's state lives in the engine.
+        The datapath (``routers``, ``links``, ``sources``, ``sinks``) is
+        a view of it: built and synced on first read, synced again by
+        every :meth:`drain`, and stale in between. Network-level results
+        — deliveries, ``stats``, :meth:`gating_stats` — are always
+        current.
         """
         if self.engine is not None:
             self.engine.refresh_observers()
@@ -235,9 +277,8 @@ class CreditFabricNetwork(Network):
         if self.engine is not None:
             self.engine.refresh_observers()
         done = super().drain(max_ticks)
-        if self.engine is not None:
-            # Make the per-router python state (FIFOs, credits, locks,
-            # counters) inspectable again after a drained run.
+        if self.engine is not None and self._built:
+            # A datapath something has read shows the drained state.
             self.engine.sync_back()
         return done
 
@@ -252,14 +293,43 @@ class CreditFabricNetwork(Network):
                 total.merge(stage.gating)
         return total
 
+    # -- structural views (never build the datapath) -----------------------
+
+    @cached_property
+    def input_fifo_depths(self) -> list[dict[int, int]]:
+        """Per node, each wired port's input FIFO depth per VC: what
+        :meth:`_build` wires, read from the structure alone. Every wired
+        port is wired both ways."""
+        default = self.config.buffer_depth
+
+        def depth(node: int, port: int) -> int:
+            capacity = self._link_capacity(self._link_segments(node, port))
+            return default if capacity is None else capacity
+
+        depths: list[dict[int, int]] = [{} for _ in
+                                        range(self.topology.nodes)]
+        for a, a_port, b, b_port in self.topology.links():
+            depths[a][a_port] = depths[b][b_port] = depth(a, a_port)
+        for node, ports in enumerate(depths):
+            ports[LOCAL] = depth(node, LOCAL_PORT)
+        return depths
+
     def total_buffer_flits(self) -> int:
         """Total FIFO capacity — the stall-buffer cost the IC-NoC avoids."""
-        return sum(router.buffer_capacity for router in self.routers)
+        return self.n_vcs * sum(sum(ports.values())
+                                for ports in self.input_fifo_depths)
 
     @property
     def link_stage_count(self) -> int:
-        """Register stages inside segmented links (all directions)."""
-        return sum(len(link.stages) for link in self.links)
+        """Register stages inside segmented links (all directions): a
+        K-segment link has K - 1 each way."""
+        if not self.config.segment_links:
+            return 0
+        ends = [(a, a_port) for a, a_port, _b, _b_port
+                in self.topology.links()]
+        ends += [(node, LOCAL_PORT) for node in range(self.topology.nodes)]
+        return sum(2 * (self._link_segments(node, port) - 1)
+                   for node, port in ends)
 
     @property
     def router_stage_registers(self) -> int:
@@ -268,8 +338,7 @@ class CreditFabricNetwork(Network):
         depth = self.config.pipeline_depth
         if depth == 1:
             return 0
-        out_ports = sum(1 for router in self.routers
-                        for link in router.out_links if link is not None)
+        out_ports = sum(len(ports) for ports in self.input_fifo_depths)
         return (depth - 1) * out_ports
 
     # -- physical view ----------------------------------------------------
@@ -309,10 +378,9 @@ class CreditFabricNetwork(Network):
             yield link.name, link.flit, consumer.get(id(link)), True
 
     def switches(self) -> Iterator[tuple[str, str, tuple[str, ...]]]:
-        for router in self.routers:
-            labels = tuple(router.port_name(port)
-                           for port in range(router.n_ports))
-            yield router.name, router.name, labels
+        prefix, labels = self.topology.prefix, self.port_labels
+        for node in range(self.topology.nodes):
+            yield f"{prefix}{node}", f"{prefix}{node}", labels
 
     def describe(self) -> str:
         config = self.config
@@ -327,5 +395,5 @@ class CreditFabricNetwork(Network):
             pipe += (f", {self.link_stage_count} link stages "
                      f"(<= {config.max_segment_mm} mm segments)")
         return (f"{type(self).__name__}: {self.topology.describe()}, "
-                f"{len(self.routers)} routers, "
+                f"{self.topology.nodes} routers, "
                 f"buffer depth {config.buffer_depth}{flow}{pipe}")

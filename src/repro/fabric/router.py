@@ -122,6 +122,13 @@ from repro.sim.kernel import SimKernel
 from repro.sim.signal import Signal
 
 
+def port_label(port_names: Sequence[str] | None, port: int) -> str:
+    """A router port's label: its structure's name, else ``portN``."""
+    if port_names is not None and port < len(port_names):
+        return port_names[port]
+    return f"port{port}"
+
+
 def _va_walk_order(pair: tuple[int, int]) -> tuple[int, int]:
     """VC allocation serves output VCs port ascending, VC descending."""
     return pair[0], -pair[1]
@@ -264,9 +271,7 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         return self.allocator.va_arbiters
 
     def port_name(self, port: int) -> str:
-        if self._port_names is not None and port < len(self._port_names):
-            return self._port_names[port]
-        return f"port{port}"
+        return port_label(self._port_names, port)
 
     def connect(self, port: int, in_link: CreditLink | None,
                 out_link: CreditLink | None) -> None:

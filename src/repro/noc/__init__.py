@@ -7,18 +7,7 @@ wormhole 3x3/5x5 tree routers, H-tree floorplanning, and the assembled
 network with its network interfaces and statistics.
 """
 
-from repro.noc.flit import Flit, FlitKind
-from repro.noc.packet import Packet
-from repro.noc.handshake import HandshakeChannel
-from repro.noc.pipeline import PipelineStage, SourceStage, SinkStage, build_pipeline
-from repro.noc.arbiter import RoundRobinArbiter, FixedPriorityArbiter
-from repro.noc.topology import TreeTopology
-from repro.noc.floorplan import Floorplan
-from repro.noc.router import TreeRouter
-from repro.noc.network import ICNoCNetwork, Network
-from repro.noc.stats import NetworkStats
-from repro.noc.debug import ProtocolMonitor, DeadlockWatchdog, attach_monitors
-from repro.noc.faults import FaultInjector, FaultKind, inject_link_fault
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Flit",
@@ -44,3 +33,22 @@ __all__ = [
     "FaultKind",
     "inject_link_fault",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.noc.flit": ("Flit", "FlitKind"),
+    "repro.noc.packet": ("Packet",),
+    "repro.noc.handshake": ("HandshakeChannel",),
+    "repro.noc.pipeline": (
+        "PipelineStage", "SourceStage", "SinkStage", "build_pipeline",
+    ),
+    "repro.noc.arbiter": ("RoundRobinArbiter", "FixedPriorityArbiter"),
+    "repro.noc.topology": ("TreeTopology",),
+    "repro.noc.floorplan": ("Floorplan",),
+    "repro.noc.router": ("TreeRouter",),
+    "repro.noc.network": ("ICNoCNetwork", "Network"),
+    "repro.noc.stats": ("NetworkStats",),
+    "repro.noc.debug": (
+        "ProtocolMonitor", "DeadlockWatchdog", "attach_monitors",
+    ),
+    "repro.noc.faults": ("FaultInjector", "FaultKind", "inject_link_fault"),
+})

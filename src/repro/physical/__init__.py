@@ -12,30 +12,7 @@ table and the paper's Section 3 tree-vs-mesh tables
 with.
 """
 
-from repro.physical.area import (
-    AreaReport,
-    BUFFER_SLOT_AREA_MM2,
-)
-from repro.physical.comparison import (
-    PhysicalComparison,
-    comparison_config,
-    physical_comparison_rows,
-)
-from repro.physical.descriptor import (
-    PathProfile,
-    PhysicalModel,
-    physical_model,
-)
-from repro.physical.power import (
-    link_energy_pj_per_flit,
-    router_energy_pj_per_flit,
-)
-from repro.physical.report import RunEnergyReport
-from repro.physical.peak_current import (
-    peak_current,
-    peak_current_ratio,
-    spread_arrivals,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AreaReport",
@@ -53,3 +30,20 @@ __all__ = [
     "peak_current_ratio",
     "spread_arrivals",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.physical.area": ("AreaReport", "BUFFER_SLOT_AREA_MM2"),
+    "repro.physical.comparison": (
+        "PhysicalComparison", "comparison_config", "physical_comparison_rows",
+    ),
+    "repro.physical.descriptor": (
+        "PathProfile", "PhysicalModel", "physical_model",
+    ),
+    "repro.physical.power": (
+        "link_energy_pj_per_flit", "router_energy_pj_per_flit",
+    ),
+    "repro.physical.report": ("RunEnergyReport",),
+    "repro.physical.peak_current": (
+        "peak_current", "peak_current_ratio", "spread_arrivals",
+    ),
+})

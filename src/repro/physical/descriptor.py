@@ -371,11 +371,13 @@ class CtreePhysical(TreePhysical):
 class CreditFabricPhysical(PhysicalModel):
     """Any :class:`~repro.fabric.network.CreditFabricNetwork` fabric.
 
-    Port counts and buffer capacity come from the built routers — every
-    build is the same unified :class:`~repro.fabric.router.FabricRouter`
-    whose ``buffer_capacity`` scales as ``ports x n_vcs x buffer_depth``,
-    so a VC build pays ``n_vcs x`` the single-VC FIFO budget
-    automatically and the allocator choice costs nothing here — link
+    Port counts and buffer capacity come from the fabric's structure
+    (``input_fifo_depths``, what every build wires into the same unified
+    :class:`~repro.fabric.router.FabricRouter`), so the descriptor never
+    builds an array backend's datapath. Capacity scales as ``ports x
+    n_vcs x buffer_depth``, so a VC build pays ``n_vcs x`` the single-VC
+    FIFO budget automatically and the allocator choice costs nothing
+    here — link
     lengths from the fabric floorplan, and paths from a walk driven by
     the network's **own** routing strategy (``routing.route_array``)
     over the topology's link table, all pairs stepped together — the
@@ -388,15 +390,9 @@ class CreditFabricPhysical(PhysicalModel):
     def __init__(self, network):
         super().__init__(network)
         self._walk_tables: _WalkTables | None = None
-        self._ports_cache: list[int] | None = None
 
     def router_port_counts(self) -> list[int]:
-        if self._ports_cache is None:
-            self._ports_cache = [
-                sum(1 for link in router.in_links if link is not None)
-                for router in self.network.routers
-            ]
-        return self._ports_cache
+        return [len(ports) for ports in self.network.input_fifo_depths]
 
     def buffer_flits(self) -> int:
         return self.network.total_buffer_flits()

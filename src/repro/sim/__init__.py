@@ -13,11 +13,7 @@ instead of per-tick callbacks, so instrumented runs keep the kernel's
 activity-driven fast path.
 """
 
-from repro.sim.signal import Signal
-from repro.sim.component import ClockedComponent
-from repro.sim.kernel import SimKernel, Timer
-from repro.sim.observe import Probe
-from repro.sim.probes import SignalTrace
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Signal",
@@ -27,3 +23,11 @@ __all__ = [
     "Probe",
     "SignalTrace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.signal": ("Signal",),
+    "repro.sim.component": ("ClockedComponent",),
+    "repro.sim.kernel": ("SimKernel", "Timer"),
+    "repro.sim.observe": ("Probe",),
+    "repro.sim.probes": ("SignalTrace",),
+})

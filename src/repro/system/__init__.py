@@ -8,20 +8,7 @@ give each processor fixed priority over network traffic when accessing its
 own local memory.
 """
 
-from repro.system.processor import ProcessorModel, ProcessorConfig
-from repro.system.memory import MemoryModel
-from repro.system.tile import Tile, proc_leaf, mem_leaf, tile_of
-from repro.system.demonstrator import (
-    DemonstratorSystem,
-    DemonstratorConfig,
-    DemonstratorResults,
-)
-from repro.system.workloads import (
-    StreamingConfig,
-    StreamingWorkload,
-    StreamingResults,
-    mapping_comparison,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ProcessorModel",
@@ -39,3 +26,16 @@ __all__ = [
     "StreamingResults",
     "mapping_comparison",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.system.processor": ("ProcessorModel", "ProcessorConfig"),
+    "repro.system.memory": ("MemoryModel",),
+    "repro.system.tile": ("Tile", "proc_leaf", "mem_leaf", "tile_of"),
+    "repro.system.demonstrator": (
+        "DemonstratorSystem", "DemonstratorConfig", "DemonstratorResults",
+    ),
+    "repro.system.workloads": (
+        "StreamingConfig", "StreamingWorkload", "StreamingResults",
+        "mapping_comparison",
+    ),
+})

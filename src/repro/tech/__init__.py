@@ -7,14 +7,7 @@ and router critical path) that are exact fits through the paper's published
 anchor points — see :mod:`repro.tech.calibration`.
 """
 
-from repro.tech.flipflop import RegisterTiming, FF_90NM
-from repro.tech.wire import (
-    WireParameters,
-    BufferedWireModel,
-    WIRE_90NM,
-    BUFFERED_WIRE_90NM,
-)
-from repro.tech.technology import Technology, TECH_90NM
+from repro._lazy import lazy_exports
 
 __all__ = [
     "RegisterTiming",
@@ -26,3 +19,12 @@ __all__ = [
     "Technology",
     "TECH_90NM",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.tech.flipflop": ("RegisterTiming", "FF_90NM"),
+    "repro.tech.wire": (
+        "WireParameters", "BufferedWireModel", "WIRE_90NM",
+        "BUFFERED_WIRE_90NM",
+    ),
+    "repro.tech.technology": ("Technology", "TECH_90NM"),
+})

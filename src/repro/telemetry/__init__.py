@@ -14,22 +14,9 @@ and probes (see docs/observability.md). Typical use::
     print(tracer.render())
 """
 
-from repro.telemetry.attribution import (
-    congestion_snapshot,
-    render_metrics_report,
-)
-from repro.telemetry.metrics import (
-    attach_metrics,
-    MetricsRegistry,
-    MetricsSummary,
-    TimeWeightedGauge,
-)
-from repro.telemetry.trace import (
-    attach_tracer,
-    FlitTracer,
-    HopRecord,
-    PacketTrace,
-)
+from repro._lazy import lazy_exports
+from repro.telemetry.metrics import attach_metrics
+from repro.telemetry.trace import attach_tracer
 
 __all__ = [
     "attach_metrics",
@@ -43,3 +30,16 @@ __all__ = [
     "render_metrics_report",
     "TimeWeightedGauge",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.attribution": (
+        "congestion_snapshot", "render_metrics_report",
+    ),
+    "repro.telemetry.metrics": (
+        "attach_metrics", "MetricsRegistry", "MetricsSummary",
+        "TimeWeightedGauge",
+    ),
+    "repro.telemetry.trace": (
+        "attach_tracer", "FlitTracer", "HopRecord", "PacketTrace",
+    ),
+})

@@ -7,24 +7,7 @@ constraint is monotone in the clock period, which is exactly the paper's
 "graceful degradation / correct by construction" argument).
 """
 
-from repro.timing.link_timing import (
-    downstream_window,
-    upstream_window,
-    min_half_period_downstream,
-    min_half_period_upstream,
-    synchronous_hold_margin,
-)
-from repro.timing.constraints import (
-    CheckKind,
-    Direction,
-    TimingCheck,
-    TimingReport,
-)
-from repro.timing.validator import ChannelSpec, validate_channels
-from repro.timing.frequency import (
-    pipeline_max_frequency,
-    max_segment_length,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "downstream_window",
@@ -41,3 +24,15 @@ __all__ = [
     "pipeline_max_frequency",
     "max_segment_length",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.timing.link_timing": (
+        "downstream_window", "upstream_window", "min_half_period_downstream",
+        "min_half_period_upstream", "synchronous_hold_margin",
+    ),
+    "repro.timing.constraints": (
+        "CheckKind", "Direction", "TimingCheck", "TimingReport",
+    ),
+    "repro.timing.validator": ("ChannelSpec", "validate_channels"),
+    "repro.timing.frequency": ("pipeline_max_frequency", "max_segment_length"),
+})

@@ -8,16 +8,7 @@ Section 3), hotspots, permutations, and the bursty on-off traffic that
 drives the clock-gating claim of Section 5.
 """
 
-from repro.traffic.base import Injection, TrafficGenerator, apply_traffic
-from repro.traffic.patterns import (
-    UniformRandom,
-    NeighbourTraffic,
-    HotspotTraffic,
-    PermutationTraffic,
-    transpose,
-)
-from repro.traffic.bursty import BurstyTraffic
-from repro.traffic.trace import replay_trace
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Injection",
@@ -31,3 +22,13 @@ __all__ = [
     "BurstyTraffic",
     "replay_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.traffic.base": ("Injection", "TrafficGenerator", "apply_traffic"),
+    "repro.traffic.patterns": (
+        "UniformRandom", "NeighbourTraffic", "HotspotTraffic",
+        "PermutationTraffic", "transpose",
+    ),
+    "repro.traffic.bursty": ("BurstyTraffic",),
+    "repro.traffic.trace": ("replay_trace",),
+})

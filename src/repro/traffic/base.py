@@ -73,24 +73,36 @@ class TrafficGenerator(abc.ABC):
         """The full injection schedule for ``cycles`` cycles."""
         if cycles < 0:
             raise ConfigurationError("cycles must be >= 0")
+        # One draw per (cycle, port), then the destination's draws: the
+        # loop binds its callees once, the draw order is the contract.
+        draw = rng.random
+        probability = self.injection_probability
+        pick = self.pick_destination
+        size, ports = self.size_flits, range(self.ports)
         schedule = []
         for cycle in range(cycles):
-            for src in range(self.ports):
-                if rng.random() < self.injection_probability(src, cycle):
-                    dest = self.pick_destination(src, rng)
-                    schedule.append(Injection(
-                        cycle=cycle, src=src, dest=dest,
-                        size_flits=self.size_flits,
-                    ))
+            for src in ports:
+                if draw() < probability(src, cycle):
+                    schedule.append(
+                        Injection(cycle, src, pick(src, rng), size))
         return schedule
 
 
 def inject_window(network, schedule: list[Injection], cycles: int) -> None:
     """Run ``cycles`` clock cycles, submitting each injection at its own
     cycle — just-in-time, so source queues reflect genuine congestion,
-    not pre-loading. Leaves the backlog in flight (no drain)."""
+    not pre-loading. Leaves the backlog in flight (no drain).
+
+    Raises :class:`ConfigurationError`, before anything is sent, naming
+    the first injection the window would never reach."""
     by_cycle: dict[int, list[Injection]] = {}
     for injection in schedule:
+        if injection.cycle >= cycles:
+            raise ConfigurationError(
+                f"injection at cycle {injection.cycle} ({injection.src} -> "
+                f"{injection.dest}) falls outside the {cycles}-cycle "
+                f"injection window; run at least {injection.cycle + 1} "
+                f"cycles")
         by_cycle.setdefault(injection.cycle, []).append(injection)
     for cycle in range(cycles):
         for injection in by_cycle.get(cycle, ()):
@@ -102,7 +114,9 @@ def apply_traffic(network, schedule: list[Injection],
                   run_cycles: int | None = None,
                   drain_ticks: int = 200_000) -> None:
     """Drive a network with a schedule (through its last injection's
-    cycle unless ``run_cycles`` says otherwise), then drain it."""
+    cycle unless ``run_cycles`` says otherwise), then drain it. A
+    ``run_cycles`` that ends before an injection raises
+    :class:`ConfigurationError` (see :func:`inject_window`)."""
     if run_cycles is None:
         run_cycles = max((i.cycle for i in schedule), default=0) + 1
     inject_window(network, schedule, run_cycles)

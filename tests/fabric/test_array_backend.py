@@ -10,8 +10,10 @@ loudly at :class:`FabricConfig` construction (``backend="auto"`` is the
 one sanctioned silent fallback).
 """
 
+import copy
 import functools
 from collections import Counter, defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig, get_topology, topology_names
 from repro.noc.packet import Packet
+from repro.traffic.base import inject_window
 from repro.traffic.patterns import HotspotTraffic, UniformRandom
 
-from tests.fabric.test_router_edge import observed_run
+from tests.fabric.test_router_edge import ROUTER_EVENTS, observed_run
 
 #: Per-topology port counts satisfying each family's shape constraints.
 PORTS = {"mesh": 16, "torus": 16, "ring": 10}
@@ -283,3 +286,143 @@ class TestUnsupportedConfigs:
     def test_auto_uses_the_array_engine_when_supported(self):
         net = FabricConfig(topology="mesh", ports=16, backend="auto").build()
         assert getattr(net, "engine", None) is not None
+
+
+class TestDatapathView:
+    """Under ``backend="array"`` the routers, links and endpoints are a
+    view of the engine: built (unregistered) on first read, synced then
+    and at every later drain, and never built by a run that does not
+    read them."""
+
+    VC_TORUS = {"topology": "torus", "ports": 64, "flow_control": "vc",
+                "n_vcs": 2}
+
+    def test_load_point_never_builds_the_datapath(self, monkeypatch):
+        from repro.analysis.parallel import LoadPoint, evaluate_load_point
+        from repro.fabric.network import CreditFabricNetwork
+        spec = LoadPoint(network=FabricConfig(backend="array",
+                                              **self.VC_TORUS),
+                         load=0.2, cycles=40, seed=3, size_flits=4,
+                         pattern="hotspot", hotspots=(0, 33),
+                         hotspot_fraction=0.1)
+        dispatch = evaluate_load_point(replace(
+            spec, network=FabricConfig(backend="dispatch", **self.VC_TORUS)))
+
+        def refuse(net):
+            raise AssertionError("the datapath was built")
+        monkeypatch.setattr(CreditFabricNetwork, "_build", refuse)
+        with pytest.raises(AssertionError, match="datapath"):
+            FabricConfig(backend="dispatch", **self.VC_TORUS).build()
+        array = evaluate_load_point(spec)
+        assert array == dispatch
+        assert array["drained"] == 1.0 and "energy_pj_per_flit" in array
+
+    @staticmethod
+    def _datapath_state(net):
+        """Routers, sources and sinks, copied (dispatch mutates in
+        place). Packet ids are process-wide: a flit is its (src, dest,
+        seq)."""
+        def flits(queue):
+            return [(f.src, f.dest, f.seq) for f in queue]
+        return copy.deepcopy((
+            [(r.flits_forwarded, r.vcs_allocated, r.credits,
+              [[flits(fifo) for fifo in port] for port in r.fifos],
+              [a.grant_counts for a in r.sa_arbiters])
+             for r in net.routers],
+            [(s.credits, flits(s.flits), [p.dest for p in s.packets])
+             for s in net.sources],
+            [(s.flits_received, sorted(flits(f) for f
+                                       in s._assembly.values()))
+             for s in net.sinks]))
+
+    def _split_run(self, backend, attach):
+        """Inject the first half of the window, read the datapath (or
+        ``attach`` telemetry, which reads it), run the second half and
+        drain; returns the events, the mid-window router state and the
+        final observed state."""
+        config = FabricConfig(backend=backend, **self.VC_TORUS)
+        net = config.build()
+        events = []
+        for name in ROUTER_EVENTS:
+            net.kernel.subscribe(
+                name, lambda tick, data, name=name: events.append(
+                    (tick, name, data["router"], data["output"],
+                     data["vc"], data["input"], data["input_vc"])))
+        cycles, half = 40, 20
+        schedule = HotspotTraffic(64, 0.3, size_flits=4, hotspots=(0, 36),
+                                  fraction=0.3).generate(
+            cycles, np.random.default_rng(7))
+        inject_window(net, [i for i in schedule if i.cycle < half], half)
+        registry = attach(net) if attach else None
+        middle = self._datapath_state(net)
+        inject_window(net, [replace(i, cycle=i.cycle - half)
+                            for i in schedule if i.cycle >= half],
+                      cycles - half)
+        assert net.drain(100_000)
+        gating = net.gating_stats()
+        final = {
+            "delivered": [(p.src, p.dest, p.eject_tick)
+                          for p in net.delivered],
+            "latencies": net.stats.latencies_cycles,
+            "gating": (gating.edges_total, gating.edges_enabled),
+            "tick": net.kernel.tick,
+            "datapath": self._datapath_state(net),
+        }
+        if registry is not None:
+            final["telemetry"] = registry.summary().to_dict()
+        return events, middle, final
+
+    @pytest.mark.parametrize("attach", (None, "metrics"))
+    def test_first_read_mid_window_matches_dispatch(self, attach):
+        from repro.telemetry import attach_metrics
+        hook = attach_metrics if attach else None
+        array = self._split_run("array", hook)
+        dispatch = self._split_run("dispatch", hook)
+        assert array[0] and array[0] == dispatch[0]
+        _routers, sources, sinks = array[1]      # read mid-flight:
+        assert any(packets for _c, _f, packets in sources)
+        assert any(assembly for _n, assembly in sinks)
+        assert array[1] == dispatch[1]
+        assert array[2] == dispatch[2]
+
+    def test_drain_syncs_only_a_read_datapath(self):
+        net = FabricConfig(backend="array", **self.VC_TORUS).build()
+        net.send(Packet(src=0, dest=9, payload=[1, 2]))
+        assert net.drain(10_000)
+        assert not net.kernel._signals      # nothing read it: not built
+        assert sum(r.flits_forwarded for r in net.routers) > 0
+        # Two directed links per torus edge (128) and an inject/eject
+        # pair per node, each one flit wire and two credit wires.
+        assert len(net.kernel._signals) == (2 * 128 + 2 * 64) * 3
+        assert net.kernel.components == [net.engine]
+
+    def test_structural_views_never_build_the_datapath(self):
+        from repro.physical.descriptor import physical_model
+        net = FabricConfig(backend="array", **self.VC_TORUS).build()
+        dispatch = FabricConfig(backend="dispatch", **self.VC_TORUS).build()
+        model, reference = physical_model(net), physical_model(dispatch)
+        views = (
+            lambda n, m: n.describe(),
+            lambda n, m: list(n.switches()),
+            lambda n, m: n.link_stage_count,
+            lambda n, m: n.router_stage_registers,
+            lambda n, m: n.total_buffer_flits(),
+            lambda n, m: m.router_port_counts(),
+        )
+        for view in views:
+            assert view(net, model) == view(dispatch, reference)
+        assert not net.kernel._signals
+        assert net.total_buffer_flits() == sum(
+            r.buffer_capacity for r in dispatch.routers)
+
+    def test_refresh_observers_scans_only_a_built_datapath(self):
+        """An unbuilt wire carries no probe: the scan leaves the view
+        unbuilt, and a probe on a built flit wire turns write-through
+        on."""
+        net = FabricConfig(topology="torus", ports=16,
+                           backend="array").build()
+        net.engine.refresh_observers()
+        assert not net.kernel._signals and not net.engine._write_through
+        net.links[0].flit.attach_probe(lambda *args: None)
+        net.engine.refresh_observers()
+        assert net.engine._write_through

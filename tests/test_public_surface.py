@@ -3,9 +3,10 @@
 For ``repro`` and every sub-package with an ``__all__``, a name is an
 orphan when no file outside its home mentions it as a word. Its home is
 the module that defines it (the one the package ``__init__`` imports it
-from), that module's package ``__init__``, and the ``__init__`` whose
-``__all__`` lists it. Outside is every other ``.py`` file under ``src/``
-plus ``examples/`` and ``bench/``; tests are not callers.
+from, or names for it in its lazy export table), that module's package
+``__init__``, and the ``__init__`` whose ``__all__`` lists it. Outside
+is every other ``.py`` file under ``src/`` plus ``examples/`` and
+``bench/``; tests are not callers.
 
 The orphan list is pinned below and may only shrink: a new export needs
 a caller, and a deleted or newly called name is struck from the list.
@@ -72,12 +73,29 @@ def _module_file(dotted: str) -> Path:
     return package if package.exists() else path.with_suffix(".py")
 
 
+def _lazy_table(node: ast.stmt) -> dict[str, tuple[str, ...]] | None:
+    """The module -> names table of ``... = lazy_exports(__name__, {...})``
+    (see ``repro._lazy``), or None for any other statement."""
+    if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "lazy_exports"):
+        return None
+    return ast.literal_eval(node.value.args[1])
+
+
 def _exports(init: Path) -> tuple[list[str], dict[str, Path]] | None:
-    """A package's ``__all__`` and, per imported name, its source file."""
+    """A package's ``__all__`` and, per exported name, its source file:
+    where the ``__init__`` imports it from, eagerly or through its lazy
+    table."""
     tree = ast.parse(init.read_text(encoding="utf-8"))
     names, origin = None, {}
     for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
+        table = _lazy_table(node)
+        if table is not None:
+            for module, lazy in table.items():
+                for name in lazy:
+                    origin[name] = _module_file(module)
+        elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 origin[alias.asname or alias.name] = _module_file(node.module)
         elif isinstance(node, ast.Assign) and any(
