@@ -7,6 +7,12 @@ module on first access and then cached in the package namespace, so
 importing a package costs only the modules its callers actually use.
 ``from package import name`` and ``from package import *`` go through the
 same ``__getattr__``.
+
+The one exception is a name its module shares (``repro.physical
+.peak_current``): it is bound when the package is imported, so that
+module loads with the package, every time. Such a module keeps its own
+imports cheap; ``peak_current`` imports numpy inside the functions that
+use it.
 """
 
 from __future__ import annotations

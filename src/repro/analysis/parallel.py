@@ -58,6 +58,7 @@ from repro.physical.report import RunEnergyReport
 from repro.telemetry.metrics import MetricsSummary
 from repro.traffic.base import TrafficGenerator, inject_window
 from repro.traffic.patterns import (
+    PATTERN_NAMES,
     HotspotTraffic,
     NeighbourTraffic,
     PermutationTraffic,
@@ -120,12 +121,6 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
 
 
 # -- load-point specs -----------------------------------------------------
-
-#: Registered traffic patterns, by CLI-friendly name. ``transpose`` is
-#: the classic adversarial permutation adaptive routing is judged on;
-#: ``hotspot`` takes its placement/intensity from the spec's
-#: ``hotspots``/``hotspot_fraction`` knobs.
-PATTERN_NAMES = ("uniform", "neighbour", "hotspot", "transpose")
 
 
 @dataclass(frozen=True)
@@ -234,7 +229,9 @@ def evaluate_load_point(spec: LoadPoint) -> dict[str, Any]:
     accepted = net.stats.flits_delivered / cycles / ports
     offered = sum(i.size_flits for i in schedule) / cycles / ports
     drained = net.drain(max_ticks=500_000)
-    latency = net.stats.latency.mean if net.stats.latencies_cycles else 0.0
+    # LatencySummary's mean, without sorting for percentiles unread here.
+    latencies = net.stats.latencies_cycles
+    latency = sum(latencies) / len(latencies) if latencies else 0.0
     metrics: dict[str, Any] = {
         "offered": offered,
         "accepted_in_window": accepted,

@@ -55,10 +55,11 @@ checks model links that carry the integrated clock, so ``validate``
 refuses every fabric the registry does not mark tree-legal, naming the
 supported set.
 
-A module only some verbs use (the demonstrator, the corners table, the
-timing checks, plots, tables, the record, the accelerator replay) is
-imported inside those verbs, so ``import repro.cli`` loads only what the
-parser and the sweep verbs share.
+Every module a verb runs (the sweep engine, the traffic generators,
+numpy, the demonstrator, the corners table, the timing checks, plots,
+tables, the record, the accelerator replay) is imported inside that
+verb, so ``import repro.cli`` loads only what the parser reads: the
+fabric registry and the allocator names, without numpy or the tree.
 
 Errors: a verb raises :class:`~repro.errors.ConfigurationError` for an
 illegal spec, a bad knob or a corrupt input file and never catches it;
@@ -73,17 +74,6 @@ import json
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from repro.analysis.parallel import (
-    LoadPoint,
-    PATTERN_NAMES,
-    _result_to_json,
-    bisect_saturation_throughput,
-    evaluate_load_point,
-    expand_loads,
-    measure_load_points,
-)
 from repro.errors import ConfigurationError
 from repro.fabric.allocator import ALLOCATOR_NAMES
 from repro.fabric.registry import (
@@ -95,8 +85,6 @@ from repro.fabric.registry import (
     topology_names,
     topology_table,
 )
-from repro.traffic.base import apply_traffic
-from repro.traffic.patterns import NeighbourTraffic, UniformRandom
 
 
 #: The historical tree spellings: the registered ``tree`` at this arity.
@@ -305,6 +293,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_fig7(args: argparse.Namespace) -> int:
+    import numpy as np
     from repro.analysis.plots import ascii_plot
     from repro.timing.frequency import pipeline_max_frequency
     lengths = list(np.linspace(0.0, args.max_length, args.points))
@@ -316,6 +305,7 @@ def cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def cmd_traffic(args: argparse.Namespace) -> int:
+    from repro.traffic.base import apply_traffic
     network = _fabric_config_from(args).build()
     if args.trace is not None:
         # Replay a recorded schedule instead of generating one — the
@@ -335,6 +325,8 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         apply_traffic(network, injections)
         print(f"replayed {len(injections)} injections from {args.trace}")
     else:
+        import numpy as np
+        from repro.traffic.patterns import NeighbourTraffic, UniformRandom
         if args.pattern == "uniform":
             generator = UniformRandom(args.ports, args.load,
                                       size_flits=args.flits)
@@ -352,12 +344,14 @@ def cmd_traffic(args: argparse.Namespace) -> int:
 
 def _traffic_template(args: argparse.Namespace, load: float,
                       telemetry: bool = False,
-                      trace_sample_period: int | None = None) -> LoadPoint:
-    """A :class:`LoadPoint` from the shared traffic options.
+                      trace_sample_period: int | None = None):
+    """A :class:`~repro.analysis.parallel.LoadPoint` from the shared
+    traffic options.
 
     Raises :class:`ConfigurationError` on bad knob combinations (never
     silently ignore a knob the selected pattern cannot honour).
     """
+    from repro.analysis.parallel import LoadPoint
     if args.pattern != "hotspot" and (args.hotspots is not None
                                       or args.hotspot_fraction is not None):
         raise ConfigurationError(
@@ -389,6 +383,7 @@ def _traffic_template(args: argparse.Namespace, load: float,
 
 def _export_metrics(path: str, pairs: list[tuple[float, dict]]) -> None:
     """Write per-point records as JSONL and print the merged hot links."""
+    from repro.analysis.parallel import _result_to_json
     from repro.telemetry import MetricsSummary
     with open(path, "w") as handle:
         for load, metrics in pairs:
@@ -404,6 +399,11 @@ def _export_metrics(path: str, pairs: list[tuple[float, dict]]) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.parallel import (
+        bisect_saturation_throughput,
+        expand_loads,
+        measure_load_points,
+    )
     from repro.analysis.tables import format_table
     try:
         loads = [float(x) for x in args.loads.split(",") if x.strip()]
@@ -477,6 +477,7 @@ def _energy_cell(metrics: dict) -> str:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    from repro.analysis.parallel import evaluate_load_point
     from repro.telemetry import render_metrics_report
     template = _traffic_template(args, args.load, telemetry=True)
     metrics = evaluate_load_point(template)
@@ -492,6 +493,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from repro.analysis.parallel import evaluate_load_point
     template = _traffic_template(args, args.load,
                                  trace_sample_period=args.sample_period)
     metrics = evaluate_load_point(template)
@@ -668,6 +670,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.accel.generators import MODEL_NAMES
+    from repro.traffic.patterns import PATTERN_NAMES
     parser = argparse.ArgumentParser(
         prog="repro",
         description="IC-NoC reproduction (Bjerregaard et al., DATE 2007)",
@@ -811,7 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="endpoints per ctree leaf NI")
     _offer(p_cmp, ("--chip-mm", "--pipeline-depth", "--segment-mm",
                    "--backend"), compare_knobs)
-    from repro.accel.generators import MODEL_NAMES
     p_cmp.add_argument("--workload", choices=MODEL_NAMES + ("none",),
                        default="llm-decode",
                        help="canned accelerator trace replayed on every "

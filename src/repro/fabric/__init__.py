@@ -20,7 +20,7 @@ machinery both now stand on, and the place new fabrics plug into:
   ring), each naming its routing strategy;
 * :mod:`~repro.fabric.network` — :class:`CreditFabricNetwork`, the one
   builder of every credit fabric, on the shared
-  :class:`~repro.noc.network.Network` base;
+  :class:`~repro.noc.base.Network` base;
 * :mod:`~repro.fabric.registry` — where each topology declares, once, its
   structure, VC policies, and clock-distribution capability
   (``integrated`` vs ``mesochronous``), checked at build time. Its

@@ -8,7 +8,7 @@ strategy) and the VC policy the entry pairs with it
 node, two directed :class:`CreditLink` wires per neighbour pair, and a
 :class:`FabricSource`/:class:`FabricSink` pair on every local port. The
 run-time API (``send`` / ``run_ticks`` / ``run_cycles`` / ``drain`` /
-``stats``) is the :class:`~repro.noc.network.Network` base's, shared
+``stats``) is the :class:`~repro.noc.base.Network` base's, shared
 with the handshake tree, so every fabric runs through the same sweep
 engine, saturation searches, and CLI.
 
@@ -43,7 +43,7 @@ from repro.fabric.link import CreditLink
 from repro.fabric.router import FabricRouter, port_label
 from repro.fabric.routing import LOCAL
 from repro.noc.floorplan import LOCAL_PORT, Floorplan, segment_count
-from repro.noc.network import Network
+from repro.noc.base import Network
 from repro.noc.packet import Packet
 from repro.sim.kernel import SimKernel
 

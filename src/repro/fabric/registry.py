@@ -30,6 +30,11 @@ callable that builds that policy, and takes
 :class:`~repro.fabric.network.CreditFabricNetwork` as its builder. A new
 one is a structure, a routing strategy (plus a VC policy if it has one)
 and one :func:`register_topology` call — see docs/fabric.md.
+
+The tree entries' builders and every stock entry's physical descriptor
+are functions that import their module on first call, so reading the
+registry, or building a credit fabric, loads no tree module and no
+physical descriptor.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.fabric.allocator import ALLOCATOR_NAMES, make_allocator
-from repro.fabric.ctree import ConcentratedTreeNetwork
 from repro.fabric.network import CreditFabricNetwork
 from repro.fabric.routing import (
     EscapeVcAdaptive,
@@ -48,7 +52,6 @@ from repro.fabric.routing import (
     VcPolicy,
 )
 from repro.fabric.topologies import MeshTopology, RingTopology, TorusTopology
-from repro.noc.network import ICNoCNetwork
 from repro.tech.technology import Technology, TECH_90NM
 
 #: Clock distribution capabilities.
@@ -99,16 +102,21 @@ class TopologyEntry:
             .allocator.Allocator`: the handshake routers take arbiters).
         builder: ``(FabricConfig, kernel) -> network``, the kernel None
             or a :class:`~repro.sim.kernel.SimKernel` to build on — the
-            stock entries name their network class.
+            stock credit fabrics name
+            :class:`~repro.fabric.network.CreditFabricNetwork`, the tree
+            entries a function that imports their network class on
+            first call.
         validate: optional extra config check (the tree family's
             port-count shape).
         physical: ``network ->``
             :class:`~repro.physical.descriptor.PhysicalModel` — the
             fabric's physical cost descriptor (area, flit energy, clock
             power), consumed by :mod:`repro.physical`; it reads the
-            fabric's name and clocking off ``network.config``. None
-            means the fabric publishes no physical model and the
-            generic reports refuse it loudly.
+            fabric's name and clocking off ``network.config``. The stock
+            entries name a function that imports
+            :mod:`repro.physical.descriptor` on first call. None means
+            the fabric publishes no physical model and the generic
+            reports refuse it loudly.
         structure: the credit fabrics' structure class
             (:mod:`repro.fabric.topologies`): ``from_config`` builds it
             (applying its shape rule), and it names the routing
@@ -543,13 +551,30 @@ def _escape(config: FabricConfig, grid, wrap: bool) -> EscapeVcAdaptive:
     )
 
 
-# The physical descriptors import this module (repro.physical's reports
-# read the registry), so they are imported once its names exist.
-from repro.physical.descriptor import (  # noqa: E402
-    CreditFabricPhysical,
-    CtreePhysical,
-    TreePhysical,
-)
+def _tree_network(config: FabricConfig, kernel):
+    from repro.noc.network import ICNoCNetwork
+    return ICNoCNetwork(config, kernel)
+
+
+def _ctree_network(config: FabricConfig, kernel):
+    from repro.fabric.ctree import ConcentratedTreeNetwork
+    return ConcentratedTreeNetwork(config, kernel)
+
+
+def _tree_physical(network):
+    from repro.physical.descriptor import TreePhysical
+    return TreePhysical(network)
+
+
+def _ctree_physical(network):
+    from repro.physical.descriptor import CtreePhysical
+    return CtreePhysical(network)
+
+
+def _credit_physical(network):
+    from repro.physical.descriptor import CreditFabricPhysical
+    return CreditFabricPhysical(network)
+
 
 register_topology(TopologyEntry(
     name="tree",
@@ -557,9 +582,9 @@ register_topology(TopologyEntry(
                 "clock rides the data tree",
     clock_distribution=(CLOCK_INTEGRATED, CLOCK_MESOCHRONOUS),
     tree_legal=True,
-    builder=ICNoCNetwork,
+    builder=_tree_network,
     validate=_validate_tree,
-    physical=TreePhysical,
+    physical=_tree_physical,
     allocators=("rr", "local_priority"),
 ))
 
@@ -569,9 +594,9 @@ register_topology(TopologyEntry(
                 "still integrated-clock legal",
     clock_distribution=(CLOCK_INTEGRATED, CLOCK_MESOCHRONOUS),
     tree_legal=True,
-    builder=ConcentratedTreeNetwork,
+    builder=_ctree_network,
     validate=_validate_ctree,
-    physical=CtreePhysical,
+    physical=_ctree_physical,
 ))
 
 register_topology(TopologyEntry(
@@ -581,7 +606,7 @@ register_topology(TopologyEntry(
     clock_distribution=(CLOCK_MESOCHRONOUS,),
     tree_legal=False,
     builder=CreditFabricNetwork,
-    physical=CreditFabricPhysical,
+    physical=_credit_physical,
     structure=MeshTopology,
     flow_control=(FLOW_WORMHOLE, FLOW_VC),
     vc_policies={
@@ -597,7 +622,7 @@ register_topology(TopologyEntry(
     clock_distribution=(CLOCK_MESOCHRONOUS,),
     tree_legal=False,
     builder=CreditFabricNetwork,
-    physical=CreditFabricPhysical,
+    physical=_credit_physical,
     structure=TorusTopology,
     flow_control=(FLOW_WORMHOLE, FLOW_VC),
     vc_policies={
@@ -615,7 +640,7 @@ register_topology(TopologyEntry(
     clock_distribution=(CLOCK_MESOCHRONOUS,),
     tree_legal=False,
     builder=CreditFabricNetwork,
-    physical=CreditFabricPhysical,
+    physical=_credit_physical,
     structure=RingTopology,
     flow_control=(FLOW_WORMHOLE, FLOW_VC),
     vc_policies={

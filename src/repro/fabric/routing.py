@@ -63,18 +63,22 @@ arrays at once (:meth:`RoutingStrategy.route_array`,
 :meth:`VcPolicy.candidate_masks`) — what ``backend="array"`` evaluates.
 The base classes map the scalar functions, so defining ``for_node`` is
 enough; the stock classes override with numpy arithmetic, checked
-against that mapped default in ``tests/fabric/test_routing.py``.
+against that mapped default in ``tests/fabric/test_routing.py``. Only
+the array forms use numpy, and each imports it itself, so routing a
+dispatch-backend run never loads it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigurationError, RoutingError
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.topology import RouterNode, TreeTopology, PARENT_PORT
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Canonical port indices of the 5-port grid fabrics (mesh, torus).
 LOCAL, NORTH, EAST, SOUTH, WEST = range(5)
@@ -176,6 +180,7 @@ class RoutingStrategy:
         for any strategy and is the oracle the overrides are tested
         against.
         """
+        import numpy as np
         nodes, dests = np.broadcast_arrays(nodes, dests)
         routes = {node: self.for_node(node)
                   for node in np.unique(nodes).tolist()}
@@ -218,6 +223,7 @@ class XYRouting(RoutingStrategy):
 
     def route_array(self, nodes: np.ndarray,
                     dests: np.ndarray) -> np.ndarray:
+        import numpy as np
         cols = self.cols
         x, y = nodes % cols, nodes // cols
         dx, dy = dests % cols, dests // cols
@@ -258,6 +264,7 @@ class TorusXYRouting(RoutingStrategy):
 
     def route_array(self, nodes: np.ndarray,
                     dests: np.ndarray) -> np.ndarray:
+        import numpy as np
         cols, rows = self.cols, self.rows
         dx = (dests % cols - nodes % cols) % cols
         dy = (dests // cols - nodes // cols) % rows
@@ -291,6 +298,7 @@ class RingRouting(RoutingStrategy):
 
     def route_array(self, nodes: np.ndarray,
                     dests: np.ndarray) -> np.ndarray:
+        import numpy as np
         d = (dests - nodes) % self.nodes
         return np.select([d == 0, d <= self.nodes // 2],
                          [LOCAL, RING_CW], RING_CCW)
@@ -364,6 +372,7 @@ def dateline_class(position: int, dest: int, increasing: bool) -> int:
 def dateline_class_array(position: np.ndarray, dest: np.ndarray,
                          increasing: np.ndarray) -> np.ndarray:
     """Array form of :func:`dateline_class`, elementwise."""
+    import numpy as np
     return np.where(increasing, position <= dest,
                     position >= dest).astype(np.int64)
 
@@ -415,6 +424,7 @@ class VcPolicy:
         for any policy and is the oracle the overrides are tested
         against.
         """
+        import numpy as np
         shape = (len(nodes), self.n_ports, self.n_vcs)
         preferred = np.zeros(shape, dtype=bool)
         fallback = np.zeros(shape, dtype=bool)
@@ -482,6 +492,7 @@ class DatelineVc(VcPolicy):
         return candidates
 
     def candidate_masks(self, nodes, in_ports, in_vcs, dests, srcs):
+        import numpy as np
         out_ports = self.routing.route_array(nodes, dests)
         vc_class = self._link_class_array(nodes, out_ports, dests)
         # Ejection takes any VC, a ring hop the VCs of its dateline class.
@@ -513,6 +524,7 @@ class TorusDatelineVc(DatelineVc):
         return dateline_class(y, dy, increasing=False)
 
     def _link_class_array(self, nodes, out_ports, dests):
+        import numpy as np
         cols = self.cols
         along_x = (out_ports == EAST) | (out_ports == WEST)
         return dateline_class_array(
@@ -602,14 +614,18 @@ class EscapeVcAdaptive(VcPolicy):
         self.rows = rows
         self.escape_vcs = (0, 1) if wrap else (0,)
         self.priority_vc = n_vcs - 1 if self.priority_flows else None
-        #: The priority flows as an (F, 2) array, for the array form.
-        self._flows = np.array(sorted(self.priority_flows),
-                               dtype=np.int64).reshape(-1, 2)
         top = n_vcs - (1 if self.priority_flows else 0)
         self.adaptive_vcs = tuple(range(len(self.escape_vcs), top))
         self._xy = (TorusXYRouting(cols, rows) if wrap
                     else XYRouting(cols, rows))
         self._dateline = (TorusDatelineVc(cols, rows, 2) if wrap else None)
+
+    @cached_property
+    def _flows(self) -> np.ndarray:
+        """The priority flows as an (F, 2) array, for the array form."""
+        import numpy as np
+        return np.array(sorted(self.priority_flows),
+                        dtype=np.int64).reshape(-1, 2)
 
     def _productive_ports(self, node: int, dest: int) -> list[int]:
         """Output ports that reduce the remaining distance (minimal)."""
@@ -687,6 +703,7 @@ class EscapeVcAdaptive(VcPolicy):
     def _productive_mask(self, nodes: np.ndarray,
                          dests: np.ndarray) -> np.ndarray:
         """Array form of :meth:`_productive_ports`: ``(N, n_ports)``."""
+        import numpy as np
         cols, rows = self.cols, self.rows
         x, y = nodes % cols, nodes // cols
         dx, dy = dests % cols, dests // cols
@@ -705,6 +722,7 @@ class EscapeVcAdaptive(VcPolicy):
         return mask
 
     def candidate_masks(self, nodes, in_ports, in_vcs, dests, srcs):
+        import numpy as np
         vcs = np.arange(self.n_vcs)
         xy_port = self._xy.route_array(nodes, dests)
         eject = (xy_port == LOCAL)[:, None, None]

@@ -45,7 +45,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.noc.topology": ("TreeTopology",),
     "repro.noc.floorplan": ("Floorplan",),
     "repro.noc.router": ("TreeRouter",),
-    "repro.noc.network": ("ICNoCNetwork", "Network"),
+    "repro.noc.base": ("Network",),
+    "repro.noc.network": ("ICNoCNetwork",),
     "repro.noc.stats": ("NetworkStats",),
     "repro.noc.debug": (
         "ProtocolMonitor", "DeadlockWatchdog", "attach_monitors",

@@ -1,0 +1,163 @@
+"""The base of every built network: one spec, one kernel, one run-time API.
+
+:class:`Network` is what every built network is, whatever moves its
+flits: the handshake tree (:class:`~repro.noc.network.ICNoCNetwork` and
+the concentrated tree) and the credit fabrics
+(:class:`~repro.fabric.network.CreditFabricNetwork`) subclass it. It
+imports neither family's datapath, so a credit fabric loads no tree
+module.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Any, Callable, Iterator
+
+from repro.errors import ConfigurationError, TopologyError
+from repro.noc.stats import NetworkStats
+from repro.sim.kernel import SimKernel
+from repro.timing.frequency import (
+    pipeline_max_frequency,
+    router_max_frequency,
+)
+
+if TYPE_CHECKING:
+    from repro.clocking.gating import GatingStats
+    from repro.fabric.registry import FabricConfig
+    from repro.noc.packet import Packet
+
+
+class Network:
+    """What every built network is, whatever its datapath.
+
+    One spec (``config``, always a :class:`~repro.fabric.registry
+    .FabricConfig`), one kernel, one statistics record, ``endpoints ==
+    config.ports`` addressable ports, and one run-time surface: ``send``
+    / ``set_handler`` / ``run_ticks`` / ``run_cycles`` / ``drain``. A
+    family supplies its datapath — ``routers``, :meth:`_submit`,
+    :meth:`gating_stats`, :meth:`longest_segment_mm` — and declares its
+    wires and switches to the telemetry layer through
+    :meth:`flit_wires` / :meth:`switches`.
+    """
+
+    #: Longest packet ``send`` accepts, in flits (None: unbounded).
+    max_packet_flits: int | None = None
+
+    def __init__(self, config: "FabricConfig", topology: Any,
+                 router_ports: int, kernel: SimKernel | None = None):
+        # An external kernel lets system models (the demonstrator's tile
+        # drivers) register components *before* the network's, so their
+        # submissions reach the NIs the same tick — it must agree with
+        # the config on the execution mode.
+        if kernel is not None and \
+                kernel.activity_driven != config.activity_driven:
+            raise ConfigurationError(
+                "provided kernel's activity_driven flag contradicts the "
+                "network config"
+            )
+        self.config = config
+        self.topology = topology
+        self.router_ports = router_ports
+        self.endpoints = config.ports
+        self.kernel = kernel if kernel is not None \
+            else SimKernel(activity_driven=config.activity_driven)
+        self.stats = NetworkStats()
+        self._handlers: dict[int, Callable[[Packet, int], None]] = {}
+        self._inflight: dict[int, Packet] = {}
+
+    # -- what a family supplies -------------------------------------------
+
+    def _submit(self, packet: Packet) -> None:
+        """Hand a validated packet to its source endpoint (may still
+        reject it, before anything is recorded)."""
+        raise NotImplementedError
+
+    def gating_stats(self) -> GatingStats:
+        """Clock-gating counters summed over the datapath (cumulative)."""
+        raise NotImplementedError
+
+    def longest_segment_mm(self) -> float:
+        """Longest wire any clock period must cover."""
+        raise NotImplementedError
+
+    def flit_wires(self) -> Iterator[tuple[str, Any, str | None, bool]]:
+        """Yield ``(name, signal, consumer, is_credit)`` for every
+        flit-carrying wire: the signal to probe, the router that reads
+        it (None on ejection wires) and whether it is a tick-tagged
+        credit wire into that router's input FIFO or a handshake
+        channel's data wire (busy while a flit is offered or held)."""
+        raise NotImplementedError
+
+    def switches(self) -> Iterator[tuple[str, str, tuple[str, ...]]]:
+        """Yield ``(grant_name, router, port_labels)`` for every
+        switching element: the name its ``arbitration_grant`` events
+        carry, the router name :meth:`flit_wires` lists as the consumer,
+        and its port labels (empty: ports print as ``pN``)."""
+        raise NotImplementedError
+
+    def _hop_count(self, src: int, dest: int) -> int:
+        return self.topology.hop_count(src, dest)
+
+    # -- run-time API -----------------------------------------------------
+
+    def _deliver(self, packet: Packet, tick: int) -> None:
+        """The delivery hook of every sink endpoint."""
+        # Reassembly built a fresh Packet; recover the injection time
+        # recorded on the submitted original.
+        original = self._inflight.pop(packet.packet_id, None)
+        if original is not None:
+            packet.inject_tick = original.inject_tick
+        self.stats.record_delivery(
+            packet, self._hop_count(packet.src, packet.dest))
+        handler = self._handlers.get(packet.dest)
+        if handler is not None:
+            handler(packet, tick)
+
+    def set_handler(self, endpoint: int,
+                    handler: Callable[[Packet, int], None]) -> None:
+        """Install a delivery callback at an endpoint (used by system
+        models)."""
+        if not 0 <= endpoint < self.endpoints:
+            raise TopologyError(f"unknown endpoint {endpoint}")
+        self._handlers[endpoint] = handler
+
+    def send(self, packet: Packet) -> None:
+        if not 0 <= packet.dest < self.endpoints:
+            raise TopologyError(f"unknown destination {packet.dest}")
+        if packet.src == packet.dest:
+            raise TopologyError(
+                "src == dest: packets never enter the network")
+        self._submit(packet)
+        self._inflight[packet.packet_id] = packet
+        self.stats.packets_injected += 1
+        self.kernel.emit("inject", packet)
+
+    def run_ticks(self, ticks: int) -> None:
+        self.kernel.run_ticks(ticks)
+        self.stats.elapsed_ticks = self.kernel.tick
+
+    def run_cycles(self, cycles: float) -> None:
+        self.kernel.run_cycles(cycles)
+        self.stats.elapsed_ticks = self.kernel.tick
+
+    def drain(self, max_ticks: int = 1_000_000) -> bool:
+        """Run until every injected packet is delivered (or give up)."""
+        stats = self.stats
+        done = self.kernel.run_until(
+            lambda: stats.packets_delivered >= stats.packets_injected,
+            max_ticks,
+        )
+        stats.elapsed_ticks = self.kernel.tick
+        # Assigned, not merged: gating_stats() is cumulative already.
+        stats.gating = self.gating_stats()
+        return done
+
+    def operating_frequency_ghz(self) -> float:
+        """Max clock rate: min of the router critical path (amortised
+        over the pipeline depth) and the Fig. 7 pipeline model at the
+        longest wire segment — one rule, so the physical reports cost
+        every fabric at a comparable frequency."""
+        tech = self.config.tech
+        f_router = router_max_frequency(self.router_ports, tech,
+                                        self.config.pipeline_depth)
+        f_links = pipeline_max_frequency(self.longest_segment_mm(), tech)
+        return min(f_router, f_links)

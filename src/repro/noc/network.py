@@ -1,9 +1,10 @@
 """Network assembly: topology + floorplan + routers + links + NIs + clock.
 
-:class:`Network` is what every built network is — the tree family here
-and the credit fabrics of :mod:`repro.fabric.network` subclass it — and
 :class:`ICNoCNetwork` builds a complete simulatable IC-NoC from a
-:class:`~repro.fabric.registry.FabricConfig`:
+:class:`~repro.fabric.registry.FabricConfig`, on the
+:class:`~repro.noc.base.Network` base every built network shares (the
+credit fabrics of :mod:`repro.fabric.network` build on it too, without
+importing this module):
 
 * routers at the tree nodes, clocked at alternating edges level by level;
 * links segmented so no pipeline segment exceeds ``max_segment_mm`` (the
@@ -18,25 +19,20 @@ and the credit fabrics of :mod:`repro.fabric.network` subclass it — and
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.clocking.clock_tree import ClockTree
 from repro.clocking.gating import GatingStats
-from repro.errors import ConfigurationError, TopologyError
 from repro.noc.arbiter import FixedPriorityArbiter, RoundRobinArbiter
+from repro.noc.base import Network
 from repro.noc.floorplan import Floorplan, floorplan_for, segment_count
 from repro.noc.handshake import HandshakeChannel
 from repro.noc.ni import NetworkInterface
 from repro.noc.packet import Packet
 from repro.noc.pipeline import PipelineStage
 from repro.noc.router import ArbiterFactory, TreeRouter, round_robin_factory
-from repro.noc.stats import NetworkStats
 from repro.noc.topology import TreeTopology, PARENT_PORT
 from repro.sim.kernel import SimKernel
-from repro.timing.frequency import (
-    pipeline_max_frequency,
-    router_max_frequency,
-)
 from repro.timing.validator import ChannelSpec
 
 if TYPE_CHECKING:
@@ -49,143 +45,6 @@ def _local_priority_policy(node, output_port: int, n_inputs: int):
     if node.children_are_leaves and output_port == 2:
         return FixedPriorityArbiter(n_inputs, order=[1, 0, 2])
     return RoundRobinArbiter(n_inputs)
-
-
-class Network:
-    """What every built network is, whatever its datapath.
-
-    One spec (``config``, always a :class:`~repro.fabric.registry
-    .FabricConfig`), one kernel, one statistics record, ``endpoints ==
-    config.ports`` addressable ports, and one run-time surface: ``send``
-    / ``set_handler`` / ``run_ticks`` / ``run_cycles`` / ``drain``. A
-    family supplies its datapath — ``routers``, :meth:`_submit`,
-    :meth:`gating_stats`, :meth:`longest_segment_mm` — and declares its
-    wires and switches to the telemetry layer through
-    :meth:`flit_wires` / :meth:`switches`.
-    """
-
-    #: Longest packet ``send`` accepts, in flits (None: unbounded).
-    max_packet_flits: int | None = None
-
-    def __init__(self, config: "FabricConfig", topology: Any,
-                 router_ports: int, kernel: SimKernel | None = None):
-        # An external kernel lets system models (the demonstrator's tile
-        # drivers) register components *before* the network's, so their
-        # submissions reach the NIs the same tick — it must agree with
-        # the config on the execution mode.
-        if kernel is not None and \
-                kernel.activity_driven != config.activity_driven:
-            raise ConfigurationError(
-                "provided kernel's activity_driven flag contradicts the "
-                "network config"
-            )
-        self.config = config
-        self.topology = topology
-        self.router_ports = router_ports
-        self.endpoints = config.ports
-        self.kernel = kernel if kernel is not None \
-            else SimKernel(activity_driven=config.activity_driven)
-        self.stats = NetworkStats()
-        self._handlers: dict[int, Callable[[Packet, int], None]] = {}
-        self._inflight: dict[int, Packet] = {}
-
-    # -- what a family supplies -------------------------------------------
-
-    def _submit(self, packet: Packet) -> None:
-        """Hand a validated packet to its source endpoint (may still
-        reject it, before anything is recorded)."""
-        raise NotImplementedError
-
-    def gating_stats(self) -> GatingStats:
-        """Clock-gating counters summed over the datapath (cumulative)."""
-        raise NotImplementedError
-
-    def longest_segment_mm(self) -> float:
-        """Longest wire any clock period must cover."""
-        raise NotImplementedError
-
-    def flit_wires(self) -> Iterator[tuple[str, Any, str | None, bool]]:
-        """Yield ``(name, signal, consumer, is_credit)`` for every
-        flit-carrying wire: the signal to probe, the router that reads
-        it (None on ejection wires) and whether it is a tick-tagged
-        credit wire into that router's input FIFO or a handshake
-        channel's data wire (busy while a flit is offered or held)."""
-        raise NotImplementedError
-
-    def switches(self) -> Iterator[tuple[str, str, tuple[str, ...]]]:
-        """Yield ``(grant_name, router, port_labels)`` for every
-        switching element: the name its ``arbitration_grant`` events
-        carry, the router name :meth:`flit_wires` lists as the consumer,
-        and its port labels (empty: ports print as ``pN``)."""
-        raise NotImplementedError
-
-    def _hop_count(self, src: int, dest: int) -> int:
-        return self.topology.hop_count(src, dest)
-
-    # -- run-time API -----------------------------------------------------
-
-    def _deliver(self, packet: Packet, tick: int) -> None:
-        """The delivery hook of every sink endpoint."""
-        # Reassembly built a fresh Packet; recover the injection time
-        # recorded on the submitted original.
-        original = self._inflight.pop(packet.packet_id, None)
-        if original is not None:
-            packet.inject_tick = original.inject_tick
-        self.stats.record_delivery(
-            packet, self._hop_count(packet.src, packet.dest))
-        handler = self._handlers.get(packet.dest)
-        if handler is not None:
-            handler(packet, tick)
-
-    def set_handler(self, endpoint: int,
-                    handler: Callable[[Packet, int], None]) -> None:
-        """Install a delivery callback at an endpoint (used by system
-        models)."""
-        if not 0 <= endpoint < self.endpoints:
-            raise TopologyError(f"unknown endpoint {endpoint}")
-        self._handlers[endpoint] = handler
-
-    def send(self, packet: Packet) -> None:
-        if not 0 <= packet.dest < self.endpoints:
-            raise TopologyError(f"unknown destination {packet.dest}")
-        if packet.src == packet.dest:
-            raise TopologyError(
-                "src == dest: packets never enter the network")
-        self._submit(packet)
-        self._inflight[packet.packet_id] = packet
-        self.stats.packets_injected += 1
-        self.kernel.emit("inject", packet)
-
-    def run_ticks(self, ticks: int) -> None:
-        self.kernel.run_ticks(ticks)
-        self.stats.elapsed_ticks = self.kernel.tick
-
-    def run_cycles(self, cycles: float) -> None:
-        self.kernel.run_cycles(cycles)
-        self.stats.elapsed_ticks = self.kernel.tick
-
-    def drain(self, max_ticks: int = 1_000_000) -> bool:
-        """Run until every injected packet is delivered (or give up)."""
-        stats = self.stats
-        done = self.kernel.run_until(
-            lambda: stats.packets_delivered >= stats.packets_injected,
-            max_ticks,
-        )
-        stats.elapsed_ticks = self.kernel.tick
-        # Assigned, not merged: gating_stats() is cumulative already.
-        stats.gating = self.gating_stats()
-        return done
-
-    def operating_frequency_ghz(self) -> float:
-        """Max clock rate: min of the router critical path (amortised
-        over the pipeline depth) and the Fig. 7 pipeline model at the
-        longest wire segment — one rule, so the physical reports cost
-        every fabric at a comparable frequency."""
-        tech = self.config.tech
-        f_router = router_max_frequency(self.router_ports, tech,
-                                        self.config.pipeline_depth)
-        f_links = pipeline_max_frequency(self.longest_segment_mm(), tech)
-        return min(f_router, f_links)
 
 
 class ICNoCNetwork(Network):

@@ -192,7 +192,7 @@ class TreeRouter:
         # Routing is a pluggable strategy (repro.fabric.routing); the
         # default is the paper's up*/down* walk of this router's node.
         # Imported here: repro.fabric builds on this package (its
-        # networks subclass repro.noc.network.Network), so repro.noc
+        # networks subclass repro.noc.base.Network), so repro.noc
         # must not import it while loading.
         from repro.fabric.routing import RouteMemo, tree_updown_route
         if route is None:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.clocking.gating import GatingStats
 from repro.noc.packet import Packet
 
@@ -25,17 +23,20 @@ class LatencySummary:
 
     @staticmethod
     def from_cycles(latencies: list[float]) -> "LatencySummary":
+        """Summarise samples: the mean is ``sum / n`` and the percentiles
+        follow numpy's default ``linear`` rule, so on the half-cycle
+        samples every run records each field equals numpy's exactly."""
         if not latencies:
             return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        arr = np.asarray(latencies, dtype=float)
+        ordered = sorted(map(float, latencies))
         return LatencySummary(
-            count=len(latencies),
-            mean=float(arr.mean()),
-            p50=float(np.percentile(arr, 50)),
-            p95=float(np.percentile(arr, 95)),
-            p99=float(np.percentile(arr, 99)),
-            maximum=float(arr.max()),
-            minimum=float(arr.min()),
+            count=len(ordered),
+            mean=sum(latencies) / len(latencies),
+            p50=_percentile(ordered, 50),
+            p95=_percentile(ordered, 95),
+            p99=_percentile(ordered, 99),
+            maximum=ordered[-1],
+            minimum=ordered[0],
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -50,6 +51,20 @@ class LatencySummary:
         return (f"n={self.count} mean={self.mean:.2f} p50={self.p50:.2f} "
                 f"p95={self.p95:.2f} p99={self.p99:.2f} "
                 f"max={self.maximum:.2f} cycles")
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """``np.percentile(ordered, q)`` (method ``linear``) of sorted
+    samples: interpolate at ``(n - 1) * q / 100``, from the upper end
+    when the fraction is at least a half, as numpy does."""
+    last = len(ordered) - 1
+    position = last * (q / 100)
+    lo = int(position)  # floor: position >= 0
+    a, b = ordered[lo], ordered[min(lo + 1, last)]
+    gamma = position - lo
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
 
 
 @dataclass

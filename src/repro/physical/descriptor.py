@@ -54,7 +54,7 @@ from repro.clocking.power import (
 )
 from repro.errors import ConfigurationError
 from repro.noc.floorplan import LOCAL_PORT
-from repro.noc.network import Network
+from repro.noc.base import Network
 from repro.physical.area import AreaReport, BUFFER_SLOT_AREA_MM2
 from repro.physical.power import (
     BUFFER_ENERGY_PJ_PER_FLIT,

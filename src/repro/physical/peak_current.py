@@ -13,9 +13,12 @@ deliberately weighting link skews spreads them further.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def current_profile(arrival_times_ps: list[float], period_ps: float,
@@ -30,6 +33,7 @@ def current_profile(arrival_times_ps: list[float], period_ps: float,
     """
     if period_ps <= 0.0 or pulse_width_ps <= 0.0 or resolution_ps <= 0.0:
         raise ConfigurationError("period, width, resolution must be positive")
+    import numpy as np
     bins = max(1, int(round(period_ps / resolution_ps)))
     waveform = np.zeros(bins)
     half = pulse_width_ps / 2.0
@@ -90,6 +94,7 @@ def spread_arrivals(arrival_times_ps: list[float], period_ps: float,
     n = len(arrival_times_ps)
     if n == 0:
         return []
+    import numpy as np
     phases = np.asarray(arrival_times_ps, dtype=float) % period_ps
     order = np.argsort(phases, kind="stable")
     grid = np.arange(n) * (period_ps / n)

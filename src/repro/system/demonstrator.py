@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import Network
+from repro.noc.base import Network
 from repro.noc.packet import Packet
 from repro.noc.stats import LatencySummary
 from repro.sim.component import ClockedComponent

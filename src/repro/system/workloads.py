@@ -28,7 +28,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
-from repro.noc.network import ICNoCNetwork, Network
+from repro.noc.base import Network
+from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.noc.stats import LatencySummary, NetworkStats
 from repro.sim.component import ClockedComponent

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.noc.packet import Packet
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

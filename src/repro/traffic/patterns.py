@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.traffic.base import TrafficGenerator
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Registered traffic patterns, by CLI-friendly name. ``transpose`` is
+#: the classic adversarial permutation adaptive routing is judged on;
+#: ``hotspot`` takes its placement/intensity from the spec's
+#: ``hotspots``/``hotspot_fraction`` knobs
+#: (:class:`~repro.analysis.parallel.LoadPoint`).
+PATTERN_NAMES = ("uniform", "neighbour", "hotspot", "transpose")
 
 
 class UniformRandom(TrafficGenerator):

@@ -2,7 +2,7 @@
 
 Every registered topology x flow control, built the one way a network is
 built (``FabricConfig(...).build()``), must present the
-:class:`~repro.noc.network.Network` base's surface — the same address
+:class:`~repro.noc.base.Network` base's surface — the same address
 checks, delivery callbacks, elapsed-tick bookkeeping and telemetry /
 physical hooks — so no consumer has to ask which family it was handed.
 """
@@ -10,8 +10,8 @@ physical hooks — so no consumer has to ask which family it was handed.
 import pytest
 
 from repro.errors import TopologyError
+from repro.noc.base import Network
 from repro.noc.debug import attach_watchdog
-from repro.noc.network import Network
 from repro.noc.packet import Packet
 from repro.physical.descriptor import physical_model
 from repro.telemetry import attach_metrics, attach_tracer

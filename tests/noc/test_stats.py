@@ -1,6 +1,10 @@
 """Network statistics containers."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.noc.packet import Packet
 from repro.noc.stats import LatencySummary, NetworkStats
@@ -47,6 +51,52 @@ class TestLatencySummary:
         text = LatencySummary.from_cycles([1.0, 2.0]).describe()
         assert "mean=1.50" in text
         assert "p99=" in text
+
+
+def _same(ours: float, numpy_value) -> bool:
+    """Bit-for-bit equal floats (a NaN both sides produce is the same)."""
+    theirs = float(numpy_value)
+    return ours == theirs or (math.isnan(ours) and math.isnan(theirs))
+
+
+#: Latencies as every run records them: whole ticks over two.
+half_cycles = st.lists(st.integers(min_value=0, max_value=200_000)
+                       .map(lambda ticks: ticks / 2), min_size=1,
+                       max_size=300)
+
+
+class TestLatencySummaryMatchesNumpy:
+    """``from_cycles`` computes in pure Python, field for field what
+    numpy's ``mean`` / ``percentile`` / ``max`` / ``min`` give."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(half_cycles)
+    @example([7.5])
+    @example([3.0, 0.5])
+    @example([2.0, 2.0, 2.0, 9.5, 9.5])
+    def test_half_cycle_samples(self, samples):
+        summary = LatencySummary.from_cycles(samples)
+        arr = np.asarray(samples, dtype=float)
+        assert summary.count == len(samples)
+        assert summary.mean == float(arr.mean())
+        for field, q in (("p50", 50), ("p95", 95), ("p99", 99)):
+            assert getattr(summary, field) == float(np.percentile(arr, q))
+        assert summary.maximum == float(arr.max())
+        assert summary.minimum == float(arr.min())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=60))
+    @example([1e308, -1e308, 5.0])
+    @example([0.1, 0.1])
+    @example([-0.0, 0.0, 1.0 / 3.0])
+    def test_percentiles_of_arbitrary_floats(self, samples):
+        summary = LatencySummary.from_cycles(samples)
+        arr = np.asarray(samples, dtype=float)
+        for field, q in (("p50", 50), ("p95", 95), ("p99", 99)):
+            assert _same(getattr(summary, field), np.percentile(arr, q))
+        assert summary.maximum == float(arr.max())
+        assert summary.minimum == float(arr.min())
 
 
 class TestNetworkStats:

@@ -2,8 +2,10 @@
 
 ``repro`` and its sub-packages resolve their exports on first access
 (``repro._lazy``), and ``repro.cli`` imports each verb-only module inside
-its verb, so a run loads only the modules it uses. Each check runs in a
-fresh interpreter: this process has imported most of the package already.
+its verb, so a run loads only the modules it uses: parsing a command and
+replaying an accelerator trace need no numpy, and a credit fabric loads
+none of the handshake tree's modules. Each check runs in a fresh
+interpreter: this process has imported most of the package already.
 """
 
 import json
@@ -20,6 +22,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 VERB_ONLY = ("repro.analysis.experiments", "repro.system", "repro.accel",
              "repro.ext", "repro.noc.debug", "repro.noc.faults",
              "repro.clocking.variation")
+
+#: The handshake tree's modules: its network, routers, link stages, NIs
+#: and clock tree, the concentrated tree, and the eq. (1)-(7) checks.
+TREE = ("repro.noc.network", "repro.noc.router", "repro.noc.pipeline",
+        "repro.noc.ni", "repro.noc.handshake", "repro.clocking.clock_tree",
+        "repro.timing.validator", "repro.fabric.ctree")
 
 PACKAGES = ("repro", "repro.accel", "repro.analysis", "repro.clocking",
             "repro.ext", "repro.fabric", "repro.noc", "repro.physical",
@@ -39,10 +47,13 @@ def _python(code: str):
 
 
 def _loaded_after(statement: str) -> list[str]:
+    """The ``repro`` modules loaded after ``statement``, and ``numpy``
+    if it was loaded too."""
     return _python(
         f"import json, sys\n{statement}\n"
         "print(json.dumps(sorted(name for name in sys.modules\n"
-        "                        if name.split('.')[0] == 'repro')))")
+        "                        if name.split('.')[0] == 'repro'\n"
+        "                        or name == 'numpy')))")
 
 
 def _verb_only(loaded: list[str]) -> list[str]:
@@ -58,6 +69,47 @@ def test_import_repro_loads_no_subpackage():
 
 def test_import_cli_loads_no_verb_only_module():
     assert not _verb_only(_loaded_after("import repro.cli"))
+
+
+def test_import_cli_loads_no_numpy_sweep_engine_or_tree():
+    loaded = _loaded_after("import repro.cli")
+    assert "numpy" not in loaded
+    assert "repro.analysis.parallel" not in loaded
+    assert "repro.physical.descriptor" not in loaded
+    assert not [name for name in loaded
+                if name.startswith("repro.telemetry")]
+    assert not set(TREE) & set(loaded)
+
+
+def test_import_physical_report_loads_no_numpy():
+    """Importing ``repro.physical`` binds ``peak_current`` (named like
+    its module) eagerly; that module imports numpy only when called."""
+    loaded = _loaded_after("import repro.physical.report")
+    assert "repro.physical.peak_current" in loaded
+    assert "numpy" not in loaded
+
+
+def test_replay_verb_runs_without_numpy():
+    loaded = _python(
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "code = main(['replay', '--model', 'llm-decode', '--topology',\n"
+        "             'torus', '--ports', '16', '--flow-control', 'vc'])\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]))")
+    assert loaded == [0, False]
+
+
+def test_dispatch_mesh_load_point_loads_no_tree_module():
+    loaded = _loaded_after(
+        "from repro.analysis.parallel import LoadPoint, "
+        "evaluate_load_point\n"
+        "from repro.fabric.registry import FabricConfig\n"
+        "result = evaluate_load_point(LoadPoint(\n"
+        "    load=0.1, network=FabricConfig(topology='mesh', ports=16),\n"
+        "    cycles=50))\n"
+        "assert result['drained'] and 'energy_pj_per_flit' in result")
+    assert "repro.physical.descriptor" in loaded
+    assert not set(TREE) & set(loaded)
 
 
 def test_every_export_resolves():
