@@ -262,7 +262,7 @@ def cmd_info(args: argparse.Namespace) -> int:
             line += f" (priority flows {flows})"
         print(line)
     print(f"area: {model.area_report().describe()}")
-    if entry.tree_legal:
+    if entry.structure.tree_legal:
         from repro.timing.validator import channels_max_frequency
         skew_limited = channels_max_frequency(network.channel_specs,
                                               config.tech.register)
@@ -274,12 +274,12 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from repro.timing.validator import validate_channels
     config = _fabric_config_from(args)
-    if not get_topology(config.topology).tree_legal:
-        supported = (*TREE_ALIASES, *(name for name in topology_names()
-                                      if get_topology(name).tree_legal))
+    legal = [name for name in topology_names()
+             if get_topology(name).structure.tree_legal]
+    if config.topology not in legal:
         raise ConfigurationError(
             f"the eq. (1)-(7) timing checks model the handshake "
-            f"tree only (supported: {', '.join(supported)}); "
+            f"tree only (supported: {', '.join((*TREE_ALIASES, *legal))}); "
             f"{args.topology!r} has converging paths, so it cannot carry "
             f"the integrated clock — see 'repro compare' for its physical "
             f"report"

@@ -44,7 +44,7 @@ __all__ = [
     "XYRouting",
     "TorusXYRouting",
     "RingRouting",
-    "tree_updown_route",
+    "TreeUpDownRouting",
     "VcPolicy",
     "DatelineVc",
     "TorusDatelineVc",
@@ -77,7 +77,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.fabric.routing": (
         "DatelineVc", "EscapeVcAdaptive", "RingDatelineVc", "RingRouting",
         "RoutingStrategy", "TorusDatelineVc", "TorusXYRouting", "VcPolicy",
-        "XYRouting", "tree_updown_route",
+        "TreeUpDownRouting", "XYRouting",
     ),
     "repro.fabric.router": ("FabricRouter",),
     "repro.fabric.endpoint": ("FabricSink", "FabricSource"),

@@ -7,10 +7,10 @@ of multiplexing the shared injection port. Because the link structure is
 still a tree, the fabric remains *integrated-clock legal*: no converging
 paths, the clock rides the data links exactly as in the paper.
 
-Addressing: endpoint ``e`` hangs off leaf ``e // concentration``. The
-routers run the same up*/down* strategy with the endpoint-to-leaf mapping
-plugged in (:func:`repro.fabric.routing.tree_updown_route`'s
-``dest_leaf``); the NIs and the whole tree stack are reused unchanged.
+Addressing: endpoint ``e`` hangs off leaf ``e // concentration``
+(:class:`~repro.noc.topology.ConcentratedTreeTopology`). The routers run
+the same up*/down* strategy over endpoint addresses; the NIs and the
+whole tree stack are reused unchanged.
 
 Endpoint pairs sharing a leaf never enter the network — the concentrator
 mux delivers them locally in one clock cycle (a tree router would see the
@@ -30,7 +30,6 @@ energy model in :mod:`repro.physical.descriptor` still prices them).
 
 from __future__ import annotations
 
-from repro.fabric.routing import tree_updown_route
 from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.sim.kernel import SimKernel
@@ -46,42 +45,28 @@ class ConcentratedTreeNetwork(ICNoCNetwork):
     """
 
     def __init__(self, config, kernel: SimKernel | None = None):
-        self.concentration = config.concentration
         self._local_delivered: list[Packet] = []
         super().__init__(config, kernel=kernel)
 
-    # -- addressing -------------------------------------------------------
-
-    def leaf_of(self, endpoint: int) -> int:
-        """The tree leaf an endpoint hangs off."""
-        return endpoint // self.concentration
-
     def _hop_count(self, src: int, dest: int) -> int:
-        src_leaf, dest_leaf = self.leaf_of(src), self.leaf_of(dest)
-        if src_leaf == dest_leaf:
+        from_leaf, to_leaf = map(self.topology.leaf_of, (src, dest))
+        if from_leaf == to_leaf:
             # One switching element traversed (the mux) — see the module
             # docstring's hop convention.
             return 1
-        return self.topology.hop_count(src_leaf, dest_leaf)
-
-    # -- construction hooks ----------------------------------------------
-
-    def _route_for(self, node):
-        return tree_updown_route(self.topology, node,
-                                 name=f"r{node.index}",
-                                 dest_leaf=self.leaf_of)
+        return self.topology.hop_count(from_leaf, to_leaf)
 
     # -- run-time API ------------------------------------------------------
 
     def _submit(self, packet: Packet) -> None:
-        src_leaf = self.leaf_of(packet.src)
-        if src_leaf == self.leaf_of(packet.dest):
+        from_leaf = self.topology.leaf_of(packet.src)
+        if from_leaf == self.topology.leaf_of(packet.dest):
             self._deliver_locally(packet)
         else:
             # Straight to the shared NI's egress half (the NI's own
             # submit checks the one-leaf-one-address invariant the mux
             # relaxes).
-            self.nis[src_leaf].source.submit(packet)
+            self.nis[from_leaf].source.submit(packet)
 
     def _deliver_locally(self, packet: Packet) -> None:
         """Concentrator-mux turnaround: one clock cycle, no network."""
@@ -103,5 +88,6 @@ class ConcentratedTreeNetwork(ICNoCNetwork):
         return out
 
     def describe(self) -> str:
-        return (f"{super().describe()}, concentration {self.concentration} "
+        return (f"{super().describe()}, concentration "
+                f"{self.topology.concentration} "
                 f"({self.endpoints} endpoints)")

@@ -1,12 +1,13 @@
 """Assembly of the credit-based fabrics.
 
 :class:`CreditFabricNetwork` is the one builder of every credit fabric:
-it reads the config's registry entry, builds the structure the entry
-names (:mod:`repro.fabric.topologies`, which supplies the routing
-strategy) and the VC policy the entry pairs with it
-(:mod:`repro.fabric.routing`), and assembles one :class:`FabricRouter` per
-node, two directed :class:`CreditLink` wires per neighbour pair, and a
-:class:`FabricSource`/:class:`FabricSink` pair on every local port. The
+on the structure the config's registry entry names
+(:mod:`repro.fabric.topologies`, which supplies the routing strategy)
+and the VC policy the entry pairs with it (:mod:`repro.fabric.routing`),
+both built by the :class:`~repro.noc.base.Network` base, it assembles
+one :class:`FabricRouter` per node, two directed :class:`CreditLink`
+wires per neighbour pair, and a :class:`FabricSource`/:class:`FabricSink`
+pair on every local port. The
 run-time API (``send`` / ``run_ticks`` / ``run_cycles`` / ``drain`` /
 ``stats``) is the :class:`~repro.noc.base.Network` base's, shared
 with the handshake tree, so every fabric runs through the same sweep
@@ -56,20 +57,15 @@ class CreditFabricNetwork(Network):
 
     ``config`` is the fabric's one spec — every knob is read from it and
     was validated when it was constructed. Its registry entry names the
-    rest: ``topology`` (the structure: node prefix, port labels, links),
-    ``routing`` (the structure's per-node route functions) and
-    ``vc_policy`` (None under wormhole).
+    rest, which the base builds: ``topology`` (the structure: node
+    prefix, port labels, links), ``routing`` (the structure's per-node
+    route functions) and ``vc_policy`` (None under wormhole).
     """
 
     def __init__(self, config: "FabricConfig",
                  kernel: SimKernel | None = None):
-        # Lazy: the registry names this class as its entries' builder.
-        from repro.fabric.registry import get_topology
-        entry = get_topology(config.topology)
-        topology = entry.structure.from_config(config)
-        super().__init__(config, topology, topology.max_ports, kernel)
-        self.routing = topology.routing()
-        self.vc_policy = entry.build_vc_policy(config, topology)
+        super().__init__(config, kernel)
+        topology = self.topology
         self.vc_enabled = config.flow_control == "vc"
         self.port_labels = tuple(port_label(topology.port_names, port)
                                  for port in range(topology.max_ports))

@@ -24,17 +24,18 @@ Usage::
     net = FabricConfig(topology="ctree", ports=64,
                        concentration=4).build()             # integrated clock
 
-A credit fabric is declared once: its entry names the structure class
-(which carries the routing strategy), maps each VC-policy name to the
-callable that builds that policy, and takes
+Every entry names its structure class, which states the shape rules
+(``from_config``), whether it is ``tree_legal`` and its routing strategy
+(``routing()``). A credit fabric's entry also maps each VC-policy name
+to the callable that builds that policy and takes
 :class:`~repro.fabric.network.CreditFabricNetwork` as its builder. A new
 one is a structure, a routing strategy (plus a VC policy if it has one)
 and one :func:`register_topology` call — see docs/fabric.md.
 
 The tree entries' builders and every stock entry's physical descriptor
 are functions that import their module on first call, so reading the
-registry, or building a credit fabric, loads no tree module and no
-physical descriptor.
+registry, or building a credit fabric, loads no tree datapath module and
+no physical descriptor.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from repro.fabric.routing import (
     VcPolicy,
 )
 from repro.fabric.topologies import MeshTopology, RingTopology, TorusTopology
+from repro.noc.topology import ConcentratedTreeTopology, TreeTopology
 from repro.tech.technology import Technology, TECH_90NM
 
 #: Clock distribution capabilities.
@@ -79,9 +81,12 @@ class TopologyEntry:
         name: registry key (CLI ``--topology`` value).
         description: one-line summary for tables and docs.
         clock_distribution: supported schemes, the first is the default.
-            ``integrated`` may appear only when ``tree_legal``.
-        tree_legal: the link structure has no converging paths, so the
-            integrated clock distribution of the paper applies.
+            ``integrated`` may appear only when the structure is
+            ``tree_legal`` (its links have no converging paths).
+        structure: the structure class (:mod:`repro.noc.topology`,
+            :mod:`repro.fabric.topologies`): ``from_config`` builds it,
+            applying its shape rules; ``tree_legal`` and ``routing()``
+            say whether the integrated clock applies and how it routes.
         flow_control: supported link-level flow-control flavours, the
             first is the default. ``"vc"`` (virtual channels: the
             ``n_vcs >= 2`` shape of :class:`~repro.fabric.router
@@ -106,8 +111,6 @@ class TopologyEntry:
             :class:`~repro.fabric.network.CreditFabricNetwork`, the tree
             entries a function that imports their network class on
             first call.
-        validate: optional extra config check (the tree family's
-            port-count shape).
         physical: ``network ->``
             :class:`~repro.physical.descriptor.PhysicalModel` — the
             fabric's physical cost descriptor (area, flit energy, clock
@@ -117,31 +120,24 @@ class TopologyEntry:
             :mod:`repro.physical.descriptor` on first call. None means
             the fabric publishes no physical model and the generic
             reports refuse it loudly.
-        structure: the credit fabrics' structure class
-            (:mod:`repro.fabric.topologies`): ``from_config`` builds it
-            (applying its shape rule), and it names the routing
-            strategy, port labels and component prefix
-            :class:`~repro.fabric.network.CreditFabricNetwork` reads.
-            None for the tree family, which builds its own.
     """
 
     name: str
     description: str
     clock_distribution: tuple[str, ...]
-    tree_legal: bool
+    structure: type
     builder: Callable[["FabricConfig", Any], Any]
-    validate: Callable[["FabricConfig"], None] | None = None
     flow_control: tuple[str, ...] = (FLOW_WORMHOLE,)
     vc_policies: dict[str, Callable[["FabricConfig", Any], VcPolicy]] = \
         field(default_factory=dict)
     allocators: tuple[str, ...] = ()
     physical: Callable[[Any], Any] | None = None
-    structure: type | None = None
 
     def __post_init__(self) -> None:
         if not self.clock_distribution:
             raise ConfigurationError(f"{self.name}: no clocking schemes")
-        if CLOCK_INTEGRATED in self.clock_distribution and not self.tree_legal:
+        if CLOCK_INTEGRATED in self.clock_distribution and \
+                not self.structure.tree_legal:
             raise ConfigurationError(
                 f"{self.name}: integrated clocking requires a tree-legal "
                 f"structure (no converging paths)"
@@ -179,12 +175,11 @@ class TopologyEntry:
     @property
     def supports_pipeline(self) -> bool:
         """The fabric honours the ``pipeline_depth`` / ``segment_links``
-        knobs (the credit fabrics, which declare a ``structure``). The
-        tree family does not: its handshake routers are a fixed forward
-        pipeline and its links are *always* segmented at
-        ``max_segment_mm`` by construction, so the knobs would be
-        silently meaningless there — requesting them raises instead."""
-        return self.structure is not None
+        knobs: the credit fabrics do. The tree family's handshake routers
+        are a fixed forward pipeline and its links are *always* segmented
+        at ``max_segment_mm``, so the knobs would be silently meaningless
+        there — requesting them raises instead."""
+        return self.builder is CreditFabricNetwork
 
     def build_vc_policy(self, config: "FabricConfig",
                         structure) -> VcPolicy | None:
@@ -230,7 +225,7 @@ def topology_table() -> list[dict[str, str]]:
         rows.append({
             "name": entry.name,
             "clocking": "+".join(entry.clock_distribution),
-            "tree_legal": "yes" if entry.tree_legal else "no",
+            "tree_legal": "yes" if entry.structure.tree_legal else "no",
             "flow_control": flow,
             "allocators": "/".join(entry.allocators) or "rr",
             "description": entry.description,
@@ -440,14 +435,10 @@ class FabricConfig:
                         f"priority flow ({src}, {dest}): src == dest "
                         f"never enters the fabric"
                     )
-        if entry.validate is not None:
-            entry.validate(self)
-        if entry.structure is not None:
-            # Build the parts the network will: the structure applies
-            # its shape rule, the VC policy its own checks (even
-            # dateline VC counts, the torus escape's three-VC minimum),
-            # so config-time validation never drifts from the build.
-            entry.build_vc_policy(self, entry.structure.from_config(self))
+        # Build what the network will: the structure applies its shape
+        # rules, the VC policy its own checks (even dateline VC counts,
+        # the torus escape's three VCs), so validation never drifts.
+        entry.build_vc_policy(self, entry.structure.from_config(self))
 
     @property
     def clock_distribution(self) -> str:
@@ -505,44 +496,6 @@ class FabricConfig:
 # -- the stock fabrics ----------------------------------------------------
 
 
-def _validate_tree(config: FabricConfig) -> None:
-    if config.arity < 2:
-        raise ConfigurationError("tree arity must be >= 2")
-    _require_power(config.ports, config.arity, "tree ports")
-    if config.allocator == "local_priority" and config.arity != 2:
-        raise ConfigurationError(
-            f"local_priority assumes proc/mem sibling pairs (arity 2), "
-            f"got arity {config.arity}"
-        )
-
-
-def _validate_ctree(config: FabricConfig) -> None:
-    if config.concentration < 1:
-        raise ConfigurationError("concentration must be >= 1")
-    if config.ports % config.concentration:
-        raise ConfigurationError(
-            f"ctree ports ({config.ports}) must be a multiple of the "
-            f"concentration ({config.concentration})"
-        )
-    leaves = config.ports // config.concentration
-    if leaves < config.arity:
-        raise ConfigurationError(
-            f"ctree needs >= {config.arity} leaves after concentration, "
-            f"got {leaves}"
-        )
-    _require_power(leaves, config.arity, "ctree leaves")
-
-
-def _require_power(value: int, base: int, what: str) -> None:
-    count = 1
-    while count < value:
-        count *= base
-    if count != value:
-        raise ConfigurationError(
-            f"{what} must be a power of {base}, got {value}"
-        )
-
-
 def _escape(config: FabricConfig, grid, wrap: bool) -> EscapeVcAdaptive:
     return EscapeVcAdaptive(
         grid.cols, grid.rows, config.n_vcs, wrap=wrap,
@@ -581,9 +534,8 @@ register_topology(TopologyEntry(
     description="the paper's IC-NoC: 3x3/5x5 routers, handshake links, "
                 "clock rides the data tree",
     clock_distribution=(CLOCK_INTEGRATED, CLOCK_MESOCHRONOUS),
-    tree_legal=True,
+    structure=TreeTopology,
     builder=_tree_network,
-    validate=_validate_tree,
     physical=_tree_physical,
     allocators=("rr", "local_priority"),
 ))
@@ -593,9 +545,8 @@ register_topology(TopologyEntry(
     description="concentrated tree: several endpoints share each leaf NI, "
                 "still integrated-clock legal",
     clock_distribution=(CLOCK_INTEGRATED, CLOCK_MESOCHRONOUS),
-    tree_legal=True,
+    structure=ConcentratedTreeTopology,
     builder=_ctree_network,
-    validate=_validate_ctree,
     physical=_ctree_physical,
 ))
 
@@ -604,10 +555,9 @@ register_topology(TopologyEntry(
     description="2-D mesh, XY wormhole routing, credit flow control "
                 "(the paper's comparison baseline)",
     clock_distribution=(CLOCK_MESOCHRONOUS,),
-    tree_legal=False,
+    structure=MeshTopology,
     builder=CreditFabricNetwork,
     physical=_credit_physical,
-    structure=MeshTopology,
     flow_control=(FLOW_WORMHOLE, FLOW_VC),
     vc_policies={
         "escape": lambda config, mesh: _escape(config, mesh, wrap=False),
@@ -620,10 +570,9 @@ register_topology(TopologyEntry(
     description="2-D torus: shortest-wrap XY routing, bubble flow control "
                 "or dateline/escape VCs on the rings",
     clock_distribution=(CLOCK_MESOCHRONOUS,),
-    tree_legal=False,
+    structure=TorusTopology,
     builder=CreditFabricNetwork,
     physical=_credit_physical,
-    structure=TorusTopology,
     flow_control=(FLOW_WORMHOLE, FLOW_VC),
     vc_policies={
         "dateline": lambda config, torus: TorusDatelineVc(
@@ -638,10 +587,9 @@ register_topology(TopologyEntry(
     description="bidirectional ring of 3-port routers, shortest-direction "
                 "routing, bubble flow control or dateline VCs",
     clock_distribution=(CLOCK_MESOCHRONOUS,),
-    tree_legal=False,
+    structure=RingTopology,
     builder=CreditFabricNetwork,
     physical=_credit_physical,
-    structure=RingTopology,
     flow_control=(FLOW_WORMHOLE, FLOW_VC),
     vc_policies={
         "dateline": lambda config, ring: RingDatelineVc(ring.nodes,

@@ -14,7 +14,7 @@ not a second router implementation:
   needing the router's bubble rule (see below).
 * :class:`RingRouting` — shortest direction around a bidirectional ring;
   also ring-closing, also bubble-ruled.
-* :func:`tree_updown_route` — the paper's deterministic up*/down* tree
+* :class:`TreeUpDownRouting` — the paper's deterministic up*/down* tree
   routing (descend through the child covering the destination leaf, else
   go to the parent), shared by the 3x3/5x5 tree routers and the
   concentrated tree's leaf-sharing variant.
@@ -75,7 +75,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigurationError, RoutingError
 from repro.noc.flit import Flit, FlitKind
-from repro.noc.topology import RouterNode, TreeTopology, PARENT_PORT
+from repro.noc.topology import TreeTopology, PARENT_PORT
 
 if TYPE_CHECKING:
     import numpy as np
@@ -310,30 +310,32 @@ class RingRouting(RoutingStrategy):
                                         (RING_CW, RING_CCW)))
 
 
-def tree_updown_route(topology: TreeTopology, node: RouterNode,
-                      name: str = "tree",
-                      dest_leaf: Callable[[int], int] | None = None,
-                      ) -> RouteFn:
-    """The paper's deterministic up*/down* routing at one tree router.
+class TreeUpDownRouting(RoutingStrategy):
+    """The paper's deterministic up*/down* routing on a tree.
 
-    Descend through the child whose leaf range covers the destination,
-    else exit through the parent port. ``dest_leaf`` maps a flit's
-    destination address to a leaf port — identity for the plain tree, the
-    endpoint-to-leaf division for the concentrated tree. Up*/down*
-    routing in a tree has an acyclic channel-dependency graph, so
-    wormhole switching needs no bubble rule.
+    At each router, descend through the child whose leaf range covers
+    the destination's leaf (``dest // tree.concentration``: the
+    destination itself on a plain tree), else exit through the parent
+    port. Up*/down* routing in a tree has an acyclic channel-dependency
+    graph, so wormhole switching needs no bubble rule.
     """
 
-    def route(flit: Flit) -> int:
-        dest = flit.dest if dest_leaf is None else dest_leaf(flit.dest)
-        port = topology.child_port_for_leaf(node, dest)
-        if port == PARENT_PORT and node.parent is None:
-            raise RoutingError(
-                f"{name}: destination {flit.dest} not under the root"
-            )
-        return port
+    def __init__(self, tree: TreeTopology):
+        self.tree = tree
 
-    return route
+    def for_node(self, node: int) -> RouteFn:
+        tree, concentration = self.tree, self.tree.concentration
+        router = tree.router(node)
+
+        def route(flit: Flit) -> int:
+            port = tree.child_port_for_leaf(router, flit.dest // concentration)
+            if port == PARENT_PORT and router.parent is None:
+                raise RoutingError(
+                    f"r{node}: destination {flit.dest} not under the root"
+                )
+            return port
+
+        return route
 
 
 # -- virtual-channel assignment policies ----------------------------------

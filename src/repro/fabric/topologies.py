@@ -7,6 +7,8 @@ it from the config and assembles what it describes:
 * ``from_config(config)`` — the structure a
   :class:`~repro.fabric.registry.FabricConfig` asks for (grid fabrics
   apply the grid-shape rule, :func:`grid_shape`, here);
+* ``tree_legal`` — whether the link structure has no converging paths
+  (the paper's integrated clock distribution needs that);
 * ``nodes`` — endpoint count (one local port per node);
 * ``max_ports`` — uniform router port count (local = port 0), with
   ``port_names`` its labels and ``prefix`` its components' name prefix;
@@ -32,8 +34,9 @@ ring-closing fabrics are:
   mesochronous baseline, and the stress test for the bubble rule.
 
 All of these have converging paths (two routers joined by more than one
-path), so none can legally carry the paper's *integrated* clock
-distribution — the registry's build-time capability check enforces it.
+path), so none is ``tree_legal``: none can carry the paper's
+*integrated* clock distribution, as the registry checks at build time.
+The tree structures (:mod:`repro.noc.topology`) implement part of this.
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ class _Grid:
     to a square.
     """
 
+    tree_legal = False
     #: Uniform router port count (local + 4 directions; mesh edge routers
     #: simply leave the missing directions unconnected).
     max_ports = 5
@@ -257,6 +261,7 @@ class TorusTopology(_Grid):
 class RingTopology:
     """A bidirectional ring of ``nodes`` 3-port routers."""
 
+    tree_legal = False
     max_ports = 3
     port_names = RING_PORT_NAMES
     prefix = "g"

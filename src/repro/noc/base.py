@@ -31,8 +31,10 @@ class Network:
 
     One spec (``config``, always a :class:`~repro.fabric.registry
     .FabricConfig`), one kernel, one statistics record, ``endpoints ==
-    config.ports`` addressable ports, and one run-time surface: ``send``
-    / ``set_handler`` / ``run_ticks`` / ``run_cycles`` / ``drain``. A
+    config.ports`` addressable ports, what its registry entry names
+    (``topology``, ``routing``, ``vc_policy``) and one run-time surface:
+    ``send`` / ``set_handler`` / ``run_ticks`` / ``run_cycles`` /
+    ``drain``. A
     family supplies its datapath — ``routers``, :meth:`_submit`,
     :meth:`gating_stats`, :meth:`longest_segment_mm` — and declares its
     wires and switches to the telemetry layer through
@@ -42,8 +44,8 @@ class Network:
     #: Longest packet ``send`` accepts, in flits (None: unbounded).
     max_packet_flits: int | None = None
 
-    def __init__(self, config: "FabricConfig", topology: Any,
-                 router_ports: int, kernel: SimKernel | None = None):
+    def __init__(self, config: "FabricConfig",
+                 kernel: SimKernel | None = None):
         # An external kernel lets system models (the demonstrator's tile
         # drivers) register components *before* the network's, so their
         # submissions reach the NIs the same tick — it must agree with
@@ -54,9 +56,13 @@ class Network:
                 "provided kernel's activity_driven flag contradicts the "
                 "network config"
             )
+        # Lazy: the registry imports the credit network, built on this.
+        from repro.fabric.registry import get_topology
+        entry = get_topology(config.topology)
         self.config = config
-        self.topology = topology
-        self.router_ports = router_ports
+        self.topology = entry.structure.from_config(config)
+        self.routing = self.topology.routing()
+        self.vc_policy = entry.build_vc_policy(config, self.topology)
         self.endpoints = config.ports
         self.kernel = kernel if kernel is not None \
             else SimKernel(activity_driven=config.activity_driven)
@@ -123,6 +129,8 @@ class Network:
     def send(self, packet: Packet) -> None:
         if not 0 <= packet.dest < self.endpoints:
             raise TopologyError(f"unknown destination {packet.dest}")
+        if not 0 <= packet.src < self.endpoints:
+            raise TopologyError(f"unknown source {packet.src}")
         if packet.src == packet.dest:
             raise TopologyError(
                 "src == dest: packets never enter the network")
@@ -157,7 +165,7 @@ class Network:
         longest wire segment — one rule, so the physical reports cost
         every fabric at a comparable frequency."""
         tech = self.config.tech
-        f_router = router_max_frequency(self.router_ports, tech,
+        f_router = router_max_frequency(self.topology.max_ports, tech,
                                         self.config.pipeline_depth)
         f_links = pipeline_max_frequency(self.longest_segment_mm(), tech)
         return min(f_router, f_links)

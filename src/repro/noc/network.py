@@ -31,7 +31,7 @@ from repro.noc.ni import NetworkInterface
 from repro.noc.packet import Packet
 from repro.noc.pipeline import PipelineStage
 from repro.noc.router import ArbiterFactory, TreeRouter, round_robin_factory
-from repro.noc.topology import TreeTopology, PARENT_PORT
+from repro.noc.topology import PARENT_PORT
 from repro.sim.kernel import SimKernel
 from repro.timing.validator import ChannelSpec
 
@@ -53,19 +53,14 @@ class ICNoCNetwork(Network):
     ``config.allocator`` is ``"rr"`` (round-robin everywhere), or
     ``"local_priority"`` for the demonstrator's processor-over-network
     priority at leaf routers (binary trees with proc/mem sibling pairs
-    only, which the registry checks).
+    only, which the structure checks).
     """
-
-    #: Endpoints sharing each leaf NI (the concentrated tree raises it).
-    concentration = 1
 
     def __init__(self, config: "FabricConfig",
                  kernel: SimKernel | None = None):
-        topology = TreeTopology(config.ports // self.concentration,
-                                config.arity)
-        super().__init__(config, topology, topology.router_ports, kernel)
+        super().__init__(config, kernel)
         self.floorplan: Floorplan = floorplan_for(
-            topology, config.chip_width_mm, config.chip_height_mm
+            self.topology, config.chip_width_mm, config.chip_height_mm
         )
         self.clock_tree = ClockTree(root_name="clkgen")
         self.routers: list[TreeRouter] = []
@@ -86,21 +81,15 @@ class ICNoCNetwork(Network):
     def _segments(self, length_mm: float) -> int:
         return segment_count(length_mm, self.config.max_segment_mm)
 
-    def _route_for(self, node):
-        """Routing-function hook for subclasses (None = the default
-        up*/down* strategy). The concentrated tree overrides this to map
-        endpoint addresses onto shared leaves."""
-        return None
-
     def _build(self) -> None:
         topo = self.topology
         self.routers = [None] * topo.router_count  # type: ignore[list-item]
         self.nis = [None] * topo.leaves  # type: ignore[list-item]
         root_node = topo.router(0)
         root = TreeRouter(
-            self.kernel, "r0", root_node, topo, input_parity=0,
+            self.kernel, "r0", root_node, input_parity=0,
+            route=self.routing.for_node(0),
             arbiter_factory=self._arbiter_factory_for(root_node),
-            route=self._route_for(root_node),
         )
         self.routers[0] = root
         self.clock_tree.add("r0", parent="clkgen", segment_delay_ps=0.0,
@@ -183,12 +172,12 @@ class ICNoCNetwork(Network):
             else:
                 child_node = self.topology.router(child)
                 child_router = TreeRouter(
-                    self.kernel, f"r{child}", child_node, self.topology,
+                    self.kernel, f"r{child}", child_node,
                     input_parity=endpoint_parity,
+                    route=self.routing.for_node(child),
                     arbiter_factory=self._arbiter_factory_for(child_node),
                     in_channel_overrides={PARENT_PORT: down_chs[-1]},
                     out_channel_overrides={PARENT_PORT: up_chs[0]},
-                    route=self._route_for(child_node),
                 )
                 self.routers[child] = child_router
                 self.clock_tree.add(f"r{child}", parent=clock_parent,
@@ -252,7 +241,7 @@ class ICNoCNetwork(Network):
             f"IC-NoC: {self.topology.leaves} ports, "
             f"arity {self.config.arity}, "
             f"{self.topology.router_count} routers "
-            f"({self.topology.router_ports}x{self.topology.router_ports}), "
+            f"({self.topology.max_ports}x{self.topology.max_ports}), "
             f"{self.link_stage_count} link stages, "
             f"f_max {self.operating_frequency_ghz():.3f} GHz"
         )

@@ -35,7 +35,7 @@ from repro.noc.arbiter import Arbiter, RoundRobinArbiter
 from repro.noc.flit import Flit
 from repro.noc.handshake import HandshakeChannel
 from repro.noc.pipeline import PipelineStage
-from repro.noc.topology import RouterNode, TreeTopology
+from repro.noc.topology import RouterNode
 from repro.sim.component import ClockedComponent, GatedComponentMixin
 from repro.sim.kernel import SimKernel
 
@@ -180,24 +180,20 @@ class TreeRouter:
     """
 
     def __init__(self, kernel: SimKernel, name: str, node: RouterNode,
-                 topology: TreeTopology, input_parity: int,
+                 input_parity: int, route: Callable[[Flit], int],
                  arbiter_factory: ArbiterFactory = round_robin_factory,
                  in_channel_overrides: dict[int, HandshakeChannel] | None = None,
-                 out_channel_overrides: dict[int, HandshakeChannel] | None = None,
-                 route: Callable[[Flit], int] | None = None):
+                 out_channel_overrides: dict[int, HandshakeChannel] | None = None):
         self.name = name
         self.node = node
-        self.topology = topology
         self.input_parity = input_parity
-        # Routing is a pluggable strategy (repro.fabric.routing); the
-        # default is the paper's up*/down* walk of this router's node.
-        # Imported here: repro.fabric builds on this package (its
-        # networks subclass repro.noc.base.Network), so repro.noc
-        # must not import it while loading.
-        from repro.fabric.routing import RouteMemo, tree_updown_route
-        if route is None:
-            route = tree_updown_route(topology, node, name=name)
-        # Memoised per destination, like the credit routers' routes.
+        # ``route`` is a routing strategy's function for this node
+        # (``topology.routing().for_node(i)``), memoised per destination
+        # like the credit routers' routes. Imported here: repro.fabric
+        # builds on this package (its networks subclass
+        # repro.noc.base.Network), so repro.noc must not import it while
+        # loading.
+        from repro.fabric.routing import RouteMemo
         self._route = RouteMemo(route)
         ports = node.ports
         self.extra_stages = extra_stages = 1 if ports >= 5 else 0

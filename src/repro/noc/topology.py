@@ -1,9 +1,14 @@
-"""Tree topologies: binary (3x3 routers) and quad (5x5 routers).
+"""Tree structures: binary (3x3 routers), quad (5x5) and concentrated.
 
 The clock distribution requires a tree — "no converging paths are allowed
 in the network" (Section 3). A :class:`TreeTopology` describes the routers,
 the leaves (network ports), and the parent/child relations; routing and
 hop-count analysis live here because both are purely structural.
+
+Both classes are registry structures, with the part of the credit
+structures' contract (:mod:`repro.fabric.topologies`) a tree has. This
+module imports only :mod:`repro.errors`, so the registry reads it
+without loading the tree's datapath.
 
 Addressing: leaves are numbered 0..N-1 left to right; every router covers a
 contiguous leaf range, so the routing decision at a router is "is the
@@ -13,8 +18,13 @@ destination in one of my children's ranges? then down that child, else up".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
-from repro.errors import TopologyError
+from repro.errors import ConfigurationError, TopologyError
+
+if TYPE_CHECKING:
+    from repro.fabric.registry import FabricConfig
+    from repro.fabric.routing import TreeUpDownRouting
 
 #: Port index of the parent link on every router (children follow).
 PARENT_PORT = 0
@@ -50,21 +60,26 @@ class RouterNode:
 
 
 class TreeTopology:
-    """A complete arity^depth tree of routers with N = arity^depth leaves."""
+    """A complete tree of routers with N = arity^depth leaves, depth >= 1."""
+
+    #: No converging paths, so the integrated clock distribution applies.
+    tree_legal = True
+    #: Endpoints sharing each leaf (see :meth:`leaf_of`).
+    concentration = 1
+    #: What the power-of-arity rule calls the leaf count.
+    _leaves_named = "tree ports"
 
     def __init__(self, leaves: int, arity: int = 2):
         if arity < 2:
-            raise TopologyError(f"arity must be >= 2, got {arity}")
-        if leaves < arity:
-            raise TopologyError(f"need >= {arity} leaves, got {leaves}")
-        depth = 0
-        count = 1
+            raise TopologyError("tree arity must be >= 2")
+        depth, count = 1, arity
         while count < leaves:
             count *= arity
             depth += 1
         if count != leaves:
             raise TopologyError(
-                f"leaves must be a power of arity: {leaves} != {arity}^k"
+                f"{self._leaves_named} must be a power of {arity}, "
+                f"got {leaves}"
             )
         self.leaves = leaves
         self.arity = arity
@@ -101,6 +116,34 @@ class TreeTopology:
                 ))
                 index += 1
 
+    @classmethod
+    def from_config(cls, config: "FabricConfig") -> "TreeTopology":
+        tree = cls(config.ports, config.arity)
+        if config.allocator == "local_priority" and config.arity != 2:
+            raise ConfigurationError(
+                f"local_priority assumes proc/mem sibling pairs (arity 2), "
+                f"got arity {config.arity}"
+            )
+        return tree
+
+    def routing(self) -> "TreeUpDownRouting":
+        # Imported here: repro.fabric.routing imports this module.
+        from repro.fabric.routing import TreeUpDownRouting
+        return TreeUpDownRouting(self)
+
+    def leaf_of(self, endpoint: int) -> int:
+        """The leaf an endpoint hangs off."""
+        return endpoint // self.concentration
+
+    def links(self, node: int = 0) -> Iterator[tuple[int, int, int, int]]:
+        """Router-to-router links ``(parent, child_port, child,
+        PARENT_PORT)`` below ``node`` (the root by default), depth first:
+        the order the network wires them in."""
+        if not self.routers[node].children_are_leaves:
+            for slot, child in enumerate(self.routers[node].children):
+                yield node, slot + 1, child, PARENT_PORT
+                yield from self.links(child)
+
     # -- structure queries ----------------------------------------------
 
     @property
@@ -109,7 +152,7 @@ class TreeTopology:
         return len(self.routers)
 
     @property
-    def router_ports(self) -> int:
+    def max_ports(self) -> int:
         """Port count of every router: 3 for binary, 5 for quad."""
         return self.arity + 1
 
@@ -202,3 +245,31 @@ class TreeTopology:
                     for j in range(i + 1, len(kids))
                 )
         return pairs
+
+
+class ConcentratedTreeTopology(TreeTopology):
+    """A tree whose leaves each serve ``concentration`` endpoints:
+    endpoint ``e`` hangs off leaf ``e // concentration``."""
+
+    _leaves_named = "ctree leaves"
+
+    def __init__(self, endpoints: int, concentration: int, arity: int = 2):
+        if concentration < 1:
+            raise TopologyError("concentration must be >= 1")
+        if endpoints % concentration:
+            raise TopologyError(
+                f"ctree ports ({endpoints}) must be a multiple of the "
+                f"concentration ({concentration})"
+            )
+        leaves = endpoints // concentration
+        if leaves < arity:
+            raise TopologyError(
+                f"ctree needs >= {arity} leaves after concentration, "
+                f"got {leaves}"
+            )
+        super().__init__(leaves, arity)
+        self.concentration = concentration
+
+    @classmethod
+    def from_config(cls, config: "FabricConfig") -> "ConcentratedTreeTopology":
+        return cls(config.ports, config.concentration, config.arity)

@@ -289,7 +289,7 @@ class TreePhysical(PhysicalModel):
 
     def router_port_counts(self) -> list[int]:
         topo = self.network.topology
-        return [topo.router_ports] * topo.router_count
+        return [topo.max_ports] * topo.router_count
 
     def pipeline_stage_count(self) -> int:
         return self.network.pipeline_stage_count
@@ -313,7 +313,7 @@ class TreePhysical(PhysicalModel):
         lengths.append(link_length(
             dest_router.index, topo.child_port_for_leaf(dest_router, dest)))
         return PathProfile(hops=len(routers),
-                           switch_ports=(topo.router_ports,) * len(routers),
+                           switch_ports=(topo.max_ports,) * len(routers),
                            link_lengths_mm=tuple(lengths))
 
 
@@ -327,7 +327,7 @@ class CtreePhysical(TreePhysical):
 
     @property
     def _mux_ports(self) -> int:
-        return self.network.concentration + 1
+        return self.network.topology.concentration + 1
 
     def _stub_mm(self) -> float:
         plan = self.floorplan
@@ -335,7 +335,7 @@ class CtreePhysical(TreePhysical):
         return (plan.chip_width_mm / side + plan.chip_height_mm / side) / 4.0
 
     def mux_area_mm2(self) -> float:
-        if self.network.concentration < 2:
+        if self.network.topology.concentration < 2:
             return 0.0  # a 1:1 "mux" is a wire
         return (self.network.topology.leaves
                 * self.tech.router_area_mm2(self._mux_ports))
@@ -349,17 +349,16 @@ class CtreePhysical(TreePhysical):
                 + self.endpoints * self._stub_mm())
 
     def _path(self, src: int, dest: int) -> PathProfile:
-        leaf_of = self.network.leaf_of
         stub = self._stub_mm()
-        src_leaf, dest_leaf = leaf_of(src), leaf_of(dest)
-        if src_leaf == dest_leaf:
+        from_leaf, to_leaf = map(self.network.topology.leaf_of, (src, dest))
+        if from_leaf == to_leaf:
             # Same-leaf pairs traverse the one-cycle concentrator mux
             # alone — one hop, matching the delivered statistics.
             return PathProfile(hops=1, switch_ports=(self._mux_ports,),
                                link_lengths_mm=(stub, stub))
         # The uncached inner walk: the shared cache is keyed by
         # *endpoint* pairs, and leaf pairs would collide with them.
-        tree = super()._path(src_leaf, dest_leaf)
+        tree = super()._path(from_leaf, to_leaf)
         return PathProfile(
             hops=tree.hops,
             switch_ports=(self._mux_ports,) + tree.switch_ports

@@ -227,7 +227,7 @@ class DmaStormDriver(ClockedComponent):
                  schedule: list[tuple[int, int, list[int]]]):
         super().__init__(f"tile{tile}.dma", parity=0)
         self.tile = tile
-        #: (due_tick, dest_leaf, payload) in due order.
+        #: (due_tick, dest, payload) in due order.
         self._schedule = deque(schedule)
         self.network: Network | None = None  # bound after build
         self.packets_sent = 0

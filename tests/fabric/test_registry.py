@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.fabric.network import CreditFabricNetwork
 from repro.fabric.registry import (
     CLOCK_INTEGRATED,
@@ -24,8 +24,13 @@ from repro.fabric.routing import (
     RingRouting,
     TorusDatelineVc,
     TorusXYRouting,
+    TreeUpDownRouting,
     XYRouting,
 )
+from repro.fabric.topologies import MeshTopology
+from repro.noc.flit import Flit, FlitKind
+from repro.noc.packet import Packet
+from repro.noc.topology import PARENT_PORT
 
 STOCK = ("tree", "ctree", "mesh", "torus", "ring")
 
@@ -38,12 +43,19 @@ CREDIT_PARTS = {
     "ring": ("g", RingRouting, {"dateline": RingDatelineVc}),
 }
 
+#: The same for every stock entry: the tree family has no VC policies.
+PARTS = {
+    "tree": ("r", TreeUpDownRouting, {}),
+    "ctree": ("r", TreeUpDownRouting, {}),
+    **CREDIT_PARTS,
+}
+
 
 def _credit_builds():
     """Every credit entry x flow control x VC-policy name."""
     for name in topology_names():
         entry = get_topology(name)
-        if entry.structure is None:
+        if not entry.supports_pipeline:
             continue
         for flow in entry.flow_control:
             for policy in (entry.vc_policies if flow == FLOW_VC
@@ -76,7 +88,7 @@ class TestRegistry:
             name="_test_fabric",
             description="registered by the test",
             clock_distribution=(CLOCK_MESOCHRONOUS,),
-            tree_legal=False,
+            structure=MeshTopology,
             builder=lambda config, kernel: "built",
         )
         register_topology(entry)
@@ -93,7 +105,7 @@ class TestRegistry:
             TopologyEntry(
                 name="bad", description="converging paths",
                 clock_distribution=(CLOCK_INTEGRATED,),
-                tree_legal=False, builder=lambda config, kernel: None,
+                structure=MeshTopology, builder=lambda config, kernel: None,
             )
 
 
@@ -163,6 +175,31 @@ class TestConfigValidation:
                                match=f"^{re.escape(message)}$"):
                 FabricConfig(topology=name, flow_control=flow, **kwargs)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"topology": "tree", "ports": 24},
+         "tree ports must be a power of 2, got 24"),
+        ({"topology": "tree", "arity": 1}, "tree arity must be >= 2"),
+        ({"topology": "tree", "ports": 16, "arity": 4,
+          "allocator": "local_priority"},
+         "local_priority assumes proc/mem sibling pairs (arity 2), "
+         "got arity 4"),
+        ({"topology": "ctree", "ports": 10},
+         "ctree ports (10) must be a multiple of the concentration (4)"),
+        ({"topology": "ctree", "ports": 4},
+         "ctree needs >= 2 leaves after concentration, got 1"),
+        ({"topology": "ctree", "concentration": 0},
+         "concentration must be >= 1"),
+        ({"topology": "ctree", "ports": 24},
+         "ctree leaves must be a power of 2, got 6"),
+        ({"topology": "ctree", "arity": 1}, "tree arity must be >= 2"),
+    ])
+    def test_tree_shape_rules_at_config(self, kwargs, message):
+        """The tree family's shape rules, each stated once by its
+        structure, raised where the spec is written."""
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(message)}$"):
+            FabricConfig(**kwargs)
+
     def test_ctree_concentration_shape(self):
         with pytest.raises(ConfigurationError):
             FabricConfig(topology="ctree", ports=10, concentration=4)
@@ -205,6 +242,70 @@ class TestBuiltNetworks:
 
 
 
+def _is_spanning_tree(structure) -> bool:
+    """``structure.links()`` joins its routers with ``router_count - 1``
+    links and no router is left out: a tree, so no converging paths."""
+    links = list(structure.links())
+    neighbours: dict[int, list[int]] = {}
+    for a, _, b, _ in links:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    reached, frontier = {0}, [0]
+    while frontier:
+        for other in neighbours.get(frontier.pop(), ()):
+            if other not in reached:
+                reached.add(other)
+                frontier.append(other)
+    return (len(links) == structure.router_count - 1
+            and len(reached) == structure.router_count)
+
+
+class TestTreeLegal:
+    """``tree_legal`` is a fact each structure declares; the link graph
+    it builds must agree with it."""
+
+    @pytest.mark.parametrize("ports", (16, 64))
+    @pytest.mark.parametrize("name", topology_names())
+    def test_declared_exactly_when_the_links_form_a_tree(self, name, ports):
+        structure = get_topology(name).structure.from_config(
+            FabricConfig(topology=name, ports=ports))
+        assert structure.tree_legal == _is_spanning_tree(structure)
+
+    @pytest.mark.parametrize("name", ("tree", "ctree"))
+    def test_tree_links_follow_the_wiring_order(self, name):
+        net = FabricConfig(topology=name, ports=64).build()
+        wired = sorted(net.routers[1:],
+                       key=lambda router: router.switch._kernel_index)
+        assert list(net.topology.links()) == [
+            (router.node.parent,
+             net.topology.router(router.node.parent).children.index(
+                 router.node.index) + 1,
+             router.node.index, PARENT_PORT)
+            for router in wired
+        ]
+
+
+class TestSendChecksAddresses:
+    """A packet naming a port the fabric lacks is refused by name, on
+    every fabric and backend, before anything is recorded."""
+
+    @pytest.mark.parametrize("name,backend", [
+        *((name, "dispatch") for name in topology_names()),
+        *((name, "array") for name in topology_names()
+          if get_topology(name).supports_pipeline),
+    ])
+    @pytest.mark.parametrize("src,dest,message", [
+        (16, 1, "unknown source 16"),
+        (1, 16, "unknown destination 16"),
+    ])
+    def test_out_of_range_address(self, name, backend, src, dest, message):
+        net = FabricConfig(topology=name, ports=16, backend=backend).build()
+        with pytest.raises(TopologyError, match=f"^{message}$"):
+            net.send(Packet(src=src, dest=dest))
+        assert net.stats.packets_injected == 0
+        assert net._inflight == {}
+
+
 class TestCreditDeclaration:
     """A credit fabric is declared once, by its entry: the one builder,
     ``CreditFabricNetwork(config, kernel=None)``, reads the structure,
@@ -217,7 +318,7 @@ class TestCreditDeclaration:
 
     def test_stock_credit_entries(self):
         credit = [name for name in topology_names()
-                  if get_topology(name).structure is not None]
+                  if get_topology(name).supports_pipeline]
         assert credit == list(CREDIT_PARTS)
         for name in credit:
             entry = get_topology(name)
@@ -225,20 +326,30 @@ class TestCreditDeclaration:
             assert entry.supports_pipeline
             assert list(entry.vc_policies) == list(CREDIT_PARTS[name][2])
 
-    @pytest.mark.parametrize("name,flow,policy", list(_credit_builds()))
+    @pytest.mark.parametrize("name,flow,policy", [
+        ("tree", "wormhole", None), ("ctree", "wormhole", None),
+        *_credit_builds(),
+    ])
     def test_build_reads_the_entry(self, name, flow, policy):
         entry = get_topology(name)
         config = FabricConfig(topology=name, ports=16, flow_control=flow,
                               vc_policy=policy,
                               n_vcs=4 if flow == FLOW_VC else 2)
         net = config.build()
-        prefix, routing, policies = CREDIT_PARTS[name]
-        assert type(net) is CreditFabricNetwork
+        prefix, routing, policies = PARTS[name]
+        assert (type(net) is CreditFabricNetwork) == entry.supports_pipeline
         assert type(net.topology) is entry.structure
         assert type(net.routing) is routing
         assert type(net.routing) is type(net.topology.routing())
         assert [router.name for router in net.routers] == \
-            [f"{prefix}{node}" for node in range(16)]
+            [f"{prefix}{node}" for node in range(net.topology.router_count)]
+        if flow != FLOW_VC:
+            # VC routers allocate by candidates, not by one route.
+            for node, router in enumerate(net.routers):
+                route = net.topology.routing().for_node(node)
+                for dest in range(config.ports):
+                    flit = Flit(FlitKind.HEAD, 0, dest, packet_id=0, seq=0)
+                    assert router._route(flit) == route(flit)
         if policy is None:
             assert net.vc_policy is None
         else:
@@ -282,7 +393,7 @@ class TestLocalPriority:
             TopologyEntry(
                 name="bad", description="weighted without VCs",
                 clock_distribution=(CLOCK_MESOCHRONOUS,),
-                tree_legal=False, builder=lambda config, kernel: None,
+                structure=MeshTopology, builder=lambda config, kernel: None,
                 allocators=("rr", "weighted"),
             )
 

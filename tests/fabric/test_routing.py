@@ -420,13 +420,12 @@ def test_a_rejected_destination_is_never_memoised(topology):
 def test_a_credit_router_raises_for_every_unroutable_head():
     """A FabricRouter on a route that rejects a destination raises at
     every edge that routes it, never forwarding it on a stale answer."""
-    from repro.fabric.routing import tree_updown_route
+    from repro.fabric.routing import TreeUpDownRouting
     from repro.noc.topology import TreeTopology
     topology = TreeTopology(4, arity=2)
     kernel = SimKernel()
     router = FabricRouter(kernel, "r", n_ports=3,
-                          route=tree_updown_route(topology,
-                                                  topology.router(0)))
+                          route=TreeUpDownRouting(topology).for_node(0))
     for port in range(3):
         router.connect(port, CreditLink(kernel, f"in{port}"),
                        CreditLink(kernel, f"out{port}"))

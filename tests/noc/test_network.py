@@ -28,7 +28,7 @@ class TestConstruction:
     def test_quad_shape(self):
         net = ICNoCNetwork(FabricConfig(ports=16, arity=4))
         assert net.topology.router_count == 5
-        assert net.topology.router_ports == 5
+        assert net.topology.max_ports == 5
 
     def test_longest_segment_capped(self, net16):
         assert net16.longest_segment_mm() <= 1.25 + 1e-9
@@ -64,7 +64,7 @@ class TestOperatingFrequency:
                            chip_height_mm=2.0).build()
         assert pipeline_max_frequency(net.longest_segment_mm()) > 1.4
         assert net.operating_frequency_ghz() == pytest.approx(
-            router_max_frequency(net.router_ports), rel=1e-12)
+            router_max_frequency(net.topology.max_ports), rel=1e-12)
         assert net.operating_frequency_ghz() == pytest.approx(1.4, rel=1e-4)
 
     def test_links_bind_when_long(self):
@@ -73,7 +73,7 @@ class TestOperatingFrequency:
         f = net.operating_frequency_ghz()
         assert f == pytest.approx(
             pipeline_max_frequency(net.longest_segment_mm()), rel=1e-12)
-        assert f < router_max_frequency(net.router_ports)
+        assert f < router_max_frequency(net.topology.max_ports)
 
     def test_derated_technology_lowers_frequency(self):
         nominal = FabricConfig(ports=16).build().operating_frequency_ghz()

@@ -36,7 +36,8 @@ def leaf_router_harness(arity=2, arbiter_factory=None):
     kwargs = {}
     if arbiter_factory is not None:
         kwargs["arbiter_factory"] = arbiter_factory
-    router = TreeRouter(kernel, "r", node, topo, input_parity=0, **kwargs)
+    router = TreeRouter(kernel, "r", node, input_parity=0,
+                        route=topo.routing().for_node(node.index), **kwargs)
     return kernel, topo, router
 
 
@@ -141,8 +142,8 @@ class TestRouting:
     def test_root_rejects_unroutable(self):
         kernel = SimKernel()
         topo = TreeTopology(4, arity=2)
-        root = TreeRouter(kernel, "root", topo.router(0), topo,
-                          input_parity=0)
+        root = TreeRouter(kernel, "root", topo.router(0), input_parity=0,
+                          route=topo.routing().for_node(0))
         flit = Flit(kind=FlitKind.SINGLE, src=0, dest=99, packet_id=0, seq=0)
         with pytest.raises(RoutingError):
             root._route(flit)
@@ -155,7 +156,7 @@ class TestRouting:
         that routes the flit, in both ways it can be wrong."""
         kernel = SimKernel()
         topo = TreeTopology(4, arity=2)
-        router = TreeRouter(kernel, "r", topo.leaf_router(0), topo,
+        router = TreeRouter(kernel, "r", topo.leaf_router(0),
                             input_parity=0, route=lambda flit: port)
         drive_flit(kernel, router.in_channels[1], Flit(
             kind=FlitKind.SINGLE, src=0, dest=1, packet_id=0, seq=0))

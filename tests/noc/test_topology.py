@@ -18,9 +18,9 @@ class TestStructure:
         assert TreeTopology(64, arity=4).router_count == 21
         assert TreeTopology(16, arity=4).router_count == 5
 
-    def test_router_ports(self):
-        assert TreeTopology(8, arity=2).router_ports == 3   # 3x3
-        assert TreeTopology(16, arity=4).router_ports == 5  # 5x5
+    def test_max_ports(self):
+        assert TreeTopology(8, arity=2).max_ports == 3   # 3x3
+        assert TreeTopology(16, arity=4).max_ports == 5  # 5x5
 
     def test_depth(self):
         assert TreeTopology(64, arity=2).depth == 6

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import _fabric_config_from, build_parser, main
+from repro.fabric.topologies import MeshTopology
 from tests import record_cli_golden
 
 
@@ -233,7 +234,7 @@ class TestSweepTopologyChoices:
         entry = registry.TopologyEntry(
             name="_cli_test_fabric", description="test",
             clock_distribution=(registry.CLOCK_MESOCHRONOUS,),
-            tree_legal=False, builder=lambda config, kernel: None,
+            structure=MeshTopology, builder=lambda config, kernel: None,
         )
         registry.register_topology(entry)
         try:
