@@ -479,6 +479,8 @@ def _energy_cell(metrics: dict) -> str:
 def cmd_metrics(args: argparse.Namespace) -> int:
     from repro.analysis.parallel import evaluate_load_point
     from repro.telemetry import render_metrics_report
+    if args.top < 1:
+        raise ConfigurationError(f"--top must be >= 1, got {args.top}")
     template = _traffic_template(args, args.load, telemetry=True)
     metrics = evaluate_load_point(template)
     print(f"Metrics: {args.topology}, {args.ports} ports, {args.pattern} "
@@ -494,6 +496,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.analysis.parallel import evaluate_load_point
+    if args.max_packets < 0:
+        raise ConfigurationError(
+            f"--max-packets must be >= 0, got {args.max_packets}")
     template = _traffic_template(args, args.load,
                                  trace_sample_period=args.sample_period)
     metrics = evaluate_load_point(template)

@@ -378,6 +378,13 @@ class CreditFabricNetwork(Network):
         for node in range(self.topology.nodes):
             yield f"{prefix}{node}", f"{prefix}{node}", labels
 
+    def grant_wires(self) -> Iterator[tuple[str, int, Any]]:
+        for router in self.routers:
+            if router.pipeline_depth == 1:
+                for port, link in enumerate(router.out_links):
+                    if link is not None:
+                        yield router.name, port, link.flit_in
+
     def describe(self) -> str:
         config = self.config
         flow = (f", {self.n_vcs} VCs ({self.vc_policy.name})"

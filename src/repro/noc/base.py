@@ -100,6 +100,15 @@ class Network:
         and its port labels (empty: ports print as ``pN``)."""
         raise NotImplementedError
 
+    def grant_wires(self) -> Iterator[tuple[str, int, Any]]:
+        """Yield ``(grant_name, output, signal)`` for every switch output
+        whose tick-tagged flit wire the switch drives in the edge that
+        grants it: one change per grant, at the grant tick. A switch
+        that stages its grants (a pipelined router) or latches them into
+        a handshake stage (the tree's) has none; its grants are read
+        from its ``arbitration_grant`` events."""
+        return iter(())
+
     def _hop_count(self, src: int, dest: int) -> int:
         return self.topology.hop_count(src, dest)
 

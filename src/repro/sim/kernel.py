@@ -177,6 +177,17 @@ class SimKernel:
         subs = self._event_subs
         subs[event] = subs.get(event, ()) + (callback,)
 
+    def unsubscribe(self, event: str,
+                    callback: Callable[[int, Any], None]) -> None:
+        """Remove a :meth:`subscribe` registration (no-op if absent); an
+        event left without listeners leaves the subscriber dict."""
+        subs = self._event_subs
+        rest = tuple(cb for cb in subs.get(event, ()) if cb is not callback)
+        if rest:
+            subs[event] = rest
+        else:
+            subs.pop(event, None)
+
     def emit(self, event: str, data: Any = None) -> None:
         """Broadcast an event to subscribers (cheap no-op without any)."""
         subs = self._event_subs.get(event)
@@ -262,13 +273,16 @@ class SimKernel:
             dirty = self._dirty
             if dirty:
                 # A commit compares values only for its listeners: a
-                # probe always, watchers while any sleep on the signal.
+                # probe always (unless every drive carries a fresh tick
+                # tag), watchers while any sleep on the signal.
                 for sig in dirty:
                     probes = sig._probes
                     watchers = sig._watchers
                     if probes is not None:
                         old = sig.value
-                        if not sig.commit():
+                        if sig.tick_tagged:
+                            sig.commit(False)
+                        elif not sig.commit():
                             continue
                         for probe in probes:
                             probe(tick, sig, old, sig.value)

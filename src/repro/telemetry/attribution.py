@@ -25,7 +25,8 @@ def _bar(fraction: float) -> str:
 
 
 def render_metrics_report(summary: MetricsSummary, top: int = 5) -> str:
-    """The `repro metrics` report: overview, latency, top-k heat."""
+    """The `repro metrics` report: overview, latency, top-k heat
+    (``top`` >= 1, else :class:`~repro.errors.ConfigurationError`)."""
     lines = [
         f"run: {summary.elapsed_cycles:.0f} cycles, "
         f"{summary.packets_delivered}/{summary.packets_injected} packets, "

@@ -1,49 +1,51 @@
-"""The metrics registry: counters and gauges fed by events and probes.
+"""The metrics registry: counters and gauges fed by probes and events.
 
-:class:`MetricsRegistry` turns the kernel's existing observability
-primitives — signal probes (:meth:`Signal.attach_probe`) and router
-events (``arbitration_grant``, ``credit_exhausted``, ``vc_allocated``,
+:class:`MetricsRegistry` turns the kernel's observability primitives —
+signal probes (:meth:`Signal.attach_probe`) and router events
+(``arbitration_grant``, ``credit_exhausted``, ``vc_allocated``,
 ``inject``, ``packet``) — into per-link, per-router, per-port and
 per-VC statistics:
 
 * **link utilization** and flit counts, from a probe on each link's
   consumer-side flit wire (every launched flit is one wire change);
-* **buffer occupancy** (peak and time-weighted mean) per router, from
-  the arrival wires (+1, two ticks after the wire changes — the link
-  latency) and ``arbitration_grant`` events (-1, every grant dequeues
-  exactly one input-FIFO flit);
+* **grant counts** per router, output port and VC: on a fabric whose
+  routers drive their output wire in the granting edge, each grant is
+  one change of that wire; elsewhere, one ``arbitration_grant`` event;
+* **buffer occupancy** (peak and time-weighted mean) per router: +1 one
+  link latency after a flit wire into it changes, -1 per grant (every
+  grant dequeues exactly one input-FIFO flit);
 * **credit-stall cycles**: per output (and VC), from a
   ``credit_exhausted`` edge until the starved output next forwards a
   flit — the full head-of-line penalty of the starvation episode;
-* **grant counts** per router, output port and VC;
 * **latency histograms**: log2-bucketed with exact p50/p95/p99 from the
   raw samples of the run.
 
-Everything is populated from *changes*, so the cost is proportional to
-network activity and a quiescent network still fast-forwards in O(1):
-probes and event subscriptions never force the kernel awake.
+The probes and listeners are the network's telemetry tap
+(:mod:`repro.telemetry.tap`), shared with a flit tracer; per flit they
+make integer updates only, on tables resolved at attach. Everything is
+populated from *changes*, so the cost is proportional to network
+activity and a quiescent network still fast-forwards in O(1): probes
+and event subscriptions never force the kernel awake.
 
 Determinism contract: per-signal probe streams and per-router event
 sequences are identical across kernel modes; cross-signal dispatch
 order within a tick is not. Every update here is therefore either
-order-independent within a tick (counter increments) or follows a
-fixed rule (occupancy applies same-tick arrivals and dequeues in
-router order: dequeue before same-tick arrival, matching the router's
-own on-edge sequence), which makes :meth:`MetricsRegistry.summary`
+order-independent within a tick (counter increments, tick sums) or
+waits until the tick is over (a buffer's peak: see
+:class:`BufferLevel`), which makes :meth:`MetricsRegistry.summary`
 byte-identical between ``activity_driven`` True and False.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from copy import copy
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.fabric.link import LINK_LATENCY_TICKS
 from repro.noc.stats import LatencySummary
 from repro.sim.kernel import SimKernel
+from repro.telemetry.tap import join
 
 
 class TimeWeightedGauge:
@@ -136,6 +138,12 @@ def percentile_from_buckets(buckets: dict[str, int], q: float) -> float:
     return float(items[-1][0])
 
 
+def _check_size(k: int) -> None:
+    """A report size: how many rows of a ranking to show, at least 1."""
+    if k < 1:
+        raise ConfigurationError(f"a report lists at least 1 row, got {k}")
+
+
 @dataclass
 class MetricsSummary:
     """Picklable, JSON-round-trippable snapshot of one run's metrics.
@@ -222,7 +230,9 @@ class MetricsSummary:
         return out
 
     def top_links(self, k: int = 5) -> list[tuple[str, int, float]]:
-        """Hottest links: ``(name, flits, utilization)``, busiest first."""
+        """Hottest links: ``(name, flits, utilization)``, busiest first;
+        a link that carried no flit is not listed."""
+        _check_size(k)
         ranked = sorted(
             self.link_flits,
             key=lambda name: (self.link_utilization.get(name, 0.0),
@@ -235,24 +245,23 @@ class MetricsSummary:
 
     def top_routers(self, k: int = 5) -> list[tuple[str, float, float, int]]:
         """Most congested routers: ``(name, stall_cycles, occupancy_mean,
-        grants)`` — ranked by credit-stall burden, then occupancy."""
+        grants)`` — ranked by credit-stall burden, then occupancy. A
+        router with no grant, no stall cycle and an empty buffer
+        throughout is not listed."""
+        _check_size(k)
         stall_by_router: dict[str, float] = {}
         for key, cycles in self.stall_cycles.items():
             router = key.split(":", 1)[0]
             stall_by_router[router] = stall_by_router.get(router, 0.0) + cycles
-        names = set(self.router_grants) | set(stall_by_router)
-        ranked = sorted(
-            names,
-            key=lambda name: (stall_by_router.get(name, 0.0),
-                              self.occupancy_mean.get(name, 0.0),
-                              self.router_grants.get(name, 0), name),
-            reverse=True,
-        )
-        return [(name,
+        rows = [(name,
                  stall_by_router.get(name, 0.0),
                  self.occupancy_mean.get(name, 0.0),
                  self.router_grants.get(name, 0))
-                for name in ranked[:k]]
+                for name in set(self.router_grants) | set(stall_by_router)]
+        active = [row for row in rows if row[1] or row[2] or row[3]]
+        active.sort(key=lambda row: (row[1], row[2], row[3], row[0]),
+                    reverse=True)
+        return active[:k]
 
     @classmethod
     def merge(cls, summaries: Iterable["MetricsSummary"]) -> "MetricsSummary":
@@ -313,154 +322,196 @@ class MetricsSummary:
         return merged
 
 
+class BufferLevel:
+    """One switch's grant count and, on a router with input FIFOs, its
+    buffer level, updated in place by the telemetry tap
+    (:mod:`repro.telemetry.tap`) with integer arithmetic.
+
+    The time integral of a level is ``sum(end - arrival) -
+    sum(end - dequeue)``, so it needs only the arrival and dequeue counts
+    and tick sums, in any order. The peak needs order: a level can peak
+    only as arrivals land, and a dequeue at an arrival's tick comes
+    first (the router's edge dequeues before it enqueues).
+
+    Counts are kept per *epoch*, the tick of the router's latest event:
+    ``dequeued`` grants at it, and ``launched`` flits toward its FIFOs at
+    it, which land one link latency later. Every credit component clocks
+    on the same edge, so the first event of a later tick closes the
+    epoch — every dequeue up to it is counted and none after — and
+    :meth:`advance` folds it in: the flits that landed at the epoch
+    (all launched before it) set a peak candidate, and its launches join
+    ``landed``, with one more candidate if they landed before the new
+    tick. So a flit costs one increment per role, and the ordered work
+    is once per router and tick.
+    """
+
+    __slots__ = ("epoch", "granted", "dequeued", "dequeued_ticks",
+                 "landed", "launched", "landed_ticks", "peak")
+
+    def __init__(self) -> None:
+        self.epoch = -1
+        self.granted = self.dequeued = self.dequeued_ticks = 0
+        self.landed = self.launched = self.landed_ticks = 0
+        self.peak = 0
+
+    def advance(self, tick: int) -> None:
+        """Close the epoch at the router's first event of ``tick``."""
+        epoch, dequeued, launched = self.epoch, self.dequeued, self.launched
+        granted, landed, peak = self.granted, self.landed, self.peak
+        if dequeued:
+            granted += dequeued
+            self.granted = granted
+            self.dequeued_ticks += dequeued * epoch
+            self.dequeued = 0
+        if landed - granted > peak:
+            peak = landed - granted
+        if launched:
+            landed += launched
+            self.landed = landed
+            self.landed_ticks += launched * (epoch + LINK_LATENCY_TICKS)
+            self.launched = 0
+            if landed - granted > peak \
+                    and epoch + LINK_LATENCY_TICKS < tick:
+                peak = landed - granted
+        self.peak = peak
+        self.epoch = tick
+
+    @property
+    def grants(self) -> int:
+        return self.granted + self.dequeued
+
+    def occupancy(self, start: int, end: int) -> tuple[int, float]:
+        """``(peak, time-weighted mean)`` of the level over [start, end]
+        (read-only, between ticks): flits due by ``end`` have landed,
+        dequeues at ``end`` have not happened."""
+        granted = self.granted + self.dequeued
+        dequeued_ticks = self.dequeued_ticks + self.dequeued * self.epoch
+        landed, ticks = self.landed, self.landed_ticks
+        peak = max(self.peak, landed - granted)
+        if self.launched and self.epoch + LINK_LATENCY_TICKS <= end:
+            landed += self.launched
+            ticks += self.launched * (self.epoch + LINK_LATENCY_TICKS)
+            peak = max(peak, landed - granted)
+        span = end - start
+        if span <= 0:
+            return peak, float(landed - granted)
+        integral = (landed * end - ticks) - (granted * end - dequeued_ticks)
+        return peak, integral / span
+
+
 class MetricsRegistry:
     """Live metric state for one network; build via :func:`attach_metrics`.
 
     Attach before injecting traffic: occupancy is tracked relative to
     the (empty) buffers at attach time.
+
+    The tap updates flat integer tables resolved at attach: a change
+    count per probed signal, a :class:`BufferLevel` per switch, and
+    per-port counters by *slot* — one per ``(switch, output, vc)``,
+    ``vc`` None on a switch whose events carry none. A grant wire's VC
+    slots are consecutive from its base slot, so its probe indexes
+    ``base + vc``; on one VC the wire's change count is the slot's grant
+    count. The ``router:port:vcN`` key strings are built from the slots
+    only by :meth:`summary`.
     """
 
     def __init__(self, kernel: SimKernel):
         self.kernel = kernel
         self._start_tick = kernel.tick
-        self.link_flits: dict[str, int] = {}
-        self._link_busy: dict[str, TimeWeightedGauge] = {}  # tree channels
-        self._credit_links: set[str] = set()
-        self.router_grants: dict[str, int] = {}
-        self.port_grants: dict[str, int] = {}
-        self.vc_allocations: dict[str, int] = {}
-        self._occupancy: dict[str, TimeWeightedGauge] = {}
-        self._pending: dict[str, deque[int]] = {}
-        # (router, output, vc) -> (port key, occupancy gauge, pending
-        # arrivals), resolved at a slot's first event.
-        self._slots: dict[tuple, tuple] = {}
-        # Open credit-stall episodes: port key -> starting tick.
-        self._stall_open: dict[str, int] = {}
-        self.stall_ticks: dict[str, int] = {}
-        self.stall_events: dict[str, int] = {}
         self.histogram = LatencyHistogram()
         self.packets_injected = 0
         self.packets_delivered = 0
         self.flits_delivered = 0
-        self._port_names: dict[tuple[str, int], str] = {}
+        self._slots: dict[tuple[str, int, int | None], int] = {}
+        self._slot_keys: list[str] = []
+        self._grants: list[int] = []
+        self._vc_allocs: list[int] = []
+        # Credit-stall episodes by slot: open ones' starting ticks, the
+        # ticks of closed ones, and how many began.
+        self._stall_open: dict[int, int] = {}
+        self._stall_ticks: dict[int, int] = {}
+        self._stall_events: dict[int, int] = {}
 
     # -- attachment ------------------------------------------------------
 
     def attach(self, network) -> "MetricsRegistry":
-        wires = list(network.flit_wires())
-        # A credit wire ends in its consumer's input FIFO: those routers
-        # get an occupancy gauge (in router order).
-        fifo_routers = {consumer for _name, _signal, consumer, is_credit
-                        in wires if is_credit}
-        for name, router, labels in network.switches():
-            self.router_grants.setdefault(name, 0)
-            for port, label in enumerate(labels):
-                self._port_names[(name, port)] = label
-            if router in fifo_routers:
-                self._occupancy[router] = TimeWeightedGauge(self.kernel.tick)
-                self._pending[router] = deque()
-        for name, signal, consumer, is_credit in wires:
-            self._watch_wire(name, signal, consumer, is_credit)
-        kernel = self.kernel
-        kernel.subscribe("arbitration_grant", self._on_grant)
-        kernel.subscribe("credit_exhausted", self._on_credit_exhausted)
-        kernel.subscribe("vc_allocated", self._on_vc_allocated)
-        kernel.subscribe("inject", self._on_inject)
-        kernel.subscribe("packet", self._on_packet)
+        join(network, "registry", self)
         return self
 
-    def _watch_wire(self, name: str, signal, consumer: str | None,
-                    is_credit: bool) -> None:
-        self.link_flits[name] = 0
-        if is_credit:
-            self._credit_links.add(name)
-            arrive = (None if consumer is None
-                      else self._pending[consumer].append)
+    def _resolve(self, tap) -> None:
+        """The state the tap updates: a change counter per probed signal
+        (and a busy gauge per handshake channel), a :class:`BufferLevel`
+        per switch by grant name and, by router name, those with input
+        FIFOs (the consumers of credit wires), and the slots of every
+        grant wire."""
+        wires = tap.wires
+        self._link_names = [name for name, *_ in wires]
+        # Changes per probed signal (tap.signals): a link's flit count
+        # and, on one VC, its driving output's grant count.
+        self._changes = [0] * len(tap.signals)
+        self._slot_signal: dict[int, int] = {}
+        self._link_busy = [None if is_credit
+                           else TimeWeightedGauge(self.kernel.tick)
+                           for *_, is_credit in wires]
+        fifo_routers = {consumer for *_, consumer, is_credit in wires
+                        if is_credit}
+        self._port_names: dict[tuple[str, int], str] = {}
+        self._levels: dict[str, BufferLevel] = {}
+        self._fifos: dict[str, BufferLevel] = {}
+        for name, router, labels in tap.switches:
+            for port, label in enumerate(labels):
+                self._port_names[(name, port)] = label
+            level = self._levels[name] = BufferLevel()
+            if router in fifo_routers:
+                self._fifos[router] = level
+        # A grant wire's VC slots, consecutive from its base slot.
+        self._wire_slots: dict[int, int] = {}
+        for index, (name, output) in tap.grant_wires.items():
+            base = self._wire_slots[index] = self._slot(name, output, 0)
+            for vc in range(1, tap.n_vcs):
+                self._slot(name, output, vc)
+            if tap.n_vcs == 1:
+                self._slot_signal[base] = index
 
-            def on_change(tick, sig, old, new, _name=name,
-                          _flits=self.link_flits, _arrive=arrive):
-                if new is not None:
-                    _flits[_name] += 1
-                    if _arrive is not None:
-                        _arrive(tick + LINK_LATENCY_TICKS)
-        else:
-            busy = self._link_busy[name] = TimeWeightedGauge(
-                self.kernel.tick)
-
-            def on_change(tick, sig, old, new, _name=name, _busy=busy):
-                if new is not None:
-                    self.link_flits[_name] += 1
-                _busy.update(tick, 0 if new is None else 1)
-        signal.attach_probe(on_change)
-
-    # -- event handlers --------------------------------------------------
-
-    def _slot(self, router: str, port: int, vc) -> tuple:
-        """``(port key, occupancy gauge, pending arrivals)`` of one
-        ``(router, output, vc)``, resolved on its first event; the gauge
-        and deque are None for a router without input FIFOs."""
-        slot = self._slots.get((router, port, vc))
+    def _slot(self, switch: str, output: int, vc: int | None) -> int:
+        """The slot of ``(switch, output, vc)``, assigned on first use."""
+        slot = self._slots.get((switch, output, vc))
         if slot is None:
-            port_name = self._port_names.get((router, port), f"p{port}")
-            key = (f"{router}:{port_name}" if vc is None
-                   else f"{router}:{port_name}:vc{vc}")
-            slot = self._slots[router, port, vc] = (
-                key, self._occupancy.get(router), self._pending.get(router))
+            slot = self._slots[switch, output, vc] = len(self._grants)
+            self._grants.append(0)
+            self._vc_allocs.append(0)
         return slot
 
-    def _on_grant(self, tick: int, data: dict) -> None:
-        router = data["router"]
-        try:
-            key, gauge, pending = self._slots[router, data["output"],
-                                              data.get("vc")]
-        except KeyError:
-            key, gauge, pending = self._slot(router, data["output"],
-                                             data.get("vc"))
-        grants = self.router_grants
-        grants[router] = grants.get(router, 0) + 1
-        grants = self.port_grants
-        grants[key] = grants.get(key, 0) + 1
-        stall_open = self._stall_open
-        if stall_open and key in stall_open:
-            self.stall_ticks[key] = (self.stall_ticks.get(key, 0)
-                                     + tick - stall_open.pop(key))
-        if gauge is None:
-            return
-        # Same-tick rule matching the router's on-edge order: the
-        # dequeue happens before this tick's arrivals are enqueued, so
-        # only arrivals that landed on *earlier* ticks go in first (+1
-        # each), then the dequeue (-1). Inline TimeWeightedGauge.update,
-        # the same float additions in the same order.
-        value, last = gauge.value, gauge._last_tick
-        integral = gauge._integral
-        while pending and pending[0] < tick:
-            arrival = pending.popleft()
-            integral += value * (arrival - last)
-            last = arrival
-            value += 1
-            if value > gauge.peak:
-                gauge.peak = value
-        if tick < last:
-            raise SimulationError(
-                f"gauge update at tick {tick} after tick {last}")
-        gauge._integral = integral + value * (tick - last)
-        gauge._last_tick = tick
-        gauge.value = value - 1
+    def _keys(self) -> list[str]:
+        """The ``router:port:vcN`` key of every slot, built once each."""
+        keys = self._slot_keys
+        if len(keys) < len(self._slots):
+            for switch, output, vc in list(self._slots)[len(keys):]:
+                label = self._port_names.get((switch, output), f"p{output}")
+                keys.append(f"{switch}:{label}" if vc is None
+                            else f"{switch}:{label}:vc{vc}")
+        return keys
 
-    def _on_credit_exhausted(self, tick: int, data: dict) -> None:
-        key = self._slot(data["router"], data["output"], data.get("vc"))[0]
-        if key not in self._stall_open:
-            self._stall_open[key] = tick
-            self.stall_events[key] = self.stall_events.get(key, 0) + 1
+    # -- per-event handlers (the tap calls these) ---------------------------
 
-    def _on_vc_allocated(self, tick: int, data: dict) -> None:
-        key = self._slot(data["router"], data["output"], data["vc"])[0]
-        self.vc_allocations[key] = self.vc_allocations.get(key, 0) + 1
+    def _close_stall(self, slot: int, tick: int) -> None:
+        self._stall_ticks[slot] = (self._stall_ticks.get(slot, 0)
+                                   + tick - self._stall_open.pop(slot))
 
-    def _on_inject(self, tick: int, packet) -> None:
+    def _starve(self, tick: int, data: dict) -> None:
+        slot = self._slot(data["router"], data["output"], data.get("vc"))
+        if slot not in self._stall_open:
+            self._stall_open[slot] = tick
+            self._stall_events[slot] = self._stall_events.get(slot, 0) + 1
+
+    def _vc_allocated(self, tick: int, data: dict) -> None:
+        self._vc_allocs[self._slot(data["router"], data["output"],
+                                   data["vc"])] += 1
+
+    def _inject(self, tick: int, packet) -> None:
         self.packets_injected += 1
 
-    def _on_packet(self, tick: int, packet) -> None:
+    def _deliver(self, tick: int, packet) -> None:
         self.packets_delivered += 1
         self.flits_delivered += packet.flit_count
         self.histogram.record(packet.latency_cycles)
@@ -477,45 +528,50 @@ class MetricsRegistry:
         elapsed_ticks = end - self._start_tick
         elapsed_cycles = elapsed_ticks / 2.0
         utilization: dict[str, float] = {}
-        for name, flits in self.link_flits.items():
-            if name in self._credit_links:
+        link_flits = dict(zip(self._link_names, self._changes))
+        for name, flits, busy in zip(self._link_names, self._changes,
+                                     self._link_busy):
+            if busy is None:
                 # Each launched flit holds the wire for one cycle.
                 utilization[name] = (flits / elapsed_cycles
                                      if elapsed_cycles else 0.0)
             else:
-                utilization[name] = self._link_busy[name].mean(end)
+                utilization[name] = busy.mean(end)
+        keys = self._keys()
+        grants = list(self._grants)
+        for slot, index in self._slot_signal.items():
+            grants[slot] = self._changes[index]
+        port_grants = {keys[slot]: count
+                       for slot, count in enumerate(grants) if count}
+        stall_cycles: dict[str, float] = {}
+        for slot in sorted(self._stall_events):
+            closed = self._stall_ticks.get(slot)
+            cycles = 0.0 if closed is None else closed / 2.0
+            if slot in self._stall_open:
+                cycles += (end - self._stall_open[slot]) / 2.0
+            stall_cycles[keys[slot]] = cycles
         occupancy_peak: dict[str, int] = {}
         occupancy_mean: dict[str, float] = {}
-        for router, gauge in self._occupancy.items():
-            # Arrivals still pending at the end of the run have landed
-            # in the FIFOs by now; fold them into a copy, so the live
-            # gauge still applies a same-tick dequeue before them.
-            gauge = copy(gauge)
-            for arrival in self._pending[router]:
-                if arrival > end:
-                    break
-                gauge.add(arrival, 1)
-            occupancy_peak[router] = gauge.peak
-            occupancy_mean[router] = gauge.mean(end)
-        stall_cycles = {key: ticks / 2.0
-                        for key, ticks in self.stall_ticks.items()}
-        for key, start in self._stall_open.items():
-            stall_cycles[key] = (stall_cycles.get(key, 0.0)
-                                 + (end - start) / 2.0)
+        for router, level in self._fifos.items():
+            occupancy_peak[router], occupancy_mean[router] = \
+                level.occupancy(self._start_tick, end)
         return MetricsSummary(
             elapsed_cycles=elapsed_cycles,
             packets_injected=self.packets_injected,
             packets_delivered=self.packets_delivered,
             flits_delivered=self.flits_delivered,
-            link_flits=dict(self.link_flits),
+            link_flits=link_flits,
             link_utilization=utilization,
-            router_grants=dict(self.router_grants),
-            port_grants=dict(self.port_grants),
+            router_grants={name: level.grants
+                           for name, level in self._levels.items()},
+            port_grants=port_grants,
             occupancy_peak=occupancy_peak,
             occupancy_mean=occupancy_mean,
             stall_cycles=stall_cycles,
-            stall_events=dict(self.stall_events),
-            vc_allocations=dict(self.vc_allocations),
+            stall_events={keys[slot]: self._stall_events[slot]
+                          for slot in sorted(self._stall_events)},
+            vc_allocations={keys[slot]: count for slot, count
+                            in enumerate(self._vc_allocs) if count},
             latency=self.histogram.summary().to_dict(),
             latency_buckets=self.histogram.buckets(),
         )

@@ -21,19 +21,20 @@ Hop timing sources (all mode-identical):
   the link latency (credit fabrics), or the input-channel data change
   tick (tree fabrics — the tick the flit is first *offered*, so tree
   "queueing" includes the handshake transfer to the switch);
-* grant = the router's ``arbitration_grant`` event tick;
+* grant = the grant's tick: the change of the wire an unpipelined
+  credit router drives as it grants, else the ``arbitration_grant``
+  event (see :mod:`repro.telemetry.tap`);
 * inject/deliver = the packet's own ``inject_tick``/``eject_tick``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.sim.kernel import SimKernel
-from repro.telemetry.metrics import LINK_LATENCY_TICKS
+from repro.telemetry.tap import join
 
 
 @dataclass
@@ -126,26 +127,14 @@ class PacketTrace:
         return "\n".join(lines)
 
 
-def _vc_flit(payload):
-    return payload[0][0]
-
-
-def _flit_reader(network, is_credit: bool) -> Callable[[Any], Any] | None:
-    """The flit extractor for one of ``network.flit_wires()``, chosen
-    once per wire: credit wires carry ``(flit, tick)``, VC wires
-    ``((flit, vc), tick)``; None for a tree handshake data wire, which
-    carries the flit itself. Payloads are never None (a probe skips
-    those first)."""
-    if not is_credit:
-        return None
-    return _vc_flit if network.n_vcs > 1 else itemgetter(0)
-
-
 class FlitTracer:
     """Samples packets deterministically and records their journeys.
 
     Build via :func:`attach_tracer`. ``sample_period`` of N samples
-    every Nth injected packet (1 = every packet).
+    every Nth injected packet (1 = every packet). The network's
+    telemetry tap (:mod:`repro.telemetry.tap`) tests each flit-wire
+    change and each grant against the sample and hands on only a
+    sampled head.
     """
 
     def __init__(self, kernel: SimKernel, sample_period: int = 16):
@@ -155,6 +144,7 @@ class FlitTracer:
         self.sample_period = sample_period
         self._base_id: int | None = None
         self._traces: dict[int, PacketTrace] = {}  # absolute id -> trace
+        # (absolute id, router) -> the head's arrival tick there.
         self._arrivals: dict[tuple[int, str], int] = {}
         self._switch_routers: dict[str, str] = {}
         self._port_names: dict[tuple[str, int], str] = {}
@@ -162,44 +152,23 @@ class FlitTracer:
     # -- attachment ------------------------------------------------------
 
     def attach(self, network) -> "FlitTracer":
-        for name, router, labels in network.switches():
+        join(network, "tracer", self)
+        return self
+
+    def _resolve(self, tap) -> None:
+        # The tap's probes test the sample where it lives.
+        self._traces, self._arrivals = tap.traces, tap.arrivals
+        for name, router, labels in tap.switches:
             self._switch_routers[name] = router
             for port, label in enumerate(labels):
                 self._port_names[(name, port)] = label
-        for name, signal, consumer, is_credit in network.flit_wires():
-            if consumer is None:
-                continue  # ejection wires: delivery comes from "packet"
-            self._watch_wire(signal, consumer, is_credit,
-                             _flit_reader(network, is_credit))
-        self.kernel.subscribe("inject", self._on_inject)
-        self.kernel.subscribe("arbitration_grant", self._on_grant)
-        self.kernel.subscribe("packet", self._on_packet)
-        return self
 
-    def _watch_wire(self, signal, consumer: str, is_credit: bool,
-                    read: Callable[[Any], Any] | None) -> None:
-        offset = LINK_LATENCY_TICKS if is_credit else 0
+    # -- per-event handlers (the tap calls these) ---------------------------
 
-        def on_change(tick, sig, old, new, _consumer=consumer,
-                      _offset=offset, _read=read):
-            if new is None:
-                return
-            flit = new if _read is None else _read(new)
-            if flit.is_head and flit.packet_id in self._traces:
-                self._arrivals.setdefault((flit.packet_id, _consumer),
-                                          tick + _offset)
-        signal.attach_probe(on_change)
-
-    # -- event handlers --------------------------------------------------
-
-    def _sampled(self, packet_id: int) -> bool:
-        return (self._base_id is not None
-                and (packet_id - self._base_id) % self.sample_period == 0)
-
-    def _on_inject(self, tick: int, packet) -> None:
+    def _inject(self, tick: int, packet) -> None:
         if self._base_id is None:
             self._base_id = packet.packet_id
-        if not self._sampled(packet.packet_id):
+        if (packet.packet_id - self._base_id) % self.sample_period:
             return
         self._traces[packet.packet_id] = PacketTrace(
             packet_id=packet.packet_id - self._base_id,
@@ -207,28 +176,19 @@ class FlitTracer:
             flit_count=packet.flit_count, submit_tick=tick,
         )
 
-    def _on_grant(self, tick: int, data: dict) -> None:
-        flit = data["flit"]
-        if not flit.is_head:
-            return
-        trace = self._traces.get(flit.packet_id)
-        if trace is None:
-            return
-        router = data["router"]
-        lookup = self._switch_routers.get(router, router)
-        arrival = self._arrivals.pop((flit.packet_id, lookup), None)
-        trace.hops.append(HopRecord(
-            router=lookup,
-            output=self._port_label(router, data["output"]),
-            vc=data.get("vc"),
-            arrival_tick=arrival,
+    def _hop(self, tick: int, switch: str, output: int, vc: int | None,
+             flit) -> None:
+        """A sampled head's grant: one hop of its trace."""
+        router = self._switch_routers.get(switch, switch)
+        self._traces[flit.packet_id].hops.append(HopRecord(
+            router=router,
+            output=self._port_names.get((switch, output), f"p{output}"),
+            vc=vc,
+            arrival_tick=self._arrivals.pop((flit.packet_id, router), None),
             grant_tick=tick,
         ))
 
-    def _port_label(self, router: str, port: int) -> str:
-        return self._port_names.get((router, port), f"p{port}")
-
-    def _on_packet(self, tick: int, packet) -> None:
+    def _deliver(self, tick: int, packet) -> None:
         trace = self._traces.get(packet.packet_id)
         if trace is None:
             return

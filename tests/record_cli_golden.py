@@ -70,6 +70,14 @@ FORMER_TRACEBACKS = (
     "replay --trace str_pe.jsonl",
 )
 
+#: Report sizes that once made the output lie (a report naming no link
+#: after flits were delivered, a negative slice of the traces); each is
+#: now one ``error:`` line and exit 2.
+BAD_REPORT_SIZES = (
+    "metrics --top 0",
+    "trace --max-packets -2",
+)
+
 #: Accel traces with a valid header and one event line of the wrong
 #: shape, by file name.
 CORRUPT_ACCEL_LINES = {
@@ -205,6 +213,7 @@ def cases() -> list[list[str]]:
         "compare --nodes 16",
         "compare --nodes 24",
         *FORMER_TRACEBACKS,
+        *BAD_REPORT_SIZES,
     ]
     return [shlex.split(line) for line in lines]
 

@@ -49,6 +49,38 @@ class TestReport:
         assert "routers by congestion" in text
         assert "p99=" in text or "p99" in text
 
+    def test_idle_mesh_reports_no_router_activity(self):
+        net = FabricConfig(topology="mesh", ports=16).build()
+        registry = attach_metrics(net)
+        net.run_ticks(100)
+        text = render_metrics_report(registry.summary())
+        assert "top 0 routers by congestion:\n  (no router activity)" \
+            in text
+
+    def test_one_active_router_is_one_row(self):
+        from repro.telemetry import MetricsSummary
+        summary = MetricsSummary(
+            router_grants={f"m{n}": 0 for n in range(16)} | {"m5": 3},
+            occupancy_mean=dict.fromkeys((f"m{n}" for n in range(16)), 0.0))
+        assert summary.top_routers(5) == [("m5", 0.0, 0.0, 3)]
+        assert "top 1 routers by congestion" in \
+            render_metrics_report(summary)
+
+    def test_a_run_lists_only_the_routers_it_used(self):
+        from repro.noc.packet import Packet
+        net = FabricConfig(topology="mesh", ports=16).build()
+        registry = attach_metrics(net)
+        net.send(Packet(src=5, dest=6, payload=[1]))
+        assert net.drain()
+        assert sorted(name for name, *_ in
+                      registry.summary().top_routers(5)) == ["m5", "m6"]
+
+    def test_render_refuses_an_empty_report(self):
+        from repro.errors import ConfigurationError
+        _, registry = run_hotspot_mesh(cycles=20)
+        with pytest.raises(ConfigurationError):
+            render_metrics_report(registry.summary(), top=0)
+
     def test_render_empty_summary(self):
         from repro.telemetry import MetricsSummary
         text = render_metrics_report(MetricsSummary())

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.fabric.registry import FabricConfig
 from repro.telemetry import MetricsSummary, TimeWeightedGauge, attach_metrics
 from repro.telemetry.metrics import (
@@ -139,6 +139,26 @@ class TestMetricsSummary:
     def test_top_routers_ranked_by_stall(self):
         top = sample_summary().top_routers(1)
         assert top == [("a", 8.0, 1.5, 20)]
+
+    def test_top_routers_skips_idle(self):
+        summary = sample_summary(
+            router_grants={"a": 4, "idle": 0, "waiting": 0},
+            occupancy_mean={"a": 0.5, "idle": 0.0, "waiting": 0.25},
+            stall_cycles={}, stall_events={})
+        assert [name for name, *_ in summary.top_routers(5)] == \
+            ["a", "waiting"]
+
+    def test_top_routers_keeps_a_stalled_router(self):
+        summary = sample_summary(router_grants={"a": 0}, occupancy_mean={},
+                                 stall_cycles={"a:east:vc0": 3.0})
+        assert summary.top_routers(5) == [("a", 3.0, 0.0, 0)]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_report_sizes_below_one_are_refused(self, k):
+        summary = sample_summary()
+        for rank in (summary.top_links, summary.top_routers):
+            with pytest.raises(ConfigurationError, match="at least 1 row"):
+                rank(k)
 
     def test_merge_counters_and_peaks(self):
         one = sample_summary()

@@ -1,6 +1,6 @@
 """Byte pins of the telemetry a run keeps, tick by tick.
 
-Six builds run 60 cycles of uniform load 0.4 (3-flit packets, seed 3)
+Eight builds run 60 cycles of uniform load 0.4 (3-flit packets, seed 3)
 with the metrics registry and a 1-in-4 flit tracer attached. The
 registry's summary is serialised after every tick of the injection
 window and folded into one digest; the drained run's final summary and
@@ -36,6 +36,11 @@ BUILDS = {
     "ctree": dict(topology="ctree", ports=16),
     "torus_vc_array": dict(topology="torus", ports=16, flow_control="vc",
                            n_vcs=2, backend="array"),
+    # Unpipelined routers on segmented links: a router's grant wire is
+    # the link's first segment, not the wire its consumer reads.
+    "torus_segmented": dict(topology="torus", ports=16, segment_links=True,
+                            chip_width_mm=20, chip_height_mm=20),
+    "ring_vc": dict(topology="ring", ports=16, flow_control="vc", n_vcs=2),
 }
 
 #: (per-tick summaries, final summary, traces) sha256 prefixes.
@@ -48,6 +53,9 @@ PINS = {
     "torus_vc_pipelined": ("cc55f016b41d1d1e", "b296506f5bc6f07b",
                            "5d4fc15d7886e694"),
     "tree": ("95ba729e96fa127a", "c62cc5380de0f827", "eaf6eb1c9227fc4f"),
+    "torus_segmented": ("c267f680a1441f78", "1842c48f0df3b0e0",
+                        "98bc23321fc255aa"),
+    "ring_vc": ("4e423ed337425517", "b2584fcd7f32500b", "4ca056810cb1e6bb"),
 }
 
 

@@ -620,7 +620,8 @@ class TestTreeBackendHasOneAnswer:
         assert "backend='array'" in err and "handshake" in err
 
 
-@pytest.mark.parametrize("argv", record_cli_golden.FORMER_TRACEBACKS)
+@pytest.mark.parametrize("argv", record_cli_golden.FORMER_TRACEBACKS
+                         + record_cli_golden.BAD_REPORT_SIZES)
 def test_bad_input_is_one_error_line_and_exit_2(capsys, argv, tmp_path,
                                                 monkeypatch):
     """main() is the one error boundary: bad input anywhere in a verb is

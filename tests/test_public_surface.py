@@ -141,3 +141,129 @@ def test_orphan_list_only_shrinks():
 def test_subpackage_all_total_is_pinned():
     _, total = census()
     assert total == SUBPACKAGE_ALL_TOTAL
+
+
+#: Names a change deleted: (regex, the number of the CHANGES.md entry
+#: that removed it, why). No source, example or doc may spell them
+#: again. ``\b`` keeps ICNoCNetwork, ICNoCCrossing, _fabric_config_from,
+#: parallel_saturation_throughput, bisect_saturation_throughput and
+#: cmd_sweep( out of the match.
+DEAD_NAMES = [
+    (r"MeshConfig", 14, "FabricConfig is the one network spec"),
+    (r"MeshRouter", 14, "the mesh's private router: FabricRouter serves all"),
+    (r"MeshLink", 14, "the mesh's private link: CreditLink serves all"),
+    (r"repro\.fabric\.vc", 14, "alias module: VC routers are FabricRouter"),
+    (r"VcFabricRouter", 14, "the second router: FabricRouter(n_vcs=...)"),
+    (r"VcCreditLink", 14, "the second link: CreditLink(n_vcs=...)"),
+    (r"\.on_tick\(", 14, "components fire through on_edge"),
+    (r"NetworkConfig", 15, "the third config type: FabricConfig"),
+    (r"network_config\(", 15, "the config converter: FabricConfig"),
+    (r"_tree_network_config", 15, "the tree's config converter"),
+    (r"hasattr\(network", 15, "duck-typed family probes: the Network base"),
+    (r"getattr\(network", 15, "duck-typed family probes: the Network base"),
+    (r"repro\.mesh", 16, "the mesh package: the shared fabric layer"),
+    (r"tree_noc_area", 16, "analytic area: queries on the physical model"),
+    (r"mesh_noc_area", 16, "analytic area: queries on the physical model"),
+    (r"path_energy_pj", 16, "analytic energy: the physical model's paths"),
+    (r"(tree|mesh)_flit_energy_pj", 16, "two-fabric energy functions"),
+    (r"average_flit_energy_(tree|mesh)", 16, "two-fabric energy functions"),
+    (r"run_energy_report", 16, "RunEnergyReport.from_run"),
+    (r"bench_kernel_throughput", 17, "wall-clock ratio harness: bench/"),
+    (r"bench_accel_replay", 17, "wall-clock ratio harness: bench/"),
+    (r"REGRESSION_FACTOR", 17, "a wall-time gate: exact step counts gate"),
+    (r"repro\.analysis\.scorecard", 24, "the scorecard: the experiments"),
+    (r"build_scorecard", 24, "the scorecard: the experiments table"),
+    (r"render_scorecard", 24, "the scorecard: the experiments table"),
+    (r"benchmarks/bench_", 24, "timed figure regenerators: reproduce"),
+    (r"pytest-benchmark", 24, "timed figure regenerators: reproduce"),
+    (r"benchmark\.pedantic", 24, "timed figure regenerators: reproduce"),
+    (r"EXPERIMENTS\.md", 24, "a second record: the experiments table"),
+    (r"DESIGN\.md", 24, "a second record: the experiments table"),
+    (r"ICNoCConfig", 25, "the repro.core facade: FabricConfig"),
+    (r"ICNoC\b", 25, "the repro.core facade: FabricConfig"),
+    (r"repro\.core", 25, "the facade package: FabricConfig and timing"),
+    (r"validate_timing", 25, "a facade-only timing name"),
+    (r"skew_limited_frequency_ghz", 25, "a facade-only timing name"),
+    (r"network_max_frequency", 25, "a facade-only timing name"),
+    (r"TimingViolationError", 25, "a facade-only error type"),
+    (r"TREE_FAMILY", 25, "the CLI's second spec mapping"),
+    (r"\b_config_from", 25, "the CLI's second spec mapping"),
+    (r"build_fabric", 26, "the one-call build: FabricConfig.build"),
+    (r"resolved_allocator", 26, "an echo of FabricConfig.allocator"),
+    (r"_add_network_options", 26, "per-group options: FABRIC_KNOBS"),
+    (r"_add_fabric_options", 26, "per-group options: FABRIC_KNOBS"),
+    (r"_add_backend_option", 26, "per-group options: FABRIC_KNOBS"),
+    (r"_add_flow_options", 26, "per-group options: FABRIC_KNOBS"),
+    (r"_add_traffic_options", 26, "per-group options: FABRIC_KNOBS"),
+    (r"repro\.analysis\.sweeps", 27, "closure-factory sweeps: load points"),
+    (r"analysis/sweeps\.py", 27, "closure-factory sweeps: load points"),
+    (r"SweepResult", 27, "sweep records: evaluate_load_point results"),
+    (r"SweepPoint", 27, "sweep records: evaluate_load_point results"),
+    (r"measure_offered_vs_accepted", 27, "evaluate_load_point measures"),
+    (r"\bsaturation_throughput", 27, "a second saturation search"),
+    (r"\bsweep\(", 27, "the generic sweep: run_sweep over load points"),
+    (r"\._value\b", 28, "Signal.value is a plain slot the commit writes"),
+    (r"def is_head", 28, "Flit.is_head is derived once, at construction"),
+    (r"def is_tail", 28, "Flit.is_tail is derived once, at construction"),
+    (r"take_flit", 29, "endpoints read the wires directly"),
+    (r"take_credits", 29, "endpoints read the wires directly"),
+    (r"settle_credit", 29, "endpoints drive the wires directly"),
+    (r"_route_steps", 30, "one batched route walk prices every pair"),
+    (r"_DestProbe", 30, "one batched route walk prices every pair"),
+    (r"\.set\(0, tick\)", 31, "a credit wire keeps its last return"),
+    (r"_route_checked", 32, "SwitchCore reads the router's RouteMemo"),
+    (r"_route_fn", 32, "SwitchCore reads the router's RouteMemo"),
+    (r"arbiter_policy", 33, "local_priority is a registered allocator"),
+    (r"MeshNetwork", 34, "a credit fabric is one CreditFabricNetwork entry"),
+    (r"TorusNetwork", 34, "a credit fabric is one CreditFabricNetwork entry"),
+    (r"RingNetwork", 34, "a credit fabric is one CreditFabricNetwork entry"),
+    (r"make_vc_policy", 34, "the (topology, policy) if-chain: the entry"),
+    (r"_grid_shape", 34, "topologies.grid_shape states the rule once"),
+    (r"_validate_grid", 34, "topologies.grid_shape states the rule once"),
+    (r"credit_sizing", 34, "FIFOs always grow to the credit loop"),
+    (r"flit_from_wire", 35, "per-change payload sniffing in telemetry"),
+    (r"_validate_tree", 38, "the structure's from_config states the rules"),
+    (r"_validate_ctree", 38, "the structure's from_config states the rules"),
+    (r"tree_updown_route", 38, "the tree structure's routing()"),
+    (r"_route_for\b", 38, "the tree structure's routing()"),
+    (r"dest_leaf", 38, "the tree structure's routing()"),
+    (r"_watch_wire", 44, "the telemetry tap's one probe per wire"),
+    (r"_flit_reader|_vc_flit", 44, "the telemetry tap reads each payload"),
+    (r"_on_grant\b", 44, "grants are read off the wires they drive"),
+    (r"_on_credit_exhausted|_on_vc_allocated", 44,
+     "the telemetry tap's one listener per event"),
+    (r"_on_inject\b", 44, "the telemetry tap's one listener per event"),
+    (r"_credit_links", 44, "the registry's flat per-signal counters"),
+    (r"\._sampled\b", 44, "one membership test of the tracer's sample"),
+]
+
+#: Where a dead name may not come back.
+DEAD_NAME_SCOPE = ("src", "examples", "docs", "README.md")
+
+
+def _dead_name_scope():
+    for entry in DEAD_NAME_SCOPE:
+        path = ROOT / entry
+        for file in ([path] if path.is_file() else sorted(path.rglob("*"))):
+            if file.is_file() and "__pycache__" not in file.parts:
+                yield file
+
+
+def test_dead_names_stay_dead():
+    entries = [entry for _, entry, _ in DEAD_NAMES]
+    assert entries == sorted(entries)
+    patterns = [(re.compile(pattern), entry, why)
+                for pattern, entry, why in DEAD_NAMES]
+    hits = []
+    for file in _dead_name_scope():
+        try:
+            text = file.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            continue
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for pattern, entry, why in patterns:
+                if pattern.search(line):
+                    hits.append(f"{file.relative_to(ROOT)}:{lineno}: "
+                                f"{pattern.pattern} (deleted, CHANGES.md "
+                                f"entry {entry}: {why})")
+    assert not hits, "\n".join(hits)
