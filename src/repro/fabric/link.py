@@ -167,10 +167,6 @@ class CreditLink:
       one from a stale one. A sleeping producer still wakes on every
       return, because a new tag always differs from the old one.
 
-    Every drive carries the driving tick, so every commit of a link wire
-    changes its value: the wires are marked ``tick_tagged``, and a probed
-    commit skips the compare.
-
     ``send_flit`` and ``send_credits`` state the two drives as calls,
     for callers outside the hot loops (the array backend's write-through,
     hand-driven tests).
@@ -211,7 +207,6 @@ class CreditLink:
             ]
             self.flit_in = self.flit
             self.credits_out = self.credits
-            wires = [self.flit, *self.credits]
         else:
             flit_wires = [kernel.signal(f"{name}.flit.s{j}", initial=None)
                           for j in range(segments - 1)]
@@ -235,10 +230,6 @@ class CreditLink:
                                     for chain in credit_wires])
                 for j in range(segments - 1)
             ]
-            wires = flit_wires + [wire for chain in credit_wires
-                                  for wire in chain]
-        for wire in wires:
-            wire.tick_tagged = True
         if n_vcs == 1:
             self.credit: Signal = self.credits[0]
 

@@ -273,16 +273,13 @@ class SimKernel:
             dirty = self._dirty
             if dirty:
                 # A commit compares values only for its listeners: a
-                # probe always (unless every drive carries a fresh tick
-                # tag), watchers while any sleep on the signal.
+                # probe always, watchers while any sleep on the signal.
                 for sig in dirty:
                     probes = sig._probes
                     watchers = sig._watchers
                     if probes is not None:
                         old = sig.value
-                        if sig.tick_tagged:
-                            sig.commit(False)
-                        elif not sig.commit():
+                        if not sig.commit():
                             continue
                         for probe in probes:
                             probe(tick, sig, old, sig.value)

@@ -38,7 +38,7 @@ class Signal:
 
     __slots__ = ("name", "value", "_next", "_dirty", "_writer_tick",
                  "_queue", "_watchers", "_probes", "_index", "_kernel",
-                 "_held", "tick_tagged")
+                 "_held")
 
     #: Class-wide generation counter, bumped on every probe attach/detach.
     #: Cached observer scans (the array backend's write-through detection)
@@ -70,11 +70,6 @@ class Signal:
         # the canonical signal order probes sort by, so instrumented
         # output is identical no matter which mode produced it.
         self._index = -1
-        #: Every drive carries a fresh tick tag, ``(payload, tick)`` at
-        #: the driving tick (a CreditLink wire), so every commit changes
-        #: the value: the activity-driven kernel hands a probed commit to
-        #: the probes without comparing.
-        self.tick_tagged = False
 
     def set(self, value: Any, tick: int | None = None) -> None:
         """Schedule ``value`` to become visible next tick.

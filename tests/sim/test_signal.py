@@ -445,33 +445,3 @@ class TestTagFirstCommit:
         seen, _sleeper = self.probed(activity_driven, Writer, payloads)
         assert seen == [0, 2, 4, 6, 8]
         assert Counted.eq_calls == 5   # one per compared commit
-
-
-class TestTickTaggedWires:
-    """A wire whose every drive carries a fresh tick tag (a CreditLink
-    wire) changes at every commit: the activity-driven kernel hands its
-    probed commits over without comparing."""
-
-    @pytest.fixture(autouse=True)
-    def _reset_counters(self):
-        Counted.eq_calls = 0
-
-    def test_a_tick_tagged_wire_is_probed_without_a_compare(self):
-        # The repeated tag breaks the promise on purpose.
-        kernel = SimKernel()
-        sig = kernel.signal("wire")
-        sig.tick_tagged = True
-        Writer(kernel, sig, [(Counted(1), 7), (Counted(1), 7)])
-        seen = []
-        sig.attach_probe(lambda tick, signal, old, new: seen.append(tick))
-        kernel.run_ticks(6)
-        assert seen == [0, 2]
-        assert Counted.eq_calls == 0
-
-    def test_credit_link_wires_are_tick_tagged(self):
-        from repro.fabric.link import CreditLink
-        kernel = SimKernel()
-        CreditLink(kernel, "link", n_vcs=2, segments=3)
-        assert kernel._signals
-        assert all(signal.tick_tagged for signal in kernel._signals)
-        assert not kernel.signal("plain").tick_tagged
