@@ -383,7 +383,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
             if requesters is None:
                 continue
             if credits[out_port] <= 0:
-                if observed and "credit_exhausted" in observed:
+                if observed and "credit_exhausted" in observed \
+                        and not self._starved[out_port]:
                     self._note_starvation_single(out_port, requesters)
                 continue
             lock = locks[out_port]
@@ -479,7 +480,8 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
     def _note_starvation_single(self, out_port: int,
                                 requesters: list[int]) -> None:
         """Emit ``credit_exhausted`` on the edge starvation begins. Called
-        only while the event has a listener; the latch is kept only then.
+        only while the event has a listener and the ``_starved`` latch is
+        clear; the latch is kept only then.
 
         ``requesters`` are the inputs whose head wants the creditless
         output. The transition (a buffered flit wants the output, no
@@ -489,8 +491,6 @@ class FabricRouter(GatedComponentMixin, ClockedComponent):
         and the fast path is always awake on the entering edge (a flit
         arrival or the credit-consuming forward immediately precedes it).
         """
-        if self._starved[out_port]:
-            return
         lock = self.locks[out_port]
         if lock is None:
             in_port = min(requesters)

@@ -22,8 +22,9 @@ per-VC statistics:
 
 The probes and listeners are the network's telemetry tap
 (:mod:`repro.telemetry.tap`), shared with a flit tracer; per flit they
-make integer updates only, on tables resolved at attach. Everything is
-populated from *changes*, so the cost is proportional to network
+make integer updates only, on tables the tap resolves at attach
+(:class:`~repro.telemetry.tap.PortTables`). Everything is populated
+from *changes*, so the cost is proportional to network
 activity and a quiescent network still fast-forwards in O(1): probes
 and event subscriptions never force the kernel awake.
 
@@ -32,8 +33,9 @@ sequences are identical across kernel modes; cross-signal dispatch
 order within a tick is not. Every update here is therefore either
 order-independent within a tick (counter increments, tick sums) or
 waits until the tick is over (a buffer's peak: see
-:class:`BufferLevel`), which makes :meth:`MetricsRegistry.summary`
-byte-identical between ``activity_driven`` True and False.
+:class:`~repro.telemetry.tap.BufferLevel`), which makes
+:meth:`MetricsRegistry.summary` byte-identical between
+``activity_driven`` True and False.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.fabric.link import LINK_LATENCY_TICKS
 from repro.noc.stats import LatencySummary
 from repro.sim.kernel import SimKernel
 from repro.telemetry.tap import join
@@ -322,97 +323,16 @@ class MetricsSummary:
         return merged
 
 
-class BufferLevel:
-    """One switch's grant count and, on a router with input FIFOs, its
-    buffer level, updated in place by the telemetry tap
-    (:mod:`repro.telemetry.tap`) with integer arithmetic.
-
-    The time integral of a level is ``sum(end - arrival) -
-    sum(end - dequeue)``, so it needs only the arrival and dequeue counts
-    and tick sums, in any order. The peak needs order: a level can peak
-    only as arrivals land, and a dequeue at an arrival's tick comes
-    first (the router's edge dequeues before it enqueues).
-
-    Counts are kept per *epoch*, the tick of the router's latest event:
-    ``dequeued`` grants at it, and ``launched`` flits toward its FIFOs at
-    it, which land one link latency later. Every credit component clocks
-    on the same edge, so the first event of a later tick closes the
-    epoch — every dequeue up to it is counted and none after — and
-    :meth:`advance` folds it in: the flits that landed at the epoch
-    (all launched before it) set a peak candidate, and its launches join
-    ``landed``, with one more candidate if they landed before the new
-    tick. So a flit costs one increment per role, and the ordered work
-    is once per router and tick.
-    """
-
-    __slots__ = ("epoch", "granted", "dequeued", "dequeued_ticks",
-                 "landed", "launched", "landed_ticks", "peak")
-
-    def __init__(self) -> None:
-        self.epoch = -1
-        self.granted = self.dequeued = self.dequeued_ticks = 0
-        self.landed = self.launched = self.landed_ticks = 0
-        self.peak = 0
-
-    def advance(self, tick: int) -> None:
-        """Close the epoch at the router's first event of ``tick``."""
-        epoch, dequeued, launched = self.epoch, self.dequeued, self.launched
-        granted, landed, peak = self.granted, self.landed, self.peak
-        if dequeued:
-            granted += dequeued
-            self.granted = granted
-            self.dequeued_ticks += dequeued * epoch
-            self.dequeued = 0
-        if landed - granted > peak:
-            peak = landed - granted
-        if launched:
-            landed += launched
-            self.landed = landed
-            self.landed_ticks += launched * (epoch + LINK_LATENCY_TICKS)
-            self.launched = 0
-            if landed - granted > peak \
-                    and epoch + LINK_LATENCY_TICKS < tick:
-                peak = landed - granted
-        self.peak = peak
-        self.epoch = tick
-
-    @property
-    def grants(self) -> int:
-        return self.granted + self.dequeued
-
-    def occupancy(self, start: int, end: int) -> tuple[int, float]:
-        """``(peak, time-weighted mean)`` of the level over [start, end]
-        (read-only, between ticks): flits due by ``end`` have landed,
-        dequeues at ``end`` have not happened."""
-        granted = self.granted + self.dequeued
-        dequeued_ticks = self.dequeued_ticks + self.dequeued * self.epoch
-        landed, ticks = self.landed, self.landed_ticks
-        peak = max(self.peak, landed - granted)
-        if self.launched and self.epoch + LINK_LATENCY_TICKS <= end:
-            landed += self.launched
-            ticks += self.launched * (self.epoch + LINK_LATENCY_TICKS)
-            peak = max(peak, landed - granted)
-        span = end - start
-        if span <= 0:
-            return peak, float(landed - granted)
-        integral = (landed * end - ticks) - (granted * end - dequeued_ticks)
-        return peak, integral / span
-
-
 class MetricsRegistry:
     """Live metric state for one network; build via :func:`attach_metrics`.
 
     Attach before injecting traffic: occupancy is tracked relative to
     the (empty) buffers at attach time.
 
-    The tap updates flat integer tables resolved at attach: a change
-    count per probed signal, a :class:`BufferLevel` per switch, and
-    per-port counters by *slot* — one per ``(switch, output, vc)``,
-    ``vc`` None on a switch whose events carry none. A grant wire's VC
-    slots are consecutive from its base slot, so its probe indexes
-    ``base + vc``; on one VC the wire's change count is the slot's grant
-    count. The ``router:port:vcN`` key strings are built from the slots
-    only by :meth:`summary`.
+    The per-flit state is the network's telemetry tap's
+    :class:`~repro.telemetry.tap.PortTables`, opened as the registry
+    joins; the registry itself counts packets and keeps the latency
+    histogram.
     """
 
     def __init__(self, kernel: SimKernel):
@@ -422,15 +342,6 @@ class MetricsRegistry:
         self.packets_injected = 0
         self.packets_delivered = 0
         self.flits_delivered = 0
-        self._slots: dict[tuple[str, int, int | None], int] = {}
-        self._slot_keys: list[str] = []
-        self._grants: list[int] = []
-        self._vc_allocs: list[int] = []
-        # Credit-stall episodes by slot: open ones' starting ticks, the
-        # ticks of closed ones, and how many began.
-        self._stall_open: dict[int, int] = {}
-        self._stall_ticks: dict[int, int] = {}
-        self._stall_events: dict[int, int] = {}
 
     # -- attachment ------------------------------------------------------
 
@@ -439,74 +350,9 @@ class MetricsRegistry:
         return self
 
     def _resolve(self, tap) -> None:
-        """The state the tap updates: a change counter per probed signal
-        (and a busy gauge per handshake channel), a :class:`BufferLevel`
-        per switch by grant name and, by router name, those with input
-        FIFOs (the consumers of credit wires), and the slots of every
-        grant wire."""
-        wires = tap.wires
-        self._link_names = [name for name, *_ in wires]
-        # Changes per probed signal (tap.signals): a link's flit count
-        # and, on one VC, its driving output's grant count.
-        self._changes = [0] * len(tap.signals)
-        self._slot_signal: dict[int, int] = {}
-        self._link_busy = [None if is_credit
-                           else TimeWeightedGauge(self.kernel.tick)
-                           for *_, is_credit in wires]
-        fifo_routers = {consumer for *_, consumer, is_credit in wires
-                        if is_credit}
-        self._port_names: dict[tuple[str, int], str] = {}
-        self._levels: dict[str, BufferLevel] = {}
-        self._fifos: dict[str, BufferLevel] = {}
-        for name, router, labels in tap.switches:
-            for port, label in enumerate(labels):
-                self._port_names[(name, port)] = label
-            level = self._levels[name] = BufferLevel()
-            if router in fifo_routers:
-                self._fifos[router] = level
-        # A grant wire's VC slots, consecutive from its base slot.
-        self._wire_slots: dict[int, int] = {}
-        for index, (name, output) in tap.grant_wires.items():
-            base = self._wire_slots[index] = self._slot(name, output, 0)
-            for vc in range(1, tap.n_vcs):
-                self._slot(name, output, vc)
-            if tap.n_vcs == 1:
-                self._slot_signal[base] = index
+        self._tables = tap.tables
 
-    def _slot(self, switch: str, output: int, vc: int | None) -> int:
-        """The slot of ``(switch, output, vc)``, assigned on first use."""
-        slot = self._slots.get((switch, output, vc))
-        if slot is None:
-            slot = self._slots[switch, output, vc] = len(self._grants)
-            self._grants.append(0)
-            self._vc_allocs.append(0)
-        return slot
-
-    def _keys(self) -> list[str]:
-        """The ``router:port:vcN`` key of every slot, built once each."""
-        keys = self._slot_keys
-        if len(keys) < len(self._slots):
-            for switch, output, vc in list(self._slots)[len(keys):]:
-                label = self._port_names.get((switch, output), f"p{output}")
-                keys.append(f"{switch}:{label}" if vc is None
-                            else f"{switch}:{label}:vc{vc}")
-        return keys
-
-    # -- per-event handlers (the tap calls these) ---------------------------
-
-    def _close_stall(self, slot: int, tick: int) -> None:
-        self._stall_ticks[slot] = (self._stall_ticks.get(slot, 0)
-                                   + tick - self._stall_open.pop(slot))
-
-    def _starve(self, tick: int, data: dict) -> None:
-        slot = self._slot(data["router"], data["output"], data.get("vc"))
-        if slot not in self._stall_open:
-            self._stall_open[slot] = tick
-            self._stall_events[slot] = self._stall_events.get(slot, 0) + 1
-
-    def _vc_allocated(self, tick: int, data: dict) -> None:
-        self._vc_allocs[self._slot(data["router"], data["output"],
-                                   data["vc"])] += 1
+    # -- per-packet handlers (the tap calls these) --------------------------
 
     def _inject(self, tick: int, packet) -> None:
         self.packets_injected += 1
@@ -525,53 +371,12 @@ class MetricsRegistry:
         the current kernel tick only.
         """
         end = self.kernel.tick
-        elapsed_ticks = end - self._start_tick
-        elapsed_cycles = elapsed_ticks / 2.0
-        utilization: dict[str, float] = {}
-        link_flits = dict(zip(self._link_names, self._changes))
-        for name, flits, busy in zip(self._link_names, self._changes,
-                                     self._link_busy):
-            if busy is None:
-                # Each launched flit holds the wire for one cycle.
-                utilization[name] = (flits / elapsed_cycles
-                                     if elapsed_cycles else 0.0)
-            else:
-                utilization[name] = busy.mean(end)
-        keys = self._keys()
-        grants = list(self._grants)
-        for slot, index in self._slot_signal.items():
-            grants[slot] = self._changes[index]
-        port_grants = {keys[slot]: count
-                       for slot, count in enumerate(grants) if count}
-        stall_cycles: dict[str, float] = {}
-        for slot in sorted(self._stall_events):
-            closed = self._stall_ticks.get(slot)
-            cycles = 0.0 if closed is None else closed / 2.0
-            if slot in self._stall_open:
-                cycles += (end - self._stall_open[slot]) / 2.0
-            stall_cycles[keys[slot]] = cycles
-        occupancy_peak: dict[str, int] = {}
-        occupancy_mean: dict[str, float] = {}
-        for router, level in self._fifos.items():
-            occupancy_peak[router], occupancy_mean[router] = \
-                level.occupancy(self._start_tick, end)
         return MetricsSummary(
-            elapsed_cycles=elapsed_cycles,
+            elapsed_cycles=(end - self._start_tick) / 2.0,
             packets_injected=self.packets_injected,
             packets_delivered=self.packets_delivered,
             flits_delivered=self.flits_delivered,
-            link_flits=link_flits,
-            link_utilization=utilization,
-            router_grants={name: level.grants
-                           for name, level in self._levels.items()},
-            port_grants=port_grants,
-            occupancy_peak=occupancy_peak,
-            occupancy_mean=occupancy_mean,
-            stall_cycles=stall_cycles,
-            stall_events={keys[slot]: self._stall_events[slot]
-                          for slot in sorted(self._stall_events)},
-            vc_allocations={keys[slot]: count for slot, count
-                            in enumerate(self._vc_allocs) if count},
+            **self._tables.report(self._start_tick, end),
             latency=self.histogram.summary().to_dict(),
             latency_buckets=self.histogram.buckets(),
         )

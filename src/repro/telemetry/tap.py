@@ -20,9 +20,11 @@ its tick's commit, not in the edge: no summary can tell, since a summary
 is taken between ticks and a starving output is never granted in the
 edge that reports it.
 
-Per flit, the registry's share is integer updates on the tables it
-resolved at attach (:class:`~repro.telemetry.metrics.MetricsRegistry`)
-and the tracer's is one membership test of the packet id in its sample.
+Everything a flit updates is defined here, beside the callbacks that
+update it: the registry's share is integer updates on its
+:class:`PortTables` (which :meth:`PortTables.report` turns into the
+summary's tables), and the tracer's is one membership test of the packet
+id in the tap's ``traces``, the tracer's sample.
 """
 
 from __future__ import annotations
@@ -39,15 +41,18 @@ def join(network, role: str, consumer) -> "TelemetryTap":
     of the first of the network's taps that has none, opening one if
     every tap has.
 
-    The probes and listeners are built when the first consumer joins and
-    rebuilt when a registry joins. A tracer joining later needs no
-    rebuild: every callback already tests the tap's ``traces``, the
-    sample the tracer adopts (empty until then)."""
+    A registry's :class:`PortTables` are opened as it joins. The probes
+    and listeners are built when the first consumer joins and rebuilt
+    when a registry joins. A tracer joining later needs no rebuild:
+    every callback already tests the tap's ``traces``, the sample the
+    tracer adopts (empty until then)."""
     taps = vars(network).setdefault("_telemetry_taps", [])
     tap = next((tap for tap in taps if getattr(tap, role) is None), None)
     if tap is None:
         tap = TelemetryTap(network)
         taps.append(tap)
+    if role == "registry":
+        tap.tables = PortTables(tap)
     consumer._resolve(tap)
     setattr(tap, role, consumer)
     tap.on_inject.append(consumer._inject)
@@ -55,6 +60,222 @@ def join(network, role: str, consumer) -> "TelemetryTap":
     if role == "registry" or not tap.installed:
         tap.install()
     return tap
+
+
+class BufferLevel:
+    """One switch's grant count and, on a router with input FIFOs, its
+    buffer level, updated in place by the tap's callbacks with integer
+    arithmetic.
+
+    The time integral of a level is ``sum(end - arrival) -
+    sum(end - dequeue)``, so it needs only the arrival and dequeue counts
+    and tick sums, in any order. The peak needs order: a level can peak
+    only as arrivals land, and a dequeue at an arrival's tick comes
+    first (the router's edge dequeues before it enqueues).
+
+    Counts are kept per *epoch*, the tick of the router's latest event:
+    ``dequeued`` grants at it, and ``launched`` flits toward its FIFOs at
+    it, which land one link latency later. Every credit component clocks
+    on the same edge, so the first event of a later tick closes the
+    epoch — every dequeue up to it is counted and none after — and
+    :meth:`advance` folds it in: the flits that landed at the epoch
+    (all launched before it) set a peak candidate, and its launches join
+    ``landed``, with one more candidate if they landed before the new
+    tick. So a flit costs one increment per role, after
+    ``if level.epoch != tick: level.advance(tick)``, and the ordered work
+    is once per router and tick.
+    """
+
+    __slots__ = ("epoch", "granted", "dequeued", "dequeued_ticks",
+                 "landed", "launched", "landed_ticks", "peak")
+
+    def __init__(self) -> None:
+        self.epoch = -1
+        self.granted = self.dequeued = self.dequeued_ticks = 0
+        self.landed = self.launched = self.landed_ticks = 0
+        self.peak = 0
+
+    def advance(self, tick: int) -> None:
+        """Close the epoch at the router's first event of ``tick``."""
+        epoch, dequeued, launched = self.epoch, self.dequeued, self.launched
+        granted, landed, peak = self.granted, self.landed, self.peak
+        if dequeued:
+            granted += dequeued
+            self.granted = granted
+            self.dequeued_ticks += dequeued * epoch
+            self.dequeued = 0
+        if landed - granted > peak:
+            peak = landed - granted
+        if launched:
+            landed += launched
+            self.landed = landed
+            self.landed_ticks += launched * (epoch + LINK_LATENCY_TICKS)
+            self.launched = 0
+            if landed - granted > peak \
+                    and epoch + LINK_LATENCY_TICKS < tick:
+                peak = landed - granted
+        self.peak = peak
+        self.epoch = tick
+
+    @property
+    def grants(self) -> int:
+        return self.granted + self.dequeued
+
+    def occupancy(self, start: int, end: int) -> tuple[int, float]:
+        """``(peak, time-weighted mean)`` of the level over [start, end]
+        (read-only, between ticks): flits due by ``end`` have landed,
+        dequeues at ``end`` have not happened."""
+        granted = self.granted + self.dequeued
+        dequeued_ticks = self.dequeued_ticks + self.dequeued * self.epoch
+        landed, ticks = self.landed, self.landed_ticks
+        peak = max(self.peak, landed - granted)
+        if self.launched and self.epoch + LINK_LATENCY_TICKS <= end:
+            landed += self.launched
+            ticks += self.launched * (self.epoch + LINK_LATENCY_TICKS)
+            peak = max(peak, landed - granted)
+        span = end - start
+        if span <= 0:
+            return peak, float(landed - granted)
+        integral = (landed * end - ticks) - (granted * end - dequeued_ticks)
+        return peak, integral / span
+
+
+class PortTables:
+    """A metrics registry's per-flit state: flat integer tables resolved
+    at attach, updated only by the tap's callbacks.
+
+    ``changes`` counts the changes of every probed signal (the tap's
+    ``signals``): a link's flit count and, on one VC, its driving
+    output's grant count. ``levels`` holds a :class:`BufferLevel` per
+    switch by grant name, and ``fifos`` the same levels by router name
+    for the routers with input FIFOs (the consumers of credit wires).
+    Per-port counters are by *slot*, one per ``(switch, output, vc)``,
+    ``vc`` None on a switch whose events carry none. A grant wire's VC
+    slots are consecutive from its base slot in ``wire_slots``, so its
+    probe indexes ``base + vc``. The ``router:port:vcN`` key strings are
+    built only by :meth:`report`.
+    """
+
+    def __init__(self, tap: "TelemetryTap"):
+        # A handshake channel's busy level; the module imports this one.
+        from repro.telemetry.metrics import TimeWeightedGauge
+        wires = tap.wires
+        self.link_names = [name for name, *_ in wires]
+        self.changes = [0] * len(tap.signals)
+        self.link_busy = [None if is_credit
+                          else TimeWeightedGauge(tap.kernel.tick)
+                          for *_, is_credit in wires]
+        fifo_routers = {consumer for *_, consumer, is_credit in wires
+                        if is_credit}
+        self.port_names: dict[tuple[str, int], str] = {}
+        self.levels: dict[str, BufferLevel] = {}
+        self.fifos: dict[str, BufferLevel] = {}
+        for name, router, labels in tap.switches:
+            for port, label in enumerate(labels):
+                self.port_names[(name, port)] = label
+            level = self.levels[name] = BufferLevel()
+            if router in fifo_routers:
+                self.fifos[router] = level
+        self.slots: dict[tuple[str, int, int | None], int] = {}
+        self.slot_keys: list[str] = []
+        self.grants: list[int] = []
+        self.vc_allocs: list[int] = []
+        # Credit-stall episodes by slot: open ones' starting ticks, the
+        # ticks of closed ones, and how many began.
+        self.stall_open: dict[int, int] = {}
+        self.stall_ticks: dict[int, int] = {}
+        self.stall_events: dict[int, int] = {}
+        # A one-VC grant wire's slot reads its grants off the wire's
+        # change count.
+        self.slot_signal: dict[int, int] = {}
+        self.wire_slots: dict[int, int] = {}
+        for index, (name, output) in tap.grant_wires.items():
+            base = self.wire_slots[index] = self.slot(name, output, 0)
+            for vc in range(1, tap.n_vcs):
+                self.slot(name, output, vc)
+            if tap.n_vcs == 1:
+                self.slot_signal[base] = index
+
+    def slot(self, switch: str, output: int, vc: int | None) -> int:
+        """The slot of ``(switch, output, vc)``, assigned on first use."""
+        slot = self.slots.get((switch, output, vc))
+        if slot is None:
+            slot = self.slots[switch, output, vc] = len(self.grants)
+            self.grants.append(0)
+            self.vc_allocs.append(0)
+        return slot
+
+    def close_stall(self, slot: int, tick: int) -> None:
+        self.stall_ticks[slot] = (self.stall_ticks.get(slot, 0)
+                                  + tick - self.stall_open.pop(slot))
+
+    def starve(self, tick: int, data: dict) -> None:
+        """The ``credit_exhausted`` listener: open a stall episode."""
+        slot = self.slot(data["router"], data["output"], data.get("vc"))
+        if slot not in self.stall_open:
+            self.stall_open[slot] = tick
+            self.stall_events[slot] = self.stall_events.get(slot, 0) + 1
+
+    def vc_allocated(self, tick: int, data: dict) -> None:
+        """The ``vc_allocated`` listener."""
+        self.vc_allocs[self.slot(data["router"], data["output"],
+                                 data["vc"])] += 1
+
+    def _keys(self) -> list[str]:
+        """The ``router:port:vcN`` key of every slot, built once each."""
+        keys = self.slot_keys
+        if len(keys) < len(self.slots):
+            for switch, output, vc in list(self.slots)[len(keys):]:
+                label = self.port_names.get((switch, output), f"p{output}")
+                keys.append(f"{switch}:{label}" if vc is None
+                            else f"{switch}:{label}:vc{vc}")
+        return keys
+
+    def report(self, start: int, end: int) -> dict[str, dict]:
+        """The link, router and port tables of a summary over
+        [start, end] (read-only, between ticks), by field name of
+        :class:`~repro.telemetry.metrics.MetricsSummary`."""
+        elapsed_cycles = (end - start) / 2.0
+        utilization: dict[str, float] = {}
+        for name, flits, busy in zip(self.link_names, self.changes,
+                                     self.link_busy):
+            if busy is None:
+                # Each launched flit holds the wire for one cycle.
+                utilization[name] = (flits / elapsed_cycles
+                                     if elapsed_cycles else 0.0)
+            else:
+                utilization[name] = busy.mean(end)
+        keys = self._keys()
+        grants = list(self.grants)
+        for slot, index in self.slot_signal.items():
+            grants[slot] = self.changes[index]
+        stall_cycles: dict[str, float] = {}
+        for slot in sorted(self.stall_events):
+            closed = self.stall_ticks.get(slot)
+            cycles = 0.0 if closed is None else closed / 2.0
+            if slot in self.stall_open:
+                cycles += (end - self.stall_open[slot]) / 2.0
+            stall_cycles[keys[slot]] = cycles
+        occupancy_peak: dict[str, int] = {}
+        occupancy_mean: dict[str, float] = {}
+        for router, level in self.fifos.items():
+            occupancy_peak[router], occupancy_mean[router] = \
+                level.occupancy(start, end)
+        return dict(
+            link_flits=dict(zip(self.link_names, self.changes)),
+            link_utilization=utilization,
+            router_grants={name: level.grants
+                           for name, level in self.levels.items()},
+            port_grants={keys[slot]: count
+                         for slot, count in enumerate(grants) if count},
+            occupancy_peak=occupancy_peak,
+            occupancy_mean=occupancy_mean,
+            stall_cycles=stall_cycles,
+            stall_events={keys[slot]: self.stall_events[slot]
+                          for slot in sorted(self.stall_events)},
+            vc_allocations={keys[slot]: count for slot, count
+                            in enumerate(self.vc_allocs) if count},
+        )
 
 
 class TelemetryTap:
@@ -66,9 +287,10 @@ class TelemetryTap:
     their state by position in them. ``signals`` lists every signal
     probed, the flit wires' first, and ``grant_wires`` maps a signal's
     index there to the ``(switch, output)`` whose grants it carries —
-    empty unless every switch has grant wires. ``traces`` (absolute
-    packet id -> trace) and ``arrivals`` ((id, router) -> a sampled
-    head's arrival tick) are the tracer's.
+    empty unless every switch has grant wires. ``tables`` are the
+    registry's :class:`PortTables` (None without one); ``traces``
+    (absolute packet id -> trace) and ``arrivals`` ((id, router) -> a
+    sampled head's arrival tick) are the tracer's.
     """
 
     def __init__(self, network):
@@ -95,6 +317,7 @@ class TelemetryTap:
                 self.grant_wires[index] = (name, output)
         self.registry = None
         self.tracer = None
+        self.tables: PortTables | None = None
         self.traces: dict[int, Any] = {}
         self.arrivals: dict[tuple[int, str], int] = {}
         self.on_inject: list[Listener] = []
@@ -137,7 +360,7 @@ class TelemetryTap:
         of the ``(switch, output)`` that drives it, if it is a grant
         wire, and the launches landing in ``consumer``'s FIFOs one link
         latency later, if it is a flit wire into a router."""
-        registry = self.registry
+        tables = self.tables
         grant = self.grant_wires.get(index)
         name = output = None
         changes = producer = fifo = base = stall_open = grants = None
@@ -145,16 +368,16 @@ class TelemetryTap:
         tagged = self.n_vcs > 1   # VC wires carry ((flit, vc), tick)
         if grant is not None:
             name, output = grant
-        if registry is not None:
-            changes = registry._changes
+        if tables is not None:
+            changes = tables.changes
             if grant is not None:
-                producer = registry._levels[name]
-                base = registry._wire_slots[index]
-                stall_open = registry._stall_open
+                producer = tables.levels[name]
+                base = tables.wire_slots[index]
+                stall_open = tables.stall_open
                 if tagged:
-                    grants = registry._grants
+                    grants = tables.grants
             if consumer is not None:
-                fifo = registry._fifos[consumer]
+                fifo = tables.fifos[consumer]
 
         # The registry's share is a grant of the driving switch (one
         # dequeue from its FIFOs) and a launch into the consumer's: this
@@ -166,23 +389,19 @@ class TelemetryTap:
             if changes is not None:
                 changes[index] += 1
                 if producer is not None:
-                    if producer.epoch == tick:
-                        producer.dequeued += 1
-                    else:
+                    if producer.epoch != tick:
                         producer.advance(tick)
-                        producer.dequeued = 1
+                    producer.dequeued += 1
                     slot = base
                     if grants is not None:
                         slot += new[0][1]
                         grants[slot] += 1
                     if stall_open and slot in stall_open:
-                        registry._close_stall(slot, tick)
+                        tables.close_stall(slot, tick)
                 if fifo is not None:
-                    if fifo.epoch == tick:
-                        fifo.launched += 1
-                    else:
+                    if fifo.epoch != tick:
                         fifo.advance(tick)
-                        fifo.launched = 1
+                    fifo.launched += 1
             if traces:
                 flit = new[0][0] if tagged else new[0]
                 if flit.packet_id in traces and flit.is_head:
@@ -197,11 +416,11 @@ class TelemetryTap:
     def _channel_probe(self, index: int, consumer: str | None):
         """A handshake data wire's probe: the link is busy while it
         holds a flit, which arrives at ``consumer`` as it is offered."""
-        registry = self.registry
+        tables = self.tables
         counts = busy = None
         traces, arrivals = self.traces, self.arrivals
-        if registry is not None:
-            counts, busy = registry._changes, registry._link_busy[index]
+        if tables is not None:
+            counts, busy = tables.changes, tables.link_busy[index]
 
         def probe(tick, sig, old, new):
             if counts is not None:
@@ -219,30 +438,23 @@ class TelemetryTap:
         """The ``arbitration_grant`` listener of switches without grant
         wires; the registry's share is the wire probe's grant role, with
         the slot looked up by ``(switch, output, vc)``."""
-        registry = self.registry
-        slots = levels = grants = stall_open = new_slot = None
-        if registry is not None:
-            slots, levels, grants = (registry._slots, registry._levels,
-                                     registry._grants)
-            stall_open, new_slot = registry._stall_open, registry._slot
+        tables = self.tables
         traces, hop = self.traces, self.hop
 
         def on_grant(tick, data):
             switch, output, vc = data["router"], data["output"], \
                 data.get("vc")
-            if slots is not None:
-                slot = slots.get((switch, output, vc))
+            if tables is not None:
+                slot = tables.slots.get((switch, output, vc))
                 if slot is None:
-                    slot = new_slot(switch, output, vc)
-                grants[slot] += 1
-                level = levels[switch]
-                if level.epoch == tick:
-                    level.dequeued += 1
-                else:
+                    slot = tables.slot(switch, output, vc)
+                tables.grants[slot] += 1
+                level = tables.levels[switch]
+                if level.epoch != tick:
                     level.advance(tick)
-                    level.dequeued = 1
-                if stall_open and slot in stall_open:
-                    registry._close_stall(slot, tick)
+                level.dequeued += 1
+                if tables.stall_open and slot in tables.stall_open:
+                    tables.close_stall(slot, tick)
             if traces:
                 flit = data["flit"]
                 if flit.packet_id in traces and flit.is_head:
@@ -254,9 +466,9 @@ class TelemetryTap:
                   ("packet", _fan_out(self.on_deliver))]
         if not self.grant_wires:
             events.append(("arbitration_grant", self._grant_listener()))
-        if self.registry is not None:
-            events += [("credit_exhausted", self.registry._starve),
-                       ("vc_allocated", self.registry._vc_allocated)]
+        if self.tables is not None:
+            events += [("credit_exhausted", self.tables.starve),
+                       ("vc_allocated", self.tables.vc_allocated)]
         return events
 
 
