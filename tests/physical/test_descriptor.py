@@ -5,7 +5,10 @@ The reference steps one pair at a time with the routing strategy's
 scalar form (``routing.for_node``) over the topology's link table and
 adds lengths and switch prices left to right. Every registered credit
 build — mesh, torus and ring, wormhole and VC, a staged router and
-segmented links — must agree with ``==`` on every (src, dest) pair.
+segmented links — must agree with ``==`` on every (src, dest) pair, and
+so must the tree family: the binary and quad trees and the concentrated
+tree, whose paths start and end on leaf links, and whose cross-leaf
+paths add an endpoint stub and a concentrator mux at each end.
 """
 
 import numpy as np
@@ -41,32 +44,63 @@ def credit_builds():
     return builds
 
 
+def _tree_end(topo, plan, endpoint):
+    """(router, leaf-link length) where an endpoint enters a tree."""
+    leaf = topo.leaf_of(endpoint)
+    router = topo.leaf_router(leaf)
+    return router.index, plan.link_length(
+        router.index, topo.child_port_for_leaf(router, leaf))
+
+
 def reference_costs(model, src, dest):
     """(hops, length_mm, switch_pj, buffered_hops, stage_registers) of
     one pair, walked hop by hop with the scalar route functions."""
     net = model.network
     plan = net.floorplan
+    topo = net.topology
     table = {}
-    for a, a_port, b, b_port in net.topology.links():
+    for a, a_port, b, b_port in topo.links():
         length = plan.link_length(a, a_port)
         table[a, a_port] = (b, length)
         table[b, b_port] = (a, length)
+    tree = not get_topology(net.config.topology).supports_pipeline
+    if tree:
+        (first, first_mm), (stop, last_mm) = (_tree_end(topo, plan, src),
+                                              _tree_end(topo, plan, dest))
+    else:
+        first, first_mm = src, plan.link_length(src, LOCAL)
+        stop, last_mm = dest, plan.link_length(dest, LOCAL)
     head = Flit(FlitKind.HEAD, src, dest, packet_id=0, seq=0)
-    nodes = [src]
-    lengths = [plan.link_length(src, LOCAL)]
-    while nodes[-1] != dest:
+    nodes = [first]
+    lengths = [first_mm]
+    while nodes[-1] != stop:
         port = net.routing.for_node(nodes[-1])(head)
         node, length = table[nodes[-1], port]
         nodes.append(node)
         lengths.append(length)
-    lengths.append(plan.link_length(dest, LOCAL))
+    lengths.append(last_mm)
+    ports = model.router_port_counts()
+    prices = [router_energy_pj_per_flit(ports[node], model.tech)
+              for node in nodes]
+    if tree and topo.concentration > 1:
+        # Endpoints tile the die: a stub of half a tile pitch each way,
+        # and a (concentration + 1)-port mux at each end of the tree.
+        side = max(1, round(model.endpoints ** 0.5))
+        stub = (plan.chip_width_mm / side + plan.chip_height_mm / side) / 4
+        mux = router_energy_pj_per_flit(topo.concentration + 1, model.tech)
+        if topo.leaf_of(src) == topo.leaf_of(dest):
+            # The mux turns the packet around: it never enters the tree.
+            lengths, prices = [stub, stub], [mux]
+        else:
+            lengths, prices = [stub] + lengths + [stub], [mux] + prices + [mux]
     length_mm = 0.0
     for length in lengths:
         length_mm += length
-    ports = model.router_port_counts()
     switch_pj = 0.0
-    for node in nodes:
-        switch_pj += router_energy_pj_per_flit(ports[node], model.tech)
+    for price in prices:
+        switch_pj += price
+    if tree:
+        return len(nodes), length_mm, switch_pj, 0, 0
     stages = (net.config.pipeline_depth - 1) * len(nodes)
     if net.config.segment_links:
         stages += sum(segment_count(length, net.config.max_segment_mm) - 1
@@ -103,17 +137,31 @@ def test_pair_costs_equal_the_scalar_walk(name, kwargs):
                                              stages)
 
 
-@pytest.mark.parametrize("name", ("tree", "ctree"))
-def test_tree_pair_costs_equal_priced_path(name):
-    model = physical_model(FabricConfig(topology=name, ports=16).build())
+#: The tree family: binary and quad trees, concentration 2 and 4.
+TREE_BUILDS = [
+    ("tree", {"ports": 16}),
+    ("tree", {"ports": 64}),
+    ("tree", {"ports": 16, "arity": 4}),
+    ("tree", {"ports": 64, "arity": 4}),
+    ("ctree", {"ports": 16, "concentration": 2}),
+    ("ctree", {"ports": 16, "concentration": 4}),
+    ("ctree", {"ports": 64, "concentration": 4}),
+]
+
+
+@pytest.mark.parametrize("name,kwargs", TREE_BUILDS)
+def test_tree_pair_costs_equal_the_scalar_walk(name, kwargs):
+    model = physical_model(FabricConfig(topology=name, **DIE,
+                                        **kwargs).build())
     srcs, dests = all_pairs(model)
+    distinct = srcs != dests
+    srcs, dests = srcs[distinct], dests[distinct]
     costs = model.pair_costs(srcs, dests)
-    for i, (src, dest) in enumerate(zip(srcs.tolist(), dests.tolist())):
-        profile, price = model.priced_path(src, dest)
-        assert (costs.hops[i], costs.length_mm[i], costs.switch_pj[i],
-                costs.buffered_hops[i], costs.stage_registers[i]) == (
-            profile.hops, profile.length_mm, price, profile.buffered_hops,
-            profile.stage_registers)
+    got = list(zip(costs.hops.tolist(), costs.length_mm.tolist(),
+                   costs.switch_pj.tolist(), costs.buffered_hops.tolist(),
+                   costs.stage_registers.tolist()))
+    assert got == [reference_costs(model, src, dest)
+                   for src, dest in zip(srcs.tolist(), dests.tolist())]
 
 
 class _AlwaysEast(RoutingStrategy):
