@@ -21,7 +21,8 @@ identical delivery ticks.
 **Hop convention**: a hop is one switching element on the datapath —
 every fabric records the routers a packet traverses, and the same-leaf
 mux turnaround records **1** hop for its one-cycle local mux (it is the
-sole switch on that path). Recording 0 would silently deflate mean-hop
+sole switch on that path; the structure's ``hop_count`` takes endpoint
+addresses and says so). Recording 0 would silently deflate mean-hop
 and energy-per-flit statistics the physical comparisons divide by.
 Cross-leaf deliveries count tree routers exactly as the flat tree does;
 the muxes they also pass through are folded into the shared NI (the
@@ -47,14 +48,6 @@ class ConcentratedTreeNetwork(ICNoCNetwork):
     def __init__(self, config, kernel: SimKernel | None = None):
         self._local_delivered: list[Packet] = []
         super().__init__(config, kernel=kernel)
-
-    def _hop_count(self, src: int, dest: int) -> int:
-        from_leaf, to_leaf = map(self.topology.leaf_of, (src, dest))
-        if from_leaf == to_leaf:
-            # One switching element traversed (the mux) — see the module
-            # docstring's hop convention.
-            return 1
-        return self.topology.hop_count(from_leaf, to_leaf)
 
     # -- run-time API ------------------------------------------------------
 

@@ -337,6 +337,23 @@ class TreeUpDownRouting(RoutingStrategy):
 
         return route
 
+    @cached_property
+    def _leaf_ranges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per router: first leaf, end leaf, leaves per child port."""
+        import numpy as np
+        first, end = np.array([router.leaf_range
+                               for router in self.tree.routers]).T
+        return first, end, (end - first) // self.tree.arity
+
+    def route_array(self, nodes: np.ndarray,
+                    dests: np.ndarray) -> np.ndarray:
+        import numpy as np
+        first, end, span = self._leaf_ranges
+        leaf = dests // self.tree.concentration
+        lo = first[nodes]
+        return np.where((lo <= leaf) & (leaf < end[nodes]),
+                        1 + (leaf - lo) // span[nodes], PARENT_PORT)
+
 
 # -- virtual-channel assignment policies ----------------------------------
 

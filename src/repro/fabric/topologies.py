@@ -17,14 +17,19 @@ it from the config and assembles what it describes:
   registration order follows it, which is what makes activity-driven and
   naive runs bit-identical);
 * ``routing()`` — the routing strategy (:mod:`repro.fabric.routing`);
+* ``attach(endpoint)`` — the ``(router, port)`` an endpoint hangs off:
+  ``(endpoint, LOCAL)`` here, a leaf router's child port on a tree. The
+  route walk (:meth:`repro.noc.base.Network.walk`) starts and stops
+  there;
 * ``floorplan(width, height)`` and ``describe()`` — its embedding on the
   die (:mod:`repro.noc.floorplan`) and its one-phrase summary;
 * ``hop_count`` / ``worst_case_hops`` — the structural analysis the
-  stats and the paper-style comparisons use.
+  stats and the paper-style comparisons use: closed forms that equal
+  the walk's hops (``src == dest`` counts 1, the router it attaches
+  to).
 
-:class:`MeshTopology` is the paper's baseline (its ``xy_path`` is the
-routing oracle the tests check the simulated routers against); the
-ring-closing fabrics are:
+:class:`MeshTopology` is the paper's baseline; the ring-closing fabrics
+are:
 
 * :class:`TorusTopology` — a mesh whose rows and columns wrap around.
   Halves the worst-case hop count (``~sqrt(N)`` vs the mesh's
@@ -47,6 +52,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.errors import TopologyError
 from repro.fabric.routing import (
     EAST,
+    LOCAL,
     NORTH,
     PORT_NAMES,
     RING_CCW,
@@ -127,6 +133,9 @@ class _Grid:
         """One router per node — N routers vs the tree's N-1 shared ones."""
         return self.nodes
 
+    def attach(self, endpoint: int) -> tuple[int, int]:
+        return endpoint, LOCAL
+
     def coordinates(self, node: int) -> tuple[int, int]:
         if not 0 <= node < self.nodes:
             raise TopologyError(f"unknown node {node}")
@@ -169,20 +178,6 @@ class MeshTopology(_Grid):
     def links(self) -> Iterator[LinkSpec]:
         """Bidirectional neighbour pairs ``(a, a_port, b, b_port)``."""
         return _interior_links(self.cols, self.rows)
-
-    def xy_path(self, src: int, dest: int) -> list[int]:
-        """Routers visited under XY routing (including both endpoints)."""
-        sx, sy = self.coordinates(src)
-        dx, dy = self.coordinates(dest)
-        path = [self.node_at(sx, sy)]
-        x, y = sx, sy
-        while x != dx:
-            x += 1 if dx > x else -1
-            path.append(self.node_at(x, y))
-        while y != dy:
-            y += 1 if dy > y else -1
-            path.append(self.node_at(x, y))
-        return path
 
     def hop_count(self, src: int, dest: int) -> int:
         """Routers traversed = Manhattan distance + 1 (both endpoints)."""
@@ -286,6 +281,9 @@ class RingTopology:
     @property
     def router_count(self) -> int:
         return self.nodes
+
+    def attach(self, endpoint: int) -> tuple[int, int]:
+        return endpoint, LOCAL
 
     def links(self) -> Iterator[LinkSpec]:
         for node in range(self.nodes):

@@ -10,6 +10,7 @@ module.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.errors import ConfigurationError, TopologyError
@@ -21,6 +22,8 @@ from repro.timing.frequency import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.clocking.gating import GatingStats
     from repro.fabric.registry import FabricConfig
     from repro.noc.packet import Packet
@@ -109,8 +112,64 @@ class Network:
         from its ``arbitration_grant`` events."""
         return iter(())
 
-    def _hop_count(self, src: int, dest: int) -> int:
-        return self.topology.hop_count(src, dest)
+    # -- the route walk ---------------------------------------------------
+
+    @cached_property
+    def _walk_links(self) -> tuple[np.ndarray, np.ndarray]:
+        """The walk's lookups: ``ahead[router, port]``, the router that
+        port's link leads to (-1: no link), and ``attached[endpoint]``,
+        the router :meth:`attach` names."""
+        import numpy as np
+        topo = self.topology
+        ahead = np.full((topo.router_count, topo.max_ports), -1,
+                        dtype=np.int64)
+        for a, a_port, b, b_port in topo.links():
+            ahead[a, a_port], ahead[b, b_port] = b, a
+        attached = np.array([topo.attach(endpoint)[0]
+                             for endpoint in range(self.endpoints)],
+                            dtype=np.int64)
+        return ahead, attached
+
+    def walk(self, srcs: np.ndarray, dests: np.ndarray
+             ) -> Iterator[tuple[np.ndarray, ...]]:
+        """Step every (src, dest) endpoint pair at once from the router
+        ``src`` attaches to (``topology.attach``) to the one ``dest``
+        attaches to, asking the network's own routing strategy
+        (``route_array``) at every router. Yields, per step, the indices
+        of the pairs still en route, the (router, out port) each leaves
+        through and the router it reaches. A pair that attaches to one
+        router — ``src == dest`` on every structure, a shared leaf
+        router on a tree — takes no step."""
+        import numpy as np
+        ahead_of, attached = self._walk_links
+        route = self.routing.route_array
+        node, stop = attached[srcs], attached[dests]
+        idx = np.flatnonzero(node != stop)
+        node, dest, stop = node[idx], dests[idx], stop[idx]
+        # A route longer than the fabric has directed links loops.
+        for _step in range(int((ahead_of >= 0).sum())):
+            if idx.size == 0:
+                return
+            port = route(node, dest)
+            ahead = ahead_of[node, port]
+            unwired = np.flatnonzero(ahead < 0)
+            if unwired.size:
+                j = unwired[0]
+                raise ConfigurationError(
+                    f"routing sends {int(srcs[idx[j]])} -> "
+                    f"{int(dest[j])} out of router {int(node[j])} on port "
+                    f"{int(port[j])}, which has no link"
+                )
+            yield idx, node, port, ahead
+            moving = ahead != stop
+            idx, node, dest, stop = (idx[moving], ahead[moving],
+                                     dest[moving], stop[moving])
+        if idx.size:
+            raise ConfigurationError(
+                f"routing never reaches {int(dests[idx[0]])} from "
+                f"{int(srcs[idx[0]])}: the strategy and the link table "
+                f"disagree"
+            )
 
     # -- run-time API -----------------------------------------------------
 
@@ -122,7 +181,7 @@ class Network:
         if original is not None:
             packet.inject_tick = original.inject_tick
         self.stats.record_delivery(
-            packet, self._hop_count(packet.src, packet.dest))
+            packet, self.topology.hop_count(packet.src, packet.dest))
         handler = self._handlers.get(packet.dest)
         if handler is not None:
             handler(packet, tick)

@@ -8,46 +8,30 @@ Body/tail flits stream behind at one flit per cycle. Hence::
     head_ticks  = sum(router forward latencies) + link stages on path + 1
     total_ticks = head_ticks + 2 * (flits - 1)
 
-The model is exact, not approximate: ``tests/noc/test_latency_model.py``
-asserts tick-for-tick agreement with the behavioural simulation for every
-source/destination pair. This is both a regression net for the simulator
-and the fast path for large design-space sweeps (no simulation needed).
+The path is the network's one route walk (:meth:`repro.noc.base.Network
+.walk`): its routers, and its wires as the physical descriptor lists
+them (:meth:`repro.physical.descriptor.PhysicalModel.path`, both leaf
+links included). The model is exact, not approximate:
+``tests/noc/test_latency_model.py`` asserts tick-for-tick agreement with
+the behavioural simulation for every source/destination pair.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.noc.floorplan import segment_count
-from repro.noc.topology import TreeTopology
+from repro.physical.descriptor import physical_model
 
 
 def path_link_stage_count(network, src: int, dest: int) -> int:
     """Intermediate pipeline stages a flit crosses between two leaves."""
-    topo: TreeTopology = network.topology
     if src == dest:
         raise TopologyError("src == dest has no path")
-    stages = 0
-
-    def link_stages(router_index: int, port: int) -> int:
-        length = network.floorplan.link_length(router_index, port)
-        return segment_count(length, network.config.max_segment_mm) - 1
-
-    # Source leaf link (upward).
-    src_router = topo.leaf_router(src)
-    stages += link_stages(src_router.index,
-                          topo.child_port_for_leaf(src_router, src))
-    # Inter-router links.
-    path = topo.route_path(src, dest)
-    for a, b in zip(path, path[1:]):
-        upper, lower = (a, b) if topo.router(b).parent == a else (b, a)
-        node = topo.router(upper)
-        port = node.children.index(lower) + 1
-        stages += link_stages(upper, port)
-    # Destination leaf link (downward).
-    dest_router = topo.leaf_router(dest)
-    stages += link_stages(dest_router.index,
-                          topo.child_port_for_leaf(dest_router, dest))
-    return stages
+    return sum(segment_count(length, network.config.max_segment_mm) - 1
+               for length in physical_model(network).path(
+                   src, dest).link_lengths_mm)
 
 
 def zero_load_latency_ticks(network, src: int, dest: int,
@@ -55,9 +39,11 @@ def zero_load_latency_ticks(network, src: int, dest: int,
     """Exact inject-to-eject latency in half-cycles, empty network."""
     if flits < 1:
         raise TopologyError("packets have at least one flit")
-    path = network.topology.route_path(src, dest)
-    router_ticks = sum(network.routers[r].forward_latency_ticks
-                       for r in path)
+    routers = [network.topology.attach(src)[0]]
+    routers += [int(ahead[0]) for _idx, _node, _port, ahead
+                in network.walk(np.array([src]), np.array([dest]))]
+    router_ticks = sum(network.routers[router].forward_latency_ticks
+                       for router in routers)
     head = router_ticks + path_link_stage_count(network, src, dest) + 1
     return head + 2 * (flits - 1)
 

@@ -2,13 +2,16 @@
 
 The clock distribution requires a tree — "no converging paths are allowed
 in the network" (Section 3). A :class:`TreeTopology` describes the routers,
-the leaves (network ports), and the parent/child relations; routing and
-hop-count analysis live here because both are purely structural.
+the leaves (network ports), and the parent/child relations; hop-count
+analysis lives here because it is purely structural.
 
 Both classes are registry structures, with the part of the credit
-structures' contract (:mod:`repro.fabric.topologies`) a tree has. This
-module imports only :mod:`repro.errors`, so the registry reads it
-without loading the tree's datapath.
+structures' contract (:mod:`repro.fabric.topologies`) a tree has:
+``from_config``, ``routing()``, ``links()`` between routers, ``attach``
+(an endpoint's leaf router and child port, where a route walk starts and
+stops), ``hop_count`` and ``worst_case_hops``. This module imports only
+:mod:`repro.errors`, so the registry reads it without loading the tree's
+datapath.
 
 Addressing: leaves are numbered 0..N-1 left to right; every router covers a
 contiguous leaf range, so the routing decision at a router is "is the
@@ -183,33 +186,27 @@ class TreeTopology:
         span = (end - first) // len(router.children)
         return 1 + (leaf - first) // span
 
-    # -- path/hop analysis ------------------------------------------------
+    def attach(self, endpoint: int) -> tuple[int, int]:
+        """``(router, port)`` an endpoint attaches to: the router its
+        leaf hangs off and the child port that leads to the leaf."""
+        leaf = self.leaf_of(endpoint)
+        router = self.leaf_router(leaf)
+        return router.index, self.child_port_for_leaf(router, leaf)
 
-    def route_path(self, src: int, dest: int) -> list[int]:
-        """Router indices a packet visits from leaf src to leaf dest."""
-        self._check_leaf(src)
-        self._check_leaf(dest)
-        if src == dest:
-            return []
-        # Climb from the source leaf router to the common ancestor...
-        up = []
-        node = self.leaf_router(src)
-        while not (node.leaf_range[0] <= dest < node.leaf_range[1]):
-            up.append(node.index)
-            node = self.router(node.parent)
-        # ...then descend to the destination leaf router.
-        down = []
-        while True:
-            down.append(node.index)
-            if node.children_are_leaves:
-                break
-            port = self.child_port_for_leaf(node, dest)
-            node = self.router(node.children[port - 1])
-        return up + down
+    # -- hop analysis -----------------------------------------------------
 
     def hop_count(self, src: int, dest: int) -> int:
-        """Routers traversed between two leaves."""
-        return len(self.route_path(src, dest))
+        """Routers between two endpoints: ``2*l - 1`` when the lowest
+        router covering both leaves sits ``l`` levels above them. Two
+        endpoints on one leaf router, ``src == dest`` included, take 1."""
+        a, b = self.leaf_of(src), self.leaf_of(dest)
+        self._check_leaf(a)
+        self._check_leaf(b)
+        levels = 1
+        while a // self.arity != b // self.arity:
+            a, b = a // self.arity, b // self.arity
+            levels += 1
+        return 2 * levels - 1
 
     def worst_case_hops(self) -> int:
         """Maximum routers on any leaf-to-leaf path.

@@ -7,15 +7,16 @@ The contract a model fulfils (docs/physical.md has the worked example):
 
 * ``router_port_counts()`` — in-use ports of every switching element;
 * ``floorplan`` — physical link lengths (``repro.noc.floorplan``);
-* ``path(src, dest)`` — the :class:`PathProfile` a flit traverses:
-  switch port counts, link lengths, and how many of those switches
-  charge input-FIFO energy (credit fabrics do, the bufferless tree
-  does not);
-* ``pair_costs(srcs, dests)`` — the same path's priced totals for many
-  pairs at once, as :class:`PairCosts` arrays. Lengths and switch
-  energies add left to right along the path (:func:`left_to_right`), so
-  every entry equals the :meth:`PhysicalModel.priced_path` it stands
-  for, bit for bit; the all-pairs queries and the run report read it;
+* ``pair_costs(srcs, dests)`` — the priced totals of the paths flits
+  take between many pairs at once, as :class:`PairCosts` arrays, from
+  one route walk (:meth:`repro.noc.base.Network.walk`) over every
+  family. Lengths and switch energies add left to right along the path
+  (:func:`left_to_right`); the all-pairs queries and the run report
+  read it. What stays per family is whether a hop charges input-FIFO
+  energy and stage registers (credit fabrics do, the bufferless tree
+  does not) and the ctree's stub and concentrator mux at each end;
+* ``path(src, dest)`` — the one-pair case of the same walk, spelled out
+  as a :class:`PathProfile`: switch port counts and link lengths;
 * ``buffer_flits()`` / ``pipeline_stage_count()`` — storage the area
   model prices. Since the flow-control unification there is one
   :class:`~repro.fabric.router.FabricRouter` whose
@@ -53,7 +54,6 @@ from repro.clocking.power import (
     forwarded_clock_power_mw,
 )
 from repro.errors import ConfigurationError
-from repro.noc.floorplan import LOCAL_PORT
 from repro.noc.base import Network
 from repro.physical.area import AreaReport, BUFFER_SLOT_AREA_MM2
 from repro.physical.power import (
@@ -105,8 +105,8 @@ class PathProfile:
 @dataclass(frozen=True)
 class PairCosts:
     """:meth:`PhysicalModel.pair_costs`: one entry per (src, dest) pair,
-    each the matching :class:`PathProfile` total (``switch_pj`` is the
-    :meth:`PhysicalModel.priced_path` price)."""
+    each the matching :class:`PathProfile` total (``switch_pj`` prices
+    its ``switch_ports`` left to right)."""
 
     hops: np.ndarray
     length_mm: np.ndarray
@@ -118,45 +118,93 @@ class PairCosts:
 class PhysicalModel:
     """Physical accounting of one built network (see module docstring)."""
 
+    #: Whether every hop charges an input FIFO and ``pipeline_depth - 1``
+    #: stage registers (the credit fabrics; the tree's stage traversals
+    #: are part of its calibrated per-hop energy).
+    buffered = False
+
     def __init__(self, network):
         self.network = network
         self.name = network.config.topology
         self.clock_distribution = network.config.clock_distribution
-        self._paths: dict[tuple[int, int], tuple[PathProfile, float]] = {}
+        self._walk_tables: _WalkTables | None = None
 
-    def priced_path(self, src: int, dest: int) -> tuple[PathProfile, float]:
-        """The (memoised) path profile and the energy of its switch
-        traversals in pJ per flit — both depend only on the pair, so
-        all-pairs sweeps and per-packet run reports share one walk and
-        one per-path price."""
-        pair = (src, dest)
-        priced = self._paths.get(pair)
-        if priced is None:
-            profile = self._path(src, dest)
-            tech = self.tech
-            priced = self._paths[pair] = (
-                profile, left_to_right(router_energy_pj_per_flit(ports, tech)
-                                       for ports in profile.switch_ports))
-        return priced
-
-    def path(self, src: int, dest: int) -> PathProfile:
-        return self.priced_path(src, dest)[0]
+    def _tables(self) -> "_WalkTables":
+        """Per-link, per-endpoint and per-router prices the walk reads."""
+        if self._walk_tables is None:
+            topo = self.network.topology
+            plan = self.floorplan
+            link_mm = np.zeros((topo.router_count, topo.max_ports))
+            for a, a_port, b, b_port in topo.links():
+                link_mm[a, a_port] = link_mm[b, b_port] = \
+                    plan.link_length(a, a_port)
+            ends = [topo.attach(endpoint)
+                    for endpoint in range(self.endpoints)]
+            end_mm = np.array([plan.link_length(*end) for end in ends])
+            stages_on = np.vectorize(self._link_stages_on, otypes=[np.int64])
+            # One switch price per distinct port count.
+            counts = self.router_port_counts()
+            price = {ports: router_energy_pj_per_flit(ports, self.tech)
+                     for ports in set(counts)}
+            self._walk_tables = _WalkTables(
+                link_mm=link_mm, link_stages=stages_on(link_mm),
+                end_router=np.array([router for router, _port in ends],
+                                    dtype=np.int64),
+                end_mm=end_mm, end_stages=stages_on(end_mm),
+                switch_pj=np.array([price[ports] for ports in counts]),
+            )
+        return self._walk_tables
 
     def pair_costs(self, srcs, dests) -> PairCosts:
-        """Priced path totals of the pairs ``zip(srcs, dests)``. The
-        default maps :meth:`priced_path`; a fabric may override it with
-        a batched walk that returns the same numbers."""
-        pairs = zip(np.asarray(srcs).tolist(), np.asarray(dests).tolist())
-        priced = [self.priced_path(src, dest) for src, dest in pairs]
-        return PairCosts(
-            hops=np.array([p.hops for p, _e in priced], dtype=np.int64),
-            length_mm=np.array([p.length_mm for p, _e in priced],
-                               dtype=np.float64),
-            switch_pj=np.array([e for _p, e in priced], dtype=np.float64),
-            buffered_hops=np.array([p.buffered_hops for p, _e in priced],
-                                   dtype=np.int64),
-            stage_registers=np.array([p.stage_registers for p, _e in priced],
-                                     dtype=np.int64),
+        """Priced path totals of the pairs ``zip(srcs, dests)``, from one
+        walk for all of them. Each total adds left to right — the
+        family's end cost, the source's attach link, links in route
+        order, the destination's attach link, the end cost; switches in
+        route order — as :meth:`path` lists them, so every entry is
+        bit-identical to the one-pair path."""
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dests = np.asarray(dests, dtype=np.int64)
+        t = self._tables()
+        end_mm, end_pj = self._end_costs()
+        steps = np.zeros(srcs.size, dtype=np.int64)
+        length = end_mm + t.end_mm[srcs]
+        switch = end_pj + t.switch_pj[t.end_router[srcs]]
+        stages = t.end_stages[srcs] + t.end_stages[dests]
+        for idx, node, port, ahead in self.network.walk(srcs, dests):
+            steps[idx] += 1
+            length[idx] += t.link_mm[node, port]
+            switch[idx] += t.switch_pj[ahead]
+            stages[idx] += t.link_stages[node, port]
+        length += t.end_mm[dests]
+        length += end_mm
+        switch += end_pj
+        hops = steps + 1
+        buffered = hops if self.buffered else np.zeros_like(hops)
+        stages += (self.network.config.pipeline_depth - 1) * buffered
+        return PairCosts(hops=hops, length_mm=length, switch_pj=switch,
+                         buffered_hops=buffered, stage_registers=stages)
+
+    def path(self, src: int, dest: int) -> PathProfile:
+        """The one-pair case of the walk: the routers and links a flit
+        crosses between two endpoints, attach links included."""
+        t = self._tables()
+        routers = [int(t.end_router[src])]
+        lengths = [t.end_mm[src].item()]
+        for _idx, node, port, ahead in self.network.walk(np.array([src]),
+                                                          np.array([dest])):
+            lengths.append(t.link_mm[node[0], port[0]].item())
+            routers.append(int(ahead[0]))
+        lengths.append(t.end_mm[dest].item())
+        ports = self.router_port_counts()
+        buffered = len(routers) if self.buffered else 0
+        return PathProfile(
+            hops=len(routers),
+            switch_ports=tuple(ports[router] for router in routers),
+            link_lengths_mm=tuple(lengths),
+            buffered_hops=buffered,
+            stage_registers=(sum(map(self._link_stages_on, lengths))
+                             + (self.network.config.pipeline_depth - 1)
+                             * buffered),
         )
 
     # -- contract (overridden per fabric family) ------------------------
@@ -176,8 +224,15 @@ class PhysicalModel:
     def router_port_counts(self) -> list[int]:
         raise NotImplementedError
 
-    def _path(self, src: int, dest: int) -> PathProfile:
-        raise NotImplementedError
+    def _link_stages_on(self, length_mm: float) -> int:
+        """Register stages a path charges on one direction of a link of
+        this length."""
+        return 0
+
+    def _end_costs(self) -> tuple[float, float]:
+        """Wire (mm) and switch energy (pJ) each end of a path adds
+        outside the routers."""
+        return 0.0, 0.0
 
     def buffer_flits(self) -> int:
         return 0
@@ -297,25 +352,6 @@ class TreePhysical(PhysicalModel):
     def clock_sink_count(self) -> int:
         return len(self.network.clock_tree)
 
-    def _path(self, src: int, dest: int) -> PathProfile:
-        """Every link on the tree route, the two leaf links included."""
-        topo = self.network.topology
-        link_length = self.network.floorplan.link_length
-        routers = topo.route_path(src, dest)
-        src_router = topo.leaf_router(src)
-        lengths = [link_length(src_router.index,
-                               topo.child_port_for_leaf(src_router, src))]
-        for a, b in zip(routers, routers[1:]):
-            upper, lower = (a, b) if topo.router(b).parent == a else (b, a)
-            child_slot = topo.router(upper).children.index(lower)
-            lengths.append(link_length(upper, child_slot + 1))
-        dest_router = topo.leaf_router(dest)
-        lengths.append(link_length(
-            dest_router.index, topo.child_port_for_leaf(dest_router, dest)))
-        return PathProfile(hops=len(routers),
-                           switch_ports=(topo.max_ports,) * len(routers),
-                           link_lengths_mm=tuple(lengths))
-
 
 class CtreePhysical(TreePhysical):
     """Concentrated tree: the tree plus one local mux per leaf NI.
@@ -348,21 +384,34 @@ class CtreePhysical(TreePhysical):
         return (self.floorplan.total_link_length_mm()
                 + self.endpoints * self._stub_mm())
 
-    def _path(self, src: int, dest: int) -> PathProfile:
-        stub = self._stub_mm()
-        from_leaf, to_leaf = map(self.network.topology.leaf_of, (src, dest))
-        if from_leaf == to_leaf:
-            # Same-leaf pairs traverse the one-cycle concentrator mux
-            # alone — one hop, matching the delivered statistics.
-            return PathProfile(hops=1, switch_ports=(self._mux_ports,),
+    def _end_costs(self) -> tuple[float, float]:
+        return self._stub_mm(), router_energy_pj_per_flit(self._mux_ports,
+                                                          self.tech)
+
+    def _same_leaf(self, srcs, dests) -> np.ndarray:
+        concentration = self.network.topology.concentration
+        return (np.asarray(srcs) // concentration
+                == np.asarray(dests) // concentration)
+
+    def pair_costs(self, srcs, dests) -> PairCosts:
+        costs = super().pair_costs(srcs, dests)
+        # Same-leaf pairs traverse the one-cycle concentrator mux alone —
+        # one hop, matching the delivered statistics.
+        stub, mux_pj = self._end_costs()
+        same = self._same_leaf(srcs, dests)
+        costs.length_mm[same] = stub + stub
+        costs.switch_pj[same] = mux_pj
+        return costs
+
+    def path(self, src: int, dest: int) -> PathProfile:
+        stub, mux = self._stub_mm(), self._mux_ports
+        if self._same_leaf(src, dest):
+            return PathProfile(hops=1, switch_ports=(mux,),
                                link_lengths_mm=(stub, stub))
-        # The uncached inner walk: the shared cache is keyed by
-        # *endpoint* pairs, and leaf pairs would collide with them.
-        tree = super()._path(from_leaf, to_leaf)
+        tree = super().path(src, dest)
         return PathProfile(
             hops=tree.hops,
-            switch_ports=(self._mux_ports,) + tree.switch_ports
-            + (self._mux_ports,),
+            switch_ports=(mux,) + tree.switch_ports + (mux,),
             link_lengths_mm=(stub,) + tree.link_lengths_mm + (stub,),
         )
 
@@ -376,19 +425,13 @@ class CreditFabricPhysical(PhysicalModel):
     builds an array backend's datapath. Capacity scales as ``ports x
     n_vcs x buffer_depth``, so a VC build pays ``n_vcs x`` the single-VC
     FIFO budget automatically and the allocator choice costs nothing
-    here — link
-    lengths from the fabric floorplan, and paths from a walk driven by
-    the network's **own** routing strategy (``routing.route_array``)
-    over the topology's link table, all pairs stepped together — the
-    descriptor cannot drift from what the simulation routes. (VC builds
-    keep the deterministic strategy as the path model: the adaptive
-    policies are minimal, so hop counts and minimal-path lengths are
-    unchanged.)
+    here. Every hop charges its input FIFO and stage registers, and a
+    segmented link its register stages. (VC builds keep the
+    deterministic strategy as the path model: the adaptive policies are
+    minimal, so hop counts and minimal-path lengths are unchanged.)
     """
 
-    def __init__(self, network):
-        super().__init__(network)
-        self._walk_tables: _WalkTables | None = None
+    buffered = True
 
     def router_port_counts(self) -> list[int]:
         return [len(ports) for ports in self.network.input_fifo_depths]
@@ -418,130 +461,19 @@ class CreditFabricPhysical(PhysicalModel):
         return (3 * self.network.topology.nodes
                 + self.pipeline_stage_count())
 
-    def _tables(self) -> "_WalkTables":
-        """Per-node and per-(node, out port) lookups the walk reads."""
-        if self._walk_tables is None:
-            topo = self.network.topology
-            plan = self.floorplan
-            ahead = np.full((topo.nodes, topo.max_ports), -1, dtype=np.int64)
-            link_mm = np.zeros(ahead.shape)
-            link_stages = np.zeros(ahead.shape, dtype=np.int64)
-            for a, a_port, b, b_port in topo.links():
-                length = plan.link_length(a, a_port)
-                stages = self._link_stages_on(length)
-                for node, port, neighbour in ((a, a_port, b), (b, b_port, a)):
-                    ahead[node, port] = neighbour
-                    link_mm[node, port] = length
-                    link_stages[node, port] = stages
-            stub_mm = [plan.link_length(node, LOCAL_PORT)
-                       for node in range(topo.nodes)]
-            # One switch price per distinct port count.
-            counts = self.router_port_counts()
-            price = {ports: router_energy_pj_per_flit(ports, self.tech)
-                     for ports in set(counts)}
-            self._walk_tables = _WalkTables(
-                ahead=ahead, link_mm=link_mm, link_stages=link_stages,
-                stub_mm=np.array(stub_mm),
-                stub_stages=np.array([self._link_stages_on(length)
-                                      for length in stub_mm],
-                                     dtype=np.int64),
-                switch_pj=np.array([price[ports] for ports in counts]),
-            )
-        return self._walk_tables
-
-    def _walk(self, srcs: np.ndarray, dests: np.ndarray):
-        """Step every (src, dest) pair toward its destination at once,
-        asking the network's own routing strategy (``route_array``) at
-        every node. Yields, per step, the indices of the pairs still en
-        route, the (node, out port) each leaves through and the node it
-        reaches."""
-        ahead_of = self._tables().ahead
-        route = self.network.routing.route_array
-        idx = np.flatnonzero(srcs != dests)
-        node, dest = srcs[idx], dests[idx]
-        # A route longer than the fabric has directed links loops.
-        for _step in range(int((ahead_of >= 0).sum())):
-            if idx.size == 0:
-                return
-            port = route(node, dest)
-            ahead = ahead_of[node, port]
-            unwired = np.flatnonzero(ahead < 0)
-            if unwired.size:
-                j = unwired[0]
-                raise ConfigurationError(
-                    f"routing sends {int(srcs[idx[j]])} -> "
-                    f"{int(dest[j])} out of node {int(node[j])} on port "
-                    f"{int(port[j])}, which has no link"
-                )
-            yield idx, node, port, ahead
-            moving = ahead != dest
-            idx, node, dest = idx[moving], ahead[moving], dest[moving]
-        if idx.size:
-            raise ConfigurationError(
-                f"routing never reaches {int(dests[idx[0]])} from "
-                f"{int(srcs[idx[0]])}: the strategy and the link table "
-                f"disagree"
-            )
-
-    def pair_costs(self, srcs, dests) -> PairCosts:
-        """One walk for all the pairs. Each total adds left to right —
-        local stub, links in route order, local stub; switches in route
-        order — as :meth:`_path` and :meth:`priced_path` do, so every
-        entry is bit-identical to the one-pair path."""
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dests = np.asarray(dests, dtype=np.int64)
-        t = self._tables()
-        steps = np.zeros(srcs.size, dtype=np.int64)
-        length = t.stub_mm[srcs]
-        switch = t.switch_pj[srcs]
-        stages = t.stub_stages[srcs] + t.stub_stages[dests]
-        for idx, node, port, ahead in self._walk(srcs, dests):
-            steps[idx] += 1
-            length[idx] += t.link_mm[node, port]
-            switch[idx] += t.switch_pj[ahead]
-            stages[idx] += t.link_stages[node, port]
-        length += t.stub_mm[dests]
-        hops = steps + 1
-        stages += (self.network.config.pipeline_depth - 1) * hops
-        return PairCosts(hops=hops, length_mm=length, switch_pj=switch,
-                         buffered_hops=hops, stage_registers=stages)
-
-    def _path(self, src: int, dest: int) -> PathProfile:
-        """The one-pair case of :meth:`_walk`."""
-        t = self._tables()
-        ports = self.router_port_counts()
-        nodes = [src]
-        lengths = [t.stub_mm[src].item()]
-        for _idx, node, port, ahead in self._walk(np.array([src]),
-                                                   np.array([dest])):
-            lengths.append(t.link_mm[node[0], port[0]].item())
-            nodes.append(int(ahead[0]))
-        lengths.append(t.stub_mm[dest].item())
-        stage_registers = sum(self._link_stages_on(length)
-                              for length in lengths)
-        stage_registers += ((self.network.config.pipeline_depth - 1)
-                            * len(nodes))
-        return PathProfile(
-            hops=len(nodes),
-            switch_ports=tuple(ports[node] for node in nodes),
-            link_lengths_mm=tuple(lengths),
-            buffered_hops=len(nodes),
-            stage_registers=stage_registers,
-        )
-
 
 @dataclass(frozen=True)
 class _WalkTables:
-    """:meth:`CreditFabricPhysical._walk`'s lookups: ``ahead[node,
-    port]`` is the neighbour (-1: no link), ``link_mm`` / ``link_stages``
-    that link's wire length and register stages, the ``stub_*`` arrays
-    each node's local stub, ``switch_pj`` each router's switch price."""
+    """What :meth:`PhysicalModel.pair_costs` reads along the walk:
+    ``link_mm[router, port]`` / ``link_stages`` that link's wire length
+    and register stages, the ``end_*`` arrays each endpoint's attach
+    router and attach link, ``switch_pj`` each router's switch price."""
 
-    ahead: np.ndarray
     link_mm: np.ndarray
     link_stages: np.ndarray
-    stub_mm: np.ndarray
-    stub_stages: np.ndarray
+    end_router: np.ndarray
+    end_mm: np.ndarray
+    end_stages: np.ndarray
     switch_pj: np.ndarray
 
 

@@ -101,7 +101,9 @@ class TestConcentratedTree:
         assert net.drain(20_000)
         packet = net.delivered[0]
         assert packet.dest == 13
-        assert net.stats.hop_counts == [net.topology.hop_count(0, 3)]
+        # The ctree's hop_count takes endpoint addresses: leaf 0 -> leaf
+        # 3 of a 4-leaf binary tree climbs to the root, 3 routers.
+        assert net.stats.hop_counts == [net.topology.hop_count(0, 13)] == [3]
 
     def test_same_leaf_endpoints_deliver_locally(self):
         net = FabricConfig(topology="ctree", ports=16, concentration=4).build()

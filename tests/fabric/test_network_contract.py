@@ -7,9 +7,11 @@ checks, delivery callbacks, elapsed-tick bookkeeping and telemetry /
 physical hooks — so no consumer has to ask which family it was handed.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
+from repro.fabric.registry import FabricConfig, topology_names
 from repro.noc.base import Network
 from repro.noc.debug import attach_watchdog
 from repro.noc.packet import Packet
@@ -120,3 +122,42 @@ class TestNetworkContract:
         assert model.endpoints == net.endpoints
         assert model.path(0, net.endpoints - 1).hops == \
             net.stats.hop_counts[0]
+
+
+#: Every registered structure at 16 ports, plus the quad tree and the
+#: second concentration.
+WALK_BUILDS = ([(name, {}) for name in topology_names()]
+               + [("tree", {"arity": 4}), ("ctree", {"concentration": 2})])
+
+
+def _walk_build(name, kwargs):
+    return FabricConfig(topology=name, ports=16, **kwargs).build()
+
+
+@pytest.mark.parametrize("name,kwargs", WALK_BUILDS)
+def test_hop_count_is_the_walks_hop_count(name, kwargs):
+    """The structure's closed form counts the routers the one route walk
+    visits, on every ordered pair of distinct endpoints."""
+    net = _walk_build(name, kwargs)
+    n = net.endpoints
+    srcs, dests = np.divmod(np.arange(n * n), n)
+    srcs, dests = srcs[srcs != dests], dests[srcs != dests]
+    hops = np.ones(srcs.size, dtype=np.int64)
+    for idx, _node, _port, _ahead in net.walk(srcs, dests):
+        hops[idx] += 1
+    assert hops.tolist() == [net.topology.hop_count(src, dest)
+                             for src, dest in zip(srcs.tolist(),
+                                                  dests.tolist())]
+
+
+@pytest.mark.parametrize("name,kwargs", WALK_BUILDS)
+def test_src_equal_dest_counts_one_hop_everywhere(name, kwargs):
+    """``send`` refuses ``src == dest``; the analyses count such a pair
+    as one hop, the router the endpoint attaches to, on every
+    structure."""
+    net = _walk_build(name, kwargs)
+    ends = np.arange(net.endpoints)
+    assert list(net.walk(ends, ends)) == []
+    assert {net.topology.hop_count(end, end) for end in ends.tolist()} == {1}
+    assert set(physical_model(net).pair_costs(ends, ends).hops.tolist()) \
+        == {1}

@@ -1,4 +1,7 @@
-"""Mesh structure and XY routing analysis."""
+"""Mesh structure and XY routing analysis (XY paths are the network's
+route walk, read one pair at a time)."""
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +9,13 @@ from hypothesis import given, strategies as st
 from repro.errors import TopologyError
 from repro.fabric.registry import FabricConfig
 from repro.fabric.topologies import MeshTopology, grid_shape
+
+from tests.noc.test_topology import walk_routers
+
+
+@lru_cache(maxsize=None)
+def mesh_network(ports):
+    return FabricConfig(topology="mesh", ports=ports).build()
 
 
 class TestStructure:
@@ -53,14 +63,14 @@ class TestStructure:
 
 class TestXYRouting:
     def test_path_endpoints(self):
-        mesh = MeshTopology(4, 4)
-        path = mesh.xy_path(0, 15)
+        path = walk_routers(mesh_network(16), 0, 15)
         assert path[0] == 0
         assert path[-1] == 15
 
     def test_x_before_y(self):
-        mesh = MeshTopology(4, 4)
-        path = mesh.xy_path(0, 15)
+        net = mesh_network(16)
+        mesh = net.topology
+        path = walk_routers(net, 0, 15)
         xs = [mesh.coordinates(n)[0] for n in path]
         ys = [mesh.coordinates(n)[1] for n in path]
         # All x movement happens before any y movement.
@@ -86,8 +96,9 @@ class TestXYRouting:
     @given(st.integers(min_value=0, max_value=63),
            st.integers(min_value=0, max_value=63))
     def test_path_length_matches_hop_count(self, src, dest):
-        mesh = MeshTopology(8, 8)
-        assert len(mesh.xy_path(src, dest)) == mesh.hop_count(src, dest)
+        net = mesh_network(64)
+        assert len(walk_routers(net, src, dest)) == \
+            net.topology.hop_count(src, dest)
 
 
 class TestGeometry:

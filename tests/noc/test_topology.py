@@ -1,10 +1,32 @@
-"""Tree topology: structure, routing paths, hop analysis."""
+"""Tree topology: structure, routing paths, hop analysis.
 
+Routing paths are the network's one route walk (``Network.walk``), read
+one pair at a time as the routers it visits.
+"""
+
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TopologyError
+from repro.fabric.registry import FabricConfig
 from repro.noc.topology import PARENT_PORT, TreeTopology
+
+
+@lru_cache(maxsize=None)
+def tree_network(ports, arity=2):
+    return FabricConfig(topology="tree", ports=ports, arity=arity).build()
+
+
+def walk_routers(net, src, dest):
+    """Router indices the walk visits from ``src`` to ``dest``."""
+    routers = [net.topology.attach(src)[0]]
+    for _idx, _node, _port, ahead in net.walk(np.array([src]),
+                                              np.array([dest])):
+        routers.append(int(ahead[0]))
+    return routers
 
 
 class TestStructure:
@@ -66,23 +88,27 @@ class TestRouting:
         assert topo.hop_count(62, 63) == 1
 
     def test_cross_tree_passes_root(self):
-        topo = TreeTopology(64, arity=2)
-        path = topo.route_path(0, 63)
+        net = tree_network(64)
+        path = walk_routers(net, 0, 63)
         assert 0 in path  # the root router
-        assert len(path) == topo.worst_case_hops()
+        assert len(path) == net.topology.worst_case_hops()
 
     def test_path_is_up_then_down(self):
-        topo = TreeTopology(16, arity=2)
-        path = topo.route_path(2, 13)
-        levels = [topo.router(r).level for r in path]
+        net = tree_network(16)
+        path = walk_routers(net, 2, 13)
+        levels = [net.topology.router(r).level for r in path]
         # Levels strictly decrease to the apex then strictly increase.
         apex = levels.index(min(levels))
         assert levels[:apex + 1] == sorted(levels[:apex + 1], reverse=True)
         assert levels[apex:] == sorted(levels[apex:])
+        assert len(set(levels)) == len(levels) - apex
 
-    def test_same_leaf_empty_path(self):
-        topo = TreeTopology(8, arity=2)
-        assert topo.route_path(3, 3) == []
+    def test_same_leaf_is_its_leaf_router(self):
+        """``src == dest`` is no path, but every structure counts it as
+        one hop: the router the endpoint attaches to."""
+        net = tree_network(8)
+        assert walk_routers(net, 3, 3) == [net.topology.leaf_router(3).index]
+        assert net.topology.hop_count(3, 3) == 1
 
     def test_worst_case_formula_binary(self):
         # 2*log2(N) - 1.
@@ -108,7 +134,7 @@ class TestRouting:
     ])
     def test_average_hops_closed_form_equals_the_pair_loop(self, leaves,
                                                            arity):
-        """The O(N^2) walk over ``route_path`` is the oracle: same integer
+        """The O(N^2) loop over ``hop_count`` is the oracle: same integer
         total, same final division, so the float is identical."""
         topo = TreeTopology(leaves, arity=arity)
         total = sum(topo.hop_count(s, d) for s in range(leaves)
@@ -131,10 +157,9 @@ class TestRouting:
     @given(st.integers(min_value=0, max_value=63),
            st.integers(min_value=0, max_value=63))
     def test_path_endpoints_cover_leaves(self, src, dest):
-        topo = TreeTopology(64, arity=2)
-        if src == dest:
-            return
-        path = topo.route_path(src, dest)
+        net = tree_network(64)
+        topo = net.topology
+        path = walk_routers(net, src, dest)
         first, last = topo.router(path[0]), topo.router(path[-1])
         assert first.leaf_range[0] <= src < first.leaf_range[1]
         assert last.leaf_range[0] <= dest < last.leaf_range[1]

@@ -19,7 +19,7 @@ from repro.fabric.registry import FabricConfig, get_topology, topology_names
 from repro.fabric.routing import EAST, LOCAL, RoutingStrategy
 from repro.noc.flit import Flit, FlitKind
 from repro.noc.floorplan import segment_count
-from repro.physical.descriptor import physical_model
+from repro.physical.descriptor import left_to_right, physical_model
 from repro.physical.power import router_energy_pj_per_flit
 
 PORTS = {"mesh": 16, "torus": 16, "ring": 10}
@@ -114,10 +114,9 @@ def all_pairs(model):
     return srcs, dests
 
 
-@pytest.mark.parametrize("name,kwargs", credit_builds())
-def test_pair_costs_equal_the_scalar_walk(name, kwargs):
-    model = physical_model(FabricConfig(topology=name, ports=PORTS[name],
-                                        **DIE, **kwargs).build())
+def assert_walks_agree(model):
+    """``pair_costs`` and the one-pair ``path`` equal the scalar
+    reference on every ordered pair, ``src == dest`` included."""
     srcs, dests = all_pairs(model)
     costs = model.pair_costs(srcs, dests)
     got = list(zip(costs.hops.tolist(), costs.length_mm.tolist(),
@@ -126,15 +125,22 @@ def test_pair_costs_equal_the_scalar_walk(name, kwargs):
     expected = [reference_costs(model, src, dest)
                 for src, dest in zip(srcs.tolist(), dests.tolist())]
     assert got == expected
-    if kwargs.get("segment_links") or kwargs.get("pipeline_depth"):
-        assert costs.stage_registers.any()
     # The one-pair path is the same walk.
-    for src, dest, (hops, length_mm, switch_pj, _b, stages) in zip(
-            srcs.tolist(), dests.tolist(), expected):
-        profile, price = model.priced_path(src, dest)
+    for src, dest, pair in zip(srcs.tolist(), dests.tolist(), expected):
+        profile = model.path(src, dest)
+        price = left_to_right(router_energy_pj_per_flit(ports, model.tech)
+                              for ports in profile.switch_ports)
         assert (profile.hops, profile.length_mm, price,
-                profile.stage_registers) == (hops, length_mm, switch_pj,
-                                             stages)
+                profile.buffered_hops, profile.stage_registers) == pair
+
+
+@pytest.mark.parametrize("name,kwargs", credit_builds())
+def test_pair_costs_equal_the_scalar_walk(name, kwargs):
+    model = physical_model(FabricConfig(topology=name, ports=PORTS[name],
+                                        **DIE, **kwargs).build())
+    assert_walks_agree(model)
+    if kwargs.get("segment_links") or kwargs.get("pipeline_depth"):
+        assert model.pair_costs(*all_pairs(model)).stage_registers.any()
 
 
 #: The tree family: binary and quad trees, concentration 2 and 4.
@@ -151,17 +157,8 @@ TREE_BUILDS = [
 
 @pytest.mark.parametrize("name,kwargs", TREE_BUILDS)
 def test_tree_pair_costs_equal_the_scalar_walk(name, kwargs):
-    model = physical_model(FabricConfig(topology=name, **DIE,
-                                        **kwargs).build())
-    srcs, dests = all_pairs(model)
-    distinct = srcs != dests
-    srcs, dests = srcs[distinct], dests[distinct]
-    costs = model.pair_costs(srcs, dests)
-    got = list(zip(costs.hops.tolist(), costs.length_mm.tolist(),
-                   costs.switch_pj.tolist(), costs.buffered_hops.tolist(),
-                   costs.stage_registers.tolist()))
-    assert got == [reference_costs(model, src, dest)
-                   for src, dest in zip(srcs.tolist(), dests.tolist())]
+    assert_walks_agree(physical_model(FabricConfig(topology=name, **DIE,
+                                                   **kwargs).build()))
 
 
 class _AlwaysEast(RoutingStrategy):

@@ -235,6 +235,12 @@ DEAD_NAMES = [
     (r"_on_inject\b", 44, "the telemetry tap's one listener per event"),
     (r"_credit_links", 44, "the registry's flat per-signal counters"),
     (r"\._sampled\b", 44, "one membership test of the tracer's sample"),
+    (r"route_path", 45, "the tree's walker: the one Network.walk"),
+    (r"xy_path", 45, "the mesh's walker: the one Network.walk"),
+    (r"\b_path\(", 45, "per-family path walkers: the one Network.walk"),
+    (r"\b_walk\(", 45, "the credit fabrics' walker: Network.walk"),
+    (r"priced_path", 45, "pair_costs and path read the walk, unmemoised"),
+    (r"_hop_count", 45, "hop_count is a closed form on every structure"),
 ]
 
 #: Where a dead name may not come back.
