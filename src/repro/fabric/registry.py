@@ -40,6 +40,7 @@ no physical descriptor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -314,8 +315,11 @@ class FabricConfig:
             )
         if self.pipeline_depth < 1:
             raise ConfigurationError("pipeline_depth must be >= 1")
-        if self.max_segment_mm <= 0.0:
-            raise ConfigurationError("max_segment_mm must be positive")
+        for name in ("chip_width_mm", "chip_height_mm", "max_segment_mm"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and > 0, got {value}")
         if entry.supports_pipeline:
             if self.buffer_depth < 2:
                 # The routers' own limit, checked where the spec is

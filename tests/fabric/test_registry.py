@@ -210,6 +210,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             FabricConfig(topology="ring", ports=1)
 
+    @pytest.mark.parametrize("field", ("chip_width_mm", "chip_height_mm",
+                                       "max_segment_mm"))
+    @pytest.mark.parametrize("value", (0, 0.0, -5.0, float("nan"),
+                                       float("inf"), float("-inf")))
+    @pytest.mark.parametrize("name", ("tree", "mesh"))
+    def test_die_and_segment_sizes_are_finite_and_positive(self, name,
+                                                           field, value):
+        """A nan, infinite, empty or negative size never constructs,
+        and the error names the field and the value."""
+        with pytest.raises(ConfigurationError,
+                           match=f"^{field} must be finite and > 0, "
+                                 f"got {re.escape(str(value))}$"):
+            FabricConfig(topology=name, ports=16, **{field: value})
+        FabricConfig(topology=name, ports=16, **{field: 0.5})
+
     @pytest.mark.parametrize("name", ("mesh", "torus", "ring"))
     def test_shallow_credit_buffers_never_construct(self, name):
         """Not first inside a router at build(), in a sweep worker."""

@@ -78,6 +78,19 @@ BAD_REPORT_SIZES = (
     "trace --max-packets -2",
 )
 
+#: Die and segment sizes that once ran to a result on a nan or empty
+#: die or died in a traceback (a division by a zero die); each is now
+#: one ``error:`` line naming the field and its value, and exit 2.
+BAD_DIE_SIZES = (
+    "traffic --topology mesh --ports 16 --chip-mm nan --cycles 20",
+    "traffic --topology mesh --ports 16 --chip-mm 0 --cycles 20",
+    "traffic --topology mesh --ports 16 --segment-mm nan --cycles 20",
+    "compare --nodes 16 --chip-mm 0",
+    "compare --nodes 16 --chip-mm nan",
+    "compare --nodes 16 --chip-mm inf",
+    "compare --nodes 16 --chip-mm -5",
+)
+
 #: Accel traces with a valid header and one event line of the wrong
 #: shape, by file name.
 CORRUPT_ACCEL_LINES = {
@@ -214,6 +227,7 @@ def cases() -> list[list[str]]:
         "compare --nodes 24",
         *FORMER_TRACEBACKS,
         *BAD_REPORT_SIZES,
+        *BAD_DIE_SIZES,
     ]
     return [shlex.split(line) for line in lines]
 

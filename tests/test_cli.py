@@ -621,7 +621,8 @@ class TestTreeBackendHasOneAnswer:
 
 
 @pytest.mark.parametrize("argv", record_cli_golden.FORMER_TRACEBACKS
-                         + record_cli_golden.BAD_REPORT_SIZES)
+                         + record_cli_golden.BAD_REPORT_SIZES
+                         + record_cli_golden.BAD_DIE_SIZES)
 def test_bad_input_is_one_error_line_and_exit_2(capsys, argv, tmp_path,
                                                 monkeypatch):
     """main() is the one error boundary: bad input anywhere in a verb is
