@@ -45,9 +45,20 @@ class ConcentratedTreeNetwork(ICNoCNetwork):
     ``drain`` / ``stats`` API addresses endpoints throughout.
     """
 
+    #: Ticks the concentrator mux takes to turn a same-leaf packet
+    #: round, whatever its length.
+    local_turnaround_ticks = 2
+
     def __init__(self, config, kernel: SimKernel | None = None):
         self._local_delivered: list[Packet] = []
         super().__init__(config, kernel=kernel)
+
+    def zero_load_latency_ticks(self, srcs, dests, flits: int = 1):
+        ticks = super().zero_load_latency_ticks(srcs, dests, flits)
+        srcs, dests = self.endpoint_pairs(srcs, dests)
+        leaf_of = self.topology.leaf_of
+        ticks[leaf_of(srcs) == leaf_of(dests)] = self.local_turnaround_ticks
+        return ticks
 
     # -- run-time API ------------------------------------------------------
 
@@ -71,7 +82,8 @@ class ConcentratedTreeNetwork(ICNoCNetwork):
             self._deliver(packet, tick)
             self.kernel.emit("packet", packet)
 
-        self.kernel.call_at(self.kernel.tick + 2, deliver)
+        self.kernel.call_at(self.kernel.tick + self.local_turnaround_ticks,
+                            deliver)
 
     @property
     def delivered(self) -> list[Packet]:

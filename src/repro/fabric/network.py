@@ -43,7 +43,7 @@ from repro.fabric.endpoint import FabricSink, FabricSource
 from repro.fabric.link import CreditLink
 from repro.fabric.router import FabricRouter, port_label
 from repro.fabric.routing import LOCAL
-from repro.noc.floorplan import LOCAL_PORT, Floorplan, segment_count
+from repro.noc.floorplan import LOCAL_PORT, Floorplan
 from repro.noc.base import Network
 from repro.noc.packet import Packet
 from repro.sim.kernel import SimKernel
@@ -61,6 +61,11 @@ class CreditFabricNetwork(Network):
     prefix, port labels, links), ``routing`` (the structure's per-node
     route functions) and ``vc_policy`` (None under wormhole).
     """
+
+    #: A link register stage holds a flit a cycle; so does the injection
+    #: link (``LINK_LATENCY_TICKS``).
+    link_stage_ticks = 2
+    endpoint_ticks = 2
 
     def __init__(self, config: "FabricConfig",
                  kernel: SimKernel | None = None):
@@ -157,12 +162,14 @@ class CreditFabricNetwork(Network):
         )
 
     def _link_segments(self, node: int, port: int) -> int:
-        """Pipeline segments for the link driven at (node, port): 1 when
-        segmentation is off, the floorplan-derived count otherwise."""
         if not self.config.segment_links:
             return 1
-        length = self.floorplan.link_length(node, port)
-        return segment_count(length, self.config.max_segment_mm)
+        return super()._link_segments(node, port)
+
+    def router_ticks(self) -> list[int]:
+        # The grant edge and the output link it drives take a cycle
+        # each, every extra pipeline stage one more.
+        return [2 * self.config.pipeline_depth + 2] * self.topology.nodes
 
     def _link_capacity(self, segments: int) -> int | None:
         """Consumer FIFO depth behind a link, or None for the default.
@@ -352,17 +359,6 @@ class CreditFabricNetwork(Network):
             self._floorplan = self.topology.floorplan(
                 self.config.chip_width_mm, self.config.chip_height_mm)
         return self._floorplan
-
-    def longest_segment_mm(self) -> float:
-        """Longest wire any clock period must cover: the longest link
-        when segmentation is off, else the longest per-segment span."""
-        max_seg = self.config.max_segment_mm
-        longest = 0.0
-        for length in self.floorplan.link_lengths.values():
-            segments = (segment_count(length, max_seg)
-                        if self.config.segment_links else 1)
-            longest = max(longest, length / segments)
-        return longest
 
     def flit_wires(self) -> Iterator[tuple[str, Any, str | None, bool]]:
         consumer: dict[int, str] = {}

@@ -37,15 +37,20 @@ class Network:
     config.ports`` addressable ports, what its registry entry names
     (``topology``, ``routing``, ``vc_policy``) and one run-time surface:
     ``send`` / ``set_handler`` / ``run_ticks`` / ``run_cycles`` /
-    ``drain``. A
-    family supplies its datapath — ``routers``, :meth:`_submit`,
-    :meth:`gating_stats`, :meth:`longest_segment_mm` — and declares its
-    wires and switches to the telemetry layer through
-    :meth:`flit_wires` / :meth:`switches`.
+    ``drain``. A family supplies its datapath — ``routers``,
+    :meth:`_submit`, :meth:`gating_stats`, ``floorplan`` — and its
+    zero-load latency terms (:meth:`router_ticks`, ``link_stage_ticks``,
+    ``endpoint_ticks``), and declares its wires and switches to the
+    telemetry layer through :meth:`flit_wires` / :meth:`switches`.
     """
 
     #: Longest packet ``send`` accepts, in flits (None: unbounded).
     max_packet_flits: int | None = None
+    #: Ticks a head flit spends in each register stage of a link.
+    link_stage_ticks = 1
+    #: Ticks the endpoints add to a head flit outside the routers and
+    #: link stages.
+    endpoint_ticks = 1
 
     def __init__(self, config: "FabricConfig",
                  kernel: SimKernel | None = None):
@@ -84,9 +89,24 @@ class Network:
         """Clock-gating counters summed over the datapath (cumulative)."""
         raise NotImplementedError
 
-    def longest_segment_mm(self) -> float:
-        """Longest wire any clock period must cover."""
+    def router_ticks(self) -> list[int]:
+        """Ticks a head flit spends crossing each router, input link to
+        output link, on an empty network."""
         raise NotImplementedError
+
+    def _link_segments(self, node: int, port: int) -> int:
+        """Pipeline segments of the link driven at (node, port): it
+        carries one register stage per direction per extra segment."""
+        from repro.noc.floorplan import segment_count
+        return segment_count(self.floorplan.link_length(node, port),
+                             self.config.max_segment_mm)
+
+    def longest_segment_mm(self) -> float:
+        """Longest wire any clock period must cover: the longest segment
+        of any link."""
+        return max(length / self._link_segments(node, port)
+                   for (node, port), length
+                   in self.floorplan.link_lengths.items())
 
     def flit_wires(self) -> Iterator[tuple[str, Any, str | None, bool]]:
         """Yield ``(name, signal, consumer, is_credit)`` for every
@@ -130,6 +150,19 @@ class Network:
                             dtype=np.int64)
         return ahead, attached
 
+    def endpoint_pairs(self, srcs, dests) -> tuple[np.ndarray, np.ndarray]:
+        """``srcs`` and ``dests`` as endpoint arrays, every entry checked
+        against ``range(endpoints)``: the one check of every query that
+        indexes per-endpoint tables (a negative endpoint would wrap)."""
+        import numpy as np
+        srcs, dests = (np.asarray(ends, dtype=np.int64)
+                       for ends in (srcs, dests))
+        for role, ends in (("source", srcs), ("destination", dests)):
+            bad = ends[(ends < 0) | (ends >= self.endpoints)]
+            if bad.size:
+                raise TopologyError(f"unknown {role} {int(bad[0])}")
+        return srcs, dests
+
     def walk(self, srcs: np.ndarray, dests: np.ndarray
              ) -> Iterator[tuple[np.ndarray, ...]]:
         """Step every (src, dest) endpoint pair at once from the router
@@ -170,6 +203,47 @@ class Network:
                 f"{int(srcs[idx[0]])}: the strategy and the link table "
                 f"disagree"
             )
+
+    @cached_property
+    def link_register_stages(self) -> tuple[np.ndarray, np.ndarray]:
+        """Register stages one direction of a link carries: ``on[router,
+        port]`` of that port's link (0: none or no link), ``end[endpoint]``
+        of the endpoint's attach link."""
+        import numpy as np
+        topo = self.topology
+        on = np.zeros((topo.router_count, topo.max_ports), dtype=np.int64)
+        for a, a_port, b, b_port in topo.links():
+            on[a, a_port] = on[b, b_port] = self._link_segments(a, a_port) - 1
+        end = np.array([self._link_segments(*topo.attach(endpoint)) - 1
+                        for endpoint in range(self.endpoints)],
+                       dtype=np.int64)
+        return on, end
+
+    def zero_load_latency_ticks(self, srcs, dests,
+                                flits: int = 1) -> np.ndarray:
+        """Inject-to-eject ticks of a ``flits``-flit packet between each
+        ``zip(srcs, dests)`` pair on an empty network, from one walk for
+        all pairs. A head flit advances one clocked element per tick, so
+        it pays :meth:`router_ticks` at every router on the route,
+        ``link_stage_ticks`` at every link register stage (both attach
+        links included) and ``endpoint_ticks`` at the endpoints; each
+        further flit streams one cycle (2 ticks) behind."""
+        import numpy as np
+        srcs, dests = self.endpoint_pairs(srcs, dests)
+        if flits < 1:
+            raise TopologyError("packets have at least one flit")
+        same = srcs[srcs == dests]
+        if same.size:
+            raise TopologyError(f"src == dest ({int(same[0])}) has no path")
+        router = np.array(self.router_ticks(), dtype=np.int64)
+        on, end = self.link_register_stages
+        stage = self.link_stage_ticks
+        attached = self._walk_links[1]
+        ticks = router[attached[srcs]] + stage * (end[srcs] + end[dests])
+        ticks += self.endpoint_ticks + 2 * (flits - 1)
+        for idx, node, port, ahead in self.walk(srcs, dests):
+            ticks[idx] += router[ahead] + stage * on[node, port]
+        return ticks
 
     # -- run-time API -----------------------------------------------------
 

@@ -49,9 +49,10 @@ def segment_count(length_mm: float, max_segment_mm: float) -> int:
     epsilon so an exact multiple does not round up, and never below 1
     (a zero-length link is still one wire).
 
-    The single segmentation rule of the repository: the tree's link
-    wiring, its zero-load latency model, the structural tree-vs-mesh
-    estimator, and the credit fabrics' segmented links all call this.
+    The single segmentation rule of the repository: every network
+    segments its links by it (``Network._link_segments``), and the
+    zero-load latency model and the physical descriptors read the
+    stages it implies from ``Network.link_register_stages``.
     A link with ``segment_count`` segments carries ``segment_count - 1``
     intermediate register stages per direction.
     """

@@ -25,7 +25,7 @@ from repro.clocking.clock_tree import ClockTree
 from repro.clocking.gating import GatingStats
 from repro.noc.arbiter import FixedPriorityArbiter, RoundRobinArbiter
 from repro.noc.base import Network
-from repro.noc.floorplan import Floorplan, floorplan_for, segment_count
+from repro.noc.floorplan import Floorplan, floorplan_for
 from repro.noc.handshake import HandshakeChannel
 from repro.noc.ni import NetworkInterface
 from repro.noc.packet import Packet
@@ -78,9 +78,6 @@ class ICNoCNetwork(Network):
             )
         return round_robin_factory
 
-    def _segments(self, length_mm: float) -> int:
-        return segment_count(length_mm, self.config.max_segment_mm)
-
     def _build(self) -> None:
         topo = self.topology
         self.routers = [None] * topo.router_count  # type: ignore[list-item]
@@ -101,7 +98,7 @@ class ICNoCNetwork(Network):
         for child_slot, child in enumerate(node.children):
             port = child_slot + 1
             length = self.floorplan.link_length(node.index, port)
-            n_seg = self._segments(length)
+            n_seg = self._link_segments(node.index, port)
             seg_len = length / n_seg
             seg_delay = self.config.tech.buffered_wire.delay(seg_len)
             link_name = f"l{node.index}.{port}"
@@ -208,14 +205,8 @@ class ICNoCNetwork(Network):
         """Stages counted by the area model: link stages + one per port."""
         return self.link_stage_count + self.topology.leaves
 
-    def longest_segment_mm(self) -> float:
-        longest = 0.0
-        for node in self.topology.routers:
-            for child_slot in range(len(node.children)):
-                port = child_slot + 1
-                length = self.floorplan.link_length(node.index, port)
-                longest = max(longest, length / self._segments(length))
-        return longest
+    def router_ticks(self) -> list[int]:
+        return [router.forward_latency_ticks for router in self.routers]
 
     def gating_stats(self) -> GatingStats:
         total = GatingStats()

@@ -217,18 +217,22 @@ class TreeTopology:
         return 2 * self.depth - 1
 
     def average_hops_uniform(self) -> float:
-        """Mean hop count over all ordered pairs of distinct leaves.
+        """Mean hop count over all ordered pairs of distinct endpoints.
 
         Closed form for the complete tree: ``N * (k**l - k**(l-1))``
-        ordered pairs meet at a router ``l`` levels above the leaves, and
-        each such path crosses ``2*l - 1`` routers.
+        ordered pairs of the N leaves meet at a router ``l`` levels
+        above them, and each such path crosses ``2*l - 1`` routers; each
+        leaf pair carries ``c**2`` endpoint pairs at concentration
+        ``c``, and the ``N * c * (c-1)`` pairs sharing a leaf take 1.
         """
-        total = sum(
+        c = self.concentration
+        total = self.leaves * c * (c - 1) + c * c * sum(
             self.leaves * (self.arity ** l - self.arity ** (l - 1))
             * (2 * l - 1)
             for l in range(1, self.depth + 1)
         )
-        return total / (self.leaves * (self.leaves - 1))
+        endpoints = self.leaves * c
+        return total / (endpoints * (endpoints - 1))
 
     def sibling_pairs(self) -> list[tuple[int, int]]:
         """Leaf pairs sharing a leaf router (1-router paths)."""

@@ -141,16 +141,17 @@ class PhysicalModel:
             ends = [topo.attach(endpoint)
                     for endpoint in range(self.endpoints)]
             end_mm = np.array([plan.link_length(*end) for end in ends])
-            stages_on = np.vectorize(self._link_stages_on, otypes=[np.int64])
             # One switch price per distinct port count.
             counts = self.router_port_counts()
             price = {ports: router_energy_pj_per_flit(ports, self.tech)
                      for ports in set(counts)}
+            # Only a buffered hop charges its links' stage registers.
+            link_stages, end_stages = self.network.link_register_stages
             self._walk_tables = _WalkTables(
-                link_mm=link_mm, link_stages=stages_on(link_mm),
+                link_mm=link_mm, link_stages=link_stages * self.buffered,
                 end_router=np.array([router for router, _port in ends],
                                     dtype=np.int64),
-                end_mm=end_mm, end_stages=stages_on(end_mm),
+                end_mm=end_mm, end_stages=end_stages * self.buffered,
                 switch_pj=np.array([price[ports] for ports in counts]),
             )
         return self._walk_tables
@@ -162,8 +163,7 @@ class PhysicalModel:
         order, the destination's attach link, the end cost; switches in
         route order — as :meth:`path` lists them, so every entry is
         bit-identical to the one-pair path."""
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dests = np.asarray(dests, dtype=np.int64)
+        srcs, dests = self.network.endpoint_pairs(srcs, dests)
         t = self._tables()
         end_mm, end_pj = self._end_costs()
         steps = np.zeros(srcs.size, dtype=np.int64)
@@ -187,24 +187,25 @@ class PhysicalModel:
     def path(self, src: int, dest: int) -> PathProfile:
         """The one-pair case of the walk: the routers and links a flit
         crosses between two endpoints, attach links included."""
+        srcs, dests = self.network.endpoint_pairs([src], [dest])
         t = self._tables()
         routers = [int(t.end_router[src])]
         lengths = [t.end_mm[src].item()]
-        for _idx, node, port, ahead in self.network.walk(np.array([src]),
-                                                          np.array([dest])):
+        stages = int(t.end_stages[src] + t.end_stages[dest])
+        for _idx, node, port, ahead in self.network.walk(srcs, dests):
             lengths.append(t.link_mm[node[0], port[0]].item())
+            stages += int(t.link_stages[node[0], port[0]])
             routers.append(int(ahead[0]))
         lengths.append(t.end_mm[dest].item())
         ports = self.router_port_counts()
         buffered = len(routers) if self.buffered else 0
+        stages += (self.network.config.pipeline_depth - 1) * buffered
         return PathProfile(
             hops=len(routers),
             switch_ports=tuple(ports[router] for router in routers),
             link_lengths_mm=tuple(lengths),
             buffered_hops=buffered,
-            stage_registers=(sum(map(self._link_stages_on, lengths))
-                             + (self.network.config.pipeline_depth - 1)
-                             * buffered),
+            stage_registers=stages,
         )
 
     # -- contract (overridden per fabric family) ------------------------
@@ -223,11 +224,6 @@ class PhysicalModel:
 
     def router_port_counts(self) -> list[int]:
         raise NotImplementedError
-
-    def _link_stages_on(self, length_mm: float) -> int:
-        """Register stages a path charges on one direction of a link of
-        this length."""
-        return 0
 
     def _end_costs(self) -> tuple[float, float]:
         """Wire (mm) and switch energy (pJ) each end of a path adds
@@ -389,9 +385,8 @@ class CtreePhysical(TreePhysical):
                                                           self.tech)
 
     def _same_leaf(self, srcs, dests) -> np.ndarray:
-        concentration = self.network.topology.concentration
-        return (np.asarray(srcs) // concentration
-                == np.asarray(dests) // concentration)
+        leaf_of = self.network.topology.leaf_of
+        return leaf_of(np.asarray(srcs)) == leaf_of(np.asarray(dests))
 
     def pair_costs(self, srcs, dests) -> PairCosts:
         costs = super().pair_costs(srcs, dests)
@@ -404,11 +399,11 @@ class CtreePhysical(TreePhysical):
         return costs
 
     def path(self, src: int, dest: int) -> PathProfile:
+        tree = super().path(src, dest)
         stub, mux = self._stub_mm(), self._mux_ports
         if self._same_leaf(src, dest):
             return PathProfile(hops=1, switch_ports=(mux,),
                                link_lengths_mm=(stub, stub))
-        tree = super().path(src, dest)
         return PathProfile(
             hops=tree.hops,
             switch_ports=(mux,) + tree.switch_ports + (mux,),
@@ -446,14 +441,6 @@ class CreditFabricPhysical(PhysicalModel):
         output port per extra pipeline stage)."""
         return (self.network.link_stage_count
                 + self.network.router_stage_registers)
-
-    def _link_stages_on(self, length_mm: float) -> int:
-        """Register stages one direction of a link of this length has."""
-        if not self.network.config.segment_links:
-            return 0
-        from repro.noc.floorplan import segment_count
-        return segment_count(length_mm,
-                             self.network.config.max_segment_mm) - 1
 
     def clock_sink_count(self) -> int:
         # Router + source + sink register banks at every node, plus one

@@ -21,7 +21,6 @@ __all__ = [
     "SimKernel",
     "Timer",
     "Probe",
-    "SignalTrace",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -29,5 +28,4 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sim.component": ("ClockedComponent",),
     "repro.sim.kernel": ("SimKernel", "Timer"),
     "repro.sim.observe": ("Probe",),
-    "repro.sim.probes": ("SignalTrace",),
 })

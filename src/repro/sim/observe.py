@@ -2,8 +2,9 @@
 
 A callback fired on every tick would forbid the kernel's quiescent
 fast-forward — an instrumented run would pay naive-loop speed for
-visibility — so the kernel offers none. Instrumentation (``SignalTrace``,
-``VCDWriter``, the protocol monitors and watchdogs) stands on this
+visibility — so the kernel offers none. Instrumentation (``VCDWriter``,
+the protocol monitors and watchdogs, the telemetry tap; a signal trace
+is one probe callback, a flit count one event subscriber) stands on this
 contract instead:
 
 * **Probes subscribe to signals.** :meth:`Signal.attach_probe` callbacks

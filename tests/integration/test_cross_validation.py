@@ -8,7 +8,6 @@ the subsystems together.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.noc.latency_model import zero_load_latency_ticks
 from repro.fabric.registry import FabricConfig
 from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
@@ -33,7 +32,7 @@ class TestModelVsSimulation:
         net.send(Packet(src=src, dest=dest, payload=payload))
         assert net.drain(20_000)
         assert net.delivered[0].latency_ticks == \
-            zero_load_latency_ticks(net, src, dest, flits)
+            net.zero_load_latency_ticks([src], [dest], flits)[0]
 
 
 class TestStructuralVsGeometric:

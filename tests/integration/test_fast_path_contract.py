@@ -49,7 +49,6 @@ from repro.accel.replay import ReplaySystem
 from repro.fabric.registry import FabricConfig
 from repro.noc.debug import attach_monitors, attach_watchdog
 from repro.noc.packet import Packet
-from repro.sim.probes import SignalTrace, ThroughputMeter
 from repro.sim.vcd import VCDWriter
 from repro.system.workloads import BurstyConfig, BurstySystem
 from repro.telemetry import attach_metrics, attach_tracer
@@ -84,7 +83,8 @@ def fabric(**kwargs):
 def instrumented_tree(activity_driven, tmp_path):
     """The tree with every debug observer at once: protocol monitors on
     each router channel, a deadlock watchdog, a VCD of the root router's
-    channels, a signal trace and a flit meter."""
+    channels, a signal trace (one probe callback) and a flit counter
+    (one event subscriber)."""
     net = FabricConfig(**TREE, activity_driven=activity_driven).build()
     monitors = attach_monitors(net)
     attach_watchdog(net, patience_ticks=2_000)
@@ -95,8 +95,12 @@ def instrumented_tree(activity_driven, tmp_path):
                               channel.accept_signal)]
     path = tmp_path / f"root_{'fast' if activity_driven else 'naive'}.vcd"
     writer = VCDWriter(net.kernel, path, signals)
-    trace = SignalTrace(net.kernel, root.out_channels[1].valid_signal)
-    meter = ThroughputMeter(net.kernel, event="flit")
+    valid = root.out_channels[1].valid_signal
+    trace = [(net.kernel.tick, valid.value)]
+    valid.attach_probe(
+        lambda tick, signal, old, new: trace.append((tick, new)))
+    flits = []
+    net.kernel.subscribe("flit", lambda tick, flit: flits.append(tick))
 
     def vcd():
         writer.close()
@@ -104,9 +108,9 @@ def instrumented_tree(activity_driven, tmp_path):
 
     return net, {
         "vcd": vcd,
-        "trace": lambda: list(trace.samples),
+        "trace": lambda: list(trace),
         "accept_bursts": lambda: [m.accept_bursts for m in monitors],
-        "flits_metered": lambda: meter.events,
+        "flits_metered": lambda: len(flits),
     }
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.fabric.registry import FabricConfig
+from repro.noc.floorplan import segment_count
 from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.tech.technology import TECH_90NM
@@ -128,7 +129,8 @@ class TestChannelSpecs:
         for node in net16.topology.routers:
             for slot in range(len(node.children)):
                 length = net16.floorplan.link_length(node.index, slot + 1)
-                total_segments += net16._segments(length)
+                total_segments += segment_count(
+                    length, net16.config.max_segment_mm)
         assert len(net16.channel_specs) == 2 * total_segments
 
     def test_specs_paired_down_up(self, net16):

@@ -14,7 +14,7 @@ paths add an endpoint stub and a concentrator mux at each end.
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.fabric.registry import FabricConfig, get_topology, topology_names
 from repro.fabric.routing import EAST, LOCAL, RoutingStrategy
 from repro.noc.flit import Flit, FlitKind
@@ -189,3 +189,35 @@ class TestBrokenStrategies:
         model = self._model("mesh")
         with pytest.raises(ConfigurationError, match="no link"):
             model.pair_costs([0, 2], [1, 4])
+
+
+@pytest.mark.parametrize("name", ["ctree", "mesh"])
+@pytest.mark.parametrize("endpoint", [-1, 16])
+def test_unknown_endpoints_are_named(name, endpoint):
+    """An endpoint outside ``range(ports)`` is refused by name, never
+    wrapped round (-1 would price endpoint 15) or left to numpy."""
+    model = physical_model(FabricConfig(topology=name, ports=16).build())
+    with pytest.raises(TopologyError, match=f"unknown source {endpoint}"):
+        model.pair_costs([endpoint], [3])
+    with pytest.raises(TopologyError,
+                       match=f"unknown destination {endpoint}"):
+        model.pair_costs([3], [endpoint])
+    with pytest.raises(TopologyError, match=f"unknown source {endpoint}"):
+        model.path(endpoint, 3)
+    with pytest.raises(TopologyError,
+                       match=f"unknown destination {endpoint}"):
+        model.path(3, endpoint)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(topology="tree"),
+    dict(topology="ctree", concentration=2),
+    dict(topology="ctree", concentration=4),
+    dict(topology="mesh"),
+], ids=["tree", "ctree-2", "ctree-4", "mesh"])
+def test_closed_form_hop_average_is_the_walked_one(kwargs):
+    """The structure's closed-form ``average_hops_uniform`` averages over
+    the same ordered endpoint pairs as the walk's ``mean_hops``."""
+    net = FabricConfig(ports=16, **kwargs).build()
+    assert net.topology.average_hops_uniform() == \
+        physical_model(net).mean_hops()

@@ -12,7 +12,6 @@ from repro.noc.pipeline import build_pipeline
 from repro.sim.component import ClockedComponent
 from repro.sim.kernel import SimKernel
 from repro.sim.observe import Probe
-from repro.sim.probes import SignalTrace, ThroughputMeter
 from repro.sim.vcd import VCDWriter
 
 
@@ -226,12 +225,13 @@ class TestEvents:
         src.send(single_flits(1))
         assert ("w", "p.src") in names
 
-    def test_throughput_meter_counts_flit_events(self):
+    def test_flit_events_count_delivered_flits(self):
         net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
-        meter = ThroughputMeter(net.kernel, event="flit")
+        flits = []
+        net.kernel.subscribe("flit", lambda tick, flit: flits.append(flit))
         net.send(Packet(src=0, dest=5, payload=[1, 2]))
         assert net.drain(10_000)
-        assert meter.events == 2
+        assert len(flits) == 2
 
 
 def run_instrumented_pipeline(activity_driven, tmp_path, instrumented):
@@ -247,8 +247,10 @@ def run_instrumented_pipeline(activity_driven, tmp_path, instrumented):
             signals += [ch.valid_signal, ch.data_signal, ch.accept_signal]
         vcd_path = tmp_path / f"trace_{activity_driven}.vcd"
         writer = VCDWriter(kernel, vcd_path, signals)
-        extras["trace"] = SignalTrace(kernel,
-                                      stages[0].downstream.valid_signal)
+        valid = stages[0].downstream.valid_signal
+        extras["trace"] = [(kernel.tick, valid.value)]
+        valid.attach_probe(lambda tick, signal, old, new:
+                           extras["trace"].append((tick, new)))
     for start, count in ((0, 4), (200, 2), (600, 5)):
         kernel.run_ticks(start - kernel.tick)
         src.send(single_flits(count))
@@ -257,7 +259,7 @@ def run_instrumented_pipeline(activity_driven, tmp_path, instrumented):
         writer.close()
         extras_out = {
             "vcd": (tmp_path / f"trace_{activity_driven}.vcd").read_text(),
-            "trace": list(extras["trace"].samples),
+            "trace": extras["trace"],
         }
     else:
         extras_out = {}

@@ -64,7 +64,7 @@ ORPHANS = [
 ]
 
 #: Names across the sub-package ``__all__``s (``repro`` itself excluded).
-SUBPACKAGE_ALL_TOTAL = 161
+SUBPACKAGE_ALL_TOTAL = 160
 
 
 def _module_file(dotted: str) -> Path:
@@ -241,6 +241,15 @@ DEAD_NAMES = [
     (r"\b_walk\(", 45, "the credit fabrics' walker: Network.walk"),
     (r"priced_path", 45, "pair_costs and path read the walk, unmemoised"),
     (r"_hop_count", 45, "hop_count is a closed form on every structure"),
+    (r"repro\.noc\.latency_model", 46,
+     "the tree-only model: Network.zero_load_latency_ticks"),
+    (r"zero_load_latency_cycles", 46, "the ticks array, halved"),
+    (r"worst_case_latency_cycles", 46, "the ticks array's max()"),
+    (r"mean_latency_cycles_uniform", 46, "the ticks array's mean()"),
+    (r"path_link_stage_count", 46, "the walk's link stage ticks"),
+    (r"repro\.sim\.probes", 46, "one probe callback, one event subscriber"),
+    (r"SignalTrace", 46, "one Signal.attach_probe callback"),
+    (r"ThroughputMeter", 46, "one kernel.subscribe('flit') counter"),
 ]
 
 #: Where a dead name may not come back.
