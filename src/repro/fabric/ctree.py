@@ -54,10 +54,11 @@ class ConcentratedTreeNetwork(ICNoCNetwork):
         super().__init__(config, kernel=kernel)
 
     def zero_load_latency_ticks(self, srcs, dests, flits: int = 1):
+        import numpy as np
         ticks = super().zero_load_latency_ticks(srcs, dests, flits)
-        srcs, dests = self.endpoint_pairs(srcs, dests)
         leaf_of = self.topology.leaf_of
-        ticks[leaf_of(srcs) == leaf_of(dests)] = self.local_turnaround_ticks
+        same = leaf_of(np.asarray(srcs)) == leaf_of(np.asarray(dests))
+        ticks[same] = self.local_turnaround_ticks
         return ticks
 
     # -- run-time API ------------------------------------------------------

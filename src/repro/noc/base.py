@@ -46,11 +46,12 @@ class Network:
 
     #: Longest packet ``send`` accepts, in flits (None: unbounded).
     max_packet_flits: int | None = None
-    #: Ticks a head flit spends in each register stage of a link.
-    link_stage_ticks = 1
+    #: Ticks a head flit spends in each register stage of a link (each
+    #: family sets it).
+    link_stage_ticks: int
     #: Ticks the endpoints add to a head flit outside the routers and
-    #: link stages.
-    endpoint_ticks = 1
+    #: link stages (each family sets it).
+    endpoint_ticks: int
 
     def __init__(self, config: "FabricConfig",
                  kernel: SimKernel | None = None):
@@ -152,16 +153,24 @@ class Network:
 
     def endpoint_pairs(self, srcs, dests) -> tuple[np.ndarray, np.ndarray]:
         """``srcs`` and ``dests`` as endpoint arrays, every entry checked
-        against ``range(endpoints)``: the one check of every query that
-        indexes per-endpoint tables (a negative endpoint would wrap)."""
+        to be an integer in ``range(endpoints)``: the one check of every
+        query that indexes per-endpoint tables (a negative endpoint
+        would wrap, a fraction would truncate)."""
         import numpy as np
-        srcs, dests = (np.asarray(ends, dtype=np.int64)
-                       for ends in (srcs, dests))
+        checked = []
         for role, ends in (("source", srcs), ("destination", dests)):
-            bad = ends[(ends < 0) | (ends >= self.endpoints)]
-            if bad.size:
+            ends = np.asarray(ends)
+            if not ends.size:
+                ends = ends.astype(np.int64)
+            elif ends.dtype.kind not in "iu":
+                first = ends.ravel()[0].item()
+                raise TopologyError(
+                    f"unknown {role} {first!r}: endpoints are integers")
+            elif ends.min() < 0 or ends.max() >= self.endpoints:
+                bad = ends[(ends < 0) | (ends >= self.endpoints)]
                 raise TopologyError(f"unknown {role} {int(bad[0])}")
-        return srcs, dests
+            checked.append(ends.astype(np.int64, copy=False))
+        return checked[0], checked[1]
 
     def walk(self, srcs: np.ndarray, dests: np.ndarray
              ) -> Iterator[tuple[np.ndarray, ...]]:

@@ -205,6 +205,11 @@ class ICNoCNetwork(Network):
         """Stages counted by the area model: link stages + one per port."""
         return self.link_stage_count + self.topology.leaves
 
+    #: A handshake link stage and the sink NI's latch hold a head flit a
+    #: tick each.
+    link_stage_ticks = 1
+    endpoint_ticks = 1
+
     def router_ticks(self) -> list[int]:
         return [router.forward_latency_ticks for router in self.routers]
 

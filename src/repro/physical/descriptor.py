@@ -399,11 +399,12 @@ class CtreePhysical(TreePhysical):
         return costs
 
     def path(self, src: int, dest: int) -> PathProfile:
-        tree = super().path(src, dest)
+        self.network.endpoint_pairs([src], [dest])
         stub, mux = self._stub_mm(), self._mux_ports
         if self._same_leaf(src, dest):
             return PathProfile(hops=1, switch_ports=(mux,),
                                link_lengths_mm=(stub, stub))
+        tree = super().path(src, dest)
         return PathProfile(
             hops=tree.hops,
             switch_ports=(mux,) + tree.switch_ports + (mux,),

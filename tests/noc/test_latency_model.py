@@ -104,7 +104,7 @@ class TestModelStructure:
             ticks(net, 0, 1, flits=0)
 
     @pytest.mark.parametrize("topology", ["ctree", "mesh"])
-    @pytest.mark.parametrize("endpoint", [-1, 16])
+    @pytest.mark.parametrize("endpoint", [-1, 16, 1.5])
     def test_unknown_endpoint_rejected(self, topology, endpoint):
         net = FabricConfig(topology=topology, ports=16).build()
         with pytest.raises(TopologyError, match=f"source {endpoint}"):

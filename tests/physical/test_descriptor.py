@@ -192,7 +192,7 @@ class TestBrokenStrategies:
 
 
 @pytest.mark.parametrize("name", ["ctree", "mesh"])
-@pytest.mark.parametrize("endpoint", [-1, 16])
+@pytest.mark.parametrize("endpoint", [-1, 16, 1.5])
 def test_unknown_endpoints_are_named(name, endpoint):
     """An endpoint outside ``range(ports)`` is refused by name, never
     wrapped round (-1 would price endpoint 15) or left to numpy."""
