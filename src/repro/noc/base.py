@@ -46,12 +46,6 @@ class Network:
 
     #: Longest packet ``send`` accepts, in flits (None: unbounded).
     max_packet_flits: int | None = None
-    #: Ticks a head flit spends in each register stage of a link (each
-    #: family sets it).
-    link_stage_ticks: int
-    #: Ticks the endpoints add to a head flit outside the routers and
-    #: link stages (each family sets it).
-    endpoint_ticks: int
 
     def __init__(self, config: "FabricConfig",
                  kernel: SimKernel | None = None):
@@ -160,17 +154,15 @@ class Network:
         checked = []
         for role, ends in (("source", srcs), ("destination", dests)):
             ends = np.asarray(ends)
-            if not ends.size:
-                ends = ends.astype(np.int64)
-            elif ends.dtype.kind not in "iu":
-                first = ends.ravel()[0].item()
-                raise TopologyError(
-                    f"unknown {role} {first!r}: endpoints are integers")
-            elif ends.min() < 0 or ends.max() >= self.endpoints:
+            if ends.size and ends.dtype.kind not in "iu":
+                raise TopologyError(f"unknown {role} {ends.flat[0].item()!r}"
+                                    f": endpoints are integers")
+            ends = ends.astype(np.int64, copy=False)
+            if ends.size and (ends.min() < 0 or ends.max() >= self.endpoints):
                 bad = ends[(ends < 0) | (ends >= self.endpoints)]
                 raise TopologyError(f"unknown {role} {int(bad[0])}")
-            checked.append(ends.astype(np.int64, copy=False))
-        return checked[0], checked[1]
+            checked.append(ends)
+        return tuple(checked)
 
     def walk(self, srcs: np.ndarray, dests: np.ndarray
              ) -> Iterator[tuple[np.ndarray, ...]]:
@@ -223,9 +215,8 @@ class Network:
         on = np.zeros((topo.router_count, topo.max_ports), dtype=np.int64)
         for a, a_port, b, b_port in topo.links():
             on[a, a_port] = on[b, b_port] = self._link_segments(a, a_port) - 1
-        end = np.array([self._link_segments(*topo.attach(endpoint)) - 1
-                        for endpoint in range(self.endpoints)],
-                       dtype=np.int64)
+        end = np.array([self._link_segments(*topo.attach(end)) - 1
+                        for end in range(self.endpoints)], dtype=np.int64)
         return on, end
 
     def zero_load_latency_ticks(self, srcs, dests,

@@ -205,8 +205,7 @@ class ICNoCNetwork(Network):
         """Stages counted by the area model: link stages + one per port."""
         return self.link_stage_count + self.topology.leaves
 
-    #: A handshake link stage and the sink NI's latch hold a head flit a
-    #: tick each.
+    #: A handshake link stage and the sink NI's latch take a tick each.
     link_stage_ticks = 1
     endpoint_ticks = 1
 

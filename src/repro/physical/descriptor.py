@@ -248,9 +248,6 @@ class PhysicalModel:
     def frequency_ghz(self) -> float:
         return self.network.operating_frequency_ghz()
 
-    def measured_sink_activity(self) -> float:
-        return self.network.gating_stats().activity
-
     # -- generic reports -------------------------------------------------
 
     def area_report(self) -> AreaReport:
@@ -323,7 +320,7 @@ class PhysicalModel:
             frequency_ghz = self.frequency_ghz()
         if self.clock_distribution == "integrated":
             if sink_activity is None:
-                sink_activity = self.measured_sink_activity()
+                sink_activity = self.network.gating_stats().activity
             return forwarded_clock_power_mw(
                 self.clock_wire_mm(), sinks=self.clock_sink_count(),
                 frequency=frequency_ghz, sink_activity=sink_activity,
