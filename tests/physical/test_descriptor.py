@@ -11,6 +11,8 @@ tree, whose paths start and end on leaf links, and whose cross-leaf
 paths add an endpoint stub and a concentrator mux at each end.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -209,15 +211,56 @@ def test_unknown_endpoints_are_named(name, endpoint):
         model.path(3, endpoint)
 
 
+def closed_form_worst_hops(topo):
+    """The structures' worst-case hop counts, in closed form:
+    ``2·log_k(N) - 1`` on a k-ary tree of N leaves, ``cols + rows - 1``
+    corner to corner on a mesh, ``cols//2 + rows//2 + 1`` on a torus and
+    ``N//2 + 1`` on a ring."""
+    kind = getattr(topo, "kind", None)
+    if kind == "mesh":
+        return topo.cols + topo.rows - 1
+    if kind == "torus":
+        return topo.cols // 2 + topo.rows // 2 + 1
+    if hasattr(topo, "arity"):
+        return 2 * round(math.log(topo.leaves, topo.arity)) - 1
+    return topo.nodes // 2 + 1
+
+
+def closed_form_mean_hops(topo, endpoints):
+    """Mean of the structure's closed-form ``hop_count`` over every
+    ordered pair of distinct endpoints: the same integer total and the
+    same division as the walk's, so the float is identical."""
+    total = sum(topo.hop_count(src, dest) for src in range(endpoints)
+                for dest in range(endpoints) if src != dest)
+    return total / (endpoints * (endpoints - 1))
+
+
 @pytest.mark.parametrize("kwargs", [
-    dict(topology="tree"),
-    dict(topology="ctree", concentration=2),
-    dict(topology="ctree", concentration=4),
-    dict(topology="mesh"),
-], ids=["tree", "ctree-2", "ctree-4", "mesh"])
-def test_closed_form_hop_average_is_the_walked_one(kwargs):
-    """The structure's closed-form ``average_hops_uniform`` averages over
-    the same ordered endpoint pairs as the walk's ``mean_hops``."""
-    net = FabricConfig(ports=16, **kwargs).build()
-    assert net.topology.average_hops_uniform() == \
-        physical_model(net).mean_hops()
+    *(dict(topology=name, ports=ports)
+      for name in ("tree", "ctree", "mesh", "torus", "ring")
+      for ports in (16, 64)),
+    *(dict(topology="tree", ports=ports, arity=4) for ports in (16, 64)),
+    dict(topology="tree", ports=2),
+    dict(topology="ring", ports=2),
+    dict(topology="ring", ports=3),
+    dict(topology="mesh", ports=4),
+    dict(topology="torus", ports=4),
+    dict(topology="torus", ports=9),
+    dict(topology="torus", ports=6, rows=2),
+    dict(topology="ctree", ports=8, concentration=4),
+], ids=lambda kwargs: "-".join(str(value) for value in kwargs.values()))
+def test_walked_hops_equal_the_closed_forms(kwargs):
+    """The walk's worst case and mean over all ordered pairs equal the
+    structures' closed forms exactly, on every family and on the
+    smallest and lopsided shapes."""
+    net = FabricConfig(**kwargs).build()
+    model = physical_model(net)
+    assert model.worst_case_hops() == closed_form_worst_hops(net.topology)
+    assert model.mean_hops() == \
+        closed_form_mean_hops(net.topology, net.endpoints)
+
+
+def test_tree_mean_hops_at_64_ports():
+    """Section 3's uniform-traffic mean on the 64-port binary tree."""
+    net = FabricConfig(topology="tree", ports=64).build()
+    assert physical_model(net).mean_hops() == 9.19047619047619
