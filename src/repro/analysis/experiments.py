@@ -29,7 +29,6 @@ import numpy as np
 from repro.analysis.tables import format_table
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
-from repro.fabric.topologies import MeshTopology
 from repro.noc.packet import Packet
 from repro.noc.pipeline import build_pipeline
 from repro.noc.topology import TreeTopology
@@ -286,15 +285,41 @@ def _quad_vs_binary() -> dict:
 
 
 def _tree_vs_mesh() -> dict:
-    tree = TreeTopology(64, arity=2)
-    mesh = MeshTopology(8, 8)
+    tree, mesh = (physical_model(FabricConfig(topology=name, ports=64).build())
+                  for name in ("tree", "mesh"))
+    srcs = np.arange(64)
+    # Where "cores which communicate a lot" sit: the tree's sibling on
+    # the same 3x3 router, the mesh's neighbour along x.
+    x = srcs % mesh.network.topology.cols
+    partners = {tree: srcs ^ 1,
+                mesh: np.where(x + 1 < mesh.network.topology.cols,
+                               srcs + 1, srcs - 1)}
+
+    def energy(model) -> tuple[float, float]:
+        """Mean flit energy under uniform random traffic, and with a 0.8
+        share of it sent to the partner instead (locality 0.8)."""
+        partner = sum(model.flit_energies_pj(srcs, partners[model])) / 64
+        uniform = model.average_flit_energy_pj()
+        return uniform, 0.8 * partner + (1.0 - 0.8) * uniform
+
+    (tree_uniform, tree_local), (mesh_uniform, mesh_local) = \
+        energy(tree), energy(mesh)
     return {
         "tree worst hops @64 (2logN-1)": tree.worst_case_hops(),
         "mesh worst hops @64 (~2sqrtN)": mesh.worst_case_hops(),
-        "tree routers @64 (N-1)": tree.router_count,
-        "mesh routers @64 (N)": mesh.router_count,
+        "tree routers @64 (N-1)": len(tree.router_port_counts()),
+        "mesh routers @64 (N)": len(mesh.router_port_counts()),
         "worst sibling-pair hops (one 3x3 router)":
-            max(tree.hop_count(a, b) for a, b in tree.sibling_pairs()),
+            int(tree.pair_costs(srcs, partners[tree]).hops.max()),
+        "tree area @64 < mesh area":
+            tree.area_report().total_mm2 < mesh.area_report().total_mm2,
+        "tree flit energy @64 < mesh at locality 0.8":
+            tree_local < mesh_local,
+        # Both energies are linear in the locality: the tree starts to
+        # undercut the mesh inside (0, 0.8] iff it does not at 0 and
+        # does at 0.8.
+        "energy crossover locality in (0, 0.8]":
+            mesh_uniform <= tree_uniform and tree_local < mesh_local,
     }
 
 
@@ -640,6 +665,12 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         Row("tree routers @64 (N-1)", 63),
         Row("mesh routers @64 (N)", 64),
         Row("worst sibling-pair hops (one 3x3 router)", 1, 0.0, "hops"),
+        # 3-port bufferless routers against 5-port buffered ones.
+        Row("tree area @64 < mesh area", True),
+        # Clustered traffic (after Lee [12]); uniform traffic favours
+        # the mesh's shorter wires.
+        Row("tree flit energy @64 < mesh at locality 0.8", True),
+        Row("energy crossover locality in (0, 0.8]", True),
     )),
     Experiment("EXP-DM", "6, demonstrator", _demonstrator, (
         Row("operating frequency", 1.0, 0.01, "GHz"),

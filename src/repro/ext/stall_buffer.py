@@ -10,9 +10,9 @@ congestion control."
 This module implements the first alternative faithfully enough to compare:
 a **same-edge** pipeline whose stages carry a 2-deep skid buffer (the
 stall buffer that absorbs the flit already in flight when ``stop``
-arrives one cycle late), plus cost models for both alternatives. The
-ablation bench then shows all three schemes reach full throughput, but at
-different register/clock costs:
+arrives one cycle late). The record's EXP-FC-ABL
+(:mod:`repro.analysis.experiments`) races it against the paper's
+2-phase pipeline; the three schemes differ in register and clock cost:
 
 | scheme | extra registers per stage | clock rate |
 |---|---|---|
@@ -31,7 +31,6 @@ from repro.noc.flit import Flit
 from repro.sim.component import ClockedComponent
 from repro.sim.kernel import SimKernel
 from repro.sim.signal import Signal
-from repro.tech.technology import Technology, TECH_90NM
 from repro.telemetry.metrics import TimeWeightedGauge
 
 
@@ -188,42 +187,3 @@ def build_skid_pipeline(kernel: SimKernel, name: str, stages: int,
     ]
     sink = SkidSink(kernel, f"{name}.sink", channels[stages], ready=ready)
     return source, stage_list, sink
-
-
-# --- cost models ----------------------------------------------------------
-
-def scheme_cost_table(stages: int,
-                      tech: Technology = TECH_90NM) -> list[dict]:
-    """Register/clock cost of the three flow-control schemes.
-
-    The register bank (data flits held per stage) dominates stage area;
-    the IC-NoC stage area is the paper's 0.0015 mm^2. The skid scheme adds
-    one flit-wide buffer per stage (~60% of a stage re-spent on storage);
-    the double-clock scheme keeps one register but toggles its clock twice
-    per data cycle.
-    """
-    if stages < 0:
-        raise ConfigurationError("stages must be >= 0")
-    stage = tech.stage_area_mm2()
-    register_share = 0.60  # register bank share of the stage area
-    skid_extra = stage * register_share  # one extra flit of storage
-    return [
-        {
-            "scheme": "IC-NoC 2-phase (paper)",
-            "registers_per_stage": 1,
-            "area_mm2": stages * stage,
-            "relative_clock_energy": 1.0,
-        },
-        {
-            "scheme": "stall-buffer (skid)",
-            "registers_per_stage": 2,
-            "area_mm2": stages * (stage + skid_extra),
-            "relative_clock_energy": 1.0 + register_share,
-        },
-        {
-            "scheme": "double-clocked",
-            "registers_per_stage": 1,
-            "area_mm2": stages * stage,
-            "relative_clock_energy": 2.0,
-        },
-    ]

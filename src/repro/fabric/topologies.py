@@ -23,10 +23,11 @@ it from the config and assembles what it describes:
   there;
 * ``floorplan(width, height)`` and ``describe()`` — its embedding on the
   die (:mod:`repro.noc.floorplan`) and its one-phrase summary;
-* ``hop_count`` / ``worst_case_hops`` — the structural analysis the
-  stats and the paper-style comparisons use: closed forms that equal
-  the walk's hops (``src == dest`` counts 1, the router it attaches
-  to).
+* ``hop_count(src, dest)`` — routers between two endpoints, the closed
+  form the delivered-packet statistics record, equal to the walk's hops
+  (``src == dest`` counts 1, the router it attaches to). The all-pairs
+  worst case and mean are read off the walk by the physical descriptor
+  (:meth:`repro.physical.descriptor.PhysicalModel.worst_case_hops`).
 
 :class:`MeshTopology` is the paper's baseline; the ring-closing fabrics
 are:
@@ -165,16 +166,6 @@ class MeshTopology(_Grid):
             raise TopologyError(f"({x}, {y}) outside mesh")
         return y * self.cols + x
 
-    def router_ports(self, node: int) -> int:
-        """Physical ports incl. local: 5 in the middle, less at edges."""
-        x, y = self.coordinates(node)
-        ports = 1  # local
-        ports += x > 0
-        ports += x < self.cols - 1
-        ports += y > 0
-        ports += y < self.rows - 1
-        return ports
-
     def links(self) -> Iterator[LinkSpec]:
         """Bidirectional neighbour pairs ``(a, a_port, b, b_port)``."""
         return _interior_links(self.cols, self.rows)
@@ -184,35 +175,6 @@ class MeshTopology(_Grid):
         sx, sy = self.coordinates(src)
         dx, dy = self.coordinates(dest)
         return abs(dx - sx) + abs(dy - sy) + 1
-
-    def worst_case_hops(self) -> int:
-        """Corner to corner: cols + rows - 1 (~ the paper's 2*sqrt(N))."""
-        return self.cols + self.rows - 1
-
-    def average_hops_uniform(self) -> float:
-        total = 0
-        for src in range(self.nodes):
-            for dest in range(self.nodes):
-                if src != dest:
-                    total += self.hop_count(src, dest)
-        return total / (self.nodes * (self.nodes - 1))
-
-    def link_count(self) -> int:
-        """Bidirectional router-to-router links."""
-        return (self.cols - 1) * self.rows + (self.rows - 1) * self.cols
-
-    def total_link_length_mm(self, chip_width_mm: float = 10.0,
-                             chip_height_mm: float = 10.0) -> float:
-        """One-way wire length of all links at the natural tile pitch."""
-        pitch_x = chip_width_mm / self.cols
-        pitch_y = chip_height_mm / self.rows
-        horizontal = (self.cols - 1) * self.rows * pitch_x
-        vertical = (self.rows - 1) * self.cols * pitch_y
-        return horizontal + vertical
-
-    def link_pitch_mm(self, chip_width_mm: float = 10.0,
-                      chip_height_mm: float = 10.0) -> float:
-        return max(chip_width_mm / self.cols, chip_height_mm / self.rows)
 
 
 class TorusTopology(_Grid):
@@ -244,13 +206,6 @@ class TorusTopology(_Grid):
         ax = abs(dx - sx)
         ay = abs(dy - sy)
         return min(ax, self.cols - ax) + min(ay, self.rows - ay) + 1
-
-    def worst_case_hops(self) -> int:
-        return self.cols // 2 + self.rows // 2 + 1
-
-    def link_count(self) -> int:
-        """Bidirectional router-to-router links (wraps included)."""
-        return 2 * self.nodes
 
 
 class RingTopology:
@@ -294,12 +249,6 @@ class RingTopology:
             raise TopologyError(f"unknown nodes {src}->{dest}")
         d = abs(dest - src)
         return min(d, self.nodes - d) + 1
-
-    def worst_case_hops(self) -> int:
-        return self.nodes // 2 + 1
-
-    def link_count(self) -> int:
-        return self.nodes
 
     def describe(self) -> str:
         return f"{self.nodes}-node ring"

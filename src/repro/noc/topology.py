@@ -2,14 +2,16 @@
 
 The clock distribution requires a tree — "no converging paths are allowed
 in the network" (Section 3). A :class:`TreeTopology` describes the routers,
-the leaves (network ports), and the parent/child relations; hop-count
-analysis lives here because it is purely structural.
+the leaves (network ports), and the parent/child relations; the
+per-pair hop count lives here because it is purely structural (the
+all-pairs worst case and mean are the physical descriptor's, over the
+route walk).
 
 Both classes are registry structures, with the part of the credit
 structures' contract (:mod:`repro.fabric.topologies`) a tree has:
 ``from_config``, ``routing()``, ``links()`` between routers, ``attach``
 (an endpoint's leaf router and child port, where a route walk starts and
-stops), ``hop_count`` and ``worst_case_hops``. This module imports only
+stops) and ``hop_count``. This module imports only
 :mod:`repro.errors`, so the registry reads it without loading the tree's
 datapath.
 
@@ -207,45 +209,6 @@ class TreeTopology:
             a, b = a // self.arity, b // self.arity
             levels += 1
         return 2 * levels - 1
-
-    def worst_case_hops(self) -> int:
-        """Maximum routers on any leaf-to-leaf path.
-
-        For a binary tree this is ``2*log2(N) - 1`` — the number the paper
-        compares against a mesh's ``2*sqrt(N)``.
-        """
-        return 2 * self.depth - 1
-
-    def average_hops_uniform(self) -> float:
-        """Mean hop count over all ordered pairs of distinct endpoints.
-
-        Closed form for the complete tree: ``N * (k**l - k**(l-1))``
-        ordered pairs of the N leaves meet at a router ``l`` levels
-        above them, and each such path crosses ``2*l - 1`` routers; each
-        leaf pair carries ``c**2`` endpoint pairs at concentration
-        ``c``, and the ``N * c * (c-1)`` pairs sharing a leaf take 1.
-        """
-        c = self.concentration
-        total = self.leaves * c * (c - 1) + c * c * sum(
-            self.leaves * (self.arity ** l - self.arity ** (l - 1))
-            * (2 * l - 1)
-            for l in range(1, self.depth + 1)
-        )
-        endpoints = self.leaves * c
-        return total / (endpoints * (endpoints - 1))
-
-    def sibling_pairs(self) -> list[tuple[int, int]]:
-        """Leaf pairs sharing a leaf router (1-router paths)."""
-        pairs = []
-        for router in self.routers:
-            if router.children_are_leaves:
-                kids = router.children
-                pairs.extend(
-                    (kids[i], kids[j])
-                    for i in range(len(kids))
-                    for j in range(i + 1, len(kids))
-                )
-        return pairs
 
 
 class ConcentratedTreeTopology(TreeTopology):

@@ -6,8 +6,9 @@ a built fabric's registered descriptor
 ``flit_energy_pj()`` / ``average_flit_energy_pj()`` / ``clock_power()``
 price it; :class:`RunEnergyReport` prices a finished run with the same
 descriptor, and :mod:`repro.physical.comparison` builds the all-fabrics
-table and the paper's Section 3 tree-vs-mesh tables
-(``compare_topologies``, ``tree_mesh_*_table``) as queries over it.
+table as a query over it (the paper's Section 3 tree-vs-mesh argument is
+the record's EXP-TM, :mod:`repro.analysis.experiments`, over the same
+descriptors).
 ``area`` and ``power`` hold only the primitives the descriptors price
 with.
 """

@@ -44,7 +44,7 @@ the two concentrator-mux traversals bracketing the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -128,6 +128,7 @@ class PhysicalModel:
         self.name = network.config.topology
         self.clock_distribution = network.config.clock_distribution
         self._walk_tables: _WalkTables | None = None
+        self._pair_summary: tuple[int, float, float] | None = None
 
     def _tables(self) -> "_WalkTables":
         """Per-link, per-endpoint and per-router prices the walk reads."""
@@ -261,10 +262,9 @@ class PhysicalModel:
             chip_mm2=self.floorplan.chip_area_mm2,
         )
 
-    def flit_energies_pj(self, srcs, dests) -> list[float]:
-        """Energy of one flit from each ``srcs`` entry to its ``dests``
-        entry, in pJ: switches, wire, input FIFOs and stage registers."""
-        costs = self.pair_costs(srcs, dests)
+    def _energies_pj(self, costs: PairCosts) -> np.ndarray:
+        """Energy of one flit along each priced path, in pJ: switches,
+        wire, input FIFOs and stage registers."""
         tech = self.tech
         energy = costs.switch_pj + (link_energy_pj_per_flit(1.0, tech)
                                     * costs.length_mm)
@@ -273,38 +273,44 @@ class PhysicalModel:
         # switching-energy density as the router datapath.
         energy += (costs.stage_registers * tech.stage_area_mm2()
                    * ROUTER_ENERGY_DENSITY_PJ_PER_MM2)
-        return energy.tolist()
+        return energy
+
+    def flit_energies_pj(self, srcs, dests) -> list[float]:
+        """Energy of one flit from each ``srcs`` entry to its ``dests``
+        entry, in pJ."""
+        return self._energies_pj(self.pair_costs(srcs, dests)).tolist()
 
     def flit_energy_pj(self, src: int, dest: int) -> float:
         return self.flit_energies_pj([src], [dest])[0]
 
-    def _source_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Every ordered pair of distinct endpoints, one source per row
-        (memory stays O(endpoints x diameter)), dest ascending."""
-        dests = np.arange(self.endpoints)
-        for src in range(self.endpoints):
-            row = dests[dests != src]
-            yield np.full(row.size, src), row
-
-    def average_flit_energy_pj(self) -> float:
-        total = 0.0
-        pairs = 0
-        for srcs, dests in self._source_rows():
-            for energy in self.flit_energies_pj(srcs, dests):
-                total += energy
-            pairs += dests.size
-        return total / pairs
-
-    def mean_hops(self) -> float:
-        total = 0
-        pairs = 0
-        for srcs, dests in self._source_rows():
-            total += int(self.pair_costs(srcs, dests).hops.sum())
-            pairs += dests.size
-        return total / pairs
+    def _all_pairs(self) -> tuple[int, float, float]:
+        """(worst hops, mean hops, mean flit energy) over every ordered
+        pair of distinct endpoints, from one walk per source row (memory
+        stays O(endpoints x diameter)), dest ascending; energies add left
+        to right. Walked once per model."""
+        if self._pair_summary is None:
+            worst = hops = pairs = 0
+            energy = 0.0
+            dests = np.arange(self.endpoints)
+            for src in range(self.endpoints):
+                row = dests[dests != src]
+                costs = self.pair_costs(np.full(row.size, src), row)
+                worst = max(worst, int(costs.hops.max()))
+                hops += int(costs.hops.sum())
+                for pj in self._energies_pj(costs).tolist():
+                    energy += pj
+                pairs += row.size
+            self._pair_summary = (worst, hops / pairs, energy / pairs)
+        return self._pair_summary
 
     def worst_case_hops(self) -> int:
-        return self.network.topology.worst_case_hops()
+        return self._all_pairs()[0]
+
+    def mean_hops(self) -> float:
+        return self._all_pairs()[1]
+
+    def average_flit_energy_pj(self) -> float:
+        return self._all_pairs()[2]
 
     def clock_power(self, frequency_ghz: float | None = None,
                     sink_activity: float | None = None,

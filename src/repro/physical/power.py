@@ -12,9 +12,9 @@ Under *uniform random* traffic the tree's physically longer H-tree paths
 cost wire energy that partly offsets its cheaper, fewer-port routers; the
 tree's energy win materialises with traffic locality — exactly the paper's
 Section 3 argument that "with proper application mapping, cores which
-communicate a lot will be clustered".
-:func:`repro.physical.comparison.energy_crossover_locality` finds where
-the crossover falls; the tree's *static* advantages (half the
+communicate a lot will be clustered". The record's EXP-TM
+(:mod:`repro.analysis.experiments`) holds the crossover inside
+(0, 0.8] of locality; the tree's *static* advantages (half the
 router area -> leakage, no buffers, cheaper clock network) hold regardless
 and are covered by the area and clock-power models.
 """

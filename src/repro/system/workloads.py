@@ -308,23 +308,6 @@ class BurstySystem:
                 * self.config.packets_per_storm)
 
 
-def evaluate_bursty(config: BurstyConfig) -> NetworkStats:
-    """Worker entry point: build and replay one bursty system.
-
-    Raises :class:`~repro.errors.SimulationError` if the drain budget
-    ran out — a truncated replay is not a measurement.
-    """
-    from repro.errors import SimulationError
-    system = BurstySystem(config)
-    stats = system.run()
-    if not system.drained:
-        raise SimulationError(
-            f"bursty replay failed to drain: {stats.packets_delivered} of "
-            f"{system.packets_scheduled} packets delivered"
-        )
-    return stats
-
-
 def mapping_comparison(tiles: int = 16, stages: int = 4,
                        burst_flits: int = 8, bursts: int = 15,
                        seed: int = 7,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.ext.stall_buffer import build_skid_pipeline, scheme_cost_table
+from repro.ext.stall_buffer import build_skid_pipeline
 from repro.noc.flit import Flit, FlitKind
 from repro.sim.kernel import SimKernel
 
@@ -91,29 +91,3 @@ class TestSkidPipeline:
         with pytest.raises(ConfigurationError):
             build_skid_pipeline(SimKernel(), "q", stages=-1)
 
-
-class TestSchemeCosts:
-    def test_icnoc_cheapest_registers(self):
-        table = {row["scheme"]: row for row in scheme_cost_table(76)}
-        icnoc = table["IC-NoC 2-phase (paper)"]
-        skid = table["stall-buffer (skid)"]
-        double = table["double-clocked"]
-        assert icnoc["registers_per_stage"] < skid["registers_per_stage"]
-        assert icnoc["area_mm2"] < skid["area_mm2"]
-
-    def test_icnoc_cheapest_clock_energy(self):
-        table = {row["scheme"]: row for row in scheme_cost_table(10)}
-        energies = {name: row["relative_clock_energy"]
-                    for name, row in table.items()}
-        assert energies["IC-NoC 2-phase (paper)"] == min(energies.values())
-        assert energies["double-clocked"] == 2.0
-
-    def test_area_scales_with_stages(self):
-        ten = scheme_cost_table(10)
-        twenty = scheme_cost_table(20)
-        for row10, row20 in zip(ten, twenty):
-            assert row20["area_mm2"] == pytest.approx(2 * row10["area_mm2"])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            scheme_cost_table(-1)

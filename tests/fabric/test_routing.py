@@ -27,11 +27,18 @@ from repro.fabric.routing import (
 )
 from repro.fabric.topologies import RingTopology, TorusTopology
 from repro.noc.flit import Flit, FlitKind
+from repro.physical.descriptor import physical_model
 from repro.sim.kernel import SimKernel
 
 
 def flit_to(dest, kind=FlitKind.SINGLE, seq=0, packet_id=0, src=0):
     return Flit(kind=kind, src=src, dest=dest, packet_id=packet_id, seq=seq)
+
+
+def worst_case_hops(topology, ports):
+    """Most routers on any pair's walked route."""
+    net = FabricConfig(topology=topology, ports=ports).build()
+    return physical_model(net).worst_case_hops()
 
 
 class TestTorusRouting:
@@ -92,7 +99,7 @@ class TestRingRouting:
         topo = RingTopology(8)
         assert topo.hop_count(0, 7) == 2
         assert topo.hop_count(0, 4) == 5
-        assert topo.worst_case_hops() == 5
+        assert worst_case_hops("ring", 8) == 5
 
 
 class TestTorusTopology:
@@ -100,10 +107,9 @@ class TestTorusTopology:
         topo = TorusTopology(4, 4)
         assert topo.hop_count(0, 3) == 2       # wrap west
         assert topo.hop_count(0, 15) == 3      # wrap both dimensions
-        assert topo.worst_case_hops() == 5
+        assert worst_case_hops("torus", 16) == 5
         # A same-size mesh pays 2*sqrt(N); the torus halves it.
-        from repro.fabric.topologies import MeshTopology
-        assert topo.worst_case_hops() < MeshTopology(4, 4).worst_case_hops()
+        assert worst_case_hops("torus", 16) < worst_case_hops("mesh", 16)
 
     def test_every_port_specified_once(self):
         topo = TorusTopology(4, 4)

@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from repro.errors import TopologyError
 from repro.fabric.registry import FabricConfig
+from repro.fabric.routing import EAST
 from repro.fabric.topologies import MeshTopology, grid_shape
+from repro.physical.descriptor import physical_model
 
 from tests.noc.test_topology import walk_routers
 
@@ -51,10 +53,12 @@ class TestStructure:
             assert mesh.node_at(x, y) == node
 
     def test_router_ports(self):
-        mesh = MeshTopology(3, 3)
-        assert mesh.router_ports(4) == 5   # centre
-        assert mesh.router_ports(0) == 3   # corner
-        assert mesh.router_ports(1) == 4   # edge
+        """Ports in use, local included: 5 in the middle, fewer at the
+        edges (as the physical descriptor prices them)."""
+        ports = physical_model(mesh_network(9)).router_port_counts()
+        assert ports[4] == 5   # centre
+        assert ports[0] == 3   # corner
+        assert ports[1] == 4   # edge
 
     def test_tiny_rejected(self):
         with pytest.raises(TopologyError):
@@ -86,12 +90,11 @@ class TestXYRouting:
 
     def test_worst_case_hops(self):
         # cols + rows - 1 ~ 2*sqrt(N): the paper's comparison.
-        assert MeshTopology(8, 8).worst_case_hops() == 15
+        assert physical_model(mesh_network(64)).worst_case_hops() == 15
 
     def test_average_hops(self):
-        mesh = MeshTopology(4, 4)
-        avg = mesh.average_hops_uniform()
-        assert 1.0 < avg < mesh.worst_case_hops()
+        model = physical_model(mesh_network(16))
+        assert 1.0 < model.mean_hops() < model.worst_case_hops()
 
     @given(st.integers(min_value=0, max_value=63),
            st.integers(min_value=0, max_value=63))
@@ -103,14 +106,16 @@ class TestXYRouting:
 
 class TestGeometry:
     def test_link_count(self):
-        assert MeshTopology(8, 8).link_count() == 112
-        assert MeshTopology(2, 2).link_count() == 4
+        assert len(list(MeshTopology(8, 8).links())) == 112
+        assert len(list(MeshTopology(2, 2).links())) == 4
 
     def test_total_link_length(self):
-        # 8x8 on 10 mm: pitch 1.25 mm; 112 links.
-        mesh = MeshTopology(8, 8)
-        assert mesh.total_link_length_mm(10.0, 10.0) == pytest.approx(140.0)
+        # 8x8 on 10 mm: pitch 1.25 mm; 112 router-to-router links.
+        net = mesh_network(64)
+        assert sum(net.floorplan.link_length(a, a_port)
+                   for a, a_port, _b, _b_port in net.topology.links()) == \
+            pytest.approx(140.0)
 
     def test_pitch(self):
-        assert MeshTopology(8, 8).link_pitch_mm(10.0, 10.0) == \
+        assert mesh_network(64).floorplan.link_length(0, EAST) == \
             pytest.approx(1.25)

@@ -1,5 +1,6 @@
-"""The zero-load latency model (``Network.zero_load_latency_ticks``) must
-agree with the simulator exactly, on every fabric."""
+"""The zero-load latency model (``Network.zero_load_latency_ticks``) and
+the route walk it reads (``Network.walk``) must agree with the simulator
+exactly, on every fabric."""
 
 import dataclasses
 
@@ -11,6 +12,7 @@ from repro.fabric.registry import FabricConfig, get_topology
 from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
 from repro.physical.descriptor import physical_model
+from repro.telemetry.trace import attach_tracer
 
 
 def measure(net, src, dest, flits=1):
@@ -240,3 +242,63 @@ def test_model_equals_simulation_on_every_pair(config):
     predicted = net.zero_load_latency_ticks(srcs, dests, FLITS)
     assert predicted.tolist() == [simulated[pair] for pair
                                   in zip(srcs.tolist(), dests.tolist())]
+
+
+def walk_builds():
+    """Every registered build at 16 ports, depth 1, unsegmented, on the
+    dispatch backend."""
+    yield pytest.param(FabricConfig(ports=16, arity=2), id="tree-2")
+    yield pytest.param(FabricConfig(ports=16, arity=4), id="tree-4")
+    for concentration in (2, 4):
+        yield pytest.param(FabricConfig(topology="ctree", ports=16,
+                                        concentration=concentration),
+                           id=f"ctree-{concentration}")
+    for name in ("mesh", "torus", "ring"):
+        flows = [("wormhole", None)]
+        flows += [("vc", policy) for policy in get_topology(name).vc_policies]
+        for flow, policy in flows:
+            marks = ()
+            if policy == "escape":
+                marks = pytest.mark.xfail(strict=True, reason=(
+                    "the walk follows the deterministic XY route; the "
+                    "minimal-adaptive escape policy takes another minimal "
+                    "route on 108 of 240 mesh pairs and 128 of 240 torus "
+                    "pairs at zero load, and on the torus breaks a "
+                    "y-distance tie toward north where TorusXYRouting "
+                    "goes south, on any die (ROADMAP new direction A)"))
+            yield pytest.param(
+                FabricConfig(topology=name, ports=16, flow_control=flow,
+                             vc_policy=policy,
+                             **(dict(n_vcs=3) if policy == "escape" else {})),
+                id=f"{name}-{policy or flow}", marks=marks)
+
+
+@pytest.mark.parametrize("config", walk_builds())
+def test_walk_is_the_route_taken(config):
+    """Every ordered pair sent once, a link-disjoint round at a time:
+    each packet's traced routers are the walk's, in order."""
+    net = config.build()
+    tracer = attach_tracer(net, 1)
+    srcs, dests = all_pairs(net.endpoints)
+    for members in link_disjoint_rounds(net, srcs, dests):
+        for src, dest in members:
+            net.send(Packet(src=src, dest=dest))
+        assert net.drain(50_000)
+    index = {router.name: i for i, router in enumerate(net.routers)}
+    traced = {(trace.src, trace.dest): [index[hop.router]
+                                        for hop in trace.hops]
+              for trace in tracer.traces}
+    walked = {pair: [net.topology.attach(pair[0])[0]]
+              for pair in zip(srcs.tolist(), dests.tolist())}
+    pairs = list(walked)
+    for idx, _node, _port, ahead in net.walk(srcs, dests):
+        for i, router in zip(idx.tolist(), ahead.tolist()):
+            walked[pairs[i]].append(router)
+    if config.topology == "ctree":
+        # The concentrator mux turns a same-leaf pair round: no tree
+        # router sees it.
+        leaf_of = net.topology.leaf_of
+        for src, dest in pairs:
+            if leaf_of(src) == leaf_of(dest):
+                walked[src, dest] = []
+    assert traced == walked

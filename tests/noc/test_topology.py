@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from repro.errors import TopologyError
 from repro.fabric.registry import FabricConfig
 from repro.noc.topology import PARENT_PORT, TreeTopology
+from repro.physical.descriptor import physical_model
 
 
 @lru_cache(maxsize=None)
@@ -91,7 +92,7 @@ class TestRouting:
         net = tree_network(64)
         path = walk_routers(net, 0, 63)
         assert 0 in path  # the root router
-        assert len(path) == net.topology.worst_case_hops()
+        assert len(path) == physical_model(net).worst_case_hops()
 
     def test_path_is_up_then_down(self):
         net = tree_network(16)
@@ -111,35 +112,35 @@ class TestRouting:
         assert net.topology.hop_count(3, 3) == 1
 
     def test_worst_case_formula_binary(self):
-        # 2*log2(N) - 1.
+        # 2*log2(N) - 1, walked over every pair.
         for leaves, expected in ((8, 5), (64, 11), (256, 15)):
-            assert TreeTopology(leaves, 2).worst_case_hops() == expected
+            assert physical_model(tree_network(leaves)).worst_case_hops() \
+                == expected
 
     def test_worst_case_formula_quad(self):
-        assert TreeTopology(64, 4).worst_case_hops() == 5
+        assert physical_model(tree_network(64, 4)).worst_case_hops() == 5
 
     def test_worst_case_is_achieved(self):
         topo = TreeTopology(32, arity=2)
         worst = max(topo.hop_count(s, d)
                     for s in range(32) for d in range(32) if s != d)
-        assert worst == topo.worst_case_hops()
+        assert worst == physical_model(tree_network(32)).worst_case_hops()
 
     def test_average_hops_sane(self):
-        topo = TreeTopology(16, arity=2)
-        avg = topo.average_hops_uniform()
-        assert 1.0 < avg < topo.worst_case_hops()
+        model = physical_model(tree_network(16))
+        assert 1.0 < model.mean_hops() < model.worst_case_hops()
 
     @pytest.mark.parametrize("leaves, arity", [
         (16, 2), (64, 2), (256, 2), (4, 4), (16, 4), (64, 4), (256, 4),
     ])
-    def test_average_hops_closed_form_equals_the_pair_loop(self, leaves,
-                                                           arity):
+    def test_walked_average_hops_equals_the_pair_loop(self, leaves, arity):
         """The O(N^2) loop over ``hop_count`` is the oracle: same integer
         total, same final division, so the float is identical."""
         topo = TreeTopology(leaves, arity=arity)
         total = sum(topo.hop_count(s, d) for s in range(leaves)
                     for d in range(leaves) if s != d)
-        assert topo.average_hops_uniform() == total / (leaves * (leaves - 1))
+        assert physical_model(tree_network(leaves, arity)).mean_hops() == \
+            total / (leaves * (leaves - 1))
 
     def test_unknown_leaf_rejected(self):
         topo = TreeTopology(8, arity=2)
@@ -185,13 +186,25 @@ class TestChildPorts:
         assert ports == [1] * 4 + [2] * 4 + [3] * 4 + [4] * 4
 
 
+def sibling_pairs(net):
+    """Leaf pairs ``a < b`` whose walked route crosses one router."""
+    leaves = net.endpoints
+    srcs, dests = np.divmod(np.arange(leaves * leaves), leaves)
+    keep = srcs < dests
+    hops = physical_model(net).pair_costs(srcs[keep], dests[keep]).hops
+    return [(a, b) for a, b, h in zip(srcs[keep].tolist(),
+                                      dests[keep].tolist(), hops.tolist())
+            if h == 1]
+
+
 class TestSiblings:
     def test_sibling_pairs_binary(self):
-        topo = TreeTopology(8, arity=2)
-        assert topo.sibling_pairs() == [(0, 1), (2, 3), (4, 5), (6, 7)]
+        assert sibling_pairs(tree_network(8)) == \
+            [(0, 1), (2, 3), (4, 5), (6, 7)]
 
     def test_sibling_pairs_quad(self):
-        topo = TreeTopology(16, arity=4)
-        pairs = topo.sibling_pairs()
+        net = tree_network(16, 4)
+        pairs = sibling_pairs(net)
         assert len(pairs) == 4 * 6  # C(4,2) per leaf router
-        assert all(topo.hop_count(a, b) == 1 for a, b in pairs)
+        assert all(net.topology.leaf_router(a) is net.topology.leaf_router(b)
+                   for a, b in pairs)

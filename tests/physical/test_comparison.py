@@ -1,5 +1,5 @@
 """The registry-driven physical comparison (descriptor layer) and the
-Section 3 tree-vs-mesh tables built on it."""
+Section 3 tree-vs-mesh argument, as queries on the same descriptors."""
 
 import math
 
@@ -16,19 +16,20 @@ from repro.fabric.registry import (
     topology_names,
 )
 from repro.noc.packet import Packet
-from repro.physical.comparison import (
-    compare_topologies,
-    physical_comparison_rows,
-    tree_mesh_area_table,
-    tree_mesh_energy_table,
-    tree_mesh_hop_table,
-)
+from repro.physical.comparison import physical_comparison_rows
 from repro.physical.descriptor import physical_model
 from repro.physical.power import (
     BUFFER_ENERGY_PJ_PER_FLIT,
     ROUTER_ENERGY_DENSITY_PJ_PER_MM2,
 )
 from repro.physical.report import RunEnergyReport
+
+from tests.physical.test_power import (
+    crossover_locality,
+    energy_at,
+    partner_energy_pj,
+    section3_models,
+)
 
 
 def rows_by_key(rows):
@@ -307,102 +308,117 @@ class TestDescriptorContract:
         assert interior.length_mm == pytest.approx(pitch + 2 * (pitch / 2))
 
 
+#: Locality of the clustered-traffic energy comparison (the paper's
+#: application-mapping assumption).
+LOCALITY = 0.8
+
+
+def worst_hops(ports):
+    """(tree, mesh) worst-case hops, walked over every pair."""
+    return tuple(model.worst_case_hops() for model in section3_models(ports))
+
+
 @pytest.fixture(scope="module")
-def row64():
-    return compare_topologies(64)
+def models64():
+    return section3_models(64)
 
 
 class TestHops:
-    def test_paper_formulas(self, row64):
-        # Tree: 2*log2(64) - 1 = 11; mesh ~ 2*sqrt(64) = 16.
-        assert row64.tree_paper_formula == 11
-        assert row64.tree_worst_hops == 11
-        assert row64.mesh_paper_formula == pytest.approx(16.0)
-        assert row64.mesh_worst_hops == 15  # exact corner-to-corner
+    def test_paper_formulas(self):
+        # Tree: 2*log2(64) - 1 = 11; mesh ~ 2*sqrt(64) = 16, exactly 15
+        # corner to corner.
+        assert worst_hops(64) == (11, 15)
 
     def test_tree_matches_or_wins_worst_case(self):
         # At N=16 the exact counts tie (7 vs 7: the paper's 2*sqrt(N) is an
         # approximation of the exact 2*sqrt(N)-1); from N=64 the tree wins
         # outright.
-        row16 = compare_topologies(16, include_energy=False)
-        assert row16.tree_worst_hops <= row16.mesh_worst_hops
+        tree16, mesh16 = worst_hops(16)
+        assert tree16 <= mesh16
         for ports in (64, 256):
-            row = compare_topologies(ports, include_energy=False)
-            assert row.tree_wins_hops, f"tree should win at N={ports}"
+            tree, mesh = worst_hops(ports)
+            assert tree < mesh, f"tree should win at N={ports}"
 
     def test_gap_widens_with_size(self):
-        small = compare_topologies(16, include_energy=False)
-        large = compare_topologies(256, include_energy=False)
-        gap_small = small.mesh_worst_hops - small.tree_worst_hops
-        gap_large = large.mesh_worst_hops - large.tree_worst_hops
-        assert gap_large > gap_small
+        tree16, mesh16 = worst_hops(16)
+        tree256, mesh256 = worst_hops(256)
+        assert mesh256 - tree256 > mesh16 - tree16
 
-    def test_log_vs_sqrt_scaling(self):
-        # Only hop columns are read here, so the 256-port row skips the
-        # all-pairs energy walk (3.5 of this test's 3.9 s) the table
-        # would run for it; TestSection3Golden pins the energy numbers.
-        rows = tree_mesh_hop_table([16, 64])
-        rows.append(compare_topologies(256, include_energy=False))
-        for row in rows:
-            assert row.tree_worst_hops == \
-                2 * int(math.log2(row.ports)) - 1
-            side = math.isqrt(row.ports)
-            assert row.mesh_worst_hops == 2 * side - 1
+    @pytest.mark.parametrize("ports", [16, 64, 256])
+    def test_log_vs_sqrt_scaling(self, ports):
+        side = math.isqrt(ports)
+        assert worst_hops(ports) == (2 * int(math.log2(ports)) - 1,
+                                     2 * side - 1)
 
 
 class TestRoutersAndArea:
-    def test_fewer_routers_in_tree(self, row64):
-        assert row64.tree_routers == 63
-        assert row64.mesh_routers == 64
-        assert row64.tree_routers < row64.mesh_routers
+    def test_fewer_routers_in_tree(self, models64):
+        tree, mesh = (len(model.router_port_counts()) for model in models64)
+        assert (tree, mesh) == (63, 64)
 
-    def test_tree_area_smaller(self, row64):
+    def test_tree_area_smaller(self, models64):
         """Section 3: 'the area and the leakage current of the NoC is
         minimized' — 3-port routers and no stall buffers."""
-        assert row64.tree_wins_area
+        tree, mesh = (model.area_report().total_mm2 for model in models64)
+        assert tree < 1.0  # under 1 mm^2 like the paper
         # The gap is large: mesh 5-port routers + FIFOs.
-        assert row64.mesh_area_mm2 / row64.tree_area_mm2 > 2.0
-
-    def test_area_table(self):
-        table = tree_mesh_area_table(64)
-        assert table["ratio"] > 1.0
-        assert table["tree_mm2"] < 1.0  # under 1 mm^2 like the paper
+        assert mesh / tree > 2.0
 
 
 class TestEnergy:
-    def test_tree_wins_energy_under_clustering(self, row64):
+    def test_tree_wins_energy_under_clustering(self, models64):
         """The Lee [12] / Section 3 claim, in the regime the paper assumes:
         'cores which communicate a lot will be clustered'."""
-        assert row64.tree_wins_energy_local
+        tree, mesh = models64
+        assert energy_at(tree, LOCALITY) < energy_at(mesh, LOCALITY)
 
-    def test_uniform_traffic_favours_mesh_wire(self, row64):
+    def test_uniform_traffic_favours_mesh_wire(self, models64):
         """Documented deviation: with uniform random traffic the H-tree's
         longer physical paths cost more wire energy than the mesh saves in
         routers — locality is what flips the comparison."""
-        assert row64.tree_energy_pj > row64.mesh_energy_pj
+        tree, mesh = models64
+        assert tree.average_flit_energy_pj() > mesh.average_flit_energy_pj()
 
-    def test_crossover_exists_below_paper_locality(self):
-        table = tree_mesh_energy_table(64)
-        assert 0.0 < table["crossover_locality"] <= 0.8
+    def test_crossover_exists_below_paper_locality(self, models64):
+        assert 0.0 < crossover_locality(*models64) <= LOCALITY
 
-    def test_energy_table_local_ratio_over_one(self):
-        table = tree_mesh_energy_table(64)
-        assert table["local_ratio"] > 1.0
+    def test_energy_values_positive(self, models64):
+        for model in models64:
+            assert model.average_flit_energy_pj() > 0.0
+            assert partner_energy_pj(model) > 0.0
 
-    def test_energy_values_positive(self, row64):
-        assert row64.tree_energy_pj > 0.0
-        assert row64.mesh_energy_pj > 0.0
-        assert row64.tree_energy_local_pj > 0.0
+    def test_the_record_states_the_same_claims(self, models64):
+        """EXP-TM's area and energy rows read what these queries read."""
+        from repro.analysis.experiments import EXPERIMENTS, compare
+        record = next(e for e in EXPERIMENTS if e.id == "EXP-TM")
+        measured = {row.quantity: compare(record, row).measured_value
+                    for row in record.rows}
+        tree, mesh = models64
+        assert measured["tree area @64 < mesh area"] == \
+            (tree.area_report().total_mm2 < mesh.area_report().total_mm2)
+        assert measured["tree flit energy @64 < mesh at locality 0.8"] == \
+            (energy_at(tree, LOCALITY) < energy_at(mesh, LOCALITY))
+        assert measured["energy crossover locality in (0, 0.8]"] == \
+            (0.0 < crossover_locality(tree, mesh) <= LOCALITY)
+        assert measured["tree worst hops @64 (2logN-1)"] == \
+            tree.worst_case_hops()
 
 
 class TestSection3Golden:
     """The Section 3 numbers themselves, not just their ordering — pinned
-    so the tables can be re-derived without moving any of them."""
+    so the queries can be re-derived without moving any of them."""
 
     REL = 1e-12
 
-    def test_energy_table_64(self):
-        table = tree_mesh_energy_table(64, chip_mm=10.0)
+    def test_energy_table_64(self, models64):
+        tree, mesh = models64
+        measured = {
+            "tree_uniform_pj": tree.average_flit_energy_pj(),
+            "mesh_uniform_pj": mesh.average_flit_energy_pj(),
+            "tree_local_pj": energy_at(tree, LOCALITY),
+            "mesh_local_pj": energy_at(mesh, LOCALITY),
+            "crossover_locality": crossover_locality(tree, mesh),
+        }
         golden = {
             "tree_uniform_pj": 47.11984073219782,
             "mesh_uniform_pj": 33.158666018562414,
@@ -411,7 +427,7 @@ class TestSection3Golden:
             "crossover_locality": 0.75,
         }
         for key, value in golden.items():
-            assert table[key] == pytest.approx(value, rel=self.REL), key
+            assert measured[key] == pytest.approx(value, rel=self.REL), key
 
     @pytest.mark.parametrize("ports, tree_mm2, mesh_mm2", [
         (16, 0.1919999805, 0.5077333032),
@@ -419,14 +435,18 @@ class TestSection3Golden:
         (256, 2.9519996685, 10.0821327336),
     ])
     def test_total_area(self, ports, tree_mm2, mesh_mm2):
-        row = compare_topologies(ports, chip_mm=10.0, include_energy=False)
-        assert row.tree_area_mm2 == pytest.approx(tree_mm2, rel=self.REL)
-        assert row.mesh_area_mm2 == pytest.approx(mesh_mm2, rel=self.REL)
+        tree, mesh = section3_models(ports)
+        assert tree.area_report().total_mm2 == pytest.approx(tree_mm2,
+                                                             rel=self.REL)
+        assert mesh.area_report().total_mm2 == pytest.approx(mesh_mm2,
+                                                             rel=self.REL)
 
-    def test_routers_and_hops_64(self, row64):
-        assert (row64.tree_routers, row64.mesh_routers) == (63, 64)
-        assert (row64.tree_worst_hops, row64.mesh_worst_hops) == (11, 15)
-        assert row64.tree_avg_hops == pytest.approx(9.19047619047619,
-                                                    rel=self.REL)
-        assert row64.mesh_avg_hops == pytest.approx(6.333333333333333,
-                                                    rel=self.REL)
+    def test_routers_and_hops_64(self, models64):
+        tree, mesh = models64
+        assert (len(tree.router_port_counts()),
+                len(mesh.router_port_counts())) == (63, 64)
+        assert worst_hops(64) == (11, 15)
+        assert tree.mean_hops() == pytest.approx(9.19047619047619,
+                                                 rel=self.REL)
+        assert mesh.mean_hops() == pytest.approx(6.333333333333333,
+                                                 rel=self.REL)

@@ -1,17 +1,52 @@
 """Energy models: links, routers, paths, locality crossover."""
 
+from functools import lru_cache
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fabric.registry import FabricConfig
-from repro.fabric.topologies import MeshTopology
 from repro.physical import power
-from repro.physical.comparison import (
-    energy_crossover_locality,
-    section3_mixes,
-    section3_models,
-)
 from repro.physical.descriptor import physical_model
+
+
+@lru_cache(maxsize=None)
+def section3_models(ports):
+    """The (binary tree, square mesh) descriptors Section 3 compares."""
+    return tuple(physical_model(FabricConfig(topology=name,
+                                             ports=ports).build())
+                 for name in ("tree", "mesh"))
+
+
+@lru_cache(maxsize=None)
+def partner_energy_pj(model):
+    """Mean flit energy from every endpoint to its clustered partner —
+    the tree's other leaf on the same 3x3 router, the mesh's neighbour
+    along x — the mapping assumption that "cores which communicate a lot
+    will be clustered"."""
+    topo = model.network.topology
+    srcs = range(model.endpoints)
+    if hasattr(topo, "cols"):
+        partners = [topo.node_at(x + 1 if x + 1 < topo.cols else x - 1, y)
+                    for x, y in map(topo.coordinates, srcs)]
+    else:
+        partners = [src ^ 1 for src in srcs]
+    return sum(model.flit_energies_pj(srcs, partners)) / model.endpoints
+
+
+def energy_at(model, locality):
+    """Mean flit energy when a ``locality`` share of the traffic goes to
+    the partner and the rest is uniform random."""
+    return (locality * partner_energy_pj(model)
+            + (1.0 - locality) * model.average_flit_energy_pj())
+
+
+def crossover_locality(tree, mesh, steps=20):
+    """Smallest locality on a ``steps`` grid at which the tree's mean
+    flit energy beats the mesh's, or None."""
+    return next((i / steps for i in range(steps + 1)
+                 if energy_at(tree, i / steps) < energy_at(mesh, i / steps)),
+                None)
 
 
 @pytest.fixture(scope="module")
@@ -20,9 +55,9 @@ def tree64():
 
 
 @pytest.fixture(scope="module")
-def mixes64():
-    """(tree, mesh) locality mixes at 64 ports — all pairs walked once."""
-    return section3_mixes(*section3_models(64))
+def models64():
+    """(tree, mesh) descriptors at 64 ports."""
+    return section3_models(64)
 
 
 class TestLinkEnergy:
@@ -70,13 +105,14 @@ class TestPathEnergy:
         cross = tree64.flit_energy_pj(0, 63)
         assert cross > 5.0 * sibling
 
-    def test_mesh_buffer_energy_included(self):
-        mesh = MeshTopology(8, 8)
-        model = physical_model(FabricConfig(topology="mesh", ports=64).build())
+    def test_mesh_buffer_energy_included(self, models64):
+        _tree, model = models64
         e = model.flit_energy_pj(0, 1)
+        # Corner router 0 uses 3 ports (local, east, south), edge router
+        # 1 uses 4.
+        assert model.router_port_counts()[:2] == [3, 4]
         switch_only = (
-            sum(power.router_energy_pj_per_flit(mesh.router_ports(node))
-                for node in (0, 1))
+            sum(power.router_energy_pj_per_flit(ports) for ports in (3, 4))
             + sum(power.link_energy_pj_per_flit(length)
                   for length in (1.25, 0.625, 0.625))
         )
@@ -86,25 +122,21 @@ class TestPathEnergy:
 
 
 class TestLocalityCrossover:
-    def test_tree_wins_at_high_locality(self, mixes64):
-        tree, mesh = mixes64
-        assert tree.at(0.9) < mesh.at(0.9)
+    def test_tree_wins_at_high_locality(self, models64):
+        tree, mesh = models64
+        assert energy_at(tree, 0.9) < energy_at(mesh, 0.9)
 
-    def test_mesh_wins_at_zero_locality(self, mixes64):
-        tree, mesh = mixes64
-        assert mesh.at(0.0) < tree.at(0.0)
+    def test_mesh_wins_at_zero_locality(self, models64):
+        tree, mesh = models64
+        assert energy_at(mesh, 0.0) < energy_at(tree, 0.0)
 
-    def test_crossover_found(self, mixes64):
-        crossover = energy_crossover_locality(*mixes64)
+    def test_crossover_found(self, models64):
+        crossover = crossover_locality(*models64)
         assert crossover is not None
         assert 0.0 < crossover < 1.0
 
-    def test_locality_monotone_for_tree(self, mixes64):
-        tree, _mesh = mixes64
-        energies = [tree.at(loc) for loc in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    def test_locality_monotone_for_tree(self, models64):
+        tree, _mesh = models64
+        energies = [energy_at(tree, loc) for loc in (0.0, 0.25, 0.5, 0.75,
+                                                     1.0)]
         assert energies == sorted(energies, reverse=True)
-
-    def test_bad_locality_rejected(self, mixes64):
-        tree, _mesh = mixes64
-        with pytest.raises(ConfigurationError):
-            tree.at(1.5)

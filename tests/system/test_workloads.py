@@ -124,10 +124,11 @@ class TestBursty:
         with pytest.raises(ConfigurationError):
             BurstyConfig(compute_cycles=0)
 
-    def test_evaluate_entry_point_deterministic(self):
-        from repro.system.workloads import BurstyConfig, evaluate_bursty
+    def test_replay_deterministic(self):
+        from repro.system.workloads import BurstyConfig, BurstySystem
         config = BurstyConfig(tiles=4, storms=1, compute_cycles=50)
-        a = evaluate_bursty(config)
-        b = evaluate_bursty(config)
+        first, second = BurstySystem(config), BurstySystem(config)
+        a, b = first.run(), second.run()
+        assert first.drained and second.drained
         assert a.packets_delivered == b.packets_delivered
         assert a.latencies_cycles == b.latencies_cycles

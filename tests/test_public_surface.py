@@ -250,6 +250,21 @@ DEAD_NAMES = [
     (r"repro\.sim\.probes", 46, "one probe callback, one event subscriber"),
     (r"SignalTrace", 46, "one Signal.attach_probe callback"),
     (r"ThroughputMeter", 46, "one kernel.subscribe('flit') counter"),
+    (r"compare_topologies|TopologyComparison", 48,
+     "Section 3 is the record's EXP-TM"),
+    (r"tree_mesh_(hop|area|energy)_table", 48,
+     "Section 3 is the record's EXP-TM"),
+    (r"energy_crossover_locality|LocalityMix|locality_mix", 48,
+     "EXP-TM's energy rows over physical_model"),
+    (r"section3_(mixes|models)|sibling_leaf|mesh_x_neighbour", 48,
+     "EXP-TM's energy rows over physical_model"),
+    (r"average_hops_uniform", 48, "PhysicalModel.mean_hops, walked"),
+    (r"sibling_pairs", 48, "the walk's one-router pairs"),
+    (r"\.link_count\(", 48, "len(list(topology.links()))"),
+    (r"\.router_ports\(", 48, "PhysicalModel.router_port_counts"),
+    (r"link_pitch_mm", 48, "the floorplan's link lengths"),
+    (r"scheme_cost_table", 48, "no verb, record or bench read it"),
+    (r"evaluate_bursty", 48, "BurstySystem(config).run()"),
 ]
 
 #: Where a dead name may not come back.
