@@ -288,12 +288,11 @@ def _tree_vs_mesh() -> dict:
     tree, mesh = (physical_model(FabricConfig(topology=name, ports=64).build())
                   for name in ("tree", "mesh"))
     srcs = np.arange(64)
+    cols = mesh.network.topology.cols
     # Where "cores which communicate a lot" sit: the tree's sibling on
     # the same 3x3 router, the mesh's neighbour along x.
-    x = srcs % mesh.network.topology.cols
     partners = {tree: srcs ^ 1,
-                mesh: np.where(x + 1 < mesh.network.topology.cols,
-                               srcs + 1, srcs - 1)}
+                mesh: np.where(srcs % cols + 1 < cols, srcs + 1, srcs - 1)}
 
     def energy(model) -> tuple[float, float]:
         """Mean flit energy under uniform random traffic, and with a 0.8

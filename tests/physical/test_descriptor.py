@@ -248,6 +248,7 @@ def closed_form_mean_hops(topo, endpoints):
     dict(topology="torus", ports=9),
     dict(topology="torus", ports=6, rows=2),
     dict(topology="ctree", ports=8, concentration=4),
+    dict(topology="ctree", ports=16, concentration=2),
 ], ids=lambda kwargs: "-".join(str(value) for value in kwargs.values()))
 def test_walked_hops_equal_the_closed_forms(kwargs):
     """The walk's worst case and mean over all ordered pairs equal the
