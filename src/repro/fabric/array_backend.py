@@ -7,13 +7,23 @@ injection VC, the node and port names — into struct-of-arrays numpy
 state: per-(router, port, vc) FIFO occupancy rings of interned flit ids,
 head caches, credit counters, wormhole locks / VC allocations,
 round-robin pointers, the sources' packet backlog and the sinks'
-reassembly. It executes the whole fabric's commit + arbitrate +
+per-packet counts. It executes the whole fabric's commit + arbitrate +
 credit-return inner loop as whole-network array operations, one step
 per clock edge, and delivers through the network. One engine component
 replaces every router and endpoint, which are never built for it: the
 network's datapath (``routers``, ``links``, ``sources``, ``sinks``) is a
 view, built unregistered on first read and filled by :meth:`sync_back`
 then and at every later ``drain()``.
+
+**Packets, not flits.** Each packet is interned as one contiguous
+flit-id range, its hot per-flit fields in numpy columns. A
+:class:`~repro.noc.flit.Flit` exists only once something reads it (an
+event, a probed wire, an error message, the datapath view), which builds
+its packet's flits once, so a flit keeps one identity. The sinks are
+array operations: a flit whose sequence number is not its packet's count
+of flits received raises :class:`~repro.errors.ProtocolError` naming
+it, as reassembly does on dispatch, and a tail delivers ``Packet(src,
+dest, payload or [0], packet_id)``, what ``Packet.from_flits`` builds.
 
 **One lowering path.** :class:`ArrayEngine` mirrors the unified
 :class:`~repro.fabric.router.FabricRouter`: every state array carries a
@@ -107,7 +117,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.clocking.gating import GatingStats
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import ConfigurationError, ProtocolError, RoutingError
 from repro.fabric.router import _va_walk_order
 from repro.fabric.routing import LOCAL
 from repro.noc.flit import Flit
@@ -150,30 +160,72 @@ def _rr_winners(routers: np.ndarray, flat: np.ndarray, last: np.ndarray,
 
 
 class _FlitStore:
-    """Interning table: flit object <-> small integer id, with the hot
-    per-flit fields (src, dest, head/tail) mirrored into numpy arrays."""
+    """Interned flits: each packet is one contiguous range of flit ids.
+
+    Per flit id the hot fields (``src``, ``dest``, head/tail, owning
+    packet ``pkt``) are numpy columns; per packet its ``first`` id, flit
+    ``count`` and flits ``received`` so far. A :class:`Flit` object is
+    built only when something reads one (:meth:`flit`)."""
+
+    FLIT_COLUMNS = {"src": np.int64, "dest": np.int64, "is_head": bool,
+                    "is_tail": bool, "pkt": np.int64}
+    PACKET_COLUMNS = {"first": np.int64, "count": np.int64,
+                      "received": np.int64}
 
     def __init__(self) -> None:
-        cap = 1024
-        self.objs: list[Flit] = []
-        self.src = np.zeros(cap, dtype=np.int64)
-        self.dest = np.zeros(cap, dtype=np.int64)
-        self.is_head = np.zeros(cap, dtype=bool)
-        self.is_tail = np.zeros(cap, dtype=bool)
+        for name, dtype in {**self.FLIT_COLUMNS,
+                            **self.PACKET_COLUMNS}.items():
+            setattr(self, name, np.zeros(1024, dtype=dtype))
+        self.packets: list[Packet] = []
+        self.n_flits = 0
+        # Packet index -> its flits, built on first read and dropped at
+        # delivery, so a flit keeps one identity while it is in flight.
+        self._built: dict[int, list[Flit]] = {}
 
-    def intern(self, flit: Flit) -> int:
-        fid = len(self.objs)
-        if fid == len(self.dest):
-            for field in ("src", "dest", "is_head", "is_tail"):
-                column = getattr(self, field)
-                setattr(self, field,
-                        np.concatenate([column, np.zeros_like(column)]))
-        self.objs.append(flit)
-        self.src[fid] = flit.src
-        self.dest[fid] = flit.dest
-        self.is_head[fid] = flit.is_head
-        self.is_tail[fid] = flit.is_tail
-        return fid
+    def _grow(self, columns: dict, size: int) -> None:
+        for name in columns:
+            column = getattr(self, name)
+            if size > column.size:
+                grown = np.zeros(2 ** size.bit_length(), dtype=column.dtype)
+                grown[:column.size] = column
+                setattr(self, name, grown)
+
+    def add(self, packets: list[Packet]) -> tuple[np.ndarray, np.ndarray]:
+        """Intern ``packets``; returns each one's first and end flit id."""
+        base, lo = self.n_flits, len(self.packets)
+        counts = np.array([len(p.payload) or 1 for p in packets])
+        ends = base + np.cumsum(counts)
+        firsts = ends - counts
+        top, hi = int(ends[-1]), lo + len(packets)
+        self._grow(self.FLIT_COLUMNS, top)
+        self._grow(self.PACKET_COLUMNS, hi)
+        self.src[base:top] = np.repeat([p.src for p in packets], counts)
+        self.dest[base:top] = np.repeat([p.dest for p in packets], counts)
+        self.pkt[base:top] = np.repeat(np.arange(lo, hi), counts)
+        self.is_head[firsts] = True
+        self.is_tail[ends - 1] = True
+        self.first[lo:hi] = firsts
+        self.count[lo:hi] = counts
+        self.packets.extend(packets)
+        self.n_flits = top
+        return firsts, ends
+
+    def flit(self, fid: int) -> Flit:
+        """Flit ``fid``; its packet's flits are built on first use."""
+        pkt = int(self.pkt[fid])
+        flits = self._built.get(pkt)
+        if flits is None:
+            flits = self._built[pkt] = self.packets[pkt].to_flits()
+        return flits[int(fid) - int(self.first[pkt])]
+
+    def deliver(self, pkt: int, tick: int) -> Packet:
+        """Packet ``pkt`` reassembled, as ``Packet.from_flits`` does."""
+        self._built.pop(pkt, None)
+        orig = self.packets[pkt]
+        packet = Packet(orig.src, orig.dest, list(orig.payload) or [0],
+                        orig.packet_id)
+        packet.eject_tick = tick
+        return packet
 
 
 class ArrayEngine(BatchComponent):
@@ -309,9 +361,8 @@ class ArrayEngine(BatchComponent):
         self._src_end = np.zeros(R, dtype=np.int64)
         self._src_credits = np.full(R, depth, dtype=np.int64)
         self._has_pkts = np.zeros(R, dtype=bool)
-        # Sink state: flits received and packets in reassembly.
-        self._flits_received = [0] * R
-        self._assembly: list[dict[int, list[Flit]]] = [{} for _ in range(R)]
+        # Per-sink flits received (the store counts each packet's).
+        self._flits_received = np.zeros(R, dtype=np.int64)
 
         # Gating: enabled edges accumulate here; totals are closed-form.
         self._edges_enabled = np.zeros(R, dtype=np.int64)
@@ -421,15 +472,21 @@ class ArrayEngine(BatchComponent):
                                             self.net._sinks)):
             src.credits = int(self._src_credits[n])
             src.flits.clear()
-            src.flits.extend(store.objs[i]
-                             for i in range(self._src_next[n],
-                                            self._src_end[n]))
+            src.flits.extend(map(store.flit, range(self._src_next[n],
+                                                   self._src_end[n])))
             src.packets.clear()
             src.packets.extend(self._backlog[n])
-            sink.flits_received = self._flits_received[n]
+            sink.flits_received = int(self._flits_received[n])
             sink._assembly.clear()
-            sink._assembly.update((pid, list(flits)) for pid, flits
-                                  in self._assembly[n].items())
+        # A packet is in reassembly once some but not all of its flits
+        # have arrived (listed in packet order, not first-arrival order).
+        received = store.received[:len(store.packets)]
+        for pkt in np.flatnonzero((received > 0) & (
+                received < store.count[:received.size])).tolist():
+            first = int(store.first[pkt])
+            packet = store.packets[pkt]
+            self.net._sinks[packet.dest]._assembly[packet.packet_id] = [
+                store.flit(f) for f in range(first, first + received[pkt])]
 
     def _replay_events(self) -> None:
         emit = self.kernel.emit
@@ -441,8 +498,13 @@ class ArrayEngine(BatchComponent):
             emit(name, payload)
         self._sink_events.clear()
 
-    def _event(self, r: int, name: str, payload: dict) -> None:
-        self._events.setdefault(r, []).append((name, payload))
+    def _event(self, r: int, name: str, output: int, vc: int, in_p: int,
+               in_vc: int, **extra: Any) -> None:
+        """Buffer router ``r``'s event ``name`` on the (output, input)
+        VC pair it names; ``extra`` carries its flit or packet id."""
+        self._events.setdefault(r, []).append((name, {
+            "router": self._names[r], "output": output, "vc": vc,
+            "input": in_p, "input_vc": in_vc, **extra}))
 
     # -- VC allocation (VC regime only) ----------------------------------
 
@@ -461,7 +523,7 @@ class ArrayEngine(BatchComponent):
             j = int(np.nonzero(~heads)[0][0])
             raise RoutingError(
                 f"{self._names[int(rs[j])]}: body flit "
-                f"{store.objs[int(fids[j])]} without an allocation on "
+                f"{store.flit(fids[j])} without an allocation on "
                 f"{self.net.port_labels[int(ps[j])]} vc{int(vs[j])}"
             )
         preferred, fallback = self.net.vc_policy.candidate_masks(
@@ -523,19 +585,13 @@ class ArrayEngine(BatchComponent):
             grants = zip(rows.tolist(), out_p.tolist(), out_vc.tolist(),
                          in_p.tolist(), in_vc.tolist())
             for r, o_p, o_vc, i_p, i_vc in grants:
-                flit = store.objs[int(self._head_fid[r, i_p, i_vc])]
+                flit = store.flit(self._head_fid[r, i_p, i_vc])
                 if on_alloc:
-                    self._event(r, "vc_allocated", {
-                        "router": self._names[r], "output": o_p,
-                        "vc": o_vc, "input": i_p, "input_vc": i_vc,
-                        "flit": flit,
-                    })
+                    self._event(r, "vc_allocated", o_p, o_vc, i_p, i_vc,
+                                flit=flit)
                 if on_acquire and not flit.is_tail:
-                    self._event(r, "lock_acquire", {
-                        "router": self._names[r], "output": o_p,
-                        "vc": o_vc, "input": i_p, "input_vc": i_vc,
-                        "packet_id": flit.packet_id,
-                    })
+                    self._event(r, "lock_acquire", o_p, o_vc, i_p, i_vc,
+                                packet_id=flit.packet_id)
 
     # -- the switch-allocation phase, single-VC (wormhole) regime --------
 
@@ -587,11 +643,8 @@ class ArrayEngine(BatchComponent):
                     cand = starv & s_req.any(axis=1)
                     for r in np.nonzero(cand)[0]:
                         starved[r, out_p] = True
-                        self._event(int(r), "credit_exhausted", {
-                            "router": self._names[r], "output": out_p,
-                            "vc": 0, "input": int(np.argmax(s_req[r])),
-                            "input_vc": 0,
-                        })
+                        self._event(int(r), "credit_exhausted", out_p, 0,
+                                    int(np.argmax(s_req[r])), 0)
 
             grantable = conn & (credits_col > 0) & req.any(axis=1)
             rows = np.nonzero(grantable)[0]
@@ -637,33 +690,22 @@ class ArrayEngine(BatchComponent):
             self._locks[rows, out_p] = np.where(
                 f_tail, -1, np.where(f_head, win, self._locks[rows, out_p]))
             if per_flit:
-                for i, r in enumerate(rows):
-                    r = int(r)
-                    flit = store.objs[int(fid[i])]
+                for i, r in enumerate(rows.tolist()):
+                    flit = store.flit(fid[i])
                     if wt:
                         self.net.routers[r].out_links[out_p].send_flit(
                             flit, 0, tick)
+                    in_p = int(win[i])
                     if on_grant:
-                        self._event(r, "arbitration_grant", {
-                            "router": self._names[r], "output": out_p,
-                            "vc": 0, "input": int(win[i]), "input_vc": 0,
-                            "flit": flit,
-                        })
+                        self._event(r, "arbitration_grant", out_p, 0, in_p,
+                                    0, flit=flit)
                     if flit.is_tail:
                         if on_release and not flit.is_head:
-                            self._event(r, "lock_release", {
-                                "router": self._names[r],
-                                "output": out_p, "vc": 0,
-                                "input": int(win[i]), "input_vc": 0,
-                                "packet_id": flit.packet_id,
-                            })
+                            self._event(r, "lock_release", out_p, 0, in_p,
+                                        0, packet_id=flit.packet_id)
                     elif on_acquire and flit.is_head:
-                        self._event(r, "lock_acquire", {
-                            "router": self._names[r], "output": out_p,
-                            "vc": 0, "input": int(win[i]),
-                            "input_vc": 0,
-                            "packet_id": flit.packet_id,
-                        })
+                        self._event(r, "lock_acquire", out_p, 0, in_p, 0,
+                                    packet_id=flit.packet_id)
 
     # -- the switch-allocation phase, VC regime --------------------------
 
@@ -787,20 +829,15 @@ class ArrayEngine(BatchComponent):
             while j < len(blocked) and blocked[j][0] <= out_p:
                 self._note_starvation(*blocked[j])
                 j += 1
-            flit = store.objs[f]
+            flit = store.flit(f)
             if wt:
                 self.net.routers[r].out_links[out_p].send_flit(flit, vc, tick)
             if on_grant:
-                self._event(r, "arbitration_grant", {
-                    "router": self._names[r], "output": out_p, "vc": vc,
-                    "input": i_p, "input_vc": i_vc, "flit": flit,
-                })
+                self._event(r, "arbitration_grant", out_p, vc, i_p, i_vc,
+                            flit=flit)
             if on_release and flit.is_tail and not flit.is_head:
-                self._event(r, "lock_release", {
-                    "router": self._names[r], "output": out_p,
-                    "vc": vc, "input": i_p, "input_vc": i_vc,
-                    "packet_id": flit.packet_id,
-                })
+                self._event(r, "lock_release", out_p, vc, i_p, i_vc,
+                            packet_id=flit.packet_id)
         for item in blocked[j:]:
             self._note_starvation(*item)
 
@@ -811,10 +848,7 @@ class ArrayEngine(BatchComponent):
         if self._starved[r, out_p, vc]:
             return
         self._starved[r, out_p, vc] = True
-        self._event(r, "credit_exhausted", {
-            "router": self._names[r], "output": out_p, "vc": vc,
-            "input": in_p, "input_vc": in_vc,
-        })
+        self._event(r, "credit_exhausted", out_p, vc, in_p, in_vc)
 
     # -- one clock edge --------------------------------------------------
 
@@ -891,56 +925,38 @@ class ArrayEngine(BatchComponent):
                 self._va_dirty[er] = True
             self._fresh_heads = bool(er.size)
 
-        # 5. Sources: collect credits, unpack at most one packet per
-        # edge, inject at most one flit per edge under credits (on the
-        # policy's injection VC — 0 on single-VC fabrics).
+        # 5. Sources: collect credits, unpack at most one packet per edge
+        # (one interning call for all), inject at most one flit per edge
+        # under credits (on the policy's injection VC, 0 on one VC).
         np.add(self._src_credits, srccr_cur, out=self._src_credits)
         if self._has_pkts.any():
-            for n in np.nonzero((self._src_next >= self._src_end)
-                                & self._has_pkts)[0]:
-                n = int(n)
-                backlog = self._backlog[n]
-                packet = backlog.popleft()
-                if not backlog:
-                    self._has_pkts[n] = False
-                packet.inject_tick = tick
-                start = len(store.objs)
-                for flit in packet.to_flits():
-                    store.intern(flit)
-                self._src_next[n] = start
-                self._src_end[n] = len(store.objs)
+            ns = np.flatnonzero((self._src_next >= self._src_end)
+                                & self._has_pkts)
+            if ns.size:
+                backlogs = [self._backlog[n] for n in ns.tolist()]
+                packets = [backlog.popleft() for backlog in backlogs]
+                self._has_pkts[ns] = [bool(backlog) for backlog in backlogs]
+                for packet in packets:
+                    packet.inject_tick = tick
+                self._src_next[ns], self._src_end[ns] = store.add(packets)
         send = (self._src_next < self._src_end) & (self._src_credits > 0)
         sn = np.nonzero(send)[0]
         if sn.size:
             arrive_nxt[sn, LOCAL] = self._src_next[sn]
             arrvc_nxt[sn, LOCAL] = self._inj_vc[sn]
             if wt:
-                for n in sn:
-                    n = int(n)
+                for n in sn.tolist():
                     self.net.sources[n].link.send_flit(
-                        store.objs[int(self._src_next[n])],
+                        store.flit(self._src_next[n]),
                         int(self._inj_vc[n]), tick)
             self._src_next[sn] += 1
             self._src_credits[sn] -= 1
 
-        # 6. Sinks: drain, reassemble, deliver; credit the arriving VC.
-        for n in np.nonzero(sink_cur >= 0)[0]:
-            n = int(n)
-            flit = store.objs[int(sink_cur[n])]
-            self._flits_received[n] += 1
-            if observed and "flit" in observed:
-                self._sink_events.append(("flit", flit))
-            assembly = self._assembly[n]
-            buffer = assembly.setdefault(flit.packet_id, [])
-            buffer.append(flit)
-            if flit.is_tail:
-                del assembly[flit.packet_id]
-                packet = Packet.from_flits(buffer)
-                packet.eject_tick = tick
-                self.net._deliver(packet, tick)
-                if observed and "packet" in observed:
-                    self._sink_events.append(("packet", packet))
-            credit_nxt[n, LOCAL, int(sinkvc_cur[n])] += 1
+        # 6. Sinks (see _drain_sinks); credit the arriving VC.
+        sn = np.flatnonzero(sink_cur >= 0)
+        if sn.size:
+            self._drain_sinks(tick, sn, sink_cur[sn], observed)
+            credit_nxt[sn, LOCAL, sinkvc_cur[sn]] += 1
 
         if observed:
             self._replay_events()
@@ -954,6 +970,38 @@ class ArrayEngine(BatchComponent):
         sinkvc_cur.fill(0)
         srccr_cur.fill(0)
         self._flip = 1 - k
+
+    def _drain_sinks(self, tick: int, sn: np.ndarray, fids: np.ndarray,
+                     observed: dict) -> None:
+        """Sinks ``sn`` (ascending) take flits ``fids``: one each, and a
+        packet's flits all reach one sink, so no packet repeats."""
+        store = self._store
+        pkts = store.pkt[fids]
+        expected = store.received[pkts]
+        bad = np.flatnonzero(fids - store.first[pkts] != expected)
+        if bad.size:
+            j = int(bad[0])
+            flit = store.flit(fids[j])
+            raise ProtocolError(
+                f"{self._names[int(sn[j])]}.sink: flit {flit} out of "
+                f"order: expected seq {int(expected[j])}, got {flit.seq}")
+        store.received[pkts] = expected + 1
+        self._flits_received[sn] += 1
+        tails = store.is_tail[fids]
+        on_flit, on_packet = "flit" in observed, "packet" in observed
+        if on_flit or on_packet:
+            # Per sink, node ascending, ``flit`` then ``packet``.
+            arrivals = zip(fids.tolist(), pkts.tolist(), tails.tolist())
+        else:   # unobserved: only the tails, which deliver
+            arrivals = ((None, pkt, True) for pkt in pkts[tails].tolist())
+        for fid, pkt, tail in arrivals:
+            if on_flit:
+                self._sink_events.append(("flit", store.flit(fid)))
+            if tail:
+                packet = store.deliver(pkt, tick)
+                self.net._deliver(packet, tick)
+                if on_packet:
+                    self._sink_events.append(("packet", packet))
 
     def _is_quiet(self) -> bool:
         # With every link buffer empty, no source backlog, and no head
@@ -975,7 +1023,7 @@ class ArrayEngine(BatchComponent):
         so inspecting it shows dispatch-identical state. Each state
         array is read one router row at a time (``tolist``), and only
         occupied FIFOs are materialised."""
-        objs, C, V = self._store.objs, self._C, self._V
+        flit, C, V = self._store.flit, self._C, self._V
         per_router = self._edges_per_router()
         for r, router in enumerate(self.net._routers):
             lens = self._fifo_len[r].tolist()
@@ -990,7 +1038,7 @@ class ArrayEngine(BatchComponent):
                     if n:
                         ring = self._fifo_buf[r, p, vc].tolist()
                         first = starts[p][vc]
-                        fifo.extend(objs[ring[(first + i) % C]]
+                        fifo.extend(flit(ring[(first + i) % C])
                                     for i in range(n))
             if V == 1:
                 router.credits[:] = [c for c, in credits]

@@ -8,7 +8,7 @@ destination leaf address), as wormhole routing requires.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.errors import ConfigurationError
 
@@ -24,7 +24,7 @@ _HEADS = (FlitKind.HEAD, FlitKind.SINGLE)
 _TAILS = (FlitKind.TAIL, FlitKind.SINGLE)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Flit:
     """One 32-bit word on the network.
 
@@ -53,18 +53,27 @@ class Flit:
     is_head: bool = field(init=False, repr=False, compare=False)
     is_tail: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.src < 0 or self.dest < 0:
+    def __init__(self, kind: FlitKind, src: int, dest: int, packet_id: int,
+                 seq: int, payload: int = 0) -> None:
+        # Sets the slots through their descriptors: the generated frozen
+        # __init__ plus __post_init__ costs twice as much per flit.
+        if src < 0 or dest < 0:
             raise ConfigurationError("flit addresses must be >= 0")
-        if self.seq < 0:
+        if seq < 0:
             raise ConfigurationError("flit seq must be >= 0")
-        if not 0 <= self.payload < 2 ** 32:
+        if not 0 <= payload < 2 ** 32:
             raise ConfigurationError("payload must fit in 32 bits")
-        is_head = self.kind in _HEADS
-        if is_head and self.seq != 0:
+        is_head = kind in _HEADS
+        if is_head and seq != 0:
             raise ConfigurationError("head flit must have seq 0")
-        object.__setattr__(self, "is_head", is_head)
-        object.__setattr__(self, "is_tail", self.kind in _TAILS)
+        _set_kind(self, kind)
+        _set_src(self, src)
+        _set_dest(self, dest)
+        _set_packet_id(self, packet_id)
+        _set_seq(self, seq)
+        _set_payload(self, payload)
+        _set_is_head(self, is_head)
+        _set_is_tail(self, kind in _TAILS)
 
     def __reduce__(self):
         # Rebuild through __init__, so the derived bits are recomputed on
@@ -75,3 +84,8 @@ class Flit:
     def __str__(self) -> str:
         return (f"{self.kind.value}[pkt{self.packet_id} "
                 f"{self.src}->{self.dest} #{self.seq}]")
+
+
+(_set_kind, _set_src, _set_dest, _set_packet_id, _set_seq, _set_payload,
+ _set_is_head, _set_is_tail) = (
+    getattr(Flit, f.name).__set__ for f in fields(Flit))

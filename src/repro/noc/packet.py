@@ -9,6 +9,9 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.noc.flit import Flit, FlitKind
 
 _packet_ids = itertools.count()
+# Bound once: an enum member lookup costs more than a module global.
+_HEAD, _BODY, _TAIL, _SINGLE = (FlitKind.HEAD, FlitKind.BODY, FlitKind.TAIL,
+                                FlitKind.SINGLE)
 
 
 def next_packet_id() -> int:
@@ -50,21 +53,14 @@ class Packet:
     def to_flits(self) -> list[Flit]:
         """Serialise into head/body/tail flits (or one SINGLE flit)."""
         words = self.payload if self.payload else [0]
+        src, dest, packet_id = self.src, self.dest, self.packet_id
         if len(words) == 1:
-            return [Flit(kind=FlitKind.SINGLE, src=self.src, dest=self.dest,
-                         packet_id=self.packet_id, seq=0, payload=words[0])]
-        flits = []
+            return [Flit(_SINGLE, src, dest, packet_id, 0, words[0])]
+        # Positional: a keyword call would build a kwargs dict per flit.
         last = len(words) - 1
-        for seq, word in enumerate(words):
-            if seq == 0:
-                kind = FlitKind.HEAD
-            elif seq == last:
-                kind = FlitKind.TAIL
-            else:
-                kind = FlitKind.BODY
-            flits.append(Flit(kind=kind, src=self.src, dest=self.dest,
-                              packet_id=self.packet_id, seq=seq, payload=word))
-        return flits
+        return [Flit(_HEAD if seq == 0 else _TAIL if seq == last else _BODY,
+                     src, dest, packet_id, seq, word)
+                for seq, word in enumerate(words)]
 
     @staticmethod
     def from_flits(flits: list[Flit]) -> "Packet":
@@ -89,7 +85,7 @@ class Packet:
                 raise ProtocolError(
                     f"flit out of order: expected seq {i}, got {flit.seq}"
                 )
-            if 0 < i < len(flits) - 1 and flit.kind != FlitKind.BODY:
+            if 0 < i < len(flits) - 1 and flit.kind != _BODY:
                 raise ProtocolError(f"unexpected {flit.kind} mid-packet")
         return Packet(
             src=head.src,

@@ -114,11 +114,12 @@ class RunEnergyReport:
         for packet, hops, length_mm, switch_pj, buffered_hops in zip(
                 packets, costs.hops.tolist(), costs.length_mm.tolist(),
                 costs.switch_pj.tolist(), costs.buffered_hops.tolist()):
-            traversals += hops * packet.flit_count
-            flits += packet.flit_count
-            flit_mm += length_mm * packet.flit_count
-            router_pj += packet.flit_count * switch_pj
-            buffered += buffered_hops * packet.flit_count
+            count = packet.flit_count
+            traversals += hops * count
+            flits += count
+            flit_mm += length_mm * count
+            router_pj += count * switch_pj
+            buffered += buffered_hops * count
 
         link_pj = flit_mm * link_energy_pj_per_flit(1.0, tech)
         buffer_pj = buffered * BUFFER_ENERGY_PJ_PER_FLIT

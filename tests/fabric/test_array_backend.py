@@ -426,3 +426,93 @@ class TestDatapathView:
         net.links[0].flit.attach_probe(lambda *args: None)
         net.engine.refresh_observers()
         assert net.engine._write_through
+
+    def test_load_point_builds_no_flit(self, monkeypatch):
+        """The engine interns each packet as a flit-id range: a run that
+        reads no flit builds none (the dispatch run shows the counter
+        counts)."""
+        from repro.analysis.parallel import LoadPoint, evaluate_load_point
+        from repro.noc.flit import Flit
+        built = []
+        init = Flit.__init__
+
+        def counted(flit, *args, **kwargs):
+            built.append(args)
+            init(flit, *args, **kwargs)
+        monkeypatch.setattr(Flit, "__init__", counted)
+        spec = LoadPoint(network=FabricConfig(backend="array",
+                                              **self.VC_TORUS),
+                         load=0.2, cycles=40, seed=3, size_flits=4,
+                         pattern="hotspot", hotspots=(0, 33),
+                         hotspot_fraction=0.1)
+        array = evaluate_load_point(spec)
+        assert array["drained"] == 1.0 and not built
+        dispatch = evaluate_load_point(replace(
+            spec, network=FabricConfig(backend="dispatch", **self.VC_TORUS)))
+        assert array == dispatch and built
+
+    def test_events_carry_one_flit_object(self):
+        """A flit read by an event is built once: its grants and its
+        sink ``flit`` event carry the same object."""
+        net = FabricConfig(backend="array", **self.VC_TORUS).build()
+        granted, ejected = defaultdict(set), []
+        net.kernel.subscribe("arbitration_grant", lambda tick, data: (
+            granted[(data["flit"].packet_id, data["flit"].seq)]
+            .add(id(data["flit"]))))
+        net.kernel.subscribe("flit", lambda tick, flit: ejected.append(flit))
+        schedule = HotspotTraffic(64, 0.3, size_flits=4, hotspots=(0, 36),
+                                  fraction=0.3).generate(
+            20, np.random.default_rng(7))
+        inject_window(net, schedule, 20)
+        assert net.drain(100_000)
+        assert len(ejected) == sum(i.size_flits for i in schedule)
+        for flit in ejected:
+            assert granted[(flit.packet_id, flit.seq)] == {id(flit)}
+
+    def test_escape_torus_mid_window_read_matches_dispatch(self):
+        """A 64-port escape torus (3 VCs) under two hotspots, with the
+        datapath read mid-window: a head asks for several output VCs
+        (both productive ports' adaptive VC, every LOCAL VC at its
+        destination)."""
+        self.VC_TORUS = {**self.VC_TORUS, "vc_policy": "escape",
+                         "n_vcs": 3}
+        net = FabricConfig(backend="array", **self.VC_TORUS).build()
+        # Injected at node 0 towards 27 (two productive ports), and
+        # ejecting at 27.
+        local = np.zeros(2, dtype=np.int64)
+        preferred, _fallback = net.vc_policy.candidate_masks(
+            np.array([0, 27]), local, local, np.array([27, 27]),
+            np.array([0, 0]))
+        assert preferred.sum(axis=(1, 2)).tolist() == [2, 3]
+        array = self._split_run("array", None)
+        dispatch = self._split_run("dispatch", None)
+        assert array[0] and array[0] == dispatch[0]
+        _routers, sources, sinks = array[1]
+        assert any(packets for _c, _f, packets in sources)
+        assert any(assembly for _n, assembly in sinks)
+        assert array[1] == dispatch[1]
+        assert array[2] == dispatch[2]
+
+    def test_sink_refuses_a_flit_out_of_sequence(self):
+        """Duplicating a buffered flit in a FIFO ring mid-run delivers
+        it twice: the sink names it and raises, as reassembly does on
+        dispatch."""
+        import re
+        from repro.errors import ProtocolError
+        net = FabricConfig(backend="array", **self.VC_TORUS).build()
+        for src in range(1, 64):
+            net.send(Packet(src=src, dest=0, payload=[1, 2, 3, 4]))
+        engine, store = net.engine, net.engine._store
+        for _ in range(200):
+            net.run_ticks(2)
+            occupied = zip(*np.nonzero(engine._fifo_len >= 2))
+            rpv = next((rpv for rpv in occupied if not store.is_tail[
+                engine._fifo_buf[rpv][engine._fifo_start[rpv]]]), None)
+            if rpv is not None:
+                break
+        start = engine._fifo_start[rpv]
+        ring = engine._fifo_buf[rpv]
+        ring[(start + 1) % engine._C] = ring[start]
+        twice = store.flit(ring[start])
+        with pytest.raises(ProtocolError, match=re.escape(str(twice))):
+            net.drain(100_000)

@@ -6,9 +6,13 @@ The numbers: source lines (the total ``find src -name '*.py' | xargs
 wc -l`` prints, and the largest modules), the exported-name counts
 (``repro.__all__`` and the sub-packages' ``__all__`` total), the field
 counts of ``TopologyEntry`` and ``FabricConfig``, and how many ``repro``
-modules ``import repro``, ``import repro.cli`` and a VC-torus ``repro
-replay`` load, and whether they load numpy. Each import probe runs in a
-fresh interpreter, so one probe's imports never count toward the next.
+modules ``import repro``, ``import repro.cli``, a VC-torus ``repro
+replay`` and one 16-port mesh ``evaluate_load_point`` load, and whether
+they load numpy. The load point also prints the source lines of the
+``repro`` modules it imported and ``sys.flags.dont_write_bytecode``:
+with the flag set no ``.pyc`` is written, so every fresh interpreter
+compiles those lines again. Each import probe runs in a fresh
+interpreter, so one probe's imports never count toward the next.
 """
 
 from __future__ import annotations
@@ -34,6 +38,18 @@ PROBES = {
         "    code = main(['replay', '--model', 'llm-decode', '--topology',\n"
         "                 'torus', '--ports', '16', '--flow-control', 'vc'])\n"
         "print('exit', code, end=', ')\n"
+    ),
+    "one 16-port mesh evaluate_load_point": (
+        "import sys\n"
+        "from repro.analysis.parallel import LoadPoint, evaluate_load_point\n"
+        "from repro.fabric.registry import FabricConfig\n"
+        "evaluate_load_point(LoadPoint(\n"
+        "    load=0.1, network=FabricConfig(topology='mesh', ports=16)))\n"
+        "lines = sum(open(m.__file__, 'rb').read().count(b'\\n')\n"
+        "            for name, m in list(sys.modules.items())\n"
+        "            if name.split('.')[0] == 'repro')\n"
+        "print(lines, 'source lines, dont_write_bytecode:',\n"
+        "      sys.flags.dont_write_bytecode, end=', ')\n"
     ),
 }
 
