@@ -41,24 +41,27 @@ without a numpy override still lowers through the mapped default.
 
 **The VC phases work on what is occupied, not on dense (R, P, V)
 arrays.** VC allocation takes ``(pending head, output VC)`` request
-pairs from the policy's masks and walks the requested output VCs in the
-dispatch walk order, one round-robin round each, skipping heads an
-earlier round allocated. Switch allocation gathers **one candidate list
-per edge** — the flat indices of occupied input VCs that hold an
-allocation, router-sorted — and checks credits once for all of them.
-That is sound because ``credits[r, o, ov]`` changes only in output
-``o``'s round, a popped input port is masked for the rest of the edge by
-the crossbar rule (one pass per input port), and the tail release and
-head refresh touch only popped inputs. The ``P`` output rounds then only
-pick winners — per router, the requester nearest after the arbiter
-pointer, one ``np.minimum.reduceat`` over the router-sorted list — and
-one batched pass applies every pop, head refresh, credit return,
-launch, credit decrement and tail release. A router can win several
-outputs (and output VCs) in one edge, so its counters add with
-``bincount``. Events and write-through come from the same phase: per
-router in ascending output order, ``credit_exhausted`` for creditless
-candidates whose input port was still free at that output's round, then
-the round's ``arbitration_grant`` and ``lock_release``.
+pairs from the policy's masks: one round-robin round per output VC, in
+the dispatch walk order. Switch allocation gathers **one candidate list
+per edge** (occupied input VCs that hold an allocation) and checks
+credits once for all of them: ``credits[r, o, ov]`` changes only in
+output ``o``'s round, and the tail release and head refresh touch only
+popped inputs. Its rounds are the output ports, ascending. Both phases
+solve every router's rounds at once, as one fixed point
+(:func:`_sequential_rounds`). Each pass picks every ``(router, round)``
+winner — the live requester nearest after the arbiter pointer — in one
+``np.minimum.reduceat``; an *owner* (a pending head; an input port,
+which crosses once per edge) that won an earlier round is dead in the
+later ones, and passes repeat until the live set stops changing. After
+pass k the first k rounds of every router are the sequential ones, and
+the sequential recurrence has one solution, so the result is exact. One
+batched pass applies every grant; a router can win several outputs (and
+output VCs) per edge, so its counters add with ``bincount``. Events and
+write-through follow per router in ascending output order:
+``credit_exhausted`` for a creditless candidate whose input port was
+still free at that output's round (``taken``, the port's earliest
+winning output, is not below it), then ``arbitration_grant`` and
+``lock_release``.
 
 **Equivalence is the contract.** Every observable the dispatch backend
 produces is reproduced exactly:
@@ -143,20 +146,44 @@ def make_engine(net: "CreditFabricNetwork"):
     return ArrayEngine(net)
 
 
-def _rr_winners(routers: np.ndarray, flat: np.ndarray, last: np.ndarray,
-                size: int) -> tuple[np.ndarray, np.ndarray]:
-    """One round-robin round in every router at once.
+_NEVER = np.iinfo(np.int64).max
 
-    ``routers`` is sorted, so each router's requests are contiguous;
-    ``flat`` names each request's input (VC) and ``last`` the router's
-    arbiter pointer, per request. The winner is the requester nearest
-    after the pointer. Returns the routers and their winners."""
-    first = np.empty(routers.size, dtype=bool)
-    first[0] = True
-    np.not_equal(routers[1:], routers[:-1], out=first[1:])
+
+def _sequential_rounds(group: np.ndarray, stage: np.ndarray,
+                       owner: np.ndarray, key: np.ndarray, n_owners: int,
+                       none: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every router's round-robin rounds, in sequence, solved at once.
+
+    Per request: its ``group`` (its ``(router, round)``, numbered
+    router-major, rounds in order), its round's ``stage``, the ``owner``
+    it arbitrates for (one router's) and its arbiter ``key`` (distance
+    after the pointer, distinct within a group). A round's winner is its
+    live request of least key; an owner dies in the rounds after its
+    first win. Passes repeat until the live set stops changing (exact:
+    see the module docstring). Returns the winning requests, in group
+    order, and each owner's earliest winning stage (``none``: no win)."""
+    # Requests arrive router-sorted, so timsort only merges runs; the
+    # default quicksort's SIMD kernel also costs ~0.2 MiB of peak RSS.
+    order, n = np.argsort(group, kind="stable"), key.size
+    group, stage, owner = group[order], stage[order], owner[order]
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(group[1:], group[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    best = np.minimum.reduceat((flat - last - 1) % size, starts)
-    return routers[starts], (best + last[starts] + 1) % size
+    least = key[order] * n + np.arange(n)   # names its request
+    live = None
+    while True:
+        best = np.minimum.reduceat(
+            least if live is None else np.where(live, least, _NEVER), starts)
+        win = best[best != _NEVER] % n
+        won = np.full(n_owners, none, dtype=np.int64)
+        np.minimum.at(won, owner[win], stage[win])
+        if live is None and (won[owner[win]] == stage[win]).all():
+            return order[win], won      # no owner won twice: none drops
+        again = stage <= won[owner]
+        if live is not None and (again == live).all():
+            return order[win], won
+        live = again
 
 
 class _FlitStore:
@@ -234,12 +261,13 @@ class ArrayEngine(BatchComponent):
     Credit/arrival handling, sources, and sinks are fully array-level in
     both regimes. ``n_vcs=1`` runs the wormhole grant phase (routing
     table, bubble rule, per-output locks); ``n_vcs >= 2`` runs two-stage
-    allocation, both stages as one round-robin round per output (VC)
-    across every router at once, over sparse request lists — VC
-    allocation over the policy's candidate masks in
+    allocation over sparse request lists — VC allocation over the
+    policy's candidate masks, one round per output VC in
     :meth:`FabricRouter._allocate_vcs`'s port-ascending, VC-descending
-    walk order, then switch allocation over the edge's one candidate
-    list."""
+    walk order, then switch allocation, one round per output port over
+    the edge's one candidate list. Each stage solves its sequential
+    rounds in every router at once, as one fixed point
+    (:func:`_sequential_rounds`)."""
 
     def __init__(self, net: "CreditFabricNetwork") -> None:
         super().__init__(f"{net.topology.prefix}.engine", parity=0)
@@ -533,37 +561,19 @@ class ArrayEngine(BatchComponent):
         requested = preferred & free
         requested |= (fallback & free
                       & ~requested.any(axis=(1, 2), keepdims=True))
-        # (pending head, output VC) request pairs, regrouped by output VC
-        # in the dispatch router's walk order; the stable sort keeps each
-        # group router-sorted, as the heads are.
+        # (pending head, output VC) request pairs: per router, one round
+        # per output VC in the walk order; a head allocated in an earlier
+        # round drops out of the later ones.
         head, arb = np.nonzero(requested.reshape(rs.size, size))
-        order = np.argsort(self._va_rank[arb], kind="stable")
-        head, arb = head[order], arb[order]
-        bounds = np.flatnonzero(arb[1:] != arb[:-1]) + 1
-        in_flat = ps * V + vs
-        head_key = rs * size + in_flat   # ascending: rs, ps, vs row-major
-        allocated = np.zeros(rs.size, dtype=bool)
-        # One round-robin round per requested output VC, over the heads
-        # no earlier round allocated; the rounds only pick winners.
-        w_rows, w_win, w_arb = [], [], []
-        for lo, group in zip([0] + bounds.tolist(), np.split(head, bounds)):
-            live = group[~allocated[group]]
-            if live.size == 0:
-                continue
-            a = arb[lo]
-            r_req = rs[live]
-            rows, win = _rr_winners(r_req, in_flat[live],
-                                    self._va_last[r_req, a], size)
-            allocated[np.searchsorted(head_key, rows * size + win)] = True
-            w_rows.append(rows)
-            w_win.append(win)
-            w_arb.append(np.full(rows.size, a, dtype=np.int64))
-        if not w_rows:
+        if head.size == 0:
             return
-        # One batched pass applies them, in walk order.
-        rows = np.concatenate(w_rows)
-        win = np.concatenate(w_win)
-        arbs = np.concatenate(w_arb)
+        rank = self._va_rank[arb]
+        rows, in_flat = rs[head], (ps * V + vs)[head]
+        wins, _ = _sequential_rounds(
+            rows * size + rank, rank, head,
+            (in_flat - self._va_last[rows, arb] - 1) % size, rs.size, size)
+        # One batched pass applies them, per router in walk order.
+        rows, win, arbs = rows[wins], in_flat[wins], arb[wins]
         self._va_last[rows, arbs] = win
         self._va_grants[rows, arbs] += 1
         self._va_grant_counts[rows, arbs, win] += 1
@@ -715,7 +725,7 @@ class ArrayEngine(BatchComponent):
                    sink_nxt: np.ndarray, sinkvc_nxt: np.ndarray,
                    srccr_nxt: np.ndarray) -> None:
         """One candidate list per edge (see the module docstring): the
-        output rounds only pick winners, one batched pass moves them."""
+        fixed point picks the winners, one batched pass moves them."""
         R, P, C, V = self._R, self._P, self._C, self._V
         size = P * V
         store = self._store
@@ -730,40 +740,27 @@ class ArrayEngine(BatchComponent):
         c_r, c_in = np.divmod(cand, size)
         c_port = cand // V                  # flat (router, in port)
         c_out = alloc_out[cand]
-        c_ovc = (c_r * P + c_out) * V + alloc_vc[cand]   # flat output VC
+        c_rout = c_r * P + c_out            # flat (router, out port)
+        c_ovc = c_rout * V + alloc_vc[cand]     # flat output VC
         credits = self._credits.reshape(-1)
         ok = credits[c_ovc] > 0
-        # taken[router, in port]: the output whose grant used the port's
-        # one crossbar pass this edge (P: none yet).
-        taken = np.full(R * P, P, dtype=np.int64)
+        # One round per (router, output port), outputs ascending; an input
+        # port that won a round has used its one crossbar pass and drops
+        # out of the later ones. taken[router, in port]: the output its
+        # pass went to, its earliest win (P: none).
         go = np.flatnonzero(ok)
-        go = go[np.argsort(c_out[go], kind="stable")]
-        bounds = np.searchsorted(c_out[go], np.arange(P + 1)).tolist()
-        w_hv, w_out = [], []
-        for out_p in range(P):
-            sel = go[bounds[out_p]:bounds[out_p + 1]]
-            if out_p and sel.size:
-                sel = sel[taken[c_port[sel]] == P]
-            if sel.size == 0:
-                continue
-            r_req = c_r[sel]
-            rows, win = _rr_winners(r_req, c_in[sel],
-                                    self._sa_last[r_req, out_p], size)
-            hv = rows * size + win
-            taken[hv // V] = out_p
-            w_hv.append(hv)
-            w_out.append(np.full(hv.size, out_p, dtype=np.int64))
-        if w_hv:
-            hv = np.concatenate(w_hv)       # winning input VCs, flat
-            outs = np.concatenate(w_out)
-        else:
-            hv = outs = np.zeros(0, dtype=np.int64)
+        r_out = c_rout[go]
+        wins, taken = _sequential_rounds(
+            r_out, c_out[go], c_port[go],
+            (c_in[go] - self._sa_last.reshape(-1)[r_out] - 1) % size,
+            R * P, P)
+        go, r_out = go[wins], r_out[wins]
+        hv, outs = cand[go], c_out[go]      # hv: winning input VCs, flat
         rows, win = np.divmod(hv, size)
         in_port = hv // V                   # flat (router, in port)
         in_vc = hv % V
-        r_out = rows * P + outs             # flat (router, out port)
         out_vc = alloc_vc[hv]
-        ovc = r_out * V + out_vc            # flat output VC
+        ovc = c_ovc[go]                     # flat output VC
         fid = head_fid[hv]
         self._sa_last.reshape(-1)[r_out] = win
         self._sa_grants.reshape(-1)[r_out] += 1
@@ -822,10 +819,13 @@ class ArrayEngine(BatchComponent):
                                (c_ovc[b] % V).tolist(),
                                (c_port[b] % P).tolist(),
                                (c_in[b] % V).tolist()))
+        # The grants are router-major: walk them output-major.
+        o = np.argsort(outs, kind="stable")
         j = 0
         for out_p, r, f, vc, i_p, i_vc in zip(
-                outs.tolist(), rows.tolist(), fid.tolist(), out_vc.tolist(),
-                (in_port % P).tolist(), in_vc.tolist()):
+                outs[o].tolist(), rows[o].tolist(), fid[o].tolist(),
+                out_vc[o].tolist(), (in_port[o] % P).tolist(),
+                in_vc[o].tolist()):
             while j < len(blocked) and blocked[j][0] <= out_p:
                 self._note_starvation(*blocked[j])
                 j += 1

@@ -227,8 +227,8 @@ class XYRouting(RoutingStrategy):
         cols = self.cols
         x, y = nodes % cols, nodes // cols
         dx, dy = dests % cols, dests // cols
-        return np.select([dx > x, dx < x, dy > y, dy < y],
-                         [EAST, WEST, SOUTH, NORTH], LOCAL)
+        return np.where(dx > x, EAST, np.where(dx < x, WEST, np.where(
+            dy > y, SOUTH, np.where(dy < y, NORTH, LOCAL))))
 
 
 #: Same-ring pass-throughs of the 5-port grid fabrics: a flit keeps its
@@ -268,10 +268,10 @@ class TorusXYRouting(RoutingStrategy):
         cols, rows = self.cols, self.rows
         dx = (dests % cols - nodes % cols) % cols
         dy = (dests // cols - nodes // cols) % rows
-        return np.select(
-            [(dx > 0) & (dx <= cols // 2), dx > 0,
-             (dy > 0) & (dy <= rows // 2), dy > 0],
-            [EAST, WEST, SOUTH, NORTH], LOCAL)
+        return np.where(dx > 0, np.where(dx <= cols // 2, EAST, WEST),
+                        np.where(dy > 0,
+                                 np.where(dy <= rows // 2, SOUTH, NORTH),
+                                 LOCAL))
 
     def ring_transit(self, in_port: int, out_port: int) -> bool:
         return (in_port, out_port) in _GRID_TRANSIT
@@ -300,8 +300,8 @@ class RingRouting(RoutingStrategy):
                     dests: np.ndarray) -> np.ndarray:
         import numpy as np
         d = (dests - nodes) % self.nodes
-        return np.select([d == 0, d <= self.nodes // 2],
-                         [LOCAL, RING_CW], RING_CCW)
+        return np.where(d == 0, LOCAL,
+                        np.where(d <= self.nodes // 2, RING_CW, RING_CCW))
 
     def ring_transit(self, in_port: int, out_port: int) -> bool:
         # Clockwise traffic arrives on the CCW port and leaves CW;

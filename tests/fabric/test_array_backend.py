@@ -12,13 +12,15 @@ one sanctioned silent fallback).
 
 import copy
 import functools
+import re
 from collections import Counter, defaultdict
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RoutingError
 from repro.fabric.registry import FabricConfig, get_topology, topology_names
 from repro.noc.packet import Packet
 from repro.traffic.base import inject_window
@@ -497,7 +499,6 @@ class TestDatapathView:
         """Duplicating a buffered flit in a FIFO ring mid-run delivers
         it twice: the sink names it and raises, as reassembly does on
         dispatch."""
-        import re
         from repro.errors import ProtocolError
         net = FabricConfig(backend="array", **self.VC_TORUS).build()
         for src in range(1, 64):
@@ -516,3 +517,196 @@ class TestDatapathView:
         twice = store.flit(ring[start])
         with pytest.raises(ProtocolError, match=re.escape(str(twice))):
             net.drain(100_000)
+
+
+class TestCorruptedState:
+    """The engine's two loud checks on router state, each provoked by
+    corrupting one router mid-run on both backends: a body flit heading
+    an input VC that holds no allocation, and a FIFO overflow after an
+    output VC gains a credit its consumer never returned. Both backends
+    raise the same message, naming the router, the port and the VC."""
+
+    VC_TORUS = {"topology": "torus", "ports": 64, "flow_control": "vc",
+                "n_vcs": 2}
+
+    def _corrupted_run(self, backend, packets, find, corrupt):
+        """Send ``packets``, run until ``find(net)`` names a site,
+        ``corrupt(net, site)`` and drain; returns the site and the
+        message of the ``RoutingError`` the drain raises."""
+        net = FabricConfig(backend=backend, **self.VC_TORUS).build()
+        for packet in packets:
+            net.send(packet)
+        for _ in range(200):
+            net.run_ticks(2)
+            site = find(net)
+            if site is not None:
+                break
+        assert site is not None
+        corrupt(net, site)
+        with pytest.raises(RoutingError) as raised:
+            net.drain(100_000)
+        return site, str(raised.value)
+
+    def _both(self, find, corrupt):
+        """The corrupted run on each backend, on the same packets (so
+        flits print alike); ``find`` and ``corrupt`` map a backend to
+        its hook. Returns the site and the message, which agree."""
+        packets = [Packet(src=src, dest=0, payload=[1, 2, 3, 4])
+                   for src in range(1, 64)]
+        array = self._corrupted_run("array", packets, find["array"],
+                                    corrupt["array"])
+        dispatch = self._corrupted_run("dispatch", packets,
+                                       find["dispatch"],
+                                       corrupt["dispatch"])
+        assert array == dispatch
+        return array
+
+    def test_body_flit_without_an_allocation(self):
+        def find_array(net):
+            e = net.engine
+            body = (e._head_fid >= 0) & ~e._head_is_head & (e._alloc_out >= 0)
+            return tuple(map(int, np.argwhere(body)[0])) if body.any() \
+                else None
+
+        def find_dispatch(net):
+            return next(((r, p, v) for r, router in enumerate(net.routers)
+                         for p, port in enumerate(router.fifos)
+                         for v, fifo in enumerate(port)
+                         if fifo and not fifo[0].is_head
+                         and router.allocation[p][v] is not None), None)
+
+        def clear_array(net, site):
+            net.engine._alloc_out[site] = net.engine._alloc_vc[site] = -1
+            net.engine._va_dirty[site[0]] = True
+
+        def clear_dispatch(net, site):
+            r, p, v = site
+            net.routers[r].allocation[p][v] = None
+            net.routers[r].wake()
+
+        (r, p, v), message = self._both(
+            {"array": find_array, "dispatch": find_dispatch},
+            {"array": clear_array, "dispatch": clear_dispatch})
+        net = FabricConfig(**self.VC_TORUS).build()
+        assert re.fullmatch(
+            rf"{net.routers[r].name}: body flit (body|tail)\[pkt\d+ \d+->0 #[123]\] "
+            rf"without an allocation on {net.port_labels[p]} vc{v}",
+            message), message
+
+    def test_fifo_overflow_after_an_extra_credit(self):
+        from repro.fabric.routing import LOCAL
+
+        def find_array(net):
+            e = net.engine
+            dry = (e._credits == 0) & e._conn_out[:, :, None]
+            dry[:, LOCAL] = False
+            return tuple(map(int, np.argwhere(dry)[0])) if dry.any() \
+                else None
+
+        def find_dispatch(net):
+            return next(((r, o, v) for r, router in enumerate(net.routers)
+                         for o, credits in enumerate(router.credits)
+                         for v, count in enumerate(credits)
+                         if o != LOCAL and router.out_links[o] is not None
+                         and count == 0), None)
+
+        def credit_array(net, site):
+            net.engine._credits[site] += 1
+
+        def credit_dispatch(net, site):
+            r, o, v = site
+            net.routers[r].credits[o][v] += 1
+            net.routers[r].wake()
+
+        (r, o, v), message = self._both(
+            {"array": find_array, "dispatch": find_dispatch},
+            {"array": credit_array, "dispatch": credit_dispatch})
+        # The consumer of (r, o): the overflow is in its FIFO on VC v.
+        net = FabricConfig(backend="array", **self.VC_TORUS).build()
+        r2, p2 = divmod(int(net.engine._dst[r, o]), net.engine._P)
+        assert message == (f"{net.engine._names[r2]}: FIFO overflow on "
+                           f"{net.port_labels[p2]} vc{v} (credit "
+                           f"violation)")
+
+
+def sequential_rounds_reference(rounds, size, vcs):
+    """The rounds one at a time, in plain Python. ``rounds`` maps
+    ``(router, stage)`` to ``(pointer, requesting inputs)``; input ``i``
+    arbitrates for owner ``i // vcs`` of its router. Per router, stages
+    ascending: the winner is the live requester nearest after the
+    pointer, and its owner drops out of the later stages. Returns the
+    winning input per round and the stage each owner won at."""
+    winners, won = {}, {}
+    for router, stage in sorted(rounds):
+        pointer, inputs = rounds[router, stage]
+        live = [i for i in inputs if (router, i // vcs) not in won]
+        if live:
+            i = min(live, key=lambda i: (i - pointer - 1) % size)
+            winners[router, stage] = i
+            won[router, i // vcs] = stage
+    return winners, won
+
+
+def solve_sequential_rounds(rounds, size, vcs, n_routers, n_stages):
+    """The same instance through the engine's fixed point, its requests
+    listed in reverse."""
+    from repro.fabric.array_backend import _sequential_rounds
+    router, stage, pointer, inputs = map(np.array, zip(*(
+        (r, s, pointer, i) for (r, s), (pointer, requests)
+        in sorted(rounds.items(), reverse=True) for i in requests)))
+    owners = size // vcs
+    win, won = _sequential_rounds(
+        router * n_stages + stage, stage, router * owners + inputs // vcs,
+        (inputs - pointer - 1) % size, n_routers * owners, n_stages)
+    rounds_won = [(int(router[w]), int(stage[w])) for w in win]
+    assert rounds_won == sorted(rounds_won)       # group order
+    return ({key: int(inputs[w]) for key, w in zip(rounds_won, win)},
+            {divmod(owner, owners): s for owner, s in enumerate(won.tolist())
+             if s != n_stages})
+
+
+class TestSequentialRounds:
+    """``_sequential_rounds`` (both allocation phases' fixed point)
+    equals running the rounds one after another."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_the_sequential_reference(self, data):
+        n_routers = data.draw(st.integers(1, 4))
+        ports, vcs = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        size = ports * vcs
+        n_stages = data.draw(st.integers(1, size))
+        rounds = {}
+        for router in range(n_routers):
+            for stage in range(n_stages):
+                # Any order within a round; several inputs of one owner
+                # (an input port's VCs) may request together.
+                inputs = data.draw(st.lists(st.integers(0, size - 1),
+                                            unique=True, max_size=size))
+                if inputs:
+                    rounds[router, stage] = (
+                        data.draw(st.integers(0, size - 1)), inputs)
+        assume(rounds)
+        assert solve_sequential_rounds(rounds, size, vcs, n_routers,
+                                       n_stages) == \
+            sequential_rounds_reference(rounds, size, vcs)
+
+    @pytest.mark.parametrize("rounds, winners, passes", [
+        # One pass: input 0 wins stage 0 and input 1 stage 1, so no
+        # owner wins twice and nothing drops out.
+        ({(0, 0): (3, [1, 0]), (0, 1): (3, [2, 1])}, {(0, 0): 0, (0, 1): 1},
+         1),
+        # Two passes: with every request live, input 0 wins both
+        # stages; the second pass drops it from stage 1, where input 1
+        # wins.
+        ({(0, 0): (3, [0, 1]), (0, 1): (3, [1, 0])}, {(0, 0): 0, (0, 1): 1},
+         2),
+    ], ids=["one_pass", "two_passes"])
+    def test_examples(self, rounds, winners, passes):
+        all_live = {key: min(inputs, key=lambda i: (i - pointer - 1) % 4)
+                    for key, (pointer, inputs) in rounds.items()}
+        assert (all_live == winners) == (passes == 1)
+        expected = (winners, {(0, i): stage for (_r, stage), i
+                              in winners.items()})
+        assert sequential_rounds_reference(rounds, 4, 1) == expected
+        assert solve_sequential_rounds(rounds, 4, 1, 1, 2) == expected

@@ -9,10 +9,12 @@ counts of ``TopologyEntry`` and ``FabricConfig``, and how many ``repro``
 modules ``import repro``, ``import repro.cli``, a VC-torus ``repro
 replay`` and one 16-port mesh ``evaluate_load_point`` load, and whether
 they load numpy. The load point also prints the source lines of the
-``repro`` modules it imported and ``sys.flags.dont_write_bytecode``:
-with the flag set no ``.pyc`` is written, so every fresh interpreter
-compiles those lines again. Each import probe runs in a fresh
-interpreter, so one probe's imports never count toward the next.
+``repro`` modules it imported, ``sys.flags.dont_write_bytecode`` (with
+the flag set no ``.pyc`` is written, so every fresh interpreter compiles
+those lines again) and the Python and numpy versions: the array
+engine's per-edge cost is mostly numpy call overhead, which moves with
+both. Each import probe runs in a fresh interpreter, so one probe's
+imports never count toward the next.
 """
 
 from __future__ import annotations
@@ -48,8 +50,12 @@ PROBES = {
         "lines = sum(open(m.__file__, 'rb').read().count(b'\\n')\n"
         "            for name, m in list(sys.modules.items())\n"
         "            if name.split('.')[0] == 'repro')\n"
+        "import platform\n"
         "print(lines, 'source lines, dont_write_bytecode:',\n"
         "      sys.flags.dont_write_bytecode, end=', ')\n"
+        "print('python', platform.python_version(), end=', ')\n"
+        "numpy = sys.modules.get('numpy')\n"
+        "print('numpy', numpy.__version__ if numpy else '-', end=', ')\n"
     ),
 }
 
