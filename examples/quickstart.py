@@ -37,8 +37,7 @@ def main() -> None:
     net.drain(max_ticks=10_000)
 
     print()
-    for packet in net.delivered:
-        hops = net.topology.hop_count(packet.src, packet.dest)
+    for packet, hops in zip(net.delivered, net.stats.hop_counts):
         print(f"packet {packet.src:2d} -> {packet.dest:2d}: "
               f"{packet.flit_count} flits, {hops:2d} routers, "
               f"{packet.latency_cycles:5.1f} cycles")

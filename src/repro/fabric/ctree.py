@@ -21,8 +21,9 @@ identical delivery ticks.
 **Hop convention**: a hop is one switching element on the datapath —
 every fabric records the routers a packet traverses, and the same-leaf
 mux turnaround records **1** hop for its one-cycle local mux (it is the
-sole switch on that path; the structure's ``hop_count`` takes endpoint
-addresses and says so). Recording 0 would silently deflate mean-hop
+sole switch on that path; the route walk takes no step between
+endpoints on one leaf router, and such a pair counts the one router it
+attaches to). Recording 0 would silently deflate mean-hop
 and energy-per-flit statistics the physical comparisons divide by.
 Cross-leaf deliveries count tree routers exactly as the flat tree does;
 the muxes they also pass through are folded into the shared NI (the
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from repro.noc.network import ICNoCNetwork
 from repro.noc.packet import Packet
-from repro.sim.kernel import SimKernel
 
 
 class ConcentratedTreeNetwork(ICNoCNetwork):
@@ -48,10 +48,6 @@ class ConcentratedTreeNetwork(ICNoCNetwork):
     #: Ticks the concentrator mux takes to turn a same-leaf packet
     #: round, whatever its length.
     local_turnaround_ticks = 2
-
-    def __init__(self, config, kernel: SimKernel | None = None):
-        self._local_delivered: list[Packet] = []
-        super().__init__(config, kernel=kernel)
 
     def zero_load_latency_ticks(self, srcs, dests, flits: int = 1):
         import numpy as np
@@ -79,19 +75,11 @@ class ConcentratedTreeNetwork(ICNoCNetwork):
 
         def deliver(tick: int, packet: Packet = packet) -> None:
             packet.eject_tick = tick
-            self._local_delivered.append(packet)
             self._deliver(packet, tick)
             self.kernel.emit("packet", packet)
 
         self.kernel.call_at(self.kernel.tick + self.local_turnaround_ticks,
                             deliver)
-
-    @property
-    def delivered(self) -> list[Packet]:
-        out = list(self._local_delivered)
-        for ni in self.nis:
-            out.extend(ni.delivered)
-        return out
 
     def describe(self) -> str:
         return (f"{super().describe()}, concentration "

@@ -84,7 +84,6 @@ class CreditFabricNetwork(Network):
         # vectorized engine (repro.fabric.array_backend). The config owns
         # the lowerability rule, "auto" included.
         self.backend = config.resolved_backend
-        self.delivered: list[Packet] = []
         self._floorplan: Floorplan | None = None
         # The datapath: routers, links and endpoints. Dispatch steps it,
         # so it is built now. The array engine lowers from the structure
@@ -237,10 +236,6 @@ class CreditFabricNetwork(Network):
         router_b.connect(b_port, a_to_b, b_to_a)
 
     # -- shared run-time API ----------------------------------------------
-
-    def _deliver(self, packet: Packet, tick: int) -> None:
-        self.delivered.append(packet)
-        super()._deliver(packet, tick)
 
     def _submit(self, packet: Packet) -> None:
         limit = self.max_packet_flits

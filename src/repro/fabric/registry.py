@@ -307,8 +307,8 @@ class FabricConfig:
             )
         refusal = self._array_refusal if self.backend == "array" else None
         if refusal:
-            # Never silently fall back; "auto" picks the fastest
-            # supported backend instead.
+            # Never silently fall back; "auto" resolves to array whenever
+            # the config lowers, else dispatch (resolved_backend).
             raise ConfigurationError(
                 f"backend='array' {refusal}; use backend='dispatch' "
                 f"(or 'auto' to fall back)"

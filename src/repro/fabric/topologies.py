@@ -23,11 +23,13 @@ it from the config and assembles what it describes:
   there;
 * ``floorplan(width, height)`` and ``describe()`` — its embedding on the
   die (:mod:`repro.noc.floorplan`) and its one-phrase summary;
-* ``hop_count(src, dest)`` — routers between two endpoints, the closed
-  form the delivered-packet statistics record, equal to the walk's hops
-  (``src == dest`` counts 1, the router it attaches to). The all-pairs
-  worst case and mean are read off the walk by the physical descriptor
-  (:meth:`repro.physical.descriptor.PhysicalModel.worst_case_hops`).
+* no ``hop_count``: the routers between two endpoints are the route
+  walk's steps plus the one the source attaches to (``src == dest``
+  counts 1). The delivered-packet statistics
+  (:attr:`repro.noc.stats.NetworkStats.hop_counts`) and the physical
+  descriptor's all-pairs worst case and mean
+  (:meth:`repro.physical.descriptor.PhysicalModel.worst_case_hops`)
+  both read it off the walk.
 
 :class:`MeshTopology` is the paper's baseline; the ring-closing fabrics
 are:
@@ -170,12 +172,6 @@ class MeshTopology(_Grid):
         """Bidirectional neighbour pairs ``(a, a_port, b, b_port)``."""
         return _interior_links(self.cols, self.rows)
 
-    def hop_count(self, src: int, dest: int) -> int:
-        """Routers traversed = Manhattan distance + 1 (both endpoints)."""
-        sx, sy = self.coordinates(src)
-        dx, dy = self.coordinates(dest)
-        return abs(dx - sx) + abs(dy - sy) + 1
-
 
 class TorusTopology(_Grid):
     """A cols x rows 2-D torus under shortest-wrap XY routing."""
@@ -198,14 +194,6 @@ class TorusTopology(_Grid):
             yield (self.node_at(cols - 1, y), EAST, self.node_at(0, y), WEST)
         for x in range(cols):
             yield (self.node_at(x, rows - 1), SOUTH, self.node_at(x, 0), NORTH)
-
-    def hop_count(self, src: int, dest: int) -> int:
-        """Routers traversed = wrap Manhattan distance + 1."""
-        sx, sy = self.coordinates(src)
-        dx, dy = self.coordinates(dest)
-        ax = abs(dx - sx)
-        ay = abs(dy - sy)
-        return min(ax, self.cols - ax) + min(ay, self.rows - ay) + 1
 
 
 class RingTopology:
@@ -243,12 +231,6 @@ class RingTopology:
     def links(self) -> Iterator[LinkSpec]:
         for node in range(self.nodes):
             yield (node, RING_CW, (node + 1) % self.nodes, RING_CCW)
-
-    def hop_count(self, src: int, dest: int) -> int:
-        if not (0 <= src < self.nodes and 0 <= dest < self.nodes):
-            raise TopologyError(f"unknown nodes {src}->{dest}")
-        d = abs(dest - src)
-        return min(d, self.nodes - d) + 1
 
     def describe(self) -> str:
         return f"{self.nodes}-node ring"

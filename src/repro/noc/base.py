@@ -33,7 +33,8 @@ class Network:
     """What every built network is, whatever its datapath.
 
     One spec (``config``, always a :class:`~repro.fabric.registry
-    .FabricConfig`), one kernel, one statistics record, ``endpoints ==
+    .FabricConfig`), one kernel, one delivery record (``delivered``, which
+    ``stats`` reads), ``endpoints ==
     config.ports`` addressable ports, what its registry entry names
     (``topology``, ``routing``, ``vc_policy``) and one run-time surface:
     ``send`` / ``set_handler`` / ``run_ticks`` / ``run_cycles`` /
@@ -69,7 +70,10 @@ class Network:
         self.endpoints = config.ports
         self.kernel = kernel if kernel is not None \
             else SimKernel(activity_driven=config.activity_driven)
-        self.stats = NetworkStats()
+        #: Every delivered packet, in delivery order: the run's one
+        #: delivery record, which ``stats`` reads.
+        self.delivered: list[Packet] = []
+        self.stats = NetworkStats(self)
         self._handlers: dict[int, Callable[[Packet, int], None]] = {}
         self._inflight: dict[int, Packet] = {}
 
@@ -254,8 +258,7 @@ class Network:
         original = self._inflight.pop(packet.packet_id, None)
         if original is not None:
             packet.inject_tick = original.inject_tick
-        self.stats.record_delivery(
-            packet, self.topology.hop_count(packet.src, packet.dest))
+        self.delivered.append(packet)
         handler = self._handlers.get(packet.dest)
         if handler is not None:
             handler(packet, tick)
@@ -291,11 +294,9 @@ class Network:
 
     def drain(self, max_ticks: int = 1_000_000) -> bool:
         """Run until every injected packet is delivered (or give up)."""
-        stats = self.stats
+        stats, delivered = self.stats, self.delivered
         done = self.kernel.run_until(
-            lambda: stats.packets_delivered >= stats.packets_injected,
-            max_ticks,
-        )
+            lambda: len(delivered) >= stats.packets_injected, max_ticks)
         stats.elapsed_ticks = self.kernel.tick
         # Assigned, not merged: gating_stats() is cumulative already.
         stats.gating = self.gating_stats()

@@ -186,13 +186,6 @@ class ICNoCNetwork(Network):
     def _submit(self, packet: Packet) -> None:
         self.nis[packet.src].submit(packet)
 
-    @property
-    def delivered(self) -> list[Packet]:
-        out: list[Packet] = []
-        for ni in self.nis:
-            out.extend(ni.delivered)
-        return out
-
     # -- analysis hooks -----------------------------------------------------
 
     @property

@@ -71,8 +71,9 @@ class NISink(ClockedComponent):
     """Ingress: reassembles arriving flits into packets.
 
     Always ready (the paper's demonstrator drains ejected traffic into
-    local memories); an optional ``on_packet`` callback lets system models
-    react, e.g. a memory turning a request into a response.
+    local memories). Each reassembled packet goes to the optional
+    ``on_packet`` callback: in a network, its delivery hook, which keeps
+    the one record of what was delivered.
     """
 
     def __init__(self, kernel: SimKernel, name: str, parity: int,
@@ -83,7 +84,6 @@ class NISink(ClockedComponent):
         self._valid, self._data, self._accept = upstream.wires
         self.on_packet = on_packet
         self._assembly: dict[int, list[Flit]] = {}
-        self.delivered: list[Packet] = []
         self.flits_received = 0
         kernel.add_component(self)
 
@@ -104,7 +104,6 @@ class NISink(ClockedComponent):
             del self._assembly[flit.packet_id]
             packet = Packet.from_flits(buffer)
             packet.eject_tick = tick
-            self.delivered.append(packet)
             if self.on_packet is not None:
                 self.on_packet(packet, tick)
             if observed and "packet" in observed:
@@ -136,7 +135,3 @@ class NetworkInterface:
                 f"packet src {packet.src} submitted at leaf {self.leaf}"
             )
         self.source.submit(packet)
-
-    @property
-    def delivered(self) -> list[Packet]:
-        return self.sink.delivered

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.clocking.gating import GatingStats
-from repro.noc.packet import Packet
+
+if TYPE_CHECKING:
+    from repro.noc.base import Network
 
 
 @dataclass
@@ -67,23 +69,47 @@ def _percentile(ordered: list[float], q: float) -> float:
     return a + (b - a) * gamma
 
 
-@dataclass
 class NetworkStats:
-    """Aggregated results of one simulation run."""
+    """Aggregated results of one simulation run.
 
-    packets_injected: int = 0
-    packets_delivered: int = 0
-    flits_delivered: int = 0
-    elapsed_ticks: int = 0
-    latencies_cycles: list[float] = field(default_factory=list)
-    hop_counts: list[int] = field(default_factory=list)
-    gating: GatingStats = field(default_factory=GatingStats)
+    It keeps only what the network records nowhere else: the packets
+    ``send`` accepted, the elapsed ticks and the gating counters. Every
+    delivery figure is read off the network's one delivery record,
+    ``network.delivered`` (in delivery order), when asked for.
+    """
 
-    def record_delivery(self, packet: Packet, hops: int) -> None:
-        self.packets_delivered += 1
-        self.flits_delivered += packet.flit_count
-        self.latencies_cycles.append(packet.latency_cycles)
-        self.hop_counts.append(hops)
+    def __init__(self, network: "Network"):
+        self.network = network
+        self.packets_injected = 0
+        self.elapsed_ticks = 0
+        self.gating = GatingStats()
+
+    @property
+    def packets_delivered(self) -> int:
+        return len(self.network.delivered)
+
+    @property
+    def flits_delivered(self) -> int:
+        return sum(packet.flit_count for packet in self.network.delivered)
+
+    @property
+    def latencies_cycles(self) -> list[float]:
+        """Each delivered packet's latency, in delivery order."""
+        return [packet.latency_cycles for packet in self.network.delivered]
+
+    @property
+    def hop_counts(self) -> list[int]:
+        """Routers each delivered packet crossed, in delivery order: one
+        route walk (:meth:`~repro.noc.base.Network.walk`) over the
+        delivered pairs, counting the router the source attaches to."""
+        import numpy as np
+        pairs = np.array([(packet.src, packet.dest)
+                          for packet in self.network.delivered],
+                         dtype=np.int64).reshape(-1, 2)
+        hops = np.ones(len(pairs), dtype=np.int64)
+        for idx, *_ in self.network.walk(pairs[:, 0], pairs[:, 1]):
+            hops[idx] += 1
+        return hops.tolist()
 
     @property
     def elapsed_cycles(self) -> float:
@@ -102,9 +128,10 @@ class NetworkStats:
 
     @property
     def mean_hops(self) -> float:
-        if not self.hop_counts:
+        hops = self.hop_counts
+        if not hops:
             return 0.0
-        return sum(self.hop_counts) / len(self.hop_counts)
+        return sum(hops) / len(hops)
 
     def describe(self) -> str:
         return (

@@ -2,16 +2,16 @@
 
 The clock distribution requires a tree — "no converging paths are allowed
 in the network" (Section 3). A :class:`TreeTopology` describes the routers,
-the leaves (network ports), and the parent/child relations; the
-per-pair hop count lives here because it is purely structural (the
-all-pairs worst case and mean are the physical descriptor's, over the
-route walk).
+the leaves (network ports), and the parent/child relations. Its
+closed-form ``hop_count`` serves the analytical shortcut model
+(:mod:`repro.ext.ring_links`); the networks' own hop counts, per
+delivered packet and over all pairs, are read off the route walk.
 
 Both classes are registry structures, with the part of the credit
 structures' contract (:mod:`repro.fabric.topologies`) a tree has:
 ``from_config``, ``routing()``, ``links()`` between routers, ``attach``
 (an endpoint's leaf router and child port, where a route walk starts and
-stops) and ``hop_count``. This module imports only
+stops). This module imports only
 :mod:`repro.errors`, so the registry reads it without loading the tree's
 datapath.
 

@@ -2,9 +2,8 @@
 
 :class:`MetricsRegistry` turns the kernel's observability primitives —
 signal probes (:meth:`Signal.attach_probe`) and router events
-(``arbitration_grant``, ``credit_exhausted``, ``vc_allocated``,
-``inject``, ``packet``) — into per-link, per-router, per-port and
-per-VC statistics:
+(``arbitration_grant``, ``credit_exhausted``, ``vc_allocated``) —
+into per-link, per-router, per-port and per-VC statistics:
 
 * **link utilization** and flit counts, from a probe on each link's
   consumer-side flit wire (every launched flit is one wire change);
@@ -17,13 +16,14 @@ per-VC statistics:
 * **credit-stall cycles**: per output (and VC), from a
   ``credit_exhausted`` edge until the starved output next forwards a
   flit — the full head-of-line penalty of the starvation episode;
-* **latency histograms**: log2-bucketed with exact p50/p95/p99 from the
-  raw samples of the run.
+* **packet counts and latency histograms**: read off the network's one
+  delivery record (``network.delivered``) and its injection count, from
+  attach on; log2-bucketed with exact p50/p95/p99 from the raw samples.
 
 The probes and listeners are the network's telemetry tap
 (:mod:`repro.telemetry.tap`), shared with a flit tracer; per flit they
 make integer updates only, on tables the tap resolves at attach
-(:class:`~repro.telemetry.tap.PortTables`). Everything is populated
+(:class:`~repro.telemetry.tap.PortTables`). Every table is populated
 from *changes*, so the cost is proportional to network
 activity and a quiescent network still fast-forwards in O(1): probes
 and event subscriptions never force the kernel awake.
@@ -100,11 +100,8 @@ def _log2_bucket(value: float) -> int:
 class LatencyHistogram:
     """Raw latency samples plus their log2-bucketed view."""
 
-    def __init__(self) -> None:
-        self.samples: list[float] = []
-
-    def record(self, cycles: float) -> None:
-        self.samples.append(cycles)
+    def __init__(self, samples: Iterable[float] = ()) -> None:
+        self.samples = list(samples)
 
     def buckets(self) -> dict[str, int]:
         """``{upper_bound: count}`` with power-of-two bounds, as strings
@@ -331,36 +328,26 @@ class MetricsRegistry:
 
     The per-flit state is the network's telemetry tap's
     :class:`~repro.telemetry.tap.PortTables`, opened as the registry
-    joins; the registry itself counts packets and keeps the latency
-    histogram.
+    joins. The packet counts and the latency histogram are read off the
+    network's own records at :meth:`summary`: what ``network.delivered``
+    and ``stats.packets_injected`` gained since attach.
     """
 
     def __init__(self, kernel: SimKernel):
         self.kernel = kernel
         self._start_tick = kernel.tick
-        self.histogram = LatencyHistogram()
-        self.packets_injected = 0
-        self.packets_delivered = 0
-        self.flits_delivered = 0
 
     # -- attachment ------------------------------------------------------
 
     def attach(self, network) -> "MetricsRegistry":
+        self._network = network
+        self._delivered_at = len(network.delivered)
+        self._injected_at = network.stats.packets_injected
         join(network, "registry", self)
         return self
 
     def _resolve(self, tap) -> None:
         self._tables = tap.tables
-
-    # -- per-packet handlers (the tap calls these) --------------------------
-
-    def _inject(self, tick: int, packet) -> None:
-        self.packets_injected += 1
-
-    def _deliver(self, tick: int, packet) -> None:
-        self.packets_delivered += 1
-        self.flits_delivered += packet.flit_count
-        self.histogram.record(packet.latency_cycles)
 
     # -- reporting -------------------------------------------------------
 
@@ -371,14 +358,19 @@ class MetricsRegistry:
         the current kernel tick only.
         """
         end = self.kernel.tick
+        network = self._network
+        delivered = network.delivered[self._delivered_at:]
+        histogram = LatencyHistogram(packet.latency_cycles
+                                     for packet in delivered)
         return MetricsSummary(
             elapsed_cycles=(end - self._start_tick) / 2.0,
-            packets_injected=self.packets_injected,
-            packets_delivered=self.packets_delivered,
-            flits_delivered=self.flits_delivered,
+            packets_injected=(network.stats.packets_injected
+                              - self._injected_at),
+            packets_delivered=len(delivered),
+            flits_delivered=sum(packet.flit_count for packet in delivered),
             **self._tables.report(self._start_tick, end),
-            latency=self.histogram.summary().to_dict(),
-            latency_buckets=self.histogram.buckets(),
+            latency=histogram.summary().to_dict(),
+            latency_buckets=histogram.buckets(),
         )
 
 

@@ -1,11 +1,13 @@
 """One attach path for a network's telemetry.
 
 The metrics registry and the flit tracer watch the same things: every
-grant, every flit-wire change and the per-packet ``inject``/``packet``
-events (the registry also hears ``credit_exhausted`` and
-``vc_allocated``). A :class:`TelemetryTap` feeds one of each through
-**one probe per wire and one listener per event** (see :func:`join`);
-a second consumer of a kind opens a second tap.
+grant and every flit-wire change. The registry also hears
+``credit_exhausted`` and ``vc_allocated``, and the tracer the
+per-packet ``inject`` and ``packet`` events (the registry reads its
+packet counts off the network's delivery record instead). A
+:class:`TelemetryTap` feeds one of each through **one probe per wire
+and one listener per event** (see :func:`join`); a second consumer of a
+kind opens a second tap.
 
 **A grant is read off the wire it drives.** A switch listed by
 :meth:`~repro.noc.base.Network.grant_wires` (an unpipelined credit
@@ -43,9 +45,9 @@ def join(network, role: str, consumer) -> "TelemetryTap":
 
     A registry's :class:`PortTables` are opened as it joins. The probes
     and listeners are built when the first consumer joins and rebuilt
-    when a registry joins. A tracer joining later needs no rebuild:
-    every callback already tests the tap's ``traces``, the sample the
-    tracer adopts (empty until then)."""
+    when a registry joins. A tracer joining later adds only its two
+    per-packet listeners: every probe already tests the tap's
+    ``traces``, the sample the tracer adopts (empty until then)."""
     taps = vars(network).setdefault("_telemetry_taps", [])
     tap = next((tap for tap in taps if getattr(tap, role) is None), None)
     if tap is None:
@@ -55,10 +57,11 @@ def join(network, role: str, consumer) -> "TelemetryTap":
         tap.tables = PortTables(tap)
     consumer._resolve(tap)
     setattr(tap, role, consumer)
-    tap.on_inject.append(consumer._inject)
-    tap.on_deliver.append(consumer._deliver)
     if role == "registry" or not tap.installed:
         tap.install()
+    else:
+        for event, listener in tap._packet_events():
+            tap._subscribe(event, listener)
     return tap
 
 
@@ -320,8 +323,6 @@ class TelemetryTap:
         self.tables: PortTables | None = None
         self.traces: dict[int, Any] = {}
         self.arrivals: dict[tuple[int, str], int] = {}
-        self.on_inject: list[Listener] = []
-        self.on_deliver: list[Listener] = []
         self.installed = False
         self._probes: list[tuple[Any, Listener]] = []
         self._listeners: list[tuple[str, Listener]] = []
@@ -344,9 +345,12 @@ class TelemetryTap:
             signal.attach_probe(probe)
             self._probes.append((signal, probe))
         for event, listener in self._events():
-            kernel.subscribe(event, listener)
-            self._listeners.append((event, listener))
+            self._subscribe(event, listener)
         self.installed = True
+
+    def _subscribe(self, event: str, listener: Listener) -> None:
+        self.kernel.subscribe(event, listener)
+        self._listeners.append((event, listener))
 
     def hop(self, tick: int, switch: str, output: int, vc: int | None,
             flit) -> None:
@@ -461,21 +465,18 @@ class TelemetryTap:
                     hop(tick, switch, output, vc, flit)
         return on_grant
 
+    def _packet_events(self) -> list[tuple[str, Listener]]:
+        """The tracer's per-packet listeners (none without a tracer)."""
+        tracer = self.tracer
+        if tracer is None:
+            return []
+        return [("inject", tracer._inject), ("packet", tracer._deliver)]
+
     def _events(self) -> list[tuple[str, Listener]]:
-        events = [("inject", _fan_out(self.on_inject)),
-                  ("packet", _fan_out(self.on_deliver))]
+        events = self._packet_events()
         if not self.grant_wires:
             events.append(("arbitration_grant", self._grant_listener()))
         if self.tables is not None:
             events += [("credit_exhausted", self.tables.starve),
                        ("vc_allocated", self.tables.vc_allocated)]
         return events
-
-
-def _fan_out(handlers: list[Listener]) -> Listener:
-    """One listener calling each of ``handlers`` in turn (a list a later
-    consumer may join)."""
-    def fan_out(tick, data):
-        for handler in handlers:
-            handler(tick, data)
-    return fan_out

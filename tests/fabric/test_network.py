@@ -234,7 +234,7 @@ class TestMeshDelivery:
         net = mesh(8, 8)
         net.send(Packet(src=0, dest=63))
         net.drain(20_000)
-        hops = net.topology.hop_count(0, 63)
+        hops = net.stats.hop_counts[0]
         latency = net.delivered[0].latency_cycles
         assert 2 * hops - 2 <= latency <= 2 * hops + 4
 

@@ -18,6 +18,7 @@ from repro.noc.packet import Packet
 from repro.physical.descriptor import physical_model
 from repro.telemetry import attach_metrics, attach_tracer
 
+from tests.fabric.hops import closed_form_hops
 from tests.fabric.test_equivalence import _config, flow_control_matrix
 
 MATRIX = flow_control_matrix()
@@ -145,9 +146,39 @@ def test_hop_count_is_the_walks_hop_count(name, kwargs):
     hops = np.ones(srcs.size, dtype=np.int64)
     for idx, _node, _port, _ahead in net.walk(srcs, dests):
         hops[idx] += 1
-    assert hops.tolist() == [net.topology.hop_count(src, dest)
+    assert hops.tolist() == [closed_form_hops(net.topology, src, dest)
                              for src, dest in zip(srcs.tolist(),
                                                   dests.tolist())]
+
+
+def _all_pairs_run(net):
+    """Send one packet between every ordered pair of distinct endpoints
+    (two rounds, so packets queue behind each other) and drain."""
+    n = net.endpoints
+    for _round in range(2):
+        for src in range(n):
+            for dest in range(n):
+                if src != dest:
+                    net.send(Packet(src=src, dest=dest))
+        net.run_cycles(n)
+    assert net.drain()
+    return net
+
+
+@pytest.mark.parametrize("name,kwargs", WALK_BUILDS)
+def test_delivery_record_is_in_order_with_walked_hops(name, kwargs):
+    """After an all-ordered-pairs run (same-leaf and cross-leaf mixed on
+    the concentrated trees), ``net.delivered`` is in delivery order —
+    ``eject_tick`` never decreases — and ``stats.hop_counts`` lists the
+    closed-form hop count of each of its packets, in that order."""
+    net = _all_pairs_run(_walk_build(name, kwargs))
+    assert net.stats.packets_delivered == 2 * net.endpoints * \
+        (net.endpoints - 1)
+    ejects = [packet.eject_tick for packet in net.delivered]
+    assert ejects == sorted(ejects)
+    assert net.stats.hop_counts == \
+        [closed_form_hops(net.topology, packet.src, packet.dest)
+         for packet in net.delivered]
 
 
 @pytest.mark.parametrize("name,kwargs", WALK_BUILDS)
@@ -158,6 +189,7 @@ def test_src_equal_dest_counts_one_hop_everywhere(name, kwargs):
     net = _walk_build(name, kwargs)
     ends = np.arange(net.endpoints)
     assert list(net.walk(ends, ends)) == []
-    assert {net.topology.hop_count(end, end) for end in ends.tolist()} == {1}
+    assert {closed_form_hops(net.topology, end, end)
+            for end in ends.tolist()} == {1}
     assert set(physical_model(net).pair_costs(ends, ends).hops.tolist()) \
         == {1}

@@ -25,10 +25,13 @@ from repro.fabric.routing import (
     VcPolicy,
     XYRouting,
 )
-from repro.fabric.topologies import RingTopology, TorusTopology
+from repro.fabric.topologies import TorusTopology
 from repro.noc.flit import Flit, FlitKind
 from repro.physical.descriptor import physical_model
 from repro.sim.kernel import SimKernel
+
+from tests.fabric.hops import closed_form_hops
+from tests.noc.test_topology import walk_routers
 
 
 def flit_to(dest, kind=FlitKind.SINGLE, seq=0, packet_id=0, src=0):
@@ -84,7 +87,7 @@ class TestTorusRouting:
                     node = topo.node_at(x + step[0], y + step[1])
                     hops += 1
                     assert hops <= 8, (src, dest)
-                assert hops + 1 == topo.hop_count(src, dest) or src == dest
+                assert hops + 1 == closed_form_hops(topo, src, dest)
 
 
 class TestRingRouting:
@@ -96,17 +99,17 @@ class TestRingRouting:
         assert route(flit_to(0)) == LOCAL
 
     def test_hop_count_wraps(self):
-        topo = RingTopology(8)
-        assert topo.hop_count(0, 7) == 2
-        assert topo.hop_count(0, 4) == 5
+        net = FabricConfig(topology="ring", ports=8).build()
+        assert len(walk_routers(net, 0, 7)) == 2
+        assert len(walk_routers(net, 0, 4)) == 5
         assert worst_case_hops("ring", 8) == 5
 
 
 class TestTorusTopology:
     def test_hop_count_wraps(self):
-        topo = TorusTopology(4, 4)
-        assert topo.hop_count(0, 3) == 2       # wrap west
-        assert topo.hop_count(0, 15) == 3      # wrap both dimensions
+        net = FabricConfig(topology="torus", ports=16).build()
+        assert len(walk_routers(net, 0, 3)) == 2       # wrap west
+        assert len(walk_routers(net, 0, 15)) == 3      # wrap both dimensions
         assert worst_case_hops("torus", 16) == 5
         # A same-size mesh pays 2*sqrt(N); the torus halves it.
         assert worst_case_hops("torus", 16) < worst_case_hops("mesh", 16)

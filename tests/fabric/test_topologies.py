@@ -12,6 +12,7 @@ from repro.fabric.routing import EAST
 from repro.fabric.topologies import MeshTopology, grid_shape
 from repro.physical.descriptor import physical_model
 
+from tests.fabric.hops import closed_form_hops
 from tests.noc.test_topology import walk_routers
 
 
@@ -83,10 +84,10 @@ class TestXYRouting:
         assert xs[first_y_move] == xs[-1]
 
     def test_hop_count_is_manhattan_plus_one(self):
-        mesh = MeshTopology(8, 8)
-        assert mesh.hop_count(0, 63) == 15
-        assert mesh.hop_count(0, 1) == 2
-        assert mesh.hop_count(9, 9) == 1
+        net = mesh_network(64)
+        assert len(walk_routers(net, 0, 63)) == 15
+        assert len(walk_routers(net, 0, 1)) == 2
+        assert len(walk_routers(net, 9, 9)) == 1
 
     def test_worst_case_hops(self):
         # cols + rows - 1 ~ 2*sqrt(N): the paper's comparison.
@@ -101,7 +102,7 @@ class TestXYRouting:
     def test_path_length_matches_hop_count(self, src, dest):
         net = mesh_network(64)
         assert len(walk_routers(net, src, dest)) == \
-            net.topology.hop_count(src, dest)
+            closed_form_hops(net.topology, src, dest)
 
 
 class TestGeometry:

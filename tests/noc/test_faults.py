@@ -81,16 +81,12 @@ class TestCorruptDest:
         for src in range(56, 64):
             net.send(Packet(src=src, dest=63 - src))
         net.drain(50_000)
-        landed = {}
-        for ni in net.nis:
-            for packet in ni.delivered:
-                landed[packet.packet_id] = ni.leaf
         # At least one packet went somewhere other than its dest field
         # intended at injection (the reassembled dest is the corrupted
-        # one, hence ni.leaf == packet.dest still — the *injection* map
-        # is what disagrees).
-        misdelivered = [pid for pid, leaf in landed.items()
-                        if leaf == 5]
+        # one, the leaf whose NI ejected it — the *injection* map is
+        # what disagrees).
+        misdelivered = [packet.packet_id for packet in net.delivered
+                        if packet.dest == 5]
         assert misdelivered, "fault never activated"
 
 

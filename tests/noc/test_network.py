@@ -172,9 +172,10 @@ class TestDelivery:
         net = ICNoCNetwork(FabricConfig(ports=8, arity=2))
         net.send(Packet(src=1, dest=6))
         net.drain(5000)
-        assert len(net.nis[6].delivered) == 1
+        assert [p.dest for p in net.delivered] == [6]
+        assert net.nis[6].sink.flits_received == 1
         for leaf in (0, 1, 2, 3, 4, 5, 7):
-            assert net.nis[leaf].delivered == []
+            assert net.nis[leaf].sink.flits_received == 0
 
     def test_latency_recorded(self):
         net = ICNoCNetwork(FabricConfig(ports=8, arity=2))

@@ -56,12 +56,8 @@ class TestNetworkInvariants:
             order.setdefault((src, dest), []).append(packet.packet_id)
             net.send(packet)
         assert net.drain(200_000)
-        arrival = {}
-        for ni in net.nis:
-            for position, packet in enumerate(ni.delivered):
-                arrival[packet.packet_id] = (
-                    packet.eject_tick, position
-                )
+        arrival = {packet.packet_id: (packet.eject_tick, position)
+                   for position, packet in enumerate(net.delivered)}
         for pair_ids in order.values():
             ejects = [arrival[pid] for pid in pair_ids]
             assert ejects == sorted(ejects)

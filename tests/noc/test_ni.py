@@ -60,10 +60,12 @@ class TestNISource:
 class TestNISink:
     def test_reassembles_multiflit_packet(self):
         kernel, ni = loopback_ni()
+        delivered = []
+        ni.sink.on_packet = lambda packet, tick: delivered.append(packet)
         ni.source.submit(Packet(src=0, dest=0, payload=[7, 8, 9]))
         kernel.run_ticks(40)
-        assert len(ni.delivered) == 1
-        assert ni.delivered[0].payload == [7, 8, 9]
+        assert len(delivered) == 1
+        assert delivered[0].payload == [7, 8, 9]
         assert ni.sink.incomplete == 0
 
     def test_interleaved_packets_reassembled(self):
@@ -108,14 +110,16 @@ class TestNISink:
                 merged.drive(self.holding, tick)
 
         Merger()
-        sink = NISink(kernel, "sink", 0, merged)
+        delivered = []
+        sink = NISink(kernel, "sink", 0, merged,
+                      on_packet=lambda packet, tick: delivered.append(packet))
         pkt_a = Packet(src=0, dest=0, payload=[1, 2, 3])
         pkt_b = Packet(src=1, dest=0, payload=[4, 5, 6])
         src_a.send(pkt_a.to_flits())
         src_b.send(pkt_b.to_flits())
         kernel.run_ticks(100)
-        assert len(sink.delivered) == 2
-        payloads = {p.packet_id: p.payload for p in sink.delivered}
+        assert len(delivered) == 2
+        payloads = {p.packet_id: p.payload for p in delivered}
         assert payloads[pkt_a.packet_id] == [1, 2, 3]
         assert payloads[pkt_b.packet_id] == [4, 5, 6]
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.fabric.registry import FabricConfig
 from repro.noc.packet import Packet
-from repro.noc.stats import LatencySummary, NetworkStats
+from repro.noc.stats import LatencySummary
 
 
-def delivered_packet(latency_ticks, flits=1):
-    packet = Packet(src=0, dest=1,
+def delivered_packet(latency_ticks, flits=1, src=0, dest=1):
+    packet = Packet(src=src, dest=dest,
                     payload=list(range(flits)) if flits > 1 else [])
     packet.inject_tick = 0
     packet.eject_tick = latency_ticks
@@ -99,33 +100,40 @@ class TestLatencySummaryMatchesNumpy:
         assert summary.minimum == float(arr.min())
 
 
+def stats_over(packets):
+    """The stats of a 16-port mesh (4 x 4) whose delivery record is
+    ``packets``."""
+    net = FabricConfig(topology="mesh", ports=16).build()
+    net.delivered.extend(packets)
+    return net.stats
+
+
 class TestNetworkStats:
-    def test_record_delivery(self):
-        stats = NetworkStats()
-        stats.record_delivery(delivered_packet(10, flits=3), hops=5)
+    def test_counts_read_the_delivered_record(self):
+        stats = stats_over([delivered_packet(10, flits=3)])
         assert stats.packets_delivered == 1
         assert stats.flits_delivered == 3
         assert stats.latencies_cycles == [5.0]
-        assert stats.hop_counts == [5]
+        assert stats.hop_counts == [2]   # 0 -> 1: two adjacent routers
 
     def test_throughput(self):
-        stats = NetworkStats()
-        stats.record_delivery(delivered_packet(10, flits=4), hops=1)
+        stats = stats_over([delivered_packet(10, flits=4)])
         stats.elapsed_ticks = 20  # 10 cycles
         assert stats.throughput_flits_per_cycle == pytest.approx(0.4)
 
     def test_throughput_zero_without_time(self):
-        assert NetworkStats().throughput_flits_per_cycle == 0.0
+        assert stats_over([]).throughput_flits_per_cycle == 0.0
 
     def test_mean_hops(self):
-        stats = NetworkStats()
-        stats.record_delivery(delivered_packet(4), hops=1)
-        stats.record_delivery(delivered_packet(4), hops=11)
-        assert stats.mean_hops == 6.0
+        # Corner to corner (0 -> 15) crosses 3 + 3 links: 7 routers.
+        stats = stats_over([delivered_packet(4),
+                            delivered_packet(4, src=15, dest=0)])
+        assert stats.hop_counts == [2, 7]
+        assert stats.mean_hops == 4.5
+        assert stats_over([]).mean_hops == 0.0
 
     def test_describe_mentions_counts(self):
-        stats = NetworkStats()
+        stats = stats_over([delivered_packet(4)])
         stats.packets_injected = 2
-        stats.record_delivery(delivered_packet(4), hops=1)
         stats.elapsed_ticks = 10
         assert "1/2 packets" in stats.describe()

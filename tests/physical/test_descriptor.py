@@ -24,6 +24,8 @@ from repro.noc.floorplan import segment_count
 from repro.physical.descriptor import left_to_right, physical_model
 from repro.physical.power import router_energy_pj_per_flit
 
+from tests.fabric.hops import closed_form_hops
+
 PORTS = {"mesh": 16, "torus": 16, "ring": 10}
 #: A die whose tile pitches are not exact binary fractions, so a sum
 #: taken in another order rounds differently on some pairs.
@@ -227,10 +229,11 @@ def closed_form_worst_hops(topo):
 
 
 def closed_form_mean_hops(topo, endpoints):
-    """Mean of the structure's closed-form ``hop_count`` over every
-    ordered pair of distinct endpoints: the same integer total and the
-    same division as the walk's, so the float is identical."""
-    total = sum(topo.hop_count(src, dest) for src in range(endpoints)
+    """Mean of the structure's closed-form hop count over every ordered
+    pair of distinct endpoints: the same integer total and the same
+    division as the walk's, so the float is identical."""
+    total = sum(closed_form_hops(topo, src, dest)
+                for src in range(endpoints)
                 for dest in range(endpoints) if src != dest)
     return total / (endpoints * (endpoints - 1))
 

@@ -94,7 +94,7 @@ class TestSamplingDeterminism:
     def test_period_one_samples_everything(self):
         _, registry, tracer = run_instrumented("mesh", True,
                                                sample_period=1)
-        assert len(tracer.traces) == registry.packets_injected
+        assert len(tracer.traces) == registry.summary().packets_injected
 
     def test_sampled_set_stable_across_repeat_runs(self):
         # The process-global packet-id counter advances between runs;

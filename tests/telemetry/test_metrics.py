@@ -8,6 +8,8 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.fabric.registry import FabricConfig
+from repro.noc.packet import Packet
+from repro.noc.stats import LatencySummary
 from repro.telemetry import MetricsSummary, TimeWeightedGauge, attach_metrics
 from repro.telemetry.metrics import (
     LatencyHistogram,
@@ -68,17 +70,13 @@ class TestHistogram:
         assert _log2_bucket(9.0) == 16
 
     def test_buckets_round_trip_json(self):
-        histogram = LatencyHistogram()
-        for sample in (1.0, 3.0, 3.5, 20.0):
-            histogram.record(sample)
+        histogram = LatencyHistogram((1.0, 3.0, 3.5, 20.0))
         buckets = histogram.buckets()
         assert buckets == {"1": 1, "4": 2, "32": 1}
         assert json.loads(json.dumps(buckets)) == buckets
 
     def test_summary_has_exact_percentiles(self):
-        histogram = LatencyHistogram()
-        for i in range(100):
-            histogram.record(float(i + 1))
+        histogram = LatencyHistogram(float(i + 1) for i in range(100))
         summary = histogram.summary()
         assert summary.count == 100
         assert summary.p50 == pytest.approx(50.5)
@@ -227,3 +225,27 @@ class TestSummaryIsReadOnly:
         # gauge: the live one still applies that tick's dequeues first.
         assert loaded_mesh_summary(activity_driven, True) == \
             loaded_mesh_summary(activity_driven, False)
+
+
+class TestAttachMidRun:
+    def test_counts_only_what_came_after_attach(self):
+        """A registry attached mid-run counts the packets injected after
+        attach and every packet delivered after it, one in flight at
+        attach included; its latency samples are those deliveries'."""
+        net = FabricConfig(topology="mesh", ports=16).build()
+        net.send(Packet(src=0, dest=15, payload=[1, 2]))
+        assert net.drain()
+        net.send(Packet(src=0, dest=15, payload=[1, 2, 3]))
+        net.run_ticks(2)
+        assert net.stats.packets_delivered == 1   # the second in flight
+        registry = attach_metrics(net)
+        net.send(Packet(src=3, dest=12))
+        net.send(Packet(src=5, dest=6, payload=[4, 5, 6, 7]))
+        assert net.drain()
+        summary = registry.summary()
+        assert summary.packets_injected == 2
+        assert summary.packets_delivered == 3
+        assert summary.flits_delivered == 3 + 1 + 4
+        after = [packet.latency_cycles for packet in net.delivered[1:]]
+        assert summary.latency == LatencySummary.from_cycles(after).to_dict()
+        assert sum(summary.latency_buckets.values()) == 3

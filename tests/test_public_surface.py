@@ -265,6 +265,8 @@ DEAD_NAMES = [
     (r"link_pitch_mm", 48, "the floorplan's link lengths"),
     (r"scheme_cost_table", 48, "no verb, record or bench read it"),
     (r"evaluate_bursty", 48, "BurstySystem(config).run()"),
+    (r"record_delivery", 51, "NetworkStats reads network.delivered"),
+    (r"_local_delivered", 51, "one delivery record: network.delivered"),
 ]
 
 #: Where a dead name may not come back.
